@@ -46,10 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -85,10 +82,12 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _csv_text(command: str, config: dict, columns, rows) -> str:
+def _csv_text(command: str, config: dict, columns, rows, comments=()) -> str:
+    """CSV text: command and config lines, any extra comment lines, header, rows."""
     lines = [
         f"# stimpairs {command}",
         f"# config: {json.dumps(config, sort_keys=True)}",
+        *comments,
         ",".join(columns),
     ]
     for row in rows:
@@ -171,10 +170,6 @@ def _cmd_sweep_phase(args) -> int:
     return 0
 
 
-def _fit_doc(fit: polarization.FitResult) -> dict:
-    return fit.to_dict()
-
-
 def _cmd_fig4(args) -> int:
     config = _load_config(args.config)
     geom = _plate_from(args, config)
@@ -214,11 +209,12 @@ def _cmd_fig4(args) -> int:
         for a, ph, c in zip(scan.x, scan.phase, scan.counts)
     ]
     if fmt == "csv":
-        text = _csv_text("fig4", echo, ("alpha_deg", "phase_rad", "counts"), rows)
-        text = text.replace(
-            "alpha_deg,phase_rad,counts",
-            f"# fit: {json.dumps(_fit_doc(fit), sort_keys=True)}\nalpha_deg,phase_rad,counts",
-            1,
+        text = _csv_text(
+            "fig4",
+            echo,
+            ("alpha_deg", "phase_rad", "counts"),
+            rows,
+            comments=[f"# fit: {json.dumps(fit.to_dict(), sort_keys=True)}"],
         )
         _emit(text, args.out)
     elif fmt == "json":
@@ -226,7 +222,7 @@ def _cmd_fig4(args) -> int:
             "command": "fig4",
             "config": echo,
             "scan": [{"alpha_deg": r[0], "phase_rad": r[1], "counts": r[2]} for r in rows],
-            "fit": _fit_doc(fit),
+            "fit": fit.to_dict(),
         }
         _emit(_json_text(doc), args.out)
     else:
@@ -277,11 +273,12 @@ def _cmd_fringe(args) -> int:
         (float(np.degrees(a)), float(c)) for a, c in zip(scan.x, scan.counts)
     ]
     if fmt == "csv":
-        text = _csv_text("fringe", echo, ("pol_a_deg", "counts"), rows)
-        text = text.replace(
-            "pol_a_deg,counts",
-            f"# fit: {json.dumps(_fit_doc(fit), sort_keys=True)}\npol_a_deg,counts",
-            1,
+        text = _csv_text(
+            "fringe",
+            echo,
+            ("pol_a_deg", "counts"),
+            rows,
+            comments=[f"# fit: {json.dumps(fit.to_dict(), sort_keys=True)}"],
         )
         _emit(text, args.out)
     elif fmt == "json":
@@ -289,7 +286,7 @@ def _cmd_fringe(args) -> int:
             "command": "fringe",
             "config": echo,
             "scan": [{"pol_a_deg": r[0], "counts": r[1]} for r in rows],
-            "fit": _fit_doc(fit),
+            "fit": fit.to_dict(),
         }
         _emit(_json_text(doc), args.out)
     else:
@@ -313,10 +310,7 @@ def _cmd_tomography(args) -> int:
     seed = _check_seed(_resolve(args, config, "seed", None))
 
     if counts_path is not None:
-        try:
-            text = Path(counts_path).read_text()
-        except OSError:
-            raise
+        text = Path(counts_path).read_text()
         record = tomography.TomographyRecord.from_json(text)
     else:
         rho_true = _parse_state(state_spec if state_spec is not None else "bell")

@@ -1,9 +1,10 @@
 """Acceptance gate: ten numbered criteria, one printed verdict line each.
 
 Criteria 1, 2 and 6 share one sweep over the (N, phi, tau) evolution grid,
-cached module-wide because the largest point runs a dimension ~9e5 sparse
-exponential.  Every tolerance below is pinned; loosening one is a contract
-change, not a fix.
+cached module-wide.  The oracle evolves in the conserved pair sector (at most
+31 x 31 amplitudes) and scatters into the full space, whose largest point here
+has 923,521 states.  Every tolerance below is pinned; loosening one is a
+contract change, not a fix.
 """
 
 import math

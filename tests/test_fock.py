@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from stimpairs.errors import SchemaError, TruncationError
 from stimpairs.fock import (
+    AMPLITUDE_EPS,
     ENUMERATION_ORDER,
     MODES,
     FockSpace,
@@ -178,13 +181,45 @@ def test_evolution_matches_closed_form():
     assert state.leakage is not None and state.leakage < 1e-10
 
 
-def test_eigh_and_krylov_agree():
-    cfg = ResonatorConfig(1, 0.0, 0.05)
-    dense = evolve_vacuum(cfg, 4, method="eigh")
-    sparse = evolve_vacuum(cfg, 4, method="krylov")
-    assert np.abs(dense.amplitudes - sparse.amplitudes).max() < 1e-12
-    with pytest.raises(ValueError):
-        evolve_vacuum(cfg, 4, method="magic")
+def test_generator_conserves_pair_charges():
+    # evolve_vacuum works in the sector n_aH = n_bV, n_aV = n_bH; that rests
+    # on every pump term commuting with both charges.
+    space = FockSpace(4)
+    occ = space.occupations
+    charges = [
+        sp.diags((occ[:, i] - occ[:, j]).astype(float)) for i, j in ((0, 3), (1, 2))
+    ]
+    cfg = ResonatorConfig(3, 0.7, 0.02)
+    for basis in ("cw", "ccw", "combined"):
+        g = build_generator(cfg, space, pump_basis=basis)
+        assert g.nnz > 0
+        for q in charges:
+            assert abs(g @ q - q @ g).max() < 1e-12
+
+
+def test_evolution_matches_full_space_exponential():
+    # Reference: dense exponential of the full-space generator on the vacuum
+    # at the same cutoff, so the truncation is compared along with the sector
+    # reduction.  Cases (cfg, tol, least leakage): complex A with leakage just
+    # under the default tol; a destructive point (A ~ 1e-16); and a large tau
+    # at tol 1e-3, last, where the truncated state is far from the
+    # infinite-space closed form.
+    cases = [
+        (ResonatorConfig(3, 0.7, 0.02), 1e-10, 5e-11),
+        (ResonatorConfig(2, math.pi, 0.05), 1e-10, 0.0),
+        (ResonatorConfig(1, 0.0, 0.3), 1e-3, 1e-5),
+    ]
+    space = FockSpace(4)
+    for cfg, tol, least in cases:
+        g = build_generator(cfg, space).toarray()
+        reference = scipy.linalg.expm(-1j * cfg.tau * g)[:, 0]
+        state = evolve_vacuum(cfg, space, tol=tol)
+        assert np.abs(state.amplitudes - reference).max() < 1e-12
+        shell = float(np.sum(np.abs(reference[space.boundary_mask]) ** 2))
+        assert state.leakage == pytest.approx(shell, rel=1e-9, abs=1e-20)
+        assert state.leakage >= least
+    closed = disentangled_state(0.3, space)
+    assert np.abs(closed.amplitudes - reference).max() > 1e-3
 
 
 def test_truncation_error_reports_leakage():
@@ -284,6 +319,23 @@ def test_fock_vector_json_roundtrip():
     assert np.abs(loaded.amplitudes - state.amplitudes).max() < 1e-14
     doc = json.loads(text)
     assert doc["order"] == ENUMERATION_ORDER
+
+
+def test_fock_vector_json_matches_loop_reference():
+    # to_json selects entries with array code; its text must equal that of
+    # this per-amplitude loop, byte for byte.  At cutoff 12 the high pair
+    # sectors fall below AMPLITUDE_EPS, so the threshold is exercised.
+    state = evolve_vacuum(ResonatorConfig(3, 0.7, 0.05), 12)
+    entries = [
+        [int(i), float(a.real), float(a.imag)]
+        for i, a in enumerate(state.amplitudes)
+        if abs(a) > AMPLITUDE_EPS
+    ]
+    expected = json.dumps(
+        {"cutoff": 12, "order": ENUMERATION_ORDER, "amplitudes": entries}
+    )
+    assert 50 < len(entries) < 13**2
+    assert state.to_json() == expected
 
 
 def test_fock_vector_json_schema_errors():
