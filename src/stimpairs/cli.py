@@ -19,6 +19,7 @@ failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -99,6 +100,20 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _emit_fitted_scan(out, fmt, command, echo, columns, rows, fit) -> int:
+    """A scan and its fit: CSV with a '# fit:' line, or JSON with scan and fit."""
+    if fmt == "csv":
+        fit_line = f"# fit: {json.dumps(fit.to_dict(), sort_keys=True)}"
+        text = _csv_text(command, echo, columns, rows, comments=[fit_line])
+    elif fmt == "json":
+        scan = [dict(zip(columns, r)) for r in rows]
+        text = _json_text({"command": command, "config": echo, "scan": scan, "fit": fit.to_dict()})
+    else:
+        raise _UsageError(f"unknown format {fmt!r}")
+    _emit(text, out)
+    return 0
+
+
 def _parse_state(spec: str) -> np.ndarray:
     """bell or dephased:<d> into a density matrix."""
     if spec == "bell":
@@ -141,11 +156,10 @@ def _cmd_sweep_phase(args) -> int:
         raise _UsageError("need phi-max > phi-min and phi-steps >= 2")
     tau = float(_resolve(args, config, "tau", 1e-3))
     m = int(_resolve(args, config, "m", 1))
-    workers = int(_resolve(args, config, "workers", 1))
     fmt = _resolve(args, config, "format", "csv")
 
     phis = np.linspace(phi_min, phi_max, phi_steps)
-    rows = resonator.sweep_rows(n_values, phis, tau, m, workers=workers)
+    rows = resonator.sweep_rows(n_values, phis, tau, m)
     echo = {
         "n_list": n_values,
         "phi_min": phi_min,
@@ -153,7 +167,6 @@ def _cmd_sweep_phase(args) -> int:
         "phi_steps": phi_steps,
         "tau": tau,
         "m": m,
-        "workers": workers,
     }
     if fmt == "csv":
         _emit(_csv_text("sweep-phase", echo, resonator.SWEEP_COLUMNS, rows), args.out)
@@ -208,26 +221,8 @@ def _cmd_fig4(args) -> int:
         (float(np.degrees(a)), float(ph), float(c))
         for a, ph, c in zip(scan.x, scan.phase, scan.counts)
     ]
-    if fmt == "csv":
-        text = _csv_text(
-            "fig4",
-            echo,
-            ("alpha_deg", "phase_rad", "counts"),
-            rows,
-            comments=[f"# fit: {json.dumps(fit.to_dict(), sort_keys=True)}"],
-        )
-        _emit(text, args.out)
-    elif fmt == "json":
-        doc = {
-            "command": "fig4",
-            "config": echo,
-            "scan": [{"alpha_deg": r[0], "phase_rad": r[1], "counts": r[2]} for r in rows],
-            "fit": fit.to_dict(),
-        }
-        _emit(_json_text(doc), args.out)
-    else:
-        raise _UsageError(f"unknown format {fmt!r}")
-    return 0
+    columns = ("alpha_deg", "phase_rad", "counts")
+    return _emit_fitted_scan(args.out, fmt, "fig4", echo, columns, rows, fit)
 
 
 def _cmd_fringe(args) -> int:
@@ -272,26 +267,7 @@ def _cmd_fringe(args) -> int:
     rows = [
         (float(np.degrees(a)), float(c)) for a, c in zip(scan.x, scan.counts)
     ]
-    if fmt == "csv":
-        text = _csv_text(
-            "fringe",
-            echo,
-            ("pol_a_deg", "counts"),
-            rows,
-            comments=[f"# fit: {json.dumps(fit.to_dict(), sort_keys=True)}"],
-        )
-        _emit(text, args.out)
-    elif fmt == "json":
-        doc = {
-            "command": "fringe",
-            "config": echo,
-            "scan": [{"pol_a_deg": r[0], "counts": r[1]} for r in rows],
-            "fit": fit.to_dict(),
-        }
-        _emit(_json_text(doc), args.out)
-    else:
-        raise _UsageError(f"unknown format {fmt!r}")
-    return 0
+    return _emit_fitted_scan(args.out, fmt, "fringe", echo, ("pol_a_deg", "counts"), rows, fit)
 
 
 def _cmd_tomography(args) -> int:
@@ -404,20 +380,7 @@ def _cmd_verify(args) -> int:
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     if getattr(args, "json_out", None):
-        doc = {
-            "command": "verify",
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "tolerance": r.tolerance,
-                    "worst": r.worst,
-                    "runtime_s": r.runtime_s,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-        }
+        doc = {"command": "verify", "results": [dataclasses.asdict(r) for r in results]}
         Path(args.json_out).write_text(_json_text(doc))
     return 0 if passed == len(results) else 2
 
@@ -442,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-steps", dest="phi_steps", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--m", type=int, help="pair order M")
-    p.add_argument("--workers", type=int)
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(handler=_cmd_sweep_phase)
 

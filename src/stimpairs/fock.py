@@ -30,6 +30,7 @@ tested against.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -57,14 +58,18 @@ class FockSpace:
         self.cutoff = int(cutoff)
         self.base = self.cutoff + 1
         self.dim = self.base**4
+        self._strides = (self.base**3, self.base**2, self.base, 1)
+        self._cache: dict = {}
+
+    @functools.cached_property
+    def occupations(self) -> np.ndarray:
+        """(dim, 4) occupation table in enumeration order, built on first use."""
         idx = np.arange(self.dim)
         occ = np.empty((self.dim, 4), dtype=np.int64)
         for k in range(3, -1, -1):
             occ[:, k] = idx % self.base
             idx //= self.base
-        self.occupations = occ
-        self._strides = (self.base**3, self.base**2, self.base, 1)
-        self._cache: dict = {}
+        return occ
 
     def index(self, occ) -> int:
         occ = tuple(int(n) for n in occ)
@@ -82,14 +87,10 @@ class FockSpace:
         amps[0] = 1.0
         return FockVector(amps, self.cutoff)
 
-    @property
+    @functools.cached_property
     def boundary_mask(self) -> np.ndarray:
         """True where any occupation sits at the cutoff (the leakage shell)."""
-        mask = self._cache.get("boundary")
-        if mask is None:
-            mask = self.occupations.max(axis=1) == self.cutoff
-            self._cache["boundary"] = mask
-        return mask
+        return self.occupations.max(axis=1) == self.cutoff
 
     def raising(self, mode: str) -> sp.csr_matrix:
         """Creation operator for one mode; matrix elements sqrt(n + 1)."""

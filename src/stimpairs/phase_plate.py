@@ -23,7 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+
+
+def _check_each(ok, values, message: str) -> None:
+    """Raise ValueError(message) naming the first entry of values where ok fails."""
+    if not ok.all():
+        raise ValueError(message.format(float(np.asarray(values)[~ok].flat[0])))
 
 
 @dataclass(frozen=True)
@@ -65,38 +73,40 @@ class PlateGeometry:
         )
 
 
-def phase_through_plate(wavelength: float, n: float, thickness: float, alpha: float) -> float:
-    """Raw phase picked up crossing the plate at external incidence alpha."""
+def phase_through_plate(wavelength: float, n: float, thickness: float, alpha):
+    """Raw phase crossing the plate at external incidence alpha (float, or array elementwise)."""
     if not (math.isfinite(wavelength) and wavelength > 0.0):
         raise ValueError(f"wavelength must be positive, got {wavelength!r}")
     if not (math.isfinite(thickness) and thickness > 0.0):
         raise ValueError(f"thickness must be positive, got {thickness!r}")
     if not (math.isfinite(n) and n > 0.0):
         raise ValueError(f"refractive index must be positive, got {n!r}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    s = math.sin(alpha)
-    if abs(s) >= n:
+    alpha = np.asarray(alpha, dtype=float)
+    _check_each(np.isfinite(alpha), alpha, "alpha must be finite, got {!r}")
+    s = np.abs(np.sin(alpha))
+    if (s >= n).any():
         raise ValueError(
-            f"|sin alpha| = {abs(s):.6f} >= n = {n:.6f}: no propagating solution"
+            f"|sin alpha| = {s.max():.6f} >= n = {n:.6f}: no propagating solution"
         )
-    return TWO_PI * n * n * thickness / (wavelength * math.sqrt(n * n - s * s))
+    phase = TWO_PI * n * n * thickness / (wavelength * np.sqrt(n * n - s * s))
+    return float(phase) if alpha.ndim == 0 else phase
 
 
-def relative_phase(geom: PlateGeometry, alpha: float) -> float:
-    """Raw pump-minus-pair phase offset delta(alpha); even in alpha."""
+def relative_phase(geom: PlateGeometry, alpha):
+    """Raw pump-minus-pair phase offset delta(alpha); even in alpha, arrays elementwise."""
     pump = phase_through_plate(geom.wavelength_pump, geom.n_pump, geom.thickness, alpha)
     pair = phase_through_plate(geom.wavelength_pump, geom.n_pair, geom.thickness, alpha)
     return pump - pair
 
 
-def wrap_phase(phase: float) -> float:
-    """Reduce a raw phase to [0, 2 pi).
+def wrap_phase(phase):
+    """Reduce a raw phase (float, or array elementwise) to [0, 2 pi).
 
     A value whose reduction rounds to 2 pi (any phase in (-ulp(2 pi)/2, 0),
     such as -1e-17) is returned as 0.0, the point it stands for.
     """
-    if not math.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase!r}")
-    wrapped = phase % TWO_PI
-    return 0.0 if wrapped == TWO_PI else wrapped
+    phase = np.asarray(phase, dtype=float)
+    _check_each(np.isfinite(phase), phase, "phase must be finite, got {!r}")
+    wrapped = np.mod(phase, TWO_PI)
+    wrapped = np.where(wrapped == TWO_PI, 0.0, wrapped)
+    return float(wrapped) if phase.ndim == 0 else wrapped

@@ -20,18 +20,14 @@ to one-pass rate ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import FitError
 from .phase_plate import PlateGeometry, relative_phase, wrap_phase
-from .resonator import (
-    ResonatorConfig,
-    pair_probability_approx,
-    pair_probability_exact,
-)
+from .resonator import ResonatorConfig, _p_approx, _p_exact, _scaled_amplitude
 
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -133,15 +129,23 @@ def check_density_matrix(rho: np.ndarray, atol: float = 1e-8) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
 
+def _born_probabilities(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """Tr(rho Pi_k) for a (k, 4, 4) projector stack, in one einsum.
+
+    rho must already be validated (state_density or check_density_matrix).
+    """
+    p = np.real(np.einsum("ab,kba->k", rho, projectors))
+    # Exactly zero probabilities round to tiny negatives; clip, do not hide bugs.
+    if p.min() < -1e-10:
+        raise ValueError(f"projector expectation {float(p.min())!r} is negative beyond tolerance")
+    return p.clip(0.0, 1.0)
+
+
 def coincidence_probability(rho: np.ndarray, setting: MeasurementSetting) -> float:
     """Born-rule coincidence probability Tr(rho Pi_a otimes Pi_b)."""
     rho = np.asarray(rho, dtype=complex)
     check_density_matrix(rho)
-    p = float(np.real(np.trace(rho @ analyzer_projector(setting))))
-    # Exactly zero probabilities round to tiny negatives; clip, do not hide bugs.
-    if p < -1e-10:
-        raise ValueError(f"projector expectation {p!r} is negative beyond tolerance")
-    return min(max(p, 0.0), 1.0)
+    return float(_born_probabilities(rho, analyzer_projector(setting)[None])[0])
 
 
 def dephasing_noise(state: np.ndarray, d: float) -> np.ndarray:
@@ -364,15 +368,10 @@ def simulate_polarization_fringe(
     if angles.ndim != 1 or angles.size < 2:
         raise ValueError("need a 1-d list of at least 2 polarizer angles")
     rho = state_density(rho)
-    probs = np.array(
-        [
-            coincidence_probability(
-                rho, MeasurementSetting(ArmSetting(a, arm_a_qwp), arm_b)
-            )
-            for a in angles
-        ]
+    projectors = np.stack(
+        [analyzer_projector(MeasurementSetting(ArmSetting(a, arm_a_qwp), arm_b)) for a in angles]
     )
-    counts = _draw_counts(shots * probs, seed)
+    counts = _draw_counts(shots * _born_probabilities(rho, projectors), seed)
     return FringeScan(x=angles, counts=counts, phase=2.0 * angles)
 
 
@@ -404,9 +403,9 @@ def simulate_stimulation_fringe(
         raise ValueError("need a 1-d list of at least 2 tilt angles")
     if phi_offset is None:
         phi_offset = -relative_phase(geom, 0.0)
-    prob = pair_probability_exact if model == "exact" else pair_probability_approx
-    phases = np.array([relative_phase(geom, a) + phi_offset for a in alphas])
-    probs = np.array([prob(1, replace(cfg, phi=ph)) for ph in phases])
+    phases = relative_phase(geom, alphas) + phi_offset
+    x = _scaled_amplitude(cfg.n_passes, wrap_phase(phases), cfg.tau)
+    probs = _p_exact(1, x) if model == "exact" else _p_approx(1, x)
     counts = _draw_counts(shots * probs, seed)
     return FringeScan(x=alphas, counts=counts, phase=phases)
 

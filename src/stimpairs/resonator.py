@@ -18,18 +18,22 @@ whose small-tau limit (M + 1) (|A| tau)^{2M} carries the familiar
 |sin(N phi / 2) / sin(phi / 2)|^{2M} interference factor.  Everything here is
 a closed form; the truncated Fock-space oracle that these formulas are tested
 against lives in fock.py.
+
+Each observable has one implementation on an array of x = |A| tau.  The
+scalar functions evaluate it on a one-element array, and grid callers
+(sweep_rows, the tilt-scan fringe) on a whole phase grid after validating
+their inputs once, so a grid entry equals the scalar call bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_plate import wrap_phase
+from .phase_plate import _check_each, wrap_phase
 
 # Probabilities may poke above 1 by float noise only; anything worse is a bug.
 PROBABILITY_CLIP_TOL = 1e-12
@@ -50,46 +54,84 @@ class ResonatorConfig:
     tau: float
 
     def __post_init__(self):
-        if not isinstance(self.n_passes, (int, np.integer)) or self.n_passes < 1:
-            raise ValueError(f"n_passes must be a positive integer, got {self.n_passes!r}")
+        object.__setattr__(self, "n_passes", _check_passes(self.n_passes))
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi!r}")
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValueError(f"tau must be a non-negative finite float, got {self.tau!r}")
-        object.__setattr__(self, "n_passes", int(self.n_passes))
         object.__setattr__(self, "phi", wrap_phase(float(self.phi)))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", _check_tau(self.tau))
 
 
-def amplitude_sum(n_passes: int, phi: float) -> complex:
-    """Coherent sum of N unit phasors, A = sum_m exp(i m phi).
-
-    Summed directly instead of through the sin(N phi/2)/sin(phi/2) ratio so
-    phi -> 0 needs no special casing and |A| <= N holds with equality exactly
-    at phi = 0 mod 2 pi.
-    """
+def _check_passes(n_passes) -> int:
     if not isinstance(n_passes, (int, np.integer)) or n_passes < 1:
         raise ValueError(f"n_passes must be a positive integer, got {n_passes!r}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
-    m = np.arange(n_passes)
-    return complex(np.exp(1j * phi * m).sum())
+    return int(n_passes)
 
 
-def _clip_probability(p: float) -> float:
-    if p > 1.0 + PROBABILITY_CLIP_TOL:
-        warnings.warn(
-            f"probability {p!r} exceeds 1 beyond float tolerance; clipping",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return min(max(p, 0.0), 1.0)
+def _check_tau(tau) -> float:
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be a non-negative finite float, got {tau!r}")
+    return float(tau)
 
 
 def _check_order(m: int) -> int:
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"pair order M must be a positive integer, got {m!r}")
     return int(m)
+
+
+def amplitude_sum(n_passes: int, phi):
+    """Coherent sum of N unit phasors, A = sum_m exp(i m phi).
+
+    Summed directly instead of through the sin(N phi/2)/sin(phi/2) ratio so
+    phi -> 0 needs no special casing and |A| <= N holds with equality exactly
+    at phi = 0 mod 2 pi.  An array phi gives one A per entry; a scalar phi
+    returns a complex.
+    """
+    n_passes = _check_passes(n_passes)
+    phi = np.asarray(phi, dtype=float)
+    _check_each(np.isfinite(phi), phi, "phi must be finite, got {!r}")
+    a = _phasor_sum(n_passes, phi)
+    return complex(a) if phi.ndim == 0 else a
+
+
+def _phasor_sum(n_passes: int, phi: np.ndarray) -> np.ndarray:
+    return np.exp(1j * phi[..., None] * np.arange(n_passes)).sum(axis=-1)
+
+
+def _scaled_amplitude(n_passes: int, phi, tau: float) -> np.ndarray:
+    """x = |A(N, phi)| tau for validated N and phi already wrapped to [0, 2 pi).
+
+    x is at least 1-d, because a numpy scalar raised to an integer power
+    rounds differently from an array; and np.hypot of the parts equals
+    abs(complex) bit for bit, where np.abs does not.
+    """
+    a = _phasor_sum(n_passes, np.atleast_1d(phi))
+    return np.hypot(a.real, a.imag) * tau
+
+
+def _clip_probability(p: np.ndarray) -> np.ndarray:
+    if (p > 1.0 + PROBABILITY_CLIP_TOL).any():
+        warnings.warn(
+            f"probability {float(p.max())!r} exceeds 1 beyond float tolerance; clipping",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    return p.clip(0.0, 1.0)
+
+
+def _p_exact(m: int, x: np.ndarray) -> np.ndarray:
+    # cosh(x)**4 overflows to inf past x ~ 178, where P_M -> 0 is the right limit.
+    with np.errstate(over="ignore"):
+        return _clip_probability((m + 1) * np.tanh(x) ** (2 * m) / np.cosh(x) ** 4)
+
+
+def _p_approx(m: int, x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return _clip_probability((m + 1) * x ** (2 * m))
+
+
+def _contamination(x: np.ndarray) -> np.ndarray:
+    return 1.5 * np.tanh(x) ** 2
 
 
 def pair_probability_exact(m: int, cfg: ResonatorConfig) -> float:
@@ -100,9 +142,7 @@ def pair_probability_exact(m: int, cfg: ResonatorConfig) -> float:
     pair_probability_vs_u.
     """
     m = _check_order(m)
-    x = abs(amplitude_sum(cfg.n_passes, cfg.phi)) * cfg.tau
-    p = (m + 1) * math.tanh(x) ** (2 * m) / math.cosh(x) ** 4
-    return _clip_probability(p)
+    return float(_p_exact(m, _scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
 
 
 def pair_probability_approx(m: int, cfg: ResonatorConfig) -> float:
@@ -113,16 +153,21 @@ def pair_probability_approx(m: int, cfg: ResonatorConfig) -> float:
     value N^{2M} without a limit case.
     """
     m = _check_order(m)
-    x = abs(amplitude_sum(cfg.n_passes, cfg.phi)) * cfg.tau
-    return _clip_probability((m + 1) * x ** (2 * m))
+    return float(_p_approx(m, _scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
 
 
-def pair_probability_vs_u(m: int, u: float) -> float:
-    """P_M as a function of u = tanh^2(|A| tau): f(u) = (M + 1) (1 - u)^2 u^M."""
+def pair_probability_vs_u(m: int, u):
+    """P_M as a function of u = tanh^2(|A| tau): f(u) = (M + 1) (1 - u)^2 u^M.
+
+    An array u is evaluated elementwise, every entry in [0, 1]; a scalar u
+    returns a float.
+    """
     m = _check_order(m)
-    if not (0.0 <= u <= 1.0):
-        raise ValueError(f"u must lie in [0, 1], got {u!r}")
-    return (m + 1) * (1.0 - u) ** 2 * u**m
+    u = np.asarray(u, dtype=float)
+    _check_each((u >= 0.0) & (u <= 1.0), u, "u must lie in [0, 1], got {!r}")
+    v = np.atleast_1d(u)
+    f = (m + 1) * (1.0 - v) ** 2 * v**m
+    return float(f[0]) if u.ndim == 0 else f
 
 
 def optimal_u(m: int) -> float:
@@ -144,37 +189,27 @@ def double_pass_ratio(theta: float) -> float:
 
 def multiphoton_contamination(cfg: ResonatorConfig) -> float:
     """Ratio P_2 / P_1 of double-pair to single-pair emission, (3/2) tanh^2(|A| tau)."""
-    x = abs(amplitude_sum(cfg.n_passes, cfg.phi)) * cfg.tau
-    return 1.5 * math.tanh(x) ** 2
+    return float(_contamination(_scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
 
 
-def _sweep_row(n: int, phi: float, tau: float, m: int) -> tuple:
-    cfg = ResonatorConfig(n, phi, tau)
-    return (
-        n,
-        phi,
-        tau,
-        m,
-        pair_probability_exact(m, cfg),
-        pair_probability_approx(m, cfg),
-        multiphoton_contamination(cfg),
-    )
-
-
-def sweep_rows(n_values, phis, tau: float, m: int = 1, workers: int = 1) -> list[tuple]:
+def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     """Evaluate the sweep grid, one row per (N, phi) pair, columns SWEEP_COLUMNS.
 
-    The grid order is N-major then phi, and is preserved in the output even
-    when evaluated by the thread pool (workers > 1): executor.map keeps input
-    order by construction.
+    The grid order is N-major then phi, and phi is echoed as given.  Inputs
+    are validated once; each N is then one array evaluation over all phases,
+    so every row equals the scalar functions on ResonatorConfig(N, phi, tau)
+    bit for bit.
     """
-    n_values = [int(n) for n in n_values]
-    phis = [float(p) for p in phis]
+    n_values = [_check_passes(int(n)) for n in n_values]
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    _check_each(np.isfinite(phis), phis, "phi must be finite, got {!r}")
+    wrapped = wrap_phase(phis)
+    tau = _check_tau(tau)
     m = _check_order(m)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    points = [(n, phi, tau, m) for n in n_values for phi in phis]
-    if workers == 1:
-        return [_sweep_row(*pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda pt: _sweep_row(*pt), points))
+    rows = []
+    for n in n_values:
+        x = _scaled_amplitude(n, wrapped, tau)
+        columns = (_p_exact(m, x), _p_approx(m, x), _contamination(x))
+        values = zip(phis.tolist(), *(c.tolist() for c in columns))
+        rows.extend((n, phi, tau, m, *v) for phi, *v in values)
+    return rows

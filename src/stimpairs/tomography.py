@@ -34,9 +34,9 @@ from .errors import ReconstructionError, SchemaError
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
+    _born_probabilities,
     analyzer_projector,
     check_density_matrix,
-    coincidence_probability,
     state_density,
 )
 
@@ -62,6 +62,7 @@ DEFAULT_BASIS = ("H", "V", "D", "R")
 
 # Lower-triangular structural positions below the diagonal, parameter order.
 _OFF_DIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+_OFF_ROWS, _OFF_COLS = np.array(_OFF_DIAG).T
 
 
 def standard_settings(basis=DEFAULT_BASIS) -> list[MeasurementSetting]:
@@ -206,14 +207,15 @@ def simulate_tomography(
 ) -> TomographyRecord:
     """Record of Poisson counts around shots * probability per setting.
 
-    seed None skips the sampling and stores the exact expected counts.
+    rho is validated once and every setting's probability comes from one
+    batched Born-rule evaluation.  seed None skips the sampling and stores
+    the exact expected counts.
     """
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots!r}")
     rho = state_density(rho)
     settings = list(settings) if settings is not None else standard_settings()
-    probs = np.array([coincidence_probability(rho, s) for s in settings])
-    means = shots * probs
+    means = shots * _born_probabilities(rho, _projectors(settings))
     if seed is None:
         counts = means
     else:
@@ -221,13 +223,14 @@ def simulate_tomography(
     return TomographyRecord(settings=tuple(settings), counts=counts, shots=shots)
 
 
-def _projectors(record: TomographyRecord) -> list[np.ndarray]:
-    return [analyzer_projector(s) for s in record.settings]
+def _projectors(settings) -> np.ndarray:
+    """The (k, 4, 4) projector stack shared by simulation, design matrix and likelihood."""
+    return np.stack([analyzer_projector(s) for s in settings])
 
 
-def _design_matrix(projectors) -> np.ndarray:
+def _design_matrix(projectors: np.ndarray) -> np.ndarray:
     # Row i dotted with vec(rho) gives Tr(rho Pi_i).
-    return np.stack([p.T.reshape(-1) for p in projectors])
+    return projectors.transpose(0, 2, 1).reshape(len(projectors), 16)
 
 
 def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
@@ -242,7 +245,7 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
         raise ReconstructionError(
             f"linear inversion needs 16 settings, got {len(record.settings)}"
         )
-    design = _design_matrix(_projectors(record))
+    design = _design_matrix(_projectors(record.settings))
     if np.linalg.cond(design) > 1e10:
         raise ReconstructionError("settings are informationally incomplete")
     freqs = record.counts / record.shots
@@ -278,36 +281,25 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     nonzero gives -inf, as it should.
     """
     check_density_matrix(rho)
-    total = 0.0
-    for proj, c in zip(_projectors(record), record.counts):
-        p = max(float(np.real(np.trace(rho @ proj))), 0.0)
-        if p < 1e-15:
-            p = 0.0
-        mu = record.shots * p
-        if c > 0.0:
-            if mu == 0.0:
-                return -math.inf
-            total += c * math.log(mu) - mu
-        else:
-            total += -mu
-    return total
+    p = _born_probabilities(rho, _projectors(record.settings))
+    mu = record.shots * np.where(p < 1e-15, 0.0, p)
+    seen = record.counts > 0.0
+    if np.any(mu[seen] == 0.0):
+        return -math.inf
+    terms = -mu
+    terms[seen] += record.counts[seen] * np.log(mu[seen])
+    return float(terms.sum())
 
 
 def _t_from_params(params: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = params[:4]
-    for k, (r, c) in enumerate(_OFF_DIAG):
-        t[r, c] = params[4 + 2 * k] + 1j * params[5 + 2 * k]
+    t = np.diag(params[:4].astype(complex))
+    t[_OFF_ROWS, _OFF_COLS] = params[4::2] + 1j * params[5::2]
     return t
 
 
 def _params_from_t(t: np.ndarray) -> np.ndarray:
-    params = np.empty(16)
-    params[:4] = np.real(np.diag(t))
-    for k, (r, c) in enumerate(_OFF_DIAG):
-        params[4 + 2 * k] = t[r, c].real
-        params[5 + 2 * k] = t[r, c].imag
-    return params
+    off = t[_OFF_ROWS, _OFF_COLS]
+    return np.concatenate([np.real(np.diag(t)), np.column_stack([off.real, off.imag]).ravel()])
 
 
 def _rho_from_t(t: np.ndarray) -> np.ndarray:
@@ -325,7 +317,7 @@ def _objective_terms(record: TomographyRecord, *, jeffreys: bool):
     """
     counts = record.counts + 0.5 if jeffreys else record.counts
     shots = record.shots
-    stack = np.stack(_projectors(record))
+    stack = _projectors(record.settings)
 
     def objective(params: np.ndarray):
         t = _t_from_params(params)
@@ -342,12 +334,7 @@ def _objective_terms(record: TomographyRecord, *, jeffreys: bool):
         m = np.einsum("k,kab->ab", ws, stack)
         s_scalar = float(ws @ (qs * q0))
         gbar = -(m @ t) / q0 + (s_scalar / q0**2) * t
-        grad = np.empty(16)
-        grad[:4] = 2.0 * np.real(np.diag(gbar))
-        for k, (r, c) in enumerate(_OFF_DIAG):
-            grad[4 + 2 * k] = 2.0 * gbar[r, c].real
-            grad[5 + 2 * k] = 2.0 * gbar[r, c].imag
-        return f, grad
+        return f, 2.0 * _params_from_t(gbar)
 
     return objective
 
@@ -366,7 +353,9 @@ def reconstruct_mle(
     from the physicality-projected linear inversion.  Converged means the
     normalized gradient max-norm fell below gtol (default well below the
     1e-8 declaration threshold) or the optimizer hit its own parameter-step
-    floor; anything else raises ReconstructionError with diagnostics.
+    floor; anything else raises ReconstructionError with diagnostics.  A run
+    that ends in an abnormal line search is restarted once from its last
+    iterate, and iterations counts both runs.
     jeffreys adds 0.5 to every count in the objective (a regularizing prior
     offset), never to the reported log-likelihood.
     """
@@ -377,17 +366,18 @@ def reconstruct_mle(
     start = (1.0 - 1e-6) * start + 1e-6 * np.eye(4) / 4.0
     p0 = _params_from_t(np.linalg.cholesky(start))
 
-    res = minimize(
-        objective,
-        p0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxfun": 4 * max_iter, "ftol": 1e-15, "gtol": gtol},
-    )
+    options = {"maxiter": max_iter, "maxfun": 4 * max_iter, "ftol": 1e-15, "gtol": gtol}
+    res = minimize(objective, p0, jac=True, method="L-BFGS-B", options=options)
+    iterations = res.nit
+    if res.message.startswith("ABNORMAL"):
+        # A failed line search can strand L-BFGS-B just short of the optimum;
+        # one restart from its last iterate drops the stale curvature pairs.
+        res = minimize(objective, res.x, jac=True, method="L-BFGS-B", options=options)
+        iterations += res.nit
     grad_inf = float(np.max(np.abs(res.jac)))
     if not (res.success or grad_inf <= 1e-8):
         raise ReconstructionError(
-            f"MLE did not converge after {res.nit} iterations "
+            f"MLE did not converge after {iterations} iterations "
             f"(normalized gradient {grad_inf:.3e}): {res.message}"
         )
     rho = _rho_from_t(_t_from_params(res.x))
@@ -398,7 +388,7 @@ def reconstruct_mle(
         method="mle",
         min_eigenvalue=float(evals.min()),
         log_likelihood=log_likelihood(record, rho),
-        iterations=int(res.nit),
+        iterations=int(iterations),
     )
 
 

@@ -153,7 +153,7 @@ def test_criterion_05_optimal_u():
     worst = 0.0
     for m in range(1, 6):
         grid = np.linspace(0.0, 1.0, 100001)
-        values = [pair_probability_vs_u(m, u) for u in grid]
+        values = pair_probability_vs_u(m, grid)
         u_grid = grid[int(np.argmax(values))]
         worst = max(worst, abs(u_grid - optimal_u(m)))
     verdict(

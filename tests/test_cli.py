@@ -81,6 +81,20 @@ def test_config_file_merging(tmp_path, capsys):
     assert '"tau": 0.004' in out.splitlines()[1]
 
 
+def test_sweep_phase_workers_flag_removed(tmp_path, capsys):
+    code, _, err = run(capsys, "sweep-phase", "--workers", "2")
+    assert code == 1
+    assert "--workers" in err
+    # A config file that still carries "workers" runs; the key is ignored
+    # like any other unused key and is not echoed.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_list": "2", "phi_steps": 3, "workers": 4}))
+    code, out, _ = run(capsys, "sweep-phase", "--config", str(cfg))
+    assert code == 0
+    assert "workers" not in out
+    assert len(out.strip().splitlines()) == 3 + 3
+
+
 def test_config_file_invalid(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")

@@ -95,6 +95,18 @@ def test_boundary_mask():
     assert mask.sum() == space.dim - space.cutoff**4
 
 
+def test_evolution_leaves_occupation_table_unbuilt():
+    # The oracle reads only cutoff, base and dim; the (c+1)^4 x 4 table and
+    # the boundary mask are built on first use only.
+    space = FockSpace(12)
+    state = evolve_vacuum(ResonatorConfig(2, 0.3, 0.01), space)
+    assert "occupations" not in vars(space)
+    assert "boundary_mask" not in vars(space)
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert space.boundary_mask.sum() == space.dim - space.cutoff**4
+    assert "occupations" in vars(space)
+
+
 def test_su11_commutators_interior():
     # Truncation breaks the algebra on the top shells; check columns whose
     # total occupation keeps every product inside the space.

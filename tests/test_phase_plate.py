@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from stimpairs.phase_plate import (
@@ -91,3 +92,27 @@ def test_wrap_phase_tiny_negative_folds_to_zero():
     assert wrap_phase(-0.0) == 0.0
     for x in (-5e-324, -1e-300, -1e-17, -1.34e-16, -4e-16, -1e-15):
         assert 0.0 <= wrap_phase(x) < 2.0 * math.pi
+
+
+def test_array_alpha_and_phase_match_scalar_calls():
+    alphas = np.linspace(-0.3, 0.3, 13)
+    grid = relative_phase(GEOM, alphas)
+    assert grid.shape == alphas.shape
+    for alpha, delta in zip(alphas, grid):
+        scalar = relative_phase(GEOM, float(alpha))
+        assert type(scalar) is float
+        assert scalar == delta
+    raw = np.array([-1e-17, -0.5, 0.0, 2.0 * math.pi, 5.0 * math.pi, DELTA_AT_0])
+    wrapped = wrap_phase(raw)
+    assert wrapped.shape == raw.shape
+    for x, w in zip(raw, wrapped):
+        scalar = wrap_phase(float(x))
+        assert type(scalar) is float
+        assert scalar == w
+    assert wrapped[0] == 0.0 and np.all(wrapped < 2.0 * math.pi)
+    with pytest.raises(ValueError):
+        relative_phase(GEOM, np.array([0.1, math.nan]))
+    with pytest.raises(ValueError):
+        phase_through_plate(405e-9, 0.9, 3e-3, np.array([0.0, 1.2]))
+    with pytest.raises(ValueError):
+        wrap_phase(np.array([0.0, math.inf]))

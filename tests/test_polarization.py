@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import stimpairs.polarization as polarization_mod
 from stimpairs.errors import FitError
 from stimpairs.phase_plate import PlateGeometry
 from stimpairs.polarization import (
@@ -28,6 +29,7 @@ from stimpairs.polarization import (
     visibility,
 )
 from stimpairs.resonator import ResonatorConfig
+from stimpairs.tomography import simulate_tomography
 
 GEOM = PlateGeometry(3e-3, 1.53, 1.51, 405e-9)
 
@@ -244,3 +246,28 @@ def test_rate_arithmetic():
         nth_order_rate(-1.0, 10.0, 2)
     with pytest.raises(ValueError):
         nth_order_rate(1.0, 10.0, 0)
+
+
+def test_born_rule_validates_rho_once(monkeypatch):
+    calls = []
+    true_check = polarization_mod.check_density_matrix
+
+    def counting_check(rho, *args, **kwargs):
+        calls.append(1)
+        return true_check(rho, *args, **kwargs)
+
+    monkeypatch.setattr(polarization_mod, "check_density_matrix", counting_check)
+    rho = dephasing_noise(bell_state(), 0.2)
+    angles = np.radians(np.linspace(0.0, 180.0, 37))
+    scan = simulate_polarization_fringe(rho, ArmSetting(math.pi / 4.0), angles, 1e6)
+    assert len(calls) == 1
+    calls.clear()
+    record = simulate_tomography(rho, 1e5)
+    assert len(record.settings) == 16
+    assert len(calls) == 1
+    # The batched probabilities are the per-setting Born rule.
+    single = [
+        coincidence_probability(rho, MeasurementSetting(ArmSetting(a), ArmSetting(math.pi / 4.0)))
+        for a in angles
+    ]
+    np.testing.assert_allclose(scan.counts, 1e6 * np.array(single), rtol=1e-14, atol=1e-9)

@@ -181,11 +181,72 @@ def test_sweep_rows_order_and_columns():
     assert rows[1][4] == pytest.approx(pair_probability_exact(1, cfg))
 
 
-def test_sweep_rows_threaded_matches_serial():
-    ns = [1, 2, 3]
-    phis = np.linspace(0, math.pi, 7)
-    serial = sweep_rows(ns, phis, 2e-3, m=2)
-    threaded = sweep_rows(ns, phis, 2e-3, m=2, workers=4)
-    assert serial == threaded
+@pytest.mark.filterwarnings("ignore:probability .* exceeds 1")
+def test_sweep_rows_match_scalar_api_bit_for_bit():
+    # The grid includes phases that wrap onto 0 (2 pi and -1e-17) and the
+    # destructive point N = 2, phi = pi, where |A| is rounding noise (~1e-16).
+    ns = [1, 2, 3, 5]
+    phis = [0.0, 0.3, math.pi / 2.0, math.pi, 4.0, 2.0 * math.pi, -1e-17, 7.5]
+    for m in (1, 2, 3):
+        for tau in (0.0, 1e-3, 0.05, 0.7):
+            rows = sweep_rows(ns, phis, tau, m)
+            assert [(r[0], r[1]) for r in rows] == [(n, p) for n in ns for p in phis]
+            for n, phi, row_tau, row_m, exact, approx, contamination in rows:
+                assert type(n) is int and type(row_m) is int
+                assert type(phi) is float and type(row_tau) is float
+                cfg = ResonatorConfig(n, phi, row_tau)
+                assert exact == pair_probability_exact(m, cfg)
+                assert approx == pair_probability_approx(m, cfg)
+                assert contamination == multiphoton_contamination(cfg)
+    destructive = sweep_rows([2], [math.pi], 0.05, 2)[0]
+    assert 0.0 <= destructive[4] < 1e-60 and 0.0 <= destructive[5] < 1e-60
+
+
+def test_sweep_rows_validates_every_input():
     with pytest.raises(ValueError):
-        sweep_rows(ns, phis, 2e-3, workers=0)
+        sweep_rows([2, 0], [0.0], 1e-3)
+    with pytest.raises(ValueError):
+        sweep_rows([2], [0.0, math.nan], 1e-3)
+    with pytest.raises(ValueError):
+        sweep_rows([2], [0.0], -1e-3)
+    with pytest.raises(ValueError):
+        sweep_rows([2], [0.0], math.inf)
+    with pytest.raises(ValueError):
+        sweep_rows([2], [0.0], 1e-3, m=0)
+    with pytest.raises(TypeError):
+        sweep_rows([2], [0.0], 1e-3, workers=2)
+
+
+def test_array_inputs_match_scalar_calls():
+    phis = np.array([0.0, 0.4, math.pi, 2.0 * math.pi, -3.0, 11.0])
+    for n in (1, 2, 5):
+        grid = amplitude_sum(n, phis)
+        assert grid.shape == phis.shape
+        for phi, a in zip(phis, grid):
+            scalar = amplitude_sum(n, float(phi))
+            assert type(scalar) is complex
+            assert scalar == a
+    assert amplitude_sum(3, phis.reshape(2, 3)).shape == (2, 3)
+    us = np.linspace(0.0, 1.0, 11)
+    for m in (1, 3):
+        grid = pair_probability_vs_u(m, us)
+        assert grid.shape == us.shape
+        for u, f in zip(us, grid):
+            scalar = pair_probability_vs_u(m, float(u))
+            assert type(scalar) is float
+            assert scalar == f
+    with pytest.raises(ValueError):
+        amplitude_sum(2, np.array([0.1, math.nan]))
+    with pytest.raises(ValueError):
+        amplitude_sum(0, phis)
+    with pytest.raises(ValueError):
+        pair_probability_vs_u(1, np.array([0.2, 1.5]))
+    with pytest.raises(ValueError):
+        pair_probability_vs_u(1, np.array([0.2, math.nan]))
+
+
+def test_large_tau_exact_probability_vanishes():
+    # cosh(x)**4 overflows past x = |A| tau ~ 178 (cosh itself past ~710);
+    # P_M tends to 0 there, not an error.
+    assert pair_probability_exact(1, ResonatorConfig(1, 0.0, 300.0)) == 0.0
+    assert pair_probability_exact(1, ResonatorConfig(2, 0.0, 1e3)) == 0.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stimpairs.errors import ReconstructionError, SchemaError
 from stimpairs.polarization import (
     ArmSetting,
     MeasurementSetting,
+    analyzer_projector,
     analyzer_state,
     bell_state,
     dephasing_noise,
@@ -198,6 +200,48 @@ def test_log_likelihood_zero_rate():
     rho_bad[0, 0] = 1.0
     if record.counts[1] > 0:  # H/V setting fires for the singlet
         assert log_likelihood(record, rho_bad) == -math.inf
+
+
+def test_log_likelihood_matches_per_setting_sum():
+    # Reference: the per-setting loop sum_i (c_i ln mu_i - mu_i), with
+    # probabilities below 1e-15 read as 0 and zero-count settings adding -mu_i.
+    rho = dephasing_noise(bell_state(), 0.3)
+    record = simulate_tomography(bell_state(), 50.0, seed=9)
+    assert np.any(record.counts == 0.0)
+    total = 0.0
+    for setting, c in zip(record.settings, record.counts):
+        proj = analyzer_projector(setting)
+        p = max(float(np.real(np.trace(rho @ proj))), 0.0)
+        mu = record.shots * (p if p >= 1e-15 else 0.0)
+        total += c * math.log(mu) - mu if c > 0.0 else -mu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_likelihood(record, rho) == pytest.approx(total, rel=1e-13)
+        # The singlet predicts exactly zero on HH and VV, where it recorded
+        # nothing: finite, and no log(0) warning.
+        assert math.isfinite(log_likelihood(record, state_density(bell_state())))
+
+
+def test_mle_restarts_after_abnormal_line_search():
+    # An ordinary record on which a single L-BFGS-B run ends ABNORMAL at
+    # gradient 5.7e-8 after 625 iterations; one restart from its last
+    # iterate converges.
+    d = 0.3807740864578335
+    rho = dephasing_noise(bell_state(), d)
+    settings = standard_settings(tuple("HVDR"))
+    record = simulate_tomography(rho, 1e5, seed=3759451664, settings=settings)
+    result = reconstruct_mle(record)
+    assert result.physical
+    assert np.trace(result.rho).real == pytest.approx(1.0, abs=1e-12)
+    # Shot-noise standard deviation of the linear singlet-fidelity estimator,
+    # sum_i w_i^2 p_i / shots with F = w . (counts / shots); the MLE spreads less.
+    psi = bell_state()
+    stack = np.stack([analyzer_projector(s) for s in settings])
+    design = stack.transpose(0, 2, 1).reshape(16, 16)
+    w = np.linalg.solve(design.T, np.outer(psi.conj(), psi).reshape(-1)).real
+    p = np.real(np.einsum("ab,kba->k", rho, stack))
+    sigma = math.sqrt(np.sum(w**2 * p) / record.shots)
+    assert abs(fidelity(result.rho, psi) - (1.0 - d / 2.0)) < 3.0 * sigma
 
 
 def test_project_physical_rejects_hopeless_input():
