@@ -18,14 +18,13 @@ checks must restrict to total photon number <= cutoff - 2.  Evolving the
 vacuum under exp(-i tau (A L+ + A* L-)) and comparing against the closed-form
 output state is the package's primary cross-validation route.
 
-The evolution (evolve_vacuum) uses number conservation, not the
-disentangling identity.  Each pair term conserves n_aH - n_bV and
-n_aV - n_bH, so the vacuum stays on the sector |p, q; q, p> with p, q <=
-cutoff, where the generator splits into two commuting one-pair ladders, one
-per pair term.  Exponentiating each ladder exactly and taking their product
-gives the same truncated unitary as the full space, at (c+1) x (c+1) cost.
-build_generator keeps the full-space generator as the reference it is
-tested against.
+Each pair term of L+ conserves n_aH - n_bV and n_aV - n_bH, so everything the
+pump reaches from the vacuum lies on the pair sector |p, q; q, p>.  One
+private helper, _sector_index, maps that sector to full-space indices;
+evolve_vacuum, the closed form and the entangled states and projections
+scatter sector amplitudes to, or gather them from, the full space through
+it.  L+ is built once per space; build_generator (the full-space reference
+the oracle is tested against) and su11_generators both start from it.
 """
 
 from __future__ import annotations
@@ -117,6 +116,14 @@ class FockSpace:
             self._cache[key] = op
         return op
 
+    @functools.cached_property
+    def _l_plus(self) -> sp.csr_matrix:
+        """Pair operator L+ = adag_aH adag_bV - adag_aV adag_bH, built once."""
+        return (
+            self.raising("aH") @ self.raising("bV")
+            - self.raising("aV") @ self.raising("bH")
+        ).tocsr()
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -179,16 +186,21 @@ class FockVector:
                 f"enumeration order {doc['order']!r} does not match {ENUMERATION_ORDER!r}"
             )
         cutoff = doc["cutoff"]
-        if not isinstance(cutoff, int) or cutoff < 1:
+        # Exact type checks: JSON true/false load as bool, a subclass of int.
+        if type(cutoff) is not int or cutoff < 1:
             raise SchemaError(f"cutoff must be a positive integer, got {cutoff!r}")
+        if not isinstance(doc["amplitudes"], list):
+            raise SchemaError("amplitudes must be a list of [index, re, im] triples")
         dim = (cutoff + 1) ** 4
         amps = np.zeros(dim, dtype=complex)
         for pos, entry in enumerate(doc["amplitudes"]):
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise SchemaError(f"amplitude entry {pos} is not an [index, re, im] triple")
             i, re, im = entry
-            if not isinstance(i, int) or not (0 <= i < dim):
+            if type(i) is not int or not (0 <= i < dim):
                 raise SchemaError(f"amplitude entry {pos}: index {i!r} outside [0, {dim})")
+            if type(re) not in (int, float) or type(im) not in (int, float):
+                raise SchemaError(f"amplitude entry {pos}: re, im {re!r}, {im!r} not numbers")
             amps[i] = complex(re, im)
         return cls(amps, cutoff)
 
@@ -196,50 +208,43 @@ class FockVector:
 def su11_generators(space: FockSpace):
     """(L+, L-, L0) as sparse matrices on the truncated space.
 
+    L- and L0 derive from the space's one L+, the one build_generator uses.
     L0 comes out diagonal with eigenvalue n_total/2 + 1 away from the cutoff
     shell; near the shell the truncated products deviate, which is expected.
     """
-    cached = space._cache.get("su11")
-    if cached is None:
-        l_plus = (
-            space.raising("aH") @ space.raising("bV")
-            - space.raising("aV") @ space.raising("bH")
-        ).tocsr()
-        l_minus = l_plus.conj().T.tocsr()
-        l_zero = (0.5 * (l_minus @ l_plus - l_plus @ l_minus)).tocsr()
-        cached = (l_plus, l_minus, l_zero)
-        space._cache["su11"] = cached
-    return cached
+    l_plus = space._l_plus
+    l_minus = l_plus.conj().T.tocsr()
+    l_zero = (0.5 * (l_minus @ l_plus - l_plus @ l_minus)).tocsr()
+    return l_plus, l_minus, l_zero
 
 
-def build_generator(
-    cfg: ResonatorConfig,
-    space: FockSpace,
-    pump_basis: str = "combined",
-    ccw_weight: complex = -1.0,
-) -> sp.csr_matrix:
+def build_generator(cfg: ResonatorConfig, space: FockSpace) -> sp.csr_matrix:
     """Hermitian evolution generator G with exp(-i tau G) the pass-summed unitary.
 
-    pump_basis selects which pair term the pump drives: "cw" is
-    adag_aH adag_bV, "ccw" is adag_aV adag_bH, and "combined" is their
-    weighted sum cw + ccw_weight * ccw.  The default weight -1 is the
-    antisymmetric combination produced by a pump polarized at -45 degrees;
-    other pump polarizations map onto other complex weights.
+    G = A L+ + A* L-, with A the pass-summed amplitude and L+ the pair
+    operator adag_aH adag_bV - adag_aV adag_bH of a pump polarized at -45
+    degrees.  This is the full-space reference for evolve_vacuum; it never
+    builds L0.
     """
     a = amplitude_sum(cfg.n_passes, cfg.phi)
-    cw = space.raising("aH") @ space.raising("bV")
-    ccw = space.raising("aV") @ space.raising("bH")
-    if pump_basis == "cw":
-        k = cw
-    elif pump_basis == "ccw":
-        k = ccw
-    elif pump_basis == "combined":
-        k = cw + complex(ccw_weight) * ccw
-    else:
-        raise ValueError(
-            f"pump_basis must be 'cw', 'ccw' or 'combined', got {pump_basis!r}"
-        )
-    return (a * k + np.conj(a) * k.conj().T).tocsr()
+    l_plus = space._l_plus
+    return (a * l_plus + np.conj(a) * l_plus.conj().T).tocsr()
+
+
+def _sector_index(p, q, cutoff: int):
+    """Full-space index of the pair-sector state |p, q; q, p>, elementwise in p, q."""
+    b = cutoff + 1
+    return ((p * b + q) * b + q) * b + p
+
+
+def _entangled_terms(m, cutoff: int):
+    """Signs (-1)^k and full-space indices of the terms |M-k, k; k, M-k> of Phi_M."""
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"M must be a positive integer, got {m!r}")
+    if m > cutoff:
+        raise ValueError(f"M = {m} needs occupations up to {m}, cutoff is {cutoff}")
+    k = np.arange(m + 1)
+    return np.where(k % 2, -1.0, 1.0), _sector_index(m - k, k, cutoff)
 
 
 def _pair_ladder_column(coef: complex, cutoff: int, tau: float) -> np.ndarray:
@@ -263,24 +268,23 @@ def evolve_vacuum(
 ) -> FockVector:
     """Evolve the vacuum under exp(-i tau G) and report cutoff-shell leakage.
 
-    G is build_generator's combined pump, A (cw - ccw) + h.c. with
-    cw = adag_aH adag_bV and ccw = adag_aV adag_bH.  From the vacuum, cw
+    G is build_generator's A L+ + A* L-, with L+ = cw - ccw for the pair
+    terms cw = adag_aH adag_bV and ccw = adag_aV adag_bH.  From the vacuum, cw
     climbs the ladder |p, 0; 0, p> and ccw the ladder |0, q; q, 0>; the two
     commute, so the evolved state is the product u_p u_q on |p, q; q, p>,
     where u_p and u_q are the first columns of the ladder unitaries with
     coefficients A and -A, each from one Hermitian eigendecomposition of a
     (c+1) x (c+1) matrix.  Both ladders stop at the cutoff as the full-space
     operators do, so this is the truncated evolution itself, not an
-    approximation of it.  The sector amplitudes are scattered to full-space
-    indices.  Truncated evolution is exactly unitary, so the norm stays 1;
-    truncation error shows up as weight stranded on the cutoff shell
-    (p = cutoff or q = cutoff), returned as leakage and required to stay
-    below tol.
+    approximation of it.  Truncated evolution is exactly unitary, so the norm
+    stays 1; truncation error shows up as weight stranded on the cutoff shell
+    (p = cutoff or q = cutoff), returned as leakage and required to stay below
+    tol.
     """
     if isinstance(space, (int, np.integer)):
         space = FockSpace(space)
     a = amplitude_sum(cfg.n_passes, cfg.phi)
-    c, b = space.cutoff, space.base
+    c = space.cutoff
     # sector[p, q] is the amplitude of |p, q; q, p>.
     sector = np.outer(
         _pair_ladder_column(a, c, cfg.tau), _pair_ladder_column(-a, c, cfg.tau)
@@ -294,9 +298,9 @@ def evolve_vacuum(
             leakage=leakage,
             cutoff=space.cutoff,
         )
-    p, q = np.divmod(np.arange(b * b), b)
     psi = np.zeros(space.dim, dtype=complex)
-    psi[((p * b + q) * b + q) * b + p] = sector.ravel()
+    p, q = np.indices(sector.shape)
+    psi[_sector_index(p, q, c)] = sector
     return FockVector(psi, space.cutoff, leakage=leakage)
 
 
@@ -323,11 +327,12 @@ def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
         return FockVector(amps, space.cutoff)
     u = -1j * (complex(a_tau) / x) * math.tanh(x)
     sech2 = 1.0 / math.cosh(x) ** 2
-    for n in range(space.cutoff + 1):
-        coeff = sech2 * u**n
-        for l in range(n + 1):
-            sign = -1.0 if l % 2 else 1.0
-            amps[space.index((n - l, l, l, n - l))] = sign * coeff
+    # |n-l, l; l, n-l> is the sector state p = n - l, q = l; keep n <= cutoff.
+    p, q = np.indices((space.base, space.base))
+    keep = p + q <= space.cutoff
+    p, q = p[keep], q[keep]
+    sign = np.where(q % 2, -1.0, 1.0)
+    amps[_sector_index(p, q, space.cutoff)] = sign * (sech2 * u ** (p + q))
     return FockVector(amps, space.cutoff)
 
 
@@ -339,31 +344,16 @@ def entangled_state(m: int, space: FockSpace | int) -> FockVector:
     """
     if isinstance(space, (int, np.integer)):
         space = FockSpace(space)
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"M must be a positive integer, got {m!r}")
-    if m > space.cutoff:
-        raise ValueError(f"M = {m} needs occupations up to {m}, cutoff is {space.cutoff}")
+    sign, index = _entangled_terms(m, space.cutoff)
     amps = np.zeros(space.dim, dtype=complex)
-    scale = 1.0 / math.sqrt(m + 1.0)
-    for k in range(m + 1):
-        sign = -1.0 if k % 2 else 1.0
-        amps[space.index((m - k, k, k, m - k))] = sign * scale
+    amps[index] = sign * (1.0 / math.sqrt(m + 1.0))
     return FockVector(amps, space.cutoff)
 
 
 def project_entangled(state: FockVector, m: int) -> complex:
     """Amplitude <Phi_M | state> onto the maximally entangled 2M-photon state."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"M must be a positive integer, got {m!r}")
-    if m > state.cutoff:
-        raise ValueError(f"M = {m} exceeds the state's cutoff {state.cutoff}")
-    base = state.cutoff + 1
-    total = 0.0 + 0.0j
-    for k in range(m + 1):
-        idx = ((m - k) * base + k) * base * base + k * base + (m - k)
-        sign = -1.0 if k % 2 else 1.0
-        total += sign * state.amplitudes[idx]
-    return complex(total / math.sqrt(m + 1.0))
+    sign, index = _entangled_terms(m, state.cutoff)
+    return complex(np.sum(sign * state.amplitudes[index]) / math.sqrt(m + 1.0))
 
 
 def suggest_cutoff(a_tau: complex, *, floor: int = 8, amp_tol: float = 1e-10) -> int:
@@ -381,5 +371,11 @@ def suggest_cutoff(a_tau: complex, *, floor: int = 8, amp_tol: float = 1e-10) ->
     x = abs(a_tau)
     if x == 0.0:
         return floor
-    needed = math.ceil(math.log(amp_tol) / math.log(math.tanh(x)))
+    ratio = math.tanh(x)
+    if ratio == 1.0:
+        raise ValueError(
+            f"a_tau = {a_tau!r}: tanh|A tau| rounds to 1, so pair sectors do not "
+            f"fall off and no finite cutoff bounds the leakage"
+        )
+    needed = math.ceil(math.log(amp_tol) / math.log(ratio))
     return max(floor, needed)

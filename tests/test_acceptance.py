@@ -166,22 +166,24 @@ def test_criterion_05_optimal_u():
 def test_criterion_06_small_tau_envelope(evolved_grid):
     cache, _ = evolved_grid
     worst_margin = 0.0
-    zeros_ok = True
+    worst_zero = 0.0
     for (n, phi, tau), (cfg, _, _) in cache.items():
         for m in (1, 2, 3):
             exact = pair_probability_exact(m, cfg)
             approx = pair_probability_approx(m, cfg)
-            if exact == 0.0:
-                # Destructive interference: both routes must vanish together.
-                zeros_ok = zeros_ok and approx == 0.0
-                continue
             rel = abs(approx - exact) / exact
             worst_margin = max(worst_margin, rel / (10.0 * (n * tau) ** 2))
+            if n % 2 == 0 and phi == math.pi:
+                # Destructive interference: |A| is rounding dust (~1e-16),
+                # not 0, so both routes must be negligible, not exactly 0.
+                worst_zero = max(worst_zero, exact, approx)
+    zeros_ok = worst_zero <= 1e-30
     verdict(
         6,
         zeros_ok and worst_margin < 1.0,
         f"approx vs exact relative error, worst at {worst_margin:.3f} of the "
-        f"10(N tau)^2 envelope; destructive points vanish on both routes: {zeros_ok}",
+        f"10(N tau)^2 envelope; destructive points (even N, phi = pi) at most "
+        f"{worst_zero:.1e} on both routes (bound 1e-30)",
     )
 
 

@@ -155,15 +155,15 @@ def test_ladder_action_on_vacuum():
     assert np.allclose(l_zero @ vac, vac)
 
 
-def test_generator_pump_basis():
+def test_generator_options_removed():
+    # The generator is always the -45 degree pump A L+ + A* L-; the pump_basis
+    # and ccw_weight keywords that selected other pair terms are gone.
     space = FockSpace(2)
     cfg = ResonatorConfig(1, 0.0, 0.01)
-    cw = build_generator(cfg, space, pump_basis="cw")
-    ccw = build_generator(cfg, space, pump_basis="ccw")
-    combined = build_generator(cfg, space, pump_basis="combined")
-    assert abs(combined - (cw - ccw)).max() < 1e-14
-    with pytest.raises(ValueError):
-        build_generator(cfg, space, pump_basis="sideways")
+    with pytest.raises(TypeError):
+        build_generator(cfg, space, pump_basis="cw")
+    with pytest.raises(TypeError):
+        build_generator(cfg, space, ccw_weight=-1.0)
 
 
 def test_vacuum_and_vector_validation():
@@ -201,9 +201,14 @@ def test_generator_conserves_pair_charges():
     charges = [
         sp.diags((occ[:, i] - occ[:, j]).astype(float)) for i, j in ((0, 3), (1, 2))
     ]
+    cw = space.raising("aH") @ space.raising("bV")
+    ccw = space.raising("aV") @ space.raising("bH")
     cfg = ResonatorConfig(3, 0.7, 0.02)
-    for basis in ("cw", "ccw", "combined"):
-        g = build_generator(cfg, space, pump_basis=basis)
+    combined = build_generator(cfg, space)
+    # The -45 degree pump: A (cw - ccw) + h.c.
+    a = amplitude_sum(cfg.n_passes, cfg.phi)
+    assert abs(combined - (a * (cw - ccw) + np.conj(a) * (cw - ccw).conj().T)).max() < 1e-14
+    for g in (cw + cw.conj().T, ccw + ccw.conj().T, combined):
         assert g.nnz > 0
         for q in charges:
             assert abs(g @ q - q @ g).max() < 1e-12
@@ -306,6 +311,49 @@ def test_projection_is_overlap_with_entangled_state():
         assert direct == pytest.approx(via_overlap, abs=1e-14)
 
 
+def test_sector_states_match_loop_reference():
+    # Reference: the per-state loops over |n-l, l; l, n-l> through
+    # FockSpace.index that the sector-array code replaced.
+    def disentangled_loop(a_tau, space):
+        amps = np.zeros(space.dim, dtype=complex)
+        x = abs(a_tau)
+        if x == 0.0:
+            amps[0] = 1.0
+            return amps
+        u = -1j * (complex(a_tau) / x) * math.tanh(x)
+        sech2 = 1.0 / math.cosh(x) ** 2
+        for n in range(space.cutoff + 1):
+            coeff = sech2 * u**n
+            for l in range(n + 1):
+                sign = -1.0 if l % 2 else 1.0
+                amps[space.index((n - l, l, l, n - l))] = sign * coeff
+        return amps
+
+    def entangled_loop(m, space):
+        amps = np.zeros(space.dim, dtype=complex)
+        for k in range(m + 1):
+            amps[space.index((m - k, k, k, m - k))] = (-1.0) ** k / math.sqrt(m + 1.0)
+        return amps
+
+    def project_loop(amps, m, space):
+        total = 0.0 + 0.0j
+        for k in range(m + 1):
+            total += (-1.0) ** k * amps[space.index((m - k, k, k, m - k))]
+        return total / math.sqrt(m + 1.0)
+
+    for cutoff in (4, 12):
+        space = FockSpace(cutoff)
+        for a_tau in (0.1 * np.exp(0.7j), 0.0, -0.35j):
+            closed = disentangled_state(a_tau, space)
+            reference = disentangled_loop(a_tau, space)
+            assert np.abs(closed.amplitudes - reference).max() <= 1e-15
+            for m in (1, 2, 3):
+                phi_m = entangled_loop(m, space)
+                assert np.abs(entangled_state(m, space).amplitudes - phi_m).max() <= 1e-15
+                expected = project_loop(reference, m, space)
+                assert abs(project_entangled(closed, m) - expected) <= 1e-15
+
+
 def test_disentangled_phase_convention():
     # Complex A tau rotates u, it does not just scale it.
     space = FockSpace(4)
@@ -367,10 +415,19 @@ def test_fock_vector_json_schema_errors():
                 {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[999, 0, 0]]}
             )
         )
-    with pytest.raises(SchemaError):
-        FockVector.from_json(
-            json.dumps({"cutoff": 0, "order": ENUMERATION_ORDER, "amplitudes": []})
-        )
+    bad_docs = [
+        {"cutoff": 0, "order": ENUMERATION_ORDER, "amplitudes": []},
+        # JSON true loads as a bool, which Python counts as the int 1.
+        {"cutoff": True, "order": ENUMERATION_ORDER, "amplitudes": []},
+        {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[True, 1.0, 0.0]]},
+        {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": {}},
+        {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, "x", 0.0]]},
+        {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, 1.0, None]]},
+        {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, [1.0], 0.0]]},
+    ]
+    for doc in bad_docs:
+        with pytest.raises(SchemaError):
+            FockVector.from_json(json.dumps(doc))
 
 
 def test_suggest_cutoff():
@@ -379,6 +436,9 @@ def test_suggest_cutoff():
         math.log(1e-10) / math.log(math.tanh(0.5))
     )
     assert suggest_cutoff(1e-6, floor=4) == 4
+    # tanh(20) rounds to 1: no cutoff bounds the leakage.
+    with pytest.raises(ValueError, match="no finite cutoff"):
+        suggest_cutoff(20.0)
     with pytest.raises(ValueError):
         suggest_cutoff(0.1, amp_tol=2.0)
     with pytest.raises(ValueError):
