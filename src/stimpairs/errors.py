@@ -19,7 +19,7 @@ class TruncationError(StimpairsError):
 
 
 class FitError(StimpairsError):
-    """Fringe fit failed to converge or the parameters are not identifiable."""
+    """Fringe scan cannot be fit, or its parameters are not identifiable."""
 
 
 class ReconstructionError(StimpairsError):

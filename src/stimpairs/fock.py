@@ -33,12 +33,15 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SchemaError, TruncationError
 from .resonator import ResonatorConfig, amplitude_sum
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MODES = ("aH", "aV", "bH", "bV")
 
@@ -98,6 +101,10 @@ class FockSpace:
         key = ("raise", mode)
         op = self._cache.get(key)
         if op is None:
+            # Deferred: every sparse operator derives from this one, so
+            # importing fock loads no scipy.
+            import scipy.sparse as sp
+
             k = MODES.index(mode)
             src = np.nonzero(self.occupations[:, k] < self.cutoff)[0]
             data = np.sqrt(self.occupations[src, k] + 1.0)

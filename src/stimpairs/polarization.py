@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError
 from .phase_plate import PlateGeometry, relative_phase, wrap_phase
@@ -208,8 +207,9 @@ class FitResult:
     """Fitted 2 A (1 + B cos(x' + C)) parameters with covariance.
 
     visibility is B; p2_over_p1 is the inferred two-pass enhancement
-    2 (1 + B).  covariance is the 3x3 matrix over (A, B, C) from the final
-    Jacobian; residual_norm is the root sum of squared residuals.
+    2 (1 + B).  covariance is the 3x3 matrix over (A, B, C) from the
+    analytic Jacobian at the solution; residual_norm is the root sum of
+    squared residuals.
     """
 
     amplitude: float
@@ -240,20 +240,21 @@ class FitResult:
         }
 
 
-def _fringe_model(params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    a, b, c = params
-    return 2.0 * a * (1.0 + b * np.cos(x + c))
-
-
 def fit_fringe(scan: FringeScan) -> FitResult:
-    """Damped least-squares fit of 2 A (1 + B cos(x' + C)) to a scan.
+    """Least-squares fit of 2 A (1 + B cos(x' + C)) to a scan, in one linear solve.
 
-    Seeds A from half the mean count and B from the raw visibility, and
-    multi-starts the phase over {0, pi/2, pi, 3pi/2} to dodge the cosine's
-    local minima.  The result is canonicalized to B in [0, 1] (noisy
-    estimates above 1 are clamped) and C in [0, 2 pi).  Raises FitError when
-    the scan is too short, spans less than half a period, no start converges,
-    or the parameters are degenerate (constant data leaves C undetermined).
+    With x' known the model is alpha + beta cos x' + gamma sin x', with
+    alpha = 2 A, beta = 2 A B cos C and gamma = -2 A B sin C, so one
+    np.linalg.lstsq on the columns [1, cos x', sin x'] finds the global
+    least-squares minimum (the known-frequency three-parameter sine fit of
+    IEEE Std 1057).  Then A = alpha / 2, B = hypot(beta, gamma) / alpha >= 0
+    and C = atan2(-gamma, beta) wrapped to [0, 2 pi); B above 1 (noise) is
+    reported as 1.  covariance is inv(J^T J) s^2, with J the analytic
+    Jacobian of the model in (A, B, C) at the solution (unclamped B) and
+    s^2 the residual sum of squares over n - 3.  Raises FitError when the
+    scan is too short, spans less than half a period, has no counts or a
+    non-positive A, or when cond(J^T J) > 1e12 (constant data leaves C
+    undetermined).
 
     2(1 + B) estimates the double-pass over single-pass rate ratio; the ideal
     value is 4.  Experimental reference points from a tabletop run of this
@@ -269,53 +270,34 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         raise FitError(
             f"scan spans {x.max() - x.min():.3f} rad of phase, need more than pi"
         )
-    mean = counts.mean()
-    if mean <= 0.0:
+    if counts.mean() <= 0.0:
         raise FitError("all counts are zero, nothing to fit")
-    a0 = mean / 2.0
-    cmax, cmin = counts.max(), counts.min()
-    b0 = (cmax - cmin) / (cmax + cmin) if cmax > 0 else 0.0
-    b0 = min(max(b0, 1e-3), 1.0)
 
-    best = None
-    for c0 in (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi):
-        try:
-            res = least_squares(
-                lambda p: _fringe_model(p, x) - counts,
-                x0=np.array([a0, b0, c0]),
-                method="lm",
-                xtol=1e-14,
-                ftol=1e-14,
-                gtol=1e-14,
-                max_nfev=20000,
-            )
-        except Exception as exc:  # MINPACK can raise on hard degeneracies
-            raise FitError(f"least-squares backend failed: {exc}") from exc
-        if res.success and (best is None or res.cost < best.cost):
-            best = res
-    if best is None:
-        raise FitError("no fit start converged")
-
-    a, b, c = best.x
+    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    alpha, beta, gamma = coef
+    a = alpha / 2.0
     if a <= 0.0:
         raise FitError(f"fitted amplitude {a!r} is not positive")
-    if b < 0.0:
-        b, c = -b, c + math.pi
+    b = math.hypot(beta, gamma) / alpha
+    c = math.atan2(-gamma, beta)
+    resid = counts - design @ coef
+    rss = float(resid @ resid)
 
-    jtj = best.jac.T @ best.jac
+    cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
+    jac = np.column_stack([2.0 * (1.0 + b * cos_xc), 2.0 * a * cos_xc, -2.0 * a * b * sin_xc])
+    jtj = jac.T @ jac
     # Constant data fits with B = 0 and an arbitrary C; the Jacobian column
     # for C collapses and the covariance blows up. Reject rather than report.
     if not np.all(np.isfinite(jtj)) or np.linalg.cond(jtj) > 1e12:
         raise FitError("fit parameters are degenerate (flat or constant scan)")
-    dof = max(x.size - 3, 1)
-    s2 = 2.0 * best.cost / dof
-    cov = np.linalg.inv(jtj) * s2
+    cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
     return FitResult(
         amplitude=float(a),
         visibility=float(min(b, 1.0)),
         phase=float(wrap_phase(c)),
         covariance=cov,
-        residual_norm=float(math.sqrt(2.0 * best.cost)),
+        residual_norm=math.sqrt(rss),
     )
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ReconstructionError, SchemaError
 from .polarization import (
@@ -241,11 +240,15 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     shot noise shows up as negative eigenvalues, reported via
     min_eigenvalue.
     """
+    return _invert_linear(record, _projectors(record.settings))
+
+
+def _invert_linear(record: TomographyRecord, stack: np.ndarray) -> ReconstructionResult:
     if len(record.settings) != 16:
         raise ReconstructionError(
             f"linear inversion needs 16 settings, got {len(record.settings)}"
         )
-    design = _design_matrix(_projectors(record.settings))
+    design = _design_matrix(stack)
     if np.linalg.cond(design) > 1e10:
         raise ReconstructionError("settings are informationally incomplete")
     freqs = record.counts / record.shots
@@ -280,8 +283,12 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     is zero up to projector rounding noise (below 1e-15) while its counts are
     nonzero gives -inf, as it should.
     """
+    return _log_likelihood(record, rho, _projectors(record.settings))
+
+
+def _log_likelihood(record: TomographyRecord, rho: np.ndarray, stack: np.ndarray) -> float:
     check_density_matrix(rho)
-    p = _born_probabilities(rho, _projectors(record.settings))
+    p = _born_probabilities(rho, stack)
     mu = record.shots * np.where(p < 1e-15, 0.0, p)
     seen = record.counts > 0.0
     if np.any(mu[seen] == 0.0):
@@ -307,7 +314,7 @@ def _rho_from_t(t: np.ndarray) -> np.ndarray:
     return gram / np.real(gram.trace())
 
 
-def _objective_terms(record: TomographyRecord, *, jeffreys: bool):
+def _objective_terms(record: TomographyRecord, stack: np.ndarray, *, jeffreys: bool):
     """Shot-normalized negative log-likelihood over T's 16 real parameters.
 
     Returns a callable params -> (f, grad) with the analytic Wirtinger
@@ -317,7 +324,6 @@ def _objective_terms(record: TomographyRecord, *, jeffreys: bool):
     """
     counts = record.counts + 0.5 if jeffreys else record.counts
     shots = record.shots
-    stack = _projectors(record.settings)
 
     def objective(params: np.ndarray):
         t = _t_from_params(params)
@@ -359,8 +365,11 @@ def reconstruct_mle(
     jeffreys adds 0.5 to every count in the objective (a regularizing prior
     offset), never to the reported log-likelihood.
     """
-    objective = _objective_terms(record, jeffreys=jeffreys)
-    linear = reconstruct_linear(record)
+    from scipy.optimize import minimize
+
+    stack = _projectors(record.settings)
+    objective = _objective_terms(record, stack, jeffreys=jeffreys)
+    linear = _invert_linear(record, stack)
     start = project_physical(linear.rho)
     # Small maximally-mixed admixture keeps the Cholesky factor full rank.
     start = (1.0 - 1e-6) * start + 1e-6 * np.eye(4) / 4.0
@@ -387,7 +396,7 @@ def reconstruct_mle(
         rho=rho,
         method="mle",
         min_eigenvalue=float(evals.min()),
-        log_likelihood=log_likelihood(record, rho),
+        log_likelihood=_log_likelihood(record, rho, stack),
         iterations=int(iterations),
     )
 

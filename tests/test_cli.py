@@ -1,10 +1,15 @@
 """Command-line driver: outputs, determinism, config merging, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stimpairs
 import stimpairs.verify as verify_mod
 from stimpairs.cli import main
 from stimpairs.tomography import TomographyRecord, simulate_tomography
@@ -310,6 +315,48 @@ def test_verify_detects_mutation(capsys, monkeypatch):
     assert code == 2
     failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
     assert any("oracle_pair_probability" in ln for ln in failed)
+
+
+_SCIPY_PROBE = """
+import json, sys
+import stimpairs
+from stimpairs.cli import main
+
+def scipy_loaded():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+out = sys.argv[1]
+codes = [
+    main(["sweep-phase", "--out", out + "/sweep.csv"]),
+    main(["fig4", "--seed", "7", "--out", out + "/fig4.csv"]),
+    main(["fringe", "--seed", "3", "--out", out + "/fringe.csv"]),
+    main(["rates", "--singles", "36000", "--coincidences", "1300", "--out", out + "/rates.json"]),
+    main(["tomography", "--state", "bell", "--method", "linear", "--out", out + "/lin.json"]),
+]
+numpy_only = scipy_loaded()
+codes.append(main(["tomography", "--state", "bell", "--out", out + "/mle.json"]))
+print(json.dumps({"codes": codes, "numpy_only": numpy_only, "after_mle": scipy_loaded()}))
+"""
+
+
+def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
+    # A fresh interpreter: importing the package and running every command but
+    # MLE tomography and verify must not load scipy at all.
+    src = str(Path(stimpairs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["codes"] == [0] * 6
+    assert doc["numpy_only"] == []
+    # The probe itself sees scipy once MLE pulls in scipy.optimize.
+    assert "scipy.optimize" in doc["after_mle"]
 
 
 def test_out_unwritable_exits_three(capsys):

@@ -160,6 +160,73 @@ def test_fit_fringe_failures():
         fit_fringe(FringeScan(x, np.full(40, 7.0)))  # constant, C undetermined
 
 
+def test_fit_covariance_sign_at_reported_parameters():
+    # An iterative fit can land on B < 0 here; flipping B and C must also flip
+    # the covariance, whose cov[A,B] is -2.744e-3 at the reported parameters.
+    x = np.linspace(0, 2 * math.pi, 37)
+    counts = np.random.default_rng(0).poisson(100 * (1 + 0.3 * np.cos(x + 3.0))).astype(float)
+    fit = fit_fringe(FringeScan(x, counts))
+    a, b, c = fit.amplitude, fit.visibility, fit.phase
+    assert 0.0 < b < 1.0
+    # Jacobian of 2 A (1 + B cos(x + C)) in (A, B, C).
+    cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
+    jac = np.column_stack([2 * (1 + b * cos_xc), 2 * a * cos_xc, -2 * a * b * sin_xc])
+    expected = np.linalg.inv(jac.T @ jac) * fit.residual_norm**2 / (x.size - 3)
+    np.testing.assert_allclose(fit.covariance, expected, rtol=1e-6, atol=0)
+    assert fit.covariance[0, 1] == pytest.approx(-2.744e-3, rel=1e-3)
+
+
+def _lm_fit(x, counts):
+    """Four-start Levenberg-Marquardt fit: the earlier fit_fringe, kept as a reference.
+
+    Returns (A, B, C, residual norm) with B >= 0 and C in [0, 2 pi), or None
+    if no start converged.
+    """
+    from scipy.optimize import least_squares
+
+    a0 = counts.mean() / 2.0
+    cmax, cmin = counts.max(), counts.min()
+    b0 = min(max((cmax - cmin) / (cmax + cmin) if cmax > 0 else 0.0, 1e-3), 1.0)
+    best = None
+    for c0 in (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi):
+        res = least_squares(
+            lambda p: 2.0 * p[0] * (1.0 + p[1] * np.cos(x + p[2])) - counts,
+            x0=np.array([a0, b0, c0]),
+            method="lm",
+            xtol=1e-14,
+            ftol=1e-14,
+            gtol=1e-14,
+            max_nfev=20000,
+        )
+        if res.success and (best is None or res.cost < best.cost):
+            best = res
+    if best is None:
+        return None
+    a, b, c = best.x
+    if b < 0.0:
+        b, c = -b, c + math.pi
+    return a, min(b, 1.0), c % (2 * math.pi), math.sqrt(2.0 * best.cost)
+
+
+def test_fit_fringe_matches_levenberg_marquardt():
+    # 200 seeded Poisson scans, 8-200 points over 3.5-12 rad; the linear solve
+    # must land on LM's minimum and never leave a larger residual.
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        n = int(rng.integers(8, 201))
+        x = rng.uniform(-math.pi, math.pi) + np.linspace(0.0, rng.uniform(3.5, 12.0), n)
+        a, b, c = 10 ** rng.uniform(0.7, 3.7), rng.uniform(0.0, 1.0), rng.uniform(0, 2 * math.pi)
+        counts = rng.poisson(2 * a * (1 + b * np.cos(x + c))).astype(float)
+        ref = _lm_fit(x, counts)
+        assert ref is not None
+        fit = fit_fringe(FringeScan(x, counts))
+        assert abs(fit.amplitude - ref[0]) <= 1e-8 * ref[0]
+        assert abs(fit.visibility - ref[1]) <= 1e-7
+        dc = abs(fit.phase - ref[2])
+        assert min(dc, 2 * math.pi - dc) <= 1e-6
+        assert fit.residual_norm <= ref[3] * (1 + 1e-12)
+
+
 def test_fit_uses_phase_coordinate():
     angles = np.linspace(0, math.pi, 30)
     counts = 2 * 20.0 * (1 + 0.5 * np.cos(2 * angles + 0.7))

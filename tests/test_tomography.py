@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import stimpairs.tomography as tomography_mod
 from stimpairs.errors import ReconstructionError, SchemaError
 from stimpairs.polarization import (
     ArmSetting,
@@ -244,6 +245,24 @@ def test_mle_restarts_after_abnormal_line_search():
     assert abs(fidelity(result.rho, psi) - (1.0 - d / 2.0)) < 3.0 * sigma
 
 
+def test_mle_builds_projector_stack_once(monkeypatch):
+    # The linear start, the objective and the reported log-likelihood share
+    # one (16, 4, 4) stack.
+    calls = []
+    true_projectors = tomography_mod._projectors
+
+    def counting_projectors(settings):
+        calls.append(1)
+        return true_projectors(settings)
+
+    record = simulate_tomography(dephasing_noise(bell_state(), 0.1), 1e5, seed=10)
+    monkeypatch.setattr(tomography_mod, "_projectors", counting_projectors)
+    result = reconstruct_mle(record)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert result.log_likelihood == log_likelihood(record, result.rho)
+
+
 def test_project_physical_rejects_hopeless_input():
     with pytest.raises(ReconstructionError):
         project_physical(-np.eye(4, dtype=complex))
@@ -283,10 +302,10 @@ def test_reconstruction_result_physical_flag():
 
 
 def test_mle_gradient_matches_finite_difference():
-    from stimpairs.tomography import _objective_terms
+    from stimpairs.tomography import _objective_terms, _projectors
 
     record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=8)
-    fun = _objective_terms(record, jeffreys=False)
+    fun = _objective_terms(record, _projectors(record.settings), jeffreys=False)
     rng = np.random.default_rng(4)
     params = rng.normal(size=16) * 0.5
     f0, grad = fun(params)
