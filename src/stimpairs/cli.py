@@ -70,6 +70,12 @@ def _resolve(args, config: dict, key: str, default):
 def _check_seed(seed) -> int | None:
     if seed is None:
         return None
+    # A config file can hold any JSON value: take integers and integral
+    # floats, never a bool (an int subclass) or a fraction truncated by int().
+    if isinstance(seed, bool) or not (
+        isinstance(seed, int) or (isinstance(seed, float) and seed.is_integer())
+    ):
+        raise _UsageError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not (0 <= seed < _SEED_MAX):
         raise _UsageError(f"seed must be a u64, got {seed}")
@@ -279,7 +285,9 @@ def _cmd_tomography(args) -> int:
     method = _resolve(args, config, "method", "mle")
     if method not in ("mle", "linear"):
         raise _UsageError(f"method must be 'mle' or 'linear', got {method!r}")
-    jeffreys = bool(getattr(args, "jeffreys", False) or config.get("jeffreys", False))
+    jeffreys = True if args.jeffreys else config.get("jeffreys", False)
+    if not isinstance(jeffreys, bool):
+        raise _UsageError(f"jeffreys must be true or false, got {jeffreys!r}")
     basis = str(_resolve(args, config, "basis", "HVDR"))
     target_spec = _resolve(args, config, "target", "bell")
     shots = float(_resolve(args, config, "shots", 1e5))

@@ -108,6 +108,32 @@ def test_config_file_invalid(tmp_path, capsys):
     assert "schema" in err
 
 
+def test_config_jeffreys_must_be_bool(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jeffreys": "false", "shots": 1e3, "seed": 1}))
+    code, out, err = run(capsys, "tomography", "--config", str(cfg))
+    assert code == 1
+    assert "jeffreys" in err and out == ""
+    cfg.write_text(json.dumps({"jeffreys": False, "shots": 1e3, "seed": 1}))
+    code, out, _ = run(capsys, "tomography", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["jeffreys"] is False
+
+
+@pytest.mark.parametrize("seed", [True, 3.7, "7"])
+def test_config_seed_must_be_integral(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed, "alpha_steps": 21}))
+    code, out, err = run(capsys, "fig4", "--config", str(cfg))
+    assert code == 1
+    assert "seed" in err and out == ""
+    # An integral float is still an integer seed.
+    cfg.write_text(json.dumps({"seed": 3.0, "alpha_steps": 21, "format": "json"}))
+    code, out, _ = run(capsys, "fig4", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 3
+
+
 def test_seeded_output_byte_identical(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -332,16 +358,17 @@ codes = [
     main(["fringe", "--seed", "3", "--out", out + "/fringe.csv"]),
     main(["rates", "--singles", "36000", "--coincidences", "1300", "--out", out + "/rates.json"]),
     main(["tomography", "--state", "bell", "--method", "linear", "--out", out + "/lin.json"]),
+    main(["tomography", "--state", "bell", "--out", out + "/mle.json"]),
 ]
 numpy_only = scipy_loaded()
-codes.append(main(["tomography", "--state", "bell", "--out", out + "/mle.json"]))
-print(json.dumps({"codes": codes, "numpy_only": numpy_only, "after_mle": scipy_loaded()}))
+codes.append(main(["verify", "--out", out + "/verify.txt"]))
+print(json.dumps({"codes": codes, "numpy_only": numpy_only, "after_verify": scipy_loaded()}))
 """
 
 
 def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     # A fresh interpreter: importing the package and running every command but
-    # MLE tomography and verify must not load scipy at all.
+    # verify, MLE tomography included, must not load scipy at all.
     src = str(Path(stimpairs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -353,10 +380,10 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
         env=env,
     )
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert doc["codes"] == [0] * 6
+    assert doc["codes"] == [0] * 7
     assert doc["numpy_only"] == []
-    # The probe itself sees scipy once MLE pulls in scipy.optimize.
-    assert "scipy.optimize" in doc["after_mle"]
+    # The probe itself sees scipy once verify builds a sparse Fock operator.
+    assert "scipy.sparse" in doc["after_verify"]
 
 
 def test_out_unwritable_exits_three(capsys):

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stimpairs.tomography as tomography_mod
 from stimpairs.errors import ReconstructionError, SchemaError
@@ -29,6 +30,7 @@ from stimpairs.tomography import (
     project_physical,
     reconstruct_linear,
     reconstruct_mle,
+    _mle_objective,
     rho_from_json,
     rho_to_json,
     simulate_tomography,
@@ -223,10 +225,10 @@ def test_log_likelihood_matches_per_setting_sum():
         assert math.isfinite(log_likelihood(record, state_density(bell_state())))
 
 
-def test_mle_restarts_after_abnormal_line_search():
-    # An ordinary record on which a single L-BFGS-B run ends ABNORMAL at
-    # gradient 5.7e-8 after 625 iterations; one restart from its last
-    # iterate converges.
+def test_mle_converges_on_abnormal_line_search_record():
+    # An ordinary record on which a single L-BFGS-B run (the reference below)
+    # ends ABNORMAL at gradient 5.7e-8 after 625 iterations and needs a
+    # restart; projected gradient must converge on it directly.
     d = 0.3807740864578335
     rho = dephasing_noise(bell_state(), d)
     settings = standard_settings(tuple("HVDR"))
@@ -302,18 +304,163 @@ def test_reconstruction_result_physical_flag():
 
 
 def test_mle_gradient_matches_finite_difference():
-    from stimpairs.tomography import _objective_terms, _projectors
-
+    # Central differences of f along random Hermitian directions h must match
+    # Tr(grad h), with and without the Jeffreys offset; the record has
+    # zero-count settings, whose terms reduce to mu_i.
     record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=8)
-    fun = _objective_terms(record, _projectors(record.settings), jeffreys=False)
+    assert np.any(record.counts == 0.0)
+    stack = tomography_mod._projectors(record.settings)
+    rho = 0.7 * dephasing_noise(bell_state(), 0.2) + 0.3 * np.eye(4) / 4.0
     rng = np.random.default_rng(4)
-    params = rng.normal(size=16) * 0.5
-    f0, grad = fun(params)
     eps = 1e-6
-    for k in range(16):
-        step = np.zeros(16)
-        step[k] = eps
-        f_plus, _ = fun(params + step)
-        f_minus, _ = fun(params - step)
-        numeric = (f_plus - f_minus) / (2 * eps)
-        assert grad[k] == pytest.approx(numeric, abs=1e-5)
+    for counts in (record.counts, record.counts + 0.5):
+        def f(r):
+            return _mle_objective(r, counts=counts, shots=record.shots, stack=stack)[0]
+
+        _, grad, _ = _mle_objective(rho, counts=counts, shots=record.shots, stack=stack)
+        assert np.abs(grad - grad.conj().T).max() < 1e-14
+        for _ in range(8):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            h = (a + a.conj().T) / 2.0
+            numeric = (f(rho + eps * h) - f(rho - eps * h)) / (2.0 * eps)
+            assert np.vdot(h, grad).real == pytest.approx(numeric, abs=1e-6)
+
+
+def test_mle_has_no_tuning_keywords():
+    record = simulate_tomography(bell_state(), 1e3, seed=1)
+    with pytest.raises(TypeError):
+        reconstruct_mle(record, gtol=1e-10)
+    with pytest.raises(TypeError):
+        reconstruct_mle(record, max_iter=100)
+
+
+# ----- Reference: the earlier maximum-likelihood reconstructor -----
+#
+# rho = T T^dagger / Tr(T T^dagger) with T lower triangular (16 real
+# parameters), minimized by L-BFGS-B with the analytic gradient from the
+# full-rank projected linear inversion, and restarted once after an ABNORMAL
+# line search.  Kept as the reference that projected gradient must match or
+# beat on the objective.
+
+_OFF_ROWS, _OFF_COLS = np.array(((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))).T
+
+
+def _t_from_params(params):
+    t = np.diag(params[:4].astype(complex))
+    t[_OFF_ROWS, _OFF_COLS] = params[4::2] + 1j * params[5::2]
+    return t
+
+
+def _params_from_t(t):
+    off = t[_OFF_ROWS, _OFF_COLS]
+    return np.concatenate([np.real(np.diag(t)), np.column_stack([off.real, off.imag]).ravel()])
+
+
+def _reference_mle(record, *, jeffreys=False):
+    from scipy.optimize import minimize
+
+    stack = np.stack([analyzer_projector(s) for s in record.settings])
+    counts = record.counts + 0.5 if jeffreys else record.counts
+    shots = record.shots
+
+    def objective(params):
+        # d f / d T-bar = -(M T)/q0 + (S / q0^2) T with M = sum_i w_i Pi_i,
+        # S = sum_i w_i Tr(T T^dagger Pi_i), w_i = c_i / mu_i - 1.
+        t = _t_from_params(params)
+        gram = t @ t.conj().T
+        q0 = float(np.real(gram.trace()))
+        if q0 <= 0.0 or not math.isfinite(q0):
+            return np.inf, np.zeros(16)
+        qs = np.maximum(np.real(np.einsum("kab,ba->k", stack, gram)) / q0, 1e-300)
+        mus = shots * qs
+        f = -float(np.sum(counts * np.log(mus) - mus)) / shots
+        ws = counts / mus - 1.0
+        m = np.einsum("k,kab->ab", ws, stack)
+        gbar = -(m @ t) / q0 + (float(ws @ (qs * q0)) / q0**2) * t
+        return f, 2.0 * _params_from_t(gbar)
+
+    start = project_physical(reconstruct_linear(record).rho)
+    start = (1.0 - 1e-6) * start + 1e-6 * np.eye(4) / 4.0
+    options = {"maxiter": 10000, "maxfun": 40000, "ftol": 1e-15, "gtol": 1e-10}
+    res = minimize(objective, _params_from_t(np.linalg.cholesky(start)), jac=True,
+                   method="L-BFGS-B", options=options)
+    if res.message.startswith("ABNORMAL"):
+        res = minimize(objective, res.x, jac=True, method="L-BFGS-B", options=options)
+    assert res.success or np.max(np.abs(res.jac)) <= 1e-8, res.message
+    t = _t_from_params(res.x)
+    gram = t @ t.conj().T
+    rho = gram / np.real(gram.trace())
+    return (rho + rho.conj().T) / 2.0
+
+
+def _objective_and_rounding(record, rho, counts):
+    """Per-setting loop for f = -sum_i (c_i ln mu_i - mu_i) / shots and for
+    sum_i |c_i ln mu_i - mu_i| / shots, the scale of its rounding error."""
+    terms = []
+    for setting, c in zip(record.settings, counts):
+        mu = record.shots * float(np.real(np.trace(rho @ analyzer_projector(setting))))
+        terms.append(c * math.log(mu) - mu if c > 0.0 else -mu)
+    return -math.fsum(terms) / record.shots, math.fsum(abs(x) for x in terms) / record.shots
+
+
+def _reference_records():
+    cases = []
+    for k, d in enumerate(np.linspace(0.0, 0.5, 6)):
+        rho = dephasing_noise(bell_state(), float(d))
+        hvdr = standard_settings(tuple("HVDR"))
+        cases.append((f"hvdr-1e5-d{d:.1f}", simulate_tomography(rho, 1e5, seed=700 + k, settings=hvdr), False))
+        hvdl = standard_settings(tuple("HVDL"))
+        cases.append((f"hvdl-1e3-jeffreys-d{d:.1f}", simulate_tomography(rho, 1e3, seed=800 + k, settings=hvdl), True))
+    for k, d in enumerate((0.0, 0.25, 0.5)):
+        rho = dephasing_noise(bell_state(), d)
+        cases.append((f"zeros-50-d{d:.2f}", simulate_tomography(rho, 50.0, seed=900 + k), False))
+    cases.append(("noiseless-singlet-1e6", simulate_tomography(bell_state(), 1e6, seed=None), False))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name,record,jeffreys", _reference_records())
+def test_mle_matches_or_beats_reference(name, record, jeffreys):
+    # Tolerance fixed from the error bound of two 16-term sums: each differs
+    # from its exact value by at most ~16 eps sum_i |term_i|, so the objective
+    # may trail the reference by 32 eps times that scale, and no more.
+    if name.startswith("zeros"):
+        assert np.any(record.counts == 0.0)
+    counts = record.counts + 0.5 if jeffreys else record.counts
+    result = reconstruct_mle(record, jeffreys=jeffreys)
+    rho = result.rho
+    assert result.physical
+    assert np.array_equal(rho, rho.conj().T)
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    f_apg, _ = _objective_and_rounding(record, rho, counts)
+    f_ref, scale = _objective_and_rounding(record, _reference_mle(record, jeffreys=jeffreys), counts)
+    assert f_apg <= f_ref + 32.0 * np.finfo(float).eps * scale
+
+
+_COUNTS = st.one_of(
+    st.just(0.0),
+    st.integers(0, 10**6).map(float),
+    st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    counts=st.one_of(
+        st.lists(_COUNTS, min_size=16, max_size=16),
+        # Mostly-zero records: a few nonzero settings at most.
+        st.lists(st.sampled_from([0.0, 0.0, 0.0, 1.0, 7.0]), min_size=16, max_size=16),
+    ),
+    shots=st.floats(1e-3, 1e7),
+    basis=st.sampled_from(["HVDR", "HVDA", "HVDL"]),
+    jeffreys=st.booleans(),
+)
+def test_mle_is_physical_or_raises_reconstruction_error(counts, shots, basis, jeffreys):
+    record = TomographyRecord(standard_settings(tuple(basis)), np.array(counts), shots)
+    try:
+        result = reconstruct_mle(record, jeffreys=jeffreys)
+    except ReconstructionError:
+        return
+    rho = result.rho
+    assert np.array_equal(rho, rho.conj().T)
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert result.physical
