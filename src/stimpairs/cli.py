@@ -67,17 +67,29 @@ def _resolve(args, config: dict, key: str, default):
     return default
 
 
-def _check_seed(seed) -> int | None:
-    if seed is None:
+def _resolve_number(args, config: dict, key: str, default, integral: bool = False):
+    """_resolve for a numeric option: a float, or an int when integral; None stays None.
+
+    A config file can hold any JSON value: take numbers only, never a bool
+    (an int subclass) or a string, and for an integral option never a
+    fraction that int() would truncate.
+    """
+    value = _resolve(args, config, key, default)
+    if value is None:
         return None
-    # A config file can hold any JSON value: take integers and integral
-    # floats, never a bool (an int subclass) or a fraction truncated by int().
-    if isinstance(seed, bool) or not (
-        isinstance(seed, int) or (isinstance(seed, float) and seed.is_integer())
-    ):
-        raise _UsageError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not (0 <= seed < _SEED_MAX):
+    kind = "an integer" if integral else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _UsageError(f"{key} must be {kind}, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise _UsageError(f"{key} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def _resolve_seed(args, config: dict) -> int | None:
+    seed = _resolve_number(args, config, "seed", None, integral=True)
+    if seed is not None and not (0 <= seed < _SEED_MAX):
         raise _UsageError(f"seed must be a u64, got {seed}")
     return seed
 
@@ -155,13 +167,13 @@ def _cmd_sweep_phase(args) -> int:
         raise _UsageError(f"bad n-list {n_list!r}, expected comma-separated integers")
     if not n_values:
         raise _UsageError("n-list is empty")
-    phi_min = float(_resolve(args, config, "phi_min", 0.0))
-    phi_max = float(_resolve(args, config, "phi_max", 2.0 * math.pi))
-    phi_steps = int(_resolve(args, config, "phi_steps", 181))
+    phi_min = _resolve_number(args, config, "phi_min", 0.0)
+    phi_max = _resolve_number(args, config, "phi_max", 2.0 * math.pi)
+    phi_steps = _resolve_number(args, config, "phi_steps", 181, integral=True)
     if phi_steps < 2 or phi_max <= phi_min:
         raise _UsageError("need phi-max > phi-min and phi-steps >= 2")
-    tau = float(_resolve(args, config, "tau", 1e-3))
-    m = int(_resolve(args, config, "m", 1))
+    tau = _resolve_number(args, config, "tau", 1e-3)
+    m = _resolve_number(args, config, "m", 1, integral=True)
     fmt = _resolve(args, config, "format", "csv")
 
     phis = np.linspace(phi_min, phi_max, phi_steps)
@@ -192,17 +204,17 @@ def _cmd_sweep_phase(args) -> int:
 def _cmd_fig4(args) -> int:
     config = _load_config(args.config)
     geom = _plate_from(args, config)
-    alpha_min = float(_resolve(args, config, "alpha_min_deg", 2.0))
-    alpha_max = float(_resolve(args, config, "alpha_max_deg", 15.0))
-    steps = int(_resolve(args, config, "alpha_steps", 81))
+    alpha_min = _resolve_number(args, config, "alpha_min_deg", 2.0)
+    alpha_max = _resolve_number(args, config, "alpha_max_deg", 15.0)
+    steps = _resolve_number(args, config, "alpha_steps", 81, integral=True)
     if steps < 2 or alpha_max <= alpha_min:
         raise _UsageError("need alpha-max-deg > alpha-min-deg and alpha-steps >= 2")
-    n_passes = int(_resolve(args, config, "n_passes", 2))
-    tau = float(_resolve(args, config, "tau", 1e-3))
+    n_passes = _resolve_number(args, config, "n_passes", 2, integral=True)
+    tau = _resolve_number(args, config, "tau", 1e-3)
     # Pair probabilities at tau ~ 1e-3 are ~1e-6; default enough shots that
     # the fringe rises well above Poisson noise.
-    shots = float(_resolve(args, config, "shots", 1e9))
-    seed = _check_seed(_resolve(args, config, "seed", None))
+    shots = _resolve_number(args, config, "shots", 1e9)
+    seed = _resolve_seed(args, config)
     model = _resolve(args, config, "model", "exact")
     fmt = _resolve(args, config, "format", "csv")
 
@@ -234,20 +246,20 @@ def _cmd_fig4(args) -> int:
 def _cmd_fringe(args) -> int:
     config = _load_config(args.config)
     rho = _parse_state(_resolve(args, config, "state", "bell"))
-    pol_b = math.radians(float(_resolve(args, config, "pol_b_deg", 45.0)))
-    qwp_b = _resolve(args, config, "qwp_b_deg", None)
-    qwp_a = _resolve(args, config, "qwp_a_deg", None)
-    scan_min = float(_resolve(args, config, "scan_min_deg", 0.0))
-    scan_max = float(_resolve(args, config, "scan_max_deg", 180.0))
-    steps = int(_resolve(args, config, "scan_steps", 37))
+    pol_b = math.radians(_resolve_number(args, config, "pol_b_deg", 45.0))
+    qwp_b = _resolve_number(args, config, "qwp_b_deg", None)
+    qwp_a = _resolve_number(args, config, "qwp_a_deg", None)
+    scan_min = _resolve_number(args, config, "scan_min_deg", 0.0)
+    scan_max = _resolve_number(args, config, "scan_max_deg", 180.0)
+    steps = _resolve_number(args, config, "scan_steps", 37, integral=True)
     if steps < 2 or scan_max <= scan_min:
         raise _UsageError("need scan-max-deg > scan-min-deg and scan-steps >= 2")
-    shots = float(_resolve(args, config, "shots", 1e6))
-    seed = _check_seed(_resolve(args, config, "seed", None))
+    shots = _resolve_number(args, config, "shots", 1e6)
+    seed = _resolve_seed(args, config)
     fmt = _resolve(args, config, "format", "csv")
 
     arm_b = polarization.ArmSetting(
-        pol=pol_b, qwp=math.radians(float(qwp_b)) if qwp_b is not None else None
+        pol=pol_b, qwp=math.radians(qwp_b) if qwp_b is not None else None
     )
     angles = np.radians(np.linspace(scan_min, scan_max, steps))
     scan = polarization.simulate_polarization_fringe(
@@ -256,7 +268,7 @@ def _cmd_fringe(args) -> int:
         angles,
         shots,
         seed=seed,
-        arm_a_qwp=math.radians(float(qwp_a)) if qwp_a is not None else None,
+        arm_a_qwp=math.radians(qwp_a) if qwp_a is not None else None,
     )
     fit = polarization.fit_fringe(scan)
     echo = {
@@ -290,8 +302,8 @@ def _cmd_tomography(args) -> int:
         raise _UsageError(f"jeffreys must be true or false, got {jeffreys!r}")
     basis = str(_resolve(args, config, "basis", "HVDR"))
     target_spec = _resolve(args, config, "target", "bell")
-    shots = float(_resolve(args, config, "shots", 1e5))
-    seed = _check_seed(_resolve(args, config, "seed", None))
+    shots = _resolve_number(args, config, "shots", 1e5)
+    seed = _resolve_seed(args, config)
 
     if counts_path is not None:
         text = Path(counts_path).read_text()
@@ -337,14 +349,12 @@ def _cmd_tomography(args) -> int:
 
 def _cmd_rates(args) -> int:
     config = _load_config(args.config)
-    singles = _resolve(args, config, "singles", None)
-    coincidences = _resolve(args, config, "coincidences", None)
+    singles = _resolve_number(args, config, "singles", None)
+    coincidences = _resolve_number(args, config, "coincidences", None)
     if singles is None or coincidences is None:
         raise _UsageError("rates needs --singles and --coincidences")
-    singles = float(singles)
-    coincidences = float(coincidences)
-    order = int(_resolve(args, config, "order", 2))
-    expected = _resolve(args, config, "expected", None)
+    order = _resolve_number(args, config, "order", 2, integral=True)
+    expected = _resolve_number(args, config, "expected", None)
     rate = polarization.nth_order_rate(singles, coincidences, order)
     doc = {
         "command": "rates",
@@ -357,7 +367,6 @@ def _cmd_rates(args) -> int:
         "rate": rate,
     }
     if expected is not None:
-        expected = float(expected)
         if expected > 0 and rate > 0:
             factor = rate / expected
             doc["expected_ratio"] = factor
@@ -450,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", help="JSON record of measured counts")
     p.add_argument("--method", choices=("mle", "linear"))
     p.add_argument("--jeffreys", action="store_true", help="add 0.5 to counts in the MLE objective")
-    p.add_argument("--basis", help="four analyzer letters, e.g. HVDR or HVDA")
+    p.add_argument("--basis", help="four analyzer letters, e.g. HVDR or HVDL")
     p.add_argument("--target", help="bell or none (fidelity report)")
     p.add_argument("--shots", type=float)
     p.add_argument("--seed", type=int)

@@ -64,15 +64,54 @@ class MeasurementSetting:
     arm_b: ArmSetting
 
 
-def rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _analyzer_states(pol, qwp=None) -> np.ndarray:
+    """(k, 2) analyzer states J(qwp)^dagger |pol> for arrays of angles; qwp None: no plate.
+
+    With c, s = cos qwp, sin qwp the plate R(qwp) diag(1, i) R(-qwp) is
+    [[c^2 + i s^2, cs (1 - i)], [cs (1 - i), s^2 + i c^2]], so the state is
+    ((c^2 - i s^2) cos pol + cs (1 + i) sin pol,
+     cs (1 + i) cos pol + (s^2 - i c^2) sin pol),
+    written out entry by entry instead of one 2x2 matrix product per angle.
+    A scalar qwp applies to every polarizer angle.  Angles must already be
+    finite.
+    """
+    cp, sp = np.cos(pol), np.sin(pol)
+    if qwp is None:
+        states = np.zeros(np.shape(cp) + (2,), dtype=complex)
+        states.real[..., 0], states.real[..., 1] = cp, sp
+        return states
+    c, s = np.cos(qwp), np.sin(qwp)
+    cc, ss, cs = c * c, s * s, c * s
+    re_h = cc * cp + cs * sp
+    states = np.empty(re_h.shape + (2,), dtype=complex)
+    states.real[..., 0] = re_h
+    states.real[..., 1] = cs * cp + ss * sp
+    states.imag[..., 0] = cs * sp - ss * cp
+    states.imag[..., 1] = cs * cp - cc * sp
+    return states
 
 
-def quarter_wave(theta: float) -> np.ndarray:
-    """Jones matrix of a quarter-wave plate with fast axis at theta."""
-    r = rotation(theta)
-    return r @ np.diag([1.0, 1.0j]) @ r.T
+def _arm_states(arms) -> np.ndarray:
+    """(k, 2) analyzer states of a sequence of ArmSettings, with or without plates."""
+    pol = np.array([arm.pol for arm in arms], dtype=float)
+    states = _analyzer_states(pol)
+    plated = [i for i, arm in enumerate(arms) if arm.qwp is not None]
+    if plated:
+        qwp = np.array([arms[i].qwp for i in plated], dtype=float)
+        states[plated] = _analyzer_states(pol[plated], qwp)
+    return states
+
+
+def _projector_stack(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """(k, 4, 4) coincidence projectors |ua ub><ua ub| from (k, 2) arm states.
+
+    Either arm may hold a single (1, 2) state shared by every row.  Entries
+    are Pi_a[i, j] Pi_b[m, n], the products np.kron forms, in the
+    (HH, HV, VH, VV) basis.
+    """
+    pa = ua[:, :, None] * ua.conj()[:, None, :]
+    pb = ub[:, :, None] * ub.conj()[:, None, :]
+    return (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(-1, 4, 4)
 
 
 def analyzer_state(arm: ArmSetting) -> np.ndarray:
@@ -81,19 +120,12 @@ def analyzer_state(arm: ArmSetting) -> np.ndarray:
     Light crosses the plate first, then the polarizer, so the accepted state
     is J(qwp)^dagger |pol>; without the plate it is |pol> itself.
     """
-    pol = np.array([math.cos(arm.pol), math.sin(arm.pol)], dtype=complex)
-    if arm.qwp is None:
-        return pol
-    return quarter_wave(arm.qwp).conj().T @ pol
+    return _arm_states([arm])[0]
 
 
 def analyzer_projector(setting: MeasurementSetting) -> np.ndarray:
     """Rank-one coincidence projector Pi_a otimes Pi_b in the (HH, HV, VH, VV) basis."""
-    ua = analyzer_state(setting.arm_a)
-    ub = analyzer_state(setting.arm_b)
-    proj_a = np.outer(ua, ua.conj())
-    proj_b = np.outer(ub, ub.conj())
-    return np.kron(proj_a, proj_b)
+    return _projector_stack(_arm_states([setting.arm_a]), _arm_states([setting.arm_b]))[0]
 
 
 def state_density(state: np.ndarray) -> np.ndarray:
@@ -349,10 +381,13 @@ def simulate_polarization_fringe(
     angles = np.asarray(list(pol_a_angles), dtype=float)
     if angles.ndim != 1 or angles.size < 2:
         raise ValueError("need a 1-d list of at least 2 polarizer angles")
+    if not np.all(np.isfinite(angles)):
+        bad = float(angles[~np.isfinite(angles)][0])
+        raise ValueError(f"polarizer angle must be finite, got {bad!r}")
+    if arm_a_qwp is not None and not math.isfinite(arm_a_qwp):
+        raise ValueError(f"qwp angle must be finite, got {arm_a_qwp!r}")
     rho = state_density(rho)
-    projectors = np.stack(
-        [analyzer_projector(MeasurementSetting(ArmSetting(a, arm_a_qwp), arm_b)) for a in angles]
-    )
+    projectors = _projector_stack(_analyzer_states(angles, arm_a_qwp), _arm_states([arm_b]))
     counts = _draw_counts(shots * _born_probabilities(rho, projectors), seed)
     return FringeScan(x=angles, counts=counts, phase=2.0 * angles)
 

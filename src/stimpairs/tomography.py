@@ -23,7 +23,6 @@ result are physical.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,8 +33,9 @@ from .errors import ReconstructionError, SchemaError
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
+    _arm_states,
     _born_probabilities,
-    analyzer_projector,
+    _projector_stack,
     check_density_matrix,
     state_density,
 )
@@ -134,6 +134,12 @@ class TomographyRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
+        def number(value) -> float:
+            # float(True) is 1.0: a JSON boolean is not a number here.
+            if isinstance(value, bool):
+                raise TypeError(f"expected a number, got {json.dumps(value)}")
+            return float(value)
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -151,9 +157,9 @@ class TomographyRecord:
             if "pol_deg" not in arm:
                 raise SchemaError(f"settings[{pos}].{which}: missing 'pol_deg'")
             try:
-                pol = math.radians(float(arm["pol_deg"]))
+                pol = math.radians(number(arm["pol_deg"]))
                 qwp = (
-                    math.radians(float(arm["qwp_deg"]))
+                    math.radians(number(arm["qwp_deg"]))
                     if "qwp_deg" in arm and arm["qwp_deg"] is not None
                     else None
                 )
@@ -167,7 +173,7 @@ class TomographyRecord:
             if not isinstance(entry, dict) or "counts" not in entry:
                 raise SchemaError(f"settings[{pos}]: missing 'counts'")
             try:
-                c = float(entry["counts"])
+                c = number(entry["counts"])
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"settings[{pos}]: counts not a number: {exc}") from exc
             if not (math.isfinite(c) and c >= 0.0):
@@ -177,7 +183,7 @@ class TomographyRecord:
             )
             counts.append(c)
         try:
-            shots = float(doc["shots"])
+            shots = number(doc["shots"])
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"shots not a number: {exc}") from exc
         return cls(settings=tuple(settings), counts=np.array(counts), shots=shots)
@@ -228,8 +234,11 @@ def simulate_tomography(
 
 
 def _projectors(settings) -> np.ndarray:
-    """The (k, 4, 4) projector stack shared by simulation, design matrix and likelihood."""
-    return np.stack([analyzer_projector(s) for s in settings])
+    """The (k, 4, 4) projector stack shared by simulation, design matrix and likelihood,
+    built in one array pass over the settings' angles."""
+    return _projector_stack(
+        _arm_states([s.arm_a for s in settings]), _arm_states([s.arm_b for s in settings])
+    )
 
 
 def _design_matrix(projectors: np.ndarray) -> np.ndarray:
@@ -245,15 +254,14 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     shot noise shows up as negative eigenvalues, reported via
     min_eigenvalue.
     """
-    return _invert_linear(record, _projectors(record.settings))
+    return _invert_linear(record, _design_matrix(_projectors(record.settings)))
 
 
-def _invert_linear(record: TomographyRecord, stack: np.ndarray) -> ReconstructionResult:
+def _invert_linear(record: TomographyRecord, design: np.ndarray) -> ReconstructionResult:
     if len(record.settings) != 16:
         raise ReconstructionError(
             f"linear inversion needs 16 settings, got {len(record.settings)}"
         )
-    design = _design_matrix(stack)
     if np.linalg.cond(design) > 1e10:
         raise ReconstructionError("settings are informationally incomplete")
     freqs = record.counts / record.shots
@@ -294,13 +302,14 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
 def _log_likelihood(record: TomographyRecord, rho: np.ndarray, stack: np.ndarray) -> float:
     check_density_matrix(rho)
     p = _born_probabilities(rho, stack)
-    terms = _poisson_terms(record.counts, record.shots * np.where(p < 1e-15, 0.0, p))
+    mu = record.shots * np.where(p < 1e-15, 0.0, p)
+    terms = _poisson_terms(record.counts, mu, record.counts > 0.0)
     return -math.inf if terms is None else float(terms.sum())
 
 
-def _poisson_terms(counts: np.ndarray, mu: np.ndarray) -> np.ndarray | None:
-    """Per-setting c ln mu - mu, with 0 ln 0 = 0; None when counts meet a rate mu <= 0."""
-    seen = counts > 0.0
+def _poisson_terms(counts: np.ndarray, mu: np.ndarray, seen: np.ndarray) -> np.ndarray | None:
+    """Per-setting c ln mu - mu, with 0 ln 0 = 0 off the mask seen = counts > 0;
+    None when counts meet a rate mu <= 0."""
     if np.any(mu[seen] <= 0.0):
         return None
     terms = -mu
@@ -319,16 +328,27 @@ def _project_density(h: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(evals - shift, 0.0)) @ vecs.conj().T
 
 
-def _mle_objective(rho, *, counts, shots, stack):
-    """f(rho) = -sum_i (c_i ln mu_i - mu_i) / shots, its gradient sum_i (1 - c_i / mu_i) Pi_i,
-    and its rounding error; inf, None, 0 where counts meet a rate mu_i <= 0."""
-    mu = shots * np.real(_design_matrix(stack) @ rho.ravel())
-    terms = _poisson_terms(counts, mu)
-    if terms is None:
-        return math.inf, None, 0.0
-    weights = 1.0 - np.divide(counts, mu, out=np.zeros_like(mu), where=counts > 0.0)
-    grad = np.tensordot(weights, stack, 1)
-    return -float(terms.sum()) / shots, grad, _ROUNDING * float(np.abs(terms).sum()) / shots
+def _mle_objective(counts: np.ndarray, shots: float, design: np.ndarray, stack: np.ndarray):
+    """The objective f(rho) = -sum_i (c_i ln mu_i - mu_i) / shots, mu_i = shots Tr(rho Pi_i).
+
+    Returns a function of rho giving f, its gradient sum_i (1 - c_i / mu_i)
+    Pi_i and its rounding error; inf, None, 0 where counts meet a rate
+    mu_i <= 0.  The flattened stack and the counts > 0 mask are made here,
+    once, so each call is two matrix-vector products and the Poisson sum.
+    """
+    flat = stack.reshape(len(stack), 16)
+    seen = counts > 0.0
+
+    def objective(rho):
+        mu = shots * np.real(design @ rho.ravel())
+        terms = _poisson_terms(counts, mu, seen)
+        if terms is None:
+            return math.inf, None, 0.0
+        weights = 1.0 - np.divide(counts, mu, out=np.zeros_like(mu), where=seen)
+        grad = (weights @ flat).reshape(4, 4)
+        return -float(terms.sum()) / shots, grad, _ROUNDING * float(np.abs(terms).sum()) / shots
+
+    return objective
 
 
 def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> ReconstructionResult:
@@ -350,9 +370,10 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     every count in the objective, never to the reported log-likelihood.
     """
     stack = _projectors(record.settings)
+    design = _design_matrix(stack)
     counts = record.counts + 0.5 if jeffreys else record.counts
-    objective = functools.partial(_mle_objective, counts=counts, shots=record.shots, stack=stack)
-    rho = project_physical(_invert_linear(record, stack).rho)
+    objective = _mle_objective(counts, record.shots, design, stack)
+    rho = project_physical(_invert_linear(record, design).rho)
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
     f, grad, _ = objective(rho)
     prev, theta, step = rho, 1.0, 1.0

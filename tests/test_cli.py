@@ -134,6 +134,48 @@ def test_config_seed_must_be_integral(tmp_path, capsys, seed):
     assert json.loads(out)["config"]["seed"] == 3
 
 
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("fig4", "alpha_steps", 21.9),
+        ("fig4", "alpha_steps", True),
+        ("fig4", "n_passes", 2.5),
+        ("fig4", "shots", False),
+        ("fig4", "tau", "0.001"),
+        ("sweep-phase", "phi_steps", 3.5),
+        ("sweep-phase", "m", True),
+        ("fringe", "scan_steps", "37"),
+        ("fringe", "qwp_a_deg", True),
+        ("tomography", "shots", True),
+        ("tomography", "shots", "1e5"),
+        ("rates", "order", 2.5),
+        ("rates", "singles", True),
+    ],
+)
+def test_config_numbers_are_exact(tmp_path, capsys, command, key, value):
+    # No silent coercion: 21.9 steps is not 21, true shots is not 1.
+    doc = {"seed": 1, "shots": 1e3} if command == "tomography" else {}
+    if command == "rates":
+        doc = {"singles": 1e5, "coincidences": 1e3}
+    doc[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert "invalid configuration" in err and key in err and out == ""
+
+
+def test_config_integral_floats_are_integers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_steps": 21.0, "n_passes": 2, "shots": 100000000, "format": "json"}))
+    code, out, _ = run(capsys, "fig4", "--config", str(cfg))
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["alpha_steps"] == 21 and isinstance(config["alpha_steps"], int)
+    assert config["shots"] == 1e8 and isinstance(config["shots"], float)
+    assert len(json.loads(out)["scan"]) == 21
+
+
 def test_seeded_output_byte_identical(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

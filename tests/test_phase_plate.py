@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import stimpairs.phase_plate as phase_plate_mod
+from stimpairs import verify
 from stimpairs.phase_plate import (
     PlateGeometry,
     phase_through_plate,
@@ -116,3 +118,19 @@ def test_array_alpha_and_phase_match_scalar_calls():
         phase_through_plate(405e-9, 0.9, 3e-3, np.array([0.0, 1.2]))
     with pytest.raises(ValueError):
         wrap_phase(np.array([0.0, math.inf]))
+
+
+def test_verify_plate_phase_makes_one_array_call(monkeypatch):
+    # alpha = 0 and the three mirrored tilt pairs go through relative_phase
+    # once, as an array, not as seven scalar calls.
+    calls = []
+    true_phase = phase_plate_mod.relative_phase
+
+    def counting_phase(geom, alpha):
+        calls.append(np.shape(alpha))
+        return true_phase(geom, alpha)
+
+    monkeypatch.setattr(phase_plate_mod, "relative_phase", counting_phase)
+    result = verify.check_plate_phase()
+    assert calls == [(7,)]
+    assert result.passed and result.worst > 0.0

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stimpairs.polarization as polarization_mod
+import stimpairs.tomography as tomography_mod
 from stimpairs.errors import FitError
 from stimpairs.phase_plate import PlateGeometry
 from stimpairs.polarization import (
@@ -21,8 +23,6 @@ from stimpairs.polarization import (
     fit_fringe,
     nth_order_rate,
     pair_rate,
-    quarter_wave,
-    rotation,
     simulate_polarization_fringe,
     simulate_stimulation_fringe,
     state_density,
@@ -39,6 +39,33 @@ def test_bell_state_normalized_antisymmetric():
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     assert psi[1] == pytest.approx(-psi[2])
     assert psi[0] == psi[3] == 0.0
+
+
+# ----- Reference: the earlier per-setting analyzer projector -----
+#
+# One Jones matrix product per arm, then np.kron: kept as the reference that
+# the batched projector stack must reproduce.
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def quarter_wave(theta):
+    """Jones matrix of a quarter-wave plate with fast axis at theta."""
+    r = rotation(theta)
+    return r @ np.diag([1.0, 1.0j]) @ r.T
+
+
+def _reference_state(arm):
+    pol = np.array([math.cos(arm.pol), math.sin(arm.pol)], dtype=complex)
+    return pol if arm.qwp is None else quarter_wave(arm.qwp).conj().T @ pol
+
+
+def _reference_projector(setting):
+    ua, ub = _reference_state(setting.arm_a), _reference_state(setting.arm_b)
+    return np.kron(np.outer(ua, ua.conj()), np.outer(ub, ub.conj()))
 
 
 def test_jones_matrices_unitary():
@@ -338,3 +365,86 @@ def test_born_rule_validates_rho_once(monkeypatch):
         for a in angles
     ]
     np.testing.assert_allclose(scan.counts, 1e6 * np.array(single), rtol=1e-14, atol=1e-9)
+
+
+def _random_settings(rng, n, plate_a, plate_b):
+    def arm(plate):
+        pol = rng.uniform(-2 * math.pi, 2 * math.pi)
+        return ArmSetting(pol, rng.uniform(-2 * math.pi, 2 * math.pi) if plate else None)
+
+    return [MeasurementSetting(arm(plate_a), arm(plate_b)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("plate_a", [False, True])
+@pytest.mark.parametrize("plate_b", [False, True])
+def test_projector_stack_matches_per_setting_reference(plate_a, plate_b):
+    rng = np.random.default_rng(20261018 + 2 * plate_a + plate_b)
+    settings_ = _random_settings(rng, 500, plate_a, plate_b)
+    want = np.stack([_reference_projector(s) for s in settings_])
+    assert np.abs(tomography_mod._projectors(settings_) - want).max() <= 1e-15
+    for s, w in zip(settings_[:50], want):
+        assert np.abs(analyzer_projector(s) - w).max() <= 1e-15
+        assert np.abs(analyzer_state(s.arm_a) - _reference_state(s.arm_a)).max() <= 1e-15
+
+
+def test_projector_stack_mixes_plated_and_bare_arms():
+    # Rows with and without plates in one stack, as a record file may hold.
+    rng = np.random.default_rng(5)
+    settings_ = [s for pa in (False, True) for pb in (True, False) for s in _random_settings(rng, 3, pa, pb)]
+    rng.shuffle(settings_)
+    want = np.stack([_reference_projector(s) for s in settings_])
+    assert np.abs(tomography_mod._projectors(settings_) - want).max() <= 1e-15
+
+
+_ANGLE = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_ARM = st.builds(ArmSetting, _ANGLE, st.one_of(st.none(), _ANGLE))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.builds(MeasurementSetting, _ARM, _ARM), min_size=1, max_size=8))
+def test_built_projectors_are_rank_one_density_projectors(settings_):
+    for proj in tomography_mod._projectors(settings_):
+        assert np.abs(proj - proj.conj().T).max() <= 1e-14
+        assert abs(np.trace(proj) - 1.0) <= 1e-14
+        assert np.abs(proj @ proj - proj).max() <= 1e-14
+        evals = np.linalg.eigvalsh(proj)
+        assert np.abs(evals - [0.0, 0.0, 0.0, 1.0]).max() <= 1e-14
+
+
+def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
+    calls = []
+    true_stack = polarization_mod._projector_stack
+
+    def counting_stack(ua, ub):
+        calls.append((len(ua), len(ub)))
+        return true_stack(ua, ub)
+
+    def no_setting(*args, **kwargs):
+        raise AssertionError("per-angle setting object built")
+
+    arm_b = ArmSetting(math.pi / 4.0, qwp=0.0)
+    monkeypatch.setattr(polarization_mod, "_projector_stack", counting_stack)
+    monkeypatch.setattr(polarization_mod, "MeasurementSetting", no_setting)
+    monkeypatch.setattr(polarization_mod, "ArmSetting", no_setting)
+    angles = np.radians(np.linspace(0.0, 180.0, 37))
+    scan = simulate_polarization_fringe(
+        dephasing_noise(bell_state(), 0.2), arm_b, angles, 1e5, arm_a_qwp=0.0
+    )
+    assert calls == [(37, 1)]
+    monkeypatch.undo()
+    rho = dephasing_noise(bell_state(), 0.2)
+    single = [
+        1e5 * coincidence_probability(rho, MeasurementSetting(ArmSetting(a, qwp=0.0), arm_b))
+        for a in angles
+    ]
+    np.testing.assert_allclose(scan.counts, single, rtol=1e-14, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fringe_rejects_non_finite_angles(bad):
+    rho = state_density(bell_state())
+    angles = np.radians(np.linspace(0.0, 180.0, 7))
+    with pytest.raises(ValueError, match="polarizer angle must be finite"):
+        simulate_polarization_fringe(rho, ArmSetting(0.3), np.append(angles, bad), 1e4)
+    with pytest.raises(ValueError, match="qwp angle must be finite"):
+        simulate_polarization_fringe(rho, ArmSetting(0.3), angles, 1e4, arm_a_qwp=bad)

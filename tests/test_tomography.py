@@ -110,6 +110,27 @@ def test_record_schema_errors():
         TomographyRecord.from_json(json.dumps(bad))
 
 
+@pytest.mark.parametrize("field", ["shots", "counts", "pol_deg", "qwp_deg"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_record_rejects_json_booleans(field, flag):
+    # float(True) is 1.0; a boolean in a number field is a schema error.
+    doc = {
+        "shots": 10,
+        "settings": [
+            {"arm_a": {"pol_deg": 0, "qwp_deg": 45}, "arm_b": {"pol_deg": 90}, "counts": 5}
+        ],
+    }
+    TomographyRecord.from_json(json.dumps(doc))
+    if field == "shots":
+        doc["shots"] = flag
+    elif field == "counts":
+        doc["settings"][0]["counts"] = flag
+    else:
+        doc["settings"][0]["arm_a"][field] = flag
+    with pytest.raises(SchemaError, match="got (true|false)"):
+        TomographyRecord.from_json(json.dumps(doc))
+
+
 def test_simulate_tomography_determinism():
     rho = dephasing_noise(bell_state(), 0.2)
     one = simulate_tomography(rho, 1e4, seed=9)
@@ -310,15 +331,22 @@ def test_mle_gradient_matches_finite_difference():
     record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=8)
     assert np.any(record.counts == 0.0)
     stack = tomography_mod._projectors(record.settings)
+    design = tomography_mod._design_matrix(stack)
     rho = 0.7 * dephasing_noise(bell_state(), 0.2) + 0.3 * np.eye(4) / 4.0
     rng = np.random.default_rng(4)
     eps = 1e-6
     for counts in (record.counts, record.counts + 0.5):
-        def f(r):
-            return _mle_objective(r, counts=counts, shots=record.shots, stack=stack)[0]
+        objective = _mle_objective(counts, record.shots, design, stack)
 
-        _, grad, _ = _mle_objective(rho, counts=counts, shots=record.shots, stack=stack)
+        def f(r):
+            return objective(r)[0]
+
+        _, grad, _ = objective(rho)
         assert np.abs(grad - grad.conj().T).max() < 1e-14
+        # One product with the flattened stack is sum_i w_i Pi_i bit for bit.
+        mu = record.shots * np.real(design @ rho.ravel())
+        weights = 1.0 - np.divide(counts, mu, out=np.zeros_like(mu), where=counts > 0.0)
+        assert np.array_equal(grad, np.tensordot(weights, stack, 1))
         for _ in range(8):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             h = (a + a.conj().T) / 2.0
