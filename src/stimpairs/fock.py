@@ -20,11 +20,13 @@ output state is the package's primary cross-validation route.
 
 Each pair term of L+ conserves n_aH - n_bV and n_aV - n_bH, so everything the
 pump reaches from the vacuum lies on the pair sector |p, q; q, p>.  One
-private helper, _sector_index, maps that sector to full-space indices;
-evolve_vacuum, the closed form and the entangled states and projections
-scatter sector amplitudes to, or gather them from, the full space through
-it.  L+ is built once per space; build_generator (the full-space reference
-the oracle is tested against) and su11_generators both start from it.
+private helper, _sector_index, maps that sector to full-space indices.  A
+FockVector stores only its nonzero entries (sorted full-space indices and
+their values), so evolve_vacuum, the closed form and the entangled states
+emit sector entries through _sector_index and project_entangled gathers
+them back; no state is ever laid out over the (c+1)^4 space.  L+ is built
+once per space; build_generator (the full-space reference the oracle is
+tested against) and su11_generators both start from it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,6 +52,13 @@ ENUMERATION_ORDER = "lex:aH,aV,bH,bV"
 # Serialized amplitudes below this magnitude are dropped.
 AMPLITUDE_EPS = 1e-15
 
+# No array of amplitudes built here holds more than MAX_ENTRIES complex
+# entries (2 GiB).  The dense view of a FockVector needs (c+1)^4 of them, the
+# pair sector and its ladder matrices (c+1)^2; the second caps the cutoff at
+# MAX_CUTOFF, which also keeps every full-space index inside int64.
+MAX_ENTRIES = 2**27
+MAX_CUTOFF = math.isqrt(MAX_ENTRIES) - 1
+
 
 class FockSpace:
     """Occupation enumeration and ladder operators at a fixed per-mode cutoff."""
@@ -57,6 +66,11 @@ class FockSpace:
     def __init__(self, cutoff: int):
         if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
             raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
+        if cutoff > MAX_CUTOFF:
+            raise ValueError(
+                f"cutoff {cutoff} needs a pair sector of {(int(cutoff) + 1) ** 2} amplitudes, "
+                f"more than MAX_ENTRIES = {MAX_ENTRIES}; the largest cutoff is {MAX_CUTOFF}"
+            )
         self.cutoff = int(cutoff)
         self.base = self.cutoff + 1
         self.dim = self.base**4
@@ -85,9 +99,7 @@ class FockSpace:
         return tuple(int(n) for n in self.occupations[index])
 
     def vacuum(self) -> "FockVector":
-        amps = np.zeros(self.dim, dtype=complex)
-        amps[0] = 1.0
-        return FockVector(amps, self.cutoff)
+        return FockVector._from_entries([0], [1.0], self.cutoff)
 
     @functools.cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -132,31 +144,72 @@ class FockSpace:
         ).tocsr()
 
 
-@dataclass(frozen=True)
 class FockVector:
-    """State vector over the truncated space, amplitudes in enumeration order.
+    """State vector over the truncated space, stored as its nonzero entries.
+
+    indices holds sorted, unique full-space indices (int64, enumeration
+    order) and values their complex amplitudes; every other amplitude is zero.
+    This is the layout of the JSON format.  A state the pump reaches from the
+    vacuum has at most (c+1)^2 entries, so no state is ever stored over the
+    (c+1)^4 space.  FockVector(amplitudes, cutoff) takes a dense vector, and
+    the amplitudes property gives one back.
 
     leakage, when present, is the probability weight the producing evolution
     left on the cutoff shell (see evolve_vacuum).
     """
 
-    amplitudes: np.ndarray
-    cutoff: int
-    leakage: float | None = field(default=None, compare=False)
+    __slots__ = ("indices", "values", "cutoff", "leakage")
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        expected = (int(self.cutoff) + 1) ** 4
+    def __init__(self, amplitudes, cutoff: int, leakage: float | None = None):
+        amps = np.asarray(amplitudes, dtype=complex)
+        expected = (int(cutoff) + 1) ** 4
         if amps.shape != (expected,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({expected},) "
-                f"for cutoff {self.cutoff}"
+                f"for cutoff {cutoff}"
             )
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "cutoff", int(self.cutoff))
+        indices = np.flatnonzero(amps)
+        self._store(indices, amps[indices], cutoff, leakage)
+
+    @classmethod
+    def _from_entries(cls, indices, values, cutoff: int, leakage=None) -> "FockVector":
+        """Vector from sorted, unique full-space indices and their values; no dense pass."""
+        vec = cls.__new__(cls)
+        vec._store(indices, values, cutoff, leakage)
+        return vec
+
+    def _store(self, indices, values, cutoff, leakage) -> None:
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.values = np.asarray(values, dtype=complex)
+        self.cutoff = int(cutoff)
+        self.leakage = leakage
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Dense copy of all (c+1)^4 amplitudes, built anew on every access.
+
+        Raises ValueError when (c+1)^4 exceeds MAX_ENTRIES (cutoff 107 and
+        up); indices and values hold the state at any cutoff.
+        """
+        dim = (self.cutoff + 1) ** 4
+        if dim > MAX_ENTRIES:
+            raise ValueError(
+                f"cutoff {self.cutoff}: a dense vector needs {dim} amplitudes, more "
+                f"than MAX_ENTRIES = {MAX_ENTRIES}; read indices and values instead"
+            )
+        amps = np.zeros(dim, dtype=complex)
+        amps[self.indices] = self.values
+        return amps
+
+    def _at(self, index: np.ndarray) -> np.ndarray:
+        """Amplitudes at the given full-space indices, zero where none is stored."""
+        if not self.indices.size:
+            return np.zeros(np.shape(index), dtype=complex)
+        pos = np.minimum(np.searchsorted(self.indices, index), self.indices.size - 1)
+        return np.where(self.indices[pos] == index, self.values[pos], 0.0)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.values))
 
     def overlap(self, other: "FockVector") -> complex:
         """<self|other>, requiring matching cutoffs."""
@@ -164,14 +217,14 @@ class FockVector:
             raise ValueError(
                 f"cutoff mismatch: {self.cutoff} vs {other.cutoff}"
             )
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(np.vdot(self.values, other._at(self.indices)))
 
     def to_json(self) -> str:
-        keep = np.flatnonzero(np.abs(self.amplitudes) > AMPLITUDE_EPS)
-        kept = self.amplitudes[keep]
+        keep = np.abs(self.values) > AMPLITUDE_EPS
+        index, kept = self.indices[keep], self.values[keep]
         entries = [
             list(entry)
-            for entry in zip(keep.tolist(), kept.real.tolist(), kept.imag.tolist())
+            for entry in zip(index.tolist(), kept.real.tolist(), kept.imag.tolist())
         ]
         return json.dumps(
             {"cutoff": self.cutoff, "order": ENUMERATION_ORDER, "amplitudes": entries}
@@ -194,22 +247,66 @@ class FockVector:
             )
         cutoff = doc["cutoff"]
         # Exact type checks: JSON true/false load as bool, a subclass of int.
-        if type(cutoff) is not int or cutoff < 1:
-            raise SchemaError(f"cutoff must be a positive integer, got {cutoff!r}")
+        if type(cutoff) is not int or not (1 <= cutoff <= MAX_CUTOFF):
+            raise SchemaError(
+                f"cutoff must be an integer from 1 to {MAX_CUTOFF}, got {cutoff!r}"
+            )
         if not isinstance(doc["amplitudes"], list):
             raise SchemaError("amplitudes must be a list of [index, re, im] triples")
-        dim = (cutoff + 1) ** 4
-        amps = np.zeros(dim, dtype=complex)
-        for pos, entry in enumerate(doc["amplitudes"]):
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise SchemaError(f"amplitude entry {pos} is not an [index, re, im] triple")
-            i, re, im = entry
-            if type(i) is not int or not (0 <= i < dim):
-                raise SchemaError(f"amplitude entry {pos}: index {i!r} outside [0, {dim})")
-            if type(re) not in (int, float) or type(im) not in (int, float):
-                raise SchemaError(f"amplitude entry {pos}: re, im {re!r}, {im!r} not numbers")
-            amps[i] = complex(re, im)
-        return cls(amps, cutoff)
+        indices, values = _parse_entries(doc["amplitudes"], (cutoff + 1) ** 4)
+        return cls._from_entries(indices, values, cutoff)
+
+
+def _parse_entries(entries: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, unique indices and their values from JSON [index, re, im] triples.
+
+    The checks run on whole columns: the set of types in each, the index
+    range (min and max over the Python ints, exact at any size) and
+    finiteness.  Only when one fails are the entries walked, to name the
+    first bad one.  A repeated index keeps its last value.
+    """
+    ok = set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}
+    if ok:
+        index, re, im = zip(*entries) if entries else ((), (), ())
+        ok = (
+            set(map(type, index)) <= {int}
+            and set(map(type, re + im)) <= {int, float}
+            and min(index, default=0) >= 0
+            and max(index, default=0) < dim
+        )
+    if ok:
+        values = np.empty(len(index), dtype=complex)
+        try:
+            values.real = re
+            values.imag = im
+        except OverflowError:  # an integer past the float range
+            ok = False
+        ok = ok and bool(np.isfinite(values).all())
+    if not ok:
+        raise _first_bad_entry(entries, dim)
+    index = np.array(index, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    index, values = index[order], values[order]
+    last = np.ones(index.size, dtype=bool)
+    last[:-1] = index[1:] != index[:-1]
+    return index[last], values[last]
+
+
+def _first_bad_entry(entries: list, dim: int) -> SchemaError:
+    """The schema error naming the first malformed [index, re, im] triple."""
+    for pos, entry in enumerate(entries):
+        if not (type(entry) is list and len(entry) == 3):
+            return SchemaError(f"amplitude entry {pos} is not an [index, re, im] triple")
+        i, re, im = entry
+        if type(i) is not int or not (0 <= i < dim):
+            return SchemaError(f"amplitude entry {pos}: index {i!r} outside [0, {dim})")
+        if type(re) not in (int, float) or type(im) not in (int, float):
+            return SchemaError(f"amplitude entry {pos}: re, im {re!r}, {im!r} not numbers")
+        # Exact for ints of any size: NaN, the infinities and ints past the
+        # float range all fail.
+        if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
+            return SchemaError(f"amplitude entry {pos}: re, im {re!r}, {im!r} not finite")
+    return SchemaError("amplitude entries are malformed")
 
 
 def su11_generators(space: FockSpace):
@@ -305,10 +402,11 @@ def evolve_vacuum(
             leakage=leakage,
             cutoff=space.cutoff,
         )
-    psi = np.zeros(space.dim, dtype=complex)
-    p, q = np.indices(sector.shape)
-    psi[_sector_index(p, q, c)] = sector
-    return FockVector(psi, space.cutoff, leakage=leakage)
+    # Row-major (p, q) order is increasing full-space index order.
+    k = np.arange(c + 1)
+    return FockVector._from_entries(
+        _sector_index(k[:, None], k, c).ravel(), sector.ravel(), c, leakage=leakage
+    )
 
 
 def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
@@ -327,20 +425,20 @@ def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
     """
     if isinstance(space, (int, np.integer)):
         space = FockSpace(space)
-    amps = np.zeros(space.dim, dtype=complex)
     x = abs(a_tau)
     if x == 0.0:
-        amps[0] = 1.0
-        return FockVector(amps, space.cutoff)
+        return space.vacuum()
     u = -1j * (complex(a_tau) / x) * math.tanh(x)
     sech2 = 1.0 / math.cosh(x) ** 2
     # |n-l, l; l, n-l> is the sector state p = n - l, q = l; keep n <= cutoff.
+    # The mask keeps row-major (p, q) order, which is increasing index order.
     p, q = np.indices((space.base, space.base))
     keep = p + q <= space.cutoff
     p, q = p[keep], q[keep]
     sign = np.where(q % 2, -1.0, 1.0)
-    amps[_sector_index(p, q, space.cutoff)] = sign * (sech2 * u ** (p + q))
-    return FockVector(amps, space.cutoff)
+    return FockVector._from_entries(
+        _sector_index(p, q, space.cutoff), sign * (sech2 * u ** (p + q)), space.cutoff
+    )
 
 
 def entangled_state(m: int, space: FockSpace | int) -> FockVector:
@@ -352,15 +450,16 @@ def entangled_state(m: int, space: FockSpace | int) -> FockVector:
     if isinstance(space, (int, np.integer)):
         space = FockSpace(space)
     sign, index = _entangled_terms(m, space.cutoff)
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[index] = sign * (1.0 / math.sqrt(m + 1.0))
-    return FockVector(amps, space.cutoff)
+    # The index falls as k rises (p = M - k leads), so store the terms reversed.
+    return FockVector._from_entries(
+        index[::-1], sign[::-1] * (1.0 / math.sqrt(m + 1.0)), space.cutoff
+    )
 
 
 def project_entangled(state: FockVector, m: int) -> complex:
     """Amplitude <Phi_M | state> onto the maximally entangled 2M-photon state."""
     sign, index = _entangled_terms(m, state.cutoff)
-    return complex(np.sum(sign * state.amplitudes[index]) / math.sqrt(m + 1.0))
+    return complex(np.sum(sign * state._at(index)) / math.sqrt(m + 1.0))
 
 
 def suggest_cutoff(a_tau: complex, *, floor: int = 8, amp_tol: float = 1e-10) -> int:

@@ -135,10 +135,15 @@ class TomographyRecord:
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
         def number(value) -> float:
-            # float(True) is 1.0: a JSON boolean is not a number here.
+            # float(True) is 1.0: a JSON boolean is not a number here.  Python's
+            # json reads NaN and Infinity as floats; they are not numbers here
+            # either.
             if isinstance(value, bool):
                 raise TypeError(f"expected a number, got {json.dumps(value)}")
-            return float(value)
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {json.dumps(value)}")
+            return value
 
         try:
             doc = json.loads(text)

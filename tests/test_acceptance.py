@@ -2,8 +2,8 @@
 
 Criteria 1, 2 and 6 share one sweep over the (N, phi, tau) evolution grid,
 cached module-wide.  The oracle evolves in the conserved pair sector (at most
-31 x 31 amplitudes) and scatters into the full space, whose largest point here
-has 923,521 states.  Every tolerance below is pinned; loosening one is a
+31 x 31 amplitudes) and stores only those entries; the largest full space here
+has 923,521 states, which the elementwise comparison builds densely.  Every tolerance below is pinned; loosening one is a
 contract change, not a fix.
 """
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from stimpairs.errors import SchemaError, TruncationError
 from stimpairs.fock import (
     AMPLITUDE_EPS,
     ENUMERATION_ORDER,
+    MAX_CUTOFF,
+    MAX_ENTRIES,
     MODES,
     FockSpace,
     FockVector,
@@ -59,6 +63,18 @@ def test_cutoff_validation():
         FockSpace(0)
     with pytest.raises(ValueError):
         FockSpace(2.5)
+    assert FockSpace(MAX_CUTOFF).cutoff == MAX_CUTOFF
+    with pytest.raises(ValueError, match="MAX_ENTRIES"):
+        FockSpace(MAX_CUTOFF + 1)
+
+
+def test_unallocatable_suggested_cutoff_is_a_value_error():
+    # suggest_cutoff(5) is 253,590: its pair sector alone would need 6.4e10
+    # amplitudes.  The evolution refuses it before allocating anything.
+    cutoff = suggest_cutoff(5.0)
+    assert cutoff > MAX_CUTOFF
+    with pytest.raises(ValueError, match=f"cutoff {cutoff} needs a pair sector"):
+        evolve_vacuum(ResonatorConfig(1, 0.0, 5.0), cutoff)
 
 
 def test_ladder_matrix_elements():
@@ -173,6 +189,32 @@ def test_vacuum_and_vector_validation():
     assert vac.amplitudes[0] == 1.0
     with pytest.raises(ValueError):
         FockVector(np.zeros(10, dtype=complex), 2)
+
+
+def test_dense_vector_is_stored_as_entries():
+    dense = np.zeros(3**4, dtype=complex)
+    dense[[40, 7, 80]] = [0.5j, -0.5, 0.25]
+    state = FockVector(dense, 2)
+    assert state.indices.dtype == np.int64
+    assert state.indices.tolist() == [7, 40, 80]
+    assert state.values.tolist() == [-0.5, 0.5j, 0.25]
+    # amplitudes is a fresh dense copy on every access, not the storage.
+    view = state.amplitudes
+    assert np.array_equal(view, dense)
+    view[7] = 9.0
+    assert state.amplitudes[7] == -0.5
+    assert state.amplitudes is not state.amplitudes
+
+
+def test_dense_view_refuses_spaces_above_max_entries():
+    # (c+1)^4 first exceeds MAX_ENTRIES at cutoff 107; the stored entries
+    # still answer every question about the state.
+    assert 107**4 <= MAX_ENTRIES < 108**4
+    state = entangled_state(1, 107)
+    with pytest.raises(ValueError, match="cutoff 107: a dense vector needs"):
+        state.amplitudes
+    assert state.norm() == pytest.approx(1.0)
+    assert FockVector.from_json(state.to_json()).overlap(state) == pytest.approx(1.0)
 
 
 def test_overlap_requires_matching_cutoff():
@@ -424,10 +466,104 @@ def test_fock_vector_json_schema_errors():
         {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, "x", 0.0]]},
         {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, 1.0, None]]},
         {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, [1.0], 0.0]]},
+        {"cutoff": MAX_CUTOFF + 1, "order": ENUMERATION_ORDER, "amplitudes": []},
     ]
     for doc in bad_docs:
         with pytest.raises(SchemaError):
             FockVector.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("[4, 1.0, 0.0, 5]", "amplitude entry 1 is not an [index, re, im] triple"),
+        ('{"i": 4}', "amplitude entry 1 is not an [index, re, im] triple"),
+        ("[81, 1.0, 0.0]", "amplitude entry 1: index 81 outside [0, 81)"),
+        ("[-1, 1.0, 0.0]", "amplitude entry 1: index -1 outside [0, 81)"),
+        ("[4, true, 0.0]", "amplitude entry 1: re, im True, 0.0 not numbers"),
+        # Python's json reads these non-standard literals as float nan/inf.
+        ("[4, NaN, 0.0]", "amplitude entry 1: re, im nan, 0.0 not finite"),
+        ("[4, 0.5, Infinity]", "amplitude entry 1: re, im 0.5, inf not finite"),
+        ("[4, -Infinity, 0.5]", "amplitude entry 1: re, im -inf, 0.5 not finite"),
+        # An integer past the float range cannot become an amplitude.
+        (f"[4, {10**400}, 0.5]", f"amplitude entry 1: re, im {10**400}, 0.5 not finite"),
+    ],
+    ids=["long", "object", "index-high", "index-low", "bool", "nan", "inf", "-inf", "huge-int"],
+)
+def test_fock_vector_json_names_first_bad_entry(entry, message):
+    # Entry 0 is fine and entry 2 is bad too: the error names entry 1.
+    text = (
+        f'{{"cutoff": 2, "order": "{ENUMERATION_ORDER}", '
+        f'"amplitudes": [[0, 1.0, 0.0], {entry}, [99, NaN, 0]]}}'
+    )
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        FockVector.from_json(text)
+
+
+def test_fock_vector_json_last_duplicate_wins():
+    doc = {
+        "cutoff": 2,
+        "order": ENUMERATION_ORDER,
+        "amplitudes": [[40, 1.0, 0.0], [7, 0.0, 2.0], [40, 0.0, -3.0], [0, 4, 0]],
+    }
+    loaded = FockVector.from_json(json.dumps(doc))
+    assert loaded.indices.tolist() == [0, 7, 40]
+    assert loaded.values.tolist() == [4.0, 2.0j, -3.0j]
+    empty = FockVector.from_json(json.dumps({**doc, "amplitudes": []}))
+    assert empty.indices.size == 0 and empty.norm() == 0.0
+    assert project_entangled(empty, 1) == 0.0
+
+
+def test_oracle_allocations_stay_in_the_pair_sector():
+    # Cutoff 30 (923,521 states): one dense complex vector alone is 14.8 MB,
+    # while the sector is 961 amplitudes.  Evolution, closed form,
+    # projections and a JSON round trip together must stay far below one
+    # full-space vector.
+    cfg = ResonatorConfig(10, 0.0, 0.05)
+    a_tau = amplitude_sum(cfg.n_passes, cfg.phi) * cfg.tau
+    cutoff = suggest_cutoff(a_tau, floor=12)
+    assert cutoff == 30
+    evolve_vacuum(cfg, cutoff)  # lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        state = evolve_vacuum(cfg, cutoff)
+        closed = disentangled_state(a_tau, cutoff)
+        amps = [project_entangled(state, m) for m in (1, 2)]
+        back = FockVector.from_json(state.to_json())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert state.indices.size == 31**2 and closed.indices.size == 31 * 32 // 2
+    assert abs(amps[0]) ** 2 == pytest.approx(pair_probability_exact(1, cfg), rel=1e-12)
+    assert back.cutoff == 30 and back.indices.size < state.indices.size
+
+
+@pytest.mark.parametrize("x", [1.0, 1.5, 2.0])
+def test_oracle_at_high_gain(x):
+    # |A tau| up to 2 at the suggested cutoffs 85, 232 and 629, where the full
+    # space has up to 1.6e11 states: the oracle runs on the sector alone.
+    cfg = ResonatorConfig(1, 0.0, x)
+    cutoff = suggest_cutoff(x)
+    assert cutoff == {1.0: 85, 1.5: 232, 2.0: 629}[x]
+    state = evolve_vacuum(cfg, cutoff)
+    assert state.indices.size == (cutoff + 1) ** 2
+    assert state.leakage < 1e-10
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    for m in (1, 2):
+        p = abs(project_entangled(state, m)) ** 2
+        assert p == pytest.approx(pair_probability_exact(m, cfg), rel=1e-12)
+    # The closed form's entries (n <= cutoff) are a subset of the evolved
+    # sector; the evolved weight outside them is the truncated tail.
+    closed = disentangled_state(x, cutoff)
+    pos = np.searchsorted(state.indices, closed.indices)
+    assert np.array_equal(state.indices[pos], closed.indices)
+    assert np.abs(state.values[pos] - closed.values).max() < 1e-8
+    outside = np.delete(state.values, pos)
+    assert np.sum(np.abs(outside) ** 2) < 1e-10
+    if cutoff > 106:
+        with pytest.raises(ValueError, match=f"cutoff {cutoff}: a dense vector needs"):
+            state.amplitudes
 
 
 def test_suggest_cutoff():

@@ -30,6 +30,7 @@ from stimpairs.polarization import (
 )
 from stimpairs.resonator import ResonatorConfig
 from stimpairs.tomography import simulate_tomography
+from stimpairs.verify import check_singlet_invariance
 
 GEOM = PlateGeometry(3e-3, 1.53, 1.51, 405e-9)
 
@@ -365,6 +366,40 @@ def test_born_rule_validates_rho_once(monkeypatch):
         for a in angles
     ]
     np.testing.assert_allclose(scan.counts, 1e6 * np.array(single), rtol=1e-14, atol=1e-9)
+
+
+def test_singlet_invariance_check_is_one_batch(monkeypatch):
+    # The verify check validates rho once and builds one 50-row stack, and
+    # its worst deviation equals that of the per-setting scalar loop over the
+    # same 25 draws.
+    calls = {"check": 0, "stack": []}
+    true_check, true_stack = polarization_mod.check_density_matrix, polarization_mod._projector_stack
+
+    def counting_check(rho, *args, **kwargs):
+        calls["check"] += 1
+        return true_check(rho, *args, **kwargs)
+
+    def counting_stack(ua, ub):
+        calls["stack"].append((len(ua), len(ub)))
+        return true_stack(ua, ub)
+
+    monkeypatch.setattr(polarization_mod, "check_density_matrix", counting_check)
+    monkeypatch.setattr(polarization_mod, "_projector_stack", counting_stack)
+    result = check_singlet_invariance()
+    assert calls == {"check": 1, "stack": [(50, 50)]}
+    monkeypatch.undo()
+    rho = state_density(bell_state())
+    rng = np.random.default_rng(20260822)
+    worst = 0.0
+    for _ in range(25):
+        a, b, delta = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        p1 = coincidence_probability(rho, MeasurementSetting(ArmSetting(a), ArmSetting(b)))
+        p2 = coincidence_probability(
+            rho, MeasurementSetting(ArmSetting(a + delta), ArmSetting(b + delta))
+        )
+        worst = max(worst, abs(p1 - p2))
+    assert result.passed and result.tolerance == 1e-12
+    assert result.worst == pytest.approx(worst, abs=1e-15)
 
 
 def _random_settings(rng, n, plate_a, plate_b):

@@ -131,6 +131,36 @@ def test_record_rejects_json_booleans(field, flag):
         TomographyRecord.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        ("shots", "shots"),
+        ("counts", r"settings\[0\]: counts"),
+        ("pol_deg", r"settings\[0\]\.arm_a"),
+        ("qwp_deg", r"settings\[0\]\.arm_a"),
+    ],
+)
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_record_rejects_non_finite_numbers(field, where, literal):
+    # Python's json reads NaN and Infinity as floats; the schema error names
+    # the entry instead of a later "invalid configuration" without it.
+    doc = {
+        "shots": 10,
+        "settings": [
+            {"arm_a": {"pol_deg": 0, "qwp_deg": 45}, "arm_b": {"pol_deg": 90}, "counts": 5}
+        ],
+    }
+    if field == "shots":
+        doc["shots"] = "@"
+    elif field == "counts":
+        doc["settings"][0]["counts"] = "@"
+    else:
+        doc["settings"][0]["arm_a"][field] = "@"
+    text = json.dumps(doc).replace('"@"', literal)
+    with pytest.raises(SchemaError, match=f"{where}.*got {literal}"):
+        TomographyRecord.from_json(text)
+
+
 def test_simulate_tomography_determinism():
     rho = dephasing_noise(bell_state(), 0.2)
     one = simulate_tomography(rho, 1e4, seed=9)
