@@ -14,6 +14,13 @@ flags win), echoes the resolved configuration and seed into its output
 header, and is deterministic under a fixed seed.  Scans are CSV, structured
 results JSON.  Exit codes: 0 success, 1 validation error, 2 numerical
 failure, 3 I/O error.
+
+Each option is one (key, kind, default, help) row of OPTIONS, which makes
+its --flag (the key with '-' for '_') and names its config key.  Every value,
+from a flag or a file, must have the row's kind: float (a number), int (an
+integer), str (a JSON string), bool (true or false), list (pass counts,
+"1,2,5" or a file's [1, 2, 5]) or a tuple of the allowed choices.  The
+handlers read the resolved settings, which minus the format are the echo.
 """
 
 from __future__ import annotations
@@ -33,6 +40,68 @@ from .errors import FitError, ReconstructionError, SchemaError, TruncationError
 DEFAULT_PLATE = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
 
 _SEED_MAX = 2**64
+
+_FORMAT = ("format", ("csv", "json"), "csv", None)
+_SEED = ("seed", int, None, "Poisson seed; omit for noiseless")
+
+# The options of each command (see the module docstring).  --config and --out
+# (every command), fig4's --geometry (a file on the command line, an object in
+# a config file) and verify's --json-out stay outside the table.
+OPTIONS = {
+    "sweep-phase": (
+        ("n_list", list, "1,2,3,5,10", "comma-separated pass counts"),
+        ("phi_min", float, 0.0, None),
+        ("phi_max", float, 2.0 * math.pi, None),
+        ("phi_steps", int, 181, None),
+        ("tau", float, 1e-3, None),
+        ("m", int, 1, "pair order M"),
+        _FORMAT,
+    ),
+    "fig4": (
+        ("alpha_min_deg", float, 2.0, None),
+        ("alpha_max_deg", float, 15.0, None),
+        ("alpha_steps", int, 81, None),
+        ("n_passes", int, 2, None),
+        ("tau", float, 1e-3, None),
+        # Pair probabilities at tau ~ 1e-3 are ~1e-6; default enough shots that
+        # the fringe rises well above Poisson noise.
+        ("shots", float, 1e9, None),
+        _SEED,
+        ("model", ("exact", "approx"), "exact", None),
+        _FORMAT,
+    ),
+    "fringe": (
+        ("state", str, "bell", "bell or dephased:<d>"),
+        ("pol_b_deg", float, 45.0, None),
+        ("qwp_a_deg", float, None, None),
+        ("qwp_b_deg", float, None, None),
+        ("scan_min_deg", float, 0.0, None),
+        ("scan_max_deg", float, 180.0, None),
+        ("scan_steps", int, 37, None),
+        ("shots", float, 1e6, None),
+        _SEED,
+        _FORMAT,
+    ),
+    "tomography": (
+        ("state", str, None, "bell or dephased:<d> (simulation source)"),
+        ("counts", str, None, "JSON record of measured counts"),
+        ("method", ("mle", "linear"), "mle", None),
+        ("jeffreys", bool, False, "add 0.5 to counts in the MLE objective"),
+        ("basis", str, "HVDR", "four analyzer letters, e.g. HVDR or HVDL"),
+        ("target", ("bell", "none"), "bell", "fidelity report"),
+        ("shots", float, 1e5, None),
+        _SEED,
+    ),
+    "rates": (
+        ("singles", float, None, None),
+        ("coincidences", float, None, None),
+        ("order", int, 2, None),
+        ("expected", float, None, "reference value to compare against"),
+    ),
+    "verify": (),
+}
+
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false"}
 
 
 class _UsageError(ValueError):
@@ -57,41 +126,60 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve(args, config: dict, key: str, default):
-    """Explicit flag > config file > built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _check(key: str, kind, value):
+    """value as an option of this kind (see OPTIONS), or _UsageError.
 
-
-def _resolve_number(args, config: dict, key: str, default, integral: bool = False):
-    """_resolve for a numeric option: a float, or an int when integral; None stays None.
-
-    A config file can hold any JSON value: take numbers only, never a bool
-    (an int subclass) or a string, and for an integral option never a
-    fraction that int() would truncate.
+    A config file can hold any JSON value: a number is never a bool (an int
+    subclass) or a string, and a count is never a fraction that int() would
+    truncate.
     """
-    value = _resolve(args, config, key, default)
-    if value is None:
-        return None
-    kind = "an integer" if integral else "a number"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _UsageError(f"{key} must be {kind}, got {value!r}")
-    if not integral:
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise _UsageError(f"{key} must be {kind}, got {value!r}")
-    return int(value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise _UsageError(f"{key} must be one of {', '.join(map(repr, kind))}, got {value!r}")
+        return value
+    if kind is list:
+        return _pass_counts(value)
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        return value
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or fraction:
+        raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    value = kind(value)
+    if key == "seed" and not 0 <= value < _SEED_MAX:
+        raise _UsageError(f"seed must be a u64, got {value}")
+    return value
 
 
-def _resolve_seed(args, config: dict) -> int | None:
-    seed = _resolve_number(args, config, "seed", None, integral=True)
-    if seed is not None and not (0 <= seed < _SEED_MAX):
-        raise _UsageError(f"seed must be a u64, got {seed}")
-    return seed
+def _pass_counts(value) -> list[int]:
+    """Pass counts from "1,2,5" (a flag or config string) or a config list [1, 2, 5]."""
+    if isinstance(value, list):
+        counts = [_check("n_list", int, v) for v in value]
+    else:
+        try:
+            counts = [int(tok) for tok in str(value).split(",") if tok.strip()]
+        except ValueError:
+            raise _UsageError(f"bad n-list {value!r}, expected comma-separated integers")
+    if not counts:
+        raise _UsageError("n-list is empty")
+    return counts
+
+
+def _settings(args, config: dict) -> dict:
+    """Each option of the command from its flag, else its config key, else its default.
+
+    A config null leaves unset only an option whose default is unset (None).
+    """
+    settings = {}
+    for key, kind, default, _ in OPTIONS[args.command]:
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+        if value is not None or default is not None:
+            value = _check(key, kind, value)
+        settings[key] = value
+    return settings
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -101,34 +189,30 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _csv_text(command: str, config: dict, columns, rows, comments=()) -> str:
-    """CSV text: command and config lines, any extra comment lines, header, rows."""
-    lines = [
-        f"# stimpairs {command}",
-        f"# config: {json.dumps(config, sort_keys=True)}",
-        *comments,
-        ",".join(columns),
-    ]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_fitted_scan(out, fmt, command, echo, columns, rows, fit) -> int:
-    """A scan and its fit: CSV with a '# fit:' line, or JSON with scan and fit."""
-    if fmt == "csv":
-        fit_line = f"# fit: {json.dumps(fit.to_dict(), sort_keys=True)}"
-        text = _csv_text(command, echo, columns, rows, comments=[fit_line])
-    elif fmt == "json":
-        scan = [dict(zip(columns, r)) for r in rows]
-        text = _json_text({"command": command, "config": echo, "scan": scan, "fit": fit.to_dict()})
-    else:
-        raise _UsageError(f"unknown format {fmt!r}")
-    _emit(text, out)
+def _emit_scan(args, settings: dict, columns, rows, fit=None) -> int:
+    """Scan rows and any fit, echoing every setting but the format: CSV under
+    '# stimpairs', '# config:' and '# fit:' lines, or one JSON document.
+    """
+    echo = {k: v for k, v in settings.items() if k != "format"}
+    if settings["format"] == "json":
+        doc = {"command": args.command, "config": echo}
+        if fit is None:
+            doc.update(columns=list(columns), rows=[list(r) for r in rows])
+        else:
+            doc.update(scan=[dict(zip(columns, r)) for r in rows], fit=fit.to_dict())
+        _emit(_json_text(doc), args.out)
+        return 0
+    lines = [f"# stimpairs {args.command}", f"# config: {json.dumps(echo, sort_keys=True)}"]
+    if fit is not None:
+        lines.append(f"# fit: {json.dumps(fit.to_dict(), sort_keys=True)}")
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -146,7 +230,7 @@ def _parse_state(spec: str) -> np.ndarray:
 
 
 def _plate_from(args, config: dict) -> phase_plate.PlateGeometry:
-    if getattr(args, "geometry", None) is not None:
+    if args.geometry is not None:
         doc = _load_config(args.geometry)
     else:
         doc = config.get("geometry", DEFAULT_PLATE)
@@ -158,177 +242,85 @@ def _plate_from(args, config: dict) -> phase_plate.PlateGeometry:
 # ----- subcommand handlers -----
 
 
-def _cmd_sweep_phase(args) -> int:
-    config = _load_config(args.config)
-    n_list = _resolve(args, config, "n_list", "1,2,3,5,10")
-    try:
-        n_values = [int(tok) for tok in str(n_list).split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"bad n-list {n_list!r}, expected comma-separated integers")
-    if not n_values:
-        raise _UsageError("n-list is empty")
-    phi_min = _resolve_number(args, config, "phi_min", 0.0)
-    phi_max = _resolve_number(args, config, "phi_max", 2.0 * math.pi)
-    phi_steps = _resolve_number(args, config, "phi_steps", 181, integral=True)
-    if phi_steps < 2 or phi_max <= phi_min:
+def _cmd_sweep_phase(args, config: dict, s: dict) -> int:
+    if s["phi_steps"] < 2 or s["phi_max"] <= s["phi_min"]:
         raise _UsageError("need phi-max > phi-min and phi-steps >= 2")
-    tau = _resolve_number(args, config, "tau", 1e-3)
-    m = _resolve_number(args, config, "m", 1, integral=True)
-    fmt = _resolve(args, config, "format", "csv")
-
-    phis = np.linspace(phi_min, phi_max, phi_steps)
-    rows = resonator.sweep_rows(n_values, phis, tau, m)
-    echo = {
-        "n_list": n_values,
-        "phi_min": phi_min,
-        "phi_max": phi_max,
-        "phi_steps": phi_steps,
-        "tau": tau,
-        "m": m,
-    }
-    if fmt == "csv":
-        _emit(_csv_text("sweep-phase", echo, resonator.SWEEP_COLUMNS, rows), args.out)
-    elif fmt == "json":
-        doc = {
-            "command": "sweep-phase",
-            "config": echo,
-            "columns": list(resonator.SWEEP_COLUMNS),
-            "rows": [list(r) for r in rows],
-        }
-        _emit(_json_text(doc), args.out)
-    else:
-        raise _UsageError(f"unknown format {fmt!r}")
-    return 0
+    phis = np.linspace(s["phi_min"], s["phi_max"], s["phi_steps"])
+    rows = resonator.sweep_rows(s["n_list"], phis, s["tau"], s["m"])
+    return _emit_scan(args, s, resonator.SWEEP_COLUMNS, rows)
 
 
-def _cmd_fig4(args) -> int:
-    config = _load_config(args.config)
+def _cmd_fig4(args, config: dict, s: dict) -> int:
     geom = _plate_from(args, config)
-    alpha_min = _resolve_number(args, config, "alpha_min_deg", 2.0)
-    alpha_max = _resolve_number(args, config, "alpha_max_deg", 15.0)
-    steps = _resolve_number(args, config, "alpha_steps", 81, integral=True)
-    if steps < 2 or alpha_max <= alpha_min:
+    if s["alpha_steps"] < 2 or s["alpha_max_deg"] <= s["alpha_min_deg"]:
         raise _UsageError("need alpha-max-deg > alpha-min-deg and alpha-steps >= 2")
-    n_passes = _resolve_number(args, config, "n_passes", 2, integral=True)
-    tau = _resolve_number(args, config, "tau", 1e-3)
-    # Pair probabilities at tau ~ 1e-3 are ~1e-6; default enough shots that
-    # the fringe rises well above Poisson noise.
-    shots = _resolve_number(args, config, "shots", 1e9)
-    seed = _resolve_seed(args, config)
-    model = _resolve(args, config, "model", "exact")
-    fmt = _resolve(args, config, "format", "csv")
-
-    alphas = np.radians(np.linspace(alpha_min, alpha_max, steps))
-    cfg = resonator.ResonatorConfig(n_passes, 0.0, tau)
+    alphas = np.radians(np.linspace(s["alpha_min_deg"], s["alpha_max_deg"], s["alpha_steps"]))
+    cfg = resonator.ResonatorConfig(s["n_passes"], 0.0, s["tau"])
     scan = polarization.simulate_stimulation_fringe(
-        geom, cfg, alphas, shots, seed=seed, model=model
+        geom, cfg, alphas, s["shots"], seed=s["seed"], model=s["model"]
     )
     fit = polarization.fit_fringe(scan)
-    echo = {
-        "geometry": geom.to_dict(),
-        "alpha_min_deg": alpha_min,
-        "alpha_max_deg": alpha_max,
-        "alpha_steps": steps,
-        "n_passes": n_passes,
-        "tau": tau,
-        "shots": shots,
-        "seed": seed,
-        "model": model,
-    }
     rows = [
         (float(np.degrees(a)), float(ph), float(c))
         for a, ph, c in zip(scan.x, scan.phase, scan.counts)
     ]
     columns = ("alpha_deg", "phase_rad", "counts")
-    return _emit_fitted_scan(args.out, fmt, "fig4", echo, columns, rows, fit)
+    return _emit_scan(args, {**s, "geometry": geom.to_dict()}, columns, rows, fit)
 
 
-def _cmd_fringe(args) -> int:
-    config = _load_config(args.config)
-    rho = _parse_state(_resolve(args, config, "state", "bell"))
-    pol_b = math.radians(_resolve_number(args, config, "pol_b_deg", 45.0))
-    qwp_b = _resolve_number(args, config, "qwp_b_deg", None)
-    qwp_a = _resolve_number(args, config, "qwp_a_deg", None)
-    scan_min = _resolve_number(args, config, "scan_min_deg", 0.0)
-    scan_max = _resolve_number(args, config, "scan_max_deg", 180.0)
-    steps = _resolve_number(args, config, "scan_steps", 37, integral=True)
-    if steps < 2 or scan_max <= scan_min:
+def _cmd_fringe(args, config: dict, s: dict) -> int:
+    rho = _parse_state(s["state"])
+    if s["scan_steps"] < 2 or s["scan_max_deg"] <= s["scan_min_deg"]:
         raise _UsageError("need scan-max-deg > scan-min-deg and scan-steps >= 2")
-    shots = _resolve_number(args, config, "shots", 1e6)
-    seed = _resolve_seed(args, config)
-    fmt = _resolve(args, config, "format", "csv")
-
+    qwp_a, qwp_b = s["qwp_a_deg"], s["qwp_b_deg"]
     arm_b = polarization.ArmSetting(
-        pol=pol_b, qwp=math.radians(qwp_b) if qwp_b is not None else None
+        pol=math.radians(s["pol_b_deg"]), qwp=math.radians(qwp_b) if qwp_b is not None else None
     )
-    angles = np.radians(np.linspace(scan_min, scan_max, steps))
+    angles = np.radians(np.linspace(s["scan_min_deg"], s["scan_max_deg"], s["scan_steps"]))
     scan = polarization.simulate_polarization_fringe(
         rho,
         arm_b,
         angles,
-        shots,
-        seed=seed,
+        s["shots"],
+        seed=s["seed"],
         arm_a_qwp=math.radians(qwp_a) if qwp_a is not None else None,
     )
     fit = polarization.fit_fringe(scan)
-    echo = {
-        "state": _resolve(args, config, "state", "bell"),
-        "pol_b_deg": math.degrees(pol_b),
-        "qwp_a_deg": qwp_a,
-        "qwp_b_deg": qwp_b,
-        "scan_min_deg": scan_min,
-        "scan_max_deg": scan_max,
-        "scan_steps": steps,
-        "shots": shots,
-        "seed": seed,
-    }
     rows = [
         (float(np.degrees(a)), float(c)) for a, c in zip(scan.x, scan.counts)
     ]
-    return _emit_fitted_scan(args.out, fmt, "fringe", echo, ("pol_a_deg", "counts"), rows, fit)
+    return _emit_scan(args, s, ("pol_a_deg", "counts"), rows, fit)
 
 
-def _cmd_tomography(args) -> int:
-    config = _load_config(args.config)
-    counts_path = _resolve(args, config, "counts", None)
-    state_spec = _resolve(args, config, "state", None)
+def _cmd_tomography(args, config: dict, s: dict) -> int:
+    counts_path, state_spec = s["counts"], s["state"]
     if counts_path is not None and state_spec is not None:
         raise _UsageError("give either --counts or --state, not both")
-    method = _resolve(args, config, "method", "mle")
-    if method not in ("mle", "linear"):
-        raise _UsageError(f"method must be 'mle' or 'linear', got {method!r}")
-    jeffreys = True if args.jeffreys else config.get("jeffreys", False)
-    if not isinstance(jeffreys, bool):
-        raise _UsageError(f"jeffreys must be true or false, got {jeffreys!r}")
-    basis = str(_resolve(args, config, "basis", "HVDR"))
-    target_spec = _resolve(args, config, "target", "bell")
-    shots = _resolve_number(args, config, "shots", 1e5)
-    seed = _resolve_seed(args, config)
 
     if counts_path is not None:
         text = Path(counts_path).read_text()
         record = tomography.TomographyRecord.from_json(text)
     else:
         rho_true = _parse_state(state_spec if state_spec is not None else "bell")
-        settings = tomography.standard_settings(tuple(basis))
+        settings = tomography.standard_settings(tuple(s["basis"]))
         record = tomography.simulate_tomography(
-            rho_true, shots, seed=seed, settings=settings
+            rho_true, s["shots"], seed=s["seed"], settings=settings
         )
 
-    if method == "linear":
+    if s["method"] == "linear":
         result = tomography.reconstruct_linear(record)
     else:
-        result = tomography.reconstruct_mle(record, jeffreys=jeffreys)
+        result = tomography.reconstruct_mle(record, jeffreys=s["jeffreys"])
 
     doc = {
         "command": "tomography",
         "config": {
             "source": counts_path if counts_path is not None else (state_spec or "bell"),
-            "method": method,
-            "jeffreys": jeffreys,
-            "basis": basis,
-            "shots": None if counts_path is not None else shots,
-            "seed": None if counts_path is not None else seed,
+            "method": s["method"],
+            "jeffreys": s["jeffreys"],
+            "basis": s["basis"],
+            "shots": None if counts_path is not None else s["shots"],
+            "seed": None if counts_path is not None else s["seed"],
         },
         "rho": json.loads(tomography.rho_to_json(result.rho)),
         "min_eigenvalue": result.min_eigenvalue,
@@ -336,7 +328,7 @@ def _cmd_tomography(args) -> int:
         "log_likelihood": result.log_likelihood,
         "iterations": result.iterations,
     }
-    if target_spec == "bell":
+    if s["target"] == "bell":
         try:
             doc["fidelity_to_singlet"] = tomography.fidelity(
                 tomography.project_physical(result.rho), polarization.bell_state()
@@ -347,25 +339,12 @@ def _cmd_tomography(args) -> int:
     return 0
 
 
-def _cmd_rates(args) -> int:
-    config = _load_config(args.config)
-    singles = _resolve_number(args, config, "singles", None)
-    coincidences = _resolve_number(args, config, "coincidences", None)
-    if singles is None or coincidences is None:
+def _cmd_rates(args, config: dict, s: dict) -> int:
+    if s["singles"] is None or s["coincidences"] is None:
         raise _UsageError("rates needs --singles and --coincidences")
-    order = _resolve_number(args, config, "order", 2, integral=True)
-    expected = _resolve_number(args, config, "expected", None)
-    rate = polarization.nth_order_rate(singles, coincidences, order)
-    doc = {
-        "command": "rates",
-        "config": {
-            "singles": singles,
-            "coincidences": coincidences,
-            "order": order,
-            "expected": expected,
-        },
-        "rate": rate,
-    }
+    rate = polarization.nth_order_rate(s["singles"], s["coincidences"], s["order"])
+    doc = {"command": "rates", "config": s, "rate": rate}
+    expected = s["expected"]
     if expected is not None:
         if expected > 0 and rate > 0:
             factor = rate / expected
@@ -379,7 +358,7 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, config: dict, s: dict) -> int:
     results = verify.run_checks()
     width = max(len(r.name) for r in results)
     lines = []
@@ -396,7 +375,7 @@ def _cmd_verify(args) -> int:
     lines.append(f"{passed}/{len(results)} checks passed")
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
-    if getattr(args, "json_out", None):
+    if args.json_out:
         doc = {"command": "verify", "results": [dataclasses.asdict(r) for r in results]}
         Path(args.json_out).write_text(_json_text(doc))
     return 0 if passed == len(results) else 2
@@ -404,98 +383,56 @@ def _cmd_verify(args) -> int:
 
 # ----- parser -----
 
+_COMMANDS = (
+    ("sweep-phase", _cmd_sweep_phase, "pair probabilities over a phase grid"),
+    ("fig4", _cmd_fig4, "tilt-scan stimulation fringe and fit"),
+    ("fringe", _cmd_fringe, "polarization fringe of a two-qubit state"),
+    ("tomography", _cmd_tomography, "simulate and reconstruct a density matrix"),
+    ("rates", _cmd_rates, "singles/coincidence rate arithmetic"),
+    ("verify", _cmd_verify, "run the named self-check suite"),
+)
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of long-option defaults")
-    p.add_argument("--out", help="output path (default stdout)")
+
+def _flag_options(kind) -> dict:
+    """argparse keywords for a flag of this kind; a bool flag is None until given."""
+    if isinstance(kind, tuple):
+        return {"choices": kind}
+    if kind is bool:
+        return {"action": "store_true", "default": None}
+    return {"type": kind} if kind in (int, float) else {}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stimpairs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep-phase", help="pair probabilities over a phase grid")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", help="comma-separated pass counts")
-    p.add_argument("--phi-min", dest="phi_min", type=float)
-    p.add_argument("--phi-max", dest="phi_max", type=float)
-    p.add_argument("--phi-steps", dest="phi_steps", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--m", type=int, help="pair order M")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(handler=_cmd_sweep_phase)
-
-    p = sub.add_parser("fig4", help="tilt-scan stimulation fringe and fit")
-    _add_common(p)
-    p.add_argument("--geometry", help="JSON file with plate geometry")
-    p.add_argument("--alpha-min-deg", dest="alpha_min_deg", type=float)
-    p.add_argument("--alpha-max-deg", dest="alpha_max_deg", type=float)
-    p.add_argument("--alpha-steps", dest="alpha_steps", type=int)
-    p.add_argument("--n-passes", dest="n_passes", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--shots", type=float)
-    p.add_argument("--seed", type=int, help="Poisson seed; omit for noiseless")
-    p.add_argument("--model", choices=("exact", "approx"))
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(handler=_cmd_fig4)
-
-    p = sub.add_parser("fringe", help="polarization fringe of a two-qubit state")
-    _add_common(p)
-    p.add_argument("--state", help="bell or dephased:<d>")
-    p.add_argument("--pol-b-deg", dest="pol_b_deg", type=float)
-    p.add_argument("--qwp-a-deg", dest="qwp_a_deg", type=float)
-    p.add_argument("--qwp-b-deg", dest="qwp_b_deg", type=float)
-    p.add_argument("--scan-min-deg", dest="scan_min_deg", type=float)
-    p.add_argument("--scan-max-deg", dest="scan_max_deg", type=float)
-    p.add_argument("--scan-steps", dest="scan_steps", type=int)
-    p.add_argument("--shots", type=float)
-    p.add_argument("--seed", type=int, help="Poisson seed; omit for noiseless")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(handler=_cmd_fringe)
-
-    p = sub.add_parser("tomography", help="simulate and reconstruct a density matrix")
-    _add_common(p)
-    p.add_argument("--state", help="bell or dephased:<d> (simulation source)")
-    p.add_argument("--counts", help="JSON record of measured counts")
-    p.add_argument("--method", choices=("mle", "linear"))
-    p.add_argument("--jeffreys", action="store_true", help="add 0.5 to counts in the MLE objective")
-    p.add_argument("--basis", help="four analyzer letters, e.g. HVDR or HVDL")
-    p.add_argument("--target", help="bell or none (fidelity report)")
-    p.add_argument("--shots", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_tomography)
-
-    p = sub.add_parser("rates", help="singles/coincidence rate arithmetic")
-    _add_common(p)
-    p.add_argument("--singles", type=float)
-    p.add_argument("--coincidences", type=float)
-    p.add_argument("--order", type=int)
-    p.add_argument("--expected", type=float, help="reference value to compare against")
-    p.set_defaults(handler=_cmd_rates)
-
-    p = sub.add_parser("verify", help="run the named self-check suite")
-    _add_common(p)
-    p.add_argument("--json-out", dest="json_out", help="also write machine-readable results")
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, handler, summary in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON file of long-option defaults")
+        p.add_argument("--out", help="output path (default stdout)")
+        for key, kind, _, text in OPTIONS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **_flag_options(kind))
+        p.set_defaults(handler=handler)
+    sub.choices["fig4"].add_argument("--geometry", help="JSON file with plate geometry")
+    sub.choices["verify"].add_argument(
+        "--json-out", dest="json_out", help="also write machine-readable results"
+    )
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        config = _load_config(args.config)
+        return args.handler(args, config, _settings(args, config))
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return code if isinstance(code, int) else 0
     except SchemaError as exc:
         print(f"stimpairs: schema error: {exc}", file=sys.stderr)
         return 1
-    except (TruncationError, FitError, ReconstructionError, FloatingPointError) as exc:
-        print(f"stimpairs: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
-        # LinAlgError subclasses ValueError; must precede the catch-all below.
+    except (  # LinAlgError subclasses ValueError: it must be caught before the catch-all below.
+        TruncationError, FitError, ReconstructionError, FloatingPointError, np.linalg.LinAlgError
+    ) as exc:
         print(f"stimpairs: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (_UsageError, ValueError, TypeError) as exc:

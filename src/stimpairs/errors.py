@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the number check of every file reader.
 
 Grouping them here keeps the command line driver's exit-code mapping in one
 import: schema/validation problems exit 1, numerical failures exit 2.
 """
+
+import json
+import math
 
 
 class StimpairsError(Exception):
@@ -28,3 +31,20 @@ class ReconstructionError(StimpairsError):
 
 class SchemaError(StimpairsError):
     """Input file does not match the documented schema."""
+
+
+def json_number(value, what: str) -> float:
+    """A number read from JSON, as a float; anything else is a SchemaError naming what.
+
+    float() would take a bool (an int subclass) as 0 or 1 and a numeric string
+    as its value, and Python's json reads NaN and Infinity as floats: none of
+    them is a number here.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SchemaError(f"{what}: expected a finite number, got {json.dumps(value, default=repr)}")

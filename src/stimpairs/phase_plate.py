@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import json_number
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -66,10 +68,10 @@ class PlateGeometry:
         if missing:
             raise ValueError(f"plate geometry is missing keys {missing}")
         return cls(
-            thickness=float(doc["L_m"]),
-            n_pump=float(doc["n_p"]),
-            n_pair=float(doc["n_s"]),
-            wavelength_pump=float(doc["lambda_p_m"]),
+            thickness=json_number(doc["L_m"], "geometry L_m"),
+            n_pump=json_number(doc["n_p"], "geometry n_p"),
+            n_pair=json_number(doc["n_s"], "geometry n_s"),
+            wavelength_pump=json_number(doc["lambda_p_m"], "geometry lambda_p_m"),
         )
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReconstructionError, SchemaError
+from .errors import ReconstructionError, SchemaError, json_number
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
@@ -134,17 +134,6 @@ class TomographyRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
-        def number(value) -> float:
-            # float(True) is 1.0: a JSON boolean is not a number here.  Python's
-            # json reads NaN and Infinity as floats; they are not numbers here
-            # either.
-            if isinstance(value, bool):
-                raise TypeError(f"expected a number, got {json.dumps(value)}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"expected a finite number, got {json.dumps(value)}")
-            return value
-
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -161,15 +150,12 @@ class TomographyRecord:
             arm = entry[which]
             if "pol_deg" not in arm:
                 raise SchemaError(f"settings[{pos}].{which}: missing 'pol_deg'")
-            try:
-                pol = math.radians(number(arm["pol_deg"]))
-                qwp = (
-                    math.radians(number(arm["qwp_deg"]))
-                    if "qwp_deg" in arm and arm["qwp_deg"] is not None
-                    else None
-                )
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"settings[{pos}].{which}: bad angle: {exc}") from exc
+            pol = math.radians(json_number(arm["pol_deg"], f"settings[{pos}].{which}: pol_deg"))
+            qwp = (
+                math.radians(json_number(arm["qwp_deg"], f"settings[{pos}].{which}: qwp_deg"))
+                if "qwp_deg" in arm and arm["qwp_deg"] is not None
+                else None
+            )
             return ArmSetting(pol=pol, qwp=qwp)
 
         settings = []
@@ -177,20 +163,14 @@ class TomographyRecord:
         for pos, entry in enumerate(entries):
             if not isinstance(entry, dict) or "counts" not in entry:
                 raise SchemaError(f"settings[{pos}]: missing 'counts'")
-            try:
-                c = number(entry["counts"])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"settings[{pos}]: counts not a number: {exc}") from exc
-            if not (math.isfinite(c) and c >= 0.0):
-                raise SchemaError(f"settings[{pos}]: counts must be finite and >= 0, got {c!r}")
+            c = json_number(entry["counts"], f"settings[{pos}]: counts")
+            if c < 0.0:
+                raise SchemaError(f"settings[{pos}]: counts must be >= 0, got {c!r}")
             settings.append(
                 MeasurementSetting(parse_arm(entry, "arm_a", pos), parse_arm(entry, "arm_b", pos))
             )
             counts.append(c)
-        try:
-            shots = number(doc["shots"])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"shots not a number: {exc}") from exc
+        shots = json_number(doc["shots"], "shots")
         return cls(settings=tuple(settings), counts=np.array(counts), shots=shots)
 
 
@@ -469,6 +449,7 @@ def rho_to_json(rho: np.ndarray) -> str:
 
 
 def rho_from_json(text: str) -> np.ndarray:
+    """The matrix of rho_to_json text; a malformed document is a SchemaError naming the entry."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -485,5 +466,6 @@ def rho_from_json(text: str) -> np.ndarray:
         for j, pair in enumerate(row):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise SchemaError(f"matrix[{i}][{j}] must be an [re, im] pair")
-            rho[i, j] = complex(float(pair[0]), float(pair[1]))
+            where = f"matrix[{i}][{j}]"
+            rho[i, j] = complex(json_number(pair[0], f"{where} re"), json_number(pair[1], f"{where} im"))
     return rho

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,10 +151,19 @@ def test_config_seed_must_be_integral(tmp_path, capsys, seed):
         ("tomography", "shots", "1e5"),
         ("rates", "order", 2.5),
         ("rates", "singles", True),
+        ("sweep-phase", "tau", None),
+        ("fringe", "state", 5),
+        ("tomography", "state", 5),
+        ("tomography", "basis", ["H", "V", "D", "R"]),
+        ("tomography", "target", "ghz"),
+        ("tomography", "method", "fast"),
+        ("fig4", "model", "fast"),
+        ("sweep-phase", "format", "xml"),
     ],
 )
 def test_config_numbers_are_exact(tmp_path, capsys, command, key, value):
-    # No silent coercion: 21.9 steps is not 21, true shots is not 1.
+    # No silent coercion: 21.9 steps is not 21, true shots is not 1, 5 is not
+    # a state, and a choice takes only the values --help lists.
     doc = {"seed": 1, "shots": 1e3} if command == "tomography" else {}
     if command == "rates":
         doc = {"singles": 1e5, "coincidences": 1e3}
@@ -163,6 +173,80 @@ def test_config_numbers_are_exact(tmp_path, capsys, command, key, value):
     code, out, err = run(capsys, command, "--config", str(cfg))
     assert code == 1
     assert "invalid configuration" in err and key in err and out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--target", "ghz"), ("--method", "fast")])
+def test_bad_choice_flag_exits_one(capsys, flag, value):
+    code, out, err = run(capsys, "tomography", flag, value, "--shots", "1e3", "--seed", "1")
+    assert code == 1
+    assert "invalid configuration" in err and value in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-phase", "--n-list", "2,5", "--phi-steps", "4", "--tau", "0.002", "--m", "2"],
+        ["fig4", "--alpha-steps", "21", "--seed", "5", "--model", "approx", "--n-passes", "3"],
+        ["fringe", "--state", "dephased:0.2", "--pol-b-deg", "30", "--qwp-a-deg", "12.5",
+         "--scan-steps", "19", "--seed", "4"],
+        ["rates", "--singles", "36000", "--coincidences", "1300", "--expected", "990000"],
+    ],
+)
+def test_config_echo_reproduces_the_run(tmp_path, capsys, argv):
+    # The echoed configuration, fed back as a config file, is the same run.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if argv[0] == "rates":
+        echo = json.loads(out)["config"]
+    else:
+        echo = json.loads(out.splitlines()[1].removeprefix("# config: "))
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(json.dumps(echo))
+    code, again, _ = run(capsys, argv[0], "--config", str(cfg))
+    assert code == 0
+    assert again == out
+
+
+@pytest.mark.parametrize("angle", ["30", "0.1", "12.345", "45"])
+def test_fringe_echoes_angles_as_given(capsys, angle):
+    code, out, _ = run(capsys, "fringe", "--pol-b-deg", angle, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["pol_b_deg"] == float(angle)
+
+
+@pytest.mark.parametrize("key,value", [("L_m", True), ("n_p", "1.53"), ("lambda_p_m", None)])
+def test_fig4_geometry_values_must_be_numbers(tmp_path, capsys, key, value):
+    geometry = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9, key: value}
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps(geometry))
+    code, out, err = run(capsys, "fig4", "--geometry", str(path), "--alpha-steps", "21")
+    assert code == 1
+    assert key in err and out == ""
+    path.write_text(json.dumps({"geometry": geometry, "alpha_steps": 21}))
+    code, out, err = run(capsys, "fig4", "--config", str(path))
+    assert code == 1
+    assert key in err and out == ""
+
+
+_FLAGS = {
+    "sweep-phase": "--config --out --n-list --phi-min --phi-max --phi-steps --tau --m --format",
+    "fig4": "--config --out --geometry --alpha-min-deg --alpha-max-deg --alpha-steps "
+    "--n-passes --tau --shots --seed --model --format",
+    "fringe": "--config --out --state --pol-b-deg --qwp-a-deg --qwp-b-deg --scan-min-deg "
+    "--scan-max-deg --scan-steps --shots --seed --format",
+    "tomography": "--config --out --state --counts --method --jeffreys --basis --target "
+    "--shots --seed",
+    "rates": "--config --out --singles --coincidences --order --expected",
+    "verify": "--config --out --json-out",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_command_help_lists_its_flags(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: stimpairs {command}")
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *_FLAGS[command].split()}
 
 
 def test_config_integral_floats_are_integers(tmp_path, capsys):

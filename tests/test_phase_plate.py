@@ -7,6 +7,7 @@ import pytest
 
 import stimpairs.phase_plate as phase_plate_mod
 from stimpairs import verify
+from stimpairs.errors import SchemaError
 from stimpairs.phase_plate import (
     PlateGeometry,
     phase_through_plate,
@@ -77,6 +78,16 @@ def test_geometry_dict_roundtrip():
     assert PlateGeometry.from_dict(doc) == GEOM
     with pytest.raises(ValueError):
         PlateGeometry.from_dict({"L_m": 3e-3})
+
+
+@pytest.mark.parametrize(
+    "key,value", [("L_m", True), ("n_p", "1.53"), ("n_s", math.nan), ("lambda_p_m", None)]
+)
+def test_geometry_dict_rejects_non_numbers(key, value):
+    # float() would read true as a 1 m plate and "1.53" as an index.
+    doc = dict(GEOM.to_dict(), **{key: value})
+    with pytest.raises(SchemaError, match=f"geometry {key}: expected a finite number"):
+        PlateGeometry.from_dict(doc)
 
 
 def test_wrap_phase():

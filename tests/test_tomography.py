@@ -140,10 +140,11 @@ def test_record_rejects_json_booleans(field, flag):
         ("qwp_deg", r"settings\[0\]\.arm_a"),
     ],
 )
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"10"'])
 def test_record_rejects_non_finite_numbers(field, where, literal):
-    # Python's json reads NaN and Infinity as floats; the schema error names
-    # the entry instead of a later "invalid configuration" without it.
+    # Python's json reads NaN and Infinity as floats, and float() reads a
+    # numeric string; the schema error names the entry instead of a later
+    # "invalid configuration" without it, or a silently loaded string.
     doc = {
         "shots": 10,
         "settings": [
@@ -345,6 +346,17 @@ def test_rho_json_roundtrip():
     assert sum(doc["eigenvalues"]) == pytest.approx(1.0, abs=1e-10)
     back = rho_from_json(text)
     assert np.abs(back - rho).max() < 1e-12
+
+
+@pytest.mark.parametrize("literal", ['"x"', '"0.25"', "NaN", "true", "null"])
+@pytest.mark.parametrize("part", [0, 1])
+def test_rho_from_json_rejects_non_numbers(part, literal):
+    doc = json.loads(rho_to_json(dephasing_noise(bell_state(), 0.25)))
+    doc["matrix"][0][1][part] = "@"
+    text = json.dumps(doc).replace('"@"', literal)
+    where = r"matrix\[0\]\[1\] " + ("re", "im")[part]
+    with pytest.raises(SchemaError, match=f"{where}.*got {literal}"):
+        rho_from_json(text)
 
 
 def test_reconstruction_result_physical_flag():
