@@ -20,7 +20,6 @@ from .fock import (
     entangled_state,
     evolve_vacuum,
     project_entangled,
-    su11_generators,
     suggest_cutoff,
 )
 from .phase_plate import PlateGeometry, phase_through_plate, relative_phase, wrap_phase
@@ -117,7 +116,6 @@ __all__ = [
     "simulate_tomography",
     "standard_settings",
     "state_density",
-    "su11_generators",
     "suggest_cutoff",
     "sweep_rows",
     "visibility",

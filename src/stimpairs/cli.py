@@ -101,7 +101,7 @@ OPTIONS = {
     "verify": (),
 }
 
-_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false"}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false"}
 
 
 class _UsageError(ValueError):
@@ -130,8 +130,8 @@ def _check(key: str, kind, value):
     """value as an option of this kind (see OPTIONS), or _UsageError.
 
     A config file can hold any JSON value: a number is never a bool (an int
-    subclass) or a string, and a count is never a fraction that int() would
-    truncate.
+    subclass) or a string, a count is never a fraction that int() would
+    truncate, and a float is never NaN, infinite or past the float range.
     """
     if isinstance(kind, tuple):
         if value not in kind:
@@ -143,8 +143,11 @@ def _check(key: str, kind, value):
         if not isinstance(value, kind):
             raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or fraction:
+    # Exact for ints of any size; NaN, the infinities and huge ints all fail.
+    infinite = kind is float and number and not abs(value) <= sys.float_info.max
+    if not number or fraction or infinite:
         raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     value = kind(value)
     if key == "seed" and not 0 <= value < _SEED_MAX:

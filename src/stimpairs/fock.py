@@ -24,28 +24,22 @@ private helper, _sector_index, maps that sector to full-space indices.  A
 FockVector stores only its nonzero entries (sorted full-space indices and
 their values), so evolve_vacuum, the closed form and the entangled states
 emit sector entries through _sector_index and project_entangled gathers
-them back; no state is ever laid out over the (c+1)^4 space.  L+ is built
-once per space; build_generator (the full-space reference the oracle is
-tested against) and su11_generators both start from it.
+them back; no state is ever laid out over the (c+1)^4 space.  _pair_terms
+lists the entries of L+ from the index strides alone; build_generator (the
+full-space reference the oracle is tested against) and verify's su11_algebra
+check both start from it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SchemaError, TruncationError
 from .resonator import ResonatorConfig, amplitude_sum
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-MODES = ("aH", "aV", "bH", "bV")
 
 ENUMERATION_ORDER = "lex:aH,aV,bH,bV"
 
@@ -61,7 +55,7 @@ MAX_CUTOFF = math.isqrt(MAX_ENTRIES) - 1
 
 
 class FockSpace:
-    """Occupation enumeration and ladder operators at a fixed per-mode cutoff."""
+    """A validated per-mode cutoff and the size of its (c+1)^4 space."""
 
     def __init__(self, cutoff: int):
         if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
@@ -74,74 +68,9 @@ class FockSpace:
         self.cutoff = int(cutoff)
         self.base = self.cutoff + 1
         self.dim = self.base**4
-        self._strides = (self.base**3, self.base**2, self.base, 1)
-        self._cache: dict = {}
-
-    @functools.cached_property
-    def occupations(self) -> np.ndarray:
-        """(dim, 4) occupation table in enumeration order, built on first use."""
-        idx = np.arange(self.dim)
-        occ = np.empty((self.dim, 4), dtype=np.int64)
-        for k in range(3, -1, -1):
-            occ[:, k] = idx % self.base
-            idx //= self.base
-        return occ
-
-    def index(self, occ) -> int:
-        occ = tuple(int(n) for n in occ)
-        if len(occ) != 4 or any(n < 0 or n > self.cutoff for n in occ):
-            raise ValueError(f"occupation {occ!r} outside [0, {self.cutoff}]^4")
-        return sum(n * s for n, s in zip(occ, self._strides))
-
-    def occupation(self, index: int) -> tuple[int, int, int, int]:
-        if not (0 <= index < self.dim):
-            raise ValueError(f"index {index!r} outside [0, {self.dim})")
-        return tuple(int(n) for n in self.occupations[index])
 
     def vacuum(self) -> "FockVector":
         return FockVector._from_entries([0], [1.0], self.cutoff)
-
-    @functools.cached_property
-    def boundary_mask(self) -> np.ndarray:
-        """True where any occupation sits at the cutoff (the leakage shell)."""
-        return self.occupations.max(axis=1) == self.cutoff
-
-    def raising(self, mode: str) -> sp.csr_matrix:
-        """Creation operator for one mode; matrix elements sqrt(n + 1)."""
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-        key = ("raise", mode)
-        op = self._cache.get(key)
-        if op is None:
-            # Deferred: every sparse operator derives from this one, so
-            # importing fock loads no scipy.
-            import scipy.sparse as sp
-
-            k = MODES.index(mode)
-            src = np.nonzero(self.occupations[:, k] < self.cutoff)[0]
-            data = np.sqrt(self.occupations[src, k] + 1.0)
-            rows = src + self._strides[k]
-            op = sp.csr_matrix(
-                (data.astype(complex), (rows, src)), shape=(self.dim, self.dim)
-            )
-            self._cache[key] = op
-        return op
-
-    def lowering(self, mode: str) -> sp.csr_matrix:
-        key = ("lower", mode)
-        op = self._cache.get(key)
-        if op is None:
-            op = self.raising(mode).conj().T.tocsr()
-            self._cache[key] = op
-        return op
-
-    @functools.cached_property
-    def _l_plus(self) -> sp.csr_matrix:
-        """Pair operator L+ = adag_aH adag_bV - adag_aV adag_bH, built once."""
-        return (
-            self.raising("aH") @ self.raising("bV")
-            - self.raising("aV") @ self.raising("bH")
-        ).tocsr()
 
 
 class FockVector:
@@ -309,30 +238,42 @@ def _first_bad_entry(entries: list, dim: int) -> SchemaError:
     return SchemaError("amplitude entries are malformed")
 
 
-def su11_generators(space: FockSpace):
-    """(L+, L-, L0) as sparse matrices on the truncated space.
+def _pair_terms(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and weights of L+ = adag_aH adag_bV - adag_aV adag_bH.
 
-    L- and L0 derive from the space's one L+, the one build_generator uses.
-    L0 comes out diagonal with eigenvalue n_total/2 + 1 away from the cutoff
-    shell; near the shell the truncated products deviate, which is expected.
+    A pair term on modes i and j sends column s to row s + stride_i +
+    stride_j with weight sqrt(n_i + 1) sqrt(n_j + 1), for every s whose n_i
+    and n_j are both below the cutoff; the ccw term adag_aV adag_bH carries
+    the minus sign.  No occupation table is built.
     """
-    l_plus = space._l_plus
-    l_minus = l_plus.conj().T.tocsr()
-    l_zero = (0.5 * (l_minus @ l_plus - l_plus @ l_minus)).tocsr()
-    return l_plus, l_minus, l_zero
+    b = cutoff + 1
+    strides = (b**3, b**2, b, 1)
+    terms = []
+    for (i, j), sign in (((0, 3), 1.0), ((1, 2), -1.0)):
+        # Occupations of each mode over the columns the term keeps in the space.
+        occ = np.ix_(*(np.arange(cutoff if k in (i, j) else b) for k in range(4)))
+        col = sum(n * stride for n, stride in zip(occ, strides))
+        w = sign * (np.sqrt(occ[i] + 1.0) * np.sqrt(occ[j] + 1.0))
+        terms.append((col + strides[i] + strides[j], col, np.broadcast_to(w, col.shape)))
+    return tuple(np.concatenate([t.ravel() for t in part]) for part in zip(*terms))
 
 
-def build_generator(cfg: ResonatorConfig, space: FockSpace) -> sp.csr_matrix:
+def build_generator(cfg: ResonatorConfig, space: FockSpace) -> "scipy.sparse.csr_matrix":
     """Hermitian evolution generator G with exp(-i tau G) the pass-summed unitary.
 
     G = A L+ + A* L-, with A the pass-summed amplitude and L+ the pair
     operator adag_aH adag_bV - adag_aV adag_bH of a pump polarized at -45
-    degrees.  This is the full-space reference for evolve_vacuum; it never
-    builds L0.
+    degrees, from _pair_terms.  This is the full-space reference for
+    evolve_vacuum and the only code in the package that loads scipy.
     """
+    # Deferred: importing fock, or running any command, loads no scipy.
+    import scipy.sparse as sp
+
     a = amplitude_sum(cfg.n_passes, cfg.phi)
-    l_plus = space._l_plus
-    return (a * l_plus + np.conj(a) * l_plus.conj().T).tocsr()
+    rows, cols, weights = _pair_terms(space.cutoff)
+    data = np.concatenate([a * weights, np.conj(a) * weights])
+    index = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    return sp.csr_matrix((data, index), shape=(space.dim, space.dim))
 
 
 def _sector_index(p, q, cutoff: int):

@@ -436,7 +436,10 @@ def pair_rate(singles: float, coincidences: float) -> float:
 
 
 def nth_order_rate(singles: float, coincidences: float, order: int) -> float:
-    """n-photon generalization singles^n / coincidences of the pair-rate formula."""
+    """n-photon generalization singles^n / coincidences of the pair-rate formula.
+
+    A rate past the float range is a FloatingPointError, never inf.
+    """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     if not (math.isfinite(singles) and singles >= 0.0):
@@ -445,4 +448,10 @@ def nth_order_rate(singles: float, coincidences: float, order: int) -> float:
         raise ValueError(
             f"coincidence rate must be positive, got {coincidences!r}"
         )
-    return singles**order / coincidences
+    try:
+        rate = singles**order / coincidences
+    except OverflowError:  # singles**order alone is past the float range
+        rate = math.inf
+    if math.isinf(rate):
+        raise FloatingPointError(f"rate {singles!r}**{order} / {coincidences!r} overflows a float")
+    return rate

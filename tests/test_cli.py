@@ -159,11 +159,15 @@ def test_config_seed_must_be_integral(tmp_path, capsys, seed):
         ("tomography", "method", "fast"),
         ("fig4", "model", "fast"),
         ("sweep-phase", "format", "xml"),
+        # Python's json reads NaN; an integer literal can pass the float range.
+        ("rates", "expected", float("nan")),
+        pytest.param("sweep-phase", "tau", 10**400, id="sweep-phase-tau-400-digits"),
     ],
 )
 def test_config_numbers_are_exact(tmp_path, capsys, command, key, value):
     # No silent coercion: 21.9 steps is not 21, true shots is not 1, 5 is not
-    # a state, and a choice takes only the values --help lists.
+    # a state, a choice takes only the values --help lists, and a number is
+    # finite.
     doc = {"seed": 1, "shots": 1e3} if command == "tomography" else {}
     if command == "rates":
         doc = {"singles": 1e5, "coincidences": 1e3}
@@ -180,6 +184,17 @@ def test_bad_choice_flag_exits_one(capsys, flag, value):
     code, out, err = run(capsys, "tomography", flag, value, "--shots", "1e3", "--seed", "1")
     assert code == 1
     assert "invalid configuration" in err and value in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_number_flag_exits_one(capsys, value):
+    # argparse's float() reads nan and inf; echoed, they would put NaN and
+    # Infinity into the rates JSON, which strict JSON readers reject.
+    code, out, err = run(
+        capsys, "rates", "--singles", "1e5", "--coincidences", "1e3", "--expected", value
+    )
+    assert code == 1
+    assert "invalid configuration" in err and "expected" in err and out == ""
 
 
 @pytest.mark.parametrize(
@@ -410,6 +425,20 @@ def test_rates_zero_coincidences_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "singles,coincidences,order",
+    [("1e300", "1e-300", "1"), ("1e5", "1e3", "400")],
+    ids=["quotient", "power"],
+)
+def test_rates_past_float_range_exits_two(capsys, singles, coincidences, order):
+    # S^k / C past the float range is a numerical failure, never "rate": Infinity.
+    code, out, err = run(
+        capsys, "rates", "--singles", singles, "--coincidences", coincidences, "--order", order
+    )
+    assert code == 2
+    assert "numerical failure" in err and "overflows" in err and out == ""
+
+
 def test_numerical_failure_exits_two(capsys):
     # Four points cannot constrain the three-parameter fringe model.
     code, _, err = run(capsys, "fringe", "--scan-steps", "4")
@@ -469,6 +498,23 @@ def test_verify_detects_mutation(capsys, monkeypatch):
     assert any("oracle_pair_probability" in ln for ln in failed)
 
 
+def test_verify_detects_ccw_weight_mutation(capsys, monkeypatch):
+    # A ccw pair term 10 percent too strong breaks the su(1,1) commutators
+    # (worst error about 0.46) and must trip the algebra check.
+    true_terms = verify_mod.fock._pair_terms
+
+    def mutated(cutoff):
+        rows, cols, weights = true_terms(cutoff)
+        return rows, cols, np.where(weights < 0, 1.1 * weights, weights)
+
+    monkeypatch.setattr(verify_mod.fock, "_pair_terms", mutated)
+    code, out, _ = run(capsys, "verify")
+    assert code == 2
+    failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert [ln.split()[1] for ln in failed] == ["su11_algebra"]
+    assert float(re.search(r"worst=(\S+)", failed[0]).group(1)) > 0.1
+
+
 _SCIPY_PROBE = """
 import json, sys
 import stimpairs
@@ -493,8 +539,8 @@ print(json.dumps({"codes": codes, "numpy_only": numpy_only, "after_verify": scip
 
 
 def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
-    # A fresh interpreter: importing the package and running every command but
-    # verify, MLE tomography included, must not load scipy at all.
+    # A fresh interpreter: importing the package and running every command,
+    # MLE tomography and verify included, must not load scipy at all.
     src = str(Path(stimpairs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -508,8 +554,9 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc["codes"] == [0] * 7
     assert doc["numpy_only"] == []
-    # The probe itself sees scipy once verify builds a sparse Fock operator.
-    assert "scipy.sparse" in doc["after_verify"]
+    # verify builds no sparse operator either: its su11_algebra check applies
+    # fock._pair_terms in numpy, so no command loads scipy.
+    assert doc["after_verify"] == []
 
 
 def test_out_unwritable_exits_three(capsys):
