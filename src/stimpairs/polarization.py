@@ -438,7 +438,8 @@ def pair_rate(singles: float, coincidences: float) -> float:
 def nth_order_rate(singles: float, coincidences: float, order: int) -> float:
     """n-photon generalization singles^n / coincidences of the pair-rate formula.
 
-    A rate past the float range is a FloatingPointError, never inf.
+    An order past the float range is the limit singles**inf: 0 below 1 and 1
+    at 1.  A rate past the float range is a FloatingPointError, never inf.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
@@ -449,9 +450,10 @@ def nth_order_rate(singles: float, coincidences: float, order: int) -> float:
             f"coincidence rate must be positive, got {coincidences!r}"
         )
     try:
-        rate = singles**order / coincidences
-    except OverflowError:  # singles**order alone is past the float range
-        rate = math.inf
+        power = singles**order
+    except OverflowError:  # the order, or singles**order, is past the float range
+        power = singles**math.inf
+    rate = power / coincidences
     if math.isinf(rate):
         raise FloatingPointError(f"rate {singles!r}**{order} / {coincidences!r} overflows a float")
     return rate

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -198,7 +199,9 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     The grid order is N-major then phi, and phi is echoed as given.  Inputs
     are validated once; each N is then one array evaluation over all phases,
     so every row equals the scalar functions on ResonatorConfig(N, phi, tau)
-    bit for bit.
+    bit for bit.  Each row is a tuple (int N, float phi, float tau, int M,
+    three floats), zipped in C from the constant N, tau and M and the
+    columns' float lists; no Python code runs per row.
     """
     n_values = [_check_passes(int(n)) for n in n_values]
     phis = np.asarray(phis, dtype=float).reshape(-1)
@@ -206,10 +209,10 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     wrapped = wrap_phase(phis)
     tau = _check_tau(tau)
     m = _check_order(m)
+    echoed = phis.tolist()
     rows = []
     for n in n_values:
         x = _scaled_amplitude(n, wrapped, tau)
         columns = (_p_exact(m, x), _p_approx(m, x), _contamination(x))
-        values = zip(phis.tolist(), *(c.tolist() for c in columns))
-        rows.extend((n, phi, tau, m, *v) for phi, *v in values)
+        rows.extend(zip(repeat(n), echoed, repeat(tau), repeat(m), *(c.tolist() for c in columns)))
     return rows

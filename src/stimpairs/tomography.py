@@ -288,52 +288,63 @@ def _log_likelihood(record: TomographyRecord, rho: np.ndarray, stack: np.ndarray
     check_density_matrix(rho)
     p = _born_probabilities(rho, stack)
     mu = record.shots * np.where(p < 1e-15, 0.0, p)
-    terms = _poisson_terms(record.counts, mu, record.counts > 0.0)
-    return -math.inf if terms is None else float(terms.sum())
-
-
-def _poisson_terms(counts: np.ndarray, mu: np.ndarray, seen: np.ndarray) -> np.ndarray | None:
-    """Per-setting c ln mu - mu, with 0 ln 0 = 0 off the mask seen = counts > 0;
-    None when counts meet a rate mu <= 0."""
+    seen = record.counts > 0.0  # 0 ln 0 = 0 elsewhere
     if np.any(mu[seen] <= 0.0):
-        return None
+        return -math.inf
     terms = -mu
-    terms[seen] += counts[seen] * np.log(mu[seen])
-    return terms
+    terms[seen] += record.counts[seen] * np.log(mu[seen])
+    return float(terms.sum())
 
 
 def _project_density(h: np.ndarray) -> np.ndarray:
     """Nearest density matrix to the Hermitian h in Frobenius norm: its eigenvalues
     move to the nearest point of the probability simplex (Smolin, Gambetta &
-    Smith, PRL 108, 070502 (2012))."""
+    Smith, PRL 108, 070502 (2012)).
+
+    The shift is the last (sum of the k largest - 1) / k below the k-th largest
+    eigenvalue, found by a running sum over the four eigenvalues as floats.
+    """
     evals, vecs = np.linalg.eigh(h)
-    desc = evals[::-1]
-    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(desc) + 1)
-    shift = shifts[desc > shifts][-1]
+    total = shift = 0.0
+    for k, lam in enumerate(reversed(evals.tolist()), 1):
+        total += lam
+        if lam > (total - 1.0) / k:
+            shift = (total - 1.0) / k
     return (vecs * np.maximum(evals - shift, 0.0)) @ vecs.conj().T
 
 
 def _mle_objective(counts: np.ndarray, shots: float, design: np.ndarray, stack: np.ndarray):
     """The objective f(rho) = -sum_i (c_i ln mu_i - mu_i) / shots, mu_i = shots Tr(rho Pi_i).
 
-    Returns a function of rho giving f, its gradient sum_i (1 - c_i / mu_i)
-    Pi_i and its rounding error; inf, None, 0 where counts meet a rate
-    mu_i <= 0.  The flattened stack and the counts > 0 mask are made here,
-    once, so each call is two matrix-vector products and the Poisson sum.
+    Returns two functions.  objective(rho) gives f, the gradient weights
+    w_i = 1 - c_i / mu_i (1 where c_i = 0) and the rounding error of f; inf,
+    None, 0 where counts meet a rate mu_i <= 0.  gradient(w) gives the
+    gradient sum_i w_i Pi_i, so the caller forms it only for the points it
+    keeps.  The indices of the settings with counts > 0, their counts and the
+    flattened stack are made here, once: each objective call is one
+    matrix-vector product, one gather of the seen rates, one min for the
+    domain check, one log and one weight update.
     """
     flat = stack.reshape(len(stack), 16)
-    seen = counts > 0.0
+    seen = np.flatnonzero(counts > 0.0)
+    seen_counts = counts[seen]
+    ones = np.ones(len(counts))
 
     def objective(rho):
-        mu = shots * np.real(design @ rho.ravel())
-        terms = _poisson_terms(counts, mu, seen)
-        if terms is None:
+        mu = shots * (design @ rho.ravel()).real
+        rates = mu[seen]
+        if rates.min(initial=math.inf) <= 0.0:
             return math.inf, None, 0.0
-        weights = 1.0 - np.divide(counts, mu, out=np.zeros_like(mu), where=seen)
-        grad = (weights @ flat).reshape(4, 4)
-        return -float(terms.sum()) / shots, grad, _ROUNDING * float(np.abs(terms).sum()) / shots
+        terms = -mu
+        terms[seen] += seen_counts * np.log(rates)
+        weights = ones.copy()
+        weights[seen] -= seen_counts / rates
+        return -float(terms.sum()) / shots, weights, _ROUNDING * float(np.abs(terms).sum()) / shots
 
-    return objective
+    def gradient(weights):
+        return (weights @ flat).reshape(4, 4)
+
+    return objective, gradient
 
 
 def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> ReconstructionResult:
@@ -357,17 +368,18 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     stack = _projectors(record.settings)
     design = _design_matrix(stack)
     counts = record.counts + 0.5 if jeffreys else record.counts
-    objective = _mle_objective(counts, record.shots, design, stack)
+    objective, gradient = _mle_objective(counts, record.shots, design, stack)
     rho = project_physical(_invert_linear(record, design).rho)
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
-    f, grad, _ = objective(rho)
+    f, weights, _ = objective(rho)
+    grad = gradient(weights)
     prev, theta, step = rho, 1.0, 1.0
     y, f_y, grad_y = rho, f, grad
     best, stalled, residual = f, 0, math.inf
     for iteration in range(1, _MAX_ITER + 1):
         while True:
             new = _project_density(y - step * grad_y)
-            f_new, grad_new, err = objective(new)
+            f_new, weights, err = objective(new)
             move = new - y
             model = f_y + np.vdot(grad_y, move).real + np.vdot(move, move).real / (2.0 * step)
             if f_new <= model + err or step < _MIN_STEP:
@@ -379,7 +391,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             continue
         if f_new > f + err:
             raise ReconstructionError(f"MLE line search failed at iteration {iteration}")
-        prev, rho, f, grad = rho, new, f_new, grad_new
+        prev, rho, f, grad = rho, new, f_new, gradient(weights)
         best, stalled = (f, 0) if f < best else (best, stalled + 1)
         if stalled >= _STALL_STEPS:
             residual = float(np.linalg.norm(rho - _project_density(rho - grad)))
@@ -388,9 +400,11 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         y = rho + ((theta - 1.0) / theta_next) * (rho - prev)
         theta = theta_next
-        f_y, grad_y, _ = objective(y)
-        if grad_y is None:  # extrapolated out of the domain of f: restart
+        f_y, weights, _ = objective(y)
+        if weights is None:  # extrapolated out of the domain of f: restart
             theta, y, f_y, grad_y = 1.0, rho, f, grad
+        else:
+            grad_y = gradient(weights)
         step *= 2.0
     else:
         raise ReconstructionError(

@@ -439,6 +439,24 @@ def test_rates_past_float_range_exits_two(capsys, singles, coincidences, order):
     assert "numerical failure" in err and "overflows" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "singles,rate", [(0.5, 0.0), (1.0, 1.0 / 3.0), (2.0, None)], ids=["below-one", "one", "above-one"]
+)
+def test_rates_order_past_float_range(tmp_path, capsys, singles, rate):
+    # An integer order past the float range gives the limit S^inf / C: 0 below
+    # S = 1 and 1/C at S = 1.  Only S > 1 overflows, which exits 2.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"singles": singles, "coincidences": 3, "order": 10**400}))
+    code, out, err = run(capsys, "rates", "--config", str(cfg))
+    if rate is None:
+        assert code == 2
+        assert "numerical failure" in err and "overflows" in err and out == ""
+    else:
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["rate"] == rate and doc["config"]["order"] == 10**400
+
+
 def test_numerical_failure_exits_two(capsys):
     # Four points cannot constrain the three-parameter fringe model.
     code, _, err = run(capsys, "fringe", "--scan-steps", "4")

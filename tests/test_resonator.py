@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stimpairs.resonator import (
     SWEEP_COLUMNS,
@@ -200,6 +201,26 @@ def test_sweep_rows_match_scalar_api_bit_for_bit():
                 assert contamination == multiphoton_contamination(cfg)
     destructive = sweep_rows([2], [math.pi], 0.05, 2)[0]
     assert 0.0 <= destructive[4] < 1e-60 and 0.0 <= destructive[5] < 1e-60
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    ns=st.lists(st.integers(1, 64), min_size=1, max_size=4),
+    phis=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+    tau=st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
+    m=st.integers(1, 40),
+)
+def test_sweep_rows_values_stay_in_range(ns, phis, tau, m):
+    # P_exact and P_approx are probabilities, in [0, 1] however large
+    # (M + 1) (|A| tau)^{2M} gets; the contamination column is the ratio
+    # P_2 / P_1 = (3/2) tanh^2(|A| tau), in [0, 3/2].
+    rows = sweep_rows(ns, phis, tau, m)
+    assert len(rows) == len(ns) * len(phis)
+    for _, _, _, _, exact, approx, contamination in rows:
+        assert 0.0 <= exact <= 1.0
+        assert 0.0 <= approx <= 1.0
+        assert 0.0 <= contamination <= 1.5
 
 
 def test_sweep_rows_validates_every_input():

@@ -31,6 +31,7 @@ from stimpairs.tomography import (
     reconstruct_linear,
     reconstruct_mle,
     _mle_objective,
+    _project_density,
     rho_from_json,
     rho_to_json,
     simulate_tomography,
@@ -81,6 +82,52 @@ def test_record_json_roundtrip():
     for a, b in zip(loaded.settings, record.settings):
         assert a.arm_a.pol == pytest.approx(b.arm_a.pol)
         assert (a.arm_a.qwp is None) == (b.arm_a.qwp is None)
+
+
+_COUNTS = st.one_of(
+    st.just(0.0),
+    st.integers(0, 10**6).map(float),
+    st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
+)
+
+
+_EXACT_ANGLES = sorted({a for s in ANALYZER_ANGLES.values() for a in (s.pol, s.qwp)})
+
+
+@st.composite
+def _records(draw):
+    def arm():
+        pol = draw(st.one_of(st.sampled_from(_EXACT_ANGLES), st.floats(-10.0, 10.0)))
+        qwp = draw(st.one_of(st.none(), st.sampled_from(_EXACT_ANGLES), st.floats(-10.0, 10.0)))
+        return ArmSetting(pol=pol, qwp=qwp)
+
+    k = draw(st.integers(1, 16))
+    settings_ = [MeasurementSetting(arm(), arm()) for _ in range(k)]
+    counts = draw(st.lists(_COUNTS, min_size=k, max_size=k))
+    shots = draw(st.floats(1e-300, 1e300))
+    return TomographyRecord(tuple(settings_), np.array(counts), shots)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_records())
+def test_record_json_roundtrip_keeps_every_number(record):
+    # Counts, shots, the setting order and which arms carry a plate come back
+    # bit for bit, as do the analyzer-letter angles.  Other angles are written
+    # in degrees, and about 9% of doubles in [-7, 7] are math.radians of no
+    # double at all, so they come back within the two roundings of the trip.
+    loaded = TomographyRecord.from_json(record.to_json())
+    assert loaded.shots == record.shots
+    assert loaded.counts.tobytes() == record.counts.tobytes()
+    assert len(loaded.settings) == len(record.settings)
+    for got, want in zip(loaded.settings, record.settings):
+        for a, b in ((got.arm_a, want.arm_a), (got.arm_b, want.arm_b)):
+            assert (a.qwp is None) == (b.qwp is None)
+            for x, y in ((a.pol, b.pol), (a.qwp, b.qwp)):
+                if y is None:
+                    continue
+                if y in _EXACT_ANGLES:
+                    assert x == y
+                assert abs(x - y) <= 4.0 * np.finfo(float).eps * abs(y)
 
 
 def test_record_schema_errors():
@@ -348,6 +395,17 @@ def test_rho_json_roundtrip():
     assert np.abs(back - rho).max() < 1e-12
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=32, max_size=32))
+def test_rho_json_roundtrip_is_lossless(parts):
+    # Any finite 4x4 complex matrix, signed zeros and subnormals included,
+    # comes back byte for byte.
+    rho = np.array([complex(re, im) for re, im in zip(parts[:16], parts[16:])]).reshape(4, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        text = rho_to_json(rho)
+    assert rho_from_json(text).tobytes() == rho.tobytes()
+
+
 @pytest.mark.parametrize("literal", ['"x"', '"0.25"', "NaN", "true", "null"])
 @pytest.mark.parametrize("part", [0, 1])
 def test_rho_from_json_rejects_non_numbers(part, literal):
@@ -378,12 +436,12 @@ def test_mle_gradient_matches_finite_difference():
     rng = np.random.default_rng(4)
     eps = 1e-6
     for counts in (record.counts, record.counts + 0.5):
-        objective = _mle_objective(counts, record.shots, design, stack)
+        objective, gradient = _mle_objective(counts, record.shots, design, stack)
 
         def f(r):
             return objective(r)[0]
 
-        _, grad, _ = objective(rho)
+        grad = gradient(objective(rho)[1])
         assert np.abs(grad - grad.conj().T).max() < 1e-14
         # One product with the flattened stack is sum_i w_i Pi_i bit for bit.
         mu = record.shots * np.real(design @ rho.ravel())
@@ -394,6 +452,42 @@ def test_mle_gradient_matches_finite_difference():
             h = (a + a.conj().T) / 2.0
             numeric = (f(rho + eps * h) - f(rho - eps * h)) / (2.0 * eps)
             assert np.vdot(h, grad).real == pytest.approx(numeric, abs=1e-6)
+
+
+def _project_density_reference(h):
+    # The simplex shift as array code: cumsum over the descending eigenvalues.
+    evals, vecs = np.linalg.eigh(h)
+    desc = evals[::-1]
+    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(desc) + 1)
+    shift = shifts[desc > shifts][-1]
+    return (vecs * np.maximum(evals - shift, 0.0)) @ vecs.conj().T
+
+
+_EIGENVALUE = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5]))
+
+
+@st.composite
+def _hermitian(draw):
+    """V diag(evals) V^dagger for a seeded random unitary V.  Half the draws
+    are density matrices already; repeated and zero eigenvalues come from the
+    sampled values."""
+    evals = np.array(draw(st.lists(_EIGENVALUE, min_size=4, max_size=4)))
+    if draw(st.booleans()):
+        evals = np.abs(evals)
+        evals = evals / evals.sum() if evals.sum() > 0.0 else np.full(4, 0.25)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h = (q * evals) @ q.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_hermitian())
+def test_project_density_matches_array_reference(h):
+    rho = _project_density(h)
+    assert np.array_equal(rho, _project_density_reference(h))
+    assert np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() >= -1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
 
 
 def test_mle_has_no_tuning_keywords():
@@ -504,13 +598,6 @@ def test_mle_matches_or_beats_reference(name, record, jeffreys):
     f_apg, _ = _objective_and_rounding(record, rho, counts)
     f_ref, scale = _objective_and_rounding(record, _reference_mle(record, jeffreys=jeffreys), counts)
     assert f_apg <= f_ref + 32.0 * np.finfo(float).eps * scale
-
-
-_COUNTS = st.one_of(
-    st.just(0.0),
-    st.integers(0, 10**6).map(float),
-    st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
-)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
