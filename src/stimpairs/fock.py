@@ -24,14 +24,18 @@ private helper, _sector_index, maps that sector to full-space indices.  A
 FockVector stores only its nonzero entries (sorted full-space indices and
 their values), so evolve_vacuum, the closed form and the entangled states
 emit sector entries through _sector_index and project_entangled gathers
-them back; no state is ever laid out over the (c+1)^4 space.  _pair_terms
-lists the entries of L+ from the index strides alone; build_generator (the
-full-space reference the oracle is tested against) and verify's su11_algebra
-check both start from it.
+them back; no state is ever laid out over the (c+1)^4 space.  On the sector
+the evolution is two commuting pair ladders, both gauge-equivalent to one
+real tridiagonal matrix whose eigendecomposition _ladder_eigen caches per
+cutoff.  _pair_terms lists the entries of L+ from the index strides alone;
+build_generator (the full-space reference the oracle is tested against) and
+verify's su11_algebra check both start from it.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
 import math
 import sys
@@ -58,7 +62,7 @@ class FockSpace:
     """A validated per-mode cutoff and the size of its (c+1)^4 space."""
 
     def __init__(self, cutoff: int):
-        if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+        if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
             raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
         if cutoff > MAX_CUTOFF:
             raise ValueError(
@@ -284,7 +288,7 @@ def _sector_index(p, q, cutoff: int):
 
 def _entangled_terms(m, cutoff: int):
     """Signs (-1)^k and full-space indices of the terms |M-k, k; k, M-k> of Phi_M."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"M must be a positive integer, got {m!r}")
     if m > cutoff:
         raise ValueError(f"M = {m} needs occupations up to {m}, cutoff is {cutoff}")
@@ -292,17 +296,25 @@ def _entangled_terms(m, cutoff: int):
     return np.where(k % 2, -1.0, 1.0), _sector_index(m - k, k, cutoff)
 
 
-def _pair_ladder_column(coef: complex, cutoff: int, tau: float) -> np.ndarray:
-    """First column of exp(-i tau (coef K + coef* K^T)) on one pair ladder.
+@functools.lru_cache(maxsize=16)
+def _ladder_eigen(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w, eigenvectors V and first row V[0, :] of the real ladder J.
 
-    K is a pair-creation term restricted to its ladder |p; p>, p = 0..cutoff:
-    K[p+1, p] = p + 1, and K kills p = cutoff exactly as the truncated
-    ladder operators do.
+    J = K + K^T, where K[p+1, p] = p + 1 is a pair-creation term restricted
+    to its ladder |p; p>, p = 0..cutoff; K kills p = cutoff exactly as the
+    truncated ladder operators do.  J is real, symmetric and tridiagonal and
+    depends on the cutoff alone, so one eigendecomposition serves every
+    evolution at that cutoff; the arrays are read-only.  The cache keeps the
+    16 most recently used cutoffs, and an entry holds (c+1)(c+3) floats:
+    8 KB at cutoff 30, 3.2 MB at cutoff 629.  So it never holds more than
+    16 x 8 (c+1)(c+3) bytes, c the largest cutoff among those 16.
     """
-    k = np.diag(np.arange(1.0, cutoff + 1.0), -1)
-    w, v = np.linalg.eigh(coef * k + np.conj(coef) * k.T)
-    # exp(-i tau H) e0 expressed in the eigenbasis; column 0 of V^dagger.
-    return v @ (np.exp(-1j * tau * w) * np.conj(v[0, :]))
+    k = np.arange(1.0, cutoff + 1.0)
+    w, v = np.linalg.eigh(np.diag(k, -1) + np.diag(k, 1))
+    row = v[0, :].copy()
+    for array in (w, v, row):
+        array.setflags(write=False)
+    return w, v, row
 
 
 def evolve_vacuum(
@@ -317,23 +329,32 @@ def evolve_vacuum(
     terms cw = adag_aH adag_bV and ccw = adag_aV adag_bH.  From the vacuum, cw
     climbs the ladder |p, 0; 0, p> and ccw the ladder |0, q; q, 0>; the two
     commute, so the evolved state is the product u_p u_q on |p, q; q, p>,
-    where u_p and u_q are the first columns of the ladder unitaries with
-    coefficients A and -A, each from one Hermitian eigendecomposition of a
-    (c+1) x (c+1) matrix.  Both ladders stop at the cutoff as the full-space
-    operators do, so this is the truncated evolution itself, not an
-    approximation of it.  Truncated evolution is exactly unitary, so the norm
-    stays 1; truncation error shows up as weight stranded on the cutoff shell
-    (p = cutoff or q = cutoff), returned as leakage and required to stay below
-    tol.
+    where u_p and u_q are the first columns of the ladder unitaries
+    exp(-i tau H) with H = coef K + coef* K^T (see _ladder_eigen for K and J)
+    and coefficients A and -A.  Two identities reduce both to the real J:
+
+    - gauge: with A = |A| e^{i theta} and D = diag(e^{i p theta}), H = |A| D J
+      D^dagger, and D^dagger e0 = e0, so u_p = D exp(-i tau |A| J) e0;
+    - sign flip: -A is the phase theta + pi, so u_q = (-1)^q u_p.
+
+    So one evolution needs only the cached eigendecomposition of J at its
+    cutoff.  Both ladders stop at the cutoff as the full-space operators do,
+    so this is the truncated evolution itself, not an approximation of it.
+    Truncated evolution is exactly unitary, so the norm stays 1; truncation
+    error shows up as weight stranded on the cutoff shell (p = cutoff or q =
+    cutoff), returned as leakage and required to stay below tol.
     """
     if isinstance(space, (int, np.integer)):
         space = FockSpace(space)
     a = amplitude_sum(cfg.n_passes, cfg.phi)
     c = space.cutoff
-    # sector[p, q] is the amplitude of |p, q; q, p>.
-    sector = np.outer(
-        _pair_ladder_column(a, c, cfg.tau), _pair_ladder_column(-a, c, cfg.tau)
-    )
+    w, v, row = _ladder_eigen(c)
+    k = np.arange(c + 1)
+    # u[p] = (D exp(-i tau |A| J) e0)[p]; sector[p, q] = u[p] (-1)^q u[q] is
+    # the amplitude of |p, q; q, p>.
+    u = v @ (np.exp(-1j * (cfg.tau * abs(a)) * w) * row)
+    u *= np.exp(1j * cmath.phase(a) * k)
+    sector = np.outer(u, np.where(k % 2, -u, u))
     weight = np.abs(sector) ** 2
     leakage = float(weight[c, :].sum() + weight[:c, c].sum())
     if leakage > tol:
@@ -344,7 +365,6 @@ def evolve_vacuum(
             cutoff=space.cutoff,
         )
     # Row-major (p, q) order is increasing full-space index order.
-    k = np.arange(c + 1)
     return FockVector._from_entries(
         _sector_index(k[:, None], k, c).ravel(), sector.ravel(), c, leakage=leakage
     )

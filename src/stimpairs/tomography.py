@@ -239,16 +239,23 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     shot noise shows up as negative eigenvalues, reported via
     min_eigenvalue.
     """
-    return _invert_linear(record, _design_matrix(_projectors(record.settings)))
+    design = _design_matrix(_projectors(record.settings))
+    _require_complete(record, design)
+    return _invert_linear(record, design)
 
 
-def _invert_linear(record: TomographyRecord, design: np.ndarray) -> ReconstructionResult:
+def _require_complete(record: TomographyRecord, design: np.ndarray) -> None:
+    """Raise ReconstructionError unless the settings determine every rho."""
     if len(record.settings) != 16:
         raise ReconstructionError(
             f"linear inversion needs 16 settings, got {len(record.settings)}"
         )
     if np.linalg.cond(design) > 1e10:
         raise ReconstructionError("settings are informationally incomplete")
+
+
+def _invert_linear(record: TomographyRecord, design: np.ndarray) -> ReconstructionResult:
+    """Linear inversion for a design that _require_complete has passed."""
     freqs = record.counts / record.shots
     rho = np.linalg.solve(design, freqs.astype(complex)).reshape(4, 4)
     rho = (rho + rho.conj().T) / 2.0
@@ -357,11 +364,16 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     quadratic model promises.  A step that raises f, or that turns against
     the momentum, is discarded and the momentum restarts (O'Donoghue &
     Candes, Found. Comput. Math. 15, 715 (2015)).  The start is the projected
-    linear inversion mixed with 1e-3 of I/4, so every rate is positive.
-    Converged means f has stalled at rounding level (_STALL_STEPS steps
-    without a new minimum) and the projected-gradient residual
-    ||rho - P(rho - grad f)|| is at most _RESIDUAL_TOL; otherwise
-    ReconstructionError after _MAX_ITER iterations.  iterations counts
+    linear inversion mixed with 1e-3 of I/4, so every rate is positive; when
+    the linear inversion has vanishing trace or no positive weight, the start
+    is I/4, since f is still well defined.  Settings that are not
+    informationally complete raise ReconstructionError.  Converged means the
+    projected-gradient residual ||rho - P(rho - grad f)|| is at most
+    _RESIDUAL_TOL once f has stalled at rounding level (_STALL_STEPS steps
+    without a new minimum) or once no step lowers f within its rounding bound
+    (near the optimum the projection's O(eps) drift in rho can move f by more
+    than that bound).  A failed step with a larger residual, or _MAX_ITER
+    iterations, is a ReconstructionError.  iterations counts
     projected gradient steps, discarded ones included.  jeffreys adds 0.5 to
     every count in the objective, never to the reported log-likelihood.
     """
@@ -369,7 +381,11 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     design = _design_matrix(stack)
     counts = record.counts + 0.5 if jeffreys else record.counts
     objective, gradient = _mle_objective(counts, record.shots, design, stack)
-    rho = project_physical(_invert_linear(record, design).rho)
+    _require_complete(record, design)
+    try:
+        rho = project_physical(_invert_linear(record, design).rho)
+    except ReconstructionError:  # vanishing trace or no positive weight
+        rho = np.eye(4) / 4.0
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
     f, weights, _ = objective(rho)
     grad = gradient(weights)
@@ -390,7 +406,12 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             theta, y, f_y, grad_y = 1.0, rho, f, grad
             continue
         if f_new > f + err:
-            raise ReconstructionError(f"MLE line search failed at iteration {iteration}")
+            residual = float(np.linalg.norm(rho - _project_density(rho - grad)))
+            if residual <= _RESIDUAL_TOL:
+                break
+            raise ReconstructionError(
+                f"MLE line search failed at iteration {iteration} (residual {residual:.3e})"
+            )
         prev, rho, f, grad = rho, new, f_new, gradient(weights)
         best, stalled = (f, 0) if f < best else (best, stalled + 1)
         if stalled >= _STALL_STEPS:

@@ -1,10 +1,16 @@
-"""Full-space Fock operators, kept as the reference for stimpairs.fock.
+"""Full-space Fock operators and the complex ladder evolution, kept as the
+reference for stimpairs.fock.
 
 The package lists L+ from index strides (fock._pair_terms) and never builds
 an occupation table.  These are the constructions it replaced: the (c+1)^4 x 4
 occupation table, one sparse creation operator per mode with matrix elements
-sqrt(n + 1), and L+ and the su(1,1) triple as products of them.  Each function
-takes a FockSpace (only its cutoff, base and dim are read).
+sqrt(n + 1), and L+ and the su(1,1) triple as products of them.  Each of those
+functions takes a FockSpace (only its cutoff, base and dim are read).
+
+The package evolves the vacuum from one real eigendecomposition per cutoff
+(fock._ladder_eigen).  pair_ladder_column and evolve_sector are the evolution
+it replaced: one complex Hermitian eigendecomposition per pair ladder, with
+coefficients A and -A.
 """
 
 import numpy as np
@@ -80,3 +86,26 @@ def su11_generators(space):
     lm = lp.conj().T.tocsr()
     l0 = (0.5 * (lm @ lp - lp @ lm)).tocsr()
     return lp, lm, l0
+
+
+def pair_ladder_column(coef: complex, cutoff: int, tau: float) -> np.ndarray:
+    """First column of exp(-i tau (coef K + coef* K^T)) on one pair ladder.
+
+    K[p+1, p] = p + 1 on the ladder |p; p>, p = 0..cutoff, killing p = cutoff.
+    """
+    k = np.diag(np.arange(1.0, cutoff + 1.0), -1)
+    w, v = np.linalg.eigh(coef * k + np.conj(coef) * k.T)
+    # exp(-i tau H) e0 expressed in the eigenbasis; column 0 of V^dagger.
+    return v @ (np.exp(-1j * tau * w) * np.conj(v[0, :]))
+
+
+def evolve_sector(a: complex, cutoff: int, tau: float) -> tuple[np.ndarray, float]:
+    """sector[p, q], the evolved amplitude of |p, q; q, p>, and its cutoff-shell weight.
+
+    The cw ladder has coefficient A, the ccw ladder -A (L+ = cw - ccw).
+    """
+    sector = np.outer(
+        pair_ladder_column(a, cutoff, tau), pair_ladder_column(-a, cutoff, tau)
+    )
+    weight = np.abs(sector) ** 2
+    return sector, float(weight[cutoff, :].sum() + weight[:cutoff, cutoff].sum())

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import fock_reference as ref
+import stimpairs.fock as fock_mod
 from stimpairs.errors import SchemaError, TruncationError
 from stimpairs.fock import (
     AMPLITUDE_EPS,
@@ -69,6 +71,21 @@ def test_cutoff_validation():
     assert FockSpace(MAX_CUTOFF).cutoff == MAX_CUTOFF
     with pytest.raises(ValueError, match="MAX_ENTRIES"):
         FockSpace(MAX_CUTOFF + 1)
+
+
+def test_bool_cutoffs_and_orders_are_refused():
+    # bool is an int subclass: True once built cutoff 1 and ran as M = 1.
+    with pytest.raises(ValueError, match="cutoff must be a positive integer"):
+        FockSpace(True)
+    with pytest.raises(ValueError, match="cutoff must be a positive integer"):
+        evolve_vacuum(ResonatorConfig(1, 0.0, 0.01), True)
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        entangled_state(True, 4)
+    state = evolve_vacuum(ResonatorConfig(1, 0.0, 0.01), 4)
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        project_entangled(state, True)
+    assert FockSpace(np.int64(3)).cutoff == 3
+    assert project_entangled(state, np.int64(1)) == project_entangled(state, 1)
 
 
 def test_unallocatable_suggested_cutoff_is_a_value_error():
@@ -283,6 +300,90 @@ def test_evolution_matches_full_space_exponential():
     assert np.abs(closed.amplitudes - reference).max() > 1e-3
 
 
+def _oracle_grid():
+    """(cfg, cutoff) of the 96 cross-validation points: the acceptance grid
+    (cutoff at least 12) and the verify grid (floor 2M + 4), cutoffs 6-30."""
+    points = [
+        (n, phi, tau, 12)
+        for n in (1, 2, 3, 5, 10)
+        for phi in (0.0, 0.3, math.pi / 2.0, math.pi)
+        for tau in (0.005, 0.02, 0.05)
+    ]
+    points += [
+        (n, phi, tau, 2 * m + 4)
+        for m in (1, 2)
+        for n in (1, 2, 3)
+        for phi in (0.0, 0.3, math.pi)
+        for tau in (0.005, 0.02)
+    ]
+    return [
+        (ResonatorConfig(n, phi, tau), suggest_cutoff(amplitude_sum(n, phi) * tau, floor=floor))
+        for n, phi, tau, floor in points
+    ]
+
+
+def _high_gain_points():
+    # |A tau| = 1, 1.5, 2 at the suggested cutoffs 85, 232, 629: real A (N = 1)
+    # and complex A (N = 2, phi = 0.3).
+    return [
+        (ResonatorConfig(n, phi, x / abs(amplitude_sum(n, phi))), suggest_cutoff(x))
+        for x in (1.0, 1.5, 2.0)
+        for n, phi in ((1, 0.0), (2, 0.3))
+    ]
+
+
+def test_evolution_matches_complex_ladder_reference():
+    # Reference: two complex Hermitian eigendecompositions per evolution,
+    # one per ladder with coefficients A and -A.  The package uses one real
+    # decomposition of J per cutoff, the gauge D = diag(e^{i p theta}) and the
+    # sign flip (-1)^q; the results may differ only by rounding.
+    grid = _oracle_grid()
+    assert len(grid) == 96
+    assert sorted({c for _, c in grid}) == [6, 8, 9, 12, 13, 15, 16, 17, 21, 30]
+    points = grid + _high_gain_points()
+    assert sorted({c for _, c in _high_gain_points()}) == [85, 232, 629]
+    kinds = {"complex": 0, "destructive": 0}
+    for cfg, cutoff in points:
+        a = amplitude_sum(cfg.n_passes, cfg.phi)
+        kinds["complex"] += abs(a.imag) > 0.1
+        kinds["destructive"] += abs(a) < 1e-14  # even N at phi = pi: A ~ 1e-16
+        state = evolve_vacuum(cfg, cutoff)
+        sector, leakage = ref.evolve_sector(a, cutoff, cfg.tau)
+        assert state.indices.size == (cutoff + 1) ** 2
+        assert np.abs(state.values - sector.ravel()).max() <= 1e-14, (cfg, cutoff)
+        assert abs(state.leakage - leakage) <= 1e-20, (cfg, cutoff)
+    assert kinds["complex"] >= 30 and kinds["destructive"] == 10
+
+
+def test_ladder_decomposition_is_cached_read_only_per_cutoff():
+    w, v, row = fock_mod._ladder_eigen(7)
+    assert fock_mod._ladder_eigen(7)[1] is v
+    assert fock_mod._ladder_eigen.cache_info().maxsize == 16
+    for array in (w, v, row):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 1.0
+    # J = K + K^T with K[p+1, p] = p + 1, real and tridiagonal.
+    k = np.diag(np.arange(1.0, 8.0), -1)
+    assert np.abs((v * w) @ v.T - (k + k.T)).max() < 1e-13
+    assert np.array_equal(row, v[0, :])
+
+
+def test_ladder_identities_hold_for_any_phase():
+    # Gauge: coef = |A| e^{i theta} gives D exp(-i tau |A| J) e0; sign flip:
+    # -A gives (-1)^p times the same column.
+    cutoff, tau = 10, 0.7
+    w, v, row = fock_mod._ladder_eigen(cutoff)
+    real = v @ (np.exp(-1j * tau * 0.4 * w) * row)
+    p = np.arange(cutoff + 1)
+    for theta in (0.0, 0.3, 2.0, math.pi, -1.1):
+        a = 0.4 * np.exp(1j * theta)
+        gauge = np.exp(1j * theta * p) * real
+        assert np.abs(ref.pair_ladder_column(a, cutoff, tau) - gauge).max() < 1e-14
+        flip = np.where(p % 2, -gauge, gauge)
+        assert np.abs(ref.pair_ladder_column(-a, cutoff, tau) - flip).max() < 1e-14
+
+
 def test_truncation_error_reports_leakage():
     # tau far too large for a tiny cutoff strands weight on the shell.
     cfg = ResonatorConfig(1, 0.0, 1.0)
@@ -423,6 +524,33 @@ def test_fock_vector_json_roundtrip():
     assert np.abs(loaded.amplitudes - state.amplitudes).max() < 1e-14
     doc = json.loads(text)
     assert doc["order"] == ENUMERATION_ORDER
+
+
+_AMPLITUDE_PART = st.one_of(
+    st.floats(-1e-14, 1e-14),  # around AMPLITUDE_EPS, subnormals and zeros included
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    cutoff=st.integers(1, 40),
+    data=st.data(),
+)
+def test_fock_vector_json_roundtrip_property(cutoff, data):
+    # Entries above AMPLITUDE_EPS come back bit for bit at their indices;
+    # smaller ones are dropped, and nothing else appears.
+    dim = (cutoff + 1) ** 4
+    index = sorted(data.draw(st.sets(st.integers(0, dim - 1), max_size=30)))
+    parts = data.draw(st.lists(st.tuples(_AMPLITUDE_PART, _AMPLITUDE_PART),
+                               min_size=len(index), max_size=len(index)))
+    values = np.array([complex(re, im) for re, im in parts], dtype=complex)
+    state = FockVector._from_entries(np.array(index, dtype=np.int64), values, cutoff)
+    back = FockVector.from_json(state.to_json())
+    keep = np.abs(values) > AMPLITUDE_EPS
+    assert back.cutoff == cutoff
+    assert np.array_equal(back.indices, state.indices[keep])
+    assert back.values.tobytes() == values[keep].tobytes()
 
 
 def test_fock_vector_json_matches_loop_reference():

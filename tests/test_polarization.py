@@ -188,6 +188,38 @@ def test_fit_fringe_failures():
         fit_fringe(FringeScan(x, np.full(40, 7.0)))  # constant, C undetermined
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    n=st.integers(8, 60),
+    start=st.floats(-10.0, 10.0),
+    span=st.floats(3.2, 6.0 * math.pi),
+    a=st.floats(1e-3, 1e6),
+    b=st.floats(0.0, 2.0),
+    # Phases at and next to the wrap points, where rounding once gave 2 pi.
+    c=st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -1e-16, 2.0 * math.pi, -math.pi])),
+    noise=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_fringe_ranges_on_random_scans(n, start, span, a, b, c, noise, seed):
+    # Whatever the scan, a fit that succeeds reports C in [0, 2 pi) and B in
+    # [0, 1]; visibilities above 1 in the data (clipped at zero counts) or
+    # from noise are reported as 1.
+    inner = np.sort(np.random.default_rng(seed).uniform(0.0, span, n - 2))
+    x = start + np.concatenate([[0.0], inner, [span]])
+    if np.any(np.diff(x) <= 0.0):
+        return
+    model = 2.0 * a * (1.0 + b * np.cos(x + c))
+    jitter = noise * a * np.random.default_rng(seed).standard_normal(n)
+    counts = np.maximum(model + jitter, 0.0)
+    try:
+        fit = fit_fringe(FringeScan(x, counts))
+    except FitError:
+        return
+    assert 0.0 <= fit.phase < 2.0 * math.pi
+    assert 0.0 <= fit.visibility <= 1.0
+    assert fit.amplitude > 0.0
+
+
 def test_fit_covariance_sign_at_reported_parameters():
     # An iterative fit can land on B < 0 here; flipping B and C must also flip
     # the covariance, whose cov[A,B] is -2.744e-3 at the reported parameters.

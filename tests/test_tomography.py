@@ -543,7 +543,10 @@ def _reference_mle(record, *, jeffreys=False):
         gbar = -(m @ t) / q0 + (float(ws @ (qs * q0)) / q0**2) * t
         return f, 2.0 * _params_from_t(gbar)
 
-    start = project_physical(reconstruct_linear(record).rho)
+    try:
+        start = project_physical(reconstruct_linear(record).rho)
+    except ReconstructionError:  # vanishing trace: start from I/4, as reconstruct_mle does
+        start = np.eye(4) / 4.0
     start = (1.0 - 1e-6) * start + 1e-6 * np.eye(4) / 4.0
     options = {"maxiter": 10000, "maxfun": 40000, "ftol": 1e-15, "gtol": 1e-10}
     res = minimize(objective, _params_from_t(np.linalg.cholesky(start)), jac=True,
@@ -600,6 +603,68 @@ def test_mle_matches_or_beats_reference(name, record, jeffreys):
     assert f_apg <= f_ref + 32.0 * np.finfo(float).eps * scale
 
 
+def _random_hvdr_records():
+    """400 seeded HVDR records far from what a trace-one rho predicts: counts
+    from {0, 0, 0, 1, 7} or uniform on [0, 1e6), shots log-uniform on
+    [1e-3, 1e7], Jeffreys on every third.  The APG loop once failed on 88 of
+    them: 58 line-search failures at the optimum, 30 linear starts with
+    vanishing trace."""
+    rng = np.random.default_rng(0)
+    settings_ = standard_settings(tuple("HVDR"))
+    records = []
+    for i in range(400):
+        if rng.random() < 0.5:
+            counts = rng.choice([0.0, 0.0, 0.0, 1.0, 7.0], size=16)
+        else:
+            counts = rng.uniform(0.0, 1e6, size=16)
+        shots = float(10.0 ** rng.uniform(-3.0, 7.0))
+        records.append((TomographyRecord(settings_, counts, shots), i % 3 == 0))
+    return records
+
+
+@pytest.mark.parametrize(
+    "index",
+    # 17, 24 (Jeffreys) and 47: no step lowers f within its rounding bound
+    # once rho sits at the optimum.  1, 35 and 57 (Jeffreys): the linear
+    # inversion has vanishing trace.
+    [17, 24, 47, 1, 35, 57],
+)
+def test_mle_converges_on_records_that_once_failed(index):
+    record, jeffreys = _random_hvdr_records()[index]
+    result = reconstruct_mle(record, jeffreys=jeffreys)
+    assert result.physical
+    assert abs(np.trace(result.rho) - 1.0) <= 1e-12
+    counts = record.counts + 0.5 if jeffreys else record.counts
+    f_apg, scale = _objective_and_rounding(record, result.rho, counts)
+    f_ref, _ = _objective_and_rounding(record, _reference_mle(record, jeffreys=jeffreys), counts)
+    assert f_apg <= f_ref + 32.0 * np.finfo(float).eps * scale
+
+
+def test_mle_converges_on_every_random_record():
+    for record, jeffreys in _random_hvdr_records():
+        result = reconstruct_mle(record, jeffreys=jeffreys)
+        assert result.physical and result.iterations < 5000
+
+
+def test_mle_line_search_failure_reports_residual(monkeypatch):
+    # With no residual small enough, the stalled line search on record 17 is
+    # an error that names how far from stationary rho was.
+    record, jeffreys = _random_hvdr_records()[17]
+    monkeypatch.setattr(tomography_mod, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ReconstructionError, match=r"line search failed at iteration \d+ \(residual \d"):
+        reconstruct_mle(record, jeffreys=jeffreys)
+
+
+def test_mle_refuses_incomplete_settings():
+    rho = dephasing_noise(bell_state(), 0.2)
+    record = simulate_tomography(rho, 1e4, seed=4, settings=standard_settings(tuple("HVDA")))
+    with pytest.raises(ReconstructionError, match="informationally incomplete"):
+        reconstruct_mle(record)
+    record = TomographyRecord(standard_settings()[:15], np.ones(15), 10.0)
+    with pytest.raises(ReconstructionError, match="needs 16 settings"):
+        reconstruct_mle(record)
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(
     counts=st.one_of(
@@ -612,11 +677,14 @@ def test_mle_matches_or_beats_reference(name, record, jeffreys):
     jeffreys=st.booleans(),
 )
 def test_mle_is_physical_or_raises_reconstruction_error(counts, shots, basis, jeffreys):
+    # HVDR and HVDL are informationally complete, so every record has a
+    # maximum-likelihood rho; only HVDA (no circular analyzer) may raise.
     record = TomographyRecord(standard_settings(tuple(basis)), np.array(counts), shots)
-    try:
-        result = reconstruct_mle(record, jeffreys=jeffreys)
-    except ReconstructionError:
+    if basis == "HVDA":
+        with pytest.raises(ReconstructionError, match="informationally incomplete"):
+            reconstruct_mle(record, jeffreys=jeffreys)
         return
+    result = reconstruct_mle(record, jeffreys=jeffreys)
     rho = result.rho
     assert np.array_equal(rho, rho.conj().T)
     assert abs(np.trace(rho) - 1.0) <= 1e-12
