@@ -33,7 +33,6 @@ from .polarization import (
     coincidence_probability,
     dephasing_noise,
     fit_fringe,
-    nth_order_rate,
     pair_rate,
     simulate_polarization_fringe,
     simulate_stimulation_fringe,
@@ -98,7 +97,6 @@ __all__ = [
     "fit_fringe",
     "log_likelihood",
     "multiphoton_contamination",
-    "nth_order_rate",
     "optimal_u",
     "pair_probability_approx",
     "pair_probability_exact",

@@ -95,7 +95,6 @@ OPTIONS = {
     "rates": (
         ("singles", float, None, None),
         ("coincidences", float, None, None),
-        ("order", int, 2, None),
         ("expected", float, None, "reference value to compare against"),
     ),
     "verify": (),
@@ -345,7 +344,7 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
 def _cmd_rates(args, config: dict, s: dict) -> int:
     if s["singles"] is None or s["coincidences"] is None:
         raise _UsageError("rates needs --singles and --coincidences")
-    rate = polarization.nth_order_rate(s["singles"], s["coincidences"], s["order"])
+    rate = polarization.pair_rate(s["singles"], s["coincidences"])
     doc = {"command": "rates", "config": s, "rate": rate}
     expected = s["expected"]
     if expected is not None:

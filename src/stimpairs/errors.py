@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number check of every file reader.
+"""Exception types shared across the package, and the input rules its modules share.
 
 Grouping them here keeps the command line driver's exit-code mapping in one
 import: schema/validation problems exit 1, numerical failures exit 2.
@@ -6,6 +6,8 @@ import: schema/validation problems exit 1, numerical failures exit 2.
 
 import json
 import math
+
+import numpy as np
 
 
 class StimpairsError(Exception):
@@ -48,3 +50,23 @@ def json_number(value, what: str) -> float:
         if math.isfinite(number):
             return number
     raise SchemaError(f"{what}: expected a finite number, got {json.dumps(value, default=repr)}")
+
+
+def positive_int(value, what: str) -> int:
+    """A Python or numpy integer >= 1 as an int; a bool or a float (even 2.0) is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def positive_float(value, what: str) -> float:
+    """A finite amount above 0 as a float; NaN, the infinities and 0 raise ValueError."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be positive, got {value!r}")
+    return float(value)
+
+
+def check_each(ok, values, message: str) -> None:
+    """Raise ValueError(message) naming the first entry of values where ok fails."""
+    if not ok.all():
+        raise ValueError(message.format(float(np.asarray(values)[~ok].flat[0])))

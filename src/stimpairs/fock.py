@@ -42,8 +42,8 @@ import sys
 
 import numpy as np
 
-from .errors import SchemaError, TruncationError
-from .resonator import ResonatorConfig, amplitude_sum
+from .errors import SchemaError, TruncationError, positive_int
+from .resonator import ResonatorConfig, _config_amplitude
 
 ENUMERATION_ORDER = "lex:aH,aV,bH,bV"
 
@@ -62,15 +62,14 @@ class FockSpace:
     """A validated per-mode cutoff and the size of its (c+1)^4 space."""
 
     def __init__(self, cutoff: int):
-        if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
-            raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
+        cutoff = positive_int(cutoff, "cutoff")
         if cutoff > MAX_CUTOFF:
             raise ValueError(
-                f"cutoff {cutoff} needs a pair sector of {(int(cutoff) + 1) ** 2} amplitudes, "
+                f"cutoff {cutoff} needs a pair sector of {(cutoff + 1) ** 2} amplitudes, "
                 f"more than MAX_ENTRIES = {MAX_ENTRIES}; the largest cutoff is {MAX_CUTOFF}"
             )
-        self.cutoff = int(cutoff)
-        self.base = self.cutoff + 1
+        self.cutoff = cutoff
+        self.base = cutoff + 1
         self.dim = self.base**4
 
     def vacuum(self) -> "FockVector":
@@ -273,7 +272,7 @@ def build_generator(cfg: ResonatorConfig, space: FockSpace) -> "scipy.sparse.csr
     # Deferred: importing fock, or running any command, loads no scipy.
     import scipy.sparse as sp
 
-    a = amplitude_sum(cfg.n_passes, cfg.phi)
+    a = _config_amplitude(cfg)
     rows, cols, weights = _pair_terms(space.cutoff)
     data = np.concatenate([a * weights, np.conj(a) * weights])
     index = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
@@ -288,8 +287,7 @@ def _sector_index(p, q, cutoff: int):
 
 def _entangled_terms(m, cutoff: int):
     """Signs (-1)^k and full-space indices of the terms |M-k, k; k, M-k> of Phi_M."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"M must be a positive integer, got {m!r}")
+    m = positive_int(m, "M")
     if m > cutoff:
         raise ValueError(f"M = {m} needs occupations up to {m}, cutoff is {cutoff}")
     k = np.arange(m + 1)
@@ -346,7 +344,7 @@ def evolve_vacuum(
     """
     if isinstance(space, (int, np.integer)):
         space = FockSpace(space)
-    a = amplitude_sum(cfg.n_passes, cfg.phi)
+    a = _config_amplitude(cfg)
     c = space.cutoff
     w, v, row = _ladder_eigen(c)
     k = np.arange(c + 1)
@@ -433,8 +431,7 @@ def suggest_cutoff(a_tau: complex, *, floor: int = 8, amp_tol: float = 1e-10) ->
     """
     if not (0.0 < amp_tol < 1.0):
         raise ValueError(f"amp_tol must be in (0, 1), got {amp_tol!r}")
-    if floor < 1:
-        raise ValueError(f"floor must be >= 1, got {floor!r}")
+    floor = positive_int(floor, "floor")
     x = abs(a_tau)
     if x == 0.0:
         return floor

@@ -25,15 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import json_number
+from .errors import check_each, json_number, positive_float
 
 TWO_PI = 2.0 * math.pi
-
-
-def _check_each(ok, values, message: str) -> None:
-    """Raise ValueError(message) naming the first entry of values where ok fails."""
-    if not ok.all():
-        raise ValueError(message.format(float(np.asarray(values)[~ok].flat[0])))
 
 
 @dataclass(frozen=True)
@@ -46,10 +40,8 @@ class PlateGeometry:
     wavelength_pump: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.thickness) and self.thickness > 0.0):
-            raise ValueError(f"thickness must be positive, got {self.thickness!r}")
-        if not (math.isfinite(self.wavelength_pump) and self.wavelength_pump > 0.0):
-            raise ValueError(f"wavelength_pump must be positive, got {self.wavelength_pump!r}")
+        positive_float(self.thickness, "thickness")
+        positive_float(self.wavelength_pump, "wavelength_pump")
         for label, n in (("n_pump", self.n_pump), ("n_pair", self.n_pair)):
             if not (math.isfinite(n) and n > 1.0):
                 raise ValueError(f"{label} must exceed 1 for a solid plate, got {n!r}")
@@ -77,28 +69,40 @@ class PlateGeometry:
 
 def phase_through_plate(wavelength: float, n: float, thickness: float, alpha):
     """Raw phase crossing the plate at external incidence alpha (float, or array elementwise)."""
-    if not (math.isfinite(wavelength) and wavelength > 0.0):
-        raise ValueError(f"wavelength must be positive, got {wavelength!r}")
-    if not (math.isfinite(thickness) and thickness > 0.0):
-        raise ValueError(f"thickness must be positive, got {thickness!r}")
-    if not (math.isfinite(n) and n > 0.0):
-        raise ValueError(f"refractive index must be positive, got {n!r}")
-    alpha = np.asarray(alpha, dtype=float)
-    _check_each(np.isfinite(alpha), alpha, "alpha must be finite, got {!r}")
-    s = np.abs(np.sin(alpha))
+    positive_float(wavelength, "wavelength")
+    positive_float(thickness, "thickness")
+    positive_float(n, "refractive index")
+    alpha, s = _sin_tilt(alpha)
     if (s >= n).any():
         raise ValueError(
             f"|sin alpha| = {s.max():.6f} >= n = {n:.6f}: no propagating solution"
         )
-    phase = TWO_PI * n * n * thickness / (wavelength * np.sqrt(n * n - s * s))
+    phase = _plate_phase(wavelength, n, thickness, s)
     return float(phase) if alpha.ndim == 0 else phase
 
 
 def relative_phase(geom: PlateGeometry, alpha):
-    """Raw pump-minus-pair phase offset delta(alpha); even in alpha, arrays elementwise."""
-    pump = phase_through_plate(geom.wavelength_pump, geom.n_pump, geom.thickness, alpha)
-    pair = phase_through_plate(geom.wavelength_pump, geom.n_pair, geom.thickness, alpha)
-    return pump - pair
+    """Raw pump-minus-pair phase offset delta(alpha); even in alpha, arrays elementwise.
+
+    Only alpha is checked: geom is valid, and its indices n > 1 >= |sin alpha| always propagate.
+    """
+    alpha, s = _sin_tilt(alpha)
+    lam, thickness = geom.wavelength_pump, geom.thickness
+    pump = _plate_phase(lam, geom.n_pump, thickness, s)
+    delta = pump - _plate_phase(lam, geom.n_pair, thickness, s)
+    return float(delta) if alpha.ndim == 0 else delta
+
+
+def _sin_tilt(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """alpha as a float array, checked finite, and |sin alpha|."""
+    alpha = np.asarray(alpha, dtype=float)
+    check_each(np.isfinite(alpha), alpha, "alpha must be finite, got {!r}")
+    return alpha, np.abs(np.sin(alpha))
+
+
+def _plate_phase(wavelength: float, n: float, thickness: float, s: np.ndarray) -> np.ndarray:
+    """2 pi n^2 L / (lambda sqrt(n^2 - s^2)) at s = |sin alpha| < n, for checked inputs."""
+    return TWO_PI * n * n * thickness / (wavelength * np.sqrt(n * n - s * s))
 
 
 def wrap_phase(phase):
@@ -108,7 +112,7 @@ def wrap_phase(phase):
     such as -1e-17) is returned as 0.0, the point it stands for.
     """
     phase = np.asarray(phase, dtype=float)
-    _check_each(np.isfinite(phase), phase, "phase must be finite, got {!r}")
+    check_each(np.isfinite(phase), phase, "phase must be finite, got {!r}")
     wrapped = np.mod(phase, TWO_PI)
     wrapped = np.where(wrapped == TWO_PI, 0.0, wrapped)
     return float(wrapped) if phase.ndim == 0 else wrapped

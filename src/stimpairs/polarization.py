@@ -1,4 +1,4 @@
-"""Two-qubit polarization layer: analyzers, fringes, dephasing, and rates.
+"""Two-qubit polarization layer: analyzers, fringes, dephasing, and the pair rate.
 
 Coincidence amplitudes live in the product basis ordered (HH, HV, VH, VV),
 first letter arm a, second letter arm b.  The emitted single-pair state is the
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, check_each, positive_float
 from .phase_plate import PlateGeometry, relative_phase, wrap_phase
 from .resonator import ResonatorConfig, _p_approx, _p_exact, _scaled_amplitude
 
@@ -376,14 +376,11 @@ def simulate_polarization_fringe(
     counts when seed is None).  The phase coordinate is twice the polarizer
     angle, the natural period of a polarization fringe.
     """
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots!r}")
+    shots = positive_float(shots, "shots")
     angles = np.asarray(list(pol_a_angles), dtype=float)
     if angles.ndim != 1 or angles.size < 2:
         raise ValueError("need a 1-d list of at least 2 polarizer angles")
-    if not np.all(np.isfinite(angles)):
-        bad = float(angles[~np.isfinite(angles)][0])
-        raise ValueError(f"polarizer angle must be finite, got {bad!r}")
+    check_each(np.isfinite(angles), angles, "polarizer angle must be finite, got {!r}")
     if arm_a_qwp is not None and not math.isfinite(arm_a_qwp):
         raise ValueError(f"qwp angle must be finite, got {arm_a_qwp!r}")
     rho = state_density(rho)
@@ -411,8 +408,7 @@ def simulate_stimulation_fringe(
     the returned scan is the actual resonator phase, so a fit's C lands on 0
     mod 2 pi for the ideal noiseless fringe.
     """
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots!r}")
+    shots = positive_float(shots, "shots")
     if model not in ("exact", "approx"):
         raise ValueError(f"model must be 'exact' or 'approx', got {model!r}")
     alphas = np.asarray(list(alphas), dtype=float)
@@ -431,29 +427,20 @@ def simulate_stimulation_fringe(
 
 
 def pair_rate(singles: float, coincidences: float) -> float:
-    """Stimulated pair rate estimate singles^2 / coincidences."""
-    return nth_order_rate(singles, coincidences, 2)
+    """Pair rate estimate singles^2 / coincidences, for equal singles in both arms.
 
-
-def nth_order_rate(singles: float, coincidences: float, order: int) -> float:
-    """n-photon generalization singles^n / coincidences of the pair-rate formula.
-
-    An order past the float range is the limit singles**inf: 0 below 1 and 1
-    at 1.  A rate past the float range is a FloatingPointError, never inf.
+    With detection efficiency eta in each arm, a pair rate R gives singles
+    eta R and coincidences eta^2 R, so the estimate is R whatever eta is
+    (Klyshko, Sov. J. Quantum Electron. 10, 1112 (1980)).  A rate past the
+    float range is a FloatingPointError, never inf.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
     if not (math.isfinite(singles) and singles >= 0.0):
         raise ValueError(f"singles rate must be non-negative, got {singles!r}")
-    if not (math.isfinite(coincidences) and coincidences > 0.0):
-        raise ValueError(
-            f"coincidence rate must be positive, got {coincidences!r}"
-        )
+    positive_float(coincidences, "coincidence rate")
     try:
-        power = singles**order
-    except OverflowError:  # the order, or singles**order, is past the float range
-        power = singles**math.inf
-    rate = power / coincidences
+        rate = singles**2 / coincidences
+    except OverflowError:  # singles**2 is past the float range
+        rate = math.inf
     if math.isinf(rate):
-        raise FloatingPointError(f"rate {singles!r}**{order} / {coincidences!r} overflows a float")
+        raise FloatingPointError(f"rate {singles!r}**2 / {coincidences!r} overflows a float")
     return rate

@@ -34,7 +34,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .phase_plate import _check_each, wrap_phase
+from .errors import check_each, positive_int
+from .phase_plate import wrap_phase
 
 # Probabilities may poke above 1 by float noise only; anything worse is a bug.
 PROBABILITY_CLIP_TOL = 1e-12
@@ -55,29 +56,17 @@ class ResonatorConfig:
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n_passes", _check_passes(self.n_passes))
+        object.__setattr__(self, "n_passes", positive_int(self.n_passes, "n_passes"))
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi!r}")
         object.__setattr__(self, "phi", wrap_phase(float(self.phi)))
         object.__setattr__(self, "tau", _check_tau(self.tau))
 
 
-def _check_passes(n_passes) -> int:
-    if not isinstance(n_passes, (int, np.integer)) or n_passes < 1:
-        raise ValueError(f"n_passes must be a positive integer, got {n_passes!r}")
-    return int(n_passes)
-
-
 def _check_tau(tau) -> float:
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be a non-negative finite float, got {tau!r}")
     return float(tau)
-
-
-def _check_order(m: int) -> int:
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"pair order M must be a positive integer, got {m!r}")
-    return int(m)
 
 
 def amplitude_sum(n_passes: int, phi):
@@ -88,15 +77,20 @@ def amplitude_sum(n_passes: int, phi):
     at phi = 0 mod 2 pi.  An array phi gives one A per entry; a scalar phi
     returns a complex.
     """
-    n_passes = _check_passes(n_passes)
+    n_passes = positive_int(n_passes, "n_passes")
     phi = np.asarray(phi, dtype=float)
-    _check_each(np.isfinite(phi), phi, "phi must be finite, got {!r}")
+    check_each(np.isfinite(phi), phi, "phi must be finite, got {!r}")
     a = _phasor_sum(n_passes, phi)
     return complex(a) if phi.ndim == 0 else a
 
 
 def _phasor_sum(n_passes: int, phi: np.ndarray) -> np.ndarray:
     return np.exp(1j * phi[..., None] * np.arange(n_passes)).sum(axis=-1)
+
+
+def _config_amplitude(cfg: ResonatorConfig) -> complex:
+    """A of a config, which holds a validated N and a finite phi: no check repeats."""
+    return complex(_phasor_sum(cfg.n_passes, np.asarray(cfg.phi)))
 
 
 def _scaled_amplitude(n_passes: int, phi, tau: float) -> np.ndarray:
@@ -142,7 +136,7 @@ def pair_probability_exact(m: int, cfg: ResonatorConfig) -> float:
     beta-like form (M + 1) (1 - u)^2 u^M at u = tanh^2(x), see
     pair_probability_vs_u.
     """
-    m = _check_order(m)
+    m = positive_int(m, "pair order M")
     return float(_p_exact(m, _scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
 
 
@@ -153,7 +147,7 @@ def pair_probability_approx(m: int, cfg: ResonatorConfig) -> float:
     interference form; computing |A| by direct summation gives the phi -> 0
     value N^{2M} without a limit case.
     """
-    m = _check_order(m)
+    m = positive_int(m, "pair order M")
     return float(_p_approx(m, _scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
 
 
@@ -163,9 +157,9 @@ def pair_probability_vs_u(m: int, u):
     An array u is evaluated elementwise, every entry in [0, 1]; a scalar u
     returns a float.
     """
-    m = _check_order(m)
+    m = positive_int(m, "pair order M")
     u = np.asarray(u, dtype=float)
-    _check_each((u >= 0.0) & (u <= 1.0), u, "u must lie in [0, 1], got {!r}")
+    check_each((u >= 0.0) & (u <= 1.0), u, "u must lie in [0, 1], got {!r}")
     v = np.atleast_1d(u)
     f = (m + 1) * (1.0 - v) ** 2 * v**m
     return float(f[0]) if u.ndim == 0 else f
@@ -173,7 +167,7 @@ def pair_probability_vs_u(m: int, u):
 
 def optimal_u(m: int) -> float:
     """Argmax of pair_probability_vs_u over u in [0, 1], namely M / (M + 2)."""
-    m = _check_order(m)
+    m = positive_int(m, "pair order M")
     return m / (m + 2.0)
 
 
@@ -203,12 +197,12 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     three floats), zipped in C from the constant N, tau and M and the
     columns' float lists; no Python code runs per row.
     """
-    n_values = [_check_passes(int(n)) for n in n_values]
+    n_values = [positive_int(n, "n_passes") for n in n_values]
     phis = np.asarray(phis, dtype=float).reshape(-1)
-    _check_each(np.isfinite(phis), phis, "phi must be finite, got {!r}")
+    check_each(np.isfinite(phis), phis, "phi must be finite, got {!r}")
     wrapped = wrap_phase(phis)
     tau = _check_tau(tau)
-    m = _check_order(m)
+    m = positive_int(m, "pair order M")
     echoed = phis.tolist()
     rows = []
     for n in n_values:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReconstructionError, SchemaError, json_number
+from .errors import ReconstructionError, SchemaError, json_number, positive_float
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
@@ -113,11 +113,9 @@ class TomographyRecord:
             )
         if not np.all(np.isfinite(counts)) or counts.min() < 0:
             raise ValueError("counts must be finite and non-negative")
-        if not (math.isfinite(self.shots) and self.shots > 0):
-            raise ValueError(f"shots must be positive, got {self.shots!r}")
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "shots", float(self.shots))
+        object.__setattr__(self, "shots", positive_float(self.shots, "shots"))
 
     def to_json(self) -> str:
         def arm(a: ArmSetting) -> dict:
@@ -206,8 +204,7 @@ def simulate_tomography(
     batched Born-rule evaluation.  seed None skips the sampling and stores
     the exact expected counts.
     """
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots!r}")
+    shots = positive_float(shots, "shots")
     rho = state_density(rho)
     settings = list(settings) if settings is not None else standard_settings()
     means = shots * _born_probabilities(rho, _projectors(settings))

@@ -149,7 +149,7 @@ def test_config_seed_must_be_integral(tmp_path, capsys, seed):
         ("fringe", "qwp_a_deg", True),
         ("tomography", "shots", True),
         ("tomography", "shots", "1e5"),
-        ("rates", "order", 2.5),
+        ("rates", "coincidences", "1e3"),
         ("rates", "singles", True),
         ("sweep-phase", "tau", None),
         ("fringe", "state", 5),
@@ -251,7 +251,7 @@ _FLAGS = {
     "--scan-max-deg --scan-steps --shots --seed --format",
     "tomography": "--config --out --state --counts --method --jeffreys --basis --target "
     "--shots --seed",
-    "rates": "--config --out --singles --coincidences --order --expected",
+    "rates": "--config --out --singles --coincidences --expected",
     "verify": "--config --out --json-out",
 }
 
@@ -426,35 +426,27 @@ def test_rates_zero_coincidences_exits_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "singles,coincidences,order",
-    [("1e300", "1e-300", "1"), ("1e5", "1e3", "400")],
-    ids=["quotient", "power"],
+    "singles,coincidences", [("1e150", "1e-300"), ("1e200", "1")], ids=["quotient", "power"]
 )
-def test_rates_past_float_range_exits_two(capsys, singles, coincidences, order):
-    # S^k / C past the float range is a numerical failure, never "rate": Infinity.
-    code, out, err = run(
-        capsys, "rates", "--singles", singles, "--coincidences", coincidences, "--order", order
-    )
+def test_rates_past_float_range_exits_two(capsys, singles, coincidences):
+    # S^2 / C past the float range is a numerical failure, never "rate": Infinity.
+    code, out, err = run(capsys, "rates", "--singles", singles, "--coincidences", coincidences)
     assert code == 2
     assert "numerical failure" in err and "overflows" in err and out == ""
 
 
-@pytest.mark.parametrize(
-    "singles,rate", [(0.5, 0.0), (1.0, 1.0 / 3.0), (2.0, None)], ids=["below-one", "one", "above-one"]
-)
-def test_rates_order_past_float_range(tmp_path, capsys, singles, rate):
-    # An integer order past the float range gives the limit S^inf / C: 0 below
-    # S = 1 and 1/C at S = 1.  Only S > 1 overflows, which exits 2.
+def test_rates_order_flag_removed(tmp_path, capsys):
+    code, _, err = run(capsys, "rates", "--singles", "1e5", "--coincidences", "1e3", "--order", "3")
+    assert code == 1
+    assert "--order" in err
+    # A config file that still carries "order" runs S^2 / C; the key is
+    # ignored like any other unused key and is not echoed.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"singles": singles, "coincidences": 3, "order": 10**400}))
-    code, out, err = run(capsys, "rates", "--config", str(cfg))
-    if rate is None:
-        assert code == 2
-        assert "numerical failure" in err and "overflows" in err and out == ""
-    else:
-        assert code == 0 and err == ""
-        doc = json.loads(out)
-        assert doc["rate"] == rate and doc["config"]["order"] == 10**400
+    cfg.write_text(json.dumps({"singles": 1e5, "coincidences": 1e3, "order": 3}))
+    code, out, _ = run(capsys, "rates", "--config", str(cfg))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rate"] == 1e7 and "order" not in doc["config"]
 
 
 def test_numerical_failure_exits_two(capsys):

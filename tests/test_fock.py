@@ -4,6 +4,7 @@ The occupation table and the per-mode ladder operators are the full-space
 reference in fock_reference; the package itself lists L+ from index strides.
 """
 
+import functools
 import json
 import math
 import re
@@ -32,7 +33,14 @@ from stimpairs.fock import (
     project_entangled,
     suggest_cutoff,
 )
-from stimpairs.resonator import ResonatorConfig, amplitude_sum, pair_probability_exact
+from stimpairs.phase_plate import PlateGeometry
+from stimpairs.polarization import (
+    ArmSetting,
+    simulate_polarization_fringe,
+    simulate_stimulation_fringe,
+)
+from stimpairs.resonator import ResonatorConfig, amplitude_sum, pair_probability_exact, sweep_rows
+from stimpairs.tomography import simulate_tomography
 
 
 def test_space_dimensions():
@@ -73,17 +81,51 @@ def test_cutoff_validation():
         FockSpace(MAX_CUTOFF + 1)
 
 
-def test_bool_cutoffs_and_orders_are_refused():
-    # bool is an int subclass: True once built cutoff 1 and ran as M = 1.
-    with pytest.raises(ValueError, match="cutoff must be a positive integer"):
-        FockSpace(True)
-    with pytest.raises(ValueError, match="cutoff must be a positive integer"):
-        evolve_vacuum(ResonatorConfig(1, 0.0, 0.01), True)
-    with pytest.raises(ValueError, match="M must be a positive integer"):
-        entangled_state(True, 4)
-    state = evolve_vacuum(ResonatorConfig(1, 0.0, 0.01), 4)
-    with pytest.raises(ValueError, match="M must be a positive integer"):
-        project_entangled(state, True)
+_CFG = ResonatorConfig(1, 0.0, 0.01)
+_MIXED = np.eye(4) / 4.0
+_ANGLES = np.linspace(0.0, math.pi, 9)
+_COUNT = "must be a positive integer"
+
+# Case id: (the call, what its ValueError says).
+_REFUSED = {
+    "space": (lambda: FockSpace(True), "cutoff " + _COUNT),
+    "evolve": (lambda: evolve_vacuum(_CFG, True), "cutoff " + _COUNT),
+    "entangled": (lambda: entangled_state(True, 4), "M " + _COUNT),
+    "project": (lambda: project_entangled(evolve_vacuum(_CFG, 4), True), "M " + _COUNT),
+    "config-bool": (lambda: ResonatorConfig(True, 0.0, 0.1), "n_passes " + _COUNT),
+    "config-float": (lambda: ResonatorConfig(2.0, 0.0, 0.1), "n_passes " + _COUNT),
+    "pair-order-bool": (lambda: pair_probability_exact(True, _CFG), "pair order M " + _COUNT),
+    "sweep-fraction": (lambda: sweep_rows([1.7], [0.0], 0.01), "n_passes " + _COUNT),
+    "sweep-bool": (lambda: sweep_rows([True], [0.0], 0.01), "n_passes " + _COUNT),
+    "floor-fraction": (lambda: suggest_cutoff(0.0, floor=2.5), "floor " + _COUNT),
+    "floor-bool": (lambda: suggest_cutoff(0.0, floor=True), "floor " + _COUNT),
+}
+_SIMULATORS = {
+    "tomography": lambda shots: simulate_tomography(_MIXED, shots),
+    "polarization": lambda shots: simulate_polarization_fringe(
+        _MIXED, ArmSetting(0.0), _ANGLES, shots
+    ),
+    "stimulation": lambda shots: simulate_stimulation_fringe(
+        PlateGeometry(3e-3, 1.53, 1.51, 405e-9), _CFG, _ANGLES / 10.0, shots
+    ),
+}
+_REFUSED.update(
+    (f"{name}-shots-{shots}", (functools.partial(simulate, shots), "shots must be positive"))
+    for name, simulate in _SIMULATORS.items()
+    for shots in (math.nan, math.inf)
+)
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_bool_cutoffs_and_orders_are_refused(case):
+    # A count is a Python or numpy integer of at least 1.  bool is an int
+    # subclass: True once built cutoff 1 and ran as N = 1 and as M = 1; a
+    # fraction once ran as int(1.7) = 1 or came back as the cutoff.  NaN or
+    # inf shots once failed later, as non-finite counts.
+    call, match = _REFUSED[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+    state = evolve_vacuum(_CFG, 4)
     assert FockSpace(np.int64(3)).cutoff == 3
     assert project_entangled(state, np.int64(1)) == project_entangled(state, 1)
 

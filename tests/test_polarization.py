@@ -21,7 +21,6 @@ from stimpairs.polarization import (
     coincidence_probability,
     dephasing_noise,
     fit_fringe,
-    nth_order_rate,
     pair_rate,
     simulate_polarization_fringe,
     simulate_stimulation_fringe,
@@ -365,14 +364,18 @@ def test_stimulation_fringe_explicit_offset():
 
 def test_rate_arithmetic():
     assert pair_rate(1e5, 1e3) == pytest.approx(1e7)
-    assert nth_order_rate(1e5, 1e3, 3) == pytest.approx(1e12)
-    assert nth_order_rate(0.0, 10.0, 2) == 0.0
+    assert pair_rate(0.0, 10.0) == 0.0
+    # Detection efficiency eta in each arm turns a pair rate R into singles
+    # eta R and coincidences eta^2 R; the estimate recovers R for any eta.
+    for eta in (1.0, 0.6, 0.05, 1e-3):
+        for r in (1.0, 3.7e4, 2.5e8):
+            assert pair_rate(eta * r, eta * eta * r) == pytest.approx(r, rel=1e-12)
     with pytest.raises(ValueError):
         pair_rate(1e5, 0.0)
     with pytest.raises(ValueError):
-        nth_order_rate(-1.0, 10.0, 2)
-    with pytest.raises(ValueError):
-        nth_order_rate(1.0, 10.0, 0)
+        pair_rate(-1.0, 10.0)
+    with pytest.raises(ValueError, match="coincidence rate must be positive"):
+        pair_rate(1.0, math.nan)
 
 
 def test_born_rule_validates_rho_once(monkeypatch):
