@@ -36,6 +36,7 @@ import numpy as np
 
 from . import phase_plate, polarization, resonator, tomography, verify
 from .errors import FitError, ReconstructionError, SchemaError, TruncationError
+from .errors import is_json_number, load_json
 
 DEFAULT_PLATE = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
 
@@ -115,11 +116,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    doc = load_json(Path(path).read_text(), f"config {path}: ")
     if not isinstance(doc, dict):
         raise SchemaError(f"config {path}: expected a JSON object")
     return doc
@@ -142,11 +139,8 @@ def _check(key: str, kind, value):
         if not isinstance(value, kind):
             raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         return value
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    # Exact for ints of any size; NaN, the infinities and huge ints all fail.
-    infinite = kind is float and number and not abs(value) <= sys.float_info.max
-    if not number or fraction or infinite:
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if not (is_json_number(value) if kind is float else whole and not isinstance(value, bool)):
         raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     value = kind(value)
     if key == "seed" and not 0 <= value < _SEED_MAX:
@@ -316,14 +310,7 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
 
     doc = {
         "command": "tomography",
-        "config": {
-            "source": counts_path if counts_path is not None else (state_spec or "bell"),
-            "method": s["method"],
-            "jeffreys": s["jeffreys"],
-            "basis": s["basis"],
-            "shots": None if counts_path is not None else s["shots"],
-            "seed": None if counts_path is not None else s["seed"],
-        },
+        "config": s,
         "rho": json.loads(tomography.rho_to_json(result.rho)),
         "min_eigenvalue": result.min_eigenvalue,
         "physical": result.physical,

@@ -6,6 +6,7 @@ import: schema/validation problems exit 1, numerical failures exit 2.
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -35,20 +36,32 @@ class SchemaError(StimpairsError):
     """Input file does not match the documented schema."""
 
 
-def json_number(value, what: str) -> float:
-    """A number read from JSON, as a float; anything else is a SchemaError naming what.
+def load_json(text: str, where: str = ""):
+    """The document json.loads reads from text; text that does not parse is a SchemaError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
-    float() would take a bool (an int subclass) as 0 or 1 and a numeric string
-    as its value, and Python's json reads NaN and Infinity as floats: none of
-    them is a number here.
+
+def is_json_number(value) -> bool:
+    """True for an int or a float within the float range.
+
+    A bool is an int subclass, and Python's json reads NaN and Infinity as
+    floats: none of them is a number here, nor is an integer literal past the
+    float range.  The comparison is exact for ints of any size.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def json_number(value, what: str) -> float:
+    """A JSON number (is_json_number) as a float; anything else is a SchemaError naming what."""
+    if is_json_number(value):
+        return float(value)
     raise SchemaError(f"{what}: expected a finite number, got {json.dumps(value, default=repr)}")
 
 
@@ -70,3 +83,17 @@ def check_each(ok, values, message: str) -> None:
     """Raise ValueError(message) naming the first entry of values where ok fails."""
     if not ok.all():
         raise ValueError(message.format(float(np.asarray(values)[~ok].flat[0])))
+
+
+def finite(value, what: str) -> np.ndarray:
+    """value as a float array (0-d for a scalar) whose every entry is finite.
+
+    Entries that are not real numbers (None, strings, complex) raise
+    TypeError; a NaN or an infinity raises ValueError naming the first one.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    array = array.astype(float, copy=False)
+    check_each(np.isfinite(array), array, what + " must be finite, got {!r}")
+    return array

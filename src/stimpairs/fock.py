@@ -38,11 +38,10 @@ import cmath
 import functools
 import json
 import math
-import sys
 
 import numpy as np
 
-from .errors import SchemaError, TruncationError, positive_int
+from .errors import SchemaError, TruncationError, is_json_number, load_json, positive_int
 from .resonator import ResonatorConfig, _config_amplitude
 
 ENUMERATION_ORDER = "lex:aH,aV,bH,bV"
@@ -164,10 +163,7 @@ class FockVector:
 
     @classmethod
     def from_json(cls, text: str) -> "FockVector":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        doc = load_json(text)
         if not isinstance(doc, dict):
             raise SchemaError("expected a JSON object")
         for key in ("cutoff", "order", "amplitudes"):
@@ -234,9 +230,7 @@ def _first_bad_entry(entries: list, dim: int) -> SchemaError:
             return SchemaError(f"amplitude entry {pos}: index {i!r} outside [0, {dim})")
         if type(re) not in (int, float) or type(im) not in (int, float):
             return SchemaError(f"amplitude entry {pos}: re, im {re!r}, {im!r} not numbers")
-        # Exact for ints of any size: NaN, the infinities and ints past the
-        # float range all fail.
-        if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
+        if not (is_json_number(re) and is_json_number(im)):
             return SchemaError(f"amplitude entry {pos}: re, im {re!r}, {im!r} not finite")
     return SchemaError("amplitude entries are malformed")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_each, json_number, positive_float
+from .errors import finite, json_number, positive_float
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,8 +95,7 @@ def relative_phase(geom: PlateGeometry, alpha):
 
 def _sin_tilt(alpha) -> tuple[np.ndarray, np.ndarray]:
     """alpha as a float array, checked finite, and |sin alpha|."""
-    alpha = np.asarray(alpha, dtype=float)
-    check_each(np.isfinite(alpha), alpha, "alpha must be finite, got {!r}")
+    alpha = finite(alpha, "alpha")
     return alpha, np.abs(np.sin(alpha))
 
 
@@ -111,8 +110,12 @@ def wrap_phase(phase):
     A value whose reduction rounds to 2 pi (any phase in (-ulp(2 pi)/2, 0),
     such as -1e-17) is returned as 0.0, the point it stands for.
     """
-    phase = np.asarray(phase, dtype=float)
-    check_each(np.isfinite(phase), phase, "phase must be finite, got {!r}")
-    wrapped = np.mod(phase, TWO_PI)
-    wrapped = np.where(wrapped == TWO_PI, 0.0, wrapped)
+    phase = finite(phase, "phase")
+    wrapped = _wrap(phase)
     return float(wrapped) if phase.ndim == 0 else wrapped
+
+
+def _wrap(phase) -> np.ndarray:
+    """wrap_phase of a phase its caller has already checked finite, as an array."""
+    wrapped = np.mod(phase, TWO_PI)
+    return np.where(wrapped == TWO_PI, 0.0, wrapped)

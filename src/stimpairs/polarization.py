@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, check_each, positive_float
-from .phase_plate import PlateGeometry, relative_phase, wrap_phase
+from .errors import FitError, finite, positive_float
+from .phase_plate import PlateGeometry, _wrap, relative_phase
 from .resonator import ResonatorConfig, _p_approx, _p_exact, _scaled_amplitude
 
 BASIS = ("HH", "HV", "VH", "VV")
@@ -50,10 +50,9 @@ class ArmSetting:
     qwp: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.pol):
-            raise ValueError(f"polarizer angle must be finite, got {self.pol!r}")
-        if self.qwp is not None and not math.isfinite(self.qwp):
-            raise ValueError(f"qwp angle must be finite, got {self.qwp!r}")
+        finite(self.pol, "polarizer angle")
+        if self.qwp is not None:
+            finite(self.qwp, "qwp angle")
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     return FitResult(
         amplitude=float(a),
         visibility=float(min(b, 1.0)),
-        phase=float(wrap_phase(c)),
+        phase=float(_wrap(c)),
         covariance=cov,
         residual_norm=math.sqrt(rss),
     )
@@ -380,9 +379,9 @@ def simulate_polarization_fringe(
     angles = np.asarray(list(pol_a_angles), dtype=float)
     if angles.ndim != 1 or angles.size < 2:
         raise ValueError("need a 1-d list of at least 2 polarizer angles")
-    check_each(np.isfinite(angles), angles, "polarizer angle must be finite, got {!r}")
-    if arm_a_qwp is not None and not math.isfinite(arm_a_qwp):
-        raise ValueError(f"qwp angle must be finite, got {arm_a_qwp!r}")
+    finite(angles, "polarizer angle")
+    if arm_a_qwp is not None:
+        finite(arm_a_qwp, "qwp angle")
     rho = state_density(rho)
     projectors = _projector_stack(_analyzer_states(angles, arm_a_qwp), _arm_states([arm_b]))
     counts = _draw_counts(shots * _born_probabilities(rho, projectors), seed)
@@ -416,8 +415,9 @@ def simulate_stimulation_fringe(
         raise ValueError("need a 1-d list of at least 2 tilt angles")
     if phi_offset is None:
         phi_offset = -relative_phase(geom, 0.0)
-    phases = relative_phase(geom, alphas) + phi_offset
-    x = _scaled_amplitude(cfg.n_passes, wrap_phase(phases), cfg.tau)
+    # delta(alpha) is bounded, so finite tilts and a finite offset give finite phases.
+    phases = relative_phase(geom, alphas) + finite(phi_offset, "phase")
+    x = _scaled_amplitude(cfg.n_passes, _wrap(phases), cfg.tau)
     probs = _p_exact(1, x) if model == "exact" else _p_approx(1, x)
     counts = _draw_counts(shots * probs, seed)
     return FringeScan(x=alphas, counts=counts, phase=phases)

@@ -28,17 +28,13 @@ their inputs once, so a grid entry equals the scalar call bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .errors import check_each, positive_int
-from .phase_plate import wrap_phase
-
-# Probabilities may poke above 1 by float noise only; anything worse is a bug.
-PROBABILITY_CLIP_TOL = 1e-12
+from .errors import check_each, finite, positive_int
+from .phase_plate import _wrap
 
 SWEEP_COLUMNS = ("N", "phi", "tau", "M", "P_exact", "P_approx", "contamination")
 
@@ -57,9 +53,7 @@ class ResonatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_passes", positive_int(self.n_passes, "n_passes"))
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi!r}")
-        object.__setattr__(self, "phi", wrap_phase(float(self.phi)))
+        object.__setattr__(self, "phi", float(_wrap(finite(self.phi, "phi"))))
         object.__setattr__(self, "tau", _check_tau(self.tau))
 
 
@@ -78,8 +72,7 @@ def amplitude_sum(n_passes: int, phi):
     returns a complex.
     """
     n_passes = positive_int(n_passes, "n_passes")
-    phi = np.asarray(phi, dtype=float)
-    check_each(np.isfinite(phi), phi, "phi must be finite, got {!r}")
+    phi = finite(phi, "phi")
     a = _phasor_sum(n_passes, phi)
     return complex(a) if phi.ndim == 0 else a
 
@@ -104,25 +97,15 @@ def _scaled_amplitude(n_passes: int, phi, tau: float) -> np.ndarray:
     return np.hypot(a.real, a.imag) * tau
 
 
-def _clip_probability(p: np.ndarray) -> np.ndarray:
-    if (p > 1.0 + PROBABILITY_CLIP_TOL).any():
-        warnings.warn(
-            f"probability {float(p.max())!r} exceeds 1 beyond float tolerance; clipping",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-    return p.clip(0.0, 1.0)
-
-
 def _p_exact(m: int, x: np.ndarray) -> np.ndarray:
     # cosh(x)**4 overflows to inf past x ~ 178, where P_M -> 0 is the right limit.
     with np.errstate(over="ignore"):
-        return _clip_probability((m + 1) * np.tanh(x) ** (2 * m) / np.cosh(x) ** 4)
+        return (m + 1) * np.tanh(x) ** (2 * m) / np.cosh(x) ** 4
 
 
 def _p_approx(m: int, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return _clip_probability((m + 1) * x ** (2 * m))
+    with np.errstate(over="raise"):
+        return (m + 1) * x ** (2 * m)
 
 
 def _contamination(x: np.ndarray) -> np.ndarray:
@@ -145,7 +128,9 @@ def pair_probability_approx(m: int, cfg: ResonatorConfig) -> float:
 
     |A| equals |sin(N phi/2) / sin(phi/2)|, so this is the textbook
     interference form; computing |A| by direct summation gives the phi -> 0
-    value N^{2M} without a limit case.
+    value N^{2M} without a limit case.  The limit is returned as it is, above
+    1 once |A| tau is not small; past the float range it raises
+    FloatingPointError.
     """
     m = positive_int(m, "pair order M")
     return float(_p_approx(m, _scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
@@ -177,9 +162,7 @@ def double_pass_ratio(theta: float) -> float:
     4 at theta = 0 (constructive), 0 at theta = pi (the second pass undoes
     the first).
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    return 2.0 * (1.0 + math.cos(theta))
+    return 2.0 * (1.0 + math.cos(finite(theta, "theta")))
 
 
 def multiphoton_contamination(cfg: ResonatorConfig) -> float:
@@ -198,9 +181,8 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     columns' float lists; no Python code runs per row.
     """
     n_values = [positive_int(n, "n_passes") for n in n_values]
-    phis = np.asarray(phis, dtype=float).reshape(-1)
-    check_each(np.isfinite(phis), phis, "phi must be finite, got {!r}")
-    wrapped = wrap_phase(phis)
+    phis = finite(phis, "phi").reshape(-1)
+    wrapped = _wrap(phis)
     tau = _check_tau(tau)
     m = positive_int(m, "pair order M")
     echoed = phis.tolist()

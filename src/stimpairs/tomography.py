@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReconstructionError, SchemaError, json_number, positive_float
+from .errors import ReconstructionError, SchemaError, finite, json_number, load_json, positive_float
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
     _arm_states,
     _born_probabilities,
+    _draw_counts,
     _projector_stack,
     check_density_matrix,
     state_density,
@@ -111,8 +112,8 @@ class TomographyRecord:
             raise ValueError(
                 f"counts shape {counts.shape} does not match {len(settings)} settings"
             )
-        if not np.all(np.isfinite(counts)) or counts.min() < 0:
-            raise ValueError("counts must be finite and non-negative")
+        if finite(counts, "counts").min() < 0:
+            raise ValueError(f"counts must be non-negative, got min {counts.min()!r}")
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", positive_float(self.shots, "shots"))
@@ -132,10 +133,7 @@ class TomographyRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        doc = load_json(text)
         if not isinstance(doc, dict) or "shots" not in doc or "settings" not in doc:
             raise SchemaError("expected an object with 'shots' and 'settings' keys")
         entries = doc["settings"]
@@ -207,11 +205,7 @@ def simulate_tomography(
     shots = positive_float(shots, "shots")
     rho = state_density(rho)
     settings = list(settings) if settings is not None else standard_settings()
-    means = shots * _born_probabilities(rho, _projectors(settings))
-    if seed is None:
-        counts = means
-    else:
-        counts = np.random.default_rng(seed).poisson(means).astype(float)
+    counts = _draw_counts(shots * _born_probabilities(rho, _projectors(settings)), seed)
     return TomographyRecord(settings=tuple(settings), counts=counts, shots=shots)
 
 
@@ -285,11 +279,12 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     is zero up to projector rounding noise (below 1e-15) while its counts are
     nonzero gives -inf, as it should.
     """
+    check_density_matrix(rho)
     return _log_likelihood(record, rho, _projectors(record.settings))
 
 
 def _log_likelihood(record: TomographyRecord, rho: np.ndarray, stack: np.ndarray) -> float:
-    check_density_matrix(rho)
+    """log_likelihood of a rho its caller has already validated, on the settings' stack."""
     p = _born_probabilities(rho, stack)
     mu = record.shots * np.where(p < 1e-15, 0.0, p)
     seen = record.counts > 0.0  # 0 ln 0 = 0 elsewhere
@@ -482,10 +477,7 @@ def rho_to_json(rho: np.ndarray) -> str:
 
 def rho_from_json(text: str) -> np.ndarray:
     """The matrix of rho_to_json text; a malformed document is a SchemaError naming the entry."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise SchemaError("expected an object with a 'matrix' key")
     matrix = doc["matrix"]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,21 @@ def test_sweep_phase_single_pass_phi_independent(capsys):
     rows = [ln.split(",") for ln in out.strip().splitlines()[3:]]
     exact_column = {row[4] for row in rows}
     assert len(exact_column) == 1  # |A| = 1 regardless of phi
+
+
+def test_sweep_phase_p_approx_is_the_unclipped_limit(capsys):
+    # At N = 7, phi = 0, tau = 0.3 the small-tau limit 3 (2.1)^4 = 58.3443 is
+    # far above 1; the column reports it as it is, with no RuntimeWarning.
+    # Past the float range the limit is a numerical failure.
+    argv = ["sweep-phase", "--m", "2", "--n-list", "7", "--tau", "0.3", "--phi-steps", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    approx = [float(line.split(",")[5]) for line in out.splitlines()[3:]]
+    assert approx[0] == approx[2] == pytest.approx(58.3443, rel=1e-12)
+    code, out, err = run(capsys, "sweep-phase", "--m", "40", "--n-list", "64", "--tau", "1e10")
+    assert code == 2 and out == "" and "numerical failure" in err
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -205,13 +221,19 @@ def test_non_finite_number_flag_exits_one(capsys, value):
         ["fringe", "--state", "dephased:0.2", "--pol-b-deg", "30", "--qwp-a-deg", "12.5",
          "--scan-steps", "19", "--seed", "4"],
         ["rates", "--singles", "36000", "--coincidences", "1300", "--expected", "990000"],
+        ["tomography", "--state", "dephased:0.2", "--seed", "3", "--shots", "1e4", "--target", "none"],
+        ["tomography", "--counts", "COUNTS", "--method", "linear", "--basis", "HVDR"],
     ],
 )
 def test_config_echo_reproduces_the_run(tmp_path, capsys, argv):
     # The echoed configuration, fed back as a config file, is the same run.
+    if "COUNTS" in argv:
+        counts = tmp_path / "counts.json"
+        counts.write_text(simulate_tomography(bell_state(), 1e4, seed=12).to_json())
+        argv = [str(counts) if a == "COUNTS" else a for a in argv]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    if argv[0] == "rates":
+    if argv[0] in ("rates", "tomography"):
         echo = json.loads(out)["config"]
     else:
         echo = json.loads(out.splitlines()[1].removeprefix("# config: "))
@@ -360,7 +382,9 @@ def test_tomography_from_counts_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["fidelity_to_singlet"] > 0.99
-    assert doc["config"]["shots"] is None
+    # The echo is the resolved settings: shots and seed are echoed, not used.
+    assert doc["config"]["counts"] == str(path) and doc["config"]["state"] is None
+    assert doc["config"]["shots"] == 1e5 and doc["config"]["seed"] is None
 
 
 def test_tomography_bad_counts_schema(tmp_path, capsys):

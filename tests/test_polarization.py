@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stimpairs.errors as errors_mod
+import stimpairs.phase_plate as phase_plate_mod
 import stimpairs.polarization as polarization_mod
+import stimpairs.resonator as resonator_mod
 import stimpairs.tomography as tomography_mod
 from stimpairs.errors import FitError
 from stimpairs.phase_plate import PlateGeometry
@@ -27,8 +30,8 @@ from stimpairs.polarization import (
     state_density,
     visibility,
 )
-from stimpairs.resonator import ResonatorConfig
-from stimpairs.tomography import simulate_tomography
+from stimpairs.resonator import ResonatorConfig, sweep_rows
+from stimpairs.tomography import log_likelihood, reconstruct_mle, simulate_tomography
 from stimpairs.verify import check_singlet_invariance
 
 GEOM = PlateGeometry(3e-3, 1.53, 1.51, 405e-9)
@@ -401,6 +404,36 @@ def test_born_rule_validates_rho_once(monkeypatch):
         for a in angles
     ]
     np.testing.assert_allclose(scan.counts, 1e6 * np.array(single), rtol=1e-14, atol=1e-9)
+
+
+def test_each_value_is_checked_once(monkeypatch):
+    # ResonatorConfig and sweep_rows apply the finite rule to phi once and
+    # wrap the checked value unchecked; reconstruct_mle reports the
+    # log-likelihood of its own (physical) iterate without validating it.
+    rules, checks = [], []
+    true_check = tomography_mod.check_density_matrix
+
+    def counting_finite(value, what):
+        rules.append(what)
+        return errors_mod.finite(value, what)
+
+    def counting_check(rho, *args, **kwargs):
+        checks.append(1)
+        return true_check(rho, *args, **kwargs)
+
+    for module in (resonator_mod, phase_plate_mod):
+        monkeypatch.setattr(module, "finite", counting_finite)
+    monkeypatch.setattr(tomography_mod, "check_density_matrix", counting_check)
+    assert ResonatorConfig(3, 7.0, 1e-3).phi == pytest.approx(7.0 - 2.0 * math.pi)
+    assert rules == ["phi"]
+    rules.clear()
+    sweep_rows([1, 2], [0.0, 7.0, -1e-17], 1e-3)
+    assert rules == ["phi"]
+    record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=3)
+    result = reconstruct_mle(record)
+    assert checks == []
+    assert result.log_likelihood == log_likelihood(record, result.rho)
+    assert checks == [1]
 
 
 def test_singlet_invariance_check_is_one_batch(monkeypatch):
