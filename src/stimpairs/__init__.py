@@ -3,120 +3,88 @@
 Truncated Fock-space simulation of two-mode-squeezing buildup over repeated
 pump passes, the closed-form pair statistics it should reproduce, tilted-plate
 phase control, polarization fringe analysis, and two-qubit state tomography.
+
+The namespace is lazy: importing the package loads no submodule, and the
+first use of a name below imports the submodule that defines it (PEP 562).
 """
 
-from .errors import (
-    FitError,
-    ReconstructionError,
-    SchemaError,
-    StimpairsError,
-    TruncationError,
-)
-from .fock import (
-    FockSpace,
-    FockVector,
-    build_generator,
-    disentangled_state,
-    entangled_state,
-    evolve_vacuum,
-    project_entangled,
-    suggest_cutoff,
-)
-from .phase_plate import PlateGeometry, phase_through_plate, relative_phase, wrap_phase
-from .polarization import (
-    ArmSetting,
-    FitResult,
-    FringeScan,
-    MeasurementSetting,
-    analyzer_projector,
-    bell_state,
-    coincidence_probability,
-    dephasing_noise,
-    fit_fringe,
-    pair_rate,
-    simulate_polarization_fringe,
-    simulate_stimulation_fringe,
-    state_density,
-    visibility,
-)
-from .resonator import (
-    ResonatorConfig,
-    amplitude_sum,
-    double_pass_ratio,
-    multiphoton_contamination,
-    optimal_u,
-    pair_probability_approx,
-    pair_probability_exact,
-    pair_probability_vs_u,
-    sweep_rows,
-)
-from .tomography import (
-    ReconstructionResult,
-    TomographyRecord,
-    fidelity,
-    log_likelihood,
-    project_physical,
-    reconstruct_linear,
-    reconstruct_mle,
-    simulate_tomography,
-    standard_settings,
-)
-from .verify import ALL_CHECKS, CheckResult, run_checks
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "errors": ("FitError", "ReconstructionError", "SchemaError", "StimpairsError", "TruncationError"),
+    "fock": (
+        "FockSpace",
+        "FockVector",
+        "build_generator",
+        "disentangled_state",
+        "entangled_state",
+        "evolve_vacuum",
+        "project_entangled",
+        "suggest_cutoff",
+    ),
+    "phase_plate": ("PlateGeometry", "phase_through_plate", "relative_phase", "wrap_phase"),
+    "polarization": (
+        "ArmSetting",
+        "FitResult",
+        "FringeScan",
+        "MeasurementSetting",
+        "analyzer_projector",
+        "bell_state",
+        "coincidence_probability",
+        "dephasing_noise",
+        "fit_fringe",
+        "pair_rate",
+        "simulate_polarization_fringe",
+        "simulate_stimulation_fringe",
+        "state_density",
+        "visibility",
+    ),
+    "resonator": (
+        "ResonatorConfig",
+        "amplitude_sum",
+        "double_pass_ratio",
+        "multiphoton_contamination",
+        "optimal_u",
+        "pair_probability_approx",
+        "pair_probability_exact",
+        "pair_probability_vs_u",
+        "sweep_rows",
+    ),
+    "tomography": (
+        "ReconstructionResult",
+        "TomographyRecord",
+        "fidelity",
+        "log_likelihood",
+        "project_physical",
+        "reconstruct_linear",
+        "reconstruct_mle",
+        "simulate_tomography",
+        "standard_settings",
+    ),
+    "verify": ("ALL_CHECKS", "CheckResult", "run_checks"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_CHECKS",
-    "ArmSetting",
-    "CheckResult",
-    "FitError",
-    "FitResult",
-    "FockSpace",
-    "FockVector",
-    "FringeScan",
-    "MeasurementSetting",
-    "PlateGeometry",
-    "ReconstructionError",
-    "ReconstructionResult",
-    "ResonatorConfig",
-    "SchemaError",
-    "StimpairsError",
-    "TomographyRecord",
-    "TruncationError",
-    "amplitude_sum",
-    "analyzer_projector",
-    "bell_state",
-    "build_generator",
-    "coincidence_probability",
-    "dephasing_noise",
-    "disentangled_state",
-    "double_pass_ratio",
-    "entangled_state",
-    "evolve_vacuum",
-    "fidelity",
-    "fit_fringe",
-    "log_likelihood",
-    "multiphoton_contamination",
-    "optimal_u",
-    "pair_probability_approx",
-    "pair_probability_exact",
-    "pair_probability_vs_u",
-    "pair_rate",
-    "phase_through_plate",
-    "project_entangled",
-    "project_physical",
-    "reconstruct_linear",
-    "reconstruct_mle",
-    "relative_phase",
-    "run_checks",
-    "simulate_polarization_fringe",
-    "simulate_stimulation_fringe",
-    "simulate_tomography",
-    "standard_settings",
-    "state_density",
-    "suggest_cutoff",
-    "sweep_rows",
-    "visibility",
-    "wrap_phase",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    """A public name or submodule, imported on first use and then bound here.
+
+    The import goes through __import__, the import statement's own path, so
+    that python -X importtime lists the submodule (importlib.import_module
+    would not).
+    """
+    if name in _EXPORTS:  # importing a submodule binds it here
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(f"{__name__}.{_MODULE_OF[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

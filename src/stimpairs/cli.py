@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import phase_plate, polarization, resonator, tomography, verify
+# The handlers import the submodules they run, so each command loads only those.
 from .errors import FitError, ReconstructionError, SchemaError, TruncationError
 from .errors import is_json_number, load_json
 
@@ -214,6 +214,8 @@ def _emit_scan(args, settings: dict, columns, rows, fit=None) -> int:
 
 def _parse_state(spec: str) -> np.ndarray:
     """bell or dephased:<d> into a density matrix."""
+    from . import polarization
+
     if spec == "bell":
         return polarization.state_density(polarization.bell_state())
     if spec.startswith("dephased:"):
@@ -225,7 +227,10 @@ def _parse_state(spec: str) -> np.ndarray:
     raise _UsageError(f"unknown state {spec!r}, expected 'bell' or 'dephased:<d>'")
 
 
-def _plate_from(args, config: dict) -> phase_plate.PlateGeometry:
+def _plate_from(args, config: dict):
+    """The phase_plate.PlateGeometry from --geometry, else the config, else DEFAULT_PLATE."""
+    from . import phase_plate
+
     if args.geometry is not None:
         doc = _load_config(args.geometry)
     else:
@@ -239,6 +244,8 @@ def _plate_from(args, config: dict) -> phase_plate.PlateGeometry:
 
 
 def _cmd_sweep_phase(args, config: dict, s: dict) -> int:
+    from . import resonator
+
     if s["phi_steps"] < 2 or s["phi_max"] <= s["phi_min"]:
         raise _UsageError("need phi-max > phi-min and phi-steps >= 2")
     phis = np.linspace(s["phi_min"], s["phi_max"], s["phi_steps"])
@@ -247,6 +254,8 @@ def _cmd_sweep_phase(args, config: dict, s: dict) -> int:
 
 
 def _cmd_fig4(args, config: dict, s: dict) -> int:
+    from . import polarization, resonator
+
     geom = _plate_from(args, config)
     if s["alpha_steps"] < 2 or s["alpha_max_deg"] <= s["alpha_min_deg"]:
         raise _UsageError("need alpha-max-deg > alpha-min-deg and alpha-steps >= 2")
@@ -265,6 +274,8 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
 
 
 def _cmd_fringe(args, config: dict, s: dict) -> int:
+    from . import polarization
+
     rho = _parse_state(s["state"])
     if s["scan_steps"] < 2 or s["scan_max_deg"] <= s["scan_min_deg"]:
         raise _UsageError("need scan-max-deg > scan-min-deg and scan-steps >= 2")
@@ -289,6 +300,8 @@ def _cmd_fringe(args, config: dict, s: dict) -> int:
 
 
 def _cmd_tomography(args, config: dict, s: dict) -> int:
+    from . import polarization, tomography
+
     counts_path, state_spec = s["counts"], s["state"]
     if counts_path is not None and state_spec is not None:
         raise _UsageError("give either --counts or --state, not both")
@@ -329,6 +342,8 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
 
 
 def _cmd_rates(args, config: dict, s: dict) -> int:
+    from . import polarization
+
     if s["singles"] is None or s["coincidences"] is None:
         raise _UsageError("rates needs --singles and --coincidences")
     rate = polarization.pair_rate(s["singles"], s["coincidences"])
@@ -348,6 +363,8 @@ def _cmd_rates(args, config: dict, s: dict) -> int:
 
 
 def _cmd_verify(args, config: dict, s: dict) -> int:
+    from . import verify
+
     results = verify.run_checks()
     width = max(len(r.name) for r in results)
     lines = []

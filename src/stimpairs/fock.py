@@ -190,26 +190,28 @@ def _parse_entries(entries: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
     The checks run on whole columns: the set of types in each, the index
     range (min and max over the Python ints, exact at any size) and
-    finiteness.  Only when one fails are the entries walked, to name the
-    first bad one.  A repeated index keeps its last value.
+    finiteness.  Only re and im columns that hold an int are tested entry by
+    entry, with is_json_number, for an integer past the float range.  When a
+    check fails the entries are walked to name the first bad one.  A repeated
+    index keeps its last value.
     """
     ok = set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}
     if ok:
         index, re, im = zip(*entries) if entries else ((), (), ())
+        parts = re + im
+        kinds = set(map(type, parts))
         ok = (
             set(map(type, index)) <= {int}
-            and set(map(type, re + im)) <= {int, float}
+            and kinds <= {int, float}
+            and (int not in kinds or all(map(is_json_number, parts)))
             and min(index, default=0) >= 0
             and max(index, default=0) < dim
         )
     if ok:
         values = np.empty(len(index), dtype=complex)
-        try:
-            values.real = re
-            values.imag = im
-        except OverflowError:  # an integer past the float range
-            ok = False
-        ok = ok and bool(np.isfinite(values).all())
+        values.real = re
+        values.imag = im
+        ok = bool(np.isfinite(values).all())
     if not ok:
         raise _first_bad_entry(entries, dim)
     index = np.array(index, dtype=np.int64)

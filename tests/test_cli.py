@@ -572,25 +572,79 @@ print(json.dumps({"codes": codes, "numpy_only": numpy_only, "after_verify": scip
 """
 
 
-def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
-    # A fresh interpreter: importing the package and running every command,
-    # MLE tomography and verify included, must not load scipy at all.
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with these arguments, importing stimpairs from this tree."""
     src = str(Path(stimpairs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, check=True, env=env
     )
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _last_json(proc: subprocess.CompletedProcess) -> dict:
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
+    # A fresh interpreter: importing the package and running every command,
+    # MLE tomography and verify included, must not load scipy at all.
+    doc = _last_json(_fresh_python("-c", _SCIPY_PROBE, str(tmp_path)))
     assert doc["codes"] == [0] * 7
     assert doc["numpy_only"] == []
     # verify builds no sparse operator either: its su11_algebra check applies
     # fock._pair_terms in numpy, so no command loads scipy.
     assert doc["after_verify"] == []
+
+
+_MODULES_PROBE = """
+import json, sys
+{code}
+loaded = sorted(k.split(".", 1)[1] for k in sys.modules if k.startswith("stimpairs."))
+print(json.dumps({{"loaded": loaded}}))
+"""
+
+_CLOSED_FORM = {"errors", "phase_plate", "resonator"}
+_FRINGES = _CLOSED_FORM | {"polarization"}
+_ALL_MODULES = _FRINGES | {"cli", "fock", "tomography", "verify"}
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        ("import stimpairs", set()),
+        ("import stimpairs; stimpairs.PlateGeometry", {"errors", "phase_plate"}),
+        ("import stimpairs; stimpairs.tomography", _FRINGES | {"tomography"}),
+        (["sweep-phase"], _CLOSED_FORM | {"cli"}),
+        (["fig4", "--seed", "7"], _FRINGES | {"cli"}),
+        (["fringe", "--seed", "3"], _FRINGES | {"cli"}),
+        (["rates", "--singles", "36000", "--coincidences", "1300"], _FRINGES | {"cli"}),
+        (["tomography", "--state", "bell"], _FRINGES | {"cli", "tomography"}),
+        (["tomography", "--method", "linear"], _FRINGES | {"cli", "tomography"}),
+        (["verify"], _ALL_MODULES),
+    ],
+    ids=[
+        "import", "name", "submodule", "sweep-phase", "fig4", "fringe", "rates",
+        "tomography-mle", "tomography-linear", "verify",
+    ],
+)
+def test_each_command_loads_only_its_modules(tmp_path, code, expected):
+    # The package namespace is lazy and each handler imports what it runs, so
+    # a fresh process loads only the submodules its command needs.
+    if isinstance(code, list):
+        argv = code + ["--out", str(tmp_path / "out")]
+        code = f"from stimpairs.cli import main\nassert main({argv!r}) == 0"
+    doc = _last_json(_fresh_python("-c", _MODULES_PROBE.format(code=code)))
+    assert set(doc["loaded"]) == expected
+
+
+def test_importtime_lists_lazily_loaded_submodules():
+    # A submodule that the lazy namespace loads still shows in
+    # python -X importtime, which the benchmark reads to time imports.
+    code = "import stimpairs; stimpairs.FockVector; stimpairs.tomography"
+    proc = _fresh_python("-X", "importtime", "-c", code)
+    listed = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert {"stimpairs.fock", "stimpairs.resonator", "stimpairs.tomography"} <= listed
 
 
 def test_out_unwritable_exits_three(capsys):

@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -670,6 +671,27 @@ def test_fock_vector_json_names_first_bad_entry(entry, message):
     )
     with pytest.raises(SchemaError, match=re.escape(message)):
         FockVector.from_json(text)
+
+
+_MAX_INT = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize("column", [1, 2], ids=["re", "im"])
+def test_fock_vector_json_refuses_int_just_past_float_range(column):
+    # int(max) + 1 rounds down to the float maximum rather than overflowing,
+    # so a finiteness test on the loaded column cannot see it; the reader
+    # refuses it as is_json_number does, and keeps the largest int in range.
+    def doc(value):
+        entry = [4, 0.5, 0.5]
+        entry[column] = value
+        return json.dumps({"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, 1, 0], entry]})
+
+    with pytest.raises(SchemaError, match=r"amplitude entry 1: re, im .* not finite"):
+        FockVector.from_json(doc(_MAX_INT + 1))
+    with pytest.raises(SchemaError, match=r"amplitude entry 1: re, im .* not finite"):
+        FockVector.from_json(doc(-_MAX_INT - 1))
+    loaded = FockVector.from_json(doc(_MAX_INT))
+    assert np.abs(loaded.values).max() == sys.float_info.max
 
 
 def test_fock_vector_json_last_duplicate_wins():
