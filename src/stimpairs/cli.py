@@ -212,6 +212,14 @@ def _emit_scan(args, settings: dict, columns, rows, fit=None) -> int:
     return 0
 
 
+def _grid(s: dict, lo: str, hi: str, steps: str) -> np.ndarray:
+    """np.linspace over the settings lo to hi in steps points, hi > lo and steps >= 2."""
+    if s[steps] < 2 or s[hi] <= s[lo]:
+        lo, hi, steps = (key.replace("_", "-") for key in (lo, hi, steps))
+        raise _UsageError(f"need {hi} > {lo} and {steps} >= 2")
+    return np.linspace(s[lo], s[hi], s[steps])
+
+
 def _parse_state(spec: str) -> np.ndarray:
     """bell or dephased:<d> into a density matrix."""
     from . import polarization
@@ -246,9 +254,7 @@ def _plate_from(args, config: dict):
 def _cmd_sweep_phase(args, config: dict, s: dict) -> int:
     from . import resonator
 
-    if s["phi_steps"] < 2 or s["phi_max"] <= s["phi_min"]:
-        raise _UsageError("need phi-max > phi-min and phi-steps >= 2")
-    phis = np.linspace(s["phi_min"], s["phi_max"], s["phi_steps"])
+    phis = _grid(s, "phi_min", "phi_max", "phi_steps")
     rows = resonator.sweep_rows(s["n_list"], phis, s["tau"], s["m"])
     return _emit_scan(args, s, resonator.SWEEP_COLUMNS, rows)
 
@@ -257,18 +263,13 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
     from . import polarization, resonator
 
     geom = _plate_from(args, config)
-    if s["alpha_steps"] < 2 or s["alpha_max_deg"] <= s["alpha_min_deg"]:
-        raise _UsageError("need alpha-max-deg > alpha-min-deg and alpha-steps >= 2")
-    alphas = np.radians(np.linspace(s["alpha_min_deg"], s["alpha_max_deg"], s["alpha_steps"]))
+    alphas = np.radians(_grid(s, "alpha_min_deg", "alpha_max_deg", "alpha_steps"))
     cfg = resonator.ResonatorConfig(s["n_passes"], 0.0, s["tau"])
     scan = polarization.simulate_stimulation_fringe(
         geom, cfg, alphas, s["shots"], seed=s["seed"], model=s["model"]
     )
     fit = polarization.fit_fringe(scan)
-    rows = [
-        (float(np.degrees(a)), float(ph), float(c))
-        for a, ph, c in zip(scan.x, scan.phase, scan.counts)
-    ]
+    rows = zip(np.degrees(scan.x).tolist(), scan.phase.tolist(), scan.counts.tolist())
     columns = ("alpha_deg", "phase_rad", "counts")
     return _emit_scan(args, {**s, "geometry": geom.to_dict()}, columns, rows, fit)
 
@@ -277,13 +278,11 @@ def _cmd_fringe(args, config: dict, s: dict) -> int:
     from . import polarization
 
     rho = _parse_state(s["state"])
-    if s["scan_steps"] < 2 or s["scan_max_deg"] <= s["scan_min_deg"]:
-        raise _UsageError("need scan-max-deg > scan-min-deg and scan-steps >= 2")
+    angles = np.radians(_grid(s, "scan_min_deg", "scan_max_deg", "scan_steps"))
     qwp_a, qwp_b = s["qwp_a_deg"], s["qwp_b_deg"]
     arm_b = polarization.ArmSetting(
         pol=math.radians(s["pol_b_deg"]), qwp=math.radians(qwp_b) if qwp_b is not None else None
     )
-    angles = np.radians(np.linspace(s["scan_min_deg"], s["scan_max_deg"], s["scan_steps"]))
     scan = polarization.simulate_polarization_fringe(
         rho,
         arm_b,
@@ -293,9 +292,7 @@ def _cmd_fringe(args, config: dict, s: dict) -> int:
         arm_a_qwp=math.radians(qwp_a) if qwp_a is not None else None,
     )
     fit = polarization.fit_fringe(scan)
-    rows = [
-        (float(np.degrees(a)), float(c)) for a, c in zip(scan.x, scan.counts)
-    ]
+    rows = zip(np.degrees(scan.x).tolist(), scan.counts.tolist())
     return _emit_scan(args, s, ("pol_a_deg", "counts"), rows, fit)
 
 
@@ -331,12 +328,9 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
         "iterations": result.iterations,
     }
     if s["target"] == "bell":
-        try:
-            doc["fidelity_to_singlet"] = tomography.fidelity(
-                tomography.project_physical(result.rho), polarization.bell_state()
-            )
-        except ReconstructionError:
-            doc["fidelity_to_singlet"] = None
+        doc["fidelity_to_singlet"] = tomography.fidelity(
+            tomography.project_physical(result.rho), polarization.bell_state()
+        )
     _emit(_json_text(doc), args.out)
     return 0
 
@@ -382,8 +376,12 @@ def _cmd_verify(args, config: dict, s: dict) -> int:
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     if args.json_out:
-        doc = {"command": "verify", "results": [dataclasses.asdict(r) for r in results]}
-        Path(args.json_out).write_text(_json_text(doc))
+        # A crashed check's tolerance NaN and worst inf are not JSON numbers: write null.
+        rows = [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in r.items()}
+            for r in map(dataclasses.asdict, results)
+        ]
+        Path(args.json_out).write_text(_json_text({"command": "verify", "results": rows}))
     return 0 if passed == len(results) else 2
 
 

@@ -24,12 +24,14 @@ private helper, _sector_index, maps that sector to full-space indices.  A
 FockVector stores only its nonzero entries (sorted full-space indices and
 their values), so evolve_vacuum, the closed form and the entangled states
 emit sector entries through _sector_index and project_entangled gathers
-them back; no state is ever laid out over the (c+1)^4 space.  On the sector
-the evolution is two commuting pair ladders, both gauge-equivalent to one
-real tridiagonal matrix whose eigendecomposition _ladder_eigen caches per
-cutoff.  _pair_terms lists the entries of L+ from the index strides alone;
-build_generator (the full-space reference the oracle is tested against) and
-verify's su11_algebra check both start from it.
+them back; no command lays a state out over the (c+1)^4 space.  The dense
+views (FockVector(amplitudes, cutoff) and .amplitudes) remain for the
+benchmark and the tests.  On the sector the evolution is two commuting
+pair ladders, both gauge-equivalent to one real tridiagonal matrix whose
+eigendecomposition _ladder_eigen caches per cutoff.  _pair_terms lists the
+entries of L+ from the index strides alone; build_generator (the
+full-space reference the oracle is tested against) and verify's
+su11_algebra check both start from it.
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ def build_generator(cfg: ResonatorConfig, space: FockSpace) -> "scipy.sparse.csr
     G = A L+ + A* L-, with A the pass-summed amplitude and L+ the pair
     operator adag_aH adag_bV - adag_aV adag_bH of a pump polarized at -45
     degrees, from _pair_terms.  This is the full-space reference for
-    evolve_vacuum and the only code in the package that loads scipy.
+    evolve_vacuum and the only code in the package that loads scipy, which
+    it needs installed; the package itself depends on numpy alone.
     """
     # Deferred: importing fock, or running any command, loads no scipy.
     import scipy.sparse as sp
@@ -417,16 +420,14 @@ def project_entangled(state: FockVector, m: int) -> complex:
     return complex(np.sum(sign * state._at(index)) / math.sqrt(m + 1.0))
 
 
-def suggest_cutoff(a_tau: complex, *, floor: int = 8, amp_tol: float = 1e-10) -> int:
-    """Smallest cutoff whose top pair sector has amplitude below amp_tol.
+def suggest_cutoff(a_tau: complex, *, floor: int = 8) -> int:
+    """Smallest cutoff, at least floor, whose top pair sector has amplitude below 1e-10.
 
     Pair-sector amplitudes fall off geometrically by tanh(|A tau|) per sector,
-    so c = ceil(log(amp_tol) / log(tanh|A tau|)) bounds the stranded weight.
+    so c = ceil(log(1e-10) / log(tanh|A tau|)) bounds the stranded weight.
     Heuristic for sizing the space before an evolution; the evolution itself
     still measures and enforces its leakage.
     """
-    if not (0.0 < amp_tol < 1.0):
-        raise ValueError(f"amp_tol must be in (0, 1), got {amp_tol!r}")
     floor = positive_int(floor, "floor")
     x = abs(a_tau)
     if x == 0.0:
@@ -437,5 +438,5 @@ def suggest_cutoff(a_tau: complex, *, floor: int = 8, amp_tol: float = 1e-10) ->
             f"a_tau = {a_tau!r}: tanh|A tau| rounds to 1, so pair sectors do not "
             f"fall off and no finite cutoff bounds the leakage"
         )
-    needed = math.ceil(math.log(amp_tol) / math.log(ratio))
+    needed = math.ceil(math.log(1e-10) / math.log(ratio))
     return max(floor, needed)

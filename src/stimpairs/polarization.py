@@ -28,8 +28,6 @@ from .errors import FitError, finite, positive_float
 from .phase_plate import PlateGeometry, _wrap, relative_phase
 from .resonator import ResonatorConfig, _p_approx, _p_exact, _scaled_amplitude
 
-BASIS = ("HH", "HV", "VH", "VV")
-
 # Phase flip of arm a's vertical component, diag in the (HH, HV, VH, VV) basis.
 _Z_ARM_A = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
@@ -141,8 +139,9 @@ def state_density(state: np.ndarray) -> np.ndarray:
     return np.outer(arr, arr.conj())
 
 
-def check_density_matrix(rho: np.ndarray, atol: float = 1e-8) -> None:
-    """Reject anything that is not Hermitian, unit trace, and positive to atol."""
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Reject anything that is not Hermitian, unit trace, and positive to atol = 1e-8."""
+    atol = 1e-8
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")

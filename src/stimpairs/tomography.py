@@ -357,8 +357,8 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     the momentum, is discarded and the momentum restarts (O'Donoghue &
     Candes, Found. Comput. Math. 15, 715 (2015)).  The start is the projected
     linear inversion mixed with 1e-3 of I/4, so every rate is positive; when
-    the linear inversion has vanishing trace or no positive weight, the start
-    is I/4, since f is still well defined.  Settings that are not
+    the linear inversion has vanishing trace, the start is I/4, since f is
+    still well defined.  Settings that are not
     informationally complete raise ReconstructionError.  Converged means the
     projected-gradient residual ||rho - P(rho - grad f)|| is at most
     _RESIDUAL_TOL once f has stalled at rounding level (_STALL_STEPS steps
@@ -376,7 +376,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     _require_complete(record, design)
     try:
         rho = project_physical(_invert_linear(record, design).rho)
-    except ReconstructionError:  # vanishing trace or no positive weight
+    except ReconstructionError:  # vanishing trace
         rho = np.eye(4) / 4.0
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
     f, weights, _ = objective(rho)

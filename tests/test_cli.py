@@ -1,6 +1,7 @@
 """Command-line driver: outputs, determinism, config merging, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -330,6 +331,43 @@ def test_fig4_csv_embeds_fit(capsys):
     assert fit["B"] == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep-phase", "--phi-steps", "1"], "need phi-max > phi-min and phi-steps >= 2"),
+        (["fig4", "--alpha-min-deg", "9", "--alpha-max-deg", "3"],
+         "need alpha-max-deg > alpha-min-deg and alpha-steps >= 2"),
+        (["fringe", "--scan-min-deg", "5", "--scan-max-deg", "5"],
+         "need scan-max-deg > scan-min-deg and scan-steps >= 2"),
+    ],
+    ids=["sweep-phase", "fig4", "fringe"],
+)
+def test_scan_grid_rule(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"stimpairs: invalid configuration: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["sweep-phase", "--n-list", ","], None, "invalid configuration: n-list is empty"),
+        (["fig4"], {"seed": 2**64}, f"invalid configuration: seed must be a u64, got {2**64}"),
+        (["fringe"], {"seed": -1}, "invalid configuration: seed must be a u64, got -1"),
+        (["fringe", "--state", "dephased:x"], None,
+         "invalid configuration: bad dephasing strength in 'dephased:x'"),
+        (["fig4"], {"geometry": 5}, "schema error: geometry must be a JSON object"),
+    ],
+    ids=["empty-n-list", "seed-2^64", "seed-negative", "dephasing-strength", "geometry"],
+)
+def test_rejected_inputs_exit_one(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"stimpairs: {message}\n")
+
+
 def test_fringe_command(capsys):
     code, out, _ = run(
         capsys, "fringe", "--state", "dephased:0.3", "--format", "json"
@@ -514,6 +552,61 @@ def test_verify_json_out(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert all(r["passed"] for r in doc["results"])
+
+
+def test_verify_json_out_is_strict_json_after_a_crash(tmp_path, capsys, monkeypatch):
+    # A crashed check reports worst inf and tolerance NaN; the JSON file has
+    # neither literal (RFC 8259 refuses both), so they are written as null.
+    def boom(theta):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify_mod.resonator, "double_pass_ratio", boom)
+    path = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "--json-out", str(path))
+    assert code == 2
+    row = next(ln for ln in out.splitlines() if ln.split()[1] == "double_pass")
+    assert row.startswith("FAIL double_pass") and row.endswith("RuntimeError: boom")
+    assert "worst=inf  tol=nan" in row
+
+    def refuse(literal):
+        raise ValueError(f"non-JSON literal {literal}")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    crashed = [r for r in doc["results"] if not r["passed"]]
+    assert crashed == [
+        {"name": "double_pass", "passed": False, "tolerance": None, "worst": None,
+         "runtime_s": 0.0, "detail": "RuntimeError: boom"}
+    ]
+
+
+def test_verify_reads_no_dense_vector(capsys, monkeypatch):
+    # No check lays a Fock state out over the (c+1)^4 space: with the dense
+    # constructor and the dense view both refused, all checks still pass.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Fock vector")
+
+    monkeypatch.setattr(verify_mod.fock.FockVector, "__init__", refuse)
+    monkeypatch.setattr(verify_mod.fock.FockVector, "amplitudes", property(refuse))
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out.splitlines()[-1] == "12/12 checks passed"
+
+
+def test_closed_form_state_worst_equals_the_dense_difference():
+    # The check compares stored entries only; off them both vectors are zero,
+    # so its worst value is the dense elementwise maximum bit for bit.
+    fock, resonator = verify_mod.fock, verify_mod.resonator
+    dense = 0.0
+    for n in (1, 2, 3):
+        for phi in (0.0, 0.3, math.pi):
+            for tau in (0.005, 0.02):
+                a_tau = resonator.amplitude_sum(n, phi) * tau
+                cutoff = fock.suggest_cutoff(a_tau, floor=8)
+                evolved = fock.evolve_vacuum(resonator.ResonatorConfig(n, phi, tau), cutoff)
+                closed = fock.disentangled_state(a_tau, cutoff)
+                dense = max(dense, float(np.abs(evolved.amplitudes - closed.amplitudes).max()))
+    result = verify_mod.check_closed_form_state()
+    assert result.passed and result.worst == dense > 0.0
 
 
 def test_verify_detects_mutation(capsys, monkeypatch):

@@ -770,8 +770,6 @@ def test_suggest_cutoff():
     with pytest.raises(ValueError, match="no finite cutoff"):
         suggest_cutoff(20.0)
     with pytest.raises(ValueError):
-        suggest_cutoff(0.1, amp_tol=2.0)
-    with pytest.raises(ValueError):
         suggest_cutoff(0.1, floor=0)
 
 

@@ -125,6 +125,24 @@ def test_state_density_validation():
     assert state_density(rho) is rho
 
 
+@pytest.mark.parametrize(
+    "rho,message",
+    [
+        (np.eye(3) / 3.0, r"density matrix must be 4x4, got shape \(3, 3\)"),
+        (np.diag([np.nan, 0.0, 0.0, 1.0]), "density matrix contains non-finite entries"),
+        (np.eye(4) / 4.0 + np.triu(np.full((4, 4), 1e-6), 1),
+         r"density matrix is not Hermitian \(defect 1\.000e-06\)"),
+        (np.eye(4) / 2.0, r"density matrix trace is (np\.float64\()?2\.0\)?, expected 1"),
+        (np.diag([0.5, 0.5, 1e-6, -1e-6]), "density matrix has negative eigenvalue -1.000e-06"),
+    ],
+    ids=["shape", "non-finite", "hermitian", "trace", "negative"],
+)
+def test_check_density_matrix_rejections(rho, message):
+    # Each defect sits past the 1e-8 tolerance; numpy 2 reprs the trace as np.float64(2.0).
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_density_matrix(rho)
+
+
 def test_dephasing_channel():
     rho = dephasing_noise(bell_state(), 0.4)
     check_density_matrix(rho)

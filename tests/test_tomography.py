@@ -417,6 +417,22 @@ def test_rho_from_json_rejects_non_numbers(part, literal):
         rho_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([], "expected an object with a 'matrix' key"),
+        ({"matrix": [[]] * 3}, r"'matrix' must be a 4x4 array of \[re, im\] pairs"),
+        ({"matrix": [[[0, 0]] * 4] * 3 + [[[0, 0]] * 3]}, "matrix row 3 must have 4 entries"),
+        ({"matrix": [[[0, 0]] * 4] * 2 + [[[0, 0]] * 3 + [[0]]] * 2},
+         r"matrix\[2\]\[3\] must be an \[re, im\] pair"),
+    ],
+    ids=["not-an-object", "three-rows", "short-row", "short-pair"],
+)
+def test_rho_from_json_schema_errors(doc, message):
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        rho_from_json(json.dumps(doc))
+
+
 def test_reconstruction_result_physical_flag():
     rho = np.eye(4, dtype=complex) / 4.0
     ok = ReconstructionResult(rho=rho, method="linear", min_eigenvalue=0.25)
