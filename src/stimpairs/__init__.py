@@ -32,12 +32,12 @@ _EXPORTS = {
         "coincidence_probability",
         "dephasing_noise",
         "fit_fringe",
-        "pair_rate",
         "simulate_polarization_fringe",
         "simulate_stimulation_fringe",
         "state_density",
         "visibility",
     ),
+    "rates": ("pair_rate",),
     "resonator": (
         "ResonatorConfig",
         "amplitude_sum",

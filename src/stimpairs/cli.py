@@ -21,20 +21,20 @@ from a flag or a file, must have the row's kind: float (a number), int (an
 integer), str (a JSON string), bool (true or false), list (pass counts,
 "1,2,5" or a file's [1, 2, 5]) or a tuple of the allowed choices.  The
 handlers read the resolved settings, which minus the format are the echo.
+
+Each handler imports the submodules it runs, and numpy loads only with code
+that computes on arrays: `rates`, --help and usage errors caught before a
+handler's imports exit without it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-# The handlers import the submodules they run, so each command loads only those.
 from .errors import FitError, ReconstructionError, SchemaError, TruncationError
 from .errors import is_json_number, load_json
 
@@ -217,6 +217,8 @@ def _grid(s: dict, lo: str, hi: str, steps: str) -> np.ndarray:
     if s[steps] < 2 or s[hi] <= s[lo]:
         lo, hi, steps = (key.replace("_", "-") for key in (lo, hi, steps))
         raise _UsageError(f"need {hi} > {lo} and {steps} >= 2")
+    import numpy as np
+
     return np.linspace(s[lo], s[hi], s[steps])
 
 
@@ -252,14 +254,16 @@ def _plate_from(args, config: dict):
 
 
 def _cmd_sweep_phase(args, config: dict, s: dict) -> int:
+    phis = _grid(s, "phi_min", "phi_max", "phi_steps")  # before numpy loads with resonator
     from . import resonator
 
-    phis = _grid(s, "phi_min", "phi_max", "phi_steps")
     rows = resonator.sweep_rows(s["n_list"], phis, s["tau"], s["m"])
     return _emit_scan(args, s, resonator.SWEEP_COLUMNS, rows)
 
 
 def _cmd_fig4(args, config: dict, s: dict) -> int:
+    import numpy as np
+
     from . import polarization, resonator
 
     geom = _plate_from(args, config)
@@ -275,6 +279,8 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
 
 
 def _cmd_fringe(args, config: dict, s: dict) -> int:
+    import numpy as np
+
     from . import polarization
 
     rho = _parse_state(s["state"])
@@ -336,27 +342,30 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
 
 
 def _cmd_rates(args, config: dict, s: dict) -> int:
-    from . import polarization
+    from .rates import pair_rate
 
     if s["singles"] is None or s["coincidences"] is None:
         raise _UsageError("rates needs --singles and --coincidences")
-    rate = polarization.pair_rate(s["singles"], s["coincidences"])
-    doc = {"command": "rates", "config": s, "rate": rate}
     expected = s["expected"]
-    if expected is not None:
-        if expected > 0 and rate > 0:
-            factor = rate / expected
-            doc["expected_ratio"] = factor
-            if factor > 10.0 or factor < 0.1:
-                doc["note"] = (
-                    f"computed rate differs from the supplied reference by a factor "
-                    f"{factor:.3e}; the inputs likely use different unit conventions"
-                )
+    if expected is not None and expected <= 0:
+        raise _UsageError(f"expected must be positive, got {expected!r}")
+    rate = pair_rate(s["singles"], s["coincidences"])
+    doc = {"command": "rates", "config": s, "rate": rate}
+    if expected is not None and rate > 0:
+        factor = rate / expected
+        doc["expected_ratio"] = factor
+        if factor > 10.0 or factor < 0.1:
+            doc["note"] = (
+                f"computed rate differs from the supplied reference by a factor "
+                f"{factor:.3e}; the inputs likely use different unit conventions"
+            )
     _emit(_json_text(doc), args.out)
     return 0
 
 
 def _cmd_verify(args, config: dict, s: dict) -> int:
+    import dataclasses
+
     from . import verify
 
     results = verify.run_checks()
@@ -423,6 +432,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple:
+    """The exceptions that exit 2.
+
+    numpy's LinAlgError subclasses ValueError, so main must catch it before
+    its ValueError catch-all.  It can only have been raised once numpy.linalg
+    is loaded, so it is looked up there instead of importing numpy.
+    """
+    linalg = sys.modules.get("numpy.linalg")
+    found = (linalg.LinAlgError,) if linalg is not None else ()
+    return (TruncationError, FitError, ReconstructionError, FloatingPointError, *found)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -434,9 +455,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"stimpairs: schema error: {exc}", file=sys.stderr)
         return 1
-    except (  # LinAlgError subclasses ValueError: it must be caught before the catch-all below.
-        TruncationError, FitError, ReconstructionError, FloatingPointError, np.linalg.LinAlgError
-    ) as exc:
+    except _numerical_errors() as exc:  # evaluated only once an exception gets this far
         print(f"stimpairs: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (_UsageError, ValueError, TypeError) as exc:

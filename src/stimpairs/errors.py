@@ -1,14 +1,14 @@
 """Exception types shared across the package, and the input rules its modules share.
 
 Grouping them here keeps the command line driver's exit-code mapping in one
-import: schema/validation problems exit 1, numerical failures exit 2.
+import: schema/validation problems exit 1, numerical failures exit 2.  The
+rules that take arrays import numpy in their bodies, so importing this module
+loads no numpy.
 """
 
 import json
 import math
 import sys
-
-import numpy as np
 
 
 class StimpairsError(Exception):
@@ -67,6 +67,8 @@ def json_number(value, what: str) -> float:
 
 def positive_int(value, what: str) -> int:
     """A Python or numpy integer >= 1 as an int; a bool or a float (even 2.0) is not a count."""
+    import numpy as np
+
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
     return int(value)
@@ -82,15 +84,19 @@ def positive_float(value, what: str) -> float:
 def check_each(ok, values, message: str) -> None:
     """Raise ValueError(message) naming the first entry of values where ok fails."""
     if not ok.all():
+        import numpy as np
+
         raise ValueError(message.format(float(np.asarray(values)[~ok].flat[0])))
 
 
-def finite(value, what: str) -> np.ndarray:
+def finite(value, what: str) -> "np.ndarray":
     """value as a float array (0-d for a scalar) whose every entry is finite.
 
     Entries that are not real numbers (None, strings, complex) raise
     TypeError; a NaN or an infinity raises ValueError naming the first one.
     """
+    import numpy as np
+
     array = np.asarray(value)
     if array.dtype.kind not in "biuf":
         raise TypeError(f"{what} must be a real number, got {value!r}")

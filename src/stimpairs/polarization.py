@@ -1,4 +1,4 @@
-"""Two-qubit polarization layer: analyzers, fringes, dephasing, and the pair rate.
+"""Two-qubit polarization layer: analyzers, fringes and dephasing.
 
 Coincidence amplitudes live in the product basis ordered (HH, HV, VH, VV),
 first letter arm a, second letter arm b.  The emitted single-pair state is the
@@ -421,25 +421,3 @@ def simulate_stimulation_fringe(
     counts = _draw_counts(shots * probs, seed)
     return FringeScan(x=alphas, counts=counts, phase=phases)
 
-
-# ----- Raw count-rate arithmetic -----
-
-
-def pair_rate(singles: float, coincidences: float) -> float:
-    """Pair rate estimate singles^2 / coincidences, for equal singles in both arms.
-
-    With detection efficiency eta in each arm, a pair rate R gives singles
-    eta R and coincidences eta^2 R, so the estimate is R whatever eta is
-    (Klyshko, Sov. J. Quantum Electron. 10, 1112 (1980)).  A rate past the
-    float range is a FloatingPointError, never inf.
-    """
-    if not (math.isfinite(singles) and singles >= 0.0):
-        raise ValueError(f"singles rate must be non-negative, got {singles!r}")
-    positive_float(coincidences, "coincidence rate")
-    try:
-        rate = singles**2 / coincidences
-    except OverflowError:  # singles**2 is past the float range
-        rate = math.inf
-    if math.isinf(rate):
-        raise FloatingPointError(f"rate {singles!r}**2 / {coincidences!r} overflows a float")
-    return rate

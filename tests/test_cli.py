@@ -475,6 +475,24 @@ def test_rates_discrepancy_note(capsys):
     assert "unit conventions" in doc["note"]
 
 
+@pytest.mark.parametrize("expected", ["0", "-5"])
+def test_rates_non_positive_expected_exits_one(capsys, expected):
+    # A reference of zero or below has no ratio; it is refused, not ignored.
+    code, out, err = run(
+        capsys, "rates", "--singles", "1e5", "--coincidences", "1e3", "--expected", expected
+    )
+    assert code == 1
+    assert "invalid configuration" in err and "expected" in err and out == ""
+
+
+def test_rates_config_null_expected_is_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"singles": 1e5, "coincidences": 1e3, "expected": None}))
+    code, out, _ = run(capsys, "rates", "--config", str(cfg))
+    assert code == 0
+    assert set(json.loads(out)) == {"command", "config", "rate"}
+
+
 def test_rates_requires_inputs(capsys):
     code, _, err = run(capsys, "rates", "--singles", "1e5")
     assert code == 1
@@ -509,6 +527,17 @@ def test_rates_order_flag_removed(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rate"] == 1e7 and "order" not in doc["config"]
+
+
+def test_linalg_error_in_a_handler_exits_two(capsys, monkeypatch):
+    # main maps numpy's LinAlgError to exit 2 without importing numpy itself.
+    def singular(record):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(stimpairs.tomography, "reconstruct_linear", singular)
+    code, out, err = run(capsys, "tomography", "--method", "linear", "--shots", "1e3", "--seed", "1")
+    assert code == 2
+    assert "numerical failure: Singular matrix" in err and out == ""
 
 
 def test_numerical_failure_exits_two(capsys):
@@ -694,7 +723,7 @@ _MODULES_PROBE = """
 import json, sys
 {code}
 loaded = sorted(k.split(".", 1)[1] for k in sys.modules if k.startswith("stimpairs."))
-print(json.dumps({{"loaded": loaded}}))
+print(json.dumps({{"loaded": loaded, "numpy": "numpy" in sys.modules}}))
 """
 
 _CLOSED_FORM = {"errors", "phase_plate", "resonator"}
@@ -702,33 +731,44 @@ _FRINGES = _CLOSED_FORM | {"polarization"}
 _ALL_MODULES = _FRINGES | {"cli", "fock", "tomography", "verify"}
 
 
+def _main(argv: list, exit_code: int = 0) -> str:
+    """Probe code that runs the command line on argv and checks its exit code."""
+    return f"from stimpairs.cli import main\nassert main({argv!r}) == {exit_code}"
+
+
 @pytest.mark.parametrize(
-    "code, expected",
+    "code, expected, numpy",
     [
-        ("import stimpairs", set()),
-        ("import stimpairs; stimpairs.PlateGeometry", {"errors", "phase_plate"}),
-        ("import stimpairs; stimpairs.tomography", _FRINGES | {"tomography"}),
-        (["sweep-phase"], _CLOSED_FORM | {"cli"}),
-        (["fig4", "--seed", "7"], _FRINGES | {"cli"}),
-        (["fringe", "--seed", "3"], _FRINGES | {"cli"}),
-        (["rates", "--singles", "36000", "--coincidences", "1300"], _FRINGES | {"cli"}),
-        (["tomography", "--state", "bell"], _FRINGES | {"cli", "tomography"}),
-        (["tomography", "--method", "linear"], _FRINGES | {"cli", "tomography"}),
-        (["verify"], _ALL_MODULES),
+        ("import stimpairs", set(), False),
+        ("import stimpairs; stimpairs.PlateGeometry", {"errors", "phase_plate"}, True),
+        ("import stimpairs; stimpairs.pair_rate", {"errors", "rates"}, False),
+        ("import stimpairs; stimpairs.tomography", _FRINGES | {"tomography"}, True),
+        (["sweep-phase"], _CLOSED_FORM | {"cli"}, True),
+        (["fig4", "--seed", "7"], _FRINGES | {"cli"}, True),
+        (["fringe", "--seed", "3"], _FRINGES | {"cli"}, True),
+        (["rates", "--singles", "36000", "--coincidences", "1300"], {"cli", "errors", "rates"}, False),
+        (["tomography", "--state", "bell"], _FRINGES | {"cli", "tomography"}, True),
+        (["tomography", "--method", "linear"], _FRINGES | {"cli", "tomography"}, True),
+        (["verify"], _ALL_MODULES, True),
+        # --help and usage errors exit before any handler imports what it runs.
+        (_main(["--help"]), {"cli", "errors"}, False),
+        (_main(["rates", "--help"]), {"cli", "errors"}, False),
+        (_main(["sweep-phase", "--phi-steps", "1"], exit_code=1), {"cli", "errors"}, False),
     ],
     ids=[
-        "import", "name", "submodule", "sweep-phase", "fig4", "fringe", "rates",
-        "tomography-mle", "tomography-linear", "verify",
+        "import", "name", "rates-name", "submodule", "sweep-phase", "fig4", "fringe", "rates",
+        "tomography-mle", "tomography-linear", "verify", "help", "rates-help", "usage-error",
     ],
 )
-def test_each_command_loads_only_its_modules(tmp_path, code, expected):
+def test_each_command_loads_only_its_modules(tmp_path, code, expected, numpy):
     # The package namespace is lazy and each handler imports what it runs, so
-    # a fresh process loads only the submodules its command needs.
+    # a fresh process loads only the submodules its command needs, and numpy
+    # only where arrays are computed.
     if isinstance(code, list):
-        argv = code + ["--out", str(tmp_path / "out")]
-        code = f"from stimpairs.cli import main\nassert main({argv!r}) == 0"
+        code = _main(code + ["--out", str(tmp_path / "out")])
     doc = _last_json(_fresh_python("-c", _MODULES_PROBE.format(code=code)))
     assert set(doc["loaded"]) == expected
+    assert doc["numpy"] is numpy
 
 
 def test_importtime_lists_lazily_loaded_submodules():

@@ -24,12 +24,12 @@ from stimpairs.polarization import (
     coincidence_probability,
     dephasing_noise,
     fit_fringe,
-    pair_rate,
     simulate_polarization_fringe,
     simulate_stimulation_fringe,
     state_density,
     visibility,
 )
+from stimpairs.rates import pair_rate
 from stimpairs.resonator import ResonatorConfig, sweep_rows
 from stimpairs.tomography import log_likelihood, reconstruct_mle, simulate_tomography
 from stimpairs.verify import check_singlet_invariance
