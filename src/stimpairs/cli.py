@@ -223,18 +223,20 @@ def _grid(s: dict, lo: str, hi: str, steps: str) -> np.ndarray:
 
 
 def _parse_state(spec: str) -> np.ndarray:
-    """bell or dephased:<d> into a density matrix."""
-    from . import polarization
-
-    if spec == "bell":
-        return polarization.state_density(polarization.bell_state())
+    """bell or dephased:<d> into a density matrix; a bad spec raises before numpy loads."""
+    d = None
     if spec.startswith("dephased:"):
         try:
             d = float(spec.split(":", 1)[1])
         except ValueError:
             raise _UsageError(f"bad dephasing strength in {spec!r}")
-        return polarization.dephasing_noise(polarization.bell_state(), d)
-    raise _UsageError(f"unknown state {spec!r}, expected 'bell' or 'dephased:<d>'")
+    elif spec != "bell":
+        raise _UsageError(f"unknown state {spec!r}, expected 'bell' or 'dephased:<d>'")
+    from . import polarization
+
+    if d is None:
+        return polarization.state_density(polarization.bell_state())
+    return polarization.dephasing_noise(polarization.bell_state(), d)
 
 
 def _plate_from(args, config: dict):
@@ -262,12 +264,13 @@ def _cmd_sweep_phase(args, config: dict, s: dict) -> int:
 
 
 def _cmd_fig4(args, config: dict, s: dict) -> int:
+    alpha_deg = _grid(s, "alpha_min_deg", "alpha_max_deg", "alpha_steps")  # before any import
     import numpy as np
 
     from . import polarization, resonator
 
     geom = _plate_from(args, config)
-    alphas = np.radians(_grid(s, "alpha_min_deg", "alpha_max_deg", "alpha_steps"))
+    alphas = np.radians(alpha_deg)
     cfg = resonator.ResonatorConfig(s["n_passes"], 0.0, s["tau"])
     scan = polarization.simulate_stimulation_fringe(
         geom, cfg, alphas, s["shots"], seed=s["seed"], model=s["model"]
@@ -279,11 +282,11 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
 
 
 def _cmd_fringe(args, config: dict, s: dict) -> int:
+    rho = _parse_state(s["state"])
     import numpy as np
 
     from . import polarization
 
-    rho = _parse_state(s["state"])
     angles = np.radians(_grid(s, "scan_min_deg", "scan_max_deg", "scan_steps"))
     qwp_a, qwp_b = s["qwp_a_deg"], s["qwp_b_deg"]
     arm_b = polarization.ArmSetting(
@@ -303,11 +306,10 @@ def _cmd_fringe(args, config: dict, s: dict) -> int:
 
 
 def _cmd_tomography(args, config: dict, s: dict) -> int:
-    from . import polarization, tomography
-
     counts_path, state_spec = s["counts"], s["state"]
     if counts_path is not None and state_spec is not None:
         raise _UsageError("give either --counts or --state, not both")
+    from . import polarization, tomography
 
     if counts_path is not None:
         text = Path(counts_path).read_text()

@@ -23,15 +23,20 @@ pump reaches from the vacuum lies on the pair sector |p, q; q, p>.  One
 private helper, _sector_index, maps that sector to full-space indices.  A
 FockVector stores only its nonzero entries (sorted full-space indices and
 their values), so evolve_vacuum, the closed form and the entangled states
-emit sector entries through _sector_index and project_entangled gathers
-them back; no command lays a state out over the (c+1)^4 space.  The dense
-views (FockVector(amplitudes, cutoff) and .amplitudes) remain for the
-benchmark and the tests.  On the sector the evolution is two commuting
-pair ladders, both gauge-equivalent to one real tridiagonal matrix whose
-eigendecomposition _ladder_eigen caches per cutoff.  _pair_terms lists the
-entries of L+ from the index strides alone; build_generator (the
-full-space reference the oracle is tested against) and verify's
-su11_algebra check both start from it.
+emit sector entries and project_entangled gathers them back; no command
+lays a state out over the (c+1)^4 space.  The dense views
+(FockVector(amplitudes, cutoff) and .amplitudes) remain for the benchmark
+and the tests.  On the sector the evolution is two commuting pair ladders,
+both gauge-equivalent to one real tridiagonal matrix whose
+eigendecomposition _ladder_eigen caches per cutoff.  The index arrays
+depend on the cutoff alone too: _sector_layout caches, per cutoff, the
+sector's full-space indices (evolve_vacuum) and those of its p + q <= c
+part with signs and pair numbers (disentangled_state), about 20 (c+1)^2
+bytes, which is the size of one evolved state; _entangled_layout caches
+the signs and indices of each (M, cutoff) pair's Phi_M terms.  All cached
+arrays are read-only.  _pair_terms lists the entries of L+ from the index
+strides alone; build_generator (the full-space reference the oracle is
+tested against) and verify's su11_algebra check both start from it.
 """
 
 from __future__ import annotations
@@ -89,6 +94,12 @@ class FockVector:
 
     leakage, when present, is the probability weight the producing evolution
     left on the cutoff shell (see evolve_vacuum).
+
+    The states evolve_vacuum, disentangled_state and entangled_state build
+    share their indices with a cache (_sector_layout, _entangled_layout), so
+    that array (or a view of it) is read-only: writing to it raises
+    ValueError instead of corrupting every later state at the same cutoff.
+    Copy it before changing it.
     """
 
     __slots__ = ("indices", "values", "cutoff", "leakage")
@@ -284,13 +295,53 @@ def _sector_index(p, q, cutoff: int):
     return ((p * b + q) * b + q) * b + p
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each marked read-only, as a tuple; every cache here stores them so."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_layout(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays of the pair sector |p, q; q, p> at one cutoff.
+
+    Returns (sector, below, sign, pairs): sector holds the full-space
+    indices of the whole sector in row-major (p, q) order, which is
+    increasing index order; below holds those of its p + q <= cutoff part in
+    the same order, sign the matching (-1)^q and pairs n = p + q.  An entry
+    holds (c+1)^2 + 3 (c+1)(c+2)/2 eight-byte numbers, about 20 (c+1)^2
+    bytes: 19 KB at cutoff 30, 8 MB at cutoff 629.  The cache keeps the 16
+    most recently used cutoffs, so it never holds more than 16 x 20 (c+1)^2
+    bytes, c the largest cutoff among those 16.
+    """
+    k = np.arange(cutoff + 1)
+    sector = _sector_index(k[:, None], k, cutoff).ravel()
+    p, q = np.indices((cutoff + 1, cutoff + 1))
+    keep = p + q <= cutoff
+    p, q = p[keep], q[keep]
+    return _read_only(sector, _sector_index(p, q, cutoff), np.where(q % 2, -1.0, 1.0), p + q)
+
+
 def _entangled_terms(m, cutoff: int):
     """Signs (-1)^k and full-space indices of the terms |M-k, k; k, M-k> of Phi_M."""
     m = positive_int(m, "M")
     if m > cutoff:
         raise ValueError(f"M = {m} needs occupations up to {m}, cutoff is {cutoff}")
+    return _entangled_layout(m, cutoff)
+
+
+@functools.lru_cache(maxsize=32)
+def _entangled_layout(m: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """_entangled_terms' read-only arrays, k = 0..M in order, for a checked M <= cutoff.
+
+    An entry holds 2 (M+1) eight-byte numbers, at most 16 (c+1) bytes.  The
+    cache keeps the 32 most recently used (M, cutoff) pairs, two M for each
+    cutoff _sector_layout keeps, so it never holds more than 32 x 16 (c+1)
+    bytes, c the largest cutoff among them.
+    """
     k = np.arange(m + 1)
-    return np.where(k % 2, -1.0, 1.0), _sector_index(m - k, k, cutoff)
+    return _read_only(np.where(k % 2, -1.0, 1.0), _sector_index(m - k, k, cutoff))
 
 
 @functools.lru_cache(maxsize=16)
@@ -308,10 +359,7 @@ def _ladder_eigen(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     k = np.arange(1.0, cutoff + 1.0)
     w, v = np.linalg.eigh(np.diag(k, -1) + np.diag(k, 1))
-    row = v[0, :].copy()
-    for array in (w, v, row):
-        array.setflags(write=False)
-    return w, v, row
+    return _read_only(w, v, v[0, :].copy())
 
 
 def evolve_vacuum(
@@ -361,10 +409,7 @@ def evolve_vacuum(
             leakage=leakage,
             cutoff=space.cutoff,
         )
-    # Row-major (p, q) order is increasing full-space index order.
-    return FockVector._from_entries(
-        _sector_index(k[:, None], k, c).ravel(), sector.ravel(), c, leakage=leakage
-    )
+    return FockVector._from_entries(_sector_layout(c)[0], sector.ravel(), c, leakage=leakage)
 
 
 def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
@@ -388,15 +433,9 @@ def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
         return space.vacuum()
     u = -1j * (complex(a_tau) / x) * math.tanh(x)
     sech2 = 1.0 / math.cosh(x) ** 2
-    # |n-l, l; l, n-l> is the sector state p = n - l, q = l; keep n <= cutoff.
-    # The mask keeps row-major (p, q) order, which is increasing index order.
-    p, q = np.indices((space.base, space.base))
-    keep = p + q <= space.cutoff
-    p, q = p[keep], q[keep]
-    sign = np.where(q % 2, -1.0, 1.0)
-    return FockVector._from_entries(
-        _sector_index(p, q, space.cutoff), sign * (sech2 * u ** (p + q)), space.cutoff
-    )
+    # |n-l, l; l, n-l> is the sector state p = n - l, q = l, kept for n <= cutoff.
+    _, index, sign, n = _sector_layout(space.cutoff)
+    return FockVector._from_entries(index, sign * (sech2 * u**n), space.cutoff)
 
 
 def entangled_state(m: int, space: FockSpace | int) -> FockVector:

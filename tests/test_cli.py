@@ -754,10 +754,18 @@ def _main(argv: list, exit_code: int = 0) -> str:
         (_main(["--help"]), {"cli", "errors"}, False),
         (_main(["rates", "--help"]), {"cli", "errors"}, False),
         (_main(["sweep-phase", "--phi-steps", "1"], exit_code=1), {"cli", "errors"}, False),
+        (_main(["fringe", "--state", "ghz"], exit_code=1), {"cli", "errors"}, False),
+        (_main(["fig4", "--alpha-steps", "1"], exit_code=1), {"cli", "errors"}, False),
+        (
+            _main(["tomography", "--state", "bell", "--counts", "x.json"], exit_code=1),
+            {"cli", "errors"},
+            False,
+        ),
     ],
     ids=[
         "import", "name", "rates-name", "submodule", "sweep-phase", "fig4", "fringe", "rates",
         "tomography-mle", "tomography-linear", "verify", "help", "rates-help", "usage-error",
+        "fringe-state-error", "fig4-grid-error", "tomography-both-error",
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, code, expected, numpy):
@@ -769,6 +777,14 @@ def test_each_command_loads_only_its_modules(tmp_path, code, expected, numpy):
     doc = _last_json(_fresh_python("-c", _MODULES_PROBE.format(code=code)))
     assert set(doc["loaded"]) == expected
     assert doc["numpy"] is numpy
+
+
+def test_verify_leaves_numpy_ma_unloaded(tmp_path):
+    # closed_form_state compares the entries of each vector in turn rather than
+    # their np.union1d, which goes through np.unique and imports numpy.ma.
+    code = _main(["verify", "--out", str(tmp_path / "verify.txt")])
+    code += "\nimport sys; print('numpy.ma' in sys.modules)"
+    assert _fresh_python("-c", code).stdout.strip().splitlines()[-1] == "False"
 
 
 def test_importtime_lists_lazily_loaded_submodules():

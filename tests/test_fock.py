@@ -412,6 +412,63 @@ def test_ladder_decomposition_is_cached_read_only_per_cutoff():
     assert np.array_equal(row, v[0, :])
 
 
+def test_sector_layouts_are_cached_read_only():
+    layout = fock_mod._sector_layout(7)
+    assert all(a is b for a, b in zip(fock_mod._sector_layout(7), layout))
+    terms = fock_mod._entangled_terms(2, 7)
+    assert all(a is b for a, b in zip(fock_mod._entangled_terms(2, 7), terms))
+    assert fock_mod._sector_layout.cache_info().maxsize == 16
+    assert fock_mod._entangled_layout.cache_info().maxsize == 32
+    for array in layout + terms:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # M is checked on every call: 2.0 and True equal the cached keys 2 and 1,
+    # so a check inside the cached function would let them through.
+    fock_mod._entangled_terms(1, 7)
+    for m in (0, 2.0, True, 8):
+        with pytest.raises(ValueError):
+            fock_mod._entangled_terms(m, 7)
+
+
+def test_sector_layouts_match_the_uncached_expressions():
+    # The expressions evolve_vacuum, disentangled_state and _entangled_terms
+    # evaluated on every call before the layouts were cached.
+    for cutoff in range(1, 41):
+        sector, below, sign, pairs = fock_mod._sector_layout(cutoff)
+        k = np.arange(cutoff + 1)
+        expected = fock_mod._sector_index(k[:, None], k, cutoff).ravel()
+        p, q = np.indices((cutoff + 1, cutoff + 1))
+        keep = p + q <= cutoff
+        p, q = p[keep], q[keep]
+        for got, want in (
+            (sector, expected),
+            (below, fock_mod._sector_index(p, q, cutoff)),
+            (sign, np.where(q % 2, -1.0, 1.0)),
+            (pairs, p + q),
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want), cutoff
+        for m in range(1, cutoff + 1):
+            k = np.arange(m + 1)
+            sign, index = fock_mod._entangled_terms(m, cutoff)
+            assert np.array_equal(sign, np.where(k % 2, -1.0, 1.0)), (m, cutoff)
+            assert np.array_equal(index, fock_mod._sector_index(m - k, k, cutoff)), (m, cutoff)
+
+
+def test_writing_to_cached_state_indices_raises():
+    cfg = ResonatorConfig(2, 0.3, 0.02)
+    state = evolve_vacuum(cfg, 9)
+    before = state.indices.copy()
+    with pytest.raises(ValueError):
+        state.indices[0] = 5
+    again = evolve_vacuum(cfg, 9)
+    assert np.array_equal(again.indices, before)
+    assert np.array_equal(again.values, state.values)
+    for other in (disentangled_state(0.1j, 9), entangled_state(2, 9)):
+        with pytest.raises(ValueError):
+            other.indices[0] = 5
+
+
 def test_ladder_identities_hold_for_any_phase():
     # Gauge: coef = |A| e^{i theta} gives D exp(-i tau |A| J) e0; sign flip:
     # -A gives (-1)^p times the same column.
