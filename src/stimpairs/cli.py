@@ -13,7 +13,7 @@ Every subcommand accepts --config <json> (a file of long-option keys, CLI
 flags win), echoes the resolved configuration and seed into its output
 header, and is deterministic under a fixed seed.  Scans are CSV, structured
 results JSON.  Exit codes: 0 success, 1 validation error, 2 numerical
-failure, 3 I/O error.
+failure, 3 I/O error or a missing dependency (numpy not installed).
 
 Each option is one (key, kind, default, help) row of OPTIONS, which makes
 its --flag (the key with '-' for '_') and names its config key.  Every value,
@@ -222,16 +222,24 @@ def _grid(s: dict, lo: str, hi: str, steps: str) -> np.ndarray:
     return np.linspace(s[lo], s[hi], s[steps])
 
 
-def _parse_state(spec: str) -> np.ndarray:
-    """bell or dephased:<d> into a density matrix; a bad spec raises before numpy loads."""
-    d = None
+def _state_strength(spec: str) -> float | None:
+    """The dephasing strength d of a bell or dephased:<d> spec, None for bell.
+
+    Checks the grammar alone and loads nothing, so a bad spec exits before
+    numpy loads; the range of d is checked when _state_density builds the state.
+    """
     if spec.startswith("dephased:"):
         try:
-            d = float(spec.split(":", 1)[1])
+            return float(spec.split(":", 1)[1])
         except ValueError:
             raise _UsageError(f"bad dephasing strength in {spec!r}")
-    elif spec != "bell":
+    if spec != "bell":
         raise _UsageError(f"unknown state {spec!r}, expected 'bell' or 'dephased:<d>'")
+    return None
+
+
+def _state_density(d: float | None) -> np.ndarray:
+    """Density matrix of the singlet, dephased by d unless d is None."""
     from . import polarization
 
     if d is None:
@@ -282,12 +290,14 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
 
 
 def _cmd_fringe(args, config: dict, s: dict) -> int:
-    rho = _parse_state(s["state"])
+    d = _state_strength(s["state"])  # the state error first, then the grid's
+    pol_a_deg = _grid(s, "scan_min_deg", "scan_max_deg", "scan_steps")  # before any import
     import numpy as np
 
     from . import polarization
 
-    angles = np.radians(_grid(s, "scan_min_deg", "scan_max_deg", "scan_steps"))
+    rho = _state_density(d)
+    angles = np.radians(pol_a_deg)
     qwp_a, qwp_b = s["qwp_a_deg"], s["qwp_b_deg"]
     arm_b = polarization.ArmSetting(
         pol=math.radians(s["pol_b_deg"]), qwp=math.radians(qwp_b) if qwp_b is not None else None
@@ -309,13 +319,14 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
     counts_path, state_spec = s["counts"], s["state"]
     if counts_path is not None and state_spec is not None:
         raise _UsageError("give either --counts or --state, not both")
+    d = _state_strength("bell" if state_spec is None else state_spec)  # before any import
     from . import polarization, tomography
 
     if counts_path is not None:
         text = Path(counts_path).read_text()
         record = tomography.TomographyRecord.from_json(text)
     else:
-        rho_true = _parse_state(state_spec if state_spec is not None else "bell")
+        rho_true = _state_density(d)
         settings = tomography.standard_settings(tuple(s["basis"]))
         record = tomography.simulate_tomography(
             rho_true, s["shots"], seed=s["seed"], settings=settings
@@ -463,6 +474,9 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, TypeError) as exc:
         print(f"stimpairs: invalid configuration: {exc}", file=sys.stderr)
         return 1
+    except ImportError as exc:  # numpy not installed: not the user's input
+        print(f"stimpairs: missing dependency: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"stimpairs: i/o error: {exc}", file=sys.stderr)
         return 3

@@ -27,21 +27,19 @@ emit sector entries and project_entangled gathers them back; no command
 lays a state out over the (c+1)^4 space.  The dense views
 (FockVector(amplitudes, cutoff) and .amplitudes) remain for the benchmark
 and the tests.  On the sector the evolution is two commuting pair ladders,
-both gauge-equivalent to one real tridiagonal matrix whose
-eigendecomposition _ladder_eigen caches per cutoff.  The index arrays
-depend on the cutoff alone too: _sector_layout caches, per cutoff, the
-sector's full-space indices (evolve_vacuum) and those of its p + q <= c
-part with signs and pair numbers (disentangled_state), about 20 (c+1)^2
-bytes, which is the size of one evolved state; _entangled_layout caches
-the signs and indices of each (M, cutoff) pair's Phi_M terms.  All cached
-arrays are read-only.  _pair_terms lists the entries of L+ from the index
-strides alone; build_generator (the full-space reference the oracle is
-tested against) and verify's su11_algebra check both start from it.
+both gauge-equivalent to one real tridiagonal matrix J.  Everything that
+depends on the cutoff alone, J's eigendecomposition and the index arrays of
+the sector, of its p + q <= c part and of each Phi_M, is one read-only
+table that _cutoff_tables caches per cutoff, about 36 (c+1)^2 bytes.
+_pair_terms lists the entries of L+ from the index strides alone;
+build_generator (the full-space reference the oracle is tested against) and
+verify's su11_algebra check both start from it.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import json
 import math
@@ -96,10 +94,10 @@ class FockVector:
     left on the cutoff shell (see evolve_vacuum).
 
     The states evolve_vacuum, disentangled_state and entangled_state build
-    share their indices with a cache (_sector_layout, _entangled_layout), so
-    that array (or a view of it) is read-only: writing to it raises
-    ValueError instead of corrupting every later state at the same cutoff.
-    Copy it before changing it.
+    share their indices with the per-cutoff cache (_cutoff_tables), so that
+    array (or a view of it) is read-only: writing to it raises ValueError
+    instead of corrupting every later state at the same cutoff.  Copy it
+    before changing it.
     """
 
     __slots__ = ("indices", "values", "cutoff", "leakage")
@@ -295,71 +293,62 @@ def _sector_index(p, q, cutoff: int):
     return ((p * b + q) * b + q) * b + p
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, each marked read-only, as a tuple; every cache here stores them so."""
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
+_CutoffTables = collections.namedtuple(
+    "_CutoffTables", "w v row sector below sign pairs phi_sign phi_index"
+)
 
 
 @functools.lru_cache(maxsize=16)
-def _sector_layout(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index arrays of the pair sector |p, q; q, p> at one cutoff.
+def _cutoff_tables(cutoff: int) -> _CutoffTables:
+    """Read-only arrays that depend on the cutoff alone, built once per cutoff.
 
-    Returns (sector, below, sign, pairs): sector holds the full-space
-    indices of the whole sector in row-major (p, q) order, which is
-    increasing index order; below holds those of its p + q <= cutoff part in
-    the same order, sign the matching (-1)^q and pairs n = p + q.  An entry
-    holds (c+1)^2 + 3 (c+1)(c+2)/2 eight-byte numbers, about 20 (c+1)^2
-    bytes: 19 KB at cutoff 30, 8 MB at cutoff 629.  The cache keeps the 16
-    most recently used cutoffs, so it never holds more than 16 x 20 (c+1)^2
-    bytes, c the largest cutoff among those 16.
+    - w, v, row: eigenvalues, eigenvectors and first row V[0, :] of the real
+      ladder J = K + K^T, where K[p+1, p] = p + 1 is a pair-creation term
+      restricted to its ladder |p; p>, p = 0..cutoff; K kills p = cutoff
+      exactly as the truncated ladder operators do (evolve_vacuum).
+    - sector: full-space indices of the pair sector |p, q; q, p> in
+      row-major (p, q) order, which is increasing index order (evolve_vacuum).
+    - below, sign, pairs: the indices of its p + q <= cutoff part in the same
+      order, (-1)^q and the pair number n = p + q (disentangled_state).
+    - phi_sign, phi_index: sign and below sorted stably by n, so the shell
+      n = M, the terms of Phi_M, is one slice (_entangled_terms).
+
+    An entry holds about 4.5 (c+1)^2 eight-byte numbers, 36 (c+1)^2 bytes:
+    35 KB at cutoff 30, 14 MB at cutoff 629.  The cache keeps the 16 most
+    recently used cutoffs, so it never holds more than 16 x 36 (c+1)^2 bytes,
+    c the largest cutoff among those 16.  A call that needs only the closed
+    form or a Phi_M projection at a fresh cutoff also decomposes J; the
+    oracle always evolves first at that cutoff.
     """
+    off = np.arange(1.0, cutoff + 1.0)
+    w, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
     k = np.arange(cutoff + 1)
     sector = _sector_index(k[:, None], k, cutoff).ravel()
     p, q = np.indices((cutoff + 1, cutoff + 1))
     keep = p + q <= cutoff
     p, q = p[keep], q[keep]
-    return _read_only(sector, _sector_index(p, q, cutoff), np.where(q % 2, -1.0, 1.0), p + q)
+    below, sign, pairs = _sector_index(p, q, cutoff), np.where(q % 2, -1.0, 1.0), p + q
+    order = np.argsort(pairs, kind="stable")
+    tables = _CutoffTables(
+        w, v, v[0, :].copy(), sector, below, sign, pairs, sign[order], below[order]
+    )
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
 def _entangled_terms(m, cutoff: int):
-    """Signs (-1)^k and full-space indices of the terms |M-k, k; k, M-k> of Phi_M."""
+    """Signs (-1)^k and full-space indices of the terms |M-k, k; k, M-k> of Phi_M.
+
+    Read-only views of _cutoff_tables, k = 0..M in order.  Shell n = M holds
+    p = 0..M in rising order, q = M - p, so k = q runs backwards over it.
+    """
     m = positive_int(m, "M")
     if m > cutoff:
         raise ValueError(f"M = {m} needs occupations up to {m}, cutoff is {cutoff}")
-    return _entangled_layout(m, cutoff)
-
-
-@functools.lru_cache(maxsize=32)
-def _entangled_layout(m: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """_entangled_terms' read-only arrays, k = 0..M in order, for a checked M <= cutoff.
-
-    An entry holds 2 (M+1) eight-byte numbers, at most 16 (c+1) bytes.  The
-    cache keeps the 32 most recently used (M, cutoff) pairs, two M for each
-    cutoff _sector_layout keeps, so it never holds more than 32 x 16 (c+1)
-    bytes, c the largest cutoff among them.
-    """
-    k = np.arange(m + 1)
-    return _read_only(np.where(k % 2, -1.0, 1.0), _sector_index(m - k, k, cutoff))
-
-
-@functools.lru_cache(maxsize=16)
-def _ladder_eigen(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w, eigenvectors V and first row V[0, :] of the real ladder J.
-
-    J = K + K^T, where K[p+1, p] = p + 1 is a pair-creation term restricted
-    to its ladder |p; p>, p = 0..cutoff; K kills p = cutoff exactly as the
-    truncated ladder operators do.  J is real, symmetric and tridiagonal and
-    depends on the cutoff alone, so one eigendecomposition serves every
-    evolution at that cutoff; the arrays are read-only.  The cache keeps the
-    16 most recently used cutoffs, and an entry holds (c+1)(c+3) floats:
-    8 KB at cutoff 30, 3.2 MB at cutoff 629.  So it never holds more than
-    16 x 8 (c+1)(c+3) bytes, c the largest cutoff among those 16.
-    """
-    k = np.arange(1.0, cutoff + 1.0)
-    w, v = np.linalg.eigh(np.diag(k, -1) + np.diag(k, 1))
-    return _read_only(w, v, v[0, :].copy())
+    t = _cutoff_tables(cutoff)
+    shell = slice((m + 1) * (m + 2) // 2 - 1, m * (m + 1) // 2 - 1, -1)
+    return t.phi_sign[shell], t.phi_index[shell]
 
 
 def evolve_vacuum(
@@ -375,7 +364,7 @@ def evolve_vacuum(
     climbs the ladder |p, 0; 0, p> and ccw the ladder |0, q; q, 0>; the two
     commute, so the evolved state is the product u_p u_q on |p, q; q, p>,
     where u_p and u_q are the first columns of the ladder unitaries
-    exp(-i tau H) with H = coef K + coef* K^T (see _ladder_eigen for K and J)
+    exp(-i tau H) with H = coef K + coef* K^T (see _cutoff_tables for K and J)
     and coefficients A and -A.  Two identities reduce both to the real J:
 
     - gauge: with A = |A| e^{i theta} and D = diag(e^{i p theta}), H = |A| D J
@@ -393,11 +382,11 @@ def evolve_vacuum(
         space = FockSpace(space)
     a = _config_amplitude(cfg)
     c = space.cutoff
-    w, v, row = _ladder_eigen(c)
+    t = _cutoff_tables(c)
     k = np.arange(c + 1)
     # u[p] = (D exp(-i tau |A| J) e0)[p]; sector[p, q] = u[p] (-1)^q u[q] is
     # the amplitude of |p, q; q, p>.
-    u = v @ (np.exp(-1j * (cfg.tau * abs(a)) * w) * row)
+    u = t.v @ (np.exp(-1j * (cfg.tau * abs(a)) * t.w) * t.row)
     u *= np.exp(1j * cmath.phase(a) * k)
     sector = np.outer(u, np.where(k % 2, -u, u))
     weight = np.abs(sector) ** 2
@@ -409,7 +398,7 @@ def evolve_vacuum(
             leakage=leakage,
             cutoff=space.cutoff,
         )
-    return FockVector._from_entries(_sector_layout(c)[0], sector.ravel(), c, leakage=leakage)
+    return FockVector._from_entries(t.sector, sector.ravel(), c, leakage=leakage)
 
 
 def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
@@ -434,8 +423,8 @@ def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
     u = -1j * (complex(a_tau) / x) * math.tanh(x)
     sech2 = 1.0 / math.cosh(x) ** 2
     # |n-l, l; l, n-l> is the sector state p = n - l, q = l, kept for n <= cutoff.
-    _, index, sign, n = _sector_layout(space.cutoff)
-    return FockVector._from_entries(index, sign * (sech2 * u**n), space.cutoff)
+    t = _cutoff_tables(space.cutoff)
+    return FockVector._from_entries(t.below, t.sign * (sech2 * u**t.pairs), space.cutoff)
 
 
 def entangled_state(m: int, space: FockSpace | int) -> FockVector:

@@ -41,15 +41,6 @@ from .polarization import (
     state_density,
 )
 
-SINGLE_STATES = {
-    "H": np.array([1.0, 0.0], dtype=complex),
-    "V": np.array([0.0, 1.0], dtype=complex),
-    "D": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    "A": np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
-    "R": np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
-    "L": np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
-}
-
 ANALYZER_ANGLES = {
     "H": ArmSetting(pol=0.0, qwp=0.0),
     "V": ArmSetting(pol=math.pi / 2.0, qwp=0.0),

@@ -8,9 +8,9 @@ sqrt(n + 1), and L+ and the su(1,1) triple as products of them.  Each of those
 functions takes a FockSpace (only its cutoff, base and dim are read).
 
 The package evolves the vacuum from one real eigendecomposition per cutoff
-(fock._ladder_eigen).  pair_ladder_column and evolve_sector are the evolution
-it replaced: one complex Hermitian eigendecomposition per pair ladder, with
-coefficients A and -A.
+(in fock._cutoff_tables).  pair_ladder_column and evolve_sector are the
+evolution it replaced: one complex Hermitian eigendecomposition per pair
+ladder, with coefficients A and -A.
 """
 
 import numpy as np

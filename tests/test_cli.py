@@ -355,9 +355,15 @@ def test_scan_grid_rule(capsys, argv, message):
         (["fringe"], {"seed": -1}, "invalid configuration: seed must be a u64, got -1"),
         (["fringe", "--state", "dephased:x"], None,
          "invalid configuration: bad dephasing strength in 'dephased:x'"),
+        # The state is checked before the scan grid.
+        (["fringe", "--state", "ghz", "--scan-steps", "1"], None,
+         "invalid configuration: unknown state 'ghz', expected 'bell' or 'dephased:<d>'"),
         (["fig4"], {"geometry": 5}, "schema error: geometry must be a JSON object"),
     ],
-    ids=["empty-n-list", "seed-2^64", "seed-negative", "dephasing-strength", "geometry"],
+    ids=[
+        "empty-n-list", "seed-2^64", "seed-negative", "dephasing-strength", "state-before-grid",
+        "geometry",
+    ],
 )
 def test_rejected_inputs_exit_one(tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -756,6 +762,8 @@ def _main(argv: list, exit_code: int = 0) -> str:
         (_main(["sweep-phase", "--phi-steps", "1"], exit_code=1), {"cli", "errors"}, False),
         (_main(["fringe", "--state", "ghz"], exit_code=1), {"cli", "errors"}, False),
         (_main(["fig4", "--alpha-steps", "1"], exit_code=1), {"cli", "errors"}, False),
+        (_main(["fringe", "--scan-steps", "1"], exit_code=1), {"cli", "errors"}, False),
+        (_main(["tomography", "--state", "ghz"], exit_code=1), {"cli", "errors"}, False),
         (
             _main(["tomography", "--state", "bell", "--counts", "x.json"], exit_code=1),
             {"cli", "errors"},
@@ -765,7 +773,8 @@ def _main(argv: list, exit_code: int = 0) -> str:
     ids=[
         "import", "name", "rates-name", "submodule", "sweep-phase", "fig4", "fringe", "rates",
         "tomography-mle", "tomography-linear", "verify", "help", "rates-help", "usage-error",
-        "fringe-state-error", "fig4-grid-error", "tomography-both-error",
+        "fringe-state-error", "fig4-grid-error", "fringe-grid-error", "tomography-state-error",
+        "tomography-both-error",
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, code, expected, numpy):
@@ -777,6 +786,17 @@ def test_each_command_loads_only_its_modules(tmp_path, code, expected, numpy):
     doc = _last_json(_fresh_python("-c", _MODULES_PROBE.format(code=code)))
     assert set(doc["loaded"]) == expected
     assert doc["numpy"] is numpy
+
+
+def test_missing_numpy_exits_three(tmp_path):
+    # A None entry in sys.modules makes `import numpy` fail as if it were not
+    # installed: an install fault, not the user's input, so not exit 1.
+    code = "import sys\nsys.modules['numpy'] = None\n" + _main(
+        ["sweep-phase", "--out", str(tmp_path / "out")], exit_code=3
+    )
+    proc = _fresh_python("-c", code)
+    assert proc.stderr.startswith("stimpairs: missing dependency: ")
+    assert "numpy" in proc.stderr
 
 
 def test_verify_leaves_numpy_ma_unloaded(tmp_path):

@@ -398,33 +398,23 @@ def test_evolution_matches_complex_ladder_reference():
     assert kinds["complex"] >= 30 and kinds["destructive"] == 10
 
 
-def test_ladder_decomposition_is_cached_read_only_per_cutoff():
-    w, v, row = fock_mod._ladder_eigen(7)
-    assert fock_mod._ladder_eigen(7)[1] is v
-    assert fock_mod._ladder_eigen.cache_info().maxsize == 16
-    for array in (w, v, row):
-        assert not array.flags.writeable
-    with pytest.raises(ValueError):
-        v[0, 0] = 1.0
-    # J = K + K^T with K[p+1, p] = p + 1, real and tridiagonal.
-    k = np.diag(np.arange(1.0, 8.0), -1)
-    assert np.abs((v * w) @ v.T - (k + k.T)).max() < 1e-13
-    assert np.array_equal(row, v[0, :])
-
-
-def test_sector_layouts_are_cached_read_only():
-    layout = fock_mod._sector_layout(7)
-    assert all(a is b for a, b in zip(fock_mod._sector_layout(7), layout))
+def test_cutoff_tables_are_cached_read_only():
+    tables = fock_mod._cutoff_tables(7)
+    assert fock_mod._cutoff_tables(7) is tables
+    assert fock_mod._cutoff_tables.cache_info().maxsize == 16
+    # Phi_M's terms are views of the table, not copies.
     terms = fock_mod._entangled_terms(2, 7)
-    assert all(a is b for a, b in zip(fock_mod._entangled_terms(2, 7), terms))
-    assert fock_mod._sector_layout.cache_info().maxsize == 16
-    assert fock_mod._entangled_layout.cache_info().maxsize == 32
-    for array in layout + terms:
+    assert terms[0].base is tables.phi_sign and terms[1].base is tables.phi_index
+    for array in tables + terms:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
-    # M is checked on every call: 2.0 and True equal the cached keys 2 and 1,
-    # so a check inside the cached function would let them through.
+    # J = K + K^T with K[p+1, p] = p + 1, real and tridiagonal.
+    k = np.diag(np.arange(1.0, 8.0), -1)
+    assert np.abs((tables.v * tables.w) @ tables.v.T - (k + k.T)).max() < 1e-13
+    assert np.array_equal(tables.row, tables.v[0, :])
+    # M is checked on every call: 2.0 and True equal the valid M 2 and 1, so a
+    # check skipped for a cached cutoff would let them through.
     fock_mod._entangled_terms(1, 7)
     for m in (0, 2.0, True, 8):
         with pytest.raises(ValueError):
@@ -435,24 +425,27 @@ def test_sector_layouts_match_the_uncached_expressions():
     # The expressions evolve_vacuum, disentangled_state and _entangled_terms
     # evaluated on every call before the layouts were cached.
     for cutoff in range(1, 41):
-        sector, below, sign, pairs = fock_mod._sector_layout(cutoff)
+        t = fock_mod._cutoff_tables(cutoff)
         k = np.arange(cutoff + 1)
         expected = fock_mod._sector_index(k[:, None], k, cutoff).ravel()
         p, q = np.indices((cutoff + 1, cutoff + 1))
         keep = p + q <= cutoff
         p, q = p[keep], q[keep]
         for got, want in (
-            (sector, expected),
-            (below, fock_mod._sector_index(p, q, cutoff)),
-            (sign, np.where(q % 2, -1.0, 1.0)),
-            (pairs, p + q),
+            (t.sector, expected),
+            (t.below, fock_mod._sector_index(p, q, cutoff)),
+            (t.sign, np.where(q % 2, -1.0, 1.0)),
+            (t.pairs, p + q),
         ):
             assert got.dtype == want.dtype and np.array_equal(got, want), cutoff
         for m in range(1, cutoff + 1):
             k = np.arange(m + 1)
             sign, index = fock_mod._entangled_terms(m, cutoff)
-            assert np.array_equal(sign, np.where(k % 2, -1.0, 1.0)), (m, cutoff)
-            assert np.array_equal(index, fock_mod._sector_index(m - k, k, cutoff)), (m, cutoff)
+            for got, want in (
+                (sign, np.where(k % 2, -1.0, 1.0)),
+                (index, fock_mod._sector_index(m - k, k, cutoff)),
+            ):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (m, cutoff)
 
 
 def test_writing_to_cached_state_indices_raises():
@@ -473,7 +466,7 @@ def test_ladder_identities_hold_for_any_phase():
     # Gauge: coef = |A| e^{i theta} gives D exp(-i tau |A| J) e0; sign flip:
     # -A gives (-1)^p times the same column.
     cutoff, tau = 10, 0.7
-    w, v, row = fock_mod._ladder_eigen(cutoff)
+    w, v, row = fock_mod._cutoff_tables(cutoff)[:3]
     real = v @ (np.exp(-1j * tau * 0.4 * w) * row)
     p = np.arange(cutoff + 1)
     for theta in (0.0, 0.3, 2.0, math.pi, -1.1):

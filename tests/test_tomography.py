@@ -22,7 +22,6 @@ from stimpairs.polarization import (
 from stimpairs.tomography import (
     ANALYZER_ANGLES,
     DEFAULT_BASIS,
-    SINGLE_STATES,
     ReconstructionResult,
     TomographyRecord,
     fidelity,
@@ -37,6 +36,17 @@ from stimpairs.tomography import (
     simulate_tomography,
     standard_settings,
 )
+
+
+# The state each analyzer letter transmits, the reference for ANALYZER_ANGLES.
+SINGLE_STATES = {
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "D": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+    "A": np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
+    "R": np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
+    "L": np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
+}
 
 
 def test_analyzer_angle_table_matches_states():
