@@ -398,10 +398,24 @@ def test_evolution_matches_complex_ladder_reference():
     assert kinds["complex"] >= 30 and kinds["destructive"] == 10
 
 
-def test_cutoff_tables_are_cached_read_only():
+def test_ladder_decomposition_is_cached_read_only_per_cutoff():
     tables = fock_mod._cutoff_tables(7)
-    assert fock_mod._cutoff_tables(7) is tables
+    w, v, row = tables.w, tables.v, tables.row
+    assert fock_mod._cutoff_tables(7).v is v
     assert fock_mod._cutoff_tables.cache_info().maxsize == 16
+    for array in (w, v, row):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 1.0
+    # J = K + K^T with K[p+1, p] = p + 1, real and tridiagonal.
+    k = np.diag(np.arange(1.0, 8.0), -1)
+    assert np.abs((v * w) @ v.T - (k + k.T)).max() < 1e-13
+    assert np.array_equal(row, v[0, :])
+
+
+def test_sector_layouts_are_cached_read_only():
+    tables = fock_mod._cutoff_tables(7)
+    assert all(a is b for a, b in zip(fock_mod._cutoff_tables(7), tables))
     # Phi_M's terms are views of the table, not copies.
     terms = fock_mod._entangled_terms(2, 7)
     assert terms[0].base is tables.phi_sign and terms[1].base is tables.phi_index
@@ -409,10 +423,6 @@ def test_cutoff_tables_are_cached_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
-    # J = K + K^T with K[p+1, p] = p + 1, real and tridiagonal.
-    k = np.diag(np.arange(1.0, 8.0), -1)
-    assert np.abs((tables.v * tables.w) @ tables.v.T - (k + k.T)).max() < 1e-13
-    assert np.array_equal(tables.row, tables.v[0, :])
     # M is checked on every call: 2.0 and True equal the valid M 2 and 1, so a
     # check skipped for a cached cutoff would let them through.
     fock_mod._entangled_terms(1, 7)
