@@ -13,7 +13,8 @@ Every subcommand accepts --config <json> (a file of long-option keys, CLI
 flags win), echoes the resolved configuration and seed into its output
 header, and is deterministic under a fixed seed.  Scans are CSV, structured
 results JSON.  Exit codes: 0 success, 1 validation error, 2 numerical
-failure, 3 I/O error or a missing dependency (numpy not installed).
+failure or out of memory, 3 I/O error or a missing dependency (numpy not
+installed).
 
 Each option is one (key, kind, default, help) row of OPTIONS, which makes
 its --flag (the key with '-' for '_') and names its config key.  Every value,
@@ -450,11 +451,14 @@ def _numerical_errors() -> tuple:
 
     numpy's LinAlgError subclasses ValueError, so main must catch it before
     its ValueError catch-all.  It can only have been raised once numpy.linalg
-    is loaded, so it is looked up there instead of importing numpy.
+    is loaded, so it is looked up there instead of importing numpy.  A grid
+    too large to allocate raises MemoryError (numpy's _ArrayMemoryError).
     """
     linalg = sys.modules.get("numpy.linalg")
     found = (linalg.LinAlgError,) if linalg is not None else ()
-    return (TruncationError, FitError, ReconstructionError, FloatingPointError, *found)
+    return (
+        TruncationError, FitError, ReconstructionError, FloatingPointError, MemoryError, *found
+    )
 
 
 def main(argv=None) -> int:

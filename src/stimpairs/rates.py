@@ -14,12 +14,18 @@ def pair_rate(singles: float, coincidences: float) -> float:
 
     With detection efficiency eta in each arm, a pair rate R gives singles
     eta R and coincidences eta^2 R, so the estimate is R whatever eta is
-    (Klyshko, Sov. J. Quantum Electron. 10, 1112 (1980)).  A rate past the
-    float range is a FloatingPointError, never inf.
+    (Klyshko, Sov. J. Quantum Electron. 10, 1112 (1980)).  Coincidences above
+    singles would need eta = C / S above 1 and are a ValueError.  A rate past
+    the float range is a FloatingPointError, never inf.
     """
     if not (math.isfinite(singles) and singles >= 0.0):
         raise ValueError(f"singles rate must be non-negative, got {singles!r}")
     positive_float(coincidences, "coincidence rate")
+    if coincidences > singles:
+        raise ValueError(
+            f"coincidences {coincidences!r} exceed singles {singles!r}: "
+            f"the implied detection efficiency C / S is above 1"
+        )
     try:
         rate = singles**2 / coincidences
     except OverflowError:  # singles**2 is past the float range

@@ -1,7 +1,10 @@
 """Fast self-check suite behind the command line verify subcommand.
 
 Each check exercises one independently derivable fact through the public
-API and reports its worst observed error against a pinned tolerance.  The
+API and returns its pinned tolerance and its errors, floats and float arrays.
+One runner names, times and judges every check: the name is the function's
+minus its check_ prefix, the worst error is the maximum over all the errors
+(a NaN error makes it NaN, which fails), and a crash is a failed check.  The
 checks deliberately go through module attribute lookups (resonator.xxx, not a
 from-import), so perturbing an implementation, including monkeypatching in a
 test, makes the matching check fail by name.
@@ -31,21 +34,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _as_result(name, tolerance, worst, t0, detail=""):
-    return CheckResult(
-        name=name,
-        passed=bool(worst <= tolerance),
-        tolerance=float(tolerance),
-        worst=float(worst),
-        runtime_s=time.perf_counter() - t0,
-        detail=detail,
-    )
-
-
-def check_oracle_pair_probability() -> CheckResult:
+def check_oracle_pair_probability() -> tuple[float, list]:
     """Closed-form emission probability against the evolved truncated vacuum."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    errors = []
     for m in (1, 2):
         for n in (1, 2, 3):
             for phi in (0.0, 0.3, math.pi):
@@ -56,14 +47,13 @@ def check_oracle_pair_probability() -> CheckResult:
                     state = fock.evolve_vacuum(cfg, cutoff)
                     p_oracle = abs(fock.project_entangled(state, m)) ** 2
                     p_closed = resonator.pair_probability_exact(m, cfg)
-                    worst = max(worst, abs(p_oracle - p_closed))
-    return _as_result("oracle_pair_probability", 1e-8, worst, t0)
+                    errors.append(abs(p_oracle - p_closed))
+    return 1e-8, errors
 
 
-def check_closed_form_state() -> CheckResult:
+def check_closed_form_state() -> tuple[float, list]:
     """Elementwise oracle state against the disentangled closed form."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    errors = []
     for n in (1, 2, 3):
         for phi in (0.0, 0.3, math.pi):
             for tau in (0.005, 0.02):
@@ -75,19 +65,16 @@ def check_closed_form_state() -> CheckResult:
                 # Both are zero off their stored entries, so the entries of either
                 # hold every difference.
                 for index in (evolved.indices, closed.indices):
-                    worst = max(
-                        worst, float(np.abs(evolved._at(index) - closed._at(index)).max())
-                    )
-    return _as_result("closed_form_state", 1e-8, worst, t0)
+                    errors.append(np.abs(evolved._at(index) - closed._at(index)))
+    return 1e-8, errors
 
 
-def check_su11_algebra() -> CheckResult:
+def check_su11_algebra() -> tuple[float, list]:
     """Commutators of the pair triple on interior states (cutoff 4).
 
     L+ comes from fock._pair_terms and L- = (L+)^T; both act on the 15 basis
     states of total occupation <= cutoff - 2, where truncation keeps the algebra.
     """
-    t0 = time.perf_counter()
     cutoff = 4
     rows, cols, weights = fock._pair_terms(cutoff)
 
@@ -106,53 +93,50 @@ def check_su11_algebra() -> CheckResult:
     d1 = l0(lp(x)) - lp(l0(x)) - lp(x)
     d2 = l0(lm(x)) - lm(l0(x)) + lm(x)
     d3 = lp(lm(x)) - lm(lp(x)) + 2.0 * l0(x)
-    worst = max(np.abs(d1).max(), np.abs(d2).max(), np.abs(d3).max())
-    return _as_result("su11_algebra", 1e-12, worst, t0)
+    return 1e-12, [np.abs(d1), np.abs(d2), np.abs(d3)]
 
 
-def check_quadratic_enhancement() -> CheckResult:
+def check_quadratic_enhancement() -> tuple[float, list]:
     """Small-tau pair probability scales as the squared pass count at phi = 0."""
-    t0 = time.perf_counter()
     tau = 1e-3
     base = resonator.pair_probability_approx(1, resonator.ResonatorConfig(1, 0.0, tau))
-    worst = 0.0
+    errors = []
     for n in range(2, 11):
         ratio = (
             resonator.pair_probability_approx(1, resonator.ResonatorConfig(n, 0.0, tau))
             / base
         )
-        worst = max(worst, abs(ratio - n**2) / n**2)
-    return _as_result("quadratic_enhancement", 1e-12, worst, t0)
+        errors.append(abs(ratio - n**2) / n**2)
+    return 1e-12, errors
 
 
-def check_double_pass() -> CheckResult:
+def check_double_pass() -> tuple[float, list]:
     """2 (1 + cos theta) endpoints and the factor-4 two-pass enhancement."""
-    t0 = time.perf_counter()
-    worst = abs(resonator.double_pass_ratio(0.0) - 4.0)
-    worst = max(worst, abs(resonator.double_pass_ratio(math.pi)))
+    errors = [
+        abs(resonator.double_pass_ratio(0.0) - 4.0),
+        abs(resonator.double_pass_ratio(math.pi)),
+    ]
     tau = 1e-3
     ratio = resonator.pair_probability_approx(
         1, resonator.ResonatorConfig(2, 0.0, tau)
     ) / resonator.pair_probability_approx(1, resonator.ResonatorConfig(1, 0.0, tau))
-    worst = max(worst, abs(ratio - 4.0))
-    return _as_result("double_pass", 1e-9, worst, t0)
+    errors.append(abs(ratio - 4.0))
+    return 1e-9, errors
 
 
-def check_optimal_interaction() -> CheckResult:
+def check_optimal_interaction() -> tuple[float, list]:
     """Grid-searched argmax of (M+1)(1-u)^2 u^M against M/(M+2)."""
-    t0 = time.perf_counter()
     grid = np.linspace(0.0, 1.0, 100001)
-    worst = 0.0
+    errors = []
     for m in range(1, 6):
         values = (m + 1) * (1.0 - grid) ** 2 * grid**m
         u_grid = grid[int(np.argmax(values))]
-        worst = max(worst, abs(u_grid - resonator.optimal_u(m)))
-    return _as_result("optimal_interaction", 1e-4, worst, t0)
+        errors.append(abs(u_grid - resonator.optimal_u(m)))
+    return 1e-4, errors
 
 
-def check_plate_phase() -> CheckResult:
+def check_plate_phase() -> tuple[float, list]:
     """Normal-incidence identities and evenness of the plate phases."""
-    t0 = time.perf_counter()
     geom = phase_plate.PlateGeometry(
         thickness=3e-3, n_pump=1.53, n_pair=1.51, wavelength_pump=405e-9
     )
@@ -165,51 +149,46 @@ def check_plate_phase() -> CheckResult:
     )
     # One array call: alpha = 0, then each tilt followed by its mirror image.
     deltas = phase_plate.relative_phase(geom, np.array([0.0, 0.1, -0.1, 0.25, -0.25, 0.4, -0.4]))
-    worst = abs(deltas[0] - direct) / direct
     phi0 = phase_plate.phase_through_plate(405e-9, 1.53, 3e-3, 0.0)
-    worst = max(
-        worst, abs(phi0 - 2.0 * math.pi * 1.53 * 3e-3 / 405e-9) / phi0
-    )
     tilted, mirrored = deltas[1::2], deltas[2::2]
-    worst = max(worst, float(np.max(np.abs(tilted - mirrored) / np.abs(tilted))))
-    return _as_result("plate_phase", 1e-12, worst, t0)
+    return 1e-12, [
+        abs(deltas[0] - direct) / direct,
+        abs(phi0 - 2.0 * math.pi * 1.53 * 3e-3 / 405e-9) / phi0,
+        np.abs(tilted - mirrored) / np.abs(tilted),
+    ]
 
 
-def check_contamination() -> CheckResult:
+def check_contamination() -> tuple[float, list]:
     """Double-pair contamination identity P_2 / P_1 = (3/2) tanh^2."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    errors = []
     for tau in (0.001, 0.005, 0.01):
         cfg = resonator.ResonatorConfig(2, 0.0, tau)
         ratio = resonator.pair_probability_exact(2, cfg) / resonator.pair_probability_exact(
             1, cfg
         )
-        worst = max(worst, abs(ratio - resonator.multiphoton_contamination(cfg)))
-    return _as_result("contamination", 1e-8, worst, t0)
+        errors.append(abs(ratio - resonator.multiphoton_contamination(cfg)))
+    return 1e-8, errors
 
 
-def check_fringe_fit() -> CheckResult:
+def check_fringe_fit() -> tuple[float, list]:
     """Noiseless fringe fit recovers injected (A, B, C) parameters."""
-    t0 = time.perf_counter()
     x = np.linspace(0.0, 4.0 * math.pi, 41)
-    worst = 0.0
+    errors = []
     for a, b, c in ((50.0, 1.0, 0.0), (120.0, 0.7, 2.1), (8.0, 0.25, 4.9)):
         counts = 2.0 * a * (1.0 + b * np.cos(x + c))
         scan = polarization.FringeScan(x=np.arange(x.size, dtype=float), counts=counts, phase=x)
         fit = polarization.fit_fringe(scan)
-        worst = max(
-            worst,
+        errors += [
             abs(fit.amplitude - a) / a,
             abs(fit.visibility - b),
             abs((fit.phase - c + math.pi) % (2.0 * math.pi) - math.pi),
-        )
-    return _as_result("fringe_fit", 1e-9, worst, t0)
+        ]
+    return 1e-9, errors
 
 
-def check_tomography_linear() -> CheckResult:
+def check_tomography_linear() -> tuple[float, list]:
     """Noiseless linear inversion reproduces the input state exactly."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    errors = []
     singlet = polarization.bell_state()
     for rho in (
         polarization.state_density(singlet),
@@ -218,19 +197,18 @@ def check_tomography_linear() -> CheckResult:
     ):
         record = tomography.simulate_tomography(rho, shots=1e6, seed=None)
         result = tomography.reconstruct_linear(record)
-        worst = max(worst, float(np.abs(result.rho - rho).max()))
-    return _as_result("tomography_linear", 1e-10, worst, t0)
+        errors.append(np.abs(result.rho - rho))
+    return 1e-10, errors
 
 
-def check_dephasing() -> CheckResult:
+def check_dephasing() -> tuple[float, list]:
     """Dephased singlet: fidelity 1 - d/2 and diagonal-basis visibility 1 - d."""
-    t0 = time.perf_counter()
     singlet = polarization.bell_state()
-    worst = 0.0
+    errors = []
     for d in (0.0, 0.1, 0.3, 1.0):
         rho = polarization.dephasing_noise(singlet, d)
         polarization.check_density_matrix(rho)
-        worst = max(worst, abs(tomography.fidelity(rho, singlet) - (1.0 - d / 2.0)))
+        errors.append(abs(tomography.fidelity(rho, singlet) - (1.0 - d / 2.0)))
         scan = polarization.simulate_polarization_fringe(
             rho,
             polarization.ArmSetting(pol=math.pi / 4.0),
@@ -240,15 +218,14 @@ def check_dephasing() -> CheckResult:
         )
         if d < 1.0:
             fit = polarization.fit_fringe(scan)
-            worst = max(worst, abs(fit.visibility - (1.0 - d)))
+            errors.append(abs(fit.visibility - (1.0 - d)))
         else:
-            worst = max(worst, polarization.visibility(scan))
-    return _as_result("dephasing", 1e-9, worst, t0)
+            errors.append(polarization.visibility(scan))
+    return 1e-9, errors
 
 
-def check_singlet_invariance() -> CheckResult:
+def check_singlet_invariance() -> tuple[float, list]:
     """Singlet coincidences depend only on the analyzer angle difference."""
-    t0 = time.perf_counter()
     rho = polarization.state_density(polarization.bell_state())
     polarization.check_density_matrix(rho)
     rng = np.random.default_rng(20260822)
@@ -260,8 +237,7 @@ def check_singlet_invariance() -> CheckResult:
         polarization._analyzer_states(np.concatenate([b, b + delta])),
     )
     p = polarization._born_probabilities(rho, stack)
-    worst = float(np.abs(p[:25] - p[25:]).max())
-    return _as_result("singlet_invariance", 1e-12, worst, t0)
+    return 1e-12, [np.abs(p[:25] - p[25:])]
 
 
 ALL_CHECKS = (
@@ -280,21 +256,21 @@ ALL_CHECKS = (
 )
 
 
+def _run(check) -> CheckResult:
+    """Name, time and judge one check.
+
+    np.max propagates NaN, so a NaN error gives worst NaN and fails the check.
+    """
+    name = check.__name__.removeprefix("check_")
+    t0 = time.perf_counter()
+    try:
+        tolerance, errors = check()
+        worst = float(np.max(np.concatenate([np.ravel(e) for e in errors])))
+    except Exception as exc:  # a crash is a failed check, not a crashed suite
+        return CheckResult(name, False, math.nan, math.inf, 0.0, f"{type(exc).__name__}: {exc}")
+    return CheckResult(name, worst <= tolerance, tolerance, worst, time.perf_counter() - t0)
+
+
 def run_checks() -> list[CheckResult]:
     """Run every named check; failures are collected, not raised."""
-    results = []
-    for check in ALL_CHECKS:
-        try:
-            results.append(check())
-        except Exception as exc:  # a crash is a failed check, not a crashed suite
-            results.append(
-                CheckResult(
-                    name=check.__name__.removeprefix("check_"),
-                    passed=False,
-                    tolerance=math.nan,
-                    worst=math.inf,
-                    runtime_s=0.0,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return results
+    return [_run(check) for check in ALL_CHECKS]

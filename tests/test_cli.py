@@ -359,10 +359,17 @@ def test_scan_grid_rule(capsys, argv, message):
         (["fringe", "--state", "ghz", "--scan-steps", "1"], None,
          "invalid configuration: unknown state 'ghz', expected 'bell' or 'dephased:<d>'"),
         (["fig4"], {"geometry": 5}, "schema error: geometry must be a JSON object"),
+        # S = eta R and C = eta^2 R, so C > S would need an efficiency above 1.
+        (["rates", "--singles", "10", "--coincidences", "100"], None,
+         "invalid configuration: coincidences 100.0 exceed singles 10.0: "
+         "the implied detection efficiency C / S is above 1"),
+        (["rates", "--singles", "0", "--coincidences", "1"], None,
+         "invalid configuration: coincidences 1.0 exceed singles 0.0: "
+         "the implied detection efficiency C / S is above 1"),
     ],
     ids=[
         "empty-n-list", "seed-2^64", "seed-negative", "dephasing-strength", "state-before-grid",
-        "geometry",
+        "geometry", "rates-coincidences-above-singles", "rates-zero-singles",
     ],
 )
 def test_rejected_inputs_exit_one(tmp_path, capsys, argv, config, message):
@@ -546,6 +553,29 @@ def test_linalg_error_in_a_handler_exits_two(capsys, monkeypatch):
     assert "numerical failure: Singular matrix" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "module, callee, argv",
+    [
+        ("resonator", "sweep_rows", ["sweep-phase"]),
+        ("polarization", "simulate_stimulation_fringe", ["fig4"]),
+        ("polarization", "simulate_polarization_fringe", ["fringe"]),
+    ],
+    ids=["sweep-phase", "fig4", "fringe"],
+)
+def test_memory_error_in_a_handler_exits_two(capsys, monkeypatch, module, callee, argv):
+    # A grid too large to allocate raises numpy's _ArrayMemoryError, a
+    # MemoryError: a numerical failure, not a traceback with the exit code of
+    # bad input.  The callee raises it here without allocating anything.
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(getattr(stimpairs, module), callee, out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"stimpairs: numerical failure: {message}\n")
+
+
 def test_numerical_failure_exits_two(capsys):
     # Four points cannot constrain the three-parameter fringe model.
     code, _, err = run(capsys, "fringe", "--scan-steps", "4")
@@ -589,6 +619,10 @@ def test_verify_json_out(tmp_path, capsys):
     assert all(r["passed"] for r in doc["results"])
 
 
+def _refuse_literal(literal):
+    raise ValueError(f"non-JSON literal {literal}")
+
+
 def test_verify_json_out_is_strict_json_after_a_crash(tmp_path, capsys, monkeypatch):
     # A crashed check reports worst inf and tolerance NaN; the JSON file has
     # neither literal (RFC 8259 refuses both), so they are written as null.
@@ -602,15 +636,28 @@ def test_verify_json_out_is_strict_json_after_a_crash(tmp_path, capsys, monkeypa
     row = next(ln for ln in out.splitlines() if ln.split()[1] == "double_pass")
     assert row.startswith("FAIL double_pass") and row.endswith("RuntimeError: boom")
     assert "worst=inf  tol=nan" in row
-
-    def refuse(literal):
-        raise ValueError(f"non-JSON literal {literal}")
-
-    doc = json.loads(path.read_text(), parse_constant=refuse)
+    doc = json.loads(path.read_text(), parse_constant=_refuse_literal)
     crashed = [r for r in doc["results"] if not r["passed"]]
     assert crashed == [
         {"name": "double_pass", "passed": False, "tolerance": None, "worst": None,
          "runtime_s": 0.0, "detail": "RuntimeError: boom"}
+    ]
+
+
+def test_verify_nan_error_fails_its_check(tmp_path, capsys, monkeypatch):
+    # max(worst, nan) is worst, so a running maximum would pass a NaN error;
+    # the runner's maximum propagates it, and both checks that read the
+    # closed-form probability fail with worst NaN, written to JSON as null.
+    monkeypatch.setattr(verify_mod.resonator, "pair_probability_exact", lambda m, cfg: math.nan)
+    path = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "--json-out", str(path))
+    assert code == 2
+    failed = [ln.split()[1:3] for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert failed == [["oracle_pair_probability", "worst=nan"], ["contamination", "worst=nan"]]
+    doc = json.loads(path.read_text(), parse_constant=_refuse_literal)
+    assert [(r["name"], r["worst"]) for r in doc["results"] if not r["passed"]] == [
+        ("oracle_pair_probability", None),
+        ("contamination", None),
     ]
 
 
@@ -640,7 +687,7 @@ def test_closed_form_state_worst_equals_the_dense_difference():
                 evolved = fock.evolve_vacuum(resonator.ResonatorConfig(n, phi, tau), cutoff)
                 closed = fock.disentangled_state(a_tau, cutoff)
                 dense = max(dense, float(np.abs(evolved.amplitudes - closed.amplitudes).max()))
-    result = verify_mod.check_closed_form_state()
+    result = verify_mod._run(verify_mod.check_closed_form_state)
     assert result.passed and result.worst == dense > 0.0
 
 
@@ -769,12 +816,17 @@ def _main(argv: list, exit_code: int = 0) -> str:
             {"cli", "errors"},
             False,
         ),
+        (
+            _main(["rates", "--singles", "10", "--coincidences", "100"], exit_code=1),
+            {"cli", "errors", "rates"},
+            False,
+        ),
     ],
     ids=[
         "import", "name", "rates-name", "submodule", "sweep-phase", "fig4", "fringe", "rates",
         "tomography-mle", "tomography-linear", "verify", "help", "rates-help", "usage-error",
         "fringe-state-error", "fig4-grid-error", "fringe-grid-error", "tomography-state-error",
-        "tomography-both-error",
+        "tomography-both-error", "rates-efficiency-error",
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, code, expected, numpy):

@@ -142,6 +142,6 @@ def test_verify_plate_phase_makes_one_array_call(monkeypatch):
         return true_phase(geom, alpha)
 
     monkeypatch.setattr(phase_plate_mod, "relative_phase", counting_phase)
-    result = verify.check_plate_phase()
+    result = verify._run(verify.check_plate_phase)
     assert calls == [(7,)]
     assert result.passed and result.worst > 0.0

@@ -32,7 +32,7 @@ from stimpairs.polarization import (
 from stimpairs.rates import pair_rate
 from stimpairs.resonator import ResonatorConfig, sweep_rows
 from stimpairs.tomography import log_likelihood, reconstruct_mle, simulate_tomography
-from stimpairs.verify import check_singlet_invariance
+from stimpairs.verify import _run, check_singlet_invariance
 
 GEOM = PlateGeometry(3e-3, 1.53, 1.51, 405e-9)
 
@@ -385,7 +385,7 @@ def test_stimulation_fringe_explicit_offset():
 
 def test_rate_arithmetic():
     assert pair_rate(1e5, 1e3) == pytest.approx(1e7)
-    assert pair_rate(0.0, 10.0) == 0.0
+    assert pair_rate(10.0, 10.0) == 10.0
     # Detection efficiency eta in each arm turns a pair rate R into singles
     # eta R and coincidences eta^2 R; the estimate recovers R for any eta.
     for eta in (1.0, 0.6, 0.05, 1e-3):
@@ -397,6 +397,10 @@ def test_rate_arithmetic():
         pair_rate(-1.0, 10.0)
     with pytest.raises(ValueError, match="coincidence rate must be positive"):
         pair_rate(1.0, math.nan)
+    # C / S is the efficiency eta, so coincidences above singles are refused.
+    for singles, coincidences in ((10.0, 100.0), (0.0, 10.0)):
+        with pytest.raises(ValueError, match="efficiency C / S is above 1"):
+            pair_rate(singles, coincidences)
 
 
 def test_born_rule_validates_rho_once(monkeypatch):
@@ -471,7 +475,7 @@ def test_singlet_invariance_check_is_one_batch(monkeypatch):
 
     monkeypatch.setattr(polarization_mod, "check_density_matrix", counting_check)
     monkeypatch.setattr(polarization_mod, "_projector_stack", counting_stack)
-    result = check_singlet_invariance()
+    result = _run(check_singlet_invariance)
     assert calls == {"check": 1, "stack": [(50, 50)]}
     monkeypatch.undo()
     rho = state_density(bell_state())
