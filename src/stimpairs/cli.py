@@ -285,7 +285,7 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
         geom, cfg, alphas, s["shots"], seed=s["seed"], model=s["model"]
     )
     fit = polarization.fit_fringe(scan)
-    rows = zip(np.degrees(scan.x).tolist(), scan.phase.tolist(), scan.counts.tolist())
+    rows = zip(alpha_deg.tolist(), scan.phase.tolist(), scan.counts.tolist())
     columns = ("alpha_deg", "phase_rad", "counts")
     return _emit_scan(args, {**s, "geometry": geom.to_dict()}, columns, rows, fit)
 
@@ -312,7 +312,7 @@ def _cmd_fringe(args, config: dict, s: dict) -> int:
         arm_a_qwp=math.radians(qwp_a) if qwp_a is not None else None,
     )
     fit = polarization.fit_fringe(scan)
-    rows = zip(np.degrees(scan.x).tolist(), scan.counts.tolist())
+    rows = zip(pol_a_deg.tolist(), scan.counts.tolist())
     return _emit_scan(args, s, ("pol_a_deg", "counts"), rows, fit)
 
 

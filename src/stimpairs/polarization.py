@@ -12,9 +12,9 @@ package.  Angles are radians everywhere in this module; only the JSON and
 command-line layers speak degrees.
 
 Fringes are fit to the model 2 A (1 + B cos(x' + C)) in a phase coordinate
-x': twice the polarizer angle for polarizer scans, the raw plate phase for
-tilt scans.  B is the fitted visibility and 2 (1 + B) estimates the two-pass
-to one-pass rate ratio.
+x': twice the polarizer angle for polarizer scans, the plate phase relative to
+zero tilt, delta(alpha) - delta(0), for tilt scans.  B is the fitted
+visibility and 2 (1 + B) estimates the two-pass to one-pass rate ratio.
 """
 
 from __future__ import annotations
@@ -197,39 +197,33 @@ def dephasing_noise(state: np.ndarray, d: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FringeScan:
-    """One scan of coincidence counts against a control variable.
+    """One scan of coincidence counts against the phase coordinate the fit reads.
 
-    x is the scanned control (polarizer angle, tilt angle); phase, when
-    present, is the matching phase coordinate the fit model consumes.
+    phase is x' of the fit model (twice the polarizer angle, or the tilt
+    scan's delta(alpha) - delta(0)), in any order: a tilt scan across
+    alpha = 0 runs down and back up again.  The scanned control itself is
+    the caller's to keep.
     """
 
-    x: np.ndarray
+    phase: np.ndarray
     counts: np.ndarray
-    phase: np.ndarray | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        phase = np.asarray(self.phase, dtype=float)
         counts = np.asarray(self.counts, dtype=float)
-        if x.ndim != 1 or x.shape != counts.shape:
+        if phase.ndim != 1 or phase.shape != counts.shape:
             raise ValueError(
-                f"x and counts must be matching 1-d arrays, got {x.shape} and {counts.shape}"
+                f"phase and counts must be matching 1-d arrays, "
+                f"got {phase.shape} and {counts.shape}"
             )
-        if x.size < 2:
+        if phase.size < 2:
             raise ValueError("a scan needs at least 2 points")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(counts)):
+        if not np.all(np.isfinite(phase)) or not np.all(np.isfinite(counts)):
             raise ValueError("scan contains non-finite values")
-        dx = np.diff(x)
-        if not (np.all(dx > 0) or np.all(dx < 0)):
-            raise ValueError("scan variable must be strictly monotone")
         if counts.min() < 0:
             raise ValueError(f"counts must be non-negative, got min {counts.min()!r}")
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "counts", counts)
-        if self.phase is not None:
-            phase = np.asarray(self.phase, dtype=float)
-            if phase.shape != x.shape or not np.all(np.isfinite(phase)):
-                raise ValueError("phase coordinate must match x and be finite")
-            object.__setattr__(self, "phase", phase)
 
 
 @dataclass(frozen=True)
@@ -247,12 +241,6 @@ class FitResult:
     phase: float
     covariance: np.ndarray = field(compare=False)
     residual_norm: float
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (3, 3):
-            raise ValueError(f"covariance must be 3x3, got {cov.shape}")
-        object.__setattr__(self, "covariance", cov)
 
     @property
     def p2_over_p1(self) -> float:
@@ -292,8 +280,7 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     3.4 +/- 0.1 from directly compared count rates, the shortfall from 4
     being attributed to imperfect spatial overlap between the two passes.
     """
-    x = scan.phase if scan.phase is not None else scan.x
-    counts = scan.counts
+    x, counts = scan.phase, scan.counts
     if x.size < 8:
         raise FitError(f"need at least 8 points to fit, got {x.size}")
     if (x.max() - x.min()) <= math.pi:
@@ -384,7 +371,7 @@ def simulate_polarization_fringe(
     rho = state_density(rho)
     projectors = _projector_stack(_analyzer_states(angles, arm_a_qwp), _arm_states([arm_b]))
     counts = _draw_counts(shots * _born_probabilities(rho, projectors), seed)
-    return FringeScan(x=angles, counts=counts, phase=2.0 * angles)
+    return FringeScan(phase=2.0 * angles, counts=counts)
 
 
 def simulate_stimulation_fringe(
@@ -393,18 +380,17 @@ def simulate_stimulation_fringe(
     alphas,
     shots: float,
     seed: int | None = None,
-    phi_offset: float | None = None,
     model: str = "exact",
 ) -> FringeScan:
     """Tilt-scan fringe: plate tilt sweeps the inter-pass phase of the resonator.
 
-    Each tilt alpha sets phi = delta(alpha) + phi_offset in the pass-summed
-    pair probability (single pair, cfg's pass count and tau).  The default
-    phi_offset places alpha = 0 on a fringe maximum.  model "exact" uses the
-    full tanh/cosh probability, "approx" the small-tau limit whose maximum to
-    single-pass ratio is exactly 4 for two passes.  The phase coordinate of
-    the returned scan is the actual resonator phase, so a fit's C lands on 0
-    mod 2 pi for the ideal noiseless fringe.
+    Each tilt alpha sets phi = delta(alpha) - delta(0) in the pass-summed
+    pair probability (single pair, cfg's pass count and tau), which places
+    alpha = 0 on a fringe maximum.  model "exact" uses the full tanh/cosh
+    probability, "approx" the small-tau limit whose maximum to single-pass
+    ratio is exactly 4 for two passes.  The scan's phase coordinate is that
+    resonator phase phi, in the order of alphas, so a fit's C lands on 0 mod
+    2 pi for the ideal noiseless fringe.
     """
     shots = positive_float(shots, "shots")
     if model not in ("exact", "approx"):
@@ -412,12 +398,10 @@ def simulate_stimulation_fringe(
     alphas = np.asarray(list(alphas), dtype=float)
     if alphas.ndim != 1 or alphas.size < 2:
         raise ValueError("need a 1-d list of at least 2 tilt angles")
-    if phi_offset is None:
-        phi_offset = -relative_phase(geom, 0.0)
-    # delta(alpha) is bounded, so finite tilts and a finite offset give finite phases.
-    phases = relative_phase(geom, alphas) + finite(phi_offset, "phase")
+    # delta(alpha) is bounded, so finite tilts give finite phases.
+    phases = relative_phase(geom, alphas) - relative_phase(geom, 0.0)
     x = _scaled_amplitude(cfg.n_passes, _wrap(phases), cfg.tau)
     probs = _p_exact(1, x) if model == "exact" else _p_approx(1, x)
     counts = _draw_counts(shots * probs, seed)
-    return FringeScan(x=alphas, counts=counts, phase=phases)
+    return FringeScan(phase=phases, counts=counts)
 

@@ -15,8 +15,11 @@ def pair_rate(singles: float, coincidences: float) -> float:
     With detection efficiency eta in each arm, a pair rate R gives singles
     eta R and coincidences eta^2 R, so the estimate is R whatever eta is
     (Klyshko, Sov. J. Quantum Electron. 10, 1112 (1980)).  Coincidences above
-    singles would need eta = C / S above 1 and are a ValueError.  A rate past
-    the float range is a FloatingPointError, never inf.
+    singles would need eta = C / S above 1 and are a ValueError.  The rate is
+    formed on the mantissas, so S^2 out of the float range does not matter
+    when the rate itself is in range; it is S * S / C bit for bit wherever
+    S * S and the rate are normal floats.  A rate past the float range is a
+    FloatingPointError, never inf.
     """
     if not (math.isfinite(singles) and singles >= 0.0):
         raise ValueError(f"singles rate must be non-negative, got {singles!r}")
@@ -26,10 +29,9 @@ def pair_rate(singles: float, coincidences: float) -> float:
             f"coincidences {coincidences!r} exceed singles {singles!r}: "
             f"the implied detection efficiency C / S is above 1"
         )
+    (ms, es), (mc, ec) = math.frexp(singles), math.frexp(coincidences)
     try:
-        rate = singles**2 / coincidences
-    except OverflowError:  # singles**2 is past the float range
-        rate = math.inf
-    if math.isinf(rate):
-        raise FloatingPointError(f"rate {singles!r}**2 / {coincidences!r} overflows a float")
-    return rate
+        return math.ldexp(ms * ms / mc, 2 * es - ec)
+    except OverflowError:
+        message = f"rate {singles!r}**2 / {coincidences!r} overflows a float"
+        raise FloatingPointError(message) from None

@@ -176,8 +176,7 @@ def check_fringe_fit() -> tuple[float, list]:
     errors = []
     for a, b, c in ((50.0, 1.0, 0.0), (120.0, 0.7, 2.1), (8.0, 0.25, 4.9)):
         counts = 2.0 * a * (1.0 + b * np.cos(x + c))
-        scan = polarization.FringeScan(x=np.arange(x.size, dtype=float), counts=counts, phase=x)
-        fit = polarization.fit_fringe(scan)
+        fit = polarization.fit_fringe(polarization.FringeScan(x, counts))
         errors += [
             abs(fit.amplitude - a) / a,
             abs(fit.visibility - b),

@@ -252,6 +252,30 @@ def test_fringe_echoes_angles_as_given(capsys, angle):
     assert json.loads(out)["config"]["pol_b_deg"] == float(angle)
 
 
+@pytest.mark.parametrize(
+    "argv,column,grid",
+    [
+        (["fig4", "--seed", "7"], "alpha_deg", (2.0, 15.0, 81)),
+        (["fringe", "--seed", "3"], "pol_a_deg", (0.0, 180.0, 37)),
+        (["fig4", "--alpha-min-deg", "-15", "--alpha-steps", "61"], "alpha_deg", (-15.0, 15.0, 61)),
+    ],
+    ids=["fig4", "fringe", "fig4-across-zero"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_first_column_is_the_requested_grid(capsys, argv, column, grid, fmt):
+    # The angle column is the linspace grid itself, not its round trip
+    # through radians (2.6500000000000004 for 2.65).
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        values = [row[column] for row in json.loads(out)["scan"]]
+    else:
+        header, *rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert header.split(",")[0] == column
+        values = [float(ln.split(",")[0]) for ln in rows]
+    assert [repr(v) for v in values] == [repr(v) for v in np.linspace(*grid).tolist()]
+
+
 @pytest.mark.parametrize("key,value", [("L_m", True), ("n_p", "1.53"), ("lambda_p_m", None)])
 def test_fig4_geometry_values_must_be_numbers(tmp_path, capsys, key, value):
     geometry = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9, key: value}
@@ -516,6 +540,17 @@ def test_rates_zero_coincidences_exits_one(capsys):
         capsys, "rates", "--singles", "1e5", "--coincidences", "0"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "singles,coincidences,rate",
+    [("1e-200", "1e-200", 1e-200), ("1e300", "1e300", 1e300), ("36000", "1300", 996923.0769230769)],
+    ids=["square-underflows", "square-overflows", "ordinary"],
+)
+def test_rates_in_range_whatever_singles_squared(capsys, singles, coincidences, rate):
+    code, out, err = run(capsys, "rates", "--singles", singles, "--coincidences", coincidences)
+    assert code == 0 and err == ""
+    assert json.loads(out)["rate"] == rate
 
 
 @pytest.mark.parametrize(
