@@ -374,6 +374,32 @@ def test_mle_builds_projector_stack_once(monkeypatch):
     assert result.log_likelihood == log_likelihood(record, result.rho)
 
 
+def test_mle_line_search_rarely_backtracks(monkeypatch):
+    # Every iteration projects once for its accepted step; a backtrack costs
+    # one more projection.  Growing the step by 1.1 per iteration brings a
+    # halving about once in log 2 / log 1.1 ~ 7 iterations, and the
+    # convergence checks add a few; growing it by 2 gives about 2 projections
+    # per iteration on these records.
+    calls = []
+    true_project = tomography_mod._project_density
+
+    def counting_project(h):
+        calls.append(1)
+        return true_project(h)
+
+    monkeypatch.setattr(tomography_mod, "_project_density", counting_project)
+    iterations = 0
+    for k, d in enumerate(np.linspace(0.0, 0.5, 24)):
+        sparse = k % 4 == 0
+        settings_ = standard_settings(tuple("HVDL" if sparse else "HVDR"))
+        record = simulate_tomography(
+            dephasing_noise(bell_state(), float(d)), 1e3 if sparse else 1e5,
+            seed=1000 + k, settings=settings_,
+        )
+        iterations += reconstruct_mle(record, jeffreys=sparse).iterations
+    assert len(calls) <= 1.5 * iterations
+
+
 def test_project_physical_rejects_hopeless_input():
     with pytest.raises(ReconstructionError):
         project_physical(-np.eye(4, dtype=complex))
@@ -670,6 +696,16 @@ def test_mle_converges_on_every_random_record():
     for record, jeffreys in _random_hvdr_records():
         result = reconstruct_mle(record, jeffreys=jeffreys)
         assert result.physical and result.iterations < 5000
+
+
+def test_mle_reports_its_final_residual():
+    # Both exits of the loop stop at a projected-gradient residual within
+    # _RESIDUAL_TOL, and the result reports it; linear inversion has none.
+    records = [(record, jeffreys) for _, record, jeffreys in (p.values for p in _reference_records())]
+    for record, jeffreys in records + _random_hvdr_records():
+        residual = reconstruct_mle(record, jeffreys=jeffreys).residual
+        assert 0.0 <= residual <= tomography_mod._RESIDUAL_TOL
+    assert reconstruct_linear(records[0][0]).residual is None
 
 
 def test_mle_line_search_failure_reports_residual(monkeypatch):
