@@ -18,11 +18,14 @@ linear system exactly and reports (not clips) negative eigenvalues caused by
 shot noise.  Maximum likelihood works on rho itself: accelerated gradient
 steps on the Poisson negative log-likelihood, each projected back onto the
 density matrices through an eigendecomposition, so every iterate and the
-result are physical.
+result are physical.  Near the optimum it tries once to finish with Newton
+steps on rho = T T^dagger / ||T||^2, T of the rank of the current iterate,
+and keeps that point only if it passes the gradient loop's own exit test.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -60,6 +63,17 @@ _RESIDUAL_TOL = 1e-5
 _ROUNDING = 4.0 * np.finfo(float).eps
 _MIN_STEP = 1e-30
 _STEP_GROWTH = 1.1
+# Newton finish (see reconstruct_mle and _face_newton): tried once, when the
+# residual, checked every _FINISH_EVERY accepted steps, is at most
+# _FINISH_RESIDUAL.  Eigenvalues of rho at most _RANK_TOL are the ones the
+# projection zeroed; the other four shape each Newton step.
+_FINISH_EVERY = 8
+_FINISH_RESIDUAL = 1e-3
+_RANK_TOL = 1e-12
+_GAUGE_TOL = 1e-10
+_ARMIJO = 1e-4
+_NEWTON_MAX = 30
+_NEWTON_HALVINGS = 30
 
 
 def standard_settings(basis=DEFAULT_BASIS) -> list[MeasurementSetting]:
@@ -168,9 +182,9 @@ class ReconstructionResult:
 
     min_eigenvalue reports negativity honestly (linear inversion can go
     negative under shot noise; maximum likelihood cannot).  log_likelihood,
-    iterations (projected gradient steps) and residual (the final
-    projected-gradient residual ||rho - P(rho - grad f)||) are filled by the
-    MLE only.
+    iterations (projected gradient steps plus Newton steps) and residual (the
+    final projected-gradient residual ||rho - P(rho - grad f)||) are filled
+    by the MLE only.
     """
 
     rho: np.ndarray
@@ -341,6 +355,132 @@ def _mle_objective(counts: np.ndarray, shots: float, design: np.ndarray, stack: 
     return objective, gradient
 
 
+def _real(z: np.ndarray) -> np.ndarray:
+    """The real coordinates (Re z, Im z) of each complex matrix in z, one row each."""
+    lead = z.shape[:-2]
+    return np.concatenate([z.real.reshape(*lead, -1), z.imag.reshape(*lead, -1)], axis=-1)
+
+
+def _complex(x: np.ndarray, rank: int) -> np.ndarray:
+    """The 4 x rank complex matrices whose _real rows are x."""
+    half = x.shape[-1] // 2
+    lead = x.shape[:-1]
+    return x[..., :half].reshape(*lead, 4, rank) + 1j * x[..., half:].reshape(*lead, 4, rank)
+
+
+def _gram(t: np.ndarray) -> np.ndarray:
+    """The density matrix T T^dagger / ||T||^2 of a 4 x r factor."""
+    gram = t @ t.conj().T
+    return gram / gram.trace().real
+
+
+def _real_forms(stack: np.ndarray) -> np.ndarray:
+    """Each projector as the real symmetric 8 x 8 form [[Re Pi, -Im Pi], [Im Pi, Re Pi]]
+    of v -> Pi v on (Re v, Im v)."""
+    return np.concatenate(
+        [
+            np.concatenate([stack.real, -stack.imag], axis=2),
+            np.concatenate([stack.imag, stack.real], axis=2),
+        ],
+        axis=1,
+    )
+
+
+def _face_derivatives(x: np.ndarray, forms: np.ndarray, weights: np.ndarray, basis: np.ndarray):
+    """B^T g and B^T H B: the gradient g and Hessian H of f(T T^dagger / s),
+    s = ||T||^2, in x = _real(T), seen through the orthonormal columns of B.
+
+    forms is _real_forms(stack) and weights the objective's w_i at
+    T T^dagger / s.  f depends on T through p_i = Re tr(T^dagger Pi_i T) / s,
+    and Pi_i acts on each column of T alone, so its 8 x 8 form R_i gives
+    J_i = (2/s)(R_i X - p_i x), X the 8 x r array of x.  The partials of f in
+    p_i are w_i and h_i = (1 - w_i) / p_i (= c_i / (shots p_i^2)).  With
+    m = sum_i w_i p_i and L the real form of T -> G T, G = sum_i w_i Pi_i,
+    g = sum_i w_i J_i = (2/s)(L x - m x) and
+    H = sum_i h_i J_i J_i^T + (2/s)(L - m - x g^T - g x^T).
+    """
+    s = float(x @ x)
+    turned = (forms @ x.reshape(8, -1)).reshape(len(forms), -1)
+    p = turned @ x / s
+    m = float(weights @ p)
+    jac = (2.0 / s) * (turned - np.outer(p, x)) @ basis
+    curvature = np.divide(1.0 - weights, p, out=np.zeros_like(p), where=weights != 1.0)
+    g = (2.0 / s) * (weights @ turned - m * x) @ basis
+    left = basis.T @ (np.tensordot(weights, forms, 1) @ basis.reshape(8, -1)).reshape(len(x), -1)
+    xb = x @ basis
+    inner = left - m * np.eye(len(g)) - np.outer(xb, g) - np.outer(g, xb)
+    return g, jac.T @ (curvature[:, None] * jac) + (2.0 / s) * inner
+
+
+@functools.lru_cache(maxsize=4)
+def _vertical_moves(rank: int) -> np.ndarray:
+    """The r^2 + 1 matrices A for which T -> T + T A leaves T T^dagger / ||T||^2
+    fixed to first order: a basis of the anti-Hermitian r x r matrices (the
+    unitary gauge T -> T U) and the identity (the scale).  Cached read-only."""
+    units = np.eye(rank * rank).reshape(rank, rank, rank, rank)  # units[j, k] = E_jk
+    rows, cols = np.triu_indices(rank, 1)
+    upper = units[rows, cols]
+    lower = upper.transpose(0, 2, 1)
+    diagonal = units[np.arange(rank), np.arange(rank)]
+    moves = np.concatenate([upper - lower, 1j * (upper + lower), 1j * diagonal, np.eye(rank)[None]])
+    moves.flags.writeable = False
+    return moves
+
+
+def _face_newton(rho: np.ndarray, objective, stack: np.ndarray):
+    """Damped Newton for f on the face of rho's rank: returns (rho', steps).
+
+    rho = T T^dagger / ||T||^2 with T the r leading eigenvectors of rho scaled
+    by the root of their eigenvalues, r the number above _RANK_TOL (Burer &
+    Monteiro, Math. Program. 95, 329 (2003)).  The moves T A of
+    _vertical_moves change nothing, yet away from the optimum the Hessian
+    does not vanish on them (H x = -g along the scale x), so each step works
+    on an orthonormal basis of their complement: it solves there with the
+    Hessian's |eigenvalues|, skipping those at most _GAUGE_TOL times the
+    largest (what is left of the gauge where T loses rank), and halves from
+    the full step, at most _NEWTON_HALVINGS times, until f falls by _ARMIJO
+    of what the gradient promises.  Once the promised fall, g . H^-1 g, is
+    within f's rounding error, one last full step is kept if f does not rise
+    beyond that error.  It also stops when f falls by no more than that
+    error, when no halving falls, when the Hessian is not finite, or after
+    _NEWTON_MAX steps.  The caller judges rho' by its own exit test.
+    """
+    evals, vecs = np.linalg.eigh(rho)
+    rank = int(np.count_nonzero(evals > _RANK_TOL))
+    t = vecs[:, -rank:] * np.sqrt(evals[-rank:])
+    moves = _vertical_moves(rank)
+    forms = _real_forms(stack)
+    f, weights, err = objective(_gram(t))
+    steps = 0
+    while steps < _NEWTON_MAX and weights is not None:
+        basis = np.linalg.qr(_real(t @ moves).T, mode="complete")[0][:, len(moves) :]
+        g, hess = _face_derivatives(_real(t), forms, weights, basis)
+        if not np.isfinite(hess).all():
+            break
+        lam, vec = np.linalg.eigh(hess)
+        size = np.abs(lam)
+        keep = size > _GAUGE_TOL * size.max()
+        slopes = g @ vec[:, keep]
+        move = _complex(basis @ (vec[:, keep] @ (slopes / size[keep])), rank)
+        promised = float(slopes**2 @ (1.0 / size[keep]))
+        last = promised <= err
+        alpha = 1.0
+        for _ in range(1 if last else _NEWTON_HALVINGS):
+            f_new, w_new, err_new = objective(_gram(t - alpha * move))
+            if f_new <= f + (err if last else -_ARMIJO * alpha * promised):
+                break
+            alpha /= 2.0
+        else:
+            break
+        fall = f - f_new
+        t = t - alpha * move
+        t, f, weights, err = t / np.linalg.norm(t), f_new, w_new, err_new
+        steps += 1
+        if last or fall <= err:
+            break
+    return _gram(t), steps
+
+
 def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> ReconstructionResult:
     """Maximum likelihood by accelerated projected gradient (APG) on rho.
 
@@ -364,10 +504,21 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     without a new minimum) or once no step lowers f within its rounding bound
     (near the optimum the projection's O(eps) drift in rho can move f by more
     than that bound).  A failed step with a larger residual, or _MAX_ITER
-    iterations, is a ReconstructionError.  iterations counts
-    projected gradient steps, discarded ones included, and residual is the
-    projected-gradient residual the loop stopped at.  jeffreys adds 0.5 to
-    every count in the objective, never to the reported log-likelihood.
+    iterations, is a ReconstructionError.
+
+    APG converges only linearly once the optimum's rank is settled, so it
+    hands over to a second-order finish.  Every _FINISH_EVERY accepted steps
+    it computes the residual; the first time that is at most
+    _FINISH_RESIDUAL, _face_newton runs damped Newton on the face of rho's
+    rank (the eigenvalues the projection zeroed stay zero).  Its point
+    replaces rho only if it passes the exit test above: f no higher than
+    rho's beyond rounding and residual at most _RESIDUAL_TOL.  Otherwise it
+    is dropped and APG goes on from its own state, so the result is what APG
+    alone gives.  The finish is tried at most once per record.  iterations
+    counts projected gradient steps, discarded ones included, plus the
+    Newton steps, and residual is the projected-gradient residual of the
+    point returned.  jeffreys adds 0.5 to every count in the objective,
+    never to the reported log-likelihood.
 
     record.shots is taken as the exact scale of the mean counts,
     mu_i = shots Tr(rho Pi_i), so it must be the number of trials with the
@@ -391,6 +542,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     prev, theta, step = rho, 1.0, 1.0
     y, f_y, grad_y = rho, f, grad
     best, stalled, residual = f, 0, math.inf
+    accepted, newton_steps, finish_tried = 0, 0, False
     for iteration in range(1, _MAX_ITER + 1):
         while True:
             new = _project_density(y - step * grad_y)
@@ -417,6 +569,23 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             residual = float(np.linalg.norm(rho - _project_density(rho - grad)))
             if residual <= _RESIDUAL_TOL:
                 break
+        accepted += 1
+        if (
+            not finish_tried
+            and accepted % _FINISH_EVERY == 0
+            and np.linalg.norm(rho - _project_density(rho - grad)) <= _FINISH_RESIDUAL
+        ):
+            # The Newton point replaces rho only if it passes the exit test;
+            # otherwise APG goes on from its own state, untouched.
+            finish_tried = True
+            finish, steps = _face_newton(rho, objective, stack)
+            newton_steps += steps
+            f_finish, w_finish, err_finish = objective(finish)
+            if w_finish is not None and f_finish <= f + err_finish:
+                gap = float(np.linalg.norm(finish - _project_density(finish - gradient(w_finish))))
+                if gap <= _RESIDUAL_TOL:
+                    rho, residual = finish, gap
+                    break
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         y = rho + ((theta - 1.0) / theta_next) * (rho - prev)
         theta = theta_next
@@ -436,7 +605,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         method="mle",
         min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         log_likelihood=_log_likelihood(record, rho, stack),
-        iterations=iteration,
+        iterations=iteration + newton_steps,
         residual=residual,
     )
 

@@ -389,6 +389,15 @@ def test_mle_line_search_rarely_backtracks(monkeypatch):
 
     monkeypatch.setattr(tomography_mod, "_project_density", counting_project)
     iterations = 0
+    for record, sparse in _seeded_dephased_records():
+        iterations += reconstruct_mle(record, jeffreys=sparse).iterations
+    assert len(calls) <= 1.5 * iterations
+
+
+def _seeded_dephased_records():
+    # 24 dephased singlets, d from 0 to 0.5; every fourth sparse (HVDL, 1e3
+    # shots, Jeffreys), the rest HVDR at 1e5 shots.
+    records = []
     for k, d in enumerate(np.linspace(0.0, 0.5, 24)):
         sparse = k % 4 == 0
         settings_ = standard_settings(tuple("HVDL" if sparse else "HVDR"))
@@ -396,8 +405,119 @@ def test_mle_line_search_rarely_backtracks(monkeypatch):
             dephasing_noise(bell_state(), float(d)), 1e3 if sparse else 1e5,
             seed=1000 + k, settings=settings_,
         )
-        iterations += reconstruct_mle(record, jeffreys=sparse).iterations
-    assert len(calls) <= 1.5 * iterations
+        records.append((record, sparse))
+    return records
+
+
+def test_mle_newton_finish_cuts_iterations():
+    # APG alone takes 2,324 iterations on these records and stops at
+    # residuals up to 4.4e-7; with the Newton finish on each record's face it
+    # takes 685 (APG and Newton steps together) and stops at the face's
+    # optimum, residual 1.4e-12 at most.
+    results = [reconstruct_mle(record, jeffreys=sparse) for record, sparse in _seeded_dephased_records()]
+    assert sum(r.iterations for r in results) <= 1000
+    assert max(r.residual for r in results) <= 1e-9
+
+
+def _apg_alone(monkeypatch, record, jeffreys):
+    # The finish is never tried when its residual threshold is negative.
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
+        return reconstruct_mle(record, jeffreys=jeffreys)
+
+
+def _spy_finish(monkeypatch, replace=None):
+    # Records each finish's start rho and step count; replace(rho) stands in for its point.
+    calls = []
+    true_finish = tomography_mod._face_newton
+
+    def spy(rho, objective, stack):
+        point, steps = true_finish(rho, objective, stack)
+        if replace is not None:
+            point = replace(rho)
+        calls.append((rho, steps))
+        return point, steps
+
+    monkeypatch.setattr(tomography_mod, "_face_newton", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "replace",
+    # I/4 has f above the APG iterate's; the iterate itself has its f but a
+    # residual of up to _FINISH_RESIDUAL, far above _RESIDUAL_TOL.
+    [lambda rho: np.eye(4, dtype=complex) / 4.0, lambda rho: rho.copy()],
+    ids=["higher-f", "large-residual"],
+)
+def test_mle_drops_a_finish_that_fails_the_exit_test(monkeypatch, replace):
+    # A dropped finish leaves APG's state untouched: the result is APG's
+    # alone bit for bit, its iterations plus the finish's steps, and still
+    # meets the reference objective bound.
+    for name, record, jeffreys in (p.values for p in _reference_records()):
+        if name.startswith("noiseless"):
+            continue  # converges before the finish is tried
+        alone = _apg_alone(monkeypatch, record, jeffreys)
+        calls = _spy_finish(monkeypatch, replace)
+        result = reconstruct_mle(record, jeffreys=jeffreys)
+        monkeypatch.undo()
+        assert len(calls) == 1, name
+        assert np.array_equal(result.rho, alone.rho), name
+        assert result.iterations == alone.iterations + calls[0][1]
+        assert result.residual <= tomography_mod._RESIDUAL_TOL
+        counts = record.counts + 0.5 if jeffreys else record.counts
+        f_mle, scale = _objective_and_rounding(record, result.rho, counts)
+        f_ref, _ = _objective_and_rounding(record, _reference_mle(record, jeffreys=jeffreys), counts)
+        assert f_mle <= f_ref + 32.0 * np.finfo(float).eps * scale, name
+
+
+def test_mle_finish_on_a_face_of_too_low_rank_is_dropped(monkeypatch):
+    # dephased:1.0, HVDR, 1e4 shots, Jeffreys, seed 2 has a rank-3 optimum
+    # (third eigenvalue 1.1e-5).  Tried at residual 1e-2 instead of 1e-3, the
+    # finish starts from a rank-2 iterate; the rank-2 face's optimum has
+    # residual 0.078, so APG ends alone, bit for bit.
+    record = simulate_tomography(
+        dephasing_noise(bell_state(), 1.0), 1e4, seed=2, settings=standard_settings(tuple("HVDR"))
+    )
+    alone = _apg_alone(monkeypatch, record, True)
+    monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", 1e-2)
+    calls = _spy_finish(monkeypatch)
+    result = reconstruct_mle(record, jeffreys=True)
+    assert len(calls) == 1
+    assert np.count_nonzero(np.linalg.eigvalsh(calls[0][0]) > tomography_mod._RANK_TOL) == 2
+    assert np.array_equal(result.rho, alone.rho)
+    assert result.iterations == alone.iterations + calls[0][1]
+    assert np.linalg.eigvalsh(result.rho)[1] > 1e-5
+
+
+@pytest.mark.parametrize(
+    "d,seed",
+    # dephased:0.42, seed 19: third eigenvalue 3.0e-4, APG alone takes 514
+    # iterations.  d = 0.346..., seed 1021269449 (an `analysis` benchmark
+    # record): third eigenvalue 3.1e-4, APG alone takes 606 iterations.  On the
+    # second, Newton with |lambda| over every direction of T halves T at each
+    # step and stops after 30 steps far from the optimum, because away from it
+    # the Hessian along the scale x is -g, not 0; on the complement of the
+    # gauge and scale moves it converges.
+    [(0.42, 19), (0.3460639419544736, 1021269449)],
+)
+def test_mle_finish_on_a_rank_three_face(monkeypatch, d, seed):
+    # HVDL, 1e3 shots, Jeffreys: rank-3 optimums, finished in a few Newton steps.
+    record = simulate_tomography(
+        dephasing_noise(bell_state(), d), 1e3, seed=seed, settings=standard_settings(tuple("HVDL"))
+    )
+    alone = _apg_alone(monkeypatch, record, True)
+    calls = _spy_finish(monkeypatch)
+    result = reconstruct_mle(record, jeffreys=True)
+    assert len(calls) == 1
+    assert np.count_nonzero(np.linalg.eigvalsh(calls[0][0]) > tomography_mod._RANK_TOL) == 3
+    assert calls[0][1] <= 10
+    assert result.iterations <= alone.iterations / 2
+    assert result.residual <= 1e-9
+    counts = record.counts + 0.5
+    f_mle, scale = _objective_and_rounding(record, result.rho, counts)
+    f_alone, _ = _objective_and_rounding(record, alone.rho, counts)
+    assert f_mle <= f_alone + 32.0 * np.finfo(float).eps * scale
+    assert np.abs(result.rho - alone.rho).max() < 1e-6
 
 
 def test_project_physical_rejects_hopeless_input():
@@ -504,6 +624,52 @@ def test_mle_gradient_matches_finite_difference():
             h = (a + a.conj().T) / 2.0
             numeric = (f(rho + eps * h) - f(rho - eps * h)) / (2.0 * eps)
             assert np.vdot(h, grad).real == pytest.approx(numeric, abs=1e-6)
+
+
+def test_face_derivatives_match_finite_difference():
+    # Central differences of f(T T^dagger / ||T||^2) in x = (Re T, Im T) must
+    # match the analytic gradient, and central differences of that gradient
+    # the Hessian, at random T of every rank, with and without the Jeffreys
+    # offset.  f is unchanged by the scale and the gauge: g is orthogonal to
+    # x and to every T A of _vertical_moves, and H x = -g.  Through an
+    # orthonormal basis B the function gives B^T g and B^T H B.
+    record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=8)
+    assert np.any(record.counts == 0.0)
+    stack = tomography_mod._projectors(record.settings)
+    design = tomography_mod._design_matrix(stack)
+    forms = tomography_mod._real_forms(stack)
+    rng = np.random.default_rng(6)
+    eps = 1e-5
+    for counts in (record.counts, record.counts + 0.5):
+        objective, _ = _mle_objective(counts, record.shots, design, stack)
+        for rank in (1, 2, 3, 4):
+
+            def evaluate(x, basis=np.eye(8 * rank)):
+                f, weights, _ = objective(tomography_mod._gram(tomography_mod._complex(x, rank)))
+                return (f, *tomography_mod._face_derivatives(x, forms, weights, basis))
+
+            t = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            x = tomography_mod._real(t)
+            assert np.array_equal(tomography_mod._complex(x, rank), t)
+            _, g, hess = evaluate(x)
+            assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+            for _ in range(4):
+                d = rng.normal(size=8 * rank)
+                f_plus, g_plus, _ = evaluate(x + eps * d)
+                f_minus, g_minus, _ = evaluate(x - eps * d)
+                assert g @ d == pytest.approx((f_plus - f_minus) / (2.0 * eps), rel=1e-6)
+                numeric = (g_plus - g_minus) / (2.0 * eps)
+                assert np.abs(hess @ d - numeric).max() <= 1e-6 * np.abs(hess @ d).max()
+            moves = tomography_mod._vertical_moves(rank)
+            assert moves.shape == (rank * rank + 1, rank, rank) and not moves.flags.writeable
+            vertical = tomography_mod._real(t @ moves)
+            assert np.linalg.matrix_rank(vertical) == rank * rank + 1
+            assert np.abs(vertical @ g).max() <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(x)
+            assert np.abs(hess @ x + g).max() <= 1e-12 * np.abs(hess).max() * np.linalg.norm(x)
+            basis = np.linalg.qr(rng.normal(size=(8 * rank, 5)))[0]
+            _, g_b, hess_b = evaluate(x, basis)
+            assert np.allclose(g_b, basis.T @ g, rtol=0.0, atol=1e-12 * np.abs(g).max())
+            assert np.allclose(hess_b, basis.T @ hess @ basis, rtol=0.0, atol=1e-12 * np.abs(hess).max())
 
 
 def _project_density_reference(h):
