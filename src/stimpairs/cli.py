@@ -367,6 +367,8 @@ def _cmd_rates(args, config: dict, s: dict) -> int:
     doc = {"command": "rates", "config": s, "rate": rate}
     if expected is not None and rate > 0:
         factor = rate / expected
+        if not 0.0 < factor < math.inf:  # rounded to 0 or inf: no ratio to report
+            raise FloatingPointError(f"ratio {rate!r} / {expected!r} is out of the float range")
         doc["expected_ratio"] = factor
         if factor > 10.0 or factor < 0.1:
             doc["note"] = (

@@ -271,8 +271,8 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     Jacobian of the model in (A, B, C) at the solution (unclamped B) and
     s^2 the residual sum of squares over n - 3.  Raises FitError when the
     scan is too short, spans less than half a period, has no counts or a
-    non-positive A, or when cond(J^T J) > 1e12 (constant data leaves C
-    undetermined).
+    non-positive A, or when J^T J in (ln A, B, C), free of the count scale,
+    has condition number above 1e12 (constant data leaves C undetermined).
 
     2(1 + B) estimates the double-pass over single-pass rate ratio; the ideal
     value is 4.  Experimental reference points from a tabletop run of this
@@ -305,8 +305,10 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     jac = np.column_stack([2.0 * (1.0 + b * cos_xc), 2.0 * a * cos_xc, -2.0 * a * b * sin_xc])
     jtj = jac.T @ jac
     # Constant data fits with B = 0 and an arbitrary C; the Jacobian column
-    # for C collapses and the covariance blows up. Reject rather than report.
-    if not np.all(np.isfinite(jtj)) or np.linalg.cond(jtj) > 1e12:
+    # for C collapses and the covariance blows up. Reject rather than report,
+    # judging J^T J in (ln A, B, C), whose columns all scale as A.
+    scale = np.outer([a, 1.0, 1.0], [a, 1.0, 1.0])
+    if not np.all(np.isfinite(jtj)) or np.linalg.cond(jtj * scale) > 1e12:
         raise FitError("fit parameters are degenerate (flat or constant scan)")
     cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
     return FitResult(

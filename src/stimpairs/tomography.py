@@ -284,24 +284,15 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
 def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     """Poisson log-likelihood sum_i (c_i ln mu_i - mu_i), mu_i = shots Tr(rho Pi_i).
 
-    Constant c_i! terms are dropped.  A setting whose predicted probability
-    is zero up to projector rounding noise (below 1e-15) while its counts are
-    nonzero gives -inf, as it should.
+    Constant c_i! terms are dropped.  This is -shots f(rho), f the objective
+    reconstruct_mle minimizes (_mle_objective): a setting with counts whose
+    rate mu_i is at most 0 gives -inf, and every other rate, however small,
+    counts as it is.
     """
     check_density_matrix(rho)
-    return _log_likelihood(record, rho, _projectors(record.settings))
-
-
-def _log_likelihood(record: TomographyRecord, rho: np.ndarray, stack: np.ndarray) -> float:
-    """log_likelihood of a rho its caller has already validated, on the settings' stack."""
-    p = _born_probabilities(rho, stack)
-    mu = record.shots * np.where(p < 1e-15, 0.0, p)
-    seen = record.counts > 0.0  # 0 ln 0 = 0 elsewhere
-    if np.any(mu[seen] <= 0.0):
-        return -math.inf
-    terms = -mu
-    terms[seen] += record.counts[seen] * np.log(mu[seen])
-    return float(terms.sum())
+    stack = _projectors(record.settings)
+    objective, _ = _mle_objective(record.counts, record.shots, _design_matrix(stack), stack)
+    return -record.shots * objective(np.asarray(rho))[0]
 
 
 def _project_density(h: np.ndarray) -> np.ndarray:
@@ -517,8 +508,9 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     alone gives.  The finish is tried at most once per record.  iterations
     counts projected gradient steps, discarded ones included, plus the
     Newton steps, and residual is the projected-gradient residual of the
-    point returned.  jeffreys adds 0.5 to every count in the objective,
-    never to the reported log-likelihood.
+    point returned.  log_likelihood is -shots f at the returned rho on the
+    recorded counts, log_likelihood(record, rho), and finite for every result.
+    jeffreys adds 0.5 to every count in the objective, never to the report.
 
     record.shots is taken as the exact scale of the mean counts,
     mu_i = shots Tr(rho Pi_i), so it must be the number of trials with the
@@ -600,11 +592,13 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             f"MLE did not converge in {_MAX_ITER} iterations (residual {residual:.3e})"
         )
     rho = (rho + rho.conj().T) / 2.0
+    if jeffreys:
+        objective, _ = _mle_objective(record.counts, record.shots, design, stack)
     return ReconstructionResult(
         rho=rho,
         method="mle",
         min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-        log_likelihood=_log_likelihood(record, rho, stack),
+        log_likelihood=-record.shots * objective(rho)[0],
         iterations=iteration + newton_steps,
         residual=residual,
     )

@@ -432,6 +432,15 @@ def test_tomography_simulated(capsys):
     assert len(matrix) == 4 and len(matrix[0]) == 4
 
 
+def test_tomography_noiseless_mle_writes_strict_json(capsys):
+    # The noiseless record's MLE optimum has rates of order 1e-33 on HH and
+    # VV; its log-likelihood is finite, never -Infinity, which is not JSON.
+    code, out, _ = run(capsys, "tomography", "--state", "dephased:0.2")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_refuse_literal)
+    assert math.isfinite(doc["log_likelihood"])
+
+
 def test_tomography_linear_method(capsys):
     code, out, _ = run(
         capsys,
@@ -561,6 +570,21 @@ def test_rates_past_float_range_exits_two(capsys, singles, coincidences):
     code, out, err = run(capsys, "rates", "--singles", singles, "--coincidences", coincidences)
     assert code == 2
     assert "numerical failure" in err and "overflows" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "singles,coincidences,expected",
+    [("1e200", "1e100", "1e-300"), ("1e-200", "1e-200", "1e300")],
+    ids=["ratio-overflows", "ratio-underflows"],
+)
+def test_rates_expected_ratio_past_float_range_exits_two(capsys, singles, coincidences, expected):
+    # A ratio rounded to inf is not JSON, and one rounded to 0 is no ratio.
+    code, out, err = run(
+        capsys, "rates", "--singles", singles, "--coincidences", coincidences,
+        "--expected", expected,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("stimpairs: numerical failure:") and "ratio" in err
 
 
 def test_rates_order_flag_removed(tmp_path, capsys):
@@ -856,12 +880,20 @@ def _main(argv: list, exit_code: int = 0) -> str:
             {"cli", "errors", "rates"},
             False,
         ),
+        (
+            _main(
+                ["rates", "--singles", "1e200", "--coincidences", "1e100", "--expected", "1e-300"],
+                exit_code=2,
+            ),
+            {"cli", "errors", "rates"},
+            False,
+        ),
     ],
     ids=[
         "import", "name", "rates-name", "submodule", "sweep-phase", "fig4", "fringe", "rates",
         "tomography-mle", "tomography-linear", "verify", "help", "rates-help", "usage-error",
         "fringe-state-error", "fig4-grid-error", "fringe-grid-error", "tomography-state-error",
-        "tomography-both-error", "rates-efficiency-error",
+        "tomography-both-error", "rates-efficiency-error", "rates-ratio-error",
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, code, expected, numpy):

@@ -206,6 +206,21 @@ def test_fit_fringe_failures():
         fit_fringe(FringeScan(x, np.full(40, 7.0)))  # constant, C undetermined
 
 
+def test_fit_fringe_accepts_high_count_fringes():
+    # In (A, B, C) the A column of J is O(1) and the others O(A), so cond(J^T J)
+    # grows as A^2 and would call a noiseless 1e8-shot singlet fringe
+    # (A = 1.25e7) degenerate.  Judged in (ln A, B, C) it fits, and a constant
+    # scan at the same level is still rejected.
+    angles = np.radians(np.linspace(0, 180, 37))
+    rho = state_density(bell_state())
+    scan = simulate_polarization_fringe(rho, ArmSetting(math.pi / 4.0), angles, 1e8)
+    fit = fit_fringe(scan)
+    assert fit.visibility == pytest.approx(1.0, abs=1e-12)
+    assert fit.amplitude == pytest.approx(1.25e7, rel=1e-12)
+    with pytest.raises(FitError):
+        fit_fringe(FringeScan(scan.phase, np.full(37, 2.5e7)))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     n=st.integers(8, 60),

@@ -305,26 +305,38 @@ def test_mle_jeffreys_stays_close():
 
 
 def test_log_likelihood_zero_rate():
+    # One rule, the MLE objective's: a counted setting whose rate is at most 0
+    # gives -inf, and any positive rate counts as it is.  The HH analyzers are
+    # exact, so |VV><VV| predicts exactly zero on HH, which a record of I/4
+    # counts.
+    record = simulate_tomography(np.eye(4) / 4.0, 1000.0, seed=2)
+    assert record.counts[0] > 0.0
+    vv = np.zeros((4, 4), dtype=complex)
+    vv[3, 3] = 1.0
+    assert log_likelihood(record, vv) == -math.inf
+    # On HV, |HH><HH| predicts cos^2(pi/2) ~ 4e-33 from the V polarizer's
+    # rounding: a tiny rate, not a zero one, so the value is finite, and far
+    # below the true state's.  The singlet record counts HV.
     record = simulate_tomography(bell_state(), 1000.0, seed=2)
-    # HH never fires for the singlet; a state predicting zero there with
-    # nonzero observed counts must be -inf.
-    rho_bad = np.zeros((4, 4), dtype=complex)
-    rho_bad[0, 0] = 1.0
-    if record.counts[1] > 0:  # H/V setting fires for the singlet
-        assert log_likelihood(record, rho_bad) == -math.inf
+    hh = np.zeros((4, 4), dtype=complex)
+    hh[0, 0] = 1.0
+    assert record.counts[1] > 0.0
+    assert 0.0 < np.real(np.trace(hh @ analyzer_projector(record.settings[1]))) < 1e-30
+    value = log_likelihood(record, hh)
+    assert math.isfinite(value)
+    assert value < log_likelihood(record, state_density(bell_state()))
 
 
 def test_log_likelihood_matches_per_setting_sum():
-    # Reference: the per-setting loop sum_i (c_i ln mu_i - mu_i), with
-    # probabilities below 1e-15 read as 0 and zero-count settings adding -mu_i.
+    # Reference: the per-setting loop sum_i (c_i ln mu_i - mu_i), zero-count
+    # settings adding -mu_i.
     rho = dephasing_noise(bell_state(), 0.3)
     record = simulate_tomography(bell_state(), 50.0, seed=9)
     assert np.any(record.counts == 0.0)
     total = 0.0
     for setting, c in zip(record.settings, record.counts):
         proj = analyzer_projector(setting)
-        p = max(float(np.real(np.trace(rho @ proj))), 0.0)
-        mu = record.shots * (p if p >= 1e-15 else 0.0)
+        mu = record.shots * float(np.real(np.trace(rho @ proj)))
         total += c * math.log(mu) - mu if c > 0.0 else -mu
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -332,6 +344,21 @@ def test_log_likelihood_matches_per_setting_sum():
         # The singlet predicts exactly zero on HH and VV, where it recorded
         # nothing: finite, and no log(0) warning.
         assert math.isfinite(log_likelihood(record, state_density(bell_state())))
+
+
+@pytest.mark.parametrize("basis", ["HVDR", "HVDL"])
+def test_mle_reports_its_own_optimum_on_noiseless_records(basis):
+    # A noiseless record counts about shots * 1e-33 where the state's
+    # probability is zero up to rounding (HH and VV of the singlet), and the
+    # MLE fits rates of that order there.  The reported value is the
+    # objective at the result, so it is finite; reading probabilities below
+    # 1e-15 as zero would make most of them -inf.
+    settings = standard_settings(tuple(basis))
+    for d in np.linspace(0.0, 1.0, 11):
+        record = simulate_tomography(dephasing_noise(bell_state(), d), 1e5, settings=settings)
+        result = reconstruct_mle(record)
+        assert math.isfinite(result.log_likelihood), d
+        assert result.log_likelihood == log_likelihood(record, result.rho), d
 
 
 def test_mle_converges_on_abnormal_line_search_record():
