@@ -19,13 +19,12 @@ shot noise.  Maximum likelihood works on rho itself: accelerated gradient
 steps on the Poisson negative log-likelihood, each projected back onto the
 density matrices through an eigendecomposition, so every iterate and the
 result are physical.  Near the optimum it tries once to finish with Newton
-steps on rho = T T^dagger / ||T||^2, T of the rank of the current iterate,
-and keeps that point only if it passes the gradient loop's own exit test.
+steps on rho = T T^dagger / ||T||^2, T a 4 x 4 factor, and keeps that point
+only if it passes the gradient loop's own exit test.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -63,13 +62,15 @@ _RESIDUAL_TOL = 1e-5
 _ROUNDING = 4.0 * np.finfo(float).eps
 _MIN_STEP = 1e-30
 _STEP_GROWTH = 1.1
-# Newton finish (see reconstruct_mle and _face_newton): tried once, when the
+# Newton finish (see reconstruct_mle and _newton_finish): tried once, when the
 # residual, checked every _FINISH_EVERY accepted steps, is at most
-# _FINISH_RESIDUAL.  Eigenvalues of rho at most _RANK_TOL are the ones the
-# projection zeroed; the other four shape each Newton step.
+# _FINISH_RESIDUAL.  It factors rho over all four eigenvectors, each
+# eigenvalue lifted to at least _EIGEN_FLOOR, so those the projection zeroed
+# can grow again; _GAUGE_TOL, _ARMIJO, _NEWTON_MAX and _NEWTON_HALVINGS shape
+# each Newton step.
 _FINISH_EVERY = 8
 _FINISH_RESIDUAL = 1e-3
-_RANK_TOL = 1e-12
+_EIGEN_FLOOR = 1e-12
 _GAUGE_TOL = 1e-10
 _ARMIJO = 1e-4
 _NEWTON_MAX = 30
@@ -352,15 +353,14 @@ def _real(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real.reshape(*lead, -1), z.imag.reshape(*lead, -1)], axis=-1)
 
 
-def _complex(x: np.ndarray, rank: int) -> np.ndarray:
-    """The 4 x rank complex matrices whose _real rows are x."""
-    half = x.shape[-1] // 2
+def _complex(x: np.ndarray) -> np.ndarray:
+    """The 4 x 4 complex matrices whose _real rows are x."""
     lead = x.shape[:-1]
-    return x[..., :half].reshape(*lead, 4, rank) + 1j * x[..., half:].reshape(*lead, 4, rank)
+    return x[..., :16].reshape(*lead, 4, 4) + 1j * x[..., 16:].reshape(*lead, 4, 4)
 
 
 def _gram(t: np.ndarray) -> np.ndarray:
-    """The density matrix T T^dagger / ||T||^2 of a 4 x r factor."""
+    """The density matrix T T^dagger / ||T||^2 of a factor T."""
     gram = t @ t.conj().T
     return gram / gram.trace().real
 
@@ -377,14 +377,14 @@ def _real_forms(stack: np.ndarray) -> np.ndarray:
     )
 
 
-def _face_derivatives(x: np.ndarray, forms: np.ndarray, weights: np.ndarray, basis: np.ndarray):
+def _factor_derivatives(x: np.ndarray, forms: np.ndarray, weights: np.ndarray, basis: np.ndarray):
     """B^T g and B^T H B: the gradient g and Hessian H of f(T T^dagger / s),
     s = ||T||^2, in x = _real(T), seen through the orthonormal columns of B.
 
     forms is _real_forms(stack) and weights the objective's w_i at
     T T^dagger / s.  f depends on T through p_i = Re tr(T^dagger Pi_i T) / s,
     and Pi_i acts on each column of T alone, so its 8 x 8 form R_i gives
-    J_i = (2/s)(R_i X - p_i x), X the 8 x r array of x.  The partials of f in
+    J_i = (2/s)(R_i X - p_i x), X the 8 x 4 array of x.  The partials of f in
     p_i are w_i and h_i = (1 - w_i) / p_i (= c_i / (shots p_i^2)).  With
     m = sum_i w_i p_i and L the real form of T -> G T, G = sum_i w_i Pi_i,
     g = sum_i w_i J_i = (2/s)(L x - m x) and
@@ -403,56 +403,53 @@ def _face_derivatives(x: np.ndarray, forms: np.ndarray, weights: np.ndarray, bas
     return g, jac.T @ (curvature[:, None] * jac) + (2.0 / s) * inner
 
 
-@functools.lru_cache(maxsize=4)
-def _vertical_moves(rank: int) -> np.ndarray:
-    """The r^2 + 1 matrices A for which T -> T + T A leaves T T^dagger / ||T||^2
-    fixed to first order: a basis of the anti-Hermitian r x r matrices (the
-    unitary gauge T -> T U) and the identity (the scale).  Cached read-only."""
-    units = np.eye(rank * rank).reshape(rank, rank, rank, rank)  # units[j, k] = E_jk
-    rows, cols = np.triu_indices(rank, 1)
+def _vertical_moves() -> np.ndarray:
+    """The 17 matrices A for which T -> T + T A leaves T T^dagger / ||T||^2
+    fixed to first order: a basis of the anti-Hermitian 4 x 4 matrices (the
+    unitary gauge T -> T U) and the identity (the scale)."""
+    units = np.eye(16).reshape(4, 4, 4, 4)  # units[j, k] = E_jk
+    rows, cols = np.triu_indices(4, 1)
     upper = units[rows, cols]
     lower = upper.transpose(0, 2, 1)
-    diagonal = units[np.arange(rank), np.arange(rank)]
-    moves = np.concatenate([upper - lower, 1j * (upper + lower), 1j * diagonal, np.eye(rank)[None]])
-    moves.flags.writeable = False
-    return moves
+    diagonal = units[np.arange(4), np.arange(4)]
+    return np.concatenate([upper - lower, 1j * (upper + lower), 1j * diagonal, np.eye(4)[None]])
 
 
-def _face_newton(rho: np.ndarray, objective, stack: np.ndarray):
-    """Damped Newton for f on the face of rho's rank: returns (rho', steps).
+def _newton_finish(rho: np.ndarray, objective, stack: np.ndarray):
+    """Damped Newton for f over every density matrix: returns (rho', steps).
 
-    rho = T T^dagger / ||T||^2 with T the r leading eigenvectors of rho scaled
-    by the root of their eigenvalues, r the number above _RANK_TOL (Burer &
-    Monteiro, Math. Program. 95, 329 (2003)).  The moves T A of
-    _vertical_moves change nothing, yet away from the optimum the Hessian
-    does not vanish on them (H x = -g along the scale x), so each step works
-    on an orthonormal basis of their complement: it solves there with the
-    Hessian's |eigenvalues|, skipping those at most _GAUGE_TOL times the
-    largest (what is left of the gauge where T loses rank), and halves from
-    the full step, at most _NEWTON_HALVINGS times, until f falls by _ARMIJO
-    of what the gradient promises.  Once the promised fall, g . H^-1 g, is
+    rho = T T^dagger / ||T||^2 with T the four eigenvectors of rho scaled by
+    the root of their eigenvalues, each lifted to at least _EIGEN_FLOOR
+    (Burer & Monteiro, Math. Program. 95, 329 (2003)), so T is 4 x 4 and
+    invertible for every record.  The 17 moves T A of _vertical_moves change
+    nothing, yet away from the optimum the Hessian does not vanish on them
+    (H x = -g along the scale x), so each step works on an orthonormal basis
+    of their 15-dimensional complement: it solves there with the Hessian's
+    |eigenvalues|, skipping those at most _GAUGE_TOL times the largest (the
+    Hessian can be near singular where T is), and halves from the full
+    step, at most _NEWTON_HALVINGS times, until f falls by _ARMIJO of what
+    the gradient promises.  Once the promised fall, g . H^-1 g, is
     within f's rounding error, one last full step is kept if f does not rise
     beyond that error.  It also stops when f falls by no more than that
     error, when no halving falls, when the Hessian is not finite, or after
     _NEWTON_MAX steps.  The caller judges rho' by its own exit test.
     """
     evals, vecs = np.linalg.eigh(rho)
-    rank = int(np.count_nonzero(evals > _RANK_TOL))
-    t = vecs[:, -rank:] * np.sqrt(evals[-rank:])
-    moves = _vertical_moves(rank)
+    t = vecs * np.sqrt(np.maximum(evals, _EIGEN_FLOOR))
+    moves = _vertical_moves()
     forms = _real_forms(stack)
     f, weights, err = objective(_gram(t))
     steps = 0
     while steps < _NEWTON_MAX and weights is not None:
         basis = np.linalg.qr(_real(t @ moves).T, mode="complete")[0][:, len(moves) :]
-        g, hess = _face_derivatives(_real(t), forms, weights, basis)
+        g, hess = _factor_derivatives(_real(t), forms, weights, basis)
         if not np.isfinite(hess).all():
             break
         lam, vec = np.linalg.eigh(hess)
         size = np.abs(lam)
         keep = size > _GAUGE_TOL * size.max()
         slopes = g @ vec[:, keep]
-        move = _complex(basis @ (vec[:, keep] @ (slopes / size[keep])), rank)
+        move = _complex(basis @ (vec[:, keep] @ (slopes / size[keep])))
         promised = float(slopes**2 @ (1.0 / size[keep]))
         last = promised <= err
         alpha = 1.0
@@ -500,8 +497,9 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     APG converges only linearly once the optimum's rank is settled, so it
     hands over to a second-order finish.  Every _FINISH_EVERY accepted steps
     it computes the residual; the first time that is at most
-    _FINISH_RESIDUAL, _face_newton runs damped Newton on the face of rho's
-    rank (the eigenvalues the projection zeroed stay zero).  Its point
+    _FINISH_RESIDUAL, _newton_finish runs damped Newton on rho = T T^dagger /
+    ||T||^2 over a full 4 x 4 factor T, so an eigenvalue the projection
+    zeroed can grow back where the optimum is full rank.  Its point
     replaces rho only if it passes the exit test above: f no higher than
     rho's beyond rounding and residual at most _RESIDUAL_TOL.  Otherwise it
     is dropped and APG goes on from its own state, so the result is what APG
@@ -570,7 +568,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             # The Newton point replaces rho only if it passes the exit test;
             # otherwise APG goes on from its own state, untouched.
             finish_tried = True
-            finish, steps = _face_newton(rho, objective, stack)
+            finish, steps = _newton_finish(rho, objective, stack)
             newton_steps += steps
             f_finish, w_finish, err_finish = objective(finish)
             if w_finish is not None and f_finish <= f + err_finish:

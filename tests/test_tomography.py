@@ -438,9 +438,9 @@ def _seeded_dephased_records():
 
 def test_mle_newton_finish_cuts_iterations():
     # APG alone takes 2,324 iterations on these records and stops at
-    # residuals up to 4.4e-7; with the Newton finish on each record's face it
-    # takes 685 (APG and Newton steps together) and stops at the face's
-    # optimum, residual 1.4e-12 at most.
+    # residuals up to 4.4e-7; with the Newton finish it takes 685 (APG and
+    # Newton steps together) and stops at the optimum, residual 1.4e-12 at
+    # most.
     results = [reconstruct_mle(record, jeffreys=sparse) for record, sparse in _seeded_dephased_records()]
     assert sum(r.iterations for r in results) <= 1000
     assert max(r.residual for r in results) <= 1e-9
@@ -456,7 +456,7 @@ def _apg_alone(monkeypatch, record, jeffreys):
 def _spy_finish(monkeypatch, replace=None):
     # Records each finish's start rho and step count; replace(rho) stands in for its point.
     calls = []
-    true_finish = tomography_mod._face_newton
+    true_finish = tomography_mod._newton_finish
 
     def spy(rho, objective, stack):
         point, steps = true_finish(rho, objective, stack)
@@ -465,7 +465,7 @@ def _spy_finish(monkeypatch, replace=None):
         calls.append((rho, steps))
         return point, steps
 
-    monkeypatch.setattr(tomography_mod, "_face_newton", spy)
+    monkeypatch.setattr(tomography_mod, "_newton_finish", spy)
     return calls
 
 
@@ -497,11 +497,12 @@ def test_mle_drops_a_finish_that_fails_the_exit_test(monkeypatch, replace):
         assert f_mle <= f_ref + 32.0 * np.finfo(float).eps * scale, name
 
 
-def test_mle_finish_on_a_face_of_too_low_rank_is_dropped(monkeypatch):
+def test_mle_finish_from_an_iterate_of_too_low_rank_is_kept(monkeypatch):
     # dephased:1.0, HVDR, 1e4 shots, Jeffreys, seed 2 has a rank-3 optimum
     # (third eigenvalue 1.1e-5).  Tried at residual 1e-2 instead of 1e-3, the
-    # finish starts from a rank-2 iterate; the rank-2 face's optimum has
-    # residual 0.078, so APG ends alone, bit for bit.
+    # finish starts from a rank-2 iterate.  Its 4 x 4 factor regrows the third
+    # eigenvalue: 23 iterations in all, where APG alone takes 908.  The last
+    # Newton step takes the residual from 1.1e-5 to 1.0e-9.
     record = simulate_tomography(
         dephasing_noise(bell_state(), 1.0), 1e4, seed=2, settings=standard_settings(tuple("HVDR"))
     )
@@ -510,10 +511,28 @@ def test_mle_finish_on_a_face_of_too_low_rank_is_dropped(monkeypatch):
     calls = _spy_finish(monkeypatch)
     result = reconstruct_mle(record, jeffreys=True)
     assert len(calls) == 1
-    assert np.count_nonzero(np.linalg.eigvalsh(calls[0][0]) > tomography_mod._RANK_TOL) == 2
-    assert np.array_equal(result.rho, alone.rho)
-    assert result.iterations == alone.iterations + calls[0][1]
+    assert np.count_nonzero(np.linalg.eigvalsh(calls[0][0]) > tomography_mod._EIGEN_FLOOR) == 2
+    assert result.iterations <= 30
+    assert result.residual <= 1e-8
     assert np.linalg.eigvalsh(result.rho)[1] > 1e-5
+    counts = record.counts + 0.5
+    f_mle, scale = _objective_and_rounding(record, result.rho, counts)
+    f_alone, _ = _objective_and_rounding(record, alone.rho, counts)
+    assert f_mle <= f_alone + 32.0 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("basis,shots", [("HVDR", 1e9), ("HVDR", 1e10), ("HVDL", 1e9)])
+def test_jeffreys_mle_converges_on_clean_high_count_records(basis, shots):
+    # Noiseless dephased:0.2 records: with Jeffreys every count is positive,
+    # so the optimum is full rank, with two eigenvalues of about 5e-10 where
+    # the finish's start has 0.  The finish must regrow them: held at rank 2
+    # its point fails the exit test, and APG alone needs over 5,000 iterations.
+    rho = dephasing_noise(bell_state(), 0.2)
+    record = simulate_tomography(rho, shots, settings=standard_settings(tuple(basis)))
+    result = reconstruct_mle(record, jeffreys=True)
+    assert result.residual <= tomography_mod._RESIDUAL_TOL
+    assert result.iterations <= 30
+    assert abs(fidelity(result.rho, bell_state()) - 0.9) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -536,7 +555,8 @@ def test_mle_finish_on_a_rank_three_face(monkeypatch, d, seed):
     calls = _spy_finish(monkeypatch)
     result = reconstruct_mle(record, jeffreys=True)
     assert len(calls) == 1
-    assert np.count_nonzero(np.linalg.eigvalsh(calls[0][0]) > tomography_mod._RANK_TOL) == 3
+    # The finish starts from an APG iterate with one eigenvalue zeroed.
+    assert np.count_nonzero(np.linalg.eigvalsh(calls[0][0]) > tomography_mod._EIGEN_FLOOR) == 3
     assert calls[0][1] <= 10
     assert result.iterations <= alone.iterations / 2
     assert result.residual <= 1e-9
@@ -653,13 +673,13 @@ def test_mle_gradient_matches_finite_difference():
             assert np.vdot(h, grad).real == pytest.approx(numeric, abs=1e-6)
 
 
-def test_face_derivatives_match_finite_difference():
+def test_factor_derivatives_match_finite_difference():
     # Central differences of f(T T^dagger / ||T||^2) in x = (Re T, Im T) must
     # match the analytic gradient, and central differences of that gradient
-    # the Hessian, at random T of every rank, with and without the Jeffreys
-    # offset.  f is unchanged by the scale and the gauge: g is orthogonal to
-    # x and to every T A of _vertical_moves, and H x = -g.  Through an
-    # orthonormal basis B the function gives B^T g and B^T H B.
+    # the Hessian, at random 4 x 4 T, with and without the Jeffreys offset.
+    # f is unchanged by the scale and the gauge: g is orthogonal to x and to
+    # the 17 T A of _vertical_moves, and H x = -g.  Through an orthonormal
+    # basis B the function gives B^T g and B^T H B.
     record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=8)
     assert np.any(record.counts == 0.0)
     stack = tomography_mod._projectors(record.settings)
@@ -669,31 +689,31 @@ def test_face_derivatives_match_finite_difference():
     eps = 1e-5
     for counts in (record.counts, record.counts + 0.5):
         objective, _ = _mle_objective(counts, record.shots, design, stack)
-        for rank in (1, 2, 3, 4):
+        for _ in range(4):
 
-            def evaluate(x, basis=np.eye(8 * rank)):
-                f, weights, _ = objective(tomography_mod._gram(tomography_mod._complex(x, rank)))
-                return (f, *tomography_mod._face_derivatives(x, forms, weights, basis))
+            def evaluate(x, basis=np.eye(32)):
+                f, weights, _ = objective(tomography_mod._gram(tomography_mod._complex(x)))
+                return (f, *tomography_mod._factor_derivatives(x, forms, weights, basis))
 
-            t = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            t = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             x = tomography_mod._real(t)
-            assert np.array_equal(tomography_mod._complex(x, rank), t)
+            assert np.array_equal(tomography_mod._complex(x), t)
             _, g, hess = evaluate(x)
             assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
             for _ in range(4):
-                d = rng.normal(size=8 * rank)
+                d = rng.normal(size=32)
                 f_plus, g_plus, _ = evaluate(x + eps * d)
                 f_minus, g_minus, _ = evaluate(x - eps * d)
                 assert g @ d == pytest.approx((f_plus - f_minus) / (2.0 * eps), rel=1e-6)
                 numeric = (g_plus - g_minus) / (2.0 * eps)
                 assert np.abs(hess @ d - numeric).max() <= 1e-6 * np.abs(hess @ d).max()
-            moves = tomography_mod._vertical_moves(rank)
-            assert moves.shape == (rank * rank + 1, rank, rank) and not moves.flags.writeable
+            moves = tomography_mod._vertical_moves()
+            assert moves.shape == (17, 4, 4)
             vertical = tomography_mod._real(t @ moves)
-            assert np.linalg.matrix_rank(vertical) == rank * rank + 1
+            assert np.linalg.matrix_rank(vertical) == 17
             assert np.abs(vertical @ g).max() <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(x)
             assert np.abs(hess @ x + g).max() <= 1e-12 * np.abs(hess).max() * np.linalg.norm(x)
-            basis = np.linalg.qr(rng.normal(size=(8 * rank, 5)))[0]
+            basis = np.linalg.qr(rng.normal(size=(32, 5)))[0]
             _, g_b, hess_b = evaluate(x, basis)
             assert np.allclose(g_b, basis.T @ g, rtol=0.0, atol=1e-12 * np.abs(g).max())
             assert np.allclose(hess_b, basis.T @ hess @ basis, rtol=0.0, atol=1e-12 * np.abs(hess).max())
