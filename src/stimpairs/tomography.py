@@ -18,9 +18,9 @@ linear system exactly and reports (not clips) negative eigenvalues caused by
 shot noise.  Maximum likelihood works on rho itself: accelerated gradient
 steps on the Poisson negative log-likelihood, each projected back onto the
 density matrices through an eigendecomposition, so every iterate and the
-result are physical.  Near the optimum it tries once to finish with Newton
-steps on rho = T T^dagger / ||T||^2, T a 4 x 4 factor, and keeps that point
-only if it passes the gradient loop's own exit test.
+result are physical.  Near the optimum it tries to finish with Newton steps
+on rho = T T^dagger / ||T||^2, T a 4 x 4 factor, and keeps that point only
+if it passes the gradient loop's own exit test.
 """
 
 from __future__ import annotations
@@ -62,14 +62,15 @@ _RESIDUAL_TOL = 1e-5
 _ROUNDING = 4.0 * np.finfo(float).eps
 _MIN_STEP = 1e-30
 _STEP_GROWTH = 1.1
-# Newton finish (see reconstruct_mle and _newton_finish): tried once, when the
+# Newton finish (see reconstruct_mle and _newton_finish): tried when the
 # residual, checked every _FINISH_EVERY accepted steps, is at most
-# _FINISH_RESIDUAL.  It factors rho over all four eigenvectors, each
-# eigenvalue lifted to at least _EIGEN_FLOOR, so those the projection zeroed
-# can grow again; _GAUGE_TOL, _ARMIJO, _NEWTON_MAX and _NEWTON_HALVINGS shape
-# each Newton step.
-_FINISH_EVERY = 8
-_FINISH_RESIDUAL = 1e-3
+# _FINISH_RESIDUAL, and after a dropped try when it is at most _FINISH_RESIDUAL
+# times the residual at that try.  It factors rho over all four eigenvectors,
+# each eigenvalue lifted to at least _EIGEN_FLOOR, so those the projection
+# zeroed can grow again; _GAUGE_TOL, _ARMIJO, _NEWTON_MAX and _NEWTON_HALVINGS
+# shape each Newton step.
+_FINISH_EVERY = 2
+_FINISH_RESIDUAL = 0.1
 _EIGEN_FLOOR = 1e-12
 _GAUGE_TOL = 1e-10
 _ARMIJO = 1e-4
@@ -183,9 +184,10 @@ class ReconstructionResult:
 
     min_eigenvalue reports negativity honestly (linear inversion can go
     negative under shot noise; maximum likelihood cannot).  log_likelihood,
-    iterations (projected gradient steps plus Newton steps) and residual (the
-    final projected-gradient residual ||rho - P(rho - grad f)||) are filled
-    by the MLE only.
+    iterations (projected gradient steps plus Newton steps), newton_steps
+    (the Newton part of iterations), finish_tries (how often the Newton
+    finish ran) and residual (the final projected-gradient residual
+    ||rho - P(rho - grad f)||) are filled by the MLE only.
     """
 
     rho: np.ndarray
@@ -194,6 +196,8 @@ class ReconstructionResult:
     log_likelihood: float | None = None
     iterations: int | None = None
     residual: float | None = None
+    newton_steps: int | None = None
+    finish_tries: int | None = None
 
     @property
     def physical(self) -> bool:
@@ -412,17 +416,22 @@ def _vertical_moves() -> np.ndarray:
     upper = units[rows, cols]
     lower = upper.transpose(0, 2, 1)
     diagonal = units[np.arange(4), np.arange(4)]
-    return np.concatenate([upper - lower, 1j * (upper + lower), 1j * diagonal, np.eye(4)[None]])
+    moves = np.concatenate([upper - lower, 1j * (upper + lower), 1j * diagonal, np.eye(4)[None]])
+    moves.setflags(write=False)
+    return moves
 
 
-def _newton_finish(rho: np.ndarray, objective, stack: np.ndarray):
+_VERTICAL_MOVES = _vertical_moves()
+
+
+def _newton_finish(rho: np.ndarray, objective, forms: np.ndarray):
     """Damped Newton for f over every density matrix: returns (rho', steps).
 
     rho = T T^dagger / ||T||^2 with T the four eigenvectors of rho scaled by
     the root of their eigenvalues, each lifted to at least _EIGEN_FLOOR
     (Burer & Monteiro, Math. Program. 95, 329 (2003)), so T is 4 x 4 and
-    invertible for every record.  The 17 moves T A of _vertical_moves change
-    nothing, yet away from the optimum the Hessian does not vanish on them
+    invertible for every record; forms is _real_forms of the projector
+    stack.  The 17 moves T A of _VERTICAL_MOVES change nothing, yet away from the optimum the Hessian does not vanish on them
     (H x = -g along the scale x), so each step works on an orthonormal basis
     of their 15-dimensional complement: it solves there with the Hessian's
     |eigenvalues|, skipping those at most _GAUGE_TOL times the largest (the
@@ -436,12 +445,11 @@ def _newton_finish(rho: np.ndarray, objective, stack: np.ndarray):
     """
     evals, vecs = np.linalg.eigh(rho)
     t = vecs * np.sqrt(np.maximum(evals, _EIGEN_FLOOR))
-    moves = _vertical_moves()
-    forms = _real_forms(stack)
     f, weights, err = objective(_gram(t))
     steps = 0
     while steps < _NEWTON_MAX and weights is not None:
-        basis = np.linalg.qr(_real(t @ moves).T, mode="complete")[0][:, len(moves) :]
+        vertical = _real(t @ _VERTICAL_MOVES).T
+        basis = np.linalg.qr(vertical, mode="complete")[0][:, vertical.shape[1] :]
         g, hess = _factor_derivatives(_real(t), forms, weights, basis)
         if not np.isfinite(hess).all():
             break
@@ -495,17 +503,20 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     iterations, is a ReconstructionError.
 
     APG converges only linearly once the optimum's rank is settled, so it
-    hands over to a second-order finish.  Every _FINISH_EVERY accepted steps
-    it computes the residual; the first time that is at most
-    _FINISH_RESIDUAL, _newton_finish runs damped Newton on rho = T T^dagger /
-    ||T||^2 over a full 4 x 4 factor T, so an eigenvalue the projection
-    zeroed can grow back where the optimum is full rank.  Its point
-    replaces rho only if it passes the exit test above: f no higher than
-    rho's beyond rounding and residual at most _RESIDUAL_TOL.  Otherwise it
-    is dropped and APG goes on from its own state, so the result is what APG
-    alone gives.  The finish is tried at most once per record.  iterations
-    counts projected gradient steps, discarded ones included, plus the
-    Newton steps, and residual is the projected-gradient residual of the
+    hands over to a second-order finish as soon as it is near the optimum.
+    Every _FINISH_EVERY accepted steps it computes the residual; once that
+    is at most _FINISH_RESIDUAL, _newton_finish runs damped Newton on
+    rho = T T^dagger / ||T||^2 over a full 4 x 4 factor T, so an eigenvalue
+    the projection zeroed can grow back where the optimum is full rank.
+    Its point replaces rho only if it passes the exit test above: f no
+    higher than rho's beyond rounding and residual at most _RESIDUAL_TOL.
+    Otherwise it is dropped and APG goes on from its own state, untouched,
+    and the finish is tried again once the residual is at most
+    _FINISH_RESIDUAL times the residual at the dropped try; if every try is
+    dropped, the result is what APG alone gives.  iterations counts
+    projected gradient steps, discarded ones included, plus the Newton
+    steps of every try, newton_steps those Newton steps and finish_tries
+    the tries, and residual is the projected-gradient residual of the
     point returned.  log_likelihood is -shots f at the returned rho on the
     recorded counts, log_likelihood(record, rho), and finite for every result.
     jeffreys adds 0.5 to every count in the objective, never to the report.
@@ -521,6 +532,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     design = _design_matrix(stack)
     counts = record.counts + 0.5 if jeffreys else record.counts
     objective, gradient = _mle_objective(counts, record.shots, design, stack)
+    forms = _real_forms(stack)
     _require_complete(record, design)
     try:
         rho = project_physical(_invert_linear(record, design).rho)
@@ -532,7 +544,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     prev, theta, step = rho, 1.0, 1.0
     y, f_y, grad_y = rho, f, grad
     best, stalled, residual = f, 0, math.inf
-    accepted, newton_steps, finish_tried = 0, 0, False
+    accepted, newton_steps, tries, finish_at = 0, 0, 0, _FINISH_RESIDUAL
     for iteration in range(1, _MAX_ITER + 1):
         while True:
             new = _project_density(y - step * grad_y)
@@ -561,14 +573,15 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
                 break
         accepted += 1
         if (
-            not finish_tried
-            and accepted % _FINISH_EVERY == 0
-            and np.linalg.norm(rho - _project_density(rho - grad)) <= _FINISH_RESIDUAL
+            accepted % _FINISH_EVERY == 0
+            and (gap := float(np.linalg.norm(rho - _project_density(rho - grad)))) <= finish_at
         ):
             # The Newton point replaces rho only if it passes the exit test;
-            # otherwise APG goes on from its own state, untouched.
-            finish_tried = True
-            finish, steps = _newton_finish(rho, objective, stack)
+            # otherwise APG goes on from its own state, untouched, and the
+            # next try waits for a residual _FINISH_RESIDUAL times this one.
+            finish_at = _FINISH_RESIDUAL * gap
+            tries += 1
+            finish, steps = _newton_finish(rho, objective, forms)
             newton_steps += steps
             f_finish, w_finish, err_finish = objective(finish)
             if w_finish is not None and f_finish <= f + err_finish:
@@ -599,6 +612,8 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         log_likelihood=-record.shots * objective(rho)[0],
         iterations=iteration + newton_steps,
         residual=residual,
+        newton_steps=newton_steps,
+        finish_tries=tries,
     )
 
 
