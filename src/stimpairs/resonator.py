@@ -77,8 +77,13 @@ def amplitude_sum(n_passes: int, phi):
     return complex(a) if phi.ndim == 0 else a
 
 
+def _phasor_terms(n_passes: int, phi: np.ndarray) -> np.ndarray:
+    """exp(i m phi) for m = 0 .. N - 1 along a new last axis."""
+    return np.exp(1j * phi[..., None] * np.arange(n_passes))
+
+
 def _phasor_sum(n_passes: int, phi: np.ndarray) -> np.ndarray:
-    return np.exp(1j * phi[..., None] * np.arange(n_passes)).sum(axis=-1)
+    return _phasor_terms(n_passes, phi).sum(axis=-1)
 
 
 def _config_amplitude(cfg: ResonatorConfig) -> complex:
@@ -90,10 +95,13 @@ def _scaled_amplitude(n_passes: int, phi, tau: float) -> np.ndarray:
     """x = |A(N, phi)| tau for validated N and phi already wrapped to [0, 2 pi).
 
     x is at least 1-d, because a numpy scalar raised to an integer power
-    rounds differently from an array; and np.hypot of the parts equals
-    abs(complex) bit for bit, where np.abs does not.
+    rounds differently from an array.
     """
-    a = _phasor_sum(n_passes, np.atleast_1d(phi))
+    return _modulus_times(_phasor_sum(n_passes, np.atleast_1d(phi)), tau)
+
+
+def _modulus_times(a: np.ndarray, tau: float) -> np.ndarray:
+    """|a| tau; np.hypot of the parts equals abs(complex) bit for bit, where np.abs does not."""
     return np.hypot(a.real, a.imag) * tau
 
 
@@ -174,11 +182,12 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     """Evaluate the sweep grid, one row per (N, phi) pair, columns SWEEP_COLUMNS.
 
     The grid order is N-major then phi, and phi is echoed as given.  Inputs
-    are validated once; each N is then one array evaluation over all phases,
-    so every row equals the scalar functions on ResonatorConfig(N, phi, tau)
-    bit for bit.  Each row is a tuple (int N, float phi, float tau, int M,
-    three floats), zipped in C from the constant N, tau and M and the
-    columns' float lists; no Python code runs per row.
+    are validated once and the phasors exp(i m phi) are built once, for the
+    largest N; each N then sums the first N of them over all phases, the sum
+    _phasor_sum takes, so every row equals the scalar functions on
+    ResonatorConfig(N, phi, tau) bit for bit.  Each row is a tuple (int N,
+    float phi, float tau, int M, three floats), zipped in C from the constant
+    N, tau and M and the columns' float lists; no Python code runs per row.
     """
     n_values = [positive_int(n, "n_passes") for n in n_values]
     phis = finite(phis, "phi").reshape(-1)
@@ -186,9 +195,10 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     tau = _check_tau(tau)
     m = positive_int(m, "pair order M")
     echoed = phis.tolist()
+    terms = _phasor_terms(max(n_values, default=0), wrapped)
     rows = []
     for n in n_values:
-        x = _scaled_amplitude(n, wrapped, tau)
+        x = _modulus_times(terms[:, :n].sum(axis=-1), tau)
         columns = (_p_exact(m, x), _p_approx(m, x), _contamination(x))
         rows.extend(zip(repeat(n), echoed, repeat(tau), repeat(m), *(c.tolist() for c in columns)))
     return rows

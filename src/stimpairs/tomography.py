@@ -19,8 +19,9 @@ shot noise.  Maximum likelihood works on rho itself: accelerated gradient
 steps on the Poisson negative log-likelihood, each projected back onto the
 density matrices through an eigendecomposition, so every iterate and the
 result are physical.  Near the optimum it tries to finish with Newton steps
-on rho = T T^dagger / ||T||^2, T a 4 x 4 factor, and keeps that point only
-if it passes the gradient loop's own exit test.
+on rho = T^2 / tr T^2, T a Hermitian 4 x 4 factor in 16 fixed real
+coordinates, and keeps that point only if it passes the gradient loop's own
+exit test.
 """
 
 from __future__ import annotations
@@ -317,6 +318,11 @@ def _project_density(h: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(evals - shift, 0.0)) @ vecs.conj().T
 
 
+def _residual(rho: np.ndarray, grad: np.ndarray) -> float:
+    """The projected-gradient residual ||rho - P(rho - grad)||, P = _project_density."""
+    return float(np.linalg.norm(rho - _project_density(rho - grad)))
+
+
 def _mle_objective(counts: np.ndarray, shots: float, design: np.ndarray, stack: np.ndarray):
     """The objective f(rho) = -sum_i (c_i ln mu_i - mu_i) / shots, mu_i = shots Tr(rho Pi_i).
 
@@ -351,16 +357,36 @@ def _mle_objective(counts: np.ndarray, shots: float, design: np.ndarray, stack: 
     return objective, gradient
 
 
-def _real(z: np.ndarray) -> np.ndarray:
-    """The real coordinates (Re z, Im z) of each complex matrix in z, one row each."""
-    lead = z.shape[:-2]
-    return np.concatenate([z.real.reshape(*lead, -1), z.imag.reshape(*lead, -1)], axis=-1)
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    """The Hermitian 4 x 4 matrices with coordinates x, 16 reals a row: with X
+    the 4 x 4 array of a row, (X + X^T) / 2 + i (X - X^T) / 2.  This map is an
+    isometry onto the Hermitian matrices, so E_k = _hermitian(e_k) are an
+    orthonormal basis and _coordinates inverts it."""
+    x = x.reshape(*x.shape[:-1], 4, 4)
+    xt = x.swapaxes(-1, -2)
+    return ((x + xt) + 1j * (x - xt)) / 2.0
 
 
-def _complex(x: np.ndarray) -> np.ndarray:
-    """The 4 x 4 complex matrices whose _real rows are x."""
-    lead = x.shape[:-1]
-    return x[..., :16].reshape(*lead, 4, 4) + 1j * x[..., 16:].reshape(*lead, 4, 4)
+def _coordinates(h: np.ndarray) -> np.ndarray:
+    """The coordinates Re tr(E_k h) of Hermitian 4 x 4 matrices: Re h + Im h, flattened."""
+    return (h.real + h.imag).reshape(*h.shape[:-2], 16)
+
+
+def _basis_products() -> np.ndarray:
+    """Row j holds Re tr(E_k E_j E_l) at column 16 k + l: a Hermitian
+    Pi = sum_j pi_j E_j has Re tr(E_k Pi E_l) = pi @ this."""
+    basis = _hermitian(np.eye(16))
+    products = np.einsum("kjac,lca->jkl", basis[:, None] @ basis[None], basis).real.reshape(16, 256)
+    products.setflags(write=False)
+    return products
+
+
+_BASIS_PRODUCTS = _basis_products()
+
+
+def _factor_table(stack: np.ndarray) -> np.ndarray:
+    """Q_i[k, l] = Re tr(E_k Pi_i E_l) for each projector Pi_i of the stack."""
+    return (_coordinates(stack) @ _BASIS_PRODUCTS).reshape(len(stack), 16, 16)
 
 
 def _gram(t: np.ndarray) -> np.ndarray:
@@ -369,100 +395,70 @@ def _gram(t: np.ndarray) -> np.ndarray:
     return gram / gram.trace().real
 
 
-def _real_forms(stack: np.ndarray) -> np.ndarray:
-    """Each projector as the real symmetric 8 x 8 form [[Re Pi, -Im Pi], [Im Pi, Re Pi]]
-    of v -> Pi v on (Re v, Im v)."""
-    return np.concatenate(
-        [
-            np.concatenate([stack.real, -stack.imag], axis=2),
-            np.concatenate([stack.imag, stack.real], axis=2),
-        ],
-        axis=1,
-    )
+def _factor_derivatives(t: np.ndarray, table: np.ndarray, weights: np.ndarray):
+    """The gradient g and Hessian H of f(T^2 / s), s = tr T^2 = t . t, in the
+    coordinates t of the Hermitian factor T = sum_k t_k E_k.
 
-
-def _factor_derivatives(x: np.ndarray, forms: np.ndarray, weights: np.ndarray, basis: np.ndarray):
-    """B^T g and B^T H B: the gradient g and Hessian H of f(T T^dagger / s),
-    s = ||T||^2, in x = _real(T), seen through the orthonormal columns of B.
-
-    forms is _real_forms(stack) and weights the objective's w_i at
-    T T^dagger / s.  f depends on T through p_i = Re tr(T^dagger Pi_i T) / s,
-    and Pi_i acts on each column of T alone, so its 8 x 8 form R_i gives
-    J_i = (2/s)(R_i X - p_i x), X the 8 x 4 array of x.  The partials of f in
-    p_i are w_i and h_i = (1 - w_i) / p_i (= c_i / (shots p_i^2)).  With
-    m = sum_i w_i p_i and L the real form of T -> G T, G = sum_i w_i Pi_i,
-    g = sum_i w_i J_i = (2/s)(L x - m x) and
-    H = sum_i h_i J_i J_i^T + (2/s)(L - m - x g^T - g x^T).
+    table is _factor_table(stack) and weights the objective's w_i at T^2 / s.
+    f depends on t through p_i = t . Q_i t / s, so J_i = (2/s)(Q_i t - p_i t).
+    The partials of f in p_i are w_i and h_i = (1 - w_i) / p_i
+    (= c_i / (shots p_i^2)).  With m = sum_i w_i p_i and G = sum_i w_i Q_i,
+    g = sum_i w_i J_i = (2/s)(G t - m t) and
+    H = sum_i h_i J_i J_i^T + (2/s)(G - m I - t g^T - g t^T).
     """
-    s = float(x @ x)
-    turned = (forms @ x.reshape(8, -1)).reshape(len(forms), -1)
-    p = turned @ x / s
+    s = float(t @ t)
+    turned = table @ t
+    p = turned @ t / s
     m = float(weights @ p)
-    jac = (2.0 / s) * (turned - np.outer(p, x)) @ basis
+    jac = (2.0 / s) * (turned - p[:, None] * t)
     curvature = np.divide(1.0 - weights, p, out=np.zeros_like(p), where=weights != 1.0)
-    g = (2.0 / s) * (weights @ turned - m * x) @ basis
-    left = basis.T @ (np.tensordot(weights, forms, 1) @ basis.reshape(8, -1)).reshape(len(x), -1)
-    xb = x @ basis
-    inner = left - m * np.eye(len(g)) - np.outer(xb, g) - np.outer(g, xb)
+    g = (2.0 / s) * (weights @ turned - m * t)
+    weighted = (weights @ table.reshape(len(table), -1)).reshape(len(t), -1)
+    tg = t[:, None] * g
+    inner = weighted - m * np.eye(len(t)) - tg - tg.T
     return g, jac.T @ (curvature[:, None] * jac) + (2.0 / s) * inner
 
 
-def _vertical_moves() -> np.ndarray:
-    """The 17 matrices A for which T -> T + T A leaves T T^dagger / ||T||^2
-    fixed to first order: a basis of the anti-Hermitian 4 x 4 matrices (the
-    unitary gauge T -> T U) and the identity (the scale)."""
-    units = np.eye(16).reshape(4, 4, 4, 4)  # units[j, k] = E_jk
-    rows, cols = np.triu_indices(4, 1)
-    upper = units[rows, cols]
-    lower = upper.transpose(0, 2, 1)
-    diagonal = units[np.arange(4), np.arange(4)]
-    moves = np.concatenate([upper - lower, 1j * (upper + lower), 1j * diagonal, np.eye(4)[None]])
-    moves.setflags(write=False)
-    return moves
-
-
-_VERTICAL_MOVES = _vertical_moves()
-
-
-def _newton_finish(rho: np.ndarray, objective, forms: np.ndarray):
+def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
     """Damped Newton for f over every density matrix: returns (rho', steps).
 
-    rho = T T^dagger / ||T||^2 with T the four eigenvectors of rho scaled by
-    the root of their eigenvalues, each lifted to at least _EIGEN_FLOOR
-    (Burer & Monteiro, Math. Program. 95, 329 (2003)), so T is 4 x 4 and
-    invertible for every record; forms is _real_forms of the projector
-    stack.  The 17 moves T A of _VERTICAL_MOVES change nothing, yet away from the optimum the Hessian does not vanish on them
-    (H x = -g along the scale x), so each step works on an orthonormal basis
-    of their 15-dimensional complement: it solves there with the Hessian's
-    |eigenvalues|, skipping those at most _GAUGE_TOL times the largest (the
-    Hessian can be near singular where T is), and halves from the full
-    step, at most _NEWTON_HALVINGS times, until f falls by _ARMIJO of what
-    the gradient promises.  Once the promised fall, g . H^-1 g, is
-    within f's rounding error, one last full step is kept if f does not rise
-    beyond that error.  It also stops when f falls by no more than that
-    error, when no halving falls, when the Hessian is not finite, or after
-    _NEWTON_MAX steps.  The caller judges rho' by its own exit test.
+    rho = T^2 / tr T^2 with T = V diag(sqrt(lambda)) V^dagger the Hermitian
+    root of rho, each eigenvalue lambda lifted to at least _EIGEN_FLOOR
+    (Burer & Monteiro, Math. Program. 95, 329 (2003)), so T is invertible for
+    every record.  Newton works on T's 16 real coordinates in the fixed
+    orthonormal basis E_k of _hermitian, with table = _factor_table of the
+    projector stack.  Hermiticity fixes the unitary gauge T -> T U; the scale
+    t is the one move left that changes nothing, yet away from the optimum
+    the Hessian does not vanish on it (H t = -g), so each step projects t out
+    of g and H.  It solves with the Hessian's |eigenvalues|, skipping those at
+    most _GAUGE_TOL times the largest (the scale, and directions where T is
+    near singular), and halves from the full step, at most _NEWTON_HALVINGS
+    times, until f falls by _ARMIJO of what the gradient promises.  Once the
+    promised fall, g . H^-1 g, is within f's rounding error, one last full
+    step is kept if f does not rise beyond that error.  It also stops when f
+    falls by no more than that error, when no halving falls, when the
+    Hessian is not finite, or after _NEWTON_MAX steps.  The caller judges
+    rho' by its own exit test.
     """
     evals, vecs = np.linalg.eigh(rho)
-    t = vecs * np.sqrt(np.maximum(evals, _EIGEN_FLOOR))
-    f, weights, err = objective(_gram(t))
+    t = _coordinates((vecs * np.sqrt(np.maximum(evals, _EIGEN_FLOOR))) @ vecs.conj().T)
+    f, weights, err = objective(_gram(_hermitian(t)))
     steps = 0
     while steps < _NEWTON_MAX and weights is not None:
-        vertical = _real(t @ _VERTICAL_MOVES).T
-        basis = np.linalg.qr(vertical, mode="complete")[0][:, vertical.shape[1] :]
-        g, hess = _factor_derivatives(_real(t), forms, weights, basis)
+        g, hess = _factor_derivatives(t, table, weights)
         if not np.isfinite(hess).all():
             break
-        lam, vec = np.linalg.eigh(hess)
+        across = np.eye(len(t)) - t[:, None] * (t / (t @ t))
+        lam, vec = np.linalg.eigh(across @ hess @ across)
         size = np.abs(lam)
         keep = size > _GAUGE_TOL * size.max()
-        slopes = g @ vec[:, keep]
-        move = _complex(basis @ (vec[:, keep] @ (slopes / size[keep])))
+        slopes = (across @ g) @ vec[:, keep]
+        move = vec[:, keep] @ (slopes / size[keep])
         promised = float(slopes**2 @ (1.0 / size[keep]))
         last = promised <= err
         alpha = 1.0
         for _ in range(1 if last else _NEWTON_HALVINGS):
-            f_new, w_new, err_new = objective(_gram(t - alpha * move))
+            f_new, w_new, err_new = objective(_gram(_hermitian(t - alpha * move)))
             if f_new <= f + (err if last else -_ARMIJO * alpha * promised):
                 break
             alpha /= 2.0
@@ -474,7 +470,7 @@ def _newton_finish(rho: np.ndarray, objective, forms: np.ndarray):
         steps += 1
         if last or fall <= err:
             break
-    return _gram(t), steps
+    return _gram(_hermitian(t)), steps
 
 
 def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> ReconstructionResult:
@@ -506,8 +502,10 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     hands over to a second-order finish as soon as it is near the optimum.
     Every _FINISH_EVERY accepted steps it computes the residual; once that
     is at most _FINISH_RESIDUAL, _newton_finish runs damped Newton on
-    rho = T T^dagger / ||T||^2 over a full 4 x 4 factor T, so an eigenvalue
-    the projection zeroed can grow back where the optimum is full rank.
+    rho = T^2 / tr T^2 over a Hermitian 4 x 4 factor T, so an eigenvalue
+    the projection zeroed can grow back where the optimum is full rank.  T
+    has 16 real coordinates in a fixed basis, and the table that gives f's
+    derivatives in them (_factor_table) is built once per call.
     Its point replaces rho only if it passes the exit test above: f no
     higher than rho's beyond rounding and residual at most _RESIDUAL_TOL.
     Otherwise it is dropped and APG goes on from its own state, untouched,
@@ -532,7 +530,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     design = _design_matrix(stack)
     counts = record.counts + 0.5 if jeffreys else record.counts
     objective, gradient = _mle_objective(counts, record.shots, design, stack)
-    forms = _real_forms(stack)
+    table = _factor_table(stack)
     _require_complete(record, design)
     try:
         rho = project_physical(_invert_linear(record, design).rho)
@@ -559,7 +557,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             theta, y, f_y, grad_y = 1.0, rho, f, grad
             continue
         if f_new > f + err:
-            residual = float(np.linalg.norm(rho - _project_density(rho - grad)))
+            residual = _residual(rho, grad)
             if residual <= _RESIDUAL_TOL:
                 break
             raise ReconstructionError(
@@ -567,25 +565,27 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             )
         prev, rho, f, grad = rho, new, f_new, gradient(weights)
         best, stalled = (f, 0) if f < best else (best, stalled + 1)
-        if stalled >= _STALL_STEPS:
-            residual = float(np.linalg.norm(rho - _project_density(rho - grad)))
+        checked = stalled >= _STALL_STEPS
+        if checked:
+            residual = _residual(rho, grad)
             if residual <= _RESIDUAL_TOL:
                 break
         accepted += 1
+        # The finish check reuses a residual the stall check has just computed.
         if (
             accepted % _FINISH_EVERY == 0
-            and (gap := float(np.linalg.norm(rho - _project_density(rho - grad)))) <= finish_at
+            and (gap := residual if checked else _residual(rho, grad)) <= finish_at
         ):
             # The Newton point replaces rho only if it passes the exit test;
             # otherwise APG goes on from its own state, untouched, and the
             # next try waits for a residual _FINISH_RESIDUAL times this one.
             finish_at = _FINISH_RESIDUAL * gap
             tries += 1
-            finish, steps = _newton_finish(rho, objective, forms)
+            finish, steps = _newton_finish(rho, objective, table)
             newton_steps += steps
             f_finish, w_finish, err_finish = objective(finish)
             if w_finish is not None and f_finish <= f + err_finish:
-                gap = float(np.linalg.norm(finish - _project_density(finish - gradient(w_finish))))
+                gap = _residual(finish, gradient(w_finish))
                 if gap <= _RESIDUAL_TOL:
                     rho, residual = finish, gap
                     break

@@ -186,19 +186,21 @@ def test_sweep_rows_order_and_columns():
 def test_sweep_rows_match_scalar_api_bit_for_bit():
     # The grid includes phases that wrap onto 0 (2 pi and -1e-17) and the
     # destructive point N = 2, phi = pi, where |A| is rounding noise (~1e-16).
-    ns = [1, 2, 3, 5]
+    # The second N list is unsorted and spans numpy's pairwise-summation
+    # blocks (8 and 128 terms), so a prefix sum taken any other way shows.
     phis = [0.0, 0.3, math.pi / 2.0, math.pi, 4.0, 2.0 * math.pi, -1e-17, 7.5]
-    for m in (1, 2, 3):
-        for tau in (0.0, 1e-3, 0.05, 0.7):
-            rows = sweep_rows(ns, phis, tau, m)
-            assert [(r[0], r[1]) for r in rows] == [(n, p) for n in ns for p in phis]
-            for n, phi, row_tau, row_m, exact, approx, contamination in rows:
-                assert type(n) is int and type(row_m) is int
-                assert type(phi) is float and type(row_tau) is float
-                cfg = ResonatorConfig(n, phi, row_tau)
-                assert exact == pair_probability_exact(m, cfg)
-                assert approx == pair_probability_approx(m, cfg)
-                assert contamination == multiphoton_contamination(cfg)
+    for ns in ([1, 2, 3, 5], [10, 1, 65, 3, 4, 129, 8]):
+        for m in (1, 2, 3):
+            for tau in (0.0, 1e-3, 0.05, 0.7):
+                rows = sweep_rows(ns, phis, tau, m)
+                assert [(r[0], r[1]) for r in rows] == [(n, p) for n in ns for p in phis]
+                for n, phi, row_tau, row_m, exact, approx, contamination in rows:
+                    assert type(n) is int and type(row_m) is int
+                    assert type(phi) is float and type(row_tau) is float
+                    cfg = ResonatorConfig(n, phi, row_tau)
+                    assert exact == pair_probability_exact(m, cfg)
+                    assert approx == pair_probability_approx(m, cfg)
+                    assert contamination == multiphoton_contamination(cfg)
     destructive = sweep_rows([2], [math.pi], 0.05, 2)[0]
     assert 0.0 <= destructive[4] < 1e-60 and 0.0 <= destructive[5] < 1e-60
 

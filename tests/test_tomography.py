@@ -475,8 +475,8 @@ def _spy_finish(monkeypatch, replace=None):
     calls = []
     true_finish = tomography_mod._newton_finish
 
-    def spy(rho, objective, forms):
-        point, steps = true_finish(rho, objective, forms)
+    def spy(rho, objective, table):
+        point, steps = true_finish(rho, objective, table)
         if replace is not None:
             point = replace(rho)
         calls.append((rho, steps))
@@ -705,50 +705,57 @@ def test_mle_gradient_matches_finite_difference():
             assert np.vdot(h, grad).real == pytest.approx(numeric, abs=1e-6)
 
 
+def test_factor_chart_is_orthonormal_and_its_table_is_direct():
+    # The E_k = _hermitian(e_k) are Hermitian and orthonormal under
+    # Re tr(A^dagger B), _coordinates inverts _hermitian, and _factor_table
+    # equals Re tr(E_k Pi_i E_l) computed directly.
+    basis = tomography_mod._hermitian(np.eye(16))
+    assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+    assert np.array_equal(np.einsum("kab,lab->kl", basis.conj(), basis).real, np.eye(16))
+    x = np.random.default_rng(4).normal(size=(3, 16))
+    back = tomography_mod._coordinates(tomography_mod._hermitian(x))
+    assert np.abs(back - x).max() <= 1e-15 * np.abs(x).max()
+    for letters in ("HVDR", "HVDL", "HVDA"):
+        stack = tomography_mod._projectors(standard_settings(tuple(letters)))
+        direct = np.einsum("kab,ibc,lca->ikl", basis, stack, basis).real
+        assert np.abs(tomography_mod._factor_table(stack) - direct).max() <= 1e-15
+
+
 def test_factor_derivatives_match_finite_difference():
-    # Central differences of f(T T^dagger / ||T||^2) in x = (Re T, Im T) must
-    # match the analytic gradient, and central differences of that gradient
-    # the Hessian, at random 4 x 4 T, with and without the Jeffreys offset.
-    # f is unchanged by the scale and the gauge: g is orthogonal to x and to
-    # the 17 T A of _VERTICAL_MOVES, and H x = -g.  Through an orthonormal
-    # basis B the function gives B^T g and B^T H B.
+    # Central differences of f(T^2 / tr T^2) in the coordinates t of a
+    # Hermitian T must match the analytic gradient, and central differences of
+    # that gradient the Hessian, at random T of rank 1 to 4, with and without
+    # the Jeffreys offset.  f is unchanged by the scale: g is orthogonal to t
+    # and H t = -g.
     record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=8)
     assert np.any(record.counts == 0.0)
     stack = tomography_mod._projectors(record.settings)
     design = tomography_mod._design_matrix(stack)
-    forms = tomography_mod._real_forms(stack)
+    table = tomography_mod._factor_table(stack)
     rng = np.random.default_rng(6)
     eps = 1e-5
     for counts in (record.counts, record.counts + 0.5):
         objective, _ = _mle_objective(counts, record.shots, design, stack)
-        for _ in range(4):
 
-            def evaluate(x, basis=np.eye(32)):
-                f, weights, _ = objective(tomography_mod._gram(tomography_mod._complex(x)))
-                return (f, *tomography_mod._factor_derivatives(x, forms, weights, basis))
+        def evaluate(t):
+            f, weights, _ = objective(tomography_mod._gram(tomography_mod._hermitian(t)))
+            return (f, *tomography_mod._factor_derivatives(t, table, weights))
 
-            t = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            x = tomography_mod._real(t)
-            assert np.array_equal(tomography_mod._complex(x), t)
-            _, g, hess = evaluate(x)
+        for rank in range(1, 5):
+            q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+            roots = np.concatenate([rng.normal(size=rank), np.zeros(4 - rank)])
+            t = tomography_mod._coordinates((q * roots) @ q.conj().T)
+            _, g, hess = evaluate(t)
             assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
             for _ in range(4):
-                d = rng.normal(size=32)
-                f_plus, g_plus, _ = evaluate(x + eps * d)
-                f_minus, g_minus, _ = evaluate(x - eps * d)
+                d = rng.normal(size=16)
+                f_plus, g_plus, _ = evaluate(t + eps * d)
+                f_minus, g_minus, _ = evaluate(t - eps * d)
                 assert g @ d == pytest.approx((f_plus - f_minus) / (2.0 * eps), rel=1e-6)
                 numeric = (g_plus - g_minus) / (2.0 * eps)
                 assert np.abs(hess @ d - numeric).max() <= 1e-6 * np.abs(hess @ d).max()
-            moves = tomography_mod._VERTICAL_MOVES
-            assert moves.shape == (17, 4, 4) and not moves.flags.writeable
-            vertical = tomography_mod._real(t @ moves)
-            assert np.linalg.matrix_rank(vertical) == 17
-            assert np.abs(vertical @ g).max() <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(x)
-            assert np.abs(hess @ x + g).max() <= 1e-12 * np.abs(hess).max() * np.linalg.norm(x)
-            basis = np.linalg.qr(rng.normal(size=(32, 5)))[0]
-            _, g_b, hess_b = evaluate(x, basis)
-            assert np.allclose(g_b, basis.T @ g, rtol=0.0, atol=1e-12 * np.abs(g).max())
-            assert np.allclose(hess_b, basis.T @ hess @ basis, rtol=0.0, atol=1e-12 * np.abs(hess).max())
+            assert abs(g @ t) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(t)
+            assert np.abs(hess @ t + g).max() <= 1e-12 * np.abs(hess).max() * np.linalg.norm(t)
 
 
 def _project_density_reference(h):
