@@ -82,10 +82,14 @@ def positive_float(value, what: str) -> float:
 
 
 def check_each(ok, values, message: str) -> None:
-    """Raise ValueError(message) naming the first entry of values where ok fails."""
-    if not ok.all():
-        import numpy as np
+    """Raise ValueError(message) naming the first entry of values where ok fails.
 
+    Counting the entries that pass costs less than ok.all(), whose reduction
+    set-up dominates on the small arrays checked here.
+    """
+    import numpy as np
+
+    if np.count_nonzero(ok) != ok.size:
         raise ValueError(message.format(float(np.asarray(values)[~ok].flat[0])))
 
 

@@ -18,14 +18,21 @@ linear system exactly and reports (not clips) negative eigenvalues caused by
 shot noise.  Maximum likelihood works on rho itself: accelerated gradient
 steps on the Poisson negative log-likelihood, each projected back onto the
 density matrices through an eigendecomposition, so every iterate and the
-result are physical.  Near the optimum it tries to finish with Newton steps
-on rho = T^2 / tr T^2, T a Hermitian 4 x 4 factor in 16 fixed real
-coordinates, and keeps that point only if it passes the gradient loop's own
-exit test.
+result are physical.  From its start on, whenever it is near the optimum, it
+tries to finish with Newton steps on rho = T^2 / tr T^2, T a Hermitian 4 x 4
+factor in 16 fixed real coordinates, and keeps that point only if it passes
+the gradient loop's own exit test.
+
+Everything that depends on the settings list alone (projector stack, design
+matrix, completeness verdict and the finish's factor table) is one read-only
+model that _model caches per settings tuple, so simulating a record and
+reconstructing it builds that model once.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -64,12 +71,12 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 _MIN_STEP = 1e-30
 _STEP_GROWTH = 1.1
 # Newton finish (see reconstruct_mle and _newton_finish): tried when the
-# residual, checked every _FINISH_EVERY accepted steps, is at most
-# _FINISH_RESIDUAL, and after a dropped try when it is at most _FINISH_RESIDUAL
-# times the residual at that try.  It factors rho over all four eigenvectors,
-# each eigenvalue lifted to at least _EIGEN_FLOOR, so those the projection
-# zeroed can grow again; _GAUGE_TOL, _ARMIJO, _NEWTON_MAX and _NEWTON_HALVINGS
-# shape each Newton step.
+# residual, checked at the start and every _FINISH_EVERY accepted steps, is
+# at most _FINISH_RESIDUAL, and after a dropped try when it is at most
+# _FINISH_RESIDUAL times the residual at that try.  It factors rho over all
+# four eigenvectors, each eigenvalue lifted to at least _EIGEN_FLOOR, so
+# those the projection zeroed can grow again; _GAUGE_TOL, _ARMIJO,
+# _NEWTON_MAX and _NEWTON_HALVINGS shape each Newton step.
 _FINISH_EVERY = 2
 _FINISH_RESIDUAL = 0.1
 _EIGEN_FLOOR = 1e-12
@@ -219,14 +226,14 @@ def simulate_tomography(
     """
     shots = positive_float(shots, "shots")
     rho = state_density(rho)
-    settings = list(settings) if settings is not None else standard_settings()
-    counts = _draw_counts(shots * _born_probabilities(rho, _projectors(settings)), seed)
-    return TomographyRecord(settings=tuple(settings), counts=counts, shots=shots)
+    settings = tuple(settings if settings is not None else standard_settings())
+    counts = _draw_counts(shots * _born_probabilities(rho, _model(settings).stack), seed)
+    return TomographyRecord(settings=settings, counts=counts, shots=shots)
 
 
 def _projectors(settings) -> np.ndarray:
-    """The (k, 4, 4) projector stack shared by simulation, design matrix and likelihood,
-    built in one array pass over the settings' angles."""
+    """The (k, 4, 4) projector stack of a settings list, built in one array
+    pass over the settings' angles."""
     return _projector_stack(
         _arm_states([s.arm_a for s in settings]), _arm_states([s.arm_b for s in settings])
     )
@@ -237,6 +244,39 @@ def _design_matrix(projectors: np.ndarray) -> np.ndarray:
     return projectors.transpose(0, 2, 1).reshape(len(projectors), 16)
 
 
+_Model = collections.namedtuple("_Model", "stack design cond table")
+
+
+@functools.lru_cache(maxsize=16)
+def _model(settings: tuple) -> _Model:
+    """Read-only arrays that depend on the settings tuple alone, built once per tuple.
+
+    - stack: the (k, 4, 4) projector stack (_projectors), shared by
+      simulation, linear inversion and the MLE objective.
+    - design: the (k, 16) design matrix (_design_matrix).
+    - cond: the completeness verdict, the design's condition number, or None
+      when there are not 16 settings (_require_complete judges it).
+    - table: _factor_table(stack), the Newton finish's per-setting forms.
+
+    Callers pass tuple(settings): a list and a tuple of the same settings
+    share one entry, and a record's settings are already a tuple.  The
+    settings must be hashable, as MeasurementSettings of float angles are.
+    An entry of 16 settings holds about 40 KB, and the cache keeps the 16
+    most recently used lists.
+    """
+    stack = _projectors(settings)
+    design = _design_matrix(stack)
+    model = _Model(
+        stack,
+        design,
+        float(np.linalg.cond(design)) if len(settings) == 16 else None,
+        _factor_table(stack),
+    )
+    for array in (model.stack, model.design, model.table):
+        array.setflags(write=False)
+    return model
+
+
 def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     """Exact linear inversion of the Born-rule system.
 
@@ -245,18 +285,20 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     shot noise shows up as negative eigenvalues, reported via
     min_eigenvalue.
     """
-    design = _design_matrix(_projectors(record.settings))
-    _require_complete(record, design)
-    return _invert_linear(record, design)
+    model = _model(record.settings)
+    _require_complete(model)
+    return _invert_linear(record, model.design)
 
 
-def _require_complete(record: TomographyRecord, design: np.ndarray) -> None:
-    """Raise ReconstructionError unless the settings determine every rho."""
-    if len(record.settings) != 16:
-        raise ReconstructionError(
-            f"linear inversion needs 16 settings, got {len(record.settings)}"
-        )
-    if np.linalg.cond(design) > 1e10:
+def _require_complete(model: _Model) -> None:
+    """Raise ReconstructionError unless the settings determine every rho.
+
+    Judges the model's cached verdict: 16 settings whose design matrix has a
+    condition number of at most 1e10.
+    """
+    if model.cond is None:
+        raise ReconstructionError(f"linear inversion needs 16 settings, got {len(model.stack)}")
+    if model.cond > 1e10:
         raise ReconstructionError("settings are informationally incomplete")
 
 
@@ -296,8 +338,8 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     counts as it is.
     """
     check_density_matrix(rho)
-    stack = _projectors(record.settings)
-    objective, _ = _mle_objective(record.counts, record.shots, _design_matrix(stack), stack)
+    model = _model(record.settings)
+    objective, _ = _mle_objective(record.counts, record.shots, model.design, model.stack)
     return -record.shots * objective(np.asarray(rho))[0]
 
 
@@ -500,12 +542,14 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
 
     APG converges only linearly once the optimum's rank is settled, so it
     hands over to a second-order finish as soon as it is near the optimum.
-    Every _FINISH_EVERY accepted steps it computes the residual; once that
-    is at most _FINISH_RESIDUAL, _newton_finish runs damped Newton on
-    rho = T^2 / tr T^2 over a Hermitian 4 x 4 factor T, so an eigenvalue
-    the projection zeroed can grow back where the optimum is full rank.  T
-    has 16 real coordinates in a fixed basis, and the table that gives f's
-    derivatives in them (_factor_table) is built once per call.
+    It computes the residual at the start and every _FINISH_EVERY accepted
+    steps; once that is at most _FINISH_RESIDUAL, _newton_finish runs damped
+    Newton on rho = T^2 / tr T^2 over a Hermitian 4 x 4 factor T, so an
+    eigenvalue the projection zeroed can grow back where the optimum is full
+    rank.  T has 16 real coordinates in a fixed basis, and the table that
+    gives f's derivatives in them (_factor_table) comes with the settings'
+    cached model (_model).  A start that is already that close, as most
+    records with many counts give, is finished before APG takes a step.
     Its point replaces rho only if it passes the exit test above: f no
     higher than rho's beyond rounding and residual at most _RESIDUAL_TOL.
     Otherwise it is dropped and APG goes on from its own state, untouched,
@@ -526,14 +570,12 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     shots stated 10x too high, comes out at fidelity 0.000), while the
     linear inversion, which normalizes the trace, does not move.
     """
-    stack = _projectors(record.settings)
-    design = _design_matrix(stack)
+    model = _model(record.settings)
+    _require_complete(model)
     counts = record.counts + 0.5 if jeffreys else record.counts
-    objective, gradient = _mle_objective(counts, record.shots, design, stack)
-    table = _factor_table(stack)
-    _require_complete(record, design)
+    objective, gradient = _mle_objective(counts, record.shots, model.design, model.stack)
     try:
-        rho = project_physical(_invert_linear(record, design).rho)
+        rho = project_physical(_invert_linear(record, model.design).rho)
     except ReconstructionError:  # vanishing trace
         rho = np.eye(4) / 4.0
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
@@ -543,13 +585,35 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     y, f_y, grad_y = rho, f, grad
     best, stalled, residual = f, 0, math.inf
     accepted, newton_steps, tries, finish_at = 0, 0, 0, _FINISH_RESIDUAL
-    for iteration in range(1, _MAX_ITER + 1):
+    # gap is the residual the finish check reads: the start's, then that of
+    # every _FINISH_EVERY-th accepted step, and inf in between.
+    iteration, gap = 0, _residual(rho, grad)
+    while True:
+        if gap <= finish_at:
+            # The Newton point replaces rho only if it passes the exit test;
+            # otherwise APG goes on from its own state, untouched, and the
+            # next try waits for a residual _FINISH_RESIDUAL times this one.
+            finish_at = _FINISH_RESIDUAL * gap
+            tries += 1
+            finish, steps = _newton_finish(rho, objective, model.table)
+            newton_steps += steps
+            f_finish, w_finish, err_finish = objective(finish)
+            if w_finish is not None and f_finish <= f + err_finish:
+                gap = _residual(finish, gradient(w_finish))
+                if gap <= _RESIDUAL_TOL:
+                    rho, residual = finish, gap
+                    break
+        if iteration == _MAX_ITER:
+            raise ReconstructionError(
+                f"MLE did not converge in {_MAX_ITER} iterations (residual {residual:.3e})"
+            )
+        iteration, gap = iteration + 1, math.inf
         while True:
             new = _project_density(y - step * grad_y)
             f_new, weights, err = objective(new)
             move = new - y
-            model = f_y + np.vdot(grad_y, move).real + np.vdot(move, move).real / (2.0 * step)
-            if f_new <= model + err or step < _MIN_STEP:
+            quadratic = f_y + np.vdot(grad_y, move).real + np.vdot(move, move).real / (2.0 * step)
+            if f_new <= quadratic + err or step < _MIN_STEP:
                 break
             step /= 2.0
         if theta > 1.0 and (f_new > f + err or np.vdot(y - new, new - rho).real > 0.0):
@@ -571,24 +635,9 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             if residual <= _RESIDUAL_TOL:
                 break
         accepted += 1
-        # The finish check reuses a residual the stall check has just computed.
-        if (
-            accepted % _FINISH_EVERY == 0
-            and (gap := residual if checked else _residual(rho, grad)) <= finish_at
-        ):
-            # The Newton point replaces rho only if it passes the exit test;
-            # otherwise APG goes on from its own state, untouched, and the
-            # next try waits for a residual _FINISH_RESIDUAL times this one.
-            finish_at = _FINISH_RESIDUAL * gap
-            tries += 1
-            finish, steps = _newton_finish(rho, objective, table)
-            newton_steps += steps
-            f_finish, w_finish, err_finish = objective(finish)
-            if w_finish is not None and f_finish <= f + err_finish:
-                gap = _residual(finish, gradient(w_finish))
-                if gap <= _RESIDUAL_TOL:
-                    rho, residual = finish, gap
-                    break
+        if accepted % _FINISH_EVERY == 0:
+            # Reuse a residual the stall check has just computed.
+            gap = residual if checked else _residual(rho, grad)
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         y = rho + ((theta - 1.0) / theta_next) * (rho - prev)
         theta = theta_next
@@ -598,13 +647,9 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         else:
             grad_y = gradient(weights)
         step *= _STEP_GROWTH
-    else:
-        raise ReconstructionError(
-            f"MLE did not converge in {_MAX_ITER} iterations (residual {residual:.3e})"
-        )
     rho = (rho + rho.conj().T) / 2.0
     if jeffreys:
-        objective, _ = _mle_objective(record.counts, record.shots, design, stack)
+        objective, _ = _mle_objective(record.counts, record.shots, model.design, model.stack)
     return ReconstructionResult(
         rho=rho,
         method="mle",

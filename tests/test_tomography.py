@@ -384,8 +384,9 @@ def test_mle_converges_on_abnormal_line_search_record():
 
 
 def test_mle_builds_projector_stack_once(monkeypatch):
-    # The linear start, the objective and the reported log-likelihood share
-    # one (16, 4, 4) stack.
+    # simulate_tomography, reconstruct_linear, reconstruct_mle and
+    # log_likelihood all read one cached model per settings list: from a
+    # cleared cache, the list's (16, 4, 4) stack is built once across the four.
     calls = []
     true_projectors = tomography_mod._projectors
 
@@ -393,12 +394,55 @@ def test_mle_builds_projector_stack_once(monkeypatch):
         calls.append(1)
         return true_projectors(settings)
 
-    record = simulate_tomography(dephasing_noise(bell_state(), 0.1), 1e5, seed=10)
     monkeypatch.setattr(tomography_mod, "_projectors", counting_projectors)
+    tomography_mod._model.cache_clear()
+    record = simulate_tomography(dephasing_noise(bell_state(), 0.1), 1e5, seed=10)
+    reconstruct_linear(record)
     result = reconstruct_mle(record)
-    assert len(calls) == 1
-    monkeypatch.undo()
     assert result.log_likelihood == log_likelihood(record, result.rho)
+    assert len(calls) == 1
+
+
+def _random_angle_settings():
+    # 16 settings at random polarizer and plate angles on both arms.
+    rng = np.random.default_rng(12)
+
+    def arm():
+        pol, qwp = rng.uniform(-math.pi, math.pi, size=2)
+        return ArmSetting(float(pol), float(qwp))
+
+    return [MeasurementSetting(arm(), arm()) for _ in range(16)]
+
+
+def test_settings_model_is_a_read_only_copy_of_a_fresh_build():
+    lists = [standard_settings(tuple(b)) for b in ("HVDR", "HVDL", "HVDA")] + [_random_angle_settings()]
+    for settings_ in lists:
+        model = tomography_mod._model(tuple(settings_))
+        stack = tomography_mod._projectors(settings_)
+        design = tomography_mod._design_matrix(stack)
+        assert np.array_equal(model.stack, stack)
+        assert np.array_equal(model.design, design)
+        assert model.cond == np.linalg.cond(design)
+        assert np.array_equal(model.table, tomography_mod._factor_table(stack))
+        for array in (model.stack, model.design, model.table):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    # A list and a tuple of the same settings share one entry: simulating
+    # from the list and inverting the record (a tuple) build the model once.
+    tomography_mod._model.cache_clear()
+    settings_ = _random_angle_settings()
+    record = simulate_tomography(bell_state(), 1e3, seed=1, settings=settings_)
+    reconstruct_linear(TomographyRecord(tuple(settings_), record.counts, record.shots))
+    info = tomography_mod._model.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # The cached verdict raises the two messages completeness always raised.
+    short = TomographyRecord(standard_settings()[:15], np.ones(15), 10.0)
+    incomplete = TomographyRecord(standard_settings(tuple("HVDA")), np.ones(16), 10.0)
+    for reconstruct in (reconstruct_linear, reconstruct_mle):
+        with pytest.raises(ReconstructionError, match=r"^linear inversion needs 16 settings, got 15$"):
+            reconstruct(short)
+        with pytest.raises(ReconstructionError, match=r"^settings are informationally incomplete$"):
+            reconstruct(incomplete)
 
 
 def test_mle_line_search_rarely_backtracks(monkeypatch):
@@ -454,10 +498,10 @@ def _seeded_dephased_records():
 
 def test_mle_newton_finish_cuts_iterations():
     # APG alone takes 2,324 iterations on these records and stops at
-    # residuals up to 4.4e-7.  With the Newton finish tried from residual
-    # 0.1 on, it takes 141 (APG and Newton steps together; 685 when it was
-    # first tried at 1e-3) and stops at the optimum, residual 3.7e-14 at
-    # most.
+    # residuals up to 4.4e-7.  With the Newton finish tried from the start
+    # and from residual 0.1 on, it takes 119 (APG and Newton steps together;
+    # 144 when first tried after two APG steps, 685 when first tried at
+    # 1e-3) and stops at the optimum, residual 3.6e-12 at most.
     results = [reconstruct_mle(record, jeffreys=sparse) for record, sparse in _seeded_dephased_records()]
     assert sum(r.iterations for r in results) <= 250
     assert max(r.residual for r in results) <= 1e-9
@@ -468,6 +512,19 @@ def _apg_alone(monkeypatch, record, jeffreys):
     with monkeypatch.context() as patch:
         patch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
         return reconstruct_mle(record, jeffreys=jeffreys)
+
+
+def _without_start_check(monkeypatch):
+    # The first residual reconstruct_mle computes is the start's; read as inf,
+    # it keeps the finish from being tried before APG's first step.
+    calls = []
+    true_residual = tomography_mod._residual
+
+    def residual(rho, grad):
+        calls.append(1)
+        return math.inf if len(calls) == 1 else true_residual(rho, grad)
+
+    monkeypatch.setattr(tomography_mod, "_residual", residual)
 
 
 def _spy_finish(monkeypatch, replace=None):
@@ -532,14 +589,16 @@ def test_mle_drops_a_finish_that_fails_the_exit_test(monkeypatch, replace):
 
 def test_mle_finish_from_an_iterate_of_too_low_rank_is_kept(monkeypatch):
     # dephased:1.0, HVDR, 1e4 shots, Jeffreys, seed 2 has a rank-3 optimum
-    # (third eigenvalue 1.1e-5).  Tried from residual 0.1 on, the finish
-    # starts from a rank-2 iterate.  Its 4 x 4 factor regrows the third
-    # eigenvalue: 16 iterations in all (14 of them Newton steps), where APG
-    # alone takes 908, and residual 6.4e-10.
+    # (third eigenvalue 1.1e-5).  With the start check off, the finish is
+    # first tried at residual 0.1, from a rank-2 iterate.  Its 4 x 4 factor
+    # regrows the third eigenvalue: 15 iterations in all (13 of them Newton
+    # steps), where APG alone takes 908, and residual 2.4e-10.  Tried from the
+    # start, the finish takes 10 Newton steps.
     record = simulate_tomography(
         dephasing_noise(bell_state(), 1.0), 1e4, seed=2, settings=standard_settings(tuple("HVDR"))
     )
     alone = _apg_alone(monkeypatch, record, True)
+    _without_start_check(monkeypatch)
     calls = _spy_finish(monkeypatch)
     result = reconstruct_mle(record, jeffreys=True)
     assert len(calls) == 1
@@ -568,6 +627,24 @@ def test_jeffreys_mle_converges_on_clean_high_count_records(basis, shots):
 
 
 @pytest.mark.parametrize(
+    "d,basis,shots",
+    [(0.0, "HVDR", 1e8), (0.0, "HVDR", 1e9), (0.0, "HVDR", 1e10), (0.0, "HVDL", 1e7),
+     (0.0, "HVDL", 1e9), (0.0, "HVDL", 1e10), (1.0, "HVDR", 1e8), (1.0, "HVDL", 1e8)],
+)
+def test_jeffreys_mle_finishes_clean_records_before_apg_fails(d, basis, shots):
+    # Noiseless Jeffreys records on which APG's first steps fail: at d = 0 it
+    # accepts a rate at rounding level and its line search fails at iteration
+    # 3, at d = 1 it fails at iterations 4-11 with residual 1.225.  Their
+    # linear starts are close enough for the finish to be tried before APG
+    # takes a step, and it converges there.
+    rho = dephasing_noise(bell_state(), d)
+    record = simulate_tomography(rho, shots, settings=standard_settings(tuple(basis)))
+    result = reconstruct_mle(record, jeffreys=True)
+    assert result.residual <= tomography_mod._RESIDUAL_TOL
+    assert abs(fidelity(result.rho, bell_state()) - fidelity(rho, bell_state())) <= 1e-6
+
+
+@pytest.mark.parametrize(
     "d,seed",
     # dephased:0.42, seed 19: third eigenvalue 3.0e-4, APG alone takes 514
     # iterations.  d = 0.346..., seed 1021269449 (an `analysis` benchmark
@@ -580,8 +657,7 @@ def test_jeffreys_mle_converges_on_clean_high_count_records(basis, shots):
 )
 def test_mle_finish_on_a_rank_three_face(monkeypatch, d, seed):
     # HVDL, 1e3 shots, Jeffreys: rank-3 optimums, finished in a few Newton
-    # steps, whether the finish starts from a full-rank iterate (the first)
-    # or from one with an eigenvalue zeroed (the second).
+    # steps from the full-rank start (10 and 6), before APG takes a step.
     record = simulate_tomography(
         dephasing_noise(bell_state(), d), 1e3, seed=seed, settings=standard_settings(tuple("HVDL"))
     )
