@@ -71,17 +71,15 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 _MIN_STEP = 1e-30
 _STEP_GROWTH = 1.1
 # Newton finish (see reconstruct_mle and _newton_finish): tried when the
-# residual, checked at the start and every _FINISH_EVERY accepted steps, is
-# at most _FINISH_RESIDUAL, and after a dropped try when it is at most
+# residual, taken at the start and after every accepted step, is at most
+# _FINISH_RESIDUAL, and after a dropped try when it is at most
 # _FINISH_RESIDUAL times the residual at that try.  It factors rho over all
 # four eigenvectors, each eigenvalue lifted to at least _EIGEN_FLOOR, so
-# those the projection zeroed can grow again; _GAUGE_TOL, _ARMIJO,
-# _NEWTON_MAX and _NEWTON_HALVINGS shape each Newton step.
-_FINISH_EVERY = 2
+# those the projection zeroed can grow again; _GAUGE_TOL, _NEWTON_MAX and
+# _NEWTON_HALVINGS shape each Newton step.
 _FINISH_RESIDUAL = 0.1
 _EIGEN_FLOOR = 1e-12
 _GAUGE_TOL = 1e-10
-_ARMIJO = 1e-4
 _NEWTON_MAX = 30
 _NEWTON_HALVINGS = 30
 
@@ -287,7 +285,10 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     """
     model = _model(record.settings)
     _require_complete(model)
-    return _invert_linear(record, model.design)
+    rho = _invert_linear(record, model.design)
+    return ReconstructionResult(
+        rho=rho, method="linear", min_eigenvalue=float(np.linalg.eigvalsh(rho).min())
+    )
 
 
 def _require_complete(model: _Model) -> None:
@@ -302,19 +303,16 @@ def _require_complete(model: _Model) -> None:
         raise ReconstructionError("settings are informationally incomplete")
 
 
-def _invert_linear(record: TomographyRecord, design: np.ndarray) -> ReconstructionResult:
-    """Linear inversion for a design that _require_complete has passed."""
+def _invert_linear(record: TomographyRecord, design: np.ndarray) -> np.ndarray:
+    """The Hermitized, trace-one linear inversion for a design that
+    _require_complete has passed."""
     freqs = record.counts / record.shots
     rho = np.linalg.solve(design, freqs.astype(complex)).reshape(4, 4)
     rho = (rho + rho.conj().T) / 2.0
     tr = float(np.real(rho.trace()))
     if abs(tr) < 1e-12:
         raise ReconstructionError("reconstructed matrix has vanishing trace")
-    rho = rho / tr
-    evals = np.linalg.eigvalsh(rho)
-    return ReconstructionResult(
-        rho=rho, method="linear", min_eigenvalue=float(evals.min())
-    )
+    return rho / tr
 
 
 def project_physical(rho: np.ndarray) -> np.ndarray:
@@ -474,13 +472,12 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
     the Hessian does not vanish on it (H t = -g), so each step projects t out
     of g and H.  It solves with the Hessian's |eigenvalues|, skipping those at
     most _GAUGE_TOL times the largest (the scale, and directions where T is
-    near singular), and halves from the full step, at most _NEWTON_HALVINGS
-    times, until f falls by _ARMIJO of what the gradient promises.  Once the
-    promised fall, g . H^-1 g, is within f's rounding error, one last full
-    step is kept if f does not rise beyond that error.  It also stops when f
-    falls by no more than that error, when no halving falls, when the
-    Hessian is not finite, or after _NEWTON_MAX steps.  The caller judges
-    rho' by its own exit test.
+    near singular).  It keeps the full step, or the first of its halvings
+    (_NEWTON_HALVINGS trial points in all), at which f does not rise beyond
+    its rounding error, and stops after the step whose promised fall,
+    g . H^-1 g, is within that error.  It also stops when no trial point is
+    kept, when the Hessian is not finite, or after _NEWTON_MAX steps.  The
+    caller judges rho' by its own exit test.
     """
     evals, vecs = np.linalg.eigh(rho)
     t = _coordinates((vecs * np.sqrt(np.maximum(evals, _EIGEN_FLOOR))) @ vecs.conj().T)
@@ -496,21 +493,19 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
         keep = size > _GAUGE_TOL * size.max()
         slopes = (across @ g) @ vec[:, keep]
         move = vec[:, keep] @ (slopes / size[keep])
-        promised = float(slopes**2 @ (1.0 / size[keep]))
-        last = promised <= err
+        last = slopes**2 @ (1.0 / size[keep]) <= err
         alpha = 1.0
-        for _ in range(1 if last else _NEWTON_HALVINGS):
+        for _ in range(_NEWTON_HALVINGS):
             f_new, w_new, err_new = objective(_gram(_hermitian(t - alpha * move)))
-            if f_new <= f + (err if last else -_ARMIJO * alpha * promised):
+            if f_new <= f + err:
                 break
             alpha /= 2.0
         else:
             break
-        fall = f - f_new
         t = t - alpha * move
         t, f, weights, err = t / np.linalg.norm(t), f_new, w_new, err_new
         steps += 1
-        if last or fall <= err:
+        if last:
             break
     return _gram(_hermitian(t)), steps
 
@@ -542,14 +537,16 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
 
     APG converges only linearly once the optimum's rank is settled, so it
     hands over to a second-order finish as soon as it is near the optimum.
-    It computes the residual at the start and every _FINISH_EVERY accepted
-    steps; once that is at most _FINISH_RESIDUAL, _newton_finish runs damped
-    Newton on rho = T^2 / tr T^2 over a Hermitian 4 x 4 factor T, so an
-    eigenvalue the projection zeroed can grow back where the optimum is full
-    rank.  T has 16 real coordinates in a fixed basis, and the table that
-    gives f's derivatives in them (_factor_table) comes with the settings'
-    cached model (_model).  A start that is already that close, as most
-    records with many counts give, is finished before APG takes a step.
+    It keeps one residual, rho's, computed at the start and after every
+    accepted step; the finish trigger, the stall exit, a failed line search
+    and the _MAX_ITER error all read it.  Once it is at most
+    _FINISH_RESIDUAL, _newton_finish runs damped Newton on rho = T^2 / tr T^2
+    over a Hermitian 4 x 4 factor T, so an eigenvalue the projection zeroed
+    can grow back where the optimum is full rank.  T has 16 real
+    coordinates in a fixed basis, and the table that gives f's derivatives
+    in them (_factor_table) comes with the settings' cached model (_model).
+    A start that is already that close, as most records with many counts
+    give, is finished before APG takes a step.
     Its point replaces rho only if it passes the exit test above: f no
     higher than rho's beyond rounding and residual at most _RESIDUAL_TOL.
     Otherwise it is dropped and APG goes on from its own state, untouched,
@@ -575,7 +572,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     counts = record.counts + 0.5 if jeffreys else record.counts
     objective, gradient = _mle_objective(counts, record.shots, model.design, model.stack)
     try:
-        rho = project_physical(_invert_linear(record, model.design).rho)
+        rho = project_physical(_invert_linear(record, model.design))
     except ReconstructionError:  # vanishing trace
         rho = np.eye(4) / 4.0
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
@@ -583,17 +580,16 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     grad = gradient(weights)
     prev, theta, step = rho, 1.0, 1.0
     y, f_y, grad_y = rho, f, grad
-    best, stalled, residual = f, 0, math.inf
-    accepted, newton_steps, tries, finish_at = 0, 0, 0, _FINISH_RESIDUAL
-    # gap is the residual the finish check reads: the start's, then that of
-    # every _FINISH_EVERY-th accepted step, and inf in between.
-    iteration, gap = 0, _residual(rho, grad)
+    best, stalled = f, 0
+    newton_steps, tries, finish_at = 0, 0, _FINISH_RESIDUAL
+    # residual is always rho's: computed at the start and after every accepted step.
+    iteration, residual = 0, _residual(rho, grad)
     while True:
-        if gap <= finish_at:
+        if residual <= finish_at:
             # The Newton point replaces rho only if it passes the exit test;
             # otherwise APG goes on from its own state, untouched, and the
             # next try waits for a residual _FINISH_RESIDUAL times this one.
-            finish_at = _FINISH_RESIDUAL * gap
+            finish_at = _FINISH_RESIDUAL * residual
             tries += 1
             finish, steps = _newton_finish(rho, objective, model.table)
             newton_steps += steps
@@ -607,7 +603,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             raise ReconstructionError(
                 f"MLE did not converge in {_MAX_ITER} iterations (residual {residual:.3e})"
             )
-        iteration, gap = iteration + 1, math.inf
+        iteration += 1
         while True:
             new = _project_density(y - step * grad_y)
             f_new, weights, err = objective(new)
@@ -621,7 +617,6 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             theta, y, f_y, grad_y = 1.0, rho, f, grad
             continue
         if f_new > f + err:
-            residual = _residual(rho, grad)
             if residual <= _RESIDUAL_TOL:
                 break
             raise ReconstructionError(
@@ -629,15 +624,9 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             )
         prev, rho, f, grad = rho, new, f_new, gradient(weights)
         best, stalled = (f, 0) if f < best else (best, stalled + 1)
-        checked = stalled >= _STALL_STEPS
-        if checked:
-            residual = _residual(rho, grad)
-            if residual <= _RESIDUAL_TOL:
-                break
-        accepted += 1
-        if accepted % _FINISH_EVERY == 0:
-            # Reuse a residual the stall check has just computed.
-            gap = residual if checked else _residual(rho, grad)
+        residual = _residual(rho, grad)
+        if stalled >= _STALL_STEPS and residual <= _RESIDUAL_TOL:
+            break
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         y = rho + ((theta - 1.0) / theta_next) * (rho - prev)
         theta = theta_next

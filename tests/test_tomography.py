@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -629,14 +630,19 @@ def test_jeffreys_mle_converges_on_clean_high_count_records(basis, shots):
 @pytest.mark.parametrize(
     "d,basis,shots",
     [(0.0, "HVDR", 1e8), (0.0, "HVDR", 1e9), (0.0, "HVDR", 1e10), (0.0, "HVDL", 1e7),
-     (0.0, "HVDL", 1e9), (0.0, "HVDL", 1e10), (1.0, "HVDR", 1e8), (1.0, "HVDL", 1e8)],
+     (0.0, "HVDL", 1e9), (0.0, "HVDL", 1e10), (1.0, "HVDR", 1e8), (1.0, "HVDL", 1e8),
+     (1.0, "HVDR", 1e9), (1.0, "HVDL", 1e9)],
 )
 def test_jeffreys_mle_finishes_clean_records_before_apg_fails(d, basis, shots):
     # Noiseless Jeffreys records on which APG's first steps fail: at d = 0 it
     # accepts a rate at rounding level and its line search fails at iteration
     # 3, at d = 1 it fails at iterations 4-11 with residual 1.225.  Their
     # linear starts are close enough for the finish to be tried before APG
-    # takes a step, and it converges there.
+    # takes a step, and it converges there.  At d = 1 and 1e9 shots it does
+    # so in 6 Newton steps only because each step is kept while f does not
+    # rise beyond its rounding error: a try that stops once f falls by no more
+    # than that error ends short of the optimum, and APG then fails at
+    # iteration 9 (HVDR) or 6 (HVDL).  d = 1 at 1e10 still fails in both bases.
     rho = dephasing_noise(bell_state(), d)
     record = simulate_tomography(rho, shots, settings=standard_settings(tuple(basis)))
     result = reconstruct_mle(record, jeffreys=True)
@@ -1043,6 +1049,20 @@ def test_mle_line_search_failure_reports_residual(monkeypatch):
     monkeypatch.setattr(tomography_mod, "_RESIDUAL_TOL", 0.0)
     with pytest.raises(ReconstructionError, match=r"line search failed at iteration \d+ \(residual \d"):
         reconstruct_mle(record, jeffreys=jeffreys)
+
+
+def test_mle_iteration_limit_reports_the_final_residual(monkeypatch):
+    # The limit's error names the residual of the rho it gave up on; with the
+    # finish off and no stall in 3 steps, only the accepted steps compute it.
+    monkeypatch.setattr(tomography_mod, "_MAX_ITER", 3)
+    monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
+    record = simulate_tomography(
+        dephasing_noise(bell_state(), 0.3), 1e3, seed=4, settings=standard_settings(tuple("HVDL"))
+    )
+    with pytest.raises(ReconstructionError, match=r"did not converge in 3 iterations") as failure:
+        reconstruct_mle(record, jeffreys=True)
+    residual = float(re.search(r"\(residual (\S+)\)", str(failure.value)).group(1))
+    assert tomography_mod._RESIDUAL_TOL < residual < math.inf
 
 
 def test_mle_refuses_incomplete_settings():
