@@ -55,10 +55,20 @@ class ArmSetting:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Analyzer settings for both arms of one coincidence measurement."""
+    """Analyzer settings for both arms of one coincidence measurement.
+
+    The hash, the one the dataclass would compute, is taken once when the
+    setting is built: a tomography model lookup hashes whole settings lists.
+    """
 
     arm_a: ArmSetting
     arm_b: ArmSetting
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.arm_a, self.arm_b)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _analyzer_states(pol, qwp=None) -> np.ndarray:
@@ -145,15 +155,17 @@ def check_density_matrix(rho: np.ndarray) -> None:
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
+    # A complex entry is finite when both its parts are: one count covers both.
+    if np.count_nonzero(np.isfinite(rho)) != rho.size:
         raise ValueError("density matrix contains non-finite entries")
-    herm = np.abs(rho - rho.conj().T).max()
+    adjoint = rho.conj().T
+    herm = np.abs(rho - adjoint).max()
     if herm > atol:
         raise ValueError(f"density matrix is not Hermitian (defect {herm:.3e})")
     tr = rho.trace()
     if abs(tr - 1.0) > atol:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    evals = np.linalg.eigvalsh((rho + adjoint) / 2.0)
     if evals.min() < -atol:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
@@ -218,7 +230,7 @@ class FringeScan:
             )
         if phase.size < 2:
             raise ValueError("a scan needs at least 2 points")
-        if not np.all(np.isfinite(phase)) or not np.all(np.isfinite(counts)):
+        if np.count_nonzero(np.isfinite(phase) & np.isfinite(counts)) != phase.size:
             raise ValueError("scan contains non-finite values")
         if counts.min() < 0:
             raise ValueError(f"counts must be non-negative, got min {counts.min()!r}")
@@ -304,11 +316,7 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
     jac = np.column_stack([2.0 * (1.0 + b * cos_xc), 2.0 * a * cos_xc, -2.0 * a * b * sin_xc])
     jtj = jac.T @ jac
-    # Constant data fits with B = 0 and an arbitrary C; the Jacobian column
-    # for C collapses and the covariance blows up. Reject rather than report,
-    # judging J^T J in (ln A, B, C), whose columns all scale as A.
-    scale = np.outer([a, 1.0, 1.0], [a, 1.0, 1.0])
-    if not np.all(np.isfinite(jtj)) or np.linalg.cond(jtj * scale) > 1e12:
+    if _degenerate(jtj, a):
         raise FitError("fit parameters are degenerate (flat or constant scan)")
     cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
     return FitResult(
@@ -318,6 +326,24 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         covariance=cov,
         residual_norm=math.sqrt(rss),
     )
+
+
+def _degenerate(jtj: np.ndarray, a: float) -> bool:
+    """fit_fringe's degeneracy verdict on J^T J in (A, B, C) at amplitude a.
+
+    Constant data fits with B = 0 and an arbitrary C; the Jacobian column
+    for C collapses and the covariance blows up, so such a fit is rejected
+    rather than reported.  J^T J is judged in (ln A, B, C), whose columns
+    all scale as A: degenerate when it has a non-finite entry or a condition
+    number above 1e12.  The condition number is np.linalg.cond's, largest
+    over smallest singular value, inf where the smallest is 0 or NaN (J^T J
+    scaled past the float range).
+    """
+    if np.count_nonzero(np.isfinite(jtj)) != jtj.size:
+        return True
+    scale = np.outer([a, 1.0, 1.0], [a, 1.0, 1.0])
+    top, _, low = np.linalg.svd(jtj * scale, compute_uv=False).tolist()
+    return not low > 0.0 or top / low > 1e12
 
 
 def visibility(obj) -> float:
@@ -371,7 +397,8 @@ def simulate_polarization_fringe(
     if arm_a_qwp is not None:
         finite(arm_a_qwp, "qwp angle")
     rho = state_density(rho)
-    projectors = _projector_stack(_analyzer_states(angles, arm_a_qwp), _arm_states([arm_b]))
+    state_b = _analyzer_states(np.array([arm_b.pol]), arm_b.qwp)
+    projectors = _projector_stack(_analyzer_states(angles, arm_a_qwp), state_b)
     counts = _draw_counts(shots * _born_probabilities(rho, projectors), seed)
     return FringeScan(phase=2.0 * angles, counts=counts)
 

@@ -184,10 +184,12 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     The grid order is N-major then phi, and phi is echoed as given.  Inputs
     are validated once and the phasors exp(i m phi) are built once, for the
     largest N; each N then sums the first N of them over all phases, the sum
-    _phasor_sum takes, so every row equals the scalar functions on
-    ResonatorConfig(N, phi, tau) bit for bit.  Each row is a tuple (int N,
-    float phi, float tau, int M, three floats), zipped in C from the constant
-    N, tau and M and the columns' float lists; no Python code runs per row.
+    _phasor_sum takes, into one row of an (N values, phases) array, and each
+    column is evaluated once on that whole array, so every row equals the
+    scalar functions on ResonatorConfig(N, phi, tau) bit for bit.  Each row
+    is a tuple (int N, float phi, float tau, int M, three floats), zipped in
+    C from the constant N, tau and M and the columns' float lists; no Python
+    code runs per row.
     """
     n_values = [positive_int(n, "n_passes") for n in n_values]
     phis = finite(phis, "phi").reshape(-1)
@@ -196,9 +198,12 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
     m = positive_int(m, "pair order M")
     echoed = phis.tolist()
     terms = _phasor_terms(max(n_values, default=0), wrapped)
+    sums = np.empty((len(n_values), len(phis)), dtype=complex)
+    for row, n in zip(sums, n_values):
+        terms[:, :n].sum(axis=-1, out=row)
+    x = _modulus_times(sums, tau)
+    columns = [c.tolist() for c in (_p_exact(m, x), _p_approx(m, x), _contamination(x))]
     rows = []
-    for n in n_values:
-        x = _modulus_times(terms[:, :n].sum(axis=-1), tau)
-        columns = (_p_exact(m, x), _p_approx(m, x), _contamination(x))
-        rows.extend(zip(repeat(n), echoed, repeat(tau), repeat(m), *(c.tolist() for c in columns)))
+    for n, *values in zip(n_values, *columns):
+        rows.extend(zip(repeat(n), echoed, repeat(tau), repeat(m), *values))
     return rows

@@ -21,12 +21,16 @@ density matrices through an eigendecomposition, so every iterate and the
 result are physical.  From its start on, whenever it is near the optimum, it
 tries to finish with Newton steps on rho = T^2 / tr T^2, T a Hermitian 4 x 4
 factor in 16 fixed real coordinates, and keeps that point only if it passes
-the gradient loop's own exit test.
+the gradient loop's own exit test.  One objective serves both: it maps a
+point's setting probabilities to the likelihood.  The gradient loop reads
+them off the design matrix (design @ vec rho); the finish reads them off a
+factor table, one 16 x 16 form per setting, and forms rho only at its end.
 
 Everything that depends on the settings list alone (projector stack, design
 matrix, completeness verdict and the finish's factor table) is one read-only
 model that _model caches per settings tuple, so simulating a record and
-reconstructing it builds that model once.
+reconstructing it builds that model once.  Each MeasurementSetting hashes
+once, when it is built, so looking a tuple up makes no per-setting hash work.
 """
 
 from __future__ import annotations
@@ -337,8 +341,8 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     """
     check_density_matrix(rho)
     model = _model(record.settings)
-    objective, _ = _mle_objective(record.counts, record.shots, model.design, model.stack)
-    return -record.shots * objective(np.asarray(rho))[0]
+    objective, _ = _mle_objective(record.counts, record.shots, model.stack)
+    return -record.shots * objective(_probabilities(model.design, np.asarray(rho)))[0]
 
 
 def _project_density(h: np.ndarray) -> np.ndarray:
@@ -363,25 +367,31 @@ def _residual(rho: np.ndarray, grad: np.ndarray) -> float:
     return float(np.linalg.norm(rho - _project_density(rho - grad)))
 
 
-def _mle_objective(counts: np.ndarray, shots: float, design: np.ndarray, stack: np.ndarray):
-    """The objective f(rho) = -sum_i (c_i ln mu_i - mu_i) / shots, mu_i = shots Tr(rho Pi_i).
+def _probabilities(design: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The setting probabilities Tr(rho Pi_i) = design @ vec(rho), real part."""
+    return (design @ rho.ravel()).real
 
-    Returns two functions.  objective(rho) gives f, the gradient weights
-    w_i = 1 - c_i / mu_i (1 where c_i = 0) and the rounding error of f; inf,
-    None, 0 where counts meet a rate mu_i <= 0.  gradient(w) gives the
-    gradient sum_i w_i Pi_i, so the caller forms it only for the points it
-    keeps.  The indices of the settings with counts > 0, their counts and the
-    flattened stack are made here, once: each objective call is one
-    matrix-vector product, one gather of the seen rates, one min for the
-    domain check, one log and one weight update.
+
+def _mle_objective(counts: np.ndarray, shots: float, stack: np.ndarray):
+    """The objective f = -sum_i (c_i ln mu_i - mu_i) / shots, mu_i = shots p_i.
+
+    Returns two functions.  objective(p), p the setting probabilities of a
+    point (_probabilities for rho, _factor_probabilities for a factor), gives
+    f, the gradient weights w_i = 1 - c_i / mu_i (1 where c_i = 0) and the
+    rounding error of f; inf, None, 0 where counts meet a rate mu_i <= 0.  gradient(w) gives
+    the gradient sum_i w_i Pi_i in rho, so the caller forms it only for the
+    points it keeps.  The indices of the settings with counts > 0, their
+    counts and the flattened stack are made here, once: each objective call
+    is one scaling, one gather of the seen rates, one min for the domain
+    check, one log and one weight update.
     """
     flat = stack.reshape(len(stack), 16)
     seen = np.flatnonzero(counts > 0.0)
     seen_counts = counts[seen]
     ones = np.ones(len(counts))
 
-    def objective(rho):
-        mu = shots * (design @ rho.ravel()).real
+    def objective(p):
+        mu = shots * p
         rates = mu[seen]
         if rates.min(initial=math.inf) <= 0.0:
             return math.inf, None, 0.0
@@ -412,10 +422,14 @@ def _coordinates(h: np.ndarray) -> np.ndarray:
     return (h.real + h.imag).reshape(*h.shape[:-2], 16)
 
 
+_EYE16 = np.eye(16)
+_EYE16.setflags(write=False)
+
+
 def _basis_products() -> np.ndarray:
     """Row j holds Re tr(E_k E_j E_l) at column 16 k + l: a Hermitian
     Pi = sum_j pi_j E_j has Re tr(E_k Pi E_l) = pi @ this."""
-    basis = _hermitian(np.eye(16))
+    basis = _hermitian(_EYE16)
     products = np.einsum("kjac,lca->jkl", basis[:, None] @ basis[None], basis).real.reshape(16, 256)
     products.setflags(write=False)
     return products
@@ -435,27 +449,36 @@ def _gram(t: np.ndarray) -> np.ndarray:
     return gram / gram.trace().real
 
 
-def _factor_derivatives(t: np.ndarray, table: np.ndarray, weights: np.ndarray):
+def _factor_probabilities(t: np.ndarray, table: np.ndarray):
+    """(Q_i t, p_i) for the coordinates t of a Hermitian factor T, with
+    p_i = t . Q_i t / t . t = Tr(Pi_i T^2) / tr T^2 the setting probabilities
+    of rho = T^2 / tr T^2, table = _factor_table(stack): one product with the
+    table instead of forming rho."""
+    turned = table @ t
+    return turned, turned @ t / (t @ t)
+
+
+def _factor_derivatives(
+    t: np.ndarray, turned: np.ndarray, p: np.ndarray, table: np.ndarray, weights: np.ndarray
+):
     """The gradient g and Hessian H of f(T^2 / s), s = tr T^2 = t . t, in the
     coordinates t of the Hermitian factor T = sum_k t_k E_k.
 
-    table is _factor_table(stack) and weights the objective's w_i at T^2 / s.
-    f depends on t through p_i = t . Q_i t / s, so J_i = (2/s)(Q_i t - p_i t).
-    The partials of f in p_i are w_i and h_i = (1 - w_i) / p_i
-    (= c_i / (shots p_i^2)).  With m = sum_i w_i p_i and G = sum_i w_i Q_i,
-    g = sum_i w_i J_i = (2/s)(G t - m t) and
+    turned, p = _factor_probabilities(t, table) and weights are the
+    objective's w_i at p.  f depends on t through p_i = t . Q_i t / s, so
+    J_i = (2/s)(Q_i t - p_i t).  The partials of f in p_i are w_i and
+    h_i = (1 - w_i) / p_i (= c_i / (shots p_i^2)).  With m = sum_i w_i p_i and
+    G = sum_i w_i Q_i, g = sum_i w_i J_i = (2/s)(G t - m t) and
     H = sum_i h_i J_i J_i^T + (2/s)(G - m I - t g^T - g t^T).
     """
     s = float(t @ t)
-    turned = table @ t
-    p = turned @ t / s
     m = float(weights @ p)
     jac = (2.0 / s) * (turned - p[:, None] * t)
     curvature = np.divide(1.0 - weights, p, out=np.zeros_like(p), where=weights != 1.0)
     g = (2.0 / s) * (weights @ turned - m * t)
     weighted = (weights @ table.reshape(len(table), -1)).reshape(len(t), -1)
     tg = t[:, None] * g
-    inner = weighted - m * np.eye(len(t)) - tg - tg.T
+    inner = weighted - m * _EYE16 - tg - tg.T
     return g, jac.T @ (curvature[:, None] * jac) + (2.0 / s) * inner
 
 
@@ -467,10 +490,12 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
     (Burer & Monteiro, Math. Program. 95, 329 (2003)), so T is invertible for
     every record.  Newton works on T's 16 real coordinates in the fixed
     orthonormal basis E_k of _hermitian, with table = _factor_table of the
-    projector stack.  Hermiticity fixes the unitary gauge T -> T U; the scale
-    t is the one move left that changes nothing, yet away from the optimum
-    the Hessian does not vanish on it (H t = -g), so each step projects t out
-    of g and H.  It solves with the Hessian's |eigenvalues|, skipping those at
+    projector stack; each point's setting probabilities come from the table
+    (_factor_probabilities), and the derivatives at a kept point reuse its
+    product.  Hermiticity fixes the unitary gauge T -> T U; the scale t is
+    the one move left that changes nothing, yet away from the optimum the
+    Hessian does not vanish on it (H t = -g), so each step projects t out of
+    g and H.  It solves with the Hessian's |eigenvalues|, skipping those at
     most _GAUGE_TOL times the largest (the scale, and directions where T is
     near singular).  It keeps the full step, or the first of its halvings
     (_NEWTON_HALVINGS trial points in all), at which f does not rise beyond
@@ -481,13 +506,14 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
     """
     evals, vecs = np.linalg.eigh(rho)
     t = _coordinates((vecs * np.sqrt(np.maximum(evals, _EIGEN_FLOOR))) @ vecs.conj().T)
-    f, weights, err = objective(_gram(_hermitian(t)))
+    turned, p = _factor_probabilities(t, table)
+    f, weights, err = objective(p)
     steps = 0
     while steps < _NEWTON_MAX and weights is not None:
-        g, hess = _factor_derivatives(t, table, weights)
+        g, hess = _factor_derivatives(t, turned, p, table, weights)
         if not np.isfinite(hess).all():
             break
-        across = np.eye(len(t)) - t[:, None] * (t / (t @ t))
+        across = _EYE16 - t[:, None] * (t / (t @ t))
         lam, vec = np.linalg.eigh(across @ hess @ across)
         size = np.abs(lam)
         keep = size > _GAUGE_TOL * size.max()
@@ -496,14 +522,16 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
         last = slopes**2 @ (1.0 / size[keep]) <= err
         alpha = 1.0
         for _ in range(_NEWTON_HALVINGS):
-            f_new, w_new, err_new = objective(_gram(_hermitian(t - alpha * move)))
+            trial = t - alpha * move
+            turned, p = _factor_probabilities(trial, table)
+            f_new, w_new, err_new = objective(p)
             if f_new <= f + err:
                 break
             alpha /= 2.0
         else:
             break
-        t = t - alpha * move
-        t, f, weights, err = t / np.linalg.norm(t), f_new, w_new, err_new
+        norm = math.sqrt(trial @ trial)
+        t, turned, f, weights, err = trial / norm, turned / norm, f_new, w_new, err_new
         steps += 1
         if last:
             break
@@ -543,8 +571,9 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     _FINISH_RESIDUAL, _newton_finish runs damped Newton on rho = T^2 / tr T^2
     over a Hermitian 4 x 4 factor T, so an eigenvalue the projection zeroed
     can grow back where the optimum is full rank.  T has 16 real
-    coordinates in a fixed basis, and the table that gives f's derivatives
-    in them (_factor_table) comes with the settings' cached model (_model).
+    coordinates in a fixed basis, and the table that gives f's probabilities
+    and derivatives in them (_factor_table) comes with the settings' cached
+    model (_model).
     A start that is already that close, as most records with many counts
     give, is finished before APG takes a step.
     Its point replaces rho only if it passes the exit test above: f no
@@ -570,13 +599,14 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     model = _model(record.settings)
     _require_complete(model)
     counts = record.counts + 0.5 if jeffreys else record.counts
-    objective, gradient = _mle_objective(counts, record.shots, model.design, model.stack)
+    design = model.design
+    objective, gradient = _mle_objective(counts, record.shots, model.stack)
     try:
         rho = project_physical(_invert_linear(record, model.design))
     except ReconstructionError:  # vanishing trace
         rho = np.eye(4) / 4.0
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
-    f, weights, _ = objective(rho)
+    f, weights, _ = objective(_probabilities(design, rho))
     grad = gradient(weights)
     prev, theta, step = rho, 1.0, 1.0
     y, f_y, grad_y = rho, f, grad
@@ -593,7 +623,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             tries += 1
             finish, steps = _newton_finish(rho, objective, model.table)
             newton_steps += steps
-            f_finish, w_finish, err_finish = objective(finish)
+            f_finish, w_finish, err_finish = objective(_probabilities(design, finish))
             if w_finish is not None and f_finish <= f + err_finish:
                 gap = _residual(finish, gradient(w_finish))
                 if gap <= _RESIDUAL_TOL:
@@ -606,7 +636,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         iteration += 1
         while True:
             new = _project_density(y - step * grad_y)
-            f_new, weights, err = objective(new)
+            f_new, weights, err = objective(_probabilities(design, new))
             move = new - y
             quadratic = f_y + np.vdot(grad_y, move).real + np.vdot(move, move).real / (2.0 * step)
             if f_new <= quadratic + err or step < _MIN_STEP:
@@ -630,7 +660,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         y = rho + ((theta - 1.0) / theta_next) * (rho - prev)
         theta = theta_next
-        f_y, weights, _ = objective(y)
+        f_y, weights, _ = objective(_probabilities(design, y))
         if weights is None:  # extrapolated out of the domain of f: restart
             theta, y, f_y, grad_y = 1.0, rho, f, grad
         else:
@@ -638,12 +668,12 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         step *= _STEP_GROWTH
     rho = (rho + rho.conj().T) / 2.0
     if jeffreys:
-        objective, _ = _mle_objective(record.counts, record.shots, model.design, model.stack)
+        objective, _ = _mle_objective(record.counts, record.shots, model.stack)
     return ReconstructionResult(
         rho=rho,
         method="mle",
         min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-        log_likelihood=-record.shots * objective(rho)[0],
+        log_likelihood=-record.shots * objective(_probabilities(design, rho))[0],
         iterations=iteration + newton_steps,
         residual=residual,
         newton_steps=newton_steps,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -940,3 +941,79 @@ def test_out_unwritable_exits_three(capsys):
         capsys, "rates", "--singles", "1", "--coincidences", "1", "--out", "/no/dir/x.json"
     )
     assert code == 3
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_NUMBER = r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?"
+# A shown number stands on its own (not the 4 of fig4 or the 2 of p2_over_p1).
+_SHOWN_NUMBER = rf"(?<![\w.]){_NUMBER}(?![\w.])"
+
+
+def _readme_examples():
+    """(command line, shown lines) of each sh block that a shown-output block follows."""
+    block = r"((?:(?!```).)*)```"
+    found = re.findall(rf"```sh\n{block}\s*```\n{block}", README.read_text(), re.S)
+    return [(command.replace("\\\n", " ").strip(), shown.splitlines()) for command, shown in found]
+
+
+def _shown_line_matches(shown: str, actual: str) -> bool:
+    """True when actual reads as the shown line.
+
+    Text outside numbers must be equal and "..." stands for any text.  A
+    shown integer must be printed as it is; a shown decimal must lie within
+    half a unit of its last shown digit of the printed one.
+    """
+    parts = re.split(f"({_SHOWN_NUMBER}|\\.\\.\\.)", shown)
+    pattern = "".join(
+        ".*" if k % 2 and part == "..." else f"({_NUMBER})" if k % 2 else re.escape(part)
+        for k, part in enumerate(parts)
+    )
+    match = re.fullmatch(pattern, actual)
+    if match is None:
+        return False
+    numbers = [part for k, part in enumerate(parts) if k % 2 and part != "..."]
+    for want, got in zip(numbers, match.groups()):
+        mantissa, _, exponent = want.partition("e")
+        if "." not in mantissa and not exponent:
+            if got != want:
+                return False
+            continue
+        decimals = len(mantissa.partition(".")[2])
+        half_unit = 0.5 * 10.0 ** (int(exponent or 0) - decimals)
+        if abs(float(got) - float(want)) > half_unit * (1.0 + 1e-9):
+            return False
+    return True
+
+
+def test_readme_examples_print_what_readme_shows(tmp_path):
+    # Every README command whose output the README shows runs in-process with
+    # --out; the shown lines must open its output, each compared at the
+    # precision shown.  A "..." line ends what is shown.
+    examples = _readme_examples()
+    assert [command.split()[1] for command, _ in examples] == ["sweep-phase", "fig4"]
+    for k, (command, shown) in enumerate(examples):
+        argv = shlex.split(command)
+        assert argv[0] == "stimpairs"
+        out = tmp_path / f"example{k}.txt"
+        assert main(argv[1:] + ["--out", str(out)]) == 0
+        head = shown[: shown.index("...")] if "..." in shown else shown
+        assert shown[len(head):] in ([], ["..."])
+        actual = out.read_text().splitlines()
+        for want, got in zip(head, actual):
+            assert _shown_line_matches(want, got), (command, want, got)
+        assert len(actual) >= len(head)
+
+
+def test_shown_line_comparison():
+    # The README comparison itself: rounding, elision and integers.
+    assert _shown_line_matches(
+        '# fit: {"A": 1998.73, ..., "v": 1.0}', '# fit: {"A": 1998.726, "B": 2, "v": 1.0}'
+    )
+    assert not _shown_line_matches('# fit: {"A": 1999.02, ...}', '# fit: {"A": 1998.726, "B": 2}')
+    assert _shown_line_matches("2,0.0,0.0008", "2,0.0,0.0008000000000000001")
+    assert not _shown_line_matches("2,0.0,0.0008", "3,0.0,0.0008")
+    assert not _shown_line_matches("2,0.0,0.0008", "2.0,0.0,0.0008")
+    assert _shown_line_matches("# stimpairs fig4", "# stimpairs fig4")
+    assert not _shown_line_matches("# stimpairs fig4", "# stimpairs fig5")
+    assert _shown_line_matches("x 1.5e-05", "x 1.54e-05")
+    assert not _shown_line_matches("x 1.5e-05", "x 1.56e-05")

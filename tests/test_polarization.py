@@ -607,3 +607,90 @@ def test_fringe_rejects_non_finite_angles(bad):
         simulate_polarization_fringe(rho, ArmSetting(0.3), np.append(angles, bad), 1e4)
     with pytest.raises(ValueError, match="qwp angle must be finite"):
         simulate_polarization_fringe(rho, ArmSetting(0.3), angles, 1e4, arm_a_qwp=bad)
+
+
+@pytest.mark.parametrize("plate", [False, True])
+@pytest.mark.parametrize("letter", sorted(tomography_mod.ANALYZER_ANGLES))
+def test_fringe_arm_b_state_is_the_setting_state_bit_for_bit(letter, plate):
+    # simulate_polarization_fringe builds arm b's one state directly; it must
+    # equal the settings path's state for every analyzer letter, bare or plated.
+    arm = tomography_mod.ANALYZER_ANGLES[letter]
+    if not plate:
+        arm = ArmSetting(arm.pol)
+    direct = polarization_mod._analyzer_states(np.array([arm.pol]), arm.qwp)
+    assert direct.tobytes() == polarization_mod._arm_states([arm]).tobytes()
+
+
+_NON_FINITE = [
+    complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.nan), complex(0.0, -math.inf)
+]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan-re", "inf-re", "nan-im", "inf-im"])
+def test_non_finite_parts_are_rejected(bad):
+    # A NaN or an infinity in either part of any entry is refused with the
+    # same exception type as before: ValueError from the density matrix and
+    # the scan, FitError from the fit's degeneracy test.
+    for i, j in ((0, 0), (1, 2), (3, 3)):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[i, j] = bad
+        with pytest.raises(ValueError, match="^density matrix contains non-finite entries$"):
+            check_density_matrix(rho)
+    x = np.linspace(0.0, 4.0 * math.pi, 12)
+    for part in (bad.real, bad.imag):
+        if math.isfinite(part):
+            continue
+        for k in (0, 5, 11):
+            spoiled = x.copy()
+            spoiled[k] = part
+            with pytest.raises(ValueError, match="^scan contains non-finite values$"):
+                FringeScan(spoiled, np.ones(12))
+            with pytest.raises(ValueError, match="^scan contains non-finite values$"):
+                FringeScan(x, np.where(np.arange(12) == k, part, 1.0))
+        jtj = np.eye(3)
+        jtj[1, 2] = part
+        assert polarization_mod._degenerate(jtj, 1.0)
+
+
+def _cond_verdict(jtj, a):
+    # The degeneracy test as np.linalg.cond states it.
+    scale = np.outer([a, 1.0, 1.0], [a, 1.0, 1.0])
+    return not np.all(np.isfinite(jtj)) or bool(np.linalg.cond(jtj * scale) > 1e12)
+
+
+def test_degeneracy_verdict_matches_cond():
+    # fit_fringe's test reads the singular values itself; its verdict must be
+    # np.linalg.cond's on well-posed, near-threshold, singular, zero and
+    # non-finite J^T J, and on one that the (ln A, B, C) scale lifts past the
+    # float range.
+    rng = np.random.default_rng(31)
+    cases = [
+        (np.zeros((3, 3)), 1.0), (np.diag([1.0, 1.0, 0.0]), 1.0), (np.full((3, 3), math.nan), 1.0)
+    ]
+    for _ in range(300):
+        # Scaled condition numbers around 1e12, most within a decade of it.
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        low = 10.0 ** rng.normal(-12.0, 0.5)
+        scaled = (q * [1.0, rng.uniform(low, 1.0), low]) @ q.T
+        a = float(10.0 ** rng.uniform(-3.0, 3.0))
+        cases.append((((scaled + scaled.T) / 2.0) / np.outer([a, 1.0, 1.0], [a, 1.0, 1.0]), a))
+    cases.append((np.diag([1e300, 1.0, 1.0]), 1e200))
+    verdicts = []
+    for jtj, a in cases:
+        with np.errstate(over="ignore"):
+            verdict = polarization_mod._degenerate(jtj, a)
+            assert verdict == _cond_verdict(jtj, a)
+        verdicts.append(verdict)
+    assert 50 <= sum(verdicts) <= len(verdicts) - 50
+
+
+def test_fit_fringe_rejects_constant_and_accepts_nearly_flat_scans():
+    # A constant scan leaves C undetermined: J^T J's C column vanishes and the
+    # fit is refused.  A scan with a visibility well above the 1e-6 where the
+    # test starts to refuse fits.
+    x = np.linspace(0.0, 4.0 * math.pi, 40)
+    for level in (1e-3, 7.0, 1e8):
+        with pytest.raises(FitError, match="degenerate"):
+            fit_fringe(FringeScan(x, np.full(40, level)))
+        fit = fit_fringe(FringeScan(x, 2.0 * level * (1.0 + 1e-4 * np.cos(x + 0.5))))
+        assert fit.visibility == pytest.approx(1e-4, rel=1e-6)

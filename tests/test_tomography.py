@@ -449,37 +449,33 @@ def test_settings_model_is_a_read_only_copy_of_a_fresh_build():
 def test_mle_line_search_rarely_backtracks(monkeypatch):
     # Every line search evaluates f at one projected point for the step it
     # takes and at one more for each backtrack; the convergence checks
-    # project too, but never evaluate f there.  The finish is off: with it
-    # these records take 56 gradient steps in all, most of them spent
-    # finding the first step size.  Growing the step by 1.1 per iteration
+    # project too (one projection per residual), but never evaluate f there.
+    # The finish is off: with it these records take 56 gradient steps in all,
+    # most of them spent finding the first step size.  Growing the step by 1.1 per iteration
     # brings a halving about once in log 2 / log 1.1 ~ 7 iterations (0.17
     # backtracks per iteration over the 2,324 here); growing it by 2 gives
     # about one per iteration.
     monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
-    last, trials = [None], []
+    projections, residuals = [], []
     true_project = tomography_mod._project_density
-    true_objective = tomography_mod._mle_objective
+    true_residual = tomography_mod._residual
 
-    def recording_project(h):
-        last[0] = true_project(h)
-        return last[0]
+    def counting_project(h):
+        projections.append(1)
+        return true_project(h)
 
-    def counting_objective(*args):
-        objective, gradient = true_objective(*args)
+    def counting_residual(rho, grad):
+        residuals.append(1)
+        return true_residual(rho, grad)
 
-        def spy(rho):
-            if rho is last[0]:
-                trials.append(1)
-            return objective(rho)
-
-        return spy, gradient
-
-    monkeypatch.setattr(tomography_mod, "_project_density", recording_project)
-    monkeypatch.setattr(tomography_mod, "_mle_objective", counting_objective)
+    monkeypatch.setattr(tomography_mod, "_project_density", counting_project)
+    monkeypatch.setattr(tomography_mod, "_residual", counting_residual)
     iterations = 0
     for record, sparse in _seeded_dephased_records():
         iterations += reconstruct_mle(record, jeffreys=sparse).iterations
-    assert len(trials) - iterations <= 0.25 * iterations
+    trials = len(projections) - len(residuals)
+    assert iterations <= trials
+    assert trials - iterations <= 0.25 * iterations
 
 
 def _seeded_dephased_records():
@@ -769,12 +765,12 @@ def test_mle_gradient_matches_finite_difference():
     rng = np.random.default_rng(4)
     eps = 1e-6
     for counts in (record.counts, record.counts + 0.5):
-        objective, gradient = _mle_objective(counts, record.shots, design, stack)
+        objective, gradient = _mle_objective(counts, record.shots, stack)
 
         def f(r):
-            return objective(r)[0]
+            return objective(tomography_mod._probabilities(design, r))[0]
 
-        grad = gradient(objective(rho)[1])
+        grad = gradient(objective(tomography_mod._probabilities(design, rho))[1])
         assert np.abs(grad - grad.conj().T).max() < 1e-14
         # One product with the flattened stack is sum_i w_i Pi_i bit for bit.
         mu = record.shots * np.real(design @ rho.ravel())
@@ -803,6 +799,50 @@ def test_factor_chart_is_orthonormal_and_its_table_is_direct():
         assert np.abs(tomography_mod._factor_table(stack) - direct).max() <= 1e-15
 
 
+def test_factor_probabilities_match_rho_through_the_design():
+    # The finish reads each point's setting probabilities off the factor
+    # table, p_i = t . Q_i t / t . t; they must equal Tr(rho Pi_i) of
+    # rho = T^2 / tr T^2 formed and pushed through the design matrix, to a few
+    # ulps, at random full-rank factors.
+    rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    for letters in ("HVDR", "HVDL", "HVDA"):
+        model = tomography_mod._model(tuple(standard_settings(tuple(letters))))
+        for _ in range(200):
+            t = rng.normal(size=16)
+            turned, p = tomography_mod._factor_probabilities(t, model.table)
+            rho = tomography_mod._gram(tomography_mod._hermitian(t))
+            direct = tomography_mod._probabilities(model.design, rho)
+            assert np.abs(p - direct).max() <= 4.0 * eps
+            assert np.array_equal(turned, model.table @ t)
+
+
+def test_measurement_settings_hash_once_and_compare_as_before(monkeypatch):
+    # A setting's hash is taken when it is built and is the one the dataclass
+    # computes from its fields; equality still compares the two arms.  Once
+    # built, hashing a settings list hashes no arm again.
+    settings_ = standard_settings()
+    again = standard_settings()
+
+    def no_hash(arm):
+        raise AssertionError("arm hashed after the setting was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ArmSetting, "__hash__", no_hash)
+        assert hash(tuple(settings_)) == hash(tuple(again))
+    for s, t in zip(settings_, again):
+        assert s is not t and s == t and hash(s) == hash(t) == hash((s.arm_a, s.arm_b))
+    assert settings_[0] != settings_[1]
+    assert MeasurementSetting(ArmSetting(0.1, 0.2), ArmSetting(0.3)) == MeasurementSetting(
+        ArmSetting(0.1, 0.2), ArmSetting(0.3)
+    )
+    assert MeasurementSetting(ArmSetting(0.1), ArmSetting(0.3)) != MeasurementSetting(
+        ArmSetting(0.1, 0.0), ArmSetting(0.3)
+    )
+    table = {tuple(settings_): 1}
+    assert table[tuple(again)] == 1
+
+
 def test_factor_derivatives_match_finite_difference():
     # Central differences of f(T^2 / tr T^2) in the coordinates t of a
     # Hermitian T must match the analytic gradient, and central differences of
@@ -817,11 +857,14 @@ def test_factor_derivatives_match_finite_difference():
     rng = np.random.default_rng(6)
     eps = 1e-5
     for counts in (record.counts, record.counts + 0.5):
-        objective, _ = _mle_objective(counts, record.shots, design, stack)
+        objective, _ = _mle_objective(counts, record.shots, stack)
 
         def evaluate(t):
-            f, weights, _ = objective(tomography_mod._gram(tomography_mod._hermitian(t)))
-            return (f, *tomography_mod._factor_derivatives(t, table, weights))
+            # f through rho and the design matrix, the derivatives through the table.
+            rho = tomography_mod._gram(tomography_mod._hermitian(t))
+            f, weights, _ = objective(tomography_mod._probabilities(design, rho))
+            turned, p = tomography_mod._factor_probabilities(t, table)
+            return (f, *tomography_mod._factor_derivatives(t, turned, p, table, weights))
 
         for rank in range(1, 5):
             q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
