@@ -99,7 +99,12 @@ def _analyzer_states(pol, qwp=None) -> np.ndarray:
 
 
 def _arm_states(arms) -> np.ndarray:
-    """(k, 2) analyzer states of a sequence of ArmSettings, with or without plates."""
+    """(k, 2) analyzer states of a sequence of ArmSettings, with or without plates.
+
+    Each row is the unit Jones vector its analyzer chain transmits.  Light
+    crosses the plate first, then the polarizer, so the accepted state is
+    J(qwp)^dagger |pol>; without the plate it is |pol> itself.
+    """
     pol = np.array([arm.pol for arm in arms], dtype=float)
     states = _analyzer_states(pol)
     plated = [i for i, arm in enumerate(arms) if arm.qwp is not None]
@@ -119,15 +124,6 @@ def _projector_stack(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     pa = ua[:, :, None] * ua.conj()[:, None, :]
     pb = ub[:, :, None] * ub.conj()[:, None, :]
     return (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(-1, 4, 4)
-
-
-def analyzer_state(arm: ArmSetting) -> np.ndarray:
-    """Unit Jones vector the analyzer chain transmits.
-
-    Light crosses the plate first, then the polarizer, so the accepted state
-    is J(qwp)^dagger |pol>; without the plate it is |pol> itself.
-    """
-    return _arm_states([arm])[0]
 
 
 def analyzer_projector(setting: MeasurementSetting) -> np.ndarray:

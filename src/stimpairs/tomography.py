@@ -17,14 +17,17 @@ Reconstruction comes in two flavors.  Linear inversion solves the 16x16
 linear system exactly and reports (not clips) negative eigenvalues caused by
 shot noise.  Maximum likelihood works on rho itself: accelerated gradient
 steps on the Poisson negative log-likelihood, each projected back onto the
-density matrices through an eigendecomposition, so every iterate and the
-result are physical.  From its start on, whenever it is near the optimum, it
-tries to finish with Newton steps on rho = T^2 / tr T^2, T a Hermitian 4 x 4
-factor in 16 fixed real coordinates, and keeps that point only if it passes
-the gradient loop's own exit test.  One objective serves both: it maps a
-point's setting probabilities to the likelihood.  The gradient loop reads
-them off the design matrix (design @ vec rho); the finish reads them off a
-factor table, one 16 x 16 form per setting, and forms rho only at its end.
+density matrices, so every iterate and the result are physical.  One map
+does every such projection: project_physical, the nearest density matrix in
+Frobenius norm.  The MLE's steps, its residual and its start use it, and so
+does the command line's fidelity of a linear estimate.  From its start on,
+whenever it is near the optimum, the MLE tries to finish with Newton steps on
+rho = T^2 / tr T^2, T a Hermitian 4 x 4 factor in 16 fixed real coordinates,
+and keeps that point only if it passes the gradient loop's own exit test.
+One objective serves both: it maps a point's setting probabilities to the
+likelihood.  The gradient loop reads them off the design matrix
+(design @ vec rho); the finish reads them off a factor table, one 16 x 16
+form per setting, and forms rho only at its end.
 
 Everything that depends on the settings list alone (projector stack, design
 matrix, completeness verdict and the finish's factor table) is one read-only
@@ -319,16 +322,21 @@ def _invert_linear(record: TomographyRecord, design: np.ndarray) -> np.ndarray:
     return rho / tr
 
 
-def project_physical(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero and renormalize the trace."""
-    rho = np.asarray(rho, dtype=complex)
-    rho = (rho + rho.conj().T) / 2.0
-    evals, vecs = np.linalg.eigh(rho)
-    clipped = np.clip(evals, 0.0, None)
-    total = clipped.sum()
-    if total <= 0.0:
-        raise ReconstructionError("matrix has no positive weight to keep")
-    return (vecs * (clipped / total)) @ vecs.conj().T
+def project_physical(h: np.ndarray) -> np.ndarray:
+    """Nearest density matrix to the Hermitian h in Frobenius norm: its eigenvalues
+    move to the nearest point of the probability simplex (Smolin, Gambetta &
+    Smith, PRL 108, 070502 (2012)).  Every Hermitian h has one; -I maps to I/4.
+
+    The shift is the last (sum of the k largest - 1) / k below the k-th largest
+    eigenvalue, found by a running sum over the four eigenvalues as floats.
+    """
+    evals, vecs = np.linalg.eigh(h)
+    total = shift = 0.0
+    for k, lam in enumerate(reversed(evals.tolist()), 1):
+        total += lam
+        if lam > (total - 1.0) / k:
+            shift = (total - 1.0) / k
+    return (vecs * np.maximum(evals - shift, 0.0)) @ vecs.conj().T
 
 
 def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
@@ -345,26 +353,9 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     return -record.shots * objective(_probabilities(model.design, np.asarray(rho)))[0]
 
 
-def _project_density(h: np.ndarray) -> np.ndarray:
-    """Nearest density matrix to the Hermitian h in Frobenius norm: its eigenvalues
-    move to the nearest point of the probability simplex (Smolin, Gambetta &
-    Smith, PRL 108, 070502 (2012)).
-
-    The shift is the last (sum of the k largest - 1) / k below the k-th largest
-    eigenvalue, found by a running sum over the four eigenvalues as floats.
-    """
-    evals, vecs = np.linalg.eigh(h)
-    total = shift = 0.0
-    for k, lam in enumerate(reversed(evals.tolist()), 1):
-        total += lam
-        if lam > (total - 1.0) / k:
-            shift = (total - 1.0) / k
-    return (vecs * np.maximum(evals - shift, 0.0)) @ vecs.conj().T
-
-
 def _residual(rho: np.ndarray, grad: np.ndarray) -> float:
-    """The projected-gradient residual ||rho - P(rho - grad)||, P = _project_density."""
-    return float(np.linalg.norm(rho - _project_density(rho - grad)))
+    """The projected-gradient residual ||rho - P(rho - grad)||, P = project_physical."""
+    return float(np.linalg.norm(rho - project_physical(rho - grad)))
 
 
 def _probabilities(design: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -544,17 +535,17 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     Minimizes the shot-normalized negative Poisson log-likelihood f
     (_mle_objective; Shang, Zhang, Ng, Ng & Englert, PRA 95, 062336 (2017)).
     Each iteration is one gradient step from a Nesterov momentum point,
-    projected onto the density matrices and backtracked until f falls as its
-    quadratic model promises.  The step halves on each backtrack and grows by
+    projected onto the density matrices (project_physical) and backtracked
+    until f falls as its quadratic model promises.  The step halves on each backtrack and grows by
     _STEP_GROWTH = 1.1 after each iteration, so a line search backtracks
     about once in log 2 / log 1.1 ~ 7 iterations; doubling it instead makes
     nearly every line search backtrack, at one more projection and one more
     evaluation of f each.  A step that raises f, or that turns against
     the momentum, is discarded and the momentum restarts (O'Donoghue &
-    Candes, Found. Comput. Math. 15, 715 (2015)).  The start is the projected
-    linear inversion mixed with 1e-3 of I/4, so every rate is positive; when
-    the linear inversion has vanishing trace, the start is I/4, since f is
-    still well defined.  Settings that are not
+    Candes, Found. Comput. Math. 15, 715 (2015)).  The start is the nearest
+    state to the linear inversion mixed with 1e-3 of I/4, so every rate is
+    positive; when the linear inversion has vanishing trace, the start is
+    I/4, since f is still well defined.  Settings that are not
     informationally complete raise ReconstructionError.  Converged means the
     projected-gradient residual ||rho - P(rho - grad f)|| is at most
     _RESIDUAL_TOL once f has stalled at rounding level (_STALL_STEPS steps
@@ -635,7 +626,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             )
         iteration += 1
         while True:
-            new = _project_density(y - step * grad_y)
+            new = project_physical(y - step * grad_y)
             f_new, weights, err = objective(_probabilities(design, new))
             move = new - y
             quadratic = f_y + np.vdot(grad_y, move).real + np.vdot(move, move).real / (2.0 * step)

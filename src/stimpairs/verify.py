@@ -125,12 +125,11 @@ def check_double_pass() -> tuple[float, list]:
 
 
 def check_optimal_interaction() -> tuple[float, list]:
-    """Grid-searched argmax of (M+1)(1-u)^2 u^M against M/(M+2)."""
+    """Grid-searched argmax of pair_probability_vs_u, (M+1)(1-u)^2 u^M, against M/(M+2)."""
     grid = np.linspace(0.0, 1.0, 100001)
     errors = []
     for m in range(1, 6):
-        values = (m + 1) * (1.0 - grid) ** 2 * grid**m
-        u_grid = grid[int(np.argmax(values))]
+        u_grid = grid[int(np.argmax(resonator.pair_probability_vs_u(m, grid)))]
         errors.append(abs(u_grid - resonator.optimal_u(m)))
     return 1e-4, errors
 

@@ -16,7 +16,13 @@ import pytest
 import stimpairs
 import stimpairs.verify as verify_mod
 from stimpairs.cli import main
-from stimpairs.tomography import TomographyRecord, simulate_tomography
+from stimpairs.tomography import (
+    TomographyRecord,
+    fidelity,
+    project_physical,
+    rho_from_json,
+    simulate_tomography,
+)
 from stimpairs.polarization import bell_state
 
 
@@ -459,6 +465,19 @@ def test_tomography_linear_method(capsys):
     assert doc["iterations"] is None
 
 
+def test_tomography_linear_fidelity_is_the_nearest_states(capsys):
+    # Shot noise gives this linear estimate a negative eigenvalue; its
+    # fidelity is the nearest state's, 0.9957, recomputed bit for bit from
+    # the printed rho.
+    code, out, _ = run(capsys, "tomography", "--method", "linear", "--shots", "1e3", "--seed", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["min_eigenvalue"] < 0.0
+    assert doc["fidelity_to_singlet"] > 0.99
+    rho = rho_from_json(json.dumps(doc["rho"]))
+    assert doc["fidelity_to_singlet"] == fidelity(project_physical(rho), bell_state())
+
+
 def test_tomography_from_counts_file(tmp_path, capsys):
     record = simulate_tomography(bell_state(), 1e4, seed=12)
     path = tmp_path / "counts.json"
@@ -765,6 +784,18 @@ def test_verify_detects_mutation(capsys, monkeypatch):
     assert code == 2
     failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
     assert any("oracle_pair_probability" in ln for ln in failed)
+
+
+def test_verify_optimal_interaction_reads_the_library_curve(capsys, monkeypatch):
+    # The check searches resonator.pair_probability_vs_u itself, not a copy
+    # of (M+1)(1-u)^2 u^M: a curve weighted by u peaks at (M+1)/(M+3), off
+    # M/(M+2), and only optimal_interaction fails.
+    true_fn = verify_mod.resonator.pair_probability_vs_u
+    monkeypatch.setattr(verify_mod.resonator, "pair_probability_vs_u", lambda m, u: u * true_fn(m, u))
+    code, out, _ = run(capsys, "verify")
+    assert code == 2
+    failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert failed == ["optimal_interaction"]
 
 
 def test_verify_detects_ccw_weight_mutation(capsys, monkeypatch):

@@ -17,8 +17,8 @@ from stimpairs.polarization import (
     ArmSetting,
     FringeScan,
     MeasurementSetting,
+    _arm_states,
     analyzer_projector,
-    analyzer_state,
     bell_state,
     check_density_matrix,
     coincidence_probability,
@@ -85,12 +85,12 @@ def test_quarter_wave_axes():
 
 
 def test_analyzer_state():
-    assert np.allclose(analyzer_state(ArmSetting(pol=0.0)), [1.0, 0.0])
-    assert np.allclose(analyzer_state(ArmSetting(pol=math.pi / 2.0)), [0.0, 1.0])
-    plain = analyzer_state(ArmSetting(pol=math.pi / 3.0))
+    assert np.allclose(_arm_states([ArmSetting(pol=0.0)])[0], [1.0, 0.0])
+    assert np.allclose(_arm_states([ArmSetting(pol=math.pi / 2.0)])[0], [0.0, 1.0])
+    plain = _arm_states([ArmSetting(pol=math.pi / 3.0)])[0]
     assert np.allclose(plain, [math.cos(math.pi / 3.0), math.sin(math.pi / 3.0)])
     # Plate at 0, polarizer at 45 transmits the right-circular state.
-    circ = analyzer_state(ArmSetting(pol=math.pi / 4.0, qwp=0.0))
+    circ = _arm_states([ArmSetting(pol=math.pi / 4.0, qwp=0.0)])[0]
     right = np.array([1.0, -1.0j]) / math.sqrt(2.0)
     overlap = abs(np.vdot(circ, right))
     assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -543,7 +543,7 @@ def test_projector_stack_matches_per_setting_reference(plate_a, plate_b):
     assert np.abs(tomography_mod._projectors(settings_) - want).max() <= 1e-15
     for s, w in zip(settings_[:50], want):
         assert np.abs(analyzer_projector(s) - w).max() <= 1e-15
-        assert np.abs(analyzer_state(s.arm_a) - _reference_state(s.arm_a)).max() <= 1e-15
+        assert np.abs(_arm_states([s.arm_a])[0] - _reference_state(s.arm_a)).max() <= 1e-15
 
 
 def test_projector_stack_mixes_plated_and_bare_arms():

@@ -14,8 +14,8 @@ from stimpairs.errors import ReconstructionError, SchemaError
 from stimpairs.polarization import (
     ArmSetting,
     MeasurementSetting,
+    _arm_states,
     analyzer_projector,
-    analyzer_state,
     bell_state,
     dephasing_noise,
     state_density,
@@ -31,7 +31,6 @@ from stimpairs.tomography import (
     reconstruct_linear,
     reconstruct_mle,
     _mle_objective,
-    _project_density,
     rho_from_json,
     rho_to_json,
     simulate_tomography,
@@ -53,7 +52,7 @@ SINGLE_STATES = {
 def test_analyzer_angle_table_matches_states():
     # Each letter's (qwp, pol) pair must transmit exactly the letter's state.
     for letter, target in SINGLE_STATES.items():
-        got = analyzer_state(ANALYZER_ANGLES[letter])
+        got = _arm_states([ANALYZER_ANGLES[letter]])[0]
         overlap = abs(np.vdot(got, target))
         assert overlap == pytest.approx(1.0, abs=1e-12), letter
 
@@ -448,16 +447,16 @@ def test_settings_model_is_a_read_only_copy_of_a_fresh_build():
 
 def test_mle_line_search_rarely_backtracks(monkeypatch):
     # Every line search evaluates f at one projected point for the step it
-    # takes and at one more for each backtrack; the convergence checks
-    # project too (one projection per residual), but never evaluate f there.
-    # The finish is off: with it these records take 56 gradient steps in all,
-    # most of them spent finding the first step size.  Growing the step by 1.1 per iteration
+    # takes and at one more for each backtrack; the start and the convergence
+    # checks project too (one projection per record and one per residual),
+    # but never evaluate f there.  The finish is off: with it these records
+    # take 5 gradient steps in all.  Growing the step by 1.1 per iteration
     # brings a halving about once in log 2 / log 1.1 ~ 7 iterations (0.17
-    # backtracks per iteration over the 2,324 here); growing it by 2 gives
+    # backtracks per iteration over the 2,345 here); growing it by 2 gives
     # about one per iteration.
     monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
     projections, residuals = [], []
-    true_project = tomography_mod._project_density
+    true_project = tomography_mod.project_physical
     true_residual = tomography_mod._residual
 
     def counting_project(h):
@@ -468,12 +467,13 @@ def test_mle_line_search_rarely_backtracks(monkeypatch):
         residuals.append(1)
         return true_residual(rho, grad)
 
-    monkeypatch.setattr(tomography_mod, "_project_density", counting_project)
+    monkeypatch.setattr(tomography_mod, "project_physical", counting_project)
     monkeypatch.setattr(tomography_mod, "_residual", counting_residual)
     iterations = 0
-    for record, sparse in _seeded_dephased_records():
+    records = _seeded_dephased_records()
+    for record, sparse in records:
         iterations += reconstruct_mle(record, jeffreys=sparse).iterations
-    trials = len(projections) - len(residuals)
+    trials = len(projections) - len(residuals) - len(records)
     assert iterations <= trials
     assert trials - iterations <= 0.25 * iterations
 
@@ -494,11 +494,11 @@ def _seeded_dephased_records():
 
 
 def test_mle_newton_finish_cuts_iterations():
-    # APG alone takes 2,324 iterations on these records and stops at
-    # residuals up to 4.4e-7.  With the Newton finish tried from the start
-    # and from residual 0.1 on, it takes 119 (APG and Newton steps together;
-    # 144 when first tried after two APG steps, 685 when first tried at
-    # 1e-3) and stops at the optimum, residual 3.6e-12 at most.
+    # APG alone takes 2,345 iterations on these records and stops at
+    # residuals up to 3.0e-6.  With the Newton finish tried from the start
+    # and from residual 0.1 on, it takes 120 (APG and Newton steps together;
+    # 143 when first tried after two APG steps, 598 when first tried at
+    # 1e-3) and stops at the optimum, residual 4.7e-13 at most.
     results = [reconstruct_mle(record, jeffreys=sparse) for record, sparse in _seeded_dephased_records()]
     assert sum(r.iterations for r in results) <= 250
     assert max(r.residual for r in results) <= 1e-9
@@ -677,9 +677,12 @@ def test_mle_finish_on_a_rank_three_face(monkeypatch, d, seed):
     assert np.abs(result.rho - alone.rho).max() < 1e-6
 
 
-def test_project_physical_rejects_hopeless_input():
-    with pytest.raises(ReconstructionError):
-        project_physical(-np.eye(4, dtype=complex))
+def test_project_physical_maps_every_hermitian_to_a_state():
+    # No Hermitian input is hopeless: -I has four equal eigenvalues, so its
+    # nearest state is I/4.  A state comes back as it is.
+    assert np.abs(project_physical(-np.eye(4, dtype=complex)) - np.eye(4) / 4.0).max() <= 1e-15
+    for rho in (state_density(bell_state()), dephasing_noise(bell_state(), 0.3), np.eye(4) / 4.0):
+        assert np.abs(project_physical(rho) - rho).max() <= 1e-15
 
 
 def test_fidelity_pure_and_mixed():
@@ -883,7 +886,7 @@ def test_factor_derivatives_match_finite_difference():
             assert np.abs(hess @ t + g).max() <= 1e-12 * np.abs(hess).max() * np.linalg.norm(t)
 
 
-def _project_density_reference(h):
+def _nearest_state_reference(h):
     # The simplex shift as array code: cumsum over the descending eigenvalues.
     evals, vecs = np.linalg.eigh(h)
     desc = evals[::-1]
@@ -913,8 +916,8 @@ def _hermitian(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_hermitian())
 def test_project_density_matches_array_reference(h):
-    rho = _project_density(h)
-    assert np.array_equal(rho, _project_density_reference(h))
+    rho = project_physical(h)
+    assert np.array_equal(rho, _nearest_state_reference(h))
     assert np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() >= -1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-12
 
