@@ -75,20 +75,20 @@ _MAX_ITER = 5000
 _STALL_STEPS = 5
 _RESIDUAL_TOL = 1e-5
 _ROUNDING = 4.0 * np.finfo(float).eps
-_MIN_STEP = 1e-30
 _STEP_GROWTH = 1.1
+# Both line searches, APG's and Newton's, try _HALVINGS points at most, down to 2^-99.
+_HALVINGS = 100
 # Newton finish (see reconstruct_mle and _newton_finish): tried when the
 # residual, taken at the start and after every accepted step, is at most
 # _FINISH_RESIDUAL, and after a dropped try when it is at most
 # _FINISH_RESIDUAL times the residual at that try.  It factors rho over all
 # four eigenvectors, each eigenvalue lifted to at least _EIGEN_FLOOR, so
-# those the projection zeroed can grow again; _GAUGE_TOL, _NEWTON_MAX and
-# _NEWTON_HALVINGS shape each Newton step.
+# those the projection zeroed can grow again; _GAUGE_TOL and _NEWTON_MAX
+# shape each Newton step.
 _FINISH_RESIDUAL = 0.1
 _EIGEN_FLOOR = 1e-12
 _GAUGE_TOL = 1e-10
 _NEWTON_MAX = 30
-_NEWTON_HALVINGS = 30
 
 
 def standard_settings(basis=DEFAULT_BASIS) -> list[MeasurementSetting]:
@@ -111,6 +111,14 @@ def standard_settings(basis=DEFAULT_BASIS) -> list[MeasurementSetting]:
     ]
 
 
+def _settings_tuple(settings) -> tuple:
+    """settings as a tuple; ValueError unless it is a non-empty list of MeasurementSetting."""
+    settings = tuple(settings)
+    if not settings or not all(isinstance(s, MeasurementSetting) for s in settings):
+        raise ValueError("settings must be a non-empty list of MeasurementSetting")
+    return settings
+
+
 @dataclass(frozen=True)
 class TomographyRecord:
     """Coincidence counts for a list of settings, all taken with equal shots.
@@ -125,9 +133,7 @@ class TomographyRecord:
     shots: float
 
     def __post_init__(self):
-        settings = tuple(self.settings)
-        if not settings or not all(isinstance(s, MeasurementSetting) for s in settings):
-            raise ValueError("settings must be a non-empty list of MeasurementSetting")
+        settings = _settings_tuple(self.settings)
         counts = np.asarray(self.counts, dtype=float)
         if counts.shape != (len(settings),):
             raise ValueError(
@@ -227,11 +233,11 @@ def simulate_tomography(
 
     rho is validated once and every setting's probability comes from one
     batched Born-rule evaluation.  seed None skips the sampling and stores
-    the exact expected counts.
+    the exact expected counts.  settings are checked before any model is built.
     """
     shots = positive_float(shots, "shots")
     rho = state_density(rho)
-    settings = tuple(settings if settings is not None else standard_settings())
+    settings = _settings_tuple(settings if settings is not None else standard_settings())
     counts = _draw_counts(shots * _born_probabilities(rho, _model(settings).stack), seed)
     return TomographyRecord(settings=settings, counts=counts, shots=shots)
 
@@ -327,16 +333,23 @@ def project_physical(h: np.ndarray) -> np.ndarray:
     move to the nearest point of the probability simplex (Smolin, Gambetta &
     Smith, PRL 108, 070502 (2012)).  Every Hermitian h has one; -I maps to I/4.
 
-    The shift is the last (sum of the k largest - 1) / k below the k-th largest
-    eigenvalue, found by a running sum over the four eigenvalues as floats.
+    Eigenvalue lam_j becomes max(lam_j - lam_k + (1 - s_k) / k, 0), with
+    lam_1 >= ... >= lam_4 and s_k = sum_{i<=k} (lam_i - lam_k): k is the most
+    eigenvalues with s_k < 1, found by a running sum of differences.  Written
+    in differences, never as lam - 1, the result stays a state where lam - 1
+    rounds to lam (|lam| >= 2^53, as a gradient step on a record with far more
+    counts than shots can make).
     """
     evals, vecs = np.linalg.eigh(h)
-    total = shift = 0.0
-    for k, lam in enumerate(reversed(evals.tolist()), 1):
-        total += lam
-        if lam > (total - 1.0) / k:
-            shift = (total - 1.0) / k
-    return (vecs * np.maximum(evals - shift, 0.0)) @ vecs.conj().T
+    top = evals.tolist()[::-1]
+    lowest, spread, k = top[0], 0.0, 1
+    for lam in top[1:]:
+        wider = spread + k * (lowest - lam)
+        if wider >= 1.0:
+            break
+        lowest, spread, k = lam, wider, k + 1
+    weights = np.maximum((evals - lowest) + (1.0 - spread) / k, 0.0)
+    return (vecs * weights) @ vecs.conj().T
 
 
 def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
@@ -489,7 +502,7 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
     g and H.  It solves with the Hessian's |eigenvalues|, skipping those at
     most _GAUGE_TOL times the largest (the scale, and directions where T is
     near singular).  It keeps the full step, or the first of its halvings
-    (_NEWTON_HALVINGS trial points in all), at which f does not rise beyond
+    (_HALVINGS trial points in all), at which f does not rise beyond
     its rounding error, and stops after the step whose promised fall,
     g . H^-1 g, is within that error.  It also stops when no trial point is
     kept, when the Hessian is not finite, or after _NEWTON_MAX steps.  The
@@ -512,7 +525,7 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
         move = vec[:, keep] @ (slopes / size[keep])
         last = slopes**2 @ (1.0 / size[keep]) <= err
         alpha = 1.0
-        for _ in range(_NEWTON_HALVINGS):
+        for _ in range(_HALVINGS):
             trial = t - alpha * move
             turned, p = _factor_probabilities(trial, table)
             f_new, w_new, err_new = objective(p)
@@ -536,13 +549,15 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     (_mle_objective; Shang, Zhang, Ng, Ng & Englert, PRA 95, 062336 (2017)).
     Each iteration is one gradient step from a Nesterov momentum point,
     projected onto the density matrices (project_physical) and backtracked
-    until f falls as its quadratic model promises.  The step halves on each backtrack and grows by
+    until f falls as its quadratic model promises, at most _HALVINGS trial
+    points.  The step halves on each backtrack and grows by
     _STEP_GROWTH = 1.1 after each iteration, so a line search backtracks
     about once in log 2 / log 1.1 ~ 7 iterations; doubling it instead makes
     nearly every line search backtrack, at one more projection and one more
-    evaluation of f each.  A step that raises f, or that turns against
-    the momentum, is discarded and the momentum restarts (O'Donoghue &
-    Candes, Found. Comput. Math. 15, 715 (2015)).  The start is the nearest
+    evaluation of f each.  A step from a momentum point that raises f is
+    discarded and the momentum restarts, as it does when the extrapolated
+    point leaves f's domain (O'Donoghue & Candes, Found. Comput. Math. 15,
+    715 (2015), their function restart).  The start is the nearest
     state to the linear inversion mixed with 1e-3 of I/4, so every rate is
     positive; when the linear inversion has vanishing trace, the start is
     I/4, since f is still well defined.  Settings that are not
@@ -625,19 +640,18 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
                 f"MLE did not converge in {_MAX_ITER} iterations (residual {residual:.3e})"
             )
         iteration += 1
-        while True:
+        for _ in range(_HALVINGS):
             new = project_physical(y - step * grad_y)
             f_new, weights, err = objective(_probabilities(design, new))
             move = new - y
             quadratic = f_y + np.vdot(grad_y, move).real + np.vdot(move, move).real / (2.0 * step)
-            if f_new <= quadratic + err or step < _MIN_STEP:
+            if f_new <= quadratic + err:
                 break
             step /= 2.0
-        if theta > 1.0 and (f_new > f + err or np.vdot(y - new, new - rho).real > 0.0):
-            # f rose, or the step turned against the momentum: step again from rho.
-            theta, y, f_y, grad_y = 1.0, rho, f, grad
-            continue
         if f_new > f + err:
+            if theta > 1.0:  # a step from a momentum point: step again from rho
+                theta, y, f_y, grad_y = 1.0, rho, f, grad
+                continue
             if residual <= _RESIDUAL_TOL:
                 break
             raise ReconstructionError(

@@ -232,6 +232,22 @@ def test_simulate_tomography_determinism():
     assert np.allclose(flat.counts, 2500.0, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "settings_",
+    [[], [ArmSetting(pol=0.0)], standard_settings()[:3] + ["HH"]],
+    ids=["empty", "arm", "string"],
+)
+def test_simulate_tomography_checks_settings_before_building_a_model(settings_):
+    # The record's own rule and message, raised before _model caches anything.
+    message = r"^settings must be a non-empty list of MeasurementSetting$"
+    with pytest.raises(ValueError, match=message):
+        TomographyRecord(settings_, np.ones(len(settings_)), 10.0)
+    tomography_mod._model.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        simulate_tomography(bell_state(), 1e3, seed=1, settings=settings_)
+    assert tomography_mod._model.cache_info().currsize == 0
+
+
 def test_linear_inversion_exact_on_noiseless_counts():
     for rho in (
         state_density(bell_state()),
@@ -452,7 +468,7 @@ def test_mle_line_search_rarely_backtracks(monkeypatch):
     # but never evaluate f there.  The finish is off: with it these records
     # take 5 gradient steps in all.  Growing the step by 1.1 per iteration
     # brings a halving about once in log 2 / log 1.1 ~ 7 iterations (0.17
-    # backtracks per iteration over the 2,345 here); growing it by 2 gives
+    # backtracks per iteration over the 2,328 here); growing it by 2 gives
     # about one per iteration.
     monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
     projections, residuals = [], []
@@ -494,10 +510,10 @@ def _seeded_dephased_records():
 
 
 def test_mle_newton_finish_cuts_iterations():
-    # APG alone takes 2,345 iterations on these records and stops at
-    # residuals up to 3.0e-6.  With the Newton finish tried from the start
+    # APG alone takes 2,328 iterations on these records and stops at
+    # residuals up to 5.0e-7.  With the Newton finish tried from the start
     # and from residual 0.1 on, it takes 120 (APG and Newton steps together;
-    # 143 when first tried after two APG steps, 598 when first tried at
+    # 143 when first tried after two APG steps, 582 when first tried at
     # 1e-3) and stops at the optimum, residual 4.7e-13 at most.
     results = [reconstruct_mle(record, jeffreys=sparse) for record, sparse in _seeded_dephased_records()]
     assert sum(r.iterations for r in results) <= 250
@@ -588,9 +604,9 @@ def test_mle_finish_from_an_iterate_of_too_low_rank_is_kept(monkeypatch):
     # dephased:1.0, HVDR, 1e4 shots, Jeffreys, seed 2 has a rank-3 optimum
     # (third eigenvalue 1.1e-5).  With the start check off, the finish is
     # first tried at residual 0.1, from a rank-2 iterate.  Its 4 x 4 factor
-    # regrows the third eigenvalue: 15 iterations in all (13 of them Newton
-    # steps), where APG alone takes 908, and residual 2.4e-10.  Tried from the
-    # start, the finish takes 10 Newton steps.
+    # regrows the third eigenvalue: 12 iterations in all (11 of them Newton
+    # steps), where APG alone takes 988, and residual 6.9e-16.  Tried from the
+    # start, the finish takes 8 Newton steps.
     record = simulate_tomography(
         dephasing_noise(bell_state(), 1.0), 1e4, seed=2, settings=standard_settings(tuple("HVDR"))
     )
@@ -630,9 +646,10 @@ def test_jeffreys_mle_converges_on_clean_high_count_records(basis, shots):
      (1.0, "HVDR", 1e9), (1.0, "HVDL", 1e9)],
 )
 def test_jeffreys_mle_finishes_clean_records_before_apg_fails(d, basis, shots):
-    # Noiseless Jeffreys records on which APG's first steps fail: at d = 0 it
-    # accepts a rate at rounding level and its line search fails at iteration
-    # 3, at d = 1 it fails at iterations 4-11 with residual 1.225.  Their
+    # Noiseless Jeffreys records on which APG alone fails or barely
+    # converges: at d = 0 its line search fails at iterations 5-16 with
+    # residual 1.414 in four of the six (the other two take 27 and 28
+    # iterations), at d = 1 it fails at iterations 4-9 with residual 1.225.  Their
     # linear starts are close enough for the finish to be tried before APG
     # takes a step, and it converges there.  At d = 1 and 1e9 shots it does
     # so in 6 Newton steps only because each step is kept while f does not
@@ -648,9 +665,9 @@ def test_jeffreys_mle_finishes_clean_records_before_apg_fails(d, basis, shots):
 
 @pytest.mark.parametrize(
     "d,seed",
-    # dephased:0.42, seed 19: third eigenvalue 3.0e-4, APG alone takes 514
+    # dephased:0.42, seed 19: third eigenvalue 3.0e-4, APG alone takes 506
     # iterations.  d = 0.346..., seed 1021269449 (an `analysis` benchmark
-    # record): third eigenvalue 3.1e-4, APG alone takes 606 iterations.  On the
+    # record): third eigenvalue 3.1e-4, APG alone takes 538 iterations.  On the
     # second, Newton with |lambda| over every direction of T halves T at each
     # step and stops after 30 steps far from the optimum, because away from it
     # the Hessian along the scale x is -g, not 0; on the complement of the
@@ -659,7 +676,7 @@ def test_jeffreys_mle_finishes_clean_records_before_apg_fails(d, basis, shots):
 )
 def test_mle_finish_on_a_rank_three_face(monkeypatch, d, seed):
     # HVDL, 1e3 shots, Jeffreys: rank-3 optimums, finished in a few Newton
-    # steps from the full-rank start (10 and 6), before APG takes a step.
+    # steps from the full-rank start (10 and 7), before APG takes a step.
     record = simulate_tomography(
         dephasing_noise(bell_state(), d), 1e3, seed=seed, settings=standard_settings(tuple("HVDL"))
     )
@@ -887,12 +904,14 @@ def test_factor_derivatives_match_finite_difference():
 
 
 def _nearest_state_reference(h):
-    # The simplex shift as array code: cumsum over the descending eigenvalues.
+    # The simplex projection as array code: s_k = sum_{i<=k} (lam_i - lam_k)
+    # as a cumsum of k (lam_k - lam_{k+1}) over the descending eigenvalues.
     evals, vecs = np.linalg.eigh(h)
     desc = evals[::-1]
-    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, len(desc) + 1)
-    shift = shifts[desc > shifts][-1]
-    return (vecs * np.maximum(evals - shift, 0.0)) @ vecs.conj().T
+    spreads = np.concatenate(([0.0], np.cumsum(np.arange(1, 4) * (desc[:-1] - desc[1:]))))
+    k = np.flatnonzero(spreads < 1.0)[-1] + 1
+    weights = np.maximum((evals - desc[k - 1]) + (1.0 - spreads[k - 1]) / k, 0.0)
+    return (vecs * weights) @ vecs.conj().T
 
 
 _EIGENVALUE = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5]))
@@ -920,6 +939,36 @@ def test_project_density_matches_array_reference(h):
     assert np.array_equal(rho, _nearest_state_reference(h))
     assert np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() >= -1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [2.0**53, 1e17, 1e300])
+def test_project_physical_keeps_a_state_past_the_float_spacing_of_one(scale):
+    # Where lam - 1 rounds to lam, a shift lam - 1 gives the top eigenvalue a
+    # weight of 0, or keeps it whole.  The nearest state to
+    # V diag(0, -1, 1, 3) V^dagger * scale is the top eigenvector's projector;
+    # to diag(3, -1, 1, 3) * scale, whose tie eigh keeps exact, it is the even
+    # mix of the two tied states.
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h = (q * (scale * np.array([0.0, -1.0, 1.0, 3.0]))) @ q.conj().T
+    rho = project_physical((h + h.conj().T) / 2.0)
+    assert np.abs(rho - np.outer(q[:, 3], q[:, 3].conj())).max() <= 1e-12
+    rho = project_physical(np.diag(scale * np.array([3.0, -1.0, 1.0, 3.0])).astype(complex))
+    assert np.array_equal(rho, np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
+
+
+def test_mle_converges_on_single_setting_records():
+    # 10,147 counts on one setting, none elsewhere, at shots 1: the gradient
+    # steps project matrices with eigenvalues past 2^53, where lam - 1 rounds
+    # to lam, so each projection must still be a state.
+    for basis in ("HVDR", "HVDL"):
+        for position in range(16):
+            counts = np.zeros(16)
+            counts[position] = 10147.0
+            record = TomographyRecord(standard_settings(tuple(basis)), counts, 1.0)
+            result = reconstruct_mle(record)
+            assert result.residual <= tomography_mod._RESIDUAL_TOL, (basis, position)
+            assert abs(np.trace(result.rho) - 1.0) <= 1e-12
 
 
 def test_mle_has_no_tuning_keywords():
@@ -1073,9 +1122,14 @@ def test_mle_converges_on_records_that_once_failed(index):
 
 
 def test_mle_converges_on_every_random_record():
+    # 4,253 iterations in all; restarting the momentum also when a step turns
+    # against it (O'Donoghue & Candes' gradient restart) takes 4,386.
+    iterations = 0
     for record, jeffreys in _random_hvdr_records():
         result = reconstruct_mle(record, jeffreys=jeffreys)
         assert result.physical and result.iterations < 5000
+        iterations += result.iterations
+    assert iterations <= 4300
 
 
 def test_mle_reports_its_final_residual():
@@ -1095,6 +1149,41 @@ def test_mle_line_search_failure_reports_residual(monkeypatch):
     monkeypatch.setattr(tomography_mod, "_RESIDUAL_TOL", 0.0)
     with pytest.raises(ReconstructionError, match=r"line search failed at iteration \d+ \(residual \d"):
         reconstruct_mle(record, jeffreys=jeffreys)
+
+
+def test_both_line_searches_stop_at_the_halving_limit(monkeypatch):
+    # Every point after the start is out of f's domain, so no trial point
+    # passes: APG's first line search fails after _HALVINGS trial points, as
+    # does the first Newton step, which then keeps the start.
+    record = simulate_tomography(dephasing_noise(bell_state(), 0.1), 1e5, seed=10)
+    model = tomography_mod._model(record.settings)
+    calls = []
+
+    def outside_after_the_start(objective):
+        def wrapped(p):
+            calls.append(1)
+            return objective(p) if len(calls) == 1 else (math.inf, None, 0.0)
+
+        return wrapped
+
+    objective, _ = _mle_objective(record.counts, record.shots, model.stack)
+    start = project_physical(reconstruct_linear(record).rho)
+    point, steps = tomography_mod._newton_finish(start, outside_after_the_start(objective), model.table)
+    assert (steps, len(calls)) == (0, 1 + tomography_mod._HALVINGS)
+    assert np.allclose(point, start, atol=1e-9)
+
+    calls.clear()
+    true_objective = tomography_mod._mle_objective
+
+    def mle_objective(counts, shots, stack):
+        objective, gradient = true_objective(counts, shots, stack)
+        return outside_after_the_start(objective), gradient
+
+    monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
+    monkeypatch.setattr(tomography_mod, "_mle_objective", mle_objective)
+    with pytest.raises(ReconstructionError, match=r"line search failed at iteration 1 "):
+        reconstruct_mle(record)
+    assert len(calls) == 1 + tomography_mod._HALVINGS
 
 
 def test_mle_iteration_limit_reports_the_final_residual(monkeypatch):
