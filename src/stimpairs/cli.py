@@ -268,7 +268,10 @@ def _cmd_sweep_phase(args, config: dict, s: dict) -> int:
     phis = _grid(s, "phi_min", "phi_max", "phi_steps")  # before numpy loads with resonator
     from . import resonator
 
-    rows = resonator.sweep_rows(s["n_list"], phis, s["tau"], s["m"])
+    table = resonator.sweep_rows(s["n_list"], phis, s["tau"], s["m"])
+    # N and M are exact integers held as floats; CSV and JSON write them as ints.
+    n, phi, tau, m, *probs = table.T.tolist()
+    rows = zip(map(int, n), phi, tau, map(int, m), *probs)
     return _emit_scan(args, s, resonator.SWEEP_COLUMNS, rows)
 
 

@@ -23,13 +23,14 @@ Each observable has one implementation on an array of x = |A| tau.  The
 scalar functions evaluate it on a one-element array, and grid callers
 (sweep_rows, the tilt-scan fringe) on a whole phase grid after validating
 their inputs once, so a grid entry equals the scalar call bit for bit.
+sweep_rows returns its grid as one float64 table, N and M held as exact
+floats; the CLI converts it to Python numbers only to write CSV or JSON.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -178,32 +179,34 @@ def multiphoton_contamination(cfg: ResonatorConfig) -> float:
     return float(_contamination(_scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
 
 
-def sweep_rows(n_values, phis, tau: float, m: int = 1) -> list[tuple]:
-    """Evaluate the sweep grid, one row per (N, phi) pair, columns SWEEP_COLUMNS.
+def sweep_rows(n_values, phis, tau: float, m: int = 1) -> np.ndarray:
+    """Evaluate the sweep grid as one float64 table, one row per (N, phi) pair.
 
-    The grid order is N-major then phi, and phi is echoed as given.  Inputs
-    are validated once and the phasors exp(i m phi) are built once, for the
+    The table is C-contiguous with shape (len(n_values) * len(phis), 7) and
+    columns SWEEP_COLUMNS; the rows are N-major then phi, and phi is echoed as
+    given.  N and M are exact small integers held as floats.  Inputs are
+    validated once and the phasors exp(i m phi) are built once, for the
     largest N; each N then sums the first N of them over all phases, the sum
     _phasor_sum takes, into one row of an (N values, phases) array, and each
     column is evaluated once on that whole array, so every row equals the
-    scalar functions on ResonatorConfig(N, phi, tau) bit for bit.  Each row
-    is a tuple (int N, float phi, float tau, int M, three floats), zipped in
-    C from the constant N, tau and M and the columns' float lists; no Python
-    code runs per row.
+    scalar functions on ResonatorConfig(N, phi, tau) bit for bit.
     """
     n_values = [positive_int(n, "n_passes") for n in n_values]
     phis = finite(phis, "phi").reshape(-1)
     wrapped = _wrap(phis)
     tau = _check_tau(tau)
     m = positive_int(m, "pair order M")
-    echoed = phis.tolist()
     terms = _phasor_terms(max(n_values, default=0), wrapped)
     sums = np.empty((len(n_values), len(phis)), dtype=complex)
     for row, n in zip(sums, n_values):
         terms[:, :n].sum(axis=-1, out=row)
     x = _modulus_times(sums, tau)
-    columns = [c.tolist() for c in (_p_exact(m, x), _p_approx(m, x), _contamination(x))]
-    rows = []
-    for n, *values in zip(n_values, *columns):
-        rows.extend(zip(repeat(n), echoed, repeat(tau), repeat(m), *values))
-    return rows
+    table = np.empty((len(n_values), len(phis), len(SWEEP_COLUMNS)))
+    table[..., 0] = np.reshape(n_values, (-1, 1))
+    table[..., 1] = phis
+    table[..., 2] = tau
+    table[..., 3] = m
+    table[..., 4] = _p_exact(m, x)
+    table[..., 5] = _p_approx(m, x)
+    table[..., 6] = _contamination(x)
+    return table.reshape(-1, len(SWEEP_COLUMNS))

@@ -71,6 +71,40 @@ def test_sweep_phase_json(capsys):
     assert len(doc["rows"]) == 2
 
 
+def test_sweep_phase_rows_are_the_scalar_values_byte_for_byte(capsys):
+    # The library returns one float table; the CLI writes N and M as ints and
+    # every float by repr, each equal to the scalar functions at its (N, phi).
+    from stimpairs.resonator import (
+        ResonatorConfig,
+        multiphoton_contamination,
+        pair_probability_approx,
+        pair_probability_exact,
+    )
+
+    argv = ["sweep-phase", "--n-list", "10,1,129", "--m", "3", "--tau", "0.05", "--phi-steps", "7"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    config = json.loads(lines[1].removeprefix("# config: "))
+    phis = np.linspace(config["phi_min"], config["phi_max"], 7).tolist()
+    want = []
+    for n in (10, 1, 129):
+        for phi in phis:
+            cfg = ResonatorConfig(n, phi, 0.05)
+            want.append(
+                [n, phi, 0.05, 3, pair_probability_exact(3, cfg), pair_probability_approx(3, cfg),
+                 multiphoton_contamination(cfg)]
+            )
+    assert lines[3:] == [
+        f"{n},{phi!r},{tau!r},{m},{exact!r},{approx!r},{c!r}" for n, phi, tau, m, exact, approx, c in want
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows == want
+    assert all(type(r[0]) is int and type(r[3]) is int for r in rows)
+
+
 def test_sweep_phase_bad_n_list(capsys):
     code, _, err = run(capsys, "sweep-phase", "--n-list", "1,x")
     assert code == 1

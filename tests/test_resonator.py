@@ -175,12 +175,24 @@ def test_contamination_frozen_value():
 
 
 def test_sweep_rows_order_and_columns():
-    rows = sweep_rows([2, 1], [0.0, 0.5], 1e-3)
-    assert len(rows) == 4
-    assert [r[0] for r in rows] == [2, 2, 1, 1]
-    assert all(len(r) == len(SWEEP_COLUMNS) for r in rows)
-    cfg = ResonatorConfig(2, 0.5, 1e-3)
-    assert rows[1][4] == pytest.approx(pair_probability_exact(1, cfg))
+    # One C-ordered float64 table, N-major then phi, phi echoed as given; N
+    # and M are exact integers held as floats (the CLI writes them as ints).
+    ns, phis = [10, 1, 129], [0.0, 2.5, -1e-17]
+    table = sweep_rows(ns, phis, 0.05, 3)
+    assert isinstance(table, np.ndarray)
+    assert table.shape == (len(ns) * len(phis), len(SWEEP_COLUMNS))
+    assert table.dtype == np.float64 and table.flags.c_contiguous
+    assert table[:, 0].tolist() == [n for n in ns for _ in phis]
+    assert table[:, 1].tolist() == phis * len(ns)
+    assert set(table[:, 2].tolist()) == {0.05} and set(table[:, 3].tolist()) == {3}
+    cfg = ResonatorConfig(10, 2.5, 0.05)
+    assert table[1, 4] == pytest.approx(pair_probability_exact(3, cfg))
+
+
+@pytest.mark.parametrize("ns, phis", [([], [0.0, 1.0]), ([2, 3], []), ([], [])])
+def test_sweep_rows_empty_grid_is_an_empty_table(ns, phis):
+    table = sweep_rows(ns, phis, 1e-3)
+    assert table.shape == (0, len(SWEEP_COLUMNS)) and table.dtype == np.float64
 
 
 def test_sweep_rows_match_scalar_api_bit_for_bit():
@@ -192,11 +204,14 @@ def test_sweep_rows_match_scalar_api_bit_for_bit():
     for ns in ([1, 2, 3, 5], [10, 1, 65, 3, 4, 129, 8]):
         for m in (1, 2, 3):
             for tau in (0.0, 1e-3, 0.05, 0.7):
-                rows = sweep_rows(ns, phis, tau, m)
-                assert [(r[0], r[1]) for r in rows] == [(n, p) for n in ns for p in phis]
-                for n, phi, row_tau, row_m, exact, approx, contamination in rows:
-                    assert type(n) is int and type(row_m) is int
-                    assert type(phi) is float and type(row_tau) is float
+                table = sweep_rows(ns, phis, tau, m)
+                assert table.dtype == np.float64
+                rows = table.tolist()
+                grid = [(n, p) for n in ns for p in phis]
+                assert [(r[0], r[1]) for r in rows] == grid
+                for (n, phi), row in zip(grid, rows):
+                    _, _, row_tau, row_m, exact, approx, contamination = row
+                    assert row_tau == tau and row_m == m
                     cfg = ResonatorConfig(n, phi, row_tau)
                     assert exact == pair_probability_exact(m, cfg)
                     assert approx == pair_probability_approx(m, cfg)

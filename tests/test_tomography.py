@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stimpairs.tomography as tomography_mod
 from stimpairs.errors import ReconstructionError, SchemaError
@@ -1220,6 +1220,15 @@ def test_mle_refuses_incomplete_settings():
     shots=st.floats(1e-3, 1e7),
     basis=st.sampled_from(["HVDR", "HVDA", "HVDL"]),
     jeffreys=st.booleans(),
+)
+# Two records the draws have found, pinned because which examples are drawn
+# shifts with the literals of the loaded modules: one setting with 67 counts
+# at shots 1e-3 (once a lambda - 1 projection's non-state, now 119 iterations)
+# and its 53,382-count Jeffreys twin, which does not converge yet.
+@example(counts=[0.0] * 13 + [67.0, 0.0, 0.0], shots=1e-3, basis="HVDR", jeffreys=False)
+@example(counts=[0.0] * 13 + [53382.0, 0.0, 0.0], shots=1e-3, basis="HVDR", jeffreys=True).xfail(
+    raises=ReconstructionError,
+    reason="Jeffreys MLE does not converge when counts far exceed shots (ROADMAP items 18 and 19)",
 )
 def test_mle_is_physical_or_raises_reconstruction_error(counts, shots, basis, jeffreys):
     # HVDR and HVDL are informationally complete, so every record has a
