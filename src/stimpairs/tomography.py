@@ -20,10 +20,11 @@ steps on the Poisson negative log-likelihood, each projected back onto the
 density matrices, so every iterate and the result are physical.  One map
 does every such projection: project_physical, the nearest density matrix in
 Frobenius norm.  The MLE's steps, its residual and its start use it, and so
-does the command line's fidelity of a linear estimate.  From its start on,
-whenever it is near the optimum, the MLE tries to finish with Newton steps on
-rho = T^2 / tr T^2, T a Hermitian 4 x 4 factor in 16 fixed real coordinates,
-and keeps that point only if it passes the gradient loop's own exit test.
+does the command line's fidelity of a linear estimate.  The MLE first tries
+to finish from its start with Newton steps on rho = T^2 / tr T^2, T a
+Hermitian 4 x 4 factor in 16 fixed real coordinates, and keeps that point
+only if it passes the gradient loop's own exit test; after a dropped try it
+tries again once the gradient steps have cut the residual tenfold.
 One objective serves both: it maps a point's setting probabilities to the
 likelihood.  The gradient loop reads them off the design matrix
 (design @ vec rho); the finish reads them off a factor table, one 16 x 16
@@ -78,12 +79,11 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 _STEP_GROWTH = 1.1
 # Both line searches, APG's and Newton's, try _HALVINGS points at most, down to 2^-99.
 _HALVINGS = 100
-# Newton finish (see reconstruct_mle and _newton_finish): tried when the
-# residual, taken at the start and after every accepted step, is at most
-# _FINISH_RESIDUAL, and after a dropped try when it is at most
-# _FINISH_RESIDUAL times the residual at that try.  It factors rho over all
-# four eigenvectors, each eigenvalue lifted to at least _EIGEN_FLOOR, so
-# those the projection zeroed can grow again; _GAUGE_TOL and _NEWTON_MAX
+# Newton finish (see reconstruct_mle and _newton_finish): tried at the start,
+# and after a dropped try once the residual, taken after every accepted step,
+# is at most _FINISH_RESIDUAL times the residual at that try.  It factors rho
+# over all four eigenvectors, each eigenvalue lifted to at least _EIGEN_FLOOR,
+# so those the projection zeroed can grow again; _GAUGE_TOL and _NEWTON_MAX
 # shape each Newton step.
 _FINISH_RESIDUAL = 0.1
 _EIGEN_FLOOR = 1e-12
@@ -569,20 +569,17 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     than that bound).  A failed step with a larger residual, or _MAX_ITER
     iterations, is a ReconstructionError.
 
-    APG converges only linearly once the optimum's rank is settled, so it
-    hands over to a second-order finish as soon as it is near the optimum.
-    It keeps one residual, rho's, computed at the start and after every
-    accepted step; the finish trigger, the stall exit, a failed line search
-    and the _MAX_ITER error all read it.  Once it is at most
-    _FINISH_RESIDUAL, _newton_finish runs damped Newton on rho = T^2 / tr T^2
-    over a Hermitian 4 x 4 factor T, so an eigenvalue the projection zeroed
-    can grow back where the optimum is full rank.  T has 16 real
-    coordinates in a fixed basis, and the table that gives f's probabilities
-    and derivatives in them (_factor_table) comes with the settings' cached
-    model (_model).
-    A start that is already that close, as most records with many counts
-    give, is finished before APG takes a step.
-    Its point replaces rho only if it passes the exit test above: f no
+    APG converges only linearly once the optimum's rank is settled, so every
+    record goes to a second-order finish first, before APG takes a step:
+    _newton_finish runs damped Newton on rho = T^2 / tr T^2 over a Hermitian
+    4 x 4 factor T, so an eigenvalue the projection zeroed can grow back
+    where the optimum is full rank.  T has 16 real coordinates in a fixed
+    basis, and the table that gives f's probabilities and derivatives in
+    them (_factor_table) comes with the settings' cached model (_model).
+    The loop keeps one residual, rho's, computed at the start and after
+    every accepted step; the finish's retry, the stall exit, a failed line
+    search and the _MAX_ITER error all read it.
+    The finish's point replaces rho only if it passes the exit test above: f no
     higher than rho's beyond rounding and residual at most _RESIDUAL_TOL.
     Otherwise it is dropped and APG goes on from its own state, untouched,
     and the finish is tried again once the residual is at most
@@ -617,7 +614,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     prev, theta, step = rho, 1.0, 1.0
     y, f_y, grad_y = rho, f, grad
     best, stalled = f, 0
-    newton_steps, tries, finish_at = 0, 0, _FINISH_RESIDUAL
+    newton_steps, tries, finish_at = 0, 0, math.inf
     # residual is always rho's: computed at the start and after every accepted step.
     iteration, residual = 0, _residual(rho, grad)
     while True:

@@ -465,12 +465,14 @@ def test_mle_line_search_rarely_backtracks(monkeypatch):
     # Every line search evaluates f at one projected point for the step it
     # takes and at one more for each backtrack; the start and the convergence
     # checks project too (one projection per record and one per residual),
-    # but never evaluate f there.  The finish is off: with it these records
-    # take 5 gradient steps in all.  Growing the step by 1.1 per iteration
+    # but never evaluate f there.  Every finish try is dropped
+    # (_rejected_finish, whose point is never projected); with the finish,
+    # every one of these records ends in its first try, with no gradient
+    # step.  Growing the step by 1.1 per iteration
     # brings a halving about once in log 2 / log 1.1 ~ 7 iterations (0.17
     # backtracks per iteration over the 2,328 here); growing it by 2 gives
     # about one per iteration.
-    monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
+    monkeypatch.setattr(tomography_mod, "_newton_finish", _rejected_finish)
     projections, residuals = [], []
     true_project = tomography_mod.project_physical
     true_residual = tomography_mod._residual
@@ -511,33 +513,27 @@ def _seeded_dephased_records():
 
 def test_mle_newton_finish_cuts_iterations():
     # APG alone takes 2,328 iterations on these records and stops at
-    # residuals up to 5.0e-7.  With the Newton finish tried from the start
-    # and from residual 0.1 on, it takes 120 (APG and Newton steps together;
-    # 143 when first tried after two APG steps, 582 when first tried at
-    # 1e-3) and stops at the optimum, residual 4.7e-13 at most.
+    # residuals up to 5.0e-7.  With the Newton finish tried at the start of
+    # every record, it takes 119, all of them Newton steps (120 when the start
+    # was tried only at residual 0.1 or below, 143 when first tried after two
+    # APG steps, 582 when first tried at 1e-3), and stops at the optimum,
+    # residual 5.9e-13 at most.
     results = [reconstruct_mle(record, jeffreys=sparse) for record, sparse in _seeded_dephased_records()]
     assert sum(r.iterations for r in results) <= 250
     assert max(r.residual for r in results) <= 1e-9
 
 
+def _rejected_finish(rho, objective, table):
+    # A finish whose point every exit test rejects: I/4 after 0 steps, with f
+    # above the APG iterate's.  Each try is dropped, so APG runs as it would
+    # alone, and each try adds one evaluation of f but no iteration.
+    return np.eye(4, dtype=complex) / 4.0, 0
+
+
 def _apg_alone(monkeypatch, record, jeffreys):
-    # The finish is never tried when its residual threshold is negative.
     with monkeypatch.context() as patch:
-        patch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
+        patch.setattr(tomography_mod, "_newton_finish", _rejected_finish)
         return reconstruct_mle(record, jeffreys=jeffreys)
-
-
-def _without_start_check(monkeypatch):
-    # The first residual reconstruct_mle computes is the start's; read as inf,
-    # it keeps the finish from being tried before APG's first step.
-    calls = []
-    true_residual = tomography_mod._residual
-
-    def residual(rho, grad):
-        calls.append(1)
-        return math.inf if len(calls) == 1 else true_residual(rho, grad)
-
-    monkeypatch.setattr(tomography_mod, "_residual", residual)
 
 
 def _spy_finish(monkeypatch, replace=None):
@@ -582,8 +578,8 @@ def test_mle_drops_a_finish_that_fails_the_exit_test(monkeypatch, replace):
     # untouched: the result is APG's alone bit for bit, its iterations plus
     # the steps of every try, and still meets the reference objective bound.
     for name, record, jeffreys in (p.values for p in _reference_records()):
-        if name.startswith("noiseless"):
-            continue  # converges before the finish is tried
+        if name.startswith("noiseless") and replace is _rescaled_to_the_counts:
+            continue  # its count total is what a trace-one rho predicts: no rescaling
         counts = record.counts + 0.5 if jeffreys else record.counts
         alone = _apg_alone(monkeypatch, record, jeffreys)
         calls = _spy_finish(monkeypatch, replace(record, counts))
@@ -602,19 +598,35 @@ def test_mle_drops_a_finish_that_fails_the_exit_test(monkeypatch, replace):
 
 def test_mle_finish_from_an_iterate_of_too_low_rank_is_kept(monkeypatch):
     # dephased:1.0, HVDR, 1e4 shots, Jeffreys, seed 2 has a rank-3 optimum
-    # (third eigenvalue 1.1e-5).  With the start check off, the finish is
-    # first tried at residual 0.1, from a rank-2 iterate.  Its 4 x 4 factor
-    # regrows the third eigenvalue: 12 iterations in all (11 of them Newton
-    # steps), where APG alone takes 988, and residual 6.9e-16.  Tried from the
-    # start, the finish takes 8 Newton steps.
+    # (third eigenvalue 1.1e-5).  The finish is tried after every accepted
+    # step here, and tries are dropped until the iterate's residual is at
+    # most 0.1, so the finish first runs from APG's first iterate (residual
+    # 0.011), of rank 2, where the start is not.  Its 4 x 4 factor regrows the
+    # third eigenvalue: 12 iterations in all (11 of them Newton steps), where
+    # APG alone takes 988, and residual 6.9e-16.  Tried from the start, as
+    # reconstruct_mle does, the finish takes 8 Newton steps.
     record = simulate_tomography(
         dephasing_noise(bell_state(), 1.0), 1e4, seed=2, settings=standard_settings(tuple("HVDR"))
     )
     alone = _apg_alone(monkeypatch, record, True)
-    _without_start_check(monkeypatch)
+    model = tomography_mod._model(record.settings)
+    _, gradient = _mle_objective(record.counts, record.shots, model.stack)
     calls = _spy_finish(monkeypatch)
+    spy, starts = tomography_mod._newton_finish, []
+
+    def from_the_first_iterate_below_a_tenth(rho, objective, table):
+        # Drops the start's try and every try at a residual above 0.1.
+        starts.append(rho)
+        weights = objective(tomography_mod._probabilities(model.design, rho))[1]
+        if len(starts) == 1 or tomography_mod._residual(rho, gradient(weights)) > 0.1:
+            return _rejected_finish(rho, objective, table)
+        return spy(rho, objective, table)
+
+    monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", math.inf)
+    monkeypatch.setattr(tomography_mod, "_newton_finish", from_the_first_iterate_below_a_tenth)
     result = reconstruct_mle(record, jeffreys=True)
     assert len(calls) == 1
+    assert np.count_nonzero(np.linalg.eigvalsh(starts[0]) > tomography_mod._EIGEN_FLOOR) == 4
     assert np.count_nonzero(np.linalg.eigvalsh(calls[0][0]) > tomography_mod._EIGEN_FLOOR) == 2
     assert result.iterations <= 30
     assert result.residual <= 1e-8
@@ -649,9 +661,9 @@ def test_jeffreys_mle_finishes_clean_records_before_apg_fails(d, basis, shots):
     # Noiseless Jeffreys records on which APG alone fails or barely
     # converges: at d = 0 its line search fails at iterations 5-16 with
     # residual 1.414 in four of the six (the other two take 27 and 28
-    # iterations), at d = 1 it fails at iterations 4-9 with residual 1.225.  Their
-    # linear starts are close enough for the finish to be tried before APG
-    # takes a step, and it converges there.  At d = 1 and 1e9 shots it does
+    # iterations), at d = 1 it fails at iterations 4-9 with residual 1.225.  The
+    # finish is tried from their linear starts before APG takes a step, and
+    # it converges there.  At d = 1 and 1e9 shots it does
     # so in 6 Newton steps only because each step is kept while f does not
     # rise beyond its rounding error: a try that stops once f falls by no more
     # than that error ends short of the optimum, and APG then fails at
@@ -971,6 +983,22 @@ def test_mle_converges_on_single_setting_records():
             assert abs(np.trace(result.rho) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "setting,counts,shots",
+    # Jeffreys HVDR records with counts on one setting only, far above
+    # shots: their linear starts lie far from the optimum (residual above 1),
+    # and APG from there did not converge in 5000 iterations.  Finished from
+    # the start, each takes 22-28 Newton steps.
+    [(3, 53382.0, 0.65), (7, 10147.0, 0.24), (7, 10147.0, 0.068), (13, 53382.0, 1e-3)],
+)
+def test_jeffreys_mle_converges_on_single_setting_records_far_above_shots(setting, counts, shots):
+    record = TomographyRecord(standard_settings(tuple("HVDR")), np.eye(16)[setting] * counts, shots)
+    result = reconstruct_mle(record, jeffreys=True)
+    assert result.residual <= tomography_mod._RESIDUAL_TOL
+    assert result.physical
+    assert result.iterations <= 40
+
+
 def test_mle_has_no_tuning_keywords():
     record = simulate_tomography(bell_state(), 1e3, seed=1)
     with pytest.raises(TypeError):
@@ -1179,18 +1207,21 @@ def test_both_line_searches_stop_at_the_halving_limit(monkeypatch):
         objective, gradient = true_objective(counts, shots, stack)
         return outside_after_the_start(objective), gradient
 
-    monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
+    # The calls are the start's, the finish try's (whose point is dropped)
+    # and the _HALVINGS trial points of APG's first line search.
+    monkeypatch.setattr(tomography_mod, "_newton_finish", _rejected_finish)
     monkeypatch.setattr(tomography_mod, "_mle_objective", mle_objective)
     with pytest.raises(ReconstructionError, match=r"line search failed at iteration 1 "):
         reconstruct_mle(record)
-    assert len(calls) == 1 + tomography_mod._HALVINGS
+    assert len(calls) == 1 + 1 + tomography_mod._HALVINGS
 
 
 def test_mle_iteration_limit_reports_the_final_residual(monkeypatch):
-    # The limit's error names the residual of the rho it gave up on; with the
-    # finish off and no stall in 3 steps, only the accepted steps compute it.
+    # The limit's error names the residual of the rho it gave up on; with
+    # every finish try dropped and no stall in 3 steps, only the accepted
+    # steps compute it.
     monkeypatch.setattr(tomography_mod, "_MAX_ITER", 3)
-    monkeypatch.setattr(tomography_mod, "_FINISH_RESIDUAL", -1.0)
+    monkeypatch.setattr(tomography_mod, "_newton_finish", _rejected_finish)
     record = simulate_tomography(
         dephasing_noise(bell_state(), 0.3), 1e3, seed=4, settings=standard_settings(tuple("HVDL"))
     )
@@ -1223,13 +1254,11 @@ def test_mle_refuses_incomplete_settings():
 )
 # Two records the draws have found, pinned because which examples are drawn
 # shifts with the literals of the loaded modules: one setting with 67 counts
-# at shots 1e-3 (once a lambda - 1 projection's non-state, now 119 iterations)
-# and its 53,382-count Jeffreys twin, which does not converge yet.
+# at shots 1e-3 (once a lambda - 1 projection's non-state, now 11 Newton
+# steps) and its 53,382-count Jeffreys twin (once 5000 iterations without
+# converging, now 26 Newton steps).
 @example(counts=[0.0] * 13 + [67.0, 0.0, 0.0], shots=1e-3, basis="HVDR", jeffreys=False)
-@example(counts=[0.0] * 13 + [53382.0, 0.0, 0.0], shots=1e-3, basis="HVDR", jeffreys=True).xfail(
-    raises=ReconstructionError,
-    reason="Jeffreys MLE does not converge when counts far exceed shots (ROADMAP items 18 and 19)",
-)
+@example(counts=[0.0] * 13 + [53382.0, 0.0, 0.0], shots=1e-3, basis="HVDR", jeffreys=True)
 def test_mle_is_physical_or_raises_reconstruction_error(counts, shots, basis, jeffreys):
     # HVDR and HVDL are informationally complete, so every record has a
     # maximum-likelihood rho; only HVDA (no circular analyzer) may raise.
