@@ -15,20 +15,17 @@ transmitted state J(qwp)^dagger |pol>):
 
 Reconstruction comes in two flavors.  Linear inversion solves the 16x16
 linear system exactly and reports (not clips) negative eigenvalues caused by
-shot noise.  Maximum likelihood works on rho itself: accelerated gradient
-steps on the Poisson negative log-likelihood, each projected back onto the
-density matrices, so every iterate and the result are physical.  One map
-does every such projection: project_physical, the nearest density matrix in
-Frobenius norm.  The MLE's steps, its residual and its start use it, and so
-does the command line's fidelity of a linear estimate.  The MLE first tries
-to finish from its start with Newton steps on rho = T^2 / tr T^2, T a
-Hermitian 4 x 4 factor in 16 fixed real coordinates, and keeps that point
-only if it passes the gradient loop's own exit test; after a dropped try it
-tries again once the gradient steps have cut the residual tenfold.
-One objective serves both: it maps a point's setting probabilities to the
-likelihood.  The gradient loop reads them off the design matrix
-(design @ vec rho); the finish reads them off a factor table, one 16 x 16
-form per setting, and forms rho only at its end.
+shot noise.  Maximum likelihood minimizes the Poisson negative
+log-likelihood over the density matrices by rounds of damped Newton steps on
+rho = T^2 / tr T^2, T a Hermitian 4 x 4 factor in 16 fixed real
+coordinates, so every point and the result are physical.  One map projects
+onto the density matrices: project_physical, the nearest density matrix in
+Frobenius norm.  The MLE's start and its residual use it, and so does the
+command line's fidelity of a linear estimate.  One objective maps a point's
+setting probabilities to the likelihood.  The MLE reads them off the design
+matrix (design @ vec rho) at the start and after each round; the Newton
+steps read them off a factor table, one 16 x 16 form per setting, and form
+rho only at the end of the round.
 
 Everything that depends on the settings list alone (projector stack, design
 matrix, completeness verdict and the finish's factor table) is one read-only
@@ -71,24 +68,18 @@ ANALYZER_ANGLES = {
 DEFAULT_BASIS = ("H", "V", "D", "R")
 
 # MLE limits (see reconstruct_mle).  _ROUNDING * sum_i |c_i ln mu_i - mu_i| /
-# shots bounds the rounding error of f: a rise below it is noise, not a restart.
-_MAX_ITER = 5000
-_STALL_STEPS = 5
+# shots bounds the rounding error of f: a rise below it is noise, not a failed round.
 _RESIDUAL_TOL = 1e-5
 _ROUNDING = 4.0 * np.finfo(float).eps
-_STEP_GROWTH = 1.1
-# Both line searches, APG's and Newton's, try _HALVINGS points at most, down to 2^-99.
-_HALVINGS = 100
-# Newton finish (see reconstruct_mle and _newton_finish): tried at the start,
-# and after a dropped try once the residual, taken after every accepted step,
-# is at most _FINISH_RESIDUAL times the residual at that try.  It factors rho
-# over all four eigenvectors, each eigenvalue lifted to at least _EIGEN_FLOOR,
-# so those the projection zeroed can grow again; _GAUGE_TOL and _NEWTON_MAX
-# shape each Newton step.
-_FINISH_RESIDUAL = 0.1
+_MAX_ROUNDS = 20
+# Each round is one _newton_finish: it factors rho over all four eigenvectors,
+# each eigenvalue lifted to at least _EIGEN_FLOOR, so those near 0 can grow
+# again; _GAUGE_TOL and _NEWTON_MAX shape its steps, and its line search tries
+# _HALVINGS points at most, down to 2^-99.
 _EIGEN_FLOOR = 1e-12
 _GAUGE_TOL = 1e-10
 _NEWTON_MAX = 30
+_HALVINGS = 100
 
 
 def standard_settings(basis=DEFAULT_BASIS) -> list[MeasurementSetting]:
@@ -203,10 +194,9 @@ class ReconstructionResult:
 
     min_eigenvalue reports negativity honestly (linear inversion can go
     negative under shot noise; maximum likelihood cannot).  log_likelihood,
-    iterations (projected gradient steps plus Newton steps), newton_steps
-    (the Newton part of iterations), finish_tries (how often the Newton
-    finish ran) and residual (the final projected-gradient residual
-    ||rho - P(rho - grad f)||) are filled by the MLE only.
+    iterations (Newton steps), rounds (Newton rounds run) and
+    residual (the final projected-gradient residual ||rho - P(rho - grad f)||)
+    are filled by the MLE only.
     """
 
     rho: np.ndarray
@@ -215,8 +205,7 @@ class ReconstructionResult:
     log_likelihood: float | None = None
     iterations: int | None = None
     residual: float | None = None
-    newton_steps: int | None = None
-    finish_tries: int | None = None
+    rounds: int | None = None
 
     @property
     def physical(self) -> bool:
@@ -506,7 +495,7 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
     its rounding error, and stops after the step whose promised fall,
     g . H^-1 g, is within that error.  It also stops when no trial point is
     kept, when the Hessian is not finite, or after _NEWTON_MAX steps.  The
-    caller judges rho' by its own exit test.
+    caller, one round of reconstruct_mle, judges rho' by f and its residual.
     """
     evals, vecs = np.linalg.eigh(rho)
     t = _coordinates((vecs * np.sqrt(np.maximum(evals, _EIGEN_FLOOR))) @ vecs.conj().T)
@@ -543,54 +532,34 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
 
 
 def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> ReconstructionResult:
-    """Maximum likelihood by accelerated projected gradient (APG) on rho.
+    """Maximum likelihood by rounds of damped Newton on a Hermitian factor of rho.
 
     Minimizes the shot-normalized negative Poisson log-likelihood f
-    (_mle_objective; Shang, Zhang, Ng, Ng & Englert, PRA 95, 062336 (2017)).
-    Each iteration is one gradient step from a Nesterov momentum point,
-    projected onto the density matrices (project_physical) and backtracked
-    until f falls as its quadratic model promises, at most _HALVINGS trial
-    points.  The step halves on each backtrack and grows by
-    _STEP_GROWTH = 1.1 after each iteration, so a line search backtracks
-    about once in log 2 / log 1.1 ~ 7 iterations; doubling it instead makes
-    nearly every line search backtrack, at one more projection and one more
-    evaluation of f each.  A step from a momentum point that raises f is
-    discarded and the momentum restarts, as it does when the extrapolated
-    point leaves f's domain (O'Donoghue & Candes, Found. Comput. Math. 15,
-    715 (2015), their function restart).  The start is the nearest
-    state to the linear inversion mixed with 1e-3 of I/4, so every rate is
-    positive; when the linear inversion has vanishing trace, the start is
-    I/4, since f is still well defined.  Settings that are not
-    informationally complete raise ReconstructionError.  Converged means the
-    projected-gradient residual ||rho - P(rho - grad f)|| is at most
-    _RESIDUAL_TOL once f has stalled at rounding level (_STALL_STEPS steps
-    without a new minimum) or once no step lowers f within its rounding bound
-    (near the optimum the projection's O(eps) drift in rho can move f by more
-    than that bound).  A failed step with a larger residual, or _MAX_ITER
-    iterations, is a ReconstructionError.
+    (_mle_objective) over the density matrices.  The start is the nearest
+    state (project_physical) to the linear inversion mixed with 1e-3 of I/4,
+    so every rate is positive; when the linear inversion has vanishing trace,
+    the start is I/4, since f is still well defined.  Settings that are not
+    informationally complete raise ReconstructionError.
 
-    APG converges only linearly once the optimum's rank is settled, so every
-    record goes to a second-order finish first, before APG takes a step:
-    _newton_finish runs damped Newton on rho = T^2 / tr T^2 over a Hermitian
-    4 x 4 factor T, so an eigenvalue the projection zeroed can grow back
-    where the optimum is full rank.  T has 16 real coordinates in a fixed
-    basis, and the table that gives f's probabilities and derivatives in
-    them (_factor_table) comes with the settings' cached model (_model).
-    The loop keeps one residual, rho's, computed at the start and after
-    every accepted step; the finish's retry, the stall exit, a failed line
-    search and the _MAX_ITER error all read it.
-    The finish's point replaces rho only if it passes the exit test above: f no
-    higher than rho's beyond rounding and residual at most _RESIDUAL_TOL.
-    Otherwise it is dropped and APG goes on from its own state, untouched,
-    and the finish is tried again once the residual is at most
-    _FINISH_RESIDUAL times the residual at the dropped try; if every try is
-    dropped, the result is what APG alone gives.  iterations counts
-    projected gradient steps, discarded ones included, plus the Newton
-    steps of every try, newton_steps those Newton steps and finish_tries
-    the tries, and residual is the projected-gradient residual of the
-    point returned.  log_likelihood is -shots f at the returned rho on the
-    recorded counts, log_likelihood(record, rho), and finite for every result.
-    jeffreys adds 0.5 to every count in the objective, never to the report.
+    Each round is one _newton_finish from the current rho: damped Newton on
+    rho = T^2 / tr T^2 over a Hermitian 4 x 4 factor T (Burer & Monteiro,
+    Math. Program. 95, 329 (2003)), with every eigenvalue of rho first lifted
+    to at least _EIGEN_FLOOR, so an eigenvalue near 0 can grow back where the
+    optimum is full rank.  T has 16 real coordinates in a fixed basis, and
+    the table that gives f's probabilities and derivatives in them
+    (_factor_table) comes with the settings' cached model (_model).  A round
+    ends at its promised-fall stop or after _NEWTON_MAX steps, so where the
+    optimum has eigenvalues near _EIGEN_FLOOR a round can end short of it;
+    the next round lifts them again and goes on.  A round whose point raises
+    f beyond its rounding error is a ReconstructionError.  Converged means
+    the projected-gradient residual ||rho - P(rho - grad f)||, taken after
+    every round, is at most _RESIDUAL_TOL; _MAX_ROUNDS rounds without that
+    are a ReconstructionError naming the final residual.  iterations counts
+    the Newton steps of every round, rounds the rounds, and residual is the
+    projected-gradient residual of the point returned.  log_likelihood is
+    -shots f at the returned rho on the recorded counts,
+    log_likelihood(record, rho), and finite for every result.  jeffreys adds
+    0.5 to every count in the objective, never to the report.
 
     record.shots is taken as the exact scale of the mean counts,
     mu_i = shots Tr(rho Pi_i), so it must be the number of trials with the
@@ -609,65 +578,23 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     except ReconstructionError:  # vanishing trace
         rho = np.eye(4) / 4.0
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
-    f, weights, _ = objective(_probabilities(design, rho))
-    grad = gradient(weights)
-    prev, theta, step = rho, 1.0, 1.0
-    y, f_y, grad_y = rho, f, grad
-    best, stalled = f, 0
-    newton_steps, tries, finish_at = 0, 0, math.inf
-    # residual is always rho's: computed at the start and after every accepted step.
-    iteration, residual = 0, _residual(rho, grad)
-    while True:
-        if residual <= finish_at:
-            # The Newton point replaces rho only if it passes the exit test;
-            # otherwise APG goes on from its own state, untouched, and the
-            # next try waits for a residual _FINISH_RESIDUAL times this one.
-            finish_at = _FINISH_RESIDUAL * residual
-            tries += 1
-            finish, steps = _newton_finish(rho, objective, model.table)
-            newton_steps += steps
-            f_finish, w_finish, err_finish = objective(_probabilities(design, finish))
-            if w_finish is not None and f_finish <= f + err_finish:
-                gap = _residual(finish, gradient(w_finish))
-                if gap <= _RESIDUAL_TOL:
-                    rho, residual = finish, gap
-                    break
-        if iteration == _MAX_ITER:
-            raise ReconstructionError(
-                f"MLE did not converge in {_MAX_ITER} iterations (residual {residual:.3e})"
-            )
-        iteration += 1
-        for _ in range(_HALVINGS):
-            new = project_physical(y - step * grad_y)
-            f_new, weights, err = objective(_probabilities(design, new))
-            move = new - y
-            quadratic = f_y + np.vdot(grad_y, move).real + np.vdot(move, move).real / (2.0 * step)
-            if f_new <= quadratic + err:
-                break
-            step /= 2.0
+    f = objective(_probabilities(design, rho))[0]
+    steps = 0
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        rho, taken = _newton_finish(rho, objective, model.table)
+        steps += taken
+        f_new, weights, err = objective(_probabilities(design, rho))
         if f_new > f + err:
-            if theta > 1.0:  # a step from a momentum point: step again from rho
-                theta, y, f_y, grad_y = 1.0, rho, f, grad
-                continue
-            if residual <= _RESIDUAL_TOL:
-                break
             raise ReconstructionError(
-                f"MLE line search failed at iteration {iteration} (residual {residual:.3e})"
+                f"MLE round {rounds} raised f by {f_new - f:.3e}, beyond its rounding error {err:.3e}"
             )
-        prev, rho, f, grad = rho, new, f_new, gradient(weights)
-        best, stalled = (f, 0) if f < best else (best, stalled + 1)
-        residual = _residual(rho, grad)
-        if stalled >= _STALL_STEPS and residual <= _RESIDUAL_TOL:
+        f, residual = f_new, _residual(rho, gradient(weights))
+        if residual <= _RESIDUAL_TOL:
             break
-        theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-        y = rho + ((theta - 1.0) / theta_next) * (rho - prev)
-        theta = theta_next
-        f_y, weights, _ = objective(_probabilities(design, y))
-        if weights is None:  # extrapolated out of the domain of f: restart
-            theta, y, f_y, grad_y = 1.0, rho, f, grad
-        else:
-            grad_y = gradient(weights)
-        step *= _STEP_GROWTH
+    else:
+        raise ReconstructionError(
+            f"MLE did not converge in {_MAX_ROUNDS} rounds (residual {residual:.3e})"
+        )
     rho = (rho + rho.conj().T) / 2.0
     if jeffreys:
         objective, _ = _mle_objective(record.counts, record.shots, model.stack)
@@ -676,10 +603,9 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         method="mle",
         min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         log_likelihood=-record.shots * objective(_probabilities(design, rho))[0],
-        iterations=iteration + newton_steps,
+        iterations=steps,
         residual=residual,
-        newton_steps=newton_steps,
-        finish_tries=tries,
+        rounds=rounds,
     )
 
 

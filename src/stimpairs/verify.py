@@ -226,8 +226,11 @@ def check_singlet_invariance() -> tuple[float, list]:
     """Singlet coincidences depend only on the analyzer angle difference."""
     rho = polarization.state_density(polarization.bell_state())
     polarization.check_density_matrix(rho)
-    rng = np.random.default_rng(20260822)
-    a, b, delta = rng.uniform(0.0, 2.0 * math.pi, size=(25, 3)).T
+    # 25 generic angle triples (a, b, delta), drawn without numpy.random so
+    # that verify never imports it: the 3-D golden-ratio sequence
+    # 2 pi frac(k / g^j), k = 1..25, j = 1, 2, 3, g the real root of g^4 = g + 1.
+    k = np.arange(1.0, 26.0)[:, None]
+    a, b, delta = (2.0 * math.pi * (k / 1.2207440846057596 ** np.arange(1.0, 4.0) % 1.0)).T
     # One stack: rows 0-24 are the settings (a, b), rows 25-49 the same
     # settings turned by delta.
     stack = polarization._projector_stack(

@@ -901,12 +901,17 @@ _MODULES_PROBE = """
 import json, sys
 {code}
 loaded = sorted(k.split(".", 1)[1] for k in sys.modules if k.startswith("stimpairs."))
-print(json.dumps({{"loaded": loaded, "numpy": "numpy" in sys.modules}}))
+numpy = [k for k in ("numpy", "numpy.random") if k in sys.modules]
+print(json.dumps({{"loaded": loaded, "numpy": numpy}}))
 """
 
 _CLOSED_FORM = {"errors", "phase_plate", "resonator"}
 _FRINGES = _CLOSED_FORM | {"polarization"}
 _ALL_MODULES = _FRINGES | {"cli", "fock", "tomography", "verify"}
+# The numpy modules a process loads: none, numpy alone, or numpy.random too
+# where a command draws counts (a --seed).
+_NUMPY = {"numpy"}
+_DRAWS = {"numpy", "numpy.random"}
 
 
 def _main(argv: list, exit_code: int = 0) -> str:
@@ -917,34 +922,35 @@ def _main(argv: list, exit_code: int = 0) -> str:
 @pytest.mark.parametrize(
     "code, expected, numpy",
     [
-        ("import stimpairs", set(), False),
-        ("import stimpairs; stimpairs.PlateGeometry", {"errors", "phase_plate"}, True),
-        ("import stimpairs; stimpairs.pair_rate", {"errors", "rates"}, False),
-        ("import stimpairs; stimpairs.tomography", _FRINGES | {"tomography"}, True),
-        (["sweep-phase"], _CLOSED_FORM | {"cli"}, True),
-        (["fig4", "--seed", "7"], _FRINGES | {"cli"}, True),
-        (["fringe", "--seed", "3"], _FRINGES | {"cli"}, True),
-        (["rates", "--singles", "36000", "--coincidences", "1300"], {"cli", "errors", "rates"}, False),
-        (["tomography", "--state", "bell"], _FRINGES | {"cli", "tomography"}, True),
-        (["tomography", "--method", "linear"], _FRINGES | {"cli", "tomography"}, True),
-        (["verify"], _ALL_MODULES, True),
+        ("import stimpairs", set(), set()),
+        ("import stimpairs; stimpairs.PlateGeometry", {"errors", "phase_plate"}, _NUMPY),
+        ("import stimpairs; stimpairs.pair_rate", {"errors", "rates"}, set()),
+        ("import stimpairs; stimpairs.tomography", _FRINGES | {"tomography"}, _NUMPY),
+        (["sweep-phase"], _CLOSED_FORM | {"cli"}, _NUMPY),
+        (["fig4", "--seed", "7"], _FRINGES | {"cli"}, _DRAWS),
+        (["fringe", "--seed", "3"], _FRINGES | {"cli"}, _DRAWS),
+        (["rates", "--singles", "36000", "--coincidences", "1300"], {"cli", "errors", "rates"}, set()),
+        (["tomography", "--state", "bell"], _FRINGES | {"cli", "tomography"}, _NUMPY),
+        (["tomography", "--method", "linear", "--seed", "5"], _FRINGES | {"cli", "tomography"}, _DRAWS),
+        (["tomography", "--counts", "COUNTS"], _FRINGES | {"cli", "tomography"}, _NUMPY),
+        (["verify"], _ALL_MODULES, _NUMPY),
         # --help and usage errors exit before any handler imports what it runs.
-        (_main(["--help"]), {"cli", "errors"}, False),
-        (_main(["rates", "--help"]), {"cli", "errors"}, False),
-        (_main(["sweep-phase", "--phi-steps", "1"], exit_code=1), {"cli", "errors"}, False),
-        (_main(["fringe", "--state", "ghz"], exit_code=1), {"cli", "errors"}, False),
-        (_main(["fig4", "--alpha-steps", "1"], exit_code=1), {"cli", "errors"}, False),
-        (_main(["fringe", "--scan-steps", "1"], exit_code=1), {"cli", "errors"}, False),
-        (_main(["tomography", "--state", "ghz"], exit_code=1), {"cli", "errors"}, False),
+        (_main(["--help"]), {"cli", "errors"}, set()),
+        (_main(["rates", "--help"]), {"cli", "errors"}, set()),
+        (_main(["sweep-phase", "--phi-steps", "1"], exit_code=1), {"cli", "errors"}, set()),
+        (_main(["fringe", "--state", "ghz"], exit_code=1), {"cli", "errors"}, set()),
+        (_main(["fig4", "--alpha-steps", "1"], exit_code=1), {"cli", "errors"}, set()),
+        (_main(["fringe", "--scan-steps", "1"], exit_code=1), {"cli", "errors"}, set()),
+        (_main(["tomography", "--state", "ghz"], exit_code=1), {"cli", "errors"}, set()),
         (
             _main(["tomography", "--state", "bell", "--counts", "x.json"], exit_code=1),
             {"cli", "errors"},
-            False,
+            set(),
         ),
         (
             _main(["rates", "--singles", "10", "--coincidences", "100"], exit_code=1),
             {"cli", "errors", "rates"},
-            False,
+            set(),
         ),
         (
             _main(
@@ -952,25 +958,29 @@ def _main(argv: list, exit_code: int = 0) -> str:
                 exit_code=2,
             ),
             {"cli", "errors", "rates"},
-            False,
+            set(),
         ),
     ],
     ids=[
         "import", "name", "rates-name", "submodule", "sweep-phase", "fig4", "fringe", "rates",
-        "tomography-mle", "tomography-linear", "verify", "help", "rates-help", "usage-error",
+        "tomography-mle", "tomography-linear", "tomography-counts", "verify", "help", "rates-help",
+        "usage-error",
         "fringe-state-error", "fig4-grid-error", "fringe-grid-error", "tomography-state-error",
         "tomography-both-error", "rates-efficiency-error", "rates-ratio-error",
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, code, expected, numpy):
     # The package namespace is lazy and each handler imports what it runs, so
-    # a fresh process loads only the submodules its command needs, and numpy
-    # only where arrays are computed.
+    # a fresh process loads only the submodules its command needs, numpy
+    # only where arrays are computed, and numpy.random only where counts are
+    # drawn: verify, sweep-phase, a noiseless record and a counts file draw none.
     if isinstance(code, list):
-        code = _main(code + ["--out", str(tmp_path / "out")])
+        counts = tmp_path / "counts.json"
+        counts.write_text(simulate_tomography(bell_state(), 1e4, seed=12).to_json())
+        code = _main([str(counts) if a == "COUNTS" else a for a in code] + ["--out", str(tmp_path / "out")])
     doc = _last_json(_fresh_python("-c", _MODULES_PROBE.format(code=code)))
     assert set(doc["loaded"]) == expected
-    assert doc["numpy"] is numpy
+    assert set(doc["numpy"]) == numpy
 
 
 def test_missing_numpy_exits_three(tmp_path):

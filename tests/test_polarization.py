@@ -495,7 +495,7 @@ def test_each_value_is_checked_once(monkeypatch):
 def test_singlet_invariance_check_is_one_batch(monkeypatch):
     # The verify check validates rho once and builds one 50-row stack, and
     # its worst deviation equals that of the per-setting scalar loop over the
-    # same 25 draws.
+    # same 25 angle triples.
     calls = {"check": 0, "stack": []}
     true_check, true_stack = polarization_mod.check_density_matrix, polarization_mod._projector_stack
 
@@ -513,10 +513,12 @@ def test_singlet_invariance_check_is_one_batch(monkeypatch):
     assert calls == {"check": 1, "stack": [(50, 50)]}
     monkeypatch.undo()
     rho = state_density(bell_state())
-    rng = np.random.default_rng(20260822)
+    # The same 25 triples, the golden-ratio sequence 2 pi frac(k / g^j), one at a time.
+    g = 1.2207440846057596
+    assert abs(g**4 - g - 1.0) <= 1e-15
     worst = 0.0
-    for _ in range(25):
-        a, b, delta = rng.uniform(0.0, 2.0 * math.pi, size=3)
+    for k in range(1, 26):
+        a, b, delta = (2.0 * math.pi * math.fmod(k / g**j, 1.0) for j in (1, 2, 3))
         p1 = coincidence_probability(rho, MeasurementSetting(ArmSetting(a), ArmSetting(b)))
         p2 = coincidence_probability(
             rho, MeasurementSetting(ArmSetting(a + delta), ArmSetting(b + delta))
