@@ -1213,7 +1213,36 @@ def test_newton_line_search_stops_at_the_halving_limit():
     assert np.allclose(point, start, atol=1e-9)
 
 
-def test_mle_round_limit_reports_the_final_residual(monkeypatch):
+def test_mle_line_search_failure_reports_residual(monkeypatch):
+    # Every Newton trial point after a round's start is out of f's domain, so
+    # each round's line search fails at its first step and keeps its start;
+    # with no round reaching _RESIDUAL_TOL, record 17 ends at the round limit
+    # with an error that names how far from stationary rho was.
+    record, jeffreys = _random_hvdr_records()[17]
+    calls = []
+    true_finish = tomography_mod._newton_finish
+
+    def failing_finish(rho, objective, table):
+        trials = []
+
+        def outside_after_the_start(p):
+            trials.append(1)
+            return objective(p) if len(trials) == 1 else (math.inf, None, 0.0)
+
+        point, steps = true_finish(rho, outside_after_the_start, table)
+        calls.append((steps, len(trials)))
+        return point, steps
+
+    monkeypatch.setattr(tomography_mod, "_newton_finish", failing_finish)
+    limit = r"^MLE did not converge in \d+ rounds \(residual \S+\)$"
+    with pytest.raises(ReconstructionError, match=limit) as failure:
+        reconstruct_mle(record, jeffreys=jeffreys)
+    assert calls == [(0, 1 + tomography_mod._HALVINGS)] * tomography_mod._MAX_ROUNDS
+    residual = float(re.search(r"\(residual (\S+)\)", str(failure.value)).group(1))
+    assert tomography_mod._RESIDUAL_TOL < residual < math.inf
+
+
+def test_mle_iteration_limit_reports_the_final_residual(monkeypatch):
     # Noiseless HVDL dephased:0.2 at 1e5 shots with Jeffreys takes 6 rounds.
     # Held to 2, the limit's error names the residual of the rho it gave up
     # on, taken after the second round.
