@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import finite, json_number, positive_float
+from .errors import SchemaError, finite, json_number, positive_float
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,7 +58,7 @@ class PlateGeometry:
     def from_dict(cls, doc: dict) -> "PlateGeometry":
         missing = [k for k in ("L_m", "n_p", "n_s", "lambda_p_m") if k not in doc]
         if missing:
-            raise ValueError(f"plate geometry is missing keys {missing}")
+            raise SchemaError(f"plate geometry is missing keys {missing}")
         return cls(
             thickness=json_number(doc["L_m"], "geometry L_m"),
             n_pump=json_number(doc["n_p"], "geometry n_p"),

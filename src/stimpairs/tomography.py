@@ -13,23 +13,25 @@ transmitted state J(qwp)^dagger |pol>):
     R        (|H> - i|V>)/sqrt2       0       45
     L        (|H> + i|V>)/sqrt2       0      -45
 
-Reconstruction comes in two flavors.  Linear inversion solves the 16x16
-linear system exactly and reports (not clips) negative eigenvalues caused by
-shot noise.  Maximum likelihood minimizes the Poisson negative
-log-likelihood over the density matrices by rounds of damped Newton steps on
-rho = T^2 / tr T^2, T a Hermitian 4 x 4 factor in 16 fixed real
-coordinates, so every point and the result are physical.  One map projects
-onto the density matrices: project_physical, the nearest density matrix in
-Frobenius norm.  The MLE's start and its residual use it, and so does the
-command line's fidelity of a linear estimate.  One objective maps a point's
-setting probabilities to the likelihood.  The MLE reads them off the design
-matrix (design @ vec rho) at the start and after each round; the Newton
-steps read them off a factor table, one 16 x 16 form per setting, and form
-rho only at the end of the round.
+Reconstruction comes in two flavors, both in one real chart: its row i is
+the coordinates of Pi_i in 16 fixed orthonormal Hermitian matrices E_k
+(_hermitian, _coordinates), and its dot product with rho's coordinates is
+Tr(rho Pi_i).  Linear inversion solves that 16 x 16 real system exactly and
+reports (not clips) negative eigenvalues caused by shot noise.  Maximum
+likelihood minimizes the Poisson negative log-likelihood over the density
+matrices by rounds of damped Newton steps on rho = T^2 / tr T^2, T a
+Hermitian 4 x 4 factor in the same coordinates, so every point and the result
+are physical.  One map projects onto the density matrices: project_physical,
+the nearest density matrix in Frobenius norm.  The MLE's start and its
+residual use it, and so does the command line's fidelity of a linear
+estimate.  One objective maps a point's setting probabilities to the
+likelihood.  The MLE reads them off the chart at the start and after each
+round; the Newton steps read them off a factor table, one 16 x 16 form per
+setting, and form rho only at the end of the round.
 
-Everything that depends on the settings list alone (projector stack, design
-matrix, completeness verdict and the finish's factor table) is one read-only
-model that _model caches per settings tuple, so simulating a record and
+Everything that depends on the settings list alone (projector stack, chart,
+completeness verdict and the finish's factor table) is one read-only model
+that _model caches per settings tuple, so simulating a record and
 reconstructing it builds that model once.  Each MeasurementSetting hashes
 once, when it is built, so looking a tuple up makes no per-setting hash work.
 """
@@ -239,40 +241,33 @@ def _projectors(settings) -> np.ndarray:
     )
 
 
-def _design_matrix(projectors: np.ndarray) -> np.ndarray:
-    # Row i dotted with vec(rho) gives Tr(rho Pi_i).
-    return projectors.transpose(0, 2, 1).reshape(len(projectors), 16)
-
-
-_Model = collections.namedtuple("_Model", "stack design cond table")
+_Model = collections.namedtuple("_Model", "stack chart cond table")
 
 
 @functools.lru_cache(maxsize=16)
 def _model(settings: tuple) -> _Model:
     """Read-only arrays that depend on the settings tuple alone, built once per tuple.
 
-    - stack: the (k, 4, 4) projector stack (_projectors), shared by
-      simulation, linear inversion and the MLE objective.
-    - design: the (k, 16) design matrix (_design_matrix).
-    - cond: the completeness verdict, the design's condition number, or None
-      when there are not 16 settings (_require_complete judges it).
-    - table: _factor_table(stack), the Newton finish's per-setting forms.
+    - stack: the (k, 4, 4) projector stack (_projectors), the Born rule of
+      simulation.
+    - chart: the (k, 16) real chart _coordinates(stack).
+    - cond: the completeness verdict, the chart's condition number, or None
+      when there are not 16 settings (_require_complete judges it).  The E_k
+      are orthonormal over all complex 4 x 4 matrices, so the chart has the
+      singular values of the complex map rho -> (Tr(rho Pi_i))_i.
+    - table: _factor_table(chart), the Newton finish's per-setting forms.
 
     Callers pass tuple(settings): a list and a tuple of the same settings
     share one entry, and a record's settings are already a tuple.  The
     settings must be hashable, as MeasurementSettings of float angles are.
-    An entry of 16 settings holds about 40 KB, and the cache keeps the 16
+    An entry of 16 settings holds about 38 KB, and the cache keeps the 16
     most recently used lists.
     """
     stack = _projectors(settings)
-    design = _design_matrix(stack)
-    model = _Model(
-        stack,
-        design,
-        float(np.linalg.cond(design)) if len(settings) == 16 else None,
-        _factor_table(stack),
-    )
-    for array in (model.stack, model.design, model.table):
+    chart = _coordinates(stack)
+    cond = float(np.linalg.cond(chart)) if len(settings) == 16 else None
+    model = _Model(stack, chart, cond, _factor_table(chart))
+    for array in (model.stack, model.chart, model.table):
         array.setflags(write=False)
     return model
 
@@ -281,13 +276,13 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     """Exact linear inversion of the Born-rule system.
 
     Requires an informationally complete 16-setting record.  The result is
-    Hermitized and trace normalized but NOT projected to the positive cone;
-    shot noise shows up as negative eigenvalues, reported via
+    exactly Hermitian and trace normalized but NOT projected to the positive
+    cone; shot noise shows up as negative eigenvalues, reported via
     min_eigenvalue.
     """
     model = _model(record.settings)
     _require_complete(model)
-    rho = _invert_linear(record, model.design)
+    rho = _invert_linear(record, model.chart)
     return ReconstructionResult(
         rho=rho, method="linear", min_eigenvalue=float(np.linalg.eigvalsh(rho).min())
     )
@@ -296,7 +291,7 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
 def _require_complete(model: _Model) -> None:
     """Raise ReconstructionError unless the settings determine every rho.
 
-    Judges the model's cached verdict: 16 settings whose design matrix has a
+    Judges the model's cached verdict: 16 settings whose chart has a
     condition number of at most 1e10.
     """
     if model.cond is None:
@@ -305,16 +300,15 @@ def _require_complete(model: _Model) -> None:
         raise ReconstructionError("settings are informationally incomplete")
 
 
-def _invert_linear(record: TomographyRecord, design: np.ndarray) -> np.ndarray:
-    """The Hermitized, trace-one linear inversion for a design that
-    _require_complete has passed."""
-    freqs = record.counts / record.shots
-    rho = np.linalg.solve(design, freqs.astype(complex)).reshape(4, 4)
-    rho = (rho + rho.conj().T) / 2.0
-    tr = float(np.real(rho.trace()))
+def _invert_linear(record: TomographyRecord, chart: np.ndarray) -> np.ndarray:
+    """The trace-one linear inversion for a chart that _require_complete has
+    passed: _hermitian of the solution x of chart @ x = counts / shots, so
+    exactly Hermitian, over its trace, the sum of x's diagonal coordinates."""
+    x = np.linalg.solve(chart, record.counts / record.shots)
+    tr = float(x[::5].sum())
     if abs(tr) < 1e-12:
         raise ReconstructionError("reconstructed matrix has vanishing trace")
-    return rho / tr
+    return _hermitian(x / tr)
 
 
 def project_physical(h: np.ndarray) -> np.ndarray:
@@ -350,9 +344,13 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     counts as it is.
     """
     check_density_matrix(rho)
-    model = _model(record.settings)
-    objective, _ = _mle_objective(record.counts, record.shots, model.stack)
-    return -record.shots * objective(_probabilities(model.design, np.asarray(rho)))[0]
+    return _log_likelihood(record, _model(record.settings), np.asarray(rho))
+
+
+def _log_likelihood(record: TomographyRecord, model: _Model, rho: np.ndarray) -> float:
+    """log_likelihood of a checked rho, the value reconstruct_mle reports."""
+    objective, _ = _mle_objective(record.counts, record.shots, model.chart)
+    return -record.shots * objective(_probabilities(model.chart, rho))[0]
 
 
 def _residual(rho: np.ndarray, grad: np.ndarray) -> float:
@@ -360,25 +358,25 @@ def _residual(rho: np.ndarray, grad: np.ndarray) -> float:
     return float(np.linalg.norm(rho - project_physical(rho - grad)))
 
 
-def _probabilities(design: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The setting probabilities Tr(rho Pi_i) = design @ vec(rho), real part."""
-    return (design @ rho.ravel()).real
+def _probabilities(chart: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The setting probabilities Re Tr(rho Pi_i): the chart applied to the
+    coordinates of rho's Hermitian part, not of rho itself."""
+    return chart @ _coordinates((rho + rho.conj().T) / 2.0)
 
 
-def _mle_objective(counts: np.ndarray, shots: float, stack: np.ndarray):
+def _mle_objective(counts: np.ndarray, shots: float, chart: np.ndarray):
     """The objective f = -sum_i (c_i ln mu_i - mu_i) / shots, mu_i = shots p_i.
 
     Returns two functions.  objective(p), p the setting probabilities of a
     point (_probabilities for rho, _factor_probabilities for a factor), gives
     f, the gradient weights w_i = 1 - c_i / mu_i (1 where c_i = 0) and the
-    rounding error of f; inf, None, 0 where counts meet a rate mu_i <= 0.  gradient(w) gives
-    the gradient sum_i w_i Pi_i in rho, so the caller forms it only for the
-    points it keeps.  The indices of the settings with counts > 0, their
-    counts and the flattened stack are made here, once: each objective call
-    is one scaling, one gather of the seen rates, one min for the domain
-    check, one log and one weight update.
+    rounding error of f; inf, None, 0 where counts meet a rate mu_i <= 0.
+    gradient(w) gives the gradient sum_i w_i Pi_i in rho, the Hermitian
+    matrix of the coordinates w @ chart.  The indices of the settings with
+    counts > 0 and their counts are made here, once: each objective call is
+    one scaling, one gather of the seen rates, one min for the domain check,
+    one log and one weight update.
     """
-    flat = stack.reshape(len(stack), 16)
     seen = np.flatnonzero(counts > 0.0)
     seen_counts = counts[seen]
     ones = np.ones(len(counts))
@@ -395,7 +393,7 @@ def _mle_objective(counts: np.ndarray, shots: float, stack: np.ndarray):
         return -float(terms.sum()) / shots, weights, _ROUNDING * float(np.abs(terms).sum()) / shots
 
     def gradient(weights):
-        return (weights @ flat).reshape(4, 4)
+        return _hermitian(weights @ chart)
 
     return objective, gradient
 
@@ -431,9 +429,9 @@ def _basis_products() -> np.ndarray:
 _BASIS_PRODUCTS = _basis_products()
 
 
-def _factor_table(stack: np.ndarray) -> np.ndarray:
-    """Q_i[k, l] = Re tr(E_k Pi_i E_l) for each projector Pi_i of the stack."""
-    return (_coordinates(stack) @ _BASIS_PRODUCTS).reshape(len(stack), 16, 16)
+def _factor_table(chart: np.ndarray) -> np.ndarray:
+    """Q_i[k, l] = Re tr(E_k Pi_i E_l) for each projector Pi_i, row i of the chart."""
+    return (chart @ _BASIS_PRODUCTS).reshape(len(chart), 16, 16)
 
 
 def _gram(t: np.ndarray) -> np.ndarray:
@@ -445,7 +443,7 @@ def _gram(t: np.ndarray) -> np.ndarray:
 def _factor_probabilities(t: np.ndarray, table: np.ndarray):
     """(Q_i t, p_i) for the coordinates t of a Hermitian factor T, with
     p_i = t . Q_i t / t . t = Tr(Pi_i T^2) / tr T^2 the setting probabilities
-    of rho = T^2 / tr T^2, table = _factor_table(stack): one product with the
+    of rho = T^2 / tr T^2, table = _factor_table(chart): one product with the
     table instead of forming rho."""
     turned = table @ t
     return turned, turned @ t / (t @ t)
@@ -483,7 +481,7 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
     (Burer & Monteiro, Math. Program. 95, 329 (2003)), so T is invertible for
     every record.  Newton works on T's 16 real coordinates in the fixed
     orthonormal basis E_k of _hermitian, with table = _factor_table of the
-    projector stack; each point's setting probabilities come from the table
+    chart; each point's setting probabilities come from the table
     (_factor_probabilities), and the derivatives at a kept point reuse its
     product.  Hermiticity fixes the unitary gauge T -> T U; the scale t is
     the one move left that changes nothing, yet away from the optimum the
@@ -571,19 +569,18 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     model = _model(record.settings)
     _require_complete(model)
     counts = record.counts + 0.5 if jeffreys else record.counts
-    design = model.design
-    objective, gradient = _mle_objective(counts, record.shots, model.stack)
+    objective, gradient = _mle_objective(counts, record.shots, model.chart)
     try:
-        rho = project_physical(_invert_linear(record, model.design))
+        rho = project_physical(_invert_linear(record, model.chart))
     except ReconstructionError:  # vanishing trace
         rho = np.eye(4) / 4.0
     rho = (1.0 - 1e-3) * rho + 1e-3 * np.eye(4) / 4.0
-    f = objective(_probabilities(design, rho))[0]
+    f = objective(_probabilities(model.chart, rho))[0]
     steps = 0
     for rounds in range(1, _MAX_ROUNDS + 1):
         rho, taken = _newton_finish(rho, objective, model.table)
         steps += taken
-        f_new, weights, err = objective(_probabilities(design, rho))
+        f_new, weights, err = objective(_probabilities(model.chart, rho))
         if f_new > f + err:
             raise ReconstructionError(
                 f"MLE round {rounds} raised f by {f_new - f:.3e}, beyond its rounding error {err:.3e}"
@@ -596,13 +593,11 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             f"MLE did not converge in {_MAX_ROUNDS} rounds (residual {residual:.3e})"
         )
     rho = (rho + rho.conj().T) / 2.0
-    if jeffreys:
-        objective, _ = _mle_objective(record.counts, record.shots, model.stack)
     return ReconstructionResult(
         rho=rho,
         method="mle",
         min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-        log_likelihood=-record.shots * objective(_probabilities(design, rho))[0],
+        log_likelihood=_log_likelihood(record, model, rho),
         iterations=steps,
         residual=residual,
         rounds=rounds,

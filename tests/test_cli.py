@@ -317,18 +317,27 @@ def test_scan_first_column_is_the_requested_grid(capsys, argv, column, grid, fmt
     assert [repr(v) for v in values] == [repr(v) for v in np.linspace(*grid).tolist()]
 
 
-@pytest.mark.parametrize("key,value", [("L_m", True), ("n_p", "1.53"), ("lambda_p_m", None)])
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("L_m", True), ("n_p", "1.53"), ("lambda_p_m", None), pytest.param("n_s", _MISSING, id="n_s-missing")],
+)
 def test_fig4_geometry_values_must_be_numbers(tmp_path, capsys, key, value):
+    # A value that is not a number and a missing key are both schema errors.
     geometry = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9, key: value}
+    if value is _MISSING:
+        del geometry[key]
     path = tmp_path / "geometry.json"
     path.write_text(json.dumps(geometry))
     code, out, err = run(capsys, "fig4", "--geometry", str(path), "--alpha-steps", "21")
     assert code == 1
-    assert key in err and out == ""
+    assert err.startswith("stimpairs: schema error: ") and key in err and out == ""
     path.write_text(json.dumps({"geometry": geometry, "alpha_steps": 21}))
     code, out, err = run(capsys, "fig4", "--config", str(path))
     assert code == 1
-    assert key in err and out == ""
+    assert err.startswith("stimpairs: schema error: ") and key in err and out == ""
 
 
 _FLAGS = {

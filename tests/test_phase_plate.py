@@ -76,7 +76,7 @@ def test_geometry_dict_roundtrip():
     doc = GEOM.to_dict()
     assert doc == {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
     assert PlateGeometry.from_dict(doc) == GEOM
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match=r"^plate geometry is missing keys \['n_p', 'n_s', 'lambda_p_m'\]$"):
         PlateGeometry.from_dict({"L_m": 3e-3})
 
 

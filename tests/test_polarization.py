@@ -611,6 +611,15 @@ def test_fringe_rejects_non_finite_angles(bad):
         simulate_polarization_fringe(rho, ArmSetting(0.3), angles, 1e4, arm_a_qwp=bad)
 
 
+@pytest.mark.parametrize("angles", [[[0.1, 0.2], [0.3, 0.4]], [0.1]], ids=["2-d", "one-angle"])
+def test_fringes_need_a_1d_list_of_at_least_two_angles(angles):
+    rho = state_density(bell_state())
+    with pytest.raises(ValueError, match=r"^need a 1-d list of at least 2 polarizer angles$"):
+        simulate_polarization_fringe(rho, ArmSetting(0.3), angles, 1e4)
+    with pytest.raises(ValueError, match=r"^need a 1-d list of at least 2 tilt angles$"):
+        simulate_stimulation_fringe(GEOM, ResonatorConfig(2, 0.0, 1e-3), angles, 1e9)
+
+
 @pytest.mark.parametrize("plate", [False, True])
 @pytest.mark.parametrize("letter", sorted(tomography_mod.ANALYZER_ANGLES))
 def test_fringe_arm_b_state_is_the_setting_state_bit_for_bit(letter, plate):
