@@ -98,6 +98,8 @@ def finite(value, what: str) -> "np.ndarray":
 
     Entries that are not real numbers (None, strings, complex) raise
     TypeError; a NaN or an infinity raises ValueError naming the first one.
+    A 0-d array is judged by math.isfinite, which costs a fraction of the
+    array check on one entry.
     """
     import numpy as np
 
@@ -105,5 +107,9 @@ def finite(value, what: str) -> "np.ndarray":
     if array.dtype.kind not in "biuf":
         raise TypeError(f"{what} must be a real number, got {value!r}")
     array = array.astype(float, copy=False)
+    if array.ndim == 0:
+        if not math.isfinite(array):
+            raise ValueError(f"{what} must be finite, got {float(array)!r}")
+        return array
     check_each(np.isfinite(array), array, what + " must be finite, got {!r}")
     return array

@@ -25,10 +25,17 @@ scalar functions evaluate it on a one-element array, and grid callers
 their inputs once, so a grid entry equals the scalar call bit for bit.
 sweep_rows returns its grid as one float64 table, N and M held as exact
 floats; the CLI converts it to Python numbers only to write CSV or JSON.
+
+The grid callers read |A(N, phi)| from _moduli, which builds the table of a
+pass-count list and a phase grid once per process: it is keyed on the bits of
+the phases, holds 8 (len(N) + 1) bytes per phase, keeps the 16 most recently
+used grids, and its arrays are read-only.  Only tau and M change from one
+sweep of a grid to the next.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,12 +105,39 @@ def _scaled_amplitude(n_passes: int, phi, tau: float) -> np.ndarray:
     x is at least 1-d, because a numpy scalar raised to an integer power
     rounds differently from an array.
     """
-    return _modulus_times(_phasor_sum(n_passes, np.atleast_1d(phi)), tau)
+    return _modulus(_phasor_sum(n_passes, np.atleast_1d(phi))) * tau
 
 
-def _modulus_times(a: np.ndarray, tau: float) -> np.ndarray:
-    """|a| tau; np.hypot of the parts equals abs(complex) bit for bit, where np.abs does not."""
-    return np.hypot(a.real, a.imag) * tau
+@functools.lru_cache(maxsize=16)
+def _moduli(n_values: tuple, phases: bytes) -> np.ndarray:
+    """Read-only (len(n_values), k) table of |A(N, phi)|, built once per key.
+
+    n_values holds validated pass counts in any order, repeats allowed;
+    phases is the tobytes() of k finite float64 phases, raw or wrapped.  The
+    key is the phases' bits, so -0.0 and 0.0 are two grids.  The phases are
+    wrapped and the phasors exp(i m phi) built once, for the largest N; each
+    N then sums the first N of them over all phases, the sum _phasor_sum
+    takes, and |A| is _modulus of the sums.  So _moduli(n_values,
+    phases)[i] * tau equals _scaled_amplitude(n_values[i], phi, tau) bit for
+    bit.
+
+    An entry holds its key's 8 k bytes and the table's 8 len(n_values) k:
+    35 KB for 5 pass counts on 721 phases.  The cache keeps the 16 most
+    recently used entries.
+    """
+    wrapped = _wrap(np.frombuffer(phases))
+    terms = _phasor_terms(max(n_values, default=0), wrapped)
+    sums = np.empty((len(n_values), len(wrapped)), dtype=complex)
+    for row, n in zip(sums, n_values):
+        terms[:, :n].sum(axis=-1, out=row)
+    moduli = _modulus(sums)
+    moduli.setflags(write=False)
+    return moduli
+
+
+def _modulus(a: np.ndarray) -> np.ndarray:
+    """|a|; np.hypot of the parts equals abs(complex) bit for bit, where np.abs does not."""
+    return np.hypot(a.real, a.imag)
 
 
 def _p_exact(m: int, x: np.ndarray) -> np.ndarray:
@@ -185,22 +219,17 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> np.ndarray:
     The table is C-contiguous with shape (len(n_values) * len(phis), 7) and
     columns SWEEP_COLUMNS; the rows are N-major then phi, and phi is echoed as
     given.  N and M are exact small integers held as floats.  Inputs are
-    validated once and the phasors exp(i m phi) are built once, for the
-    largest N; each N then sums the first N of them over all phases, the sum
-    _phasor_sum takes, into one row of an (N values, phases) array, and each
-    column is evaluated once on that whole array, so every row equals the
-    scalar functions on ResonatorConfig(N, phi, tau) bit for bit.
+    validated once; |A| comes from the cached _moduli table of the N list and
+    the phases, times tau, and each column is evaluated once on that whole
+    array, so every row equals the scalar functions on ResonatorConfig(N,
+    phi, tau) bit for bit.  A second sweep of the same N list and phases, at
+    any tau and M, reuses the table.
     """
-    n_values = [positive_int(n, "n_passes") for n in n_values]
+    n_values = tuple(positive_int(n, "n_passes") for n in n_values)
     phis = finite(phis, "phi").reshape(-1)
-    wrapped = _wrap(phis)
     tau = _check_tau(tau)
     m = positive_int(m, "pair order M")
-    terms = _phasor_terms(max(n_values, default=0), wrapped)
-    sums = np.empty((len(n_values), len(phis)), dtype=complex)
-    for row, n in zip(sums, n_values):
-        terms[:, :n].sum(axis=-1, out=row)
-    x = _modulus_times(sums, tau)
+    x = _moduli(n_values, phis.tobytes()) * tau
     table = np.empty((len(n_values), len(phis), len(SWEEP_COLUMNS)))
     table[..., 0] = np.reshape(n_values, (-1, 1))
     table[..., 1] = phis

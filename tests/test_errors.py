@@ -18,6 +18,13 @@ def test_finite_rule_on_scalars_and_arrays():
     # The first non-finite entry is named.
     with pytest.raises(ValueError, match="^alpha must be finite, got -inf$"):
         finite([[0.1, -math.inf], [math.nan, 0.2]], "alpha")
+    # 0-d bool, int and float32 inputs take the scalar path to the same result.
+    for value, want in ((np.array(True), 1.0), (np.int64(-3), -3.0), (np.float32(0.5), 0.5)):
+        got = finite(value, "phi")
+        assert got.ndim == 0 and got.dtype == np.float64 and float(got) == want
+    for bad, shown in ((np.float32(math.inf), "inf"), (np.array(-math.inf), "-inf"), (np.array(math.nan), "nan")):
+        with pytest.raises(ValueError, match=f"^phi must be finite, got {shown}$"):
+            finite(bad, "phi")
     for bad in (None, "0.5", 1j, [0.1, None]):
         with pytest.raises(TypeError, match="qwp angle must be a real number"):
             finite(bad, "qwp angle")

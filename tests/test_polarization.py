@@ -584,6 +584,7 @@ def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
         raise AssertionError("per-angle setting object built")
 
     arm_b = ArmSetting(math.pi / 4.0, qwp=0.0)
+    polarization_mod._scan_projectors.cache_clear()
     monkeypatch.setattr(polarization_mod, "_projector_stack", counting_stack)
     monkeypatch.setattr(polarization_mod, "MeasurementSetting", no_setting)
     monkeypatch.setattr(polarization_mod, "ArmSetting", no_setting)
@@ -591,6 +592,8 @@ def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
     scan = simulate_polarization_fringe(
         dephasing_noise(bell_state(), 0.2), arm_b, angles, 1e5, arm_a_qwp=0.0
     )
+    # A second scan of the same angles and analyzers builds no stack.
+    simulate_polarization_fringe(state_density(bell_state()), arm_b, angles, 1e3, arm_a_qwp=0.0)
     assert calls == [(37, 1)]
     monkeypatch.undo()
     rho = dephasing_noise(bell_state(), 0.2)
@@ -599,6 +602,64 @@ def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
         for a in angles
     ]
     np.testing.assert_allclose(scan.counts, single, rtol=1e-14, atol=1e-9)
+
+
+def test_cached_scan_tables_give_the_same_bytes_cold_and_warm():
+    # Every call once with the caches cleared before it, then the whole run
+    # twice with them warm: the outputs agree byte for byte.  The caches are
+    # keyed on bits, so 0.0 and -0.0 angles, whose stacks differ in the sign
+    # of zeros, and a plate at 0.0 and no plate, each get their own entry.
+    # The N list is unsorted and spans the 8- and 128-term summation blocks.
+    ns, phis = [10, 1, 129, 3, 8, 2], [0.0, -0.0, 0.3, math.pi, 2.0 * math.pi, -1e-17, 7.5]
+    alphas = np.radians(np.linspace(-15.0, 15.0, 41))
+    angles = np.radians(np.linspace(0.0, 180.0, 37))
+    scans = [(angles, ArmSetting(pol, qwp), None) for pol in (0.0, -0.0) for qwp in (None, 0.0, -0.0)]
+    scans += [(angles, ArmSetting(math.pi / 4.0, qwp), qwp_a)
+              for qwp in (None, 0.0) for qwp_a in (None, 0.0, -0.0)]
+    scans.append((-angles, ArmSetting(0.0), None))
+    rho = dephasing_noise(bell_state(), 0.2)
+
+    def fit_bytes(scan):
+        fit = fit_fringe(scan)
+        values = [fit.amplitude, fit.visibility, fit.phase, fit.residual_norm]
+        return [scan.phase.tobytes(), scan.counts.tobytes(),
+                np.array(values).tobytes(), fit.covariance.tobytes()]
+
+    def run(before_each):
+        out = []
+        before_each()
+        out.append(sweep_rows(ns, phis, 0.05, 2).tobytes())
+        for n, tau in ((2, 0.01), (129, 1e-3)):
+            before_each()
+            out += fit_bytes(simulate_stimulation_fringe(GEOM, ResonatorConfig(n, 0.0, tau), alphas, 1e9, seed=3))
+        for scan_angles, arm_b, qwp_a in scans:
+            before_each()
+            out += fit_bytes(simulate_polarization_fringe(rho, arm_b, scan_angles, 1e5, seed=5, arm_a_qwp=qwp_a))
+        return out
+
+    def clear():
+        resonator_mod._moduli.cache_clear()
+        polarization_mod._scan_projectors.cache_clear()
+
+    cold = run(clear)
+    assert run(lambda: None) == cold
+    assert polarization_mod._scan_projectors.cache_info().currsize == len(scans)
+    assert run(lambda: None) == cold
+    for scan_angles, arm_b, qwp_a in scans:
+        key = (polarization_mod._bits(qwp_a), polarization_mod._bits(arm_b.pol), polarization_mod._bits(arm_b.qwp))
+        stack = polarization_mod._scan_projectors(scan_angles.tobytes(), *key)
+        fresh = polarization_mod._projector_stack(
+            polarization_mod._analyzer_states(scan_angles, qwp_a),
+            polarization_mod._analyzer_states(np.array([arm_b.pol]), arm_b.qwp),
+        )
+        assert stack.tobytes() == fresh.tobytes()
+        assert not stack.flags.writeable
+    # A sweep of the same grid at another tau and M reuses its |A| table.
+    moduli = resonator_mod._moduli(tuple(ns), np.array(phis).tobytes())
+    assert not moduli.flags.writeable
+    hits = resonator_mod._moduli.cache_info().hits
+    sweep_rows(ns, phis, 0.7, 3)
+    assert resonator_mod._moduli.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
