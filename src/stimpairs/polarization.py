@@ -16,17 +16,13 @@ x': twice the polarizer angle for polarizer scans, the plate phase relative to
 zero tilt, delta(alpha) - delta(0), for tilt scans.  B is the fitted
 visibility and 2 (1 + B) estimates the two-pass to one-pass rate ratio.
 
-The simulators read what depends on the scan alone from caches built once
-per process, each keeping its 16 most recently used entries as read-only
-arrays: a polarization scan's (k, 4, 4) projector stack (_scan_projectors,
-264 bytes per angle, keyed on the bits of the angles and of both arms'
-analyzer angles), and a tilt scan's |A(N, phi)| (resonator._moduli, 16
-bytes per tilt).  A repeated scan then costs its Born rule and its draws.
+A polarizer scan builds its (k, 4, 4) projector stack on every call, in one
+array pass from its own angles.  A tilt scan reads its |A(N, phi)| from the
+resonator's per-process cache (resonator._moduli, 16 bytes per tilt).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +41,18 @@ def bell_state() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
+def _scalar_angle(value, what: str) -> float:
+    """A finite scalar angle as a Python float; any other shape raises ValueError.
+
+    Stored as a float, a setting's angle gives the same float64 analyzer
+    state whatever dtype it came in.
+    """
+    angle = finite(value, what)
+    if angle.ndim != 0:
+        raise ValueError(f"{what} must be a scalar, got shape {angle.shape}")
+    return float(angle)
+
+
 @dataclass(frozen=True)
 class ArmSetting:
     """One arm's analyzer: polarizer angle, plus quarter-wave plate angle if present.
@@ -56,9 +64,9 @@ class ArmSetting:
     qwp: float | None = None
 
     def __post_init__(self):
-        finite(self.pol, "polarizer angle")
+        object.__setattr__(self, "pol", _scalar_angle(self.pol, "polarizer angle"))
         if self.qwp is not None:
-            finite(self.qwp, "qwp angle")
+            object.__setattr__(self, "qwp", _scalar_angle(self.qwp, "qwp angle"))
 
 
 @dataclass(frozen=True)
@@ -401,47 +409,13 @@ def simulate_polarization_fringe(
         raise ValueError("need a 1-d list of at least 2 polarizer angles")
     finite(angles, "polarizer angle")
     if arm_a_qwp is not None:
-        finite(arm_a_qwp, "qwp angle")
+        arm_a_qwp = finite(arm_a_qwp, "qwp angle")
     rho = state_density(rho)
-    key = (_bits(arm_a_qwp), _bits(arm_b.pol), _bits(arm_b.qwp))
-    projectors = _scan_projectors(angles.tobytes(), *key)
+    projectors = _projector_stack(
+        _analyzer_states(angles, arm_a_qwp), _analyzer_states(np.array([arm_b.pol]), arm_b.qwp)
+    )
     counts = _draw_counts(shots * _born_probabilities(rho, projectors), seed)
     return FringeScan(phase=2.0 * angles, counts=counts)
-
-
-def _bits(angle):
-    """The cache key of a checked angle, or None: its dtype, shape and bytes.
-
-    Keyed on bits, not on float equality, since 0.0 == -0.0 while their
-    analyzer states differ in the sign of zeros; _angle inverts it.
-    """
-    if angle is None:
-        return None
-    angle = np.asarray(angle)
-    return angle.dtype.str, angle.shape, angle.tobytes()
-
-
-def _angle(bits):
-    """The angle of a _bits key, as an array of its dtype, shape and bytes; None stays None."""
-    return None if bits is None else np.frombuffer(bits[2], bits[0]).reshape(bits[1])
-
-
-@functools.lru_cache(maxsize=16)
-def _scan_projectors(angles: bytes, arm_a_qwp, pol_b, qwp_b) -> np.ndarray:
-    """Read-only (k, 4, 4) projector stack of a polarizer scan, built once per key.
-
-    angles is the tobytes() of arm a's k float64 polarizer angles; the other
-    three are _bits keys of arm a's plate angle and of arm b's polarizer and
-    plate angles (None: no plate).  Row i projects onto arm a's analyzer at
-    angle i, with arm a's plate, times arm b's analyzer.  An entry holds the
-    key's 8 k bytes and the stack's 256 k: 9.8 KB for a 37-angle scan.  The
-    cache keeps the 16 most recently used entries.
-    """
-    state_b = _analyzer_states(np.array([_angle(pol_b)]), _angle(qwp_b))
-    arm_a = _analyzer_states(np.frombuffer(angles), _angle(arm_a_qwp))
-    stack = _projector_stack(arm_a, state_b)
-    stack.setflags(write=False)
-    return stack
 
 
 def simulate_stimulation_fringe(

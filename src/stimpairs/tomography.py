@@ -358,7 +358,7 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
 
 def _log_likelihood(record: TomographyRecord, model: _Model, rho: np.ndarray) -> float:
     """log_likelihood of a checked rho, the value reconstruct_mle reports."""
-    objective, _ = _mle_objective(record.counts, record.shots, model.chart)
+    objective = _mle_objective(record.counts, record.shots)
     return -record.shots * objective(_probabilities(model.chart, rho))[0]
 
 
@@ -373,18 +373,18 @@ def _probabilities(chart: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return chart @ _coordinates((rho + rho.conj().T) / 2.0)
 
 
-def _mle_objective(counts: np.ndarray, shots: float, chart: np.ndarray):
+def _mle_objective(counts: np.ndarray, shots: float):
     """The objective f = -sum_i (c_i ln mu_i - mu_i) / shots, mu_i = shots p_i.
 
-    Returns two functions.  objective(p), p the setting probabilities of a
-    point (_probabilities for rho, _factor_probabilities for a factor), gives
-    f, the gradient weights w_i = 1 - c_i / mu_i (1 where c_i = 0) and the
-    rounding error of f; inf, None, 0 where counts meet a rate mu_i <= 0.
-    gradient(w) gives the gradient sum_i w_i Pi_i in rho, the Hermitian
-    matrix of the coordinates w @ chart.  The indices of the settings with
-    counts > 0 and their counts are made here, once: each objective call is
-    one scaling, one gather of the seen rates, one min for the domain check,
-    one log and one weight update.
+    Returns objective(p), p the setting probabilities of a point
+    (_probabilities for rho, _factor_probabilities for a factor), which
+    gives f, the gradient weights w_i = 1 - c_i / mu_i (1 where c_i = 0) and
+    the rounding error of f; inf, None, 0 where counts meet a rate
+    mu_i <= 0.  The gradient sum_i w_i Pi_i in rho is _hermitian(w @ chart),
+    the Hermitian matrix of the coordinates w @ chart.  The indices of the
+    settings with counts > 0 and their counts are made here, once: each
+    objective call is one scaling, one gather of the seen rates, one min for
+    the domain check, one log and one weight update.
     """
     seen = np.flatnonzero(counts > 0.0)
     seen_counts = counts[seen]
@@ -401,10 +401,7 @@ def _mle_objective(counts: np.ndarray, shots: float, chart: np.ndarray):
         weights[seen] -= seen_counts / rates
         return -float(terms.sum()) / shots, weights, _ROUNDING * float(np.abs(terms).sum()) / shots
 
-    def gradient(weights):
-        return _hermitian(weights @ chart)
-
-    return objective, gradient
+    return objective
 
 
 def _hermitian(x: np.ndarray) -> np.ndarray:
@@ -578,7 +575,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     model = _model(record.settings)
     _require_complete(model)
     counts = record.counts + 0.5 if jeffreys else record.counts
-    objective, gradient = _mle_objective(counts, record.shots, model.chart)
+    objective = _mle_objective(counts, record.shots)
     try:
         rho = project_physical(_invert_linear(record, model))
     except ReconstructionError:  # vanishing trace
@@ -594,7 +591,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
             raise ReconstructionError(
                 f"MLE round {rounds} raised f by {f_new - f:.3e}, beyond its rounding error {err:.3e}"
             )
-        f, residual = f_new, _residual(rho, gradient(weights))
+        f, residual = f_new, _residual(rho, _hermitian(weights @ model.chart))
         if residual <= _RESIDUAL_TOL:
             break
     else:

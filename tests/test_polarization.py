@@ -584,7 +584,6 @@ def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
         raise AssertionError("per-angle setting object built")
 
     arm_b = ArmSetting(math.pi / 4.0, qwp=0.0)
-    polarization_mod._scan_projectors.cache_clear()
     monkeypatch.setattr(polarization_mod, "_projector_stack", counting_stack)
     monkeypatch.setattr(polarization_mod, "MeasurementSetting", no_setting)
     monkeypatch.setattr(polarization_mod, "ArmSetting", no_setting)
@@ -592,9 +591,9 @@ def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
     scan = simulate_polarization_fringe(
         dephasing_noise(bell_state(), 0.2), arm_b, angles, 1e5, arm_a_qwp=0.0
     )
-    # A second scan of the same angles and analyzers builds no stack.
+    # A second scan of the same angles and analyzers builds its own stack.
     simulate_polarization_fringe(state_density(bell_state()), arm_b, angles, 1e3, arm_a_qwp=0.0)
-    assert calls == [(37, 1)]
+    assert calls == [(37, 1), (37, 1)]
     monkeypatch.undo()
     rho = dephasing_noise(bell_state(), 0.2)
     single = [
@@ -605,11 +604,13 @@ def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
 
 
 def test_cached_scan_tables_give_the_same_bytes_cold_and_warm():
-    # Every call once with the caches cleared before it, then the whole run
-    # twice with them warm: the outputs agree byte for byte.  The caches are
-    # keyed on bits, so 0.0 and -0.0 angles, whose stacks differ in the sign
-    # of zeros, and a plate at 0.0 and no plate, each get their own entry.
-    # The N list is unsorted and spans the 8- and 128-term summation blocks.
+    # Every call once with the |A| cache cleared before it, then the whole
+    # run with it warm: the outputs agree byte for byte.  The N list is
+    # unsorted and spans the 8- and 128-term summation blocks.  A polarizer
+    # scan builds its stack per call: its noiseless counts are shots times
+    # the Born rule on the stack built directly, bit for bit, for 0.0 and
+    # -0.0 angles, whose stacks differ in the sign of zeros, and for a plate
+    # at 0.0, at -0.0 and no plate.
     ns, phis = [10, 1, 129, 3, 8, 2], [0.0, -0.0, 0.3, math.pi, 2.0 * math.pi, -1e-17, 7.5]
     alphas = np.radians(np.linspace(-15.0, 15.0, 41))
     angles = np.radians(np.linspace(0.0, 180.0, 37))
@@ -632,34 +633,45 @@ def test_cached_scan_tables_give_the_same_bytes_cold_and_warm():
         for n, tau in ((2, 0.01), (129, 1e-3)):
             before_each()
             out += fit_bytes(simulate_stimulation_fringe(GEOM, ResonatorConfig(n, 0.0, tau), alphas, 1e9, seed=3))
-        for scan_angles, arm_b, qwp_a in scans:
-            before_each()
-            out += fit_bytes(simulate_polarization_fringe(rho, arm_b, scan_angles, 1e5, seed=5, arm_a_qwp=qwp_a))
         return out
 
-    def clear():
-        resonator_mod._moduli.cache_clear()
-        polarization_mod._scan_projectors.cache_clear()
-
-    cold = run(clear)
-    assert run(lambda: None) == cold
-    assert polarization_mod._scan_projectors.cache_info().currsize == len(scans)
+    cold = run(resonator_mod._moduli.cache_clear)
     assert run(lambda: None) == cold
     for scan_angles, arm_b, qwp_a in scans:
-        key = (polarization_mod._bits(qwp_a), polarization_mod._bits(arm_b.pol), polarization_mod._bits(arm_b.qwp))
-        stack = polarization_mod._scan_projectors(scan_angles.tobytes(), *key)
-        fresh = polarization_mod._projector_stack(
+        stack = polarization_mod._projector_stack(
             polarization_mod._analyzer_states(scan_angles, qwp_a),
             polarization_mod._analyzer_states(np.array([arm_b.pol]), arm_b.qwp),
         )
-        assert stack.tobytes() == fresh.tobytes()
-        assert not stack.flags.writeable
+        scan = simulate_polarization_fringe(rho, arm_b, scan_angles, 1e5, arm_a_qwp=qwp_a)
+        assert scan.counts.tobytes() == (1e5 * polarization_mod._born_probabilities(rho, stack)).tobytes()
     # A sweep of the same grid at another tau and M reuses its |A| table.
     moduli = resonator_mod._moduli(tuple(ns), np.array(phis).tobytes())
     assert not moduli.flags.writeable
     hits = resonator_mod._moduli.cache_info().hits
     sweep_rows(ns, phis, 0.7, 3)
     assert resonator_mod._moduli.cache_info().hits == hits + 1
+
+
+def test_float32_angles_give_the_float_fringe_bit_for_bit():
+    # A setting stores its angles as Python floats and the scan's plate
+    # angle is taken as float64, so a float32 angle gives the same fringe
+    # as the same value given as a float.
+    rho = dephasing_noise(bell_state(), 0.2)
+    angles = np.radians(np.linspace(0.0, 180.0, 37))
+    pol, qwp = np.float32(0.3), np.float32(0.7)
+    arm = ArmSetting(pol, qwp)
+    assert type(arm.pol) is float and type(arm.qwp) is float
+    assert arm == ArmSetting(float(pol), float(qwp))
+    for seed in (None, 5):
+        got = simulate_polarization_fringe(rho, arm, angles, 1e5, seed=seed, arm_a_qwp=qwp)
+        want = simulate_polarization_fringe(
+            rho, ArmSetting(float(pol), float(qwp)), angles, 1e5, seed=seed, arm_a_qwp=float(qwp)
+        )
+        assert got.counts.tobytes() == want.counts.tobytes()
+    with pytest.raises(ValueError, match=r"^polarizer angle must be a scalar, got shape \(2,\)$"):
+        ArmSetting(np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match=r"^qwp angle must be a scalar, got shape \(1,\)$"):
+        ArmSetting(0.1, [0.2])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -784,12 +784,13 @@ def test_mle_gradient_matches_finite_difference():
     rng = np.random.default_rng(4)
     eps = 1e-6
     for counts in (record.counts, record.counts + 0.5):
-        objective, gradient = _mle_objective(counts, record.shots, chart)
+        objective = _mle_objective(counts, record.shots)
 
         def f(r):
             return objective(tomography_mod._probabilities(chart, r))[0]
 
-        grad = gradient(objective(tomography_mod._probabilities(chart, rho))[1])
+        _, w, _ = objective(tomography_mod._probabilities(chart, rho))
+        grad = tomography_mod._hermitian(w @ chart)
         assert np.abs(grad - grad.conj().T).max() < 1e-14
         # One product with the chart is sum_i w_i Pi_i up to the rounding of
         # two 16-term sums: 8 eps sum_i |w_i| bounds it, as |Pi_i entries| <= 1.
@@ -878,7 +879,7 @@ def test_factor_derivatives_match_finite_difference():
     rng = np.random.default_rng(6)
     eps = 1e-5
     for counts in (record.counts, record.counts + 0.5):
-        objective, _ = _mle_objective(counts, record.shots, chart)
+        objective = _mle_objective(counts, record.shots)
 
         def evaluate(t):
             # f through rho and the chart, the derivatives through the table.
@@ -1221,7 +1222,7 @@ def test_newton_line_search_stops_at_the_halving_limit():
     record = simulate_tomography(dephasing_noise(bell_state(), 0.1), 1e5, seed=10)
     model = tomography_mod._model(record.settings)
     calls = []
-    objective, _ = _mle_objective(record.counts, record.shots, model.chart)
+    objective = _mle_objective(record.counts, record.shots)
 
     def outside_after_the_start(p):
         calls.append(1)
