@@ -22,6 +22,7 @@ from a flag or a file, must have the row's kind: float (a number), int (an
 integer), str (a JSON string), bool (true or false), list (pass counts,
 "1,2,5" or a file's [1, 2, 5]) or a tuple of the allowed choices.  The
 handlers read the resolved settings, which minus the format are the echo.
+The --state forms of fringe and tomography are the rows of one table, STATES.
 
 Each handler imports the submodules it runs, and numpy loads only with code
 that computes on arrays: `rates`, --help and usage errors caught before a
@@ -45,6 +46,17 @@ _SEED_MAX = 2**64
 
 _FORMAT = ("format", ("csv", "json"), "csv", None)
 _SEED = ("seed", int, None, "Poisson seed; omit for noiseless")
+
+# The --state forms of fringe and tomography, the first the default.  A row
+# is the form, what its :<value> is, the parser of that value (it loads
+# nothing), and the builder of the 4 x 4 density matrix from the polarization
+# module and the value.  Builders return a rho; a source known only by its
+# click probabilities per analyzer setting will have to change that contract.
+STATES = (
+    ("bell", None, None, lambda pol: pol.state_density(pol.bell_state())),
+    ("dephased:<d>", "dephasing strength", float,
+     lambda pol, d: pol.dephasing_noise(pol.bell_state(), d)),
+)
 
 # The options of each command (see the module docstring).  --config and --out
 # (every command), fig4's --geometry (a file on the command line, an object in
@@ -73,7 +85,7 @@ OPTIONS = {
         _FORMAT,
     ),
     "fringe": (
-        ("state", str, "bell", "bell or dephased:<d>"),
+        ("state", str, STATES[0][0], " or ".join(row[0] for row in STATES)),
         ("pol_b_deg", float, 45.0, None),
         ("qwp_a_deg", float, None, None),
         ("qwp_b_deg", float, None, None),
@@ -85,7 +97,7 @@ OPTIONS = {
         _FORMAT,
     ),
     "tomography": (
-        ("state", str, None, "bell or dephased:<d> (simulation source)"),
+        ("state", str, None, " or ".join(row[0] for row in STATES) + " (simulation source)"),
         ("counts", str, None, "JSON record of measured counts"),
         ("method", ("mle", "linear"), "mle", None),
         ("jeffreys", bool, False, "add 0.5 to counts in the MLE objective"),
@@ -223,29 +235,17 @@ def _grid(s: dict, lo: str, hi: str, steps: str) -> np.ndarray:
     return np.linspace(s[lo], s[hi], s[steps])
 
 
-def _state_strength(spec: str) -> float | None:
-    """The dephasing strength d of a bell or dephased:<d> spec, None for bell.
-
-    Checks the grammar alone and loads nothing, so a bad spec exits before
-    numpy loads; the range of d is checked when _state_density builds the state.
-    """
-    if spec.startswith("dephased:"):
-        try:
-            return float(spec.split(":", 1)[1])
-        except ValueError:
-            raise _UsageError(f"bad dephasing strength in {spec!r}")
-    if spec != "bell":
-        raise _UsageError(f"unknown state {spec!r}, expected 'bell' or 'dephased:<d>'")
-    return None
-
-
-def _state_density(d: float | None) -> np.ndarray:
-    """Density matrix of the singlet, dephased by d unless d is None."""
-    from . import polarization
-
-    if d is None:
-        return polarization.state_density(polarization.bell_state())
-    return polarization.dephasing_noise(polarization.bell_state(), d)
+def _state(spec: str):
+    """The builder of a --state spec and its arguments, by STATES.  Loads
+    nothing, so a bad spec exits before numpy loads; the builder checks ranges."""
+    name, colon, text = spec.partition(":")
+    for form, what, parse, build in STATES:
+        if form.partition(":")[:2] == (name, colon):
+            try:
+                return build, ((parse(text),) if parse else ())
+            except ValueError:
+                raise _UsageError(f"bad {what} in {spec!r}")
+    raise _UsageError(f"unknown state {spec!r}, expected {' or '.join(repr(r[0]) for r in STATES)}")
 
 
 def _plate_from(args, config: dict):
@@ -294,13 +294,13 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
 
 
 def _cmd_fringe(args, config: dict, s: dict) -> int:
-    d = _state_strength(s["state"])  # the state error first, then the grid's
+    build, params = _state(s["state"])  # the state error first, then the grid's
     pol_a_deg = _grid(s, "scan_min_deg", "scan_max_deg", "scan_steps")  # before any import
     import numpy as np
 
     from . import polarization
 
-    rho = _state_density(d)
+    rho = build(polarization, *params)
     angles = np.radians(pol_a_deg)
     qwp_a, qwp_b = s["qwp_a_deg"], s["qwp_b_deg"]
     arm_b = polarization.ArmSetting(
@@ -323,14 +323,14 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
     counts_path, state_spec = s["counts"], s["state"]
     if counts_path is not None and state_spec is not None:
         raise _UsageError("give either --counts or --state, not both")
-    d = _state_strength("bell" if state_spec is None else state_spec)  # before any import
+    build, params = _state(STATES[0][0] if state_spec is None else state_spec)  # before any import
     from . import polarization, tomography
 
     if counts_path is not None:
         text = Path(counts_path).read_text()
         record = tomography.TomographyRecord.from_json(text)
     else:
-        rho_true = _state_density(d)
+        rho_true = build(polarization, *params)
         settings = tomography.standard_settings(tuple(s["basis"]))
         record = tomography.simulate_tomography(
             rho_true, s["shots"], seed=s["seed"], settings=settings

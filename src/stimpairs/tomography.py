@@ -514,9 +514,10 @@ def _newton_finish(rho: np.ndarray, objective, table: np.ndarray):
         lam, vec = np.linalg.eigh(across @ hess @ across)
         size = np.abs(lam)
         keep = size > _GAUGE_TOL * size.max()
-        slopes = (across @ g) @ vec[:, keep]
-        move = vec[:, keep] @ (slopes / size[keep])
-        last = slopes**2 @ (1.0 / size[keep]) <= err
+        vec, size = vec[:, keep], size[keep]
+        slopes = (across @ g) @ vec
+        move = vec @ (slopes / size)
+        last = slopes**2 @ (1.0 / size) <= err
         alpha = 1.0
         for _ in range(_HALVINGS):
             trial = t - alpha * move
@@ -603,7 +604,8 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         rho=rho,
         method="mle",
         min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-        log_likelihood=_log_likelihood(record, model, rho),
+        # The last round's f is at rho's Hermitian part, on the recorded counts unless jeffreys.
+        log_likelihood=_log_likelihood(record, model, rho) if jeffreys else -record.shots * f,
         iterations=steps,
         residual=residual,
         rounds=rounds,

@@ -432,6 +432,13 @@ def test_scan_grid_rule(capsys, argv, message):
         # The state is checked before the scan grid.
         (["fringe", "--state", "ghz", "--scan-steps", "1"], None,
          "invalid configuration: unknown state 'ghz', expected 'bell' or 'dephased:<d>'"),
+        # A form takes a :<value> exactly when its row has a parameter.
+        (["fringe", "--state", "bell:0.3"], None,
+         "invalid configuration: unknown state 'bell:0.3', expected 'bell' or 'dephased:<d>'"),
+        (["tomography"], {"state": "dephased"},
+         "invalid configuration: unknown state 'dephased', expected 'bell' or 'dephased:<d>'"),
+        (["tomography", "--state", "dephased:"], None,
+         "invalid configuration: bad dephasing strength in 'dephased:'"),
         (["fig4"], {"geometry": 5}, "schema error: geometry must be a JSON object"),
         # S = eta R and C = eta^2 R, so C > S would need an efficiency above 1.
         (["rates", "--singles", "10", "--coincidences", "100"], None,
@@ -443,6 +450,7 @@ def test_scan_grid_rule(capsys, argv, message):
     ],
     ids=[
         "empty-n-list", "seed-2^64", "seed-negative", "dephasing-strength", "state-before-grid",
+        "bell-with-value", "dephased-without-value", "dephased-empty-value",
         "geometry", "rates-coincidences-above-singles", "rates-zero-singles",
     ],
 )
@@ -462,6 +470,15 @@ def test_fringe_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["fit"]["B"] == pytest.approx(0.7, abs=1e-6)
+
+
+@pytest.mark.parametrize("command", ["fringe", "tomography"])
+def test_state_in_a_config_file_is_the_flags_run(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"state": "dephased:0.3"}))
+    flag = run(capsys, command, "--state", "dephased:0.3", "--seed", "4")
+    assert flag[0] == 0
+    assert run(capsys, command, "--config", str(cfg), "--seed", "4") == flag
 
 
 def test_fringe_bad_state(capsys):
@@ -951,6 +968,9 @@ def _main(argv: list, exit_code: int = 0) -> str:
         (_main(["fig4", "--alpha-steps", "1"], exit_code=1), {"cli", "errors"}, set()),
         (_main(["fringe", "--scan-steps", "1"], exit_code=1), {"cli", "errors"}, set()),
         (_main(["tomography", "--state", "ghz"], exit_code=1), {"cli", "errors"}, set()),
+        (_main(["tomography", "--state", "bell:0.3"], exit_code=1), {"cli", "errors"}, set()),
+        (_main(["fringe", "--state", "dephased"], exit_code=1), {"cli", "errors"}, set()),
+        (_main(["tomography", "--state", "dephased:"], exit_code=1), {"cli", "errors"}, set()),
         (
             _main(["tomography", "--state", "bell", "--counts", "x.json"], exit_code=1),
             {"cli", "errors"},
@@ -975,6 +995,8 @@ def _main(argv: list, exit_code: int = 0) -> str:
         "tomography-mle", "tomography-linear", "tomography-counts", "verify", "help", "rates-help",
         "usage-error",
         "fringe-state-error", "fig4-grid-error", "fringe-grid-error", "tomography-state-error",
+        "tomography-bell-value-error", "fringe-dephased-no-value-error",
+        "tomography-dephased-empty-error",
         "tomography-both-error", "rates-efficiency-error", "rates-ratio-error",
     ],
 )
