@@ -47,11 +47,10 @@ _SEED_MAX = 2**64
 _FORMAT = ("format", ("csv", "json"), "csv", None)
 _SEED = ("seed", int, None, "Poisson seed; omit for noiseless")
 
-# The --state forms of fringe and tomography, the first the default.  A row
-# is the form, what its :<value> is, the parser of that value (it loads
-# nothing), and the builder of the 4 x 4 density matrix from the polarization
-# module and the value.  Builders return a rho; a source known only by its
-# click probabilities per analyzer setting will have to change that contract.
+# The --state forms of fringe and tomography, the first the default: the form,
+# what its :<value> is, its parser (which loads nothing) and the builder of the
+# 4 x 4 rho from the polarization module and the value.  Builders return a rho;
+# a source known only by click probabilities per setting must change that.
 STATES = (
     ("bell", None, None, lambda pol: pol.state_density(pol.bell_state())),
     ("dephased:<d>", "dephasing strength", float,
@@ -236,15 +235,16 @@ def _grid(s: dict, lo: str, hi: str, steps: str) -> np.ndarray:
 
 
 def _state(spec: str):
-    """The builder of a --state spec and its arguments, by STATES.  Loads
-    nothing, so a bad spec exits before numpy loads; the builder checks ranges."""
+    """The maker of a --state spec's rho from the polarization module, by STATES.
+    Loads nothing, so a bad spec exits before numpy loads; builders check ranges."""
     name, colon, text = spec.partition(":")
     for form, what, parse, build in STATES:
         if form.partition(":")[:2] == (name, colon):
             try:
-                return build, ((parse(text),) if parse else ())
+                params = (parse(text),) if parse else ()
             except ValueError:
                 raise _UsageError(f"bad {what} in {spec!r}")
+            return lambda pol: build(pol, *params)
     raise _UsageError(f"unknown state {spec!r}, expected {' or '.join(repr(r[0]) for r in STATES)}")
 
 
@@ -294,13 +294,13 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
 
 
 def _cmd_fringe(args, config: dict, s: dict) -> int:
-    build, params = _state(s["state"])  # the state error first, then the grid's
+    make = _state(s["state"])  # the state error first, then the grid's
     pol_a_deg = _grid(s, "scan_min_deg", "scan_max_deg", "scan_steps")  # before any import
     import numpy as np
 
     from . import polarization
 
-    rho = build(polarization, *params)
+    rho = make(polarization)
     angles = np.radians(pol_a_deg)
     qwp_a, qwp_b = s["qwp_a_deg"], s["qwp_b_deg"]
     arm_b = polarization.ArmSetting(
@@ -323,14 +323,14 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
     counts_path, state_spec = s["counts"], s["state"]
     if counts_path is not None and state_spec is not None:
         raise _UsageError("give either --counts or --state, not both")
-    build, params = _state(STATES[0][0] if state_spec is None else state_spec)  # before any import
+    make = _state(STATES[0][0] if state_spec is None else state_spec)  # before any import
     from . import polarization, tomography
 
     if counts_path is not None:
         text = Path(counts_path).read_text()
         record = tomography.TomographyRecord.from_json(text)
     else:
-        rho_true = build(polarization, *params)
+        rho_true = make(polarization)
         settings = tomography.standard_settings(tuple(s["basis"]))
         record = tomography.simulate_tomography(
             rho_true, s["shots"], seed=s["seed"], settings=settings

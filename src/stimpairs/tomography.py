@@ -604,8 +604,7 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
         rho=rho,
         method="mle",
         min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-        # The last round's f is at rho's Hermitian part, on the recorded counts unless jeffreys.
-        log_likelihood=_log_likelihood(record, model, rho) if jeffreys else -record.shots * f,
+        log_likelihood=_log_likelihood(record, model, rho),
         iterations=steps,
         residual=residual,
         rounds=rounds,

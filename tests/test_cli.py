@@ -472,15 +472,6 @@ def test_fringe_command(capsys):
     assert doc["fit"]["B"] == pytest.approx(0.7, abs=1e-6)
 
 
-@pytest.mark.parametrize("command", ["fringe", "tomography"])
-def test_state_in_a_config_file_is_the_flags_run(tmp_path, capsys, command):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"state": "dephased:0.3"}))
-    flag = run(capsys, command, "--state", "dephased:0.3", "--seed", "4")
-    assert flag[0] == 0
-    assert run(capsys, command, "--config", str(cfg), "--seed", "4") == flag
-
-
 def test_fringe_bad_state(capsys):
     code, _, err = run(capsys, "fringe", "--state", "wobbly")
     assert code == 1
