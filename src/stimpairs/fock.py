@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from .errors import SchemaError, TruncationError, is_json_number, load_json, positive_int
-from .resonator import ResonatorConfig, _config_amplitude
+from .resonator import ResonatorConfig, _amplitudes
 
 ENUMERATION_ORDER = "lex:aH,aV,bH,bV"
 
@@ -280,7 +280,7 @@ def build_generator(cfg: ResonatorConfig, space: FockSpace) -> "scipy.sparse.csr
     # Deferred: importing fock, or running any command, loads no scipy.
     import scipy.sparse as sp
 
-    a = _config_amplitude(cfg)
+    a = complex(_amplitudes((cfg.n_passes,), np.asarray(cfg.phi))[0])
     rows, cols, weights = _pair_terms(space.cutoff)
     data = np.concatenate([a * weights, np.conj(a) * weights])
     index = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
@@ -380,7 +380,7 @@ def evolve_vacuum(
     """
     if isinstance(space, (int, np.integer)):
         space = FockSpace(space)
-    a = _config_amplitude(cfg)
+    a = complex(_amplitudes((cfg.n_passes,), np.asarray(cfg.phi))[0])
     c = space.cutoff
     t = _cutoff_tables(c)
     k = np.arange(c + 1)

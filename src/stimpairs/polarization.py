@@ -17,8 +17,8 @@ zero tilt, delta(alpha) - delta(0), for tilt scans.  B is the fitted
 visibility and 2 (1 + B) estimates the two-pass to one-pass rate ratio.
 
 A polarizer scan builds its (k, 4, 4) projector stack on every call, in one
-array pass from its own angles.  A tilt scan reads its |A(N, phi)| from the
-resonator's per-process cache (resonator._moduli, 16 bytes per tilt).
+array pass from its own angles, and a tilt scan its |A(N, phi)| from its
+wrapped phases with resonator._amplitudes, the builder every rate reads.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import FitError, finite, positive_float
 from .phase_plate import PlateGeometry, _wrap, relative_phase
-from .resonator import ResonatorConfig, _moduli, _p_approx, _p_exact
+from .resonator import ResonatorConfig, _amplitudes, _modulus, _p_approx, _p_exact
 
 # Phase flip of arm a's vertical component, diag in the (HH, HV, VH, VV) basis.
 _Z_ARM_A = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -444,7 +444,7 @@ def simulate_stimulation_fringe(
         raise ValueError("need a 1-d list of at least 2 tilt angles")
     # delta(alpha) is bounded, so finite tilts give finite phases.
     phases = relative_phase(geom, alphas) - relative_phase(geom, 0.0)
-    x = _moduli((cfg.n_passes,), phases.tobytes())[0] * cfg.tau
+    x = _modulus(_amplitudes((cfg.n_passes,), _wrap(phases))[0]) * cfg.tau
     probs = _p_exact(1, x) if model == "exact" else _p_approx(1, x)
     counts = _draw_counts(shots * probs, seed)
     return FringeScan(phase=phases, counts=counts)

@@ -19,23 +19,18 @@ whose small-tau limit (M + 1) (|A| tau)^{2M} carries the familiar
 a closed form; the truncated Fock-space oracle that these formulas are tested
 against lives in fock.py.
 
-Each observable has one implementation on an array of x = |A| tau.  The
-scalar functions evaluate it on a one-element array, and grid callers
-(sweep_rows, the tilt-scan fringe) on a whole phase grid after validating
-their inputs once, so a grid entry equals the scalar call bit for bit.
-sweep_rows returns its grid as one float64 table, N and M held as exact
-floats; the CLI converts it to Python numbers only to write CSV or JSON.
-
-The grid callers read |A(N, phi)| from _moduli, which builds the table of a
-pass-count list and a phase grid once per process: it is keyed on the bits of
-the phases, holds 8 (len(N) + 1) bytes per phase, keeps the 16 most recently
-used grids, and its arrays are read-only.  Only tau and M change from one
-sweep of a grid to the next.
+Each observable has one implementation on an array of x = |A| tau, and A
+one builder, _amplitudes.  The scalar functions evaluate it on a
+one-element array, since a numpy scalar raised to an integer power rounds
+differently from an array, and grid callers (sweep_rows, the tilt-scan
+fringe) on a whole phase grid after validating their inputs once, so a grid
+entry equals the scalar call bit for bit.  sweep_rows returns its grid as
+one float64 table, N and M held as exact floats; the CLI converts it to
+Python numbers only to write CSV or JSON.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -81,58 +76,24 @@ def amplitude_sum(n_passes: int, phi):
     """
     n_passes = positive_int(n_passes, "n_passes")
     phi = finite(phi, "phi")
-    a = _phasor_sum(n_passes, phi)
+    a = _amplitudes((n_passes,), phi)[0]
     return complex(a) if phi.ndim == 0 else a
 
 
-def _phasor_terms(n_passes: int, phi: np.ndarray) -> np.ndarray:
-    """exp(i m phi) for m = 0 .. N - 1 along a new last axis."""
-    return np.exp(1j * phi[..., None] * np.arange(n_passes))
+def _amplitudes(n_values, phases: np.ndarray) -> np.ndarray:
+    """A(N, phi) for validated pass counts and finite phases, the one builder of A.
 
-
-def _phasor_sum(n_passes: int, phi: np.ndarray) -> np.ndarray:
-    return _phasor_terms(n_passes, phi).sum(axis=-1)
-
-
-def _config_amplitude(cfg: ResonatorConfig) -> complex:
-    """A of a config, which holds a validated N and a finite phi: no check repeats."""
-    return complex(_phasor_sum(cfg.n_passes, np.asarray(cfg.phi)))
-
-
-def _scaled_amplitude(n_passes: int, phi, tau: float) -> np.ndarray:
-    """x = |A(N, phi)| tau for validated N and phi already wrapped to [0, 2 pi).
-
-    x is at least 1-d, because a numpy scalar raised to an integer power
-    rounds differently from an array.
+    Returns shape (len(n_values),) + phases.shape.  The phasors exp(i m phi)
+    are built once, for the largest N, and each N sums the first N of them,
+    so a row equals the one-N call on the same phases bit for bit.  The
+    phases are used as given: callers that want [0, 2 pi) wrap them first.
     """
-    return _modulus(_phasor_sum(n_passes, np.atleast_1d(phi))) * tau
-
-
-@functools.lru_cache(maxsize=16)
-def _moduli(n_values: tuple, phases: bytes) -> np.ndarray:
-    """Read-only (len(n_values), k) table of |A(N, phi)|, built once per key.
-
-    n_values holds validated pass counts in any order, repeats allowed;
-    phases is the tobytes() of k finite float64 phases, raw or wrapped.  The
-    key is the phases' bits, so -0.0 and 0.0 are two grids.  The phases are
-    wrapped and the phasors exp(i m phi) built once, for the largest N; each
-    N then sums the first N of them over all phases, the sum _phasor_sum
-    takes, and |A| is _modulus of the sums.  So _moduli(n_values,
-    phases)[i] * tau equals _scaled_amplitude(n_values[i], phi, tau) bit for
-    bit.
-
-    An entry holds its key's 8 k bytes and the table's 8 len(n_values) k:
-    35 KB for 5 pass counts on 721 phases.  The cache keeps the 16 most
-    recently used entries.
-    """
-    wrapped = _wrap(np.frombuffer(phases))
-    terms = _phasor_terms(max(n_values, default=0), wrapped)
-    sums = np.empty((len(n_values), len(wrapped)), dtype=complex)
-    for row, n in zip(sums, n_values):
-        terms[:, :n].sum(axis=-1, out=row)
-    moduli = _modulus(sums)
-    moduli.setflags(write=False)
-    return moduli
+    terms = np.exp(1j * phases[..., None] * np.arange(max(n_values, default=0)))
+    sums = np.empty((len(n_values),) + phases.shape, dtype=complex)
+    for i, n in enumerate(n_values):
+        # sums[i, ...] stays an array view when the phases are 0-d.
+        terms[..., :n].sum(axis=-1, out=sums[i, ...])
+    return sums
 
 
 def _modulus(a: np.ndarray) -> np.ndarray:
@@ -163,7 +124,8 @@ def pair_probability_exact(m: int, cfg: ResonatorConfig) -> float:
     pair_probability_vs_u.
     """
     m = positive_int(m, "pair order M")
-    return float(_p_exact(m, _scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
+    x = _modulus(_amplitudes((cfg.n_passes,), np.array([cfg.phi]))[0]) * cfg.tau
+    return float(_p_exact(m, x)[0])
 
 
 def pair_probability_approx(m: int, cfg: ResonatorConfig) -> float:
@@ -176,7 +138,8 @@ def pair_probability_approx(m: int, cfg: ResonatorConfig) -> float:
     FloatingPointError.
     """
     m = positive_int(m, "pair order M")
-    return float(_p_approx(m, _scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
+    x = _modulus(_amplitudes((cfg.n_passes,), np.array([cfg.phi]))[0]) * cfg.tau
+    return float(_p_approx(m, x)[0])
 
 
 def pair_probability_vs_u(m: int, u):
@@ -210,7 +173,8 @@ def double_pass_ratio(theta: float) -> float:
 
 def multiphoton_contamination(cfg: ResonatorConfig) -> float:
     """Ratio P_2 / P_1 of double-pair to single-pair emission, (3/2) tanh^2(|A| tau)."""
-    return float(_contamination(_scaled_amplitude(cfg.n_passes, cfg.phi, cfg.tau))[0])
+    x = _modulus(_amplitudes((cfg.n_passes,), np.array([cfg.phi]))[0]) * cfg.tau
+    return float(_contamination(x)[0])
 
 
 def sweep_rows(n_values, phis, tau: float, m: int = 1) -> np.ndarray:
@@ -219,17 +183,16 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> np.ndarray:
     The table is C-contiguous with shape (len(n_values) * len(phis), 7) and
     columns SWEEP_COLUMNS; the rows are N-major then phi, and phi is echoed as
     given.  N and M are exact small integers held as floats.  Inputs are
-    validated once; |A| comes from the cached _moduli table of the N list and
-    the phases, times tau, and each column is evaluated once on that whole
-    array, so every row equals the scalar functions on ResonatorConfig(N,
-    phi, tau) bit for bit.  A second sweep of the same N list and phases, at
-    any tau and M, reuses the table.
+    validated once; |A| of the N list on the wrapped phases comes from one
+    _amplitudes table, times tau, and each column is evaluated once on that
+    whole array, so every row equals the scalar functions on
+    ResonatorConfig(N, phi, tau) bit for bit.
     """
     n_values = tuple(positive_int(n, "n_passes") for n in n_values)
     phis = finite(phis, "phi").reshape(-1)
     tau = _check_tau(tau)
     m = positive_int(m, "pair order M")
-    x = _moduli(n_values, phis.tobytes()) * tau
+    x = _modulus(_amplitudes(n_values, _wrap(phis))) * tau
     table = np.empty((len(n_values), len(phis), len(SWEEP_COLUMNS)))
     table[..., 0] = np.reshape(n_values, (-1, 1))
     table[..., 1] = phis

@@ -464,12 +464,16 @@ def test_rejected_inputs_exit_one(tmp_path, capsys, argv, config, message):
 
 
 def test_fringe_command(capsys):
-    code, out, _ = run(
-        capsys, "fringe", "--state", "dephased:0.3", "--format", "json"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["fit"]["B"] == pytest.approx(0.7, abs=1e-6)
+    # The diagonal fringe's visibility is 1 - d; dephasing keeps the H/V
+    # fringe's at 1, so d = 1 still fits there.
+    for argv, visibility in (
+        (["--state", "dephased:0.3"], 0.7),
+        (["--state", "dephased:1", "--pol-b-deg", "0"], 1.0),
+    ):
+        code, out, _ = run(capsys, "fringe", *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fit"]["B"] == pytest.approx(visibility, abs=1e-6)
 
 
 def test_fringe_bad_state(capsys):
@@ -707,10 +711,12 @@ def test_memory_error_in_a_handler_exits_two(capsys, monkeypatch, module, callee
 
 
 def test_numerical_failure_exits_two(capsys):
-    # Four points cannot constrain the three-parameter fringe model.
-    code, _, err = run(capsys, "fringe", "--scan-steps", "4")
-    assert code == 2
-    assert "numerical" in err
+    # Four points cannot constrain the three-parameter fringe model, and at
+    # d = 1 the diagonal fringe is flat, so the fit has no phase to find.
+    for argv in (["--scan-steps", "4"], ["--state", "dephased:1"]):
+        code, _, err = run(capsys, "fringe", *argv)
+        assert code == 2
+        assert "numerical" in err
 
 
 def test_fig4_degenerate_counts_exit_two(capsys):

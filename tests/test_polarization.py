@@ -30,7 +30,12 @@ from stimpairs.polarization import (
     visibility,
 )
 from stimpairs.rates import pair_rate
-from stimpairs.resonator import ResonatorConfig, sweep_rows
+from stimpairs.resonator import (
+    ResonatorConfig,
+    pair_probability_approx,
+    pair_probability_exact,
+    sweep_rows,
+)
 from stimpairs.tomography import log_likelihood, reconstruct_mle, simulate_tomography
 from stimpairs.verify import _run, check_singlet_invariance
 
@@ -603,15 +608,14 @@ def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
     np.testing.assert_allclose(scan.counts, single, rtol=1e-14, atol=1e-9)
 
 
-def test_cached_scan_tables_give_the_same_bytes_cold_and_warm():
-    # Every call once with the |A| cache cleared before it, then the whole
-    # run with it warm: the outputs agree byte for byte.  The N list is
-    # unsorted and spans the 8- and 128-term summation blocks.  A polarizer
-    # scan builds its stack per call: its noiseless counts are shots times
-    # the Born rule on the stack built directly, bit for bit, for 0.0 and
-    # -0.0 angles, whose stacks differ in the sign of zeros, and for a plate
-    # at 0.0, at -0.0 and no plate.
-    ns, phis = [10, 1, 129, 3, 8, 2], [0.0, -0.0, 0.3, math.pi, 2.0 * math.pi, -1e-17, 7.5]
+def test_noiseless_scans_equal_the_rates_they_are_built_from_bit_for_bit():
+    # A tilt scan's noiseless counts are shots times the scalar pair
+    # probability at each tilt's phase, bit for bit, for both models and for
+    # pass counts on either side of the 8- and 128-term summation blocks.  A
+    # polarizer scan builds its stack per call: its noiseless counts are
+    # shots times the Born rule on the stack built directly, bit for bit,
+    # for 0.0 and -0.0 angles, whose stacks differ in the sign of zeros, and
+    # for a plate at 0.0, at -0.0 and no plate.
     alphas = np.radians(np.linspace(-15.0, 15.0, 41))
     angles = np.radians(np.linspace(0.0, 180.0, 37))
     scans = [(angles, ArmSetting(pol, qwp), None) for pol in (0.0, -0.0) for qwp in (None, 0.0, -0.0)]
@@ -619,24 +623,11 @@ def test_cached_scan_tables_give_the_same_bytes_cold_and_warm():
               for qwp in (None, 0.0) for qwp_a in (None, 0.0, -0.0)]
     scans.append((-angles, ArmSetting(0.0), None))
     rho = dephasing_noise(bell_state(), 0.2)
-
-    def fit_bytes(scan):
-        fit = fit_fringe(scan)
-        values = [fit.amplitude, fit.visibility, fit.phase, fit.residual_norm]
-        return [scan.phase.tobytes(), scan.counts.tobytes(),
-                np.array(values).tobytes(), fit.covariance.tobytes()]
-
-    def run(before_each):
-        out = []
-        before_each()
-        out.append(sweep_rows(ns, phis, 0.05, 2).tobytes())
-        for n, tau in ((2, 0.01), (129, 1e-3)):
-            before_each()
-            out += fit_bytes(simulate_stimulation_fringe(GEOM, ResonatorConfig(n, 0.0, tau), alphas, 1e9, seed=3))
-        return out
-
-    cold = run(resonator_mod._moduli.cache_clear)
-    assert run(lambda: None) == cold
+    for n, tau in ((2, 0.01), (129, 1e-3)):
+        for model, rate in (("exact", pair_probability_exact), ("approx", pair_probability_approx)):
+            scan = simulate_stimulation_fringe(GEOM, ResonatorConfig(n, 0.0, tau), alphas, 1e9, model=model)
+            expected = [1e9 * rate(1, ResonatorConfig(n, phase, tau)) for phase in scan.phase]
+            assert scan.counts.tobytes() == np.array(expected).tobytes()
     for scan_angles, arm_b, qwp_a in scans:
         stack = polarization_mod._projector_stack(
             polarization_mod._analyzer_states(scan_angles, qwp_a),
@@ -644,12 +635,6 @@ def test_cached_scan_tables_give_the_same_bytes_cold_and_warm():
         )
         scan = simulate_polarization_fringe(rho, arm_b, scan_angles, 1e5, arm_a_qwp=qwp_a)
         assert scan.counts.tobytes() == (1e5 * polarization_mod._born_probabilities(rho, stack)).tobytes()
-    # A sweep of the same grid at another tau and M reuses its |A| table.
-    moduli = resonator_mod._moduli(tuple(ns), np.array(phis).tobytes())
-    assert not moduli.flags.writeable
-    hits = resonator_mod._moduli.cache_info().hits
-    sweep_rows(ns, phis, 0.7, 3)
-    assert resonator_mod._moduli.cache_info().hits == hits + 1
 
 
 def test_float32_angles_give_the_float_fringe_bit_for_bit():

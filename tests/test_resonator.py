@@ -196,11 +196,12 @@ def test_sweep_rows_empty_grid_is_an_empty_table(ns, phis):
 
 
 def test_sweep_rows_match_scalar_api_bit_for_bit():
-    # The grid includes phases that wrap onto 0 (2 pi and -1e-17) and the
-    # destructive point N = 2, phi = pi, where |A| is rounding noise (~1e-16).
-    # The second N list is unsorted and spans numpy's pairwise-summation
-    # blocks (8 and 128 terms), so a prefix sum taken any other way shows.
-    phis = [0.0, 0.3, math.pi / 2.0, math.pi, 4.0, 2.0 * math.pi, -1e-17, 7.5]
+    # The grid includes phases that wrap onto 0 (-0.0, 2 pi and -1e-17) and
+    # the destructive point N = 2, phi = pi, where |A| is rounding noise
+    # (~1e-16).  The second N list is unsorted and spans numpy's
+    # pairwise-summation blocks (8 and 128 terms), so a prefix sum taken any
+    # other way shows.
+    phis = [0.0, -0.0, 0.3, math.pi / 2.0, math.pi, 4.0, 2.0 * math.pi, -1e-17, 7.5]
     for ns in ([1, 2, 3, 5], [10, 1, 65, 3, 4, 129, 8]):
         for m in (1, 2, 3):
             for tau in (0.0, 1e-3, 0.05, 0.7):
@@ -264,7 +265,7 @@ def test_sweep_rows_validates_every_input():
 
 def test_array_inputs_match_scalar_calls():
     phis = np.array([0.0, 0.4, math.pi, 2.0 * math.pi, -3.0, 11.0])
-    for n in (1, 2, 5):
+    for n in (1, 2, 5, 9, 129):
         grid = amplitude_sum(n, phis)
         assert grid.shape == phis.shape
         for phi, a in zip(phis, grid):
