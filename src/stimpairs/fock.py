@@ -29,8 +29,9 @@ lays a state out over the (c+1)^4 space.  The dense views
 and the tests.  On the sector the evolution is two commuting pair ladders,
 both gauge-equivalent to one real tridiagonal matrix J.  Everything that
 depends on the cutoff alone, J's eigendecomposition and the index arrays of
-the sector, of its p + q <= c part and of each Phi_M, is one read-only
-table that _cutoff_tables caches per cutoff, about 36 (c+1)^2 bytes.
+the sector and of its p + q <= c part, is one read-only table of six arrays
+that _cutoff_tables caches per cutoff, 28 (c+1)^2 bytes.  Phi_M's terms are
+the sector's anti-diagonal p + q = M, read off it as a view.
 _pair_terms lists the entries of L+ from the index strides alone;
 build_generator (the full-space reference the oracle is tested against) and
 verify's su11_algebra check both start from it.
@@ -225,12 +226,9 @@ def _parse_entries(entries: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
         ok = bool(np.isfinite(values).all())
     if not ok:
         raise _first_bad_entry(entries, dim)
-    index = np.array(index, dtype=np.int64)
-    order = np.argsort(index, kind="stable")
-    index, values = index[order], values[order]
-    last = np.ones(index.size, dtype=bool)
-    last[:-1] = index[1:] != index[:-1]
-    return index[last], values[last]
+    # np.unique keeps each index's first place in the reversed list: its last.
+    index, first = np.unique(np.array(index[::-1], dtype=np.int64), return_index=True)
+    return index, values[::-1][first]
 
 
 def _first_bad_entry(entries: list, dim: int) -> SchemaError:
@@ -293,44 +291,38 @@ def _sector_index(p, q, cutoff: int):
     return ((p * b + q) * b + q) * b + p
 
 
-_CutoffTables = collections.namedtuple(
-    "_CutoffTables", "w v row sector below sign pairs phi_sign phi_index"
-)
+_CutoffTables = collections.namedtuple("_CutoffTables", "w v sector below sign pairs")
 
 
 @functools.lru_cache(maxsize=16)
 def _cutoff_tables(cutoff: int) -> _CutoffTables:
     """Read-only arrays that depend on the cutoff alone, built once per cutoff.
 
-    - w, v, row: eigenvalues, eigenvectors and first row V[0, :] of the real
-      ladder J = K + K^T, where K[p+1, p] = p + 1 is a pair-creation term
-      restricted to its ladder |p; p>, p = 0..cutoff; K kills p = cutoff
-      exactly as the truncated ladder operators do (evolve_vacuum).
+    - w, v: eigenvalues and eigenvectors of the real ladder J = K + K^T,
+      where K[p+1, p] = p + 1 is a pair-creation term restricted to its
+      ladder |p; p>, p = 0..cutoff; K kills p = cutoff exactly as the
+      truncated ladder operators do (evolve_vacuum).
     - sector: full-space indices of the pair sector |p, q; q, p> in
       row-major (p, q) order, which is increasing index order (evolve_vacuum).
+      Its anti-diagonal p + q = M holds the terms of Phi_M (_entangled_terms).
     - below, sign, pairs: the indices of its p + q <= cutoff part in the same
       order, (-1)^q and the pair number n = p + q (disentangled_state).
-    - phi_sign, phi_index: sign and below sorted stably by n, so the shell
-      n = M, the terms of Phi_M, is one slice (_entangled_terms).
 
-    An entry holds about 4.5 (c+1)^2 eight-byte numbers, 36 (c+1)^2 bytes:
-    35 KB at cutoff 30, 14 MB at cutoff 629.  The cache keeps the 16 most
-    recently used cutoffs, so it never holds more than 16 x 36 (c+1)^2 bytes,
-    c the largest cutoff among those 16.  A call that needs only the closed
-    form or a Phi_M projection at a fresh cutoff also decomposes J; the
-    oracle always evolves first at that cutoff.
+    An entry holds 3.5 (c+1)^2 eight-byte numbers, 28 (c+1)^2 bytes: 27 KB
+    at cutoff 30, 11 MB at cutoff 629.  The cache keeps the 16 most recently
+    used cutoffs, so it never holds more than 16 x 28 (c+1)^2 bytes, c the
+    largest cutoff among those 16.  A call that needs only the closed form or
+    a Phi_M projection at a fresh cutoff also decomposes J; the oracle always
+    evolves first at that cutoff.
     """
     off = np.arange(1.0, cutoff + 1.0)
     w, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
-    k = np.arange(cutoff + 1)
-    sector = _sector_index(k[:, None], k, cutoff).ravel()
-    p, q = np.indices((cutoff + 1, cutoff + 1))
+    p, q = np.indices((cutoff + 1, cutoff + 1)).reshape(2, -1)
+    sector = _sector_index(p, q, cutoff)
     keep = p + q <= cutoff
     p, q = p[keep], q[keep]
-    below, sign, pairs = _sector_index(p, q, cutoff), np.where(q % 2, -1.0, 1.0), p + q
-    order = np.argsort(pairs, kind="stable")
     tables = _CutoffTables(
-        w, v, v[0, :].copy(), sector, below, sign, pairs, sign[order], below[order]
+        w, v, sector, _sector_index(p, q, cutoff), np.where(q % 2, -1.0, 1.0), p + q
     )
     for array in tables:
         array.setflags(write=False)
@@ -340,15 +332,19 @@ def _cutoff_tables(cutoff: int) -> _CutoffTables:
 def _entangled_terms(m, cutoff: int):
     """Signs (-1)^k and full-space indices of the terms |M-k, k; k, M-k> of Phi_M.
 
-    Read-only views of _cutoff_tables, k = 0..M in order.  Shell n = M holds
-    p = 0..M in rising order, q = M - p, so k = q runs backwards over it.
+    Read-only views of _cutoff_tables, k = 0..M in order: sign starts with row
+    p = 0, (-1)^q, and the terms are sector's anti-diagonal p + q = M.
     """
     m = positive_int(m, "M")
     if m > cutoff:
         raise ValueError(f"M = {m} needs occupations up to {m}, cutoff is {cutoff}")
     t = _cutoff_tables(cutoff)
-    shell = slice((m + 1) * (m + 2) // 2 - 1, m * (m + 1) // 2 - 1, -1)
-    return t.phi_sign[shell], t.phi_index[shell]
+    return t.sign[: m + 1], t.sector[m * (cutoff + 1) : m - 1 : -cutoff]
+
+
+def _cutoff(space) -> int:
+    """The cutoff of a FockSpace, or of FockSpace(space) for any other value."""
+    return space.cutoff if isinstance(space, FockSpace) else FockSpace(space).cutoff
 
 
 def evolve_vacuum(
@@ -378,25 +374,23 @@ def evolve_vacuum(
     error shows up as weight stranded on the cutoff shell (p = cutoff or q =
     cutoff), returned as leakage and required to stay below tol.
     """
-    if isinstance(space, (int, np.integer)):
-        space = FockSpace(space)
+    c = _cutoff(space)
     a = complex(_amplitudes((cfg.n_passes,), np.asarray(cfg.phi))[0])
-    c = space.cutoff
     t = _cutoff_tables(c)
     k = np.arange(c + 1)
     # u[p] = (D exp(-i tau |A| J) e0)[p]; sector[p, q] = u[p] (-1)^q u[q] is
     # the amplitude of |p, q; q, p>.
-    u = t.v @ (np.exp(-1j * (cfg.tau * abs(a)) * t.w) * t.row)
+    u = t.v @ (np.exp(-1j * (cfg.tau * abs(a)) * t.w) * t.v[0])
     u *= np.exp(1j * cmath.phase(a) * k)
     sector = np.outer(u, np.where(k % 2, -u, u))
     weight = np.abs(sector) ** 2
     leakage = float(weight[c, :].sum() + weight[:c, c].sum())
     if leakage > tol:
         raise TruncationError(
-            f"cutoff {space.cutoff} leaves leakage {leakage:.3e} above tolerance "
+            f"cutoff {c} leaves leakage {leakage:.3e} above tolerance "
             f"{tol:.1e}; raise the cutoff",
             leakage=leakage,
-            cutoff=space.cutoff,
+            cutoff=c,
         )
     return FockVector._from_entries(t.sector, sector.ravel(), c, leakage=leakage)
 
@@ -413,18 +407,23 @@ def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
     The phase factor e^{i theta} matters: only for real positive A tau does u
     reduce to -i tanh(x).  Coefficients are the exact infinite-space values
     truncated at n = cutoff, so the norm falls slightly below 1 by the tail
-    weight.  A tau = 0 returns the vacuum.
+    weight.  A tau = 0 returns the vacuum, a NaN or infinite A tau raises
+    ValueError, and past x ~ 355 sech^2(x), and so every amplitude, is 0.
     """
-    if isinstance(space, (int, np.integer)):
-        space = FockSpace(space)
+    c = _cutoff(space)
     x = abs(a_tau)
+    if not math.isfinite(x):
+        raise ValueError(f"a_tau must be finite, got {a_tau!r}")
     if x == 0.0:
-        return space.vacuum()
+        return FockSpace(c).vacuum()
     u = -1j * (complex(a_tau) / x) * math.tanh(x)
-    sech2 = 1.0 / math.cosh(x) ** 2
+    try:
+        sech2 = 1.0 / math.cosh(x) ** 2
+    except OverflowError:
+        sech2 = 0.0
     # |n-l, l; l, n-l> is the sector state p = n - l, q = l, kept for n <= cutoff.
-    t = _cutoff_tables(space.cutoff)
-    return FockVector._from_entries(t.below, t.sign * (sech2 * u**t.pairs), space.cutoff)
+    t = _cutoff_tables(c)
+    return FockVector._from_entries(t.below, t.sign * (sech2 * u**t.pairs), c)
 
 
 def entangled_state(m: int, space: FockSpace | int) -> FockVector:
@@ -433,13 +432,10 @@ def entangled_state(m: int, space: FockSpace | int) -> FockVector:
     (1 / sqrt(M+1)) sum_{k=0}^{M} (-1)^k |M-k, k; k, M-k>.  M = 1 is the
     polarization singlet.
     """
-    if isinstance(space, (int, np.integer)):
-        space = FockSpace(space)
-    sign, index = _entangled_terms(m, space.cutoff)
+    c = _cutoff(space)
+    sign, index = _entangled_terms(m, c)
     # The index falls as k rises (p = M - k leads), so store the terms reversed.
-    return FockVector._from_entries(
-        index[::-1], sign[::-1] * (1.0 / math.sqrt(m + 1.0)), space.cutoff
-    )
+    return FockVector._from_entries(index[::-1], sign[::-1] * (1.0 / math.sqrt(m + 1.0)), c)
 
 
 def project_entangled(state: FockVector, m: int) -> complex:
@@ -454,10 +450,13 @@ def suggest_cutoff(a_tau: complex, *, floor: int = 8) -> int:
     Pair-sector amplitudes fall off geometrically by tanh(|A tau|) per sector,
     so c = ceil(log(1e-10) / log(tanh|A tau|)) bounds the stranded weight.
     Heuristic for sizing the space before an evolution; the evolution itself
-    still measures and enforces its leakage.
+    still measures and enforces its leakage.  A NaN or infinite a_tau raises
+    ValueError.
     """
     floor = positive_int(floor, "floor")
     x = abs(a_tau)
+    if not math.isfinite(x):
+        raise ValueError(f"a_tau must be finite, got {a_tau!r}")
     if x == 0.0:
         return floor
     ratio = math.tanh(x)
@@ -468,3 +467,4 @@ def suggest_cutoff(a_tau: complex, *, floor: int = 8) -> int:
         )
     needed = math.ceil(math.log(1e-10) / math.log(ratio))
     return max(floor, needed)
+

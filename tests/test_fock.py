@@ -91,6 +91,15 @@ _COUNT = "must be a positive integer"
 _REFUSED = {
     "space": (lambda: FockSpace(True), "cutoff " + _COUNT),
     "evolve": (lambda: evolve_vacuum(_CFG, True), "cutoff " + _COUNT),
+    "evolve-fraction": (lambda: evolve_vacuum(_CFG, 2.5), "cutoff " + _COUNT),
+    "closed-form-string": (lambda: disentangled_state(0.1, "8"), "cutoff " + _COUNT),
+    "entangled-none": (lambda: entangled_state(1, None), "cutoff " + _COUNT),
+    "closed-form-nan": (lambda: disentangled_state(math.nan, 8), "a_tau must be finite"),
+    "closed-form-complex-nan": (
+        lambda: disentangled_state(complex(1.0, math.nan), 8),
+        "a_tau must be finite",
+    ),
+    "suggest-nan": (lambda: suggest_cutoff(math.nan), "a_tau must be finite"),
     "entangled": (lambda: entangled_state(True, 4), "M " + _COUNT),
     "project": (lambda: project_entangled(evolve_vacuum(_CFG, 4), True), "M " + _COUNT),
     "config-bool": (lambda: ResonatorConfig(True, 0.0, 0.1), "n_passes " + _COUNT),
@@ -121,8 +130,10 @@ _REFUSED.update(
 def test_bool_cutoffs_and_orders_are_refused(case):
     # A count is a Python or numpy integer of at least 1.  bool is an int
     # subclass: True once built cutoff 1 and ran as N = 1 and as M = 1; a
-    # fraction once ran as int(1.7) = 1 or came back as the cutoff.  NaN or
-    # inf shots once failed later, as non-finite counts.
+    # fraction once ran as int(1.7) = 1 or came back as the cutoff, and a
+    # state builder took a non-integer cutoff for a FockSpace (AttributeError).
+    # NaN or inf shots once failed later, as non-finite counts; a NaN A tau
+    # gave an all-NaN closed form.
     call, match = _REFUSED[case]
     with pytest.raises(ValueError, match=match):
         call()
@@ -400,25 +411,25 @@ def test_evolution_matches_complex_ladder_reference():
 
 def test_ladder_decomposition_is_cached_read_only_per_cutoff():
     tables = fock_mod._cutoff_tables(7)
-    w, v, row = tables.w, tables.v, tables.row
+    w, v = tables.w, tables.v
     assert fock_mod._cutoff_tables(7).v is v
     assert fock_mod._cutoff_tables.cache_info().maxsize == 16
-    for array in (w, v, row):
+    for array in (w, v):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         v[0, 0] = 1.0
     # J = K + K^T with K[p+1, p] = p + 1, real and tridiagonal.
     k = np.diag(np.arange(1.0, 8.0), -1)
     assert np.abs((v * w) @ v.T - (k + k.T)).max() < 1e-13
-    assert np.array_equal(row, v[0, :])
 
 
 def test_sector_layouts_are_cached_read_only():
     tables = fock_mod._cutoff_tables(7)
     assert all(a is b for a, b in zip(fock_mod._cutoff_tables(7), tables))
+    assert tables._fields == ("w", "v", "sector", "below", "sign", "pairs")
     # Phi_M's terms are views of the table, not copies.
     terms = fock_mod._entangled_terms(2, 7)
-    assert terms[0].base is tables.phi_sign and terms[1].base is tables.phi_index
+    assert terms[0].base is tables.sign and terms[1].base is tables.sector
     for array in tables + terms:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -476,8 +487,8 @@ def test_ladder_identities_hold_for_any_phase():
     # Gauge: coef = |A| e^{i theta} gives D exp(-i tau |A| J) e0; sign flip:
     # -A gives (-1)^p times the same column.
     cutoff, tau = 10, 0.7
-    w, v, row = fock_mod._cutoff_tables(cutoff)[:3]
-    real = v @ (np.exp(-1j * tau * 0.4 * w) * row)
+    w, v = fock_mod._cutoff_tables(cutoff)[:2]
+    real = v @ (np.exp(-1j * tau * 0.4 * w) * v[0])
     p = np.arange(cutoff + 1)
     for theta in (0.0, 0.3, 2.0, math.pi, -1.1):
         a = 0.4 * np.exp(1j * theta)
@@ -610,6 +621,13 @@ def test_disentangled_phase_convention():
     pair_amp = state.amplitudes[ref.index(space, (1, 0, 0, 1))]
     expected = -1j * np.exp(0.7j) * math.tanh(0.1) / math.cosh(0.1) ** 2
     assert pair_amp == pytest.approx(expected, abs=1e-14)
+    # Past x ~ 355 cosh^2(x) overflows: sech^2(x), and so every amplitude, is 0.
+    pair_amp = disentangled_state(354.0, space).amplitudes[ref.index(space, (1, 0, 0, 1))]
+    assert pair_amp != 0.0
+    assert pair_amp == pytest.approx(-1j * math.tanh(354.0) / math.cosh(354.0) ** 2, rel=1e-15)
+    for x in (356.0, 711.0):
+        state = disentangled_state(x, space)
+        assert state.indices.size == 15 and not state.values.any()
 
 
 def test_disentangled_zero_coupling_is_vacuum():

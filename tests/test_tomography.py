@@ -1301,9 +1301,9 @@ def test_mle_refuses_incomplete_settings():
 )
 # Two records the draws have found, pinned because which examples are drawn
 # shifts with the literals of the loaded modules: one setting with 67 counts
-# at shots 1e-3 (once a lambda - 1 projection's non-state, now 11 Newton
+# at shots 1e-3 (once a lambda - 1 projection's non-state, now 6 Newton
 # steps) and its 53,382-count Jeffreys twin (once 5000 iterations without
-# converging, now 26 Newton steps).
+# converging, now 19 Newton steps).
 @example(counts=[0.0] * 13 + [67.0, 0.0, 0.0], shots=1e-3, basis="HVDR", jeffreys=False)
 @example(counts=[0.0] * 13 + [53382.0, 0.0, 0.0], shots=1e-3, basis="HVDR", jeffreys=True)
 def test_mle_is_physical_or_raises_reconstruction_error(counts, shots, basis, jeffreys):
