@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -121,6 +122,13 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # An argument that starts like a negative number (-1e-3, -.5, -inf, -nan)
+        # is a value, not an option; argparse before 3.13 takes only forms like
+        # -1 and -1.5.  Subparsers are built from this class, so they agree.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -17,8 +17,10 @@ zero tilt, delta(alpha) - delta(0), for tilt scans.  B is the fitted
 visibility and 2 (1 + B) estimates the two-pass to one-pass rate ratio.
 
 A polarizer scan builds its (k, 4, 4) projector stack on every call, in one
-array pass from its own angles, and a tilt scan its |A(N, phi)| from its
-wrapped phases with resonator._amplitudes, the builder every rate reads.
+array pass from its own angles; a settings list, in tomography or one
+analyzer_projector, gets its stack from _projectors.  A tilt scan reads its
+strengths x = |A(N, phi)| tau from resonator._strengths, the function every
+rate reads.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import FitError, finite, positive_float
 from .phase_plate import PlateGeometry, _wrap, relative_phase
-from .resonator import ResonatorConfig, _amplitudes, _modulus, _p_approx, _p_exact
+from .resonator import ResonatorConfig, _p_approx, _p_exact, _strengths
 
 # Phase flip of arm a's vertical component, diag in the (HH, HV, VH, VV) basis.
 _Z_ARM_A = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -71,20 +73,10 @@ class ArmSetting:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Analyzer settings for both arms of one coincidence measurement.
-
-    The hash, the one the dataclass would compute, is taken once when the
-    setting is built: a tomography model lookup hashes whole settings lists.
-    """
+    """Analyzer settings for both arms of one coincidence measurement."""
 
     arm_a: ArmSetting
     arm_b: ArmSetting
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.arm_a, self.arm_b)))
-
-    def __hash__(self):
-        return self._hash
 
 
 def _analyzer_states(pol, qwp=None) -> np.ndarray:
@@ -142,9 +134,17 @@ def _projector_stack(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(-1, 4, 4)
 
 
+def _projectors(settings) -> np.ndarray:
+    """The (k, 4, 4) projector stack of a settings list, built in one array
+    pass over the settings' angles."""
+    return _projector_stack(
+        _arm_states([s.arm_a for s in settings]), _arm_states([s.arm_b for s in settings])
+    )
+
+
 def analyzer_projector(setting: MeasurementSetting) -> np.ndarray:
     """Rank-one coincidence projector Pi_a otimes Pi_b in the (HH, HV, VH, VV) basis."""
-    return _projector_stack(_arm_states([setting.arm_a]), _arm_states([setting.arm_b]))[0]
+    return _projectors([setting])[0]
 
 
 def state_density(state: np.ndarray) -> np.ndarray:
@@ -295,8 +295,10 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     Jacobian of the model in (A, B, C) at the solution (unclamped B) and
     s^2 the residual sum of squares over n - 3.  Raises FitError when the
     scan is too short, spans less than half a period, has no counts or a
-    non-positive A, or when J^T J in (ln A, B, C), free of the count scale,
-    has condition number above 1e12 (constant data leaves C undetermined).
+    non-positive A, when J^T J in (ln A, B, C), free of the count scale,
+    has condition number above 1e12 (constant data leaves C undetermined),
+    or when counts so large (from about 1e154) that a sum of their squares
+    overflows.
 
     2(1 + B) estimates the double-pass over single-pass rate ratio; the ideal
     value is 4.  Experimental reference points from a tabletop run of this
@@ -311,28 +313,34 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         raise FitError(
             f"scan spans {x.max() - x.min():.3f} rad of phase, need more than pi"
         )
-    if counts.mean() <= 0.0:
-        raise FitError("all counts are zero, nothing to fit")
+    try:
+        with np.errstate(over="raise"):
+            if counts.mean() <= 0.0:
+                raise FitError("all counts are zero, nothing to fit")
+            design = np.empty((x.size, 3))
+            design[:, 0], design[:, 1], design[:, 2] = 1.0, np.cos(x), np.sin(x)
+            coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+            alpha, beta, gamma = coef
+            a = alpha / 2.0
+            if a <= 0.0:
+                raise FitError(f"fitted amplitude {a!r} is not positive")
+            b = math.hypot(beta, gamma) / alpha
+            c = math.atan2(-gamma, beta)
+            resid = counts - design @ coef
+            rss = float(resid @ resid)
 
-    design = np.empty((x.size, 3))
-    design[:, 0], design[:, 1], design[:, 2] = 1.0, np.cos(x), np.sin(x)
-    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    alpha, beta, gamma = coef
-    a = alpha / 2.0
-    if a <= 0.0:
-        raise FitError(f"fitted amplitude {a!r} is not positive")
-    b = math.hypot(beta, gamma) / alpha
-    c = math.atan2(-gamma, beta)
-    resid = counts - design @ coef
-    rss = float(resid @ resid)
-
-    cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
-    jac = np.empty((x.size, 3))
-    jac[:, 0], jac[:, 1], jac[:, 2] = 2.0 * (1.0 + b * cos_xc), 2.0 * a * cos_xc, -2.0 * a * b * sin_xc
-    jtj = jac.T @ jac
-    if _degenerate(jtj, a):
-        raise FitError("fit parameters are degenerate (flat or constant scan)")
-    cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
+            cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
+            jac = np.empty((x.size, 3))
+            jac[:, 0] = 2.0 * (1.0 + b * cos_xc)
+            jac[:, 1], jac[:, 2] = 2.0 * a * cos_xc, -2.0 * a * b * sin_xc
+            jtj = jac.T @ jac
+            if _degenerate(jtj, a):
+                raise FitError("fit parameters are degenerate (flat or constant scan)")
+            cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
+    except FloatingPointError:
+        raise FitError(
+            f"counts up to {counts.max():.3g} overflow the fit's sums of squares"
+        ) from None
     return FitResult(
         amplitude=float(a),
         visibility=float(min(b, 1.0)),
@@ -386,7 +394,13 @@ def _draw_counts(means: np.ndarray, seed: int | None) -> np.ndarray:
     if seed is None:
         return means
     rng = np.random.default_rng(seed)
-    return rng.poisson(means).astype(float)
+    try:
+        return rng.poisson(means).astype(float)
+    except ValueError:  # numpy draws no Poisson count with a mean past about 9.2e18
+        raise ValueError(
+            f"mean count {means.max():.3g} is too large for a Poisson draw; "
+            "lower the shots or drop the seed"
+        ) from None
 
 
 def simulate_polarization_fringe(
@@ -444,7 +458,7 @@ def simulate_stimulation_fringe(
         raise ValueError("need a 1-d list of at least 2 tilt angles")
     # delta(alpha) is bounded, so finite tilts give finite phases.
     phases = relative_phase(geom, alphas) - relative_phase(geom, 0.0)
-    x = _modulus(_amplitudes((cfg.n_passes,), _wrap(phases))[0]) * cfg.tau
+    x = _strengths((cfg.n_passes,), phases, cfg.tau)[0]
     probs = _p_exact(1, x) if model == "exact" else _p_approx(1, x)
     counts = _draw_counts(shots * probs, seed)
     return FringeScan(phase=phases, counts=counts)

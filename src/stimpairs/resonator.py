@@ -19,14 +19,15 @@ whose small-tau limit (M + 1) (|A| tau)^{2M} carries the familiar
 a closed form; the truncated Fock-space oracle that these formulas are tested
 against lives in fock.py.
 
-Each observable has one implementation on an array of x = |A| tau, and A
-one builder, _amplitudes.  The scalar functions evaluate it on a
-one-element array, since a numpy scalar raised to an integer power rounds
-differently from an array, and grid callers (sweep_rows, the tilt-scan
-fringe) on a whole phase grid after validating their inputs once, so a grid
-entry equals the scalar call bit for bit.  sweep_rows returns its grid as
-one float64 table, N and M held as exact floats; the CLI converts it to
-Python numbers only to write CSV or JSON.
+Each observable has one implementation on an array of x = |A| tau.  A has
+one builder, _amplitudes, and x one function, _strengths, which wraps the
+phases and scales |A| by tau; every rate reads x from it.  The scalar
+functions evaluate it on a one-element array, since a numpy scalar raised to
+an integer power rounds differently from an array, and grid callers
+(sweep_rows, the tilt-scan fringe) on a whole phase grid after validating
+their inputs once, so a grid entry equals the scalar call bit for bit.
+sweep_rows returns its grid as one float64 table, N and M held as exact
+floats; the CLI converts it to Python numbers only to write CSV or JSON.
 """
 
 from __future__ import annotations
@@ -96,9 +97,14 @@ def _amplitudes(n_values, phases: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _modulus(a: np.ndarray) -> np.ndarray:
-    """|a|; np.hypot of the parts equals abs(complex) bit for bit, where np.abs does not."""
-    return np.hypot(a.real, a.imag)
+def _strengths(n_values, phases: np.ndarray, tau: float) -> np.ndarray:
+    """x = |A(N, phi)| tau on the wrapped phases, the one place x is formed.
+
+    Shape (len(n_values),) + phases.shape.  |A| is np.hypot of the parts,
+    which equals abs(complex) bit for bit where np.abs does not.
+    """
+    a = _amplitudes(n_values, _wrap(phases))
+    return np.hypot(a.real, a.imag) * tau
 
 
 def _p_exact(m: int, x: np.ndarray) -> np.ndarray:
@@ -124,7 +130,7 @@ def pair_probability_exact(m: int, cfg: ResonatorConfig) -> float:
     pair_probability_vs_u.
     """
     m = positive_int(m, "pair order M")
-    x = _modulus(_amplitudes((cfg.n_passes,), np.array([cfg.phi]))[0]) * cfg.tau
+    x = _strengths((cfg.n_passes,), np.array([cfg.phi]), cfg.tau)[0]
     return float(_p_exact(m, x)[0])
 
 
@@ -138,7 +144,7 @@ def pair_probability_approx(m: int, cfg: ResonatorConfig) -> float:
     FloatingPointError.
     """
     m = positive_int(m, "pair order M")
-    x = _modulus(_amplitudes((cfg.n_passes,), np.array([cfg.phi]))[0]) * cfg.tau
+    x = _strengths((cfg.n_passes,), np.array([cfg.phi]), cfg.tau)[0]
     return float(_p_approx(m, x)[0])
 
 
@@ -173,7 +179,7 @@ def double_pass_ratio(theta: float) -> float:
 
 def multiphoton_contamination(cfg: ResonatorConfig) -> float:
     """Ratio P_2 / P_1 of double-pair to single-pair emission, (3/2) tanh^2(|A| tau)."""
-    x = _modulus(_amplitudes((cfg.n_passes,), np.array([cfg.phi]))[0]) * cfg.tau
+    x = _strengths((cfg.n_passes,), np.array([cfg.phi]), cfg.tau)[0]
     return float(_contamination(x)[0])
 
 
@@ -183,16 +189,16 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> np.ndarray:
     The table is C-contiguous with shape (len(n_values) * len(phis), 7) and
     columns SWEEP_COLUMNS; the rows are N-major then phi, and phi is echoed as
     given.  N and M are exact small integers held as floats.  Inputs are
-    validated once; |A| of the N list on the wrapped phases comes from one
-    _amplitudes table, times tau, and each column is evaluated once on that
-    whole array, so every row equals the scalar functions on
-    ResonatorConfig(N, phi, tau) bit for bit.
+    validated once; x of the N list on the phases comes from one _strengths
+    table, and each column is evaluated once on that whole array, so every
+    row equals the scalar functions on ResonatorConfig(N, phi, tau) bit for
+    bit.
     """
     n_values = tuple(positive_int(n, "n_passes") for n in n_values)
     phis = finite(phis, "phi").reshape(-1)
     tau = _check_tau(tau)
     m = positive_int(m, "pair order M")
-    x = _modulus(_amplitudes(n_values, _wrap(phis))) * tau
+    x = _strengths(n_values, phis, tau)
     table = np.empty((len(n_values), len(phis), len(SWEEP_COLUMNS)))
     table[..., 0] = np.reshape(n_values, (-1, 1))
     table[..., 1] = phis

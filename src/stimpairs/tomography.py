@@ -32,8 +32,7 @@ setting, and form rho only at the end of the round.
 Everything that depends on the settings list alone (projector stack, chart,
 completeness verdict and the finish's factor table) is one read-only model
 that _model caches per settings tuple, so simulating a record and
-reconstructing it builds that model once.  Each MeasurementSetting hashes
-once, when it is built, so looking a tuple up makes no per-setting hash work.
+reconstructing it builds that model once.
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ from .errors import ReconstructionError, SchemaError, finite, json_number, load_
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
-    _arm_states,
     _born_probabilities,
     _draw_counts,
-    _projector_stack,
+    _projectors,
     check_density_matrix,
     state_density,
 )
@@ -233,14 +231,6 @@ def simulate_tomography(
     return TomographyRecord(settings=settings, counts=counts, shots=shots)
 
 
-def _projectors(settings) -> np.ndarray:
-    """The (k, 4, 4) projector stack of a settings list, built in one array
-    pass over the settings' angles."""
-    return _projector_stack(
-        _arm_states([s.arm_a for s in settings]), _arm_states([s.arm_b for s in settings])
-    )
-
-
 _Model = collections.namedtuple("_Model", "stack chart cond table")
 
 
@@ -248,8 +238,8 @@ _Model = collections.namedtuple("_Model", "stack chart cond table")
 def _model(settings: tuple) -> _Model:
     """Read-only arrays that depend on the settings tuple alone, built once per tuple.
 
-    - stack: the (k, 4, 4) projector stack (_projectors), the Born rule of
-      simulation.
+    - stack: the (k, 4, 4) projector stack (polarization._projectors), the
+      Born rule of simulation.
     - chart: the (k, 16) real chart _coordinates(stack).
     - cond: the completeness verdict, the chart's condition number, or None
       when there are not 16 settings (_require_complete judges it).  The E_k

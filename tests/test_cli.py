@@ -258,6 +258,31 @@ def test_non_finite_number_flag_exits_one(capsys, value):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("sweep-phase", "--phi-min", "-1e-3", "--phi-steps", "2"),
+        ("sweep-phase", "--phi-min", "-.5", "--phi-steps", "2"),
+        ("fringe", "--qwp-a-deg", "-1e1"),
+        ("fig4", "--alpha-min-deg", "-2E1", "--seed", "1"),
+    ],
+)
+def test_negative_flag_values_in_any_float_form_are_values(capsys, argv):
+    # argparse before 3.13 takes only -1 and -1.5 as values, so -1e-3 would
+    # read as an unknown option and exit 1 with "expected one argument".
+    *head, flag, value = argv[:3]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *head, f"{flag}={value}", *argv[3:])
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+def test_negative_non_finite_flag_values_reach_the_number_check(capsys, value):
+    code, out, err = run(capsys, "sweep-phase", "--phi-min", value)
+    assert (code, out) == (1, "")
+    assert err.startswith("stimpairs: invalid configuration: phi_min must be a finite number, got ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sweep-phase", "--n-list", "2,5", "--phi-steps", "4", "--tau", "0.002", "--m", "2"],
         ["fig4", "--alpha-steps", "21", "--seed", "5", "--model", "approx", "--n-passes", "3"],
         ["fringe", "--state", "dephased:0.2", "--pol-b-deg", "30", "--qwp-a-deg", "12.5",
@@ -717,6 +742,32 @@ def test_numerical_failure_exits_two(capsys):
         code, _, err = run(capsys, "fringe", *argv)
         assert code == 2
         assert "numerical" in err
+
+
+def test_fringe_past_the_fit_range_exits_two_without_a_warning(capsys):
+    # The fit's sums of squares overflow past about 1e154 counts: a numerical
+    # failure naming the count scale, not an overflow warning (an error under
+    # tier-1) followed by a wrong "degenerate" verdict.
+    code, out, err = run(capsys, "fringe", "--shots", "1e160")
+    assert (code, out) == (2, "")
+    assert err == "stimpairs: numerical failure: counts up to 5e+159 overflow the fit's sums of squares\n"
+
+
+@pytest.mark.parametrize(
+    "argv,mean",
+    [
+        (("fringe", "--shots", "1e300", "--seed", "3"), "5e+299"),
+        (("fig4", "--shots", "1e30", "--seed", "1"), "8e+24"),
+        (("tomography", "--shots", "1e300", "--seed", "1"), "5e+299"),
+    ],
+)
+def test_seeded_runs_past_the_poisson_limit_exit_one_naming_the_mean(capsys, argv, mean):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"stimpairs: invalid configuration: mean count {mean} is too large for a Poisson draw; "
+        "lower the shots or drop the seed\n"
+    )
 
 
 def test_fig4_degenerate_counts_exit_two(capsys):

@@ -753,6 +753,30 @@ def test_degeneracy_verdict_matches_cond():
     assert 50 <= sum(verdicts) <= len(verdicts) - 50
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e160, 1e300, 1e308])
+def test_fit_fringe_refuses_counts_whose_squares_overflow(scale):
+    # Past about 1e154 counts the sums of squares in J^T J overflow.  The fit
+    # is refused with the count scale named, and no overflow warning escapes
+    # (tier-1 turns one into an error).  At 1e150 the same fringe still fits.
+    x = np.linspace(0.0, 4.0 * math.pi, 40)
+    shape = 1.0 + 0.5 * np.cos(x + 0.3)
+    with pytest.raises(FitError, match=r"counts up to \S+e\+\d+ overflow the fit's sums of squares"):
+        fit_fringe(FringeScan(x, scale * shape))
+    fit = fit_fringe(FringeScan(x, 1e150 * shape))
+    assert fit.visibility == pytest.approx(0.5, rel=1e-12)
+    assert fit.phase == pytest.approx(0.3, rel=1e-12)
+
+
+def test_seeded_scan_past_the_poisson_limit_names_the_mean_count():
+    # numpy draws no Poisson count with a mean past about 9.2e18; the error
+    # names the largest mean and the way out instead of numpy's bare message.
+    angles = np.radians(np.linspace(0.0, 180.0, 37))
+    for shots in (1e20, 1e300):
+        with pytest.raises(ValueError, match=r"mean count \S+ is too large for a Poisson draw; "
+                           r"lower the shots or drop the seed"):
+            simulate_polarization_fringe(bell_state(), ArmSetting(math.pi / 4.0), angles, shots, seed=3)
+
+
 def test_fit_fringe_rejects_constant_and_accepts_nearly_flat_scans():
     # A constant scan leaves C undetermined: J^T J's C column vanishes and the
     # fit is refused.  A scan with a visibility well above the 1e-6 where the

@@ -840,19 +840,14 @@ def test_factor_probabilities_match_rho_through_the_design():
             assert np.array_equal(turned, model.table @ t)
 
 
-def test_measurement_settings_hash_once_and_compare_as_before(monkeypatch):
-    # A setting's hash is taken when it is built and is the one the dataclass
-    # computes from its fields; equality still compares the two arms.  Once
-    # built, hashing a settings list hashes no arm again.
+def test_measurement_settings_hash_and_compare_by_value():
+    # Settings are dataclass values: equal settings compare and hash equal,
+    # with the hash the dataclass computes from the two arms, distinct ones
+    # differ, and a tomography model keyed by a settings tuple is found again
+    # from an equal, freshly built tuple.
     settings_ = standard_settings()
     again = standard_settings()
-
-    def no_hash(arm):
-        raise AssertionError("arm hashed after the setting was built")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ArmSetting, "__hash__", no_hash)
-        assert hash(tuple(settings_)) == hash(tuple(again))
+    assert hash(tuple(settings_)) == hash(tuple(again))
     for s, t in zip(settings_, again):
         assert s is not t and s == t and hash(s) == hash(t) == hash((s.arm_a, s.arm_b))
     assert settings_[0] != settings_[1]
