@@ -12,7 +12,8 @@ Subcommands:
 Every subcommand accepts --config <json> (a file of long-option keys, CLI
 flags win), echoes the resolved configuration and seed into its output
 header, and is deterministic under a fixed seed.  Scans are CSV, structured
-results JSON.  Exit codes: 0 success, 1 validation error, 2 numerical
+results strict JSON: a NaN or infinity bound for JSON output is a numerical
+failure naming its key.  Exit codes: 0 success, 1 validation error, 2 numerical
 failure or out of memory, 3 I/O error or a missing dependency (numpy not
 installed).
 
@@ -205,8 +206,32 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _dumps(doc: dict, **options) -> str:
+    """Strict JSON with sorted keys: a NaN or infinity in doc is a numerical
+    failure naming its key, never written as NaN or Infinity."""
+    try:
+        return json.dumps(doc, allow_nan=False, sort_keys=True, **options)
+    except ValueError:
+        found = next(_non_finite(doc), None)
+        if found is None:
+            raise
+        raise FloatingPointError("{} = {!r} is not a JSON number".format(*found)) from None
+
+
+def _non_finite(value, path: str = ""):
+    """(path, value) of each NaN or infinity in value, the path as in fit.cov[0][1]."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{path}[{i}]")
+
+
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dumps(doc, indent=2) + "\n"
 
 
 def _emit_scan(args, settings: dict, columns, rows, fit=None) -> int:
@@ -222,9 +247,9 @@ def _emit_scan(args, settings: dict, columns, rows, fit=None) -> int:
             doc.update(scan=[dict(zip(columns, r)) for r in rows], fit=fit.to_dict())
         _emit(_json_text(doc), args.out)
         return 0
-    lines = [f"# stimpairs {args.command}", f"# config: {json.dumps(echo, sort_keys=True)}"]
+    lines = [f"# stimpairs {args.command}", f"# config: {_dumps(echo)}"]
     if fit is not None:
-        lines.append(f"# fit: {json.dumps(fit.to_dict(), sort_keys=True)}")
+        lines.append(f"# fit: {_dumps(fit.to_dict())}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))

@@ -218,6 +218,13 @@ def dephasing_noise(state: np.ndarray, d: float) -> np.ndarray:
 
 # ----- Fringe scans and the sinusoidal fit -----
 
+# The range of n S^2, for n counts up to S, in which fit_fringe fits.  Its
+# sums of squares (J^T J, the residual sum) stay below about n S^2, so the top
+# lies 2^10 under the largest float.  The covariance inverts J^T J, whose
+# smallest singular value the degeneracy rule lets lie 1e12 under its largest,
+# so the bottom lies 1e12 * 2^10 over the smallest normal float.
+_SQUARES = (1e12 * 2**10 * np.finfo(float).tiny, np.finfo(float).max / 2**10)
+
 
 @dataclass(frozen=True)
 class FringeScan:
@@ -294,11 +301,19 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     reported as 1.  covariance is inv(J^T J) s^2, with J the analytic
     Jacobian of the model in (A, B, C) at the solution (unclamped B) and
     s^2 the residual sum of squares over n - 3.  Raises FitError when the
-    scan is too short, spans less than half a period, has no counts or a
-    non-positive A, when J^T J in (ln A, B, C), free of the count scale,
-    has condition number above 1e12 (constant data leaves C undetermined),
-    or when counts so large (from about 1e154) that a sum of their squares
-    overflows.
+    scan is too short or spans less than half a period, when its counts are
+    all zero or their scale is out of range, when A is not positive, or when
+    J^T J in (ln A, B, C), free of the count scale, has condition number
+    above 1e12 (constant data leaves C undetermined).
+
+    The count scale is judged once, before any arithmetic: with n counts up
+    to S, n S^2 must lie in _SQUARES, from 1e12 * 2^10 times the smallest
+    normal float to 2^10 under the largest.  Above, the sums of squares
+    would overflow; below, J^T J would underflow and its inverse overflow.
+    A 40-point scan fits with its largest count from about 8e-148 to 7e151.
+    Inside the range no fit raises a floating-point warning, unless its
+    phases bunch so tightly that the linear solve amplifies the counts more
+    than 32-fold (see _degenerate).
 
     2(1 + B) estimates the double-pass over single-pass rate ratio; the ideal
     value is 4.  Experimental reference points from a tabletop run of this
@@ -313,34 +328,32 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         raise FitError(
             f"scan spans {x.max() - x.min():.3f} rad of phase, need more than pi"
         )
-    try:
-        with np.errstate(over="raise"):
-            if counts.mean() <= 0.0:
-                raise FitError("all counts are zero, nothing to fit")
-            design = np.empty((x.size, 3))
-            design[:, 0], design[:, 1], design[:, 2] = 1.0, np.cos(x), np.sin(x)
-            coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
-            alpha, beta, gamma = coef
-            a = alpha / 2.0
-            if a <= 0.0:
-                raise FitError(f"fitted amplitude {a!r} is not positive")
-            b = math.hypot(beta, gamma) / alpha
-            c = math.atan2(-gamma, beta)
-            resid = counts - design @ coef
-            rss = float(resid @ resid)
+    top = float(counts.max())
+    squares = top * top * x.size  # Python floats: inf or 0 past the range, no warning
+    if not _SQUARES[0] <= squares <= _SQUARES[1]:
+        end = "overflow" if squares > _SQUARES[1] else "underflow"
+        why = f"counts up to {top:.3g} {end} the fit's sums of squares"
+        raise FitError(why if top > 0.0 else "all counts are zero, nothing to fit")
+    design = np.empty((x.size, 3))
+    design[:, 0], design[:, 1], design[:, 2] = 1.0, np.cos(x), np.sin(x)
+    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    alpha, beta, gamma = coef
+    a = alpha / 2.0
+    if a <= 0.0:
+        raise FitError(f"fitted amplitude {a!r} is not positive")
+    b = math.hypot(beta, gamma) / alpha
+    c = math.atan2(-gamma, beta)
+    resid = counts - design @ coef
+    rss = float(resid @ resid)
 
-            cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
-            jac = np.empty((x.size, 3))
-            jac[:, 0] = 2.0 * (1.0 + b * cos_xc)
-            jac[:, 1], jac[:, 2] = 2.0 * a * cos_xc, -2.0 * a * b * sin_xc
-            jtj = jac.T @ jac
-            if _degenerate(jtj, a):
-                raise FitError("fit parameters are degenerate (flat or constant scan)")
-            cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
-    except FloatingPointError:
-        raise FitError(
-            f"counts up to {counts.max():.3g} overflow the fit's sums of squares"
-        ) from None
+    cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
+    jac = np.empty((x.size, 3))
+    jac[:, 0] = 2.0 * (1.0 + b * cos_xc)
+    jac[:, 1], jac[:, 2] = 2.0 * a * cos_xc, -2.0 * a * b * sin_xc
+    jtj = jac.T @ jac
+    if _degenerate(jtj, a):
+        raise FitError("fit parameters are degenerate (flat or constant scan)")
+    cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
     return FitResult(
         amplitude=float(a),
         visibility=float(min(b, 1.0)),
@@ -359,7 +372,11 @@ def _degenerate(jtj: np.ndarray, a: float) -> bool:
     all scale as A: degenerate when it has a non-finite entry or a condition
     number above 1e12.  The condition number is np.linalg.cond's, largest
     over smallest singular value, inf where the smallest is 0 or NaN (J^T J
-    scaled past the float range).
+    scaled past the float range).  fit_fringe's count-scale rule keeps its
+    J^T J finite, except near the top of the range for a scan whose phases
+    bunch at two points, where the linear solve can amplify the counts more
+    than 32-fold and J^T J overflows with numpy's warning.  The non-finite
+    branch guards those scans and direct callers.
     """
     if np.count_nonzero(np.isfinite(jtj)) != jtj.size:
         return True

@@ -101,10 +101,13 @@ def _strengths(n_values, phases: np.ndarray, tau: float) -> np.ndarray:
     """x = |A(N, phi)| tau on the wrapped phases, the one place x is formed.
 
     Shape (len(n_values),) + phases.shape.  |A| is np.hypot of the parts,
-    which equals abs(complex) bit for bit where np.abs does not.
+    which equals abs(complex) bit for bit where np.abs does not.  An x past
+    the float range is inf, with no overflow warning: P_exact and the
+    contamination take their limits 0 and 1.5 there, and _p_approx refuses it.
     """
     a = _amplitudes(n_values, _wrap(phases))
-    return np.hypot(a.real, a.imag) * tau
+    with np.errstate(over="ignore"):
+        return np.hypot(a.real, a.imag) * tau
 
 
 def _p_exact(m: int, x: np.ndarray) -> np.ndarray:
@@ -114,8 +117,12 @@ def _p_exact(m: int, x: np.ndarray) -> np.ndarray:
 
 
 def _p_approx(m: int, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="raise"):
-        return (m + 1) * x ** (2 * m)
+    # An x of inf raises no overflow in the power, so the result is judged.
+    with np.errstate(over="ignore"):
+        p = (m + 1) * x ** (2 * m)
+    if np.isinf(p).any():
+        raise FloatingPointError(f"|A| tau up to {x.max():.3g} overflows the small-tau limit")
+    return p
 
 
 def _contamination(x: np.ndarray) -> np.ndarray:
@@ -140,8 +147,8 @@ def pair_probability_approx(m: int, cfg: ResonatorConfig) -> float:
     |A| equals |sin(N phi/2) / sin(phi/2)|, so this is the textbook
     interference form; computing |A| by direct summation gives the phi -> 0
     value N^{2M} without a limit case.  The limit is returned as it is, above
-    1 once |A| tau is not small; past the float range it raises
-    FloatingPointError.
+    1 once |A| tau is not small; where it, or |A| tau itself, is past the
+    float range it raises FloatingPointError naming |A| tau.
     """
     m = positive_int(m, "pair order M")
     x = _strengths((cfg.n_passes,), np.array([cfg.phi]), cfg.tau)[0]

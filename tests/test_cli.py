@@ -1,5 +1,6 @@
 """Command-line driver: outputs, determinism, config merging, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -751,6 +752,58 @@ def test_fringe_past_the_fit_range_exits_two_without_a_warning(capsys):
     code, out, err = run(capsys, "fringe", "--shots", "1e160")
     assert (code, out) == (2, "")
     assert err == "stimpairs: numerical failure: counts up to 5e+159 overflow the fit's sums of squares\n"
+
+
+@pytest.mark.parametrize("shots", ["1e-155", "1e-160", "1e-165"])
+def test_fringe_below_the_fit_range_exits_two_without_a_warning(capsys, shots):
+    # The mirror case: counts so small that the fit's sums of squares leave
+    # the normal float range are a numerical failure naming the count scale,
+    # not a NaN covariance in the fit line or a "degenerate" verdict.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fringe", "--shots", shots)
+    assert (code, out) == (2, "")
+    top = f"{float(shots) / 2.0:.3g}"
+    assert err == f"stimpairs: numerical failure: counts up to {top} underflow the fit's sums of squares\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("sweep-phase", "--tau", "1e308", "--phi-steps", "2"), "|A| tau up to inf "),
+        (("sweep-phase", "--tau", "1e308", "--n-list", "2", "--phi-steps", "2", "--format", "json"),
+         "|A| tau up to inf "),
+        (("fig4", "--tau", "1e308", "--model", "approx"), "|A| tau up to inf "),
+        (("fig4", "--tau", "1e308"), "all counts are zero, nothing to fit"),
+    ],
+    ids=["sweep-csv", "sweep-json", "fig4-approx", "fig4-exact"],
+)
+def test_tau_with_x_past_the_float_range_exits_two_without_a_warning(capsys, argv, message):
+    # x = |A| tau past the float range leaves the small-tau limit without a
+    # value: exit 2 naming |A| tau, never inf or Infinity in the output.  The
+    # exact model's rate is 0 there, so its fringe has nothing to fit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"stimpairs: numerical failure: {message}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_fit_is_a_numerical_failure_not_json_nan(capsys, monkeypatch, fmt):
+    # Every JSON the CLI writes is strict: a NaN or infinity that reaches it
+    # is a numerical failure naming its key, and nothing is written.
+    real_fit = stimpairs.polarization.fit_fringe
+
+    def nan_covariance(scan):
+        fit = real_fit(scan)
+        return dataclasses.replace(fit, covariance=np.full((3, 3), math.nan))
+
+    monkeypatch.setattr(stimpairs.polarization, "fit_fringe", nan_covariance)
+    code, out, err = run(capsys, "fringe", "--format", fmt)
+    assert (code, out) == (2, "")
+    key = "cov[0][0]" if fmt == "csv" else "fit.cov[0][0]"
+    assert err == f"stimpairs: numerical failure: {key} = nan is not a JSON number\n"
 
 
 @pytest.mark.parametrize(

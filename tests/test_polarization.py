@@ -1,6 +1,7 @@
 """Analyzers, coincidence probabilities, dephasing, fringe fits, rates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -787,3 +788,26 @@ def test_fit_fringe_rejects_constant_and_accepts_nearly_flat_scans():
             fit_fringe(FringeScan(x, np.full(40, level)))
         fit = fit_fringe(FringeScan(x, 2.0 * level * (1.0 + 1e-4 * np.cos(x + 0.5))))
         assert fit.visibility == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_fit_fringe_fits_or_refuses_counts_whose_squares_underflow():
+    # The mirror of the overflow test: one fringe scaled by 10^k, k from -140
+    # down to -320 (subnormal counts), either fits with a finite covariance
+    # or is refused for underflow, naming its count scale; never a NaN
+    # covariance, a "degenerate" verdict or a warning (tier-1 makes one an
+    # error).  The refusal starts at one scale and holds below it.
+    x = np.linspace(0.0, 4.0 * math.pi, 40)
+    shape = 1.0 + 0.5 * np.cos(x + 0.3)
+    verdicts = []
+    for k in range(-140, -321, -1):
+        try:
+            fit = fit_fringe(FringeScan(x, 10.0**k * shape))
+        except FitError as exc:
+            assert re.fullmatch(r"counts up to \S+e-\d+ underflow the fit's sums of squares", str(exc))
+            verdicts.append(False)
+            continue
+        assert np.isfinite(fit.covariance).all()
+        assert fit.visibility == pytest.approx(0.5, rel=1e-12)
+        verdicts.append(True)
+    first_refused = verdicts.index(False)
+    assert first_refused > 0 and not any(verdicts[first_refused:])

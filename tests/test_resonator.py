@@ -296,3 +296,22 @@ def test_large_tau_exact_probability_vanishes():
     # P_M tends to 0 there, not an error.
     assert pair_probability_exact(1, ResonatorConfig(1, 0.0, 300.0)) == 0.0
     assert pair_probability_exact(1, ResonatorConfig(2, 0.0, 1e3)) == 0.0
+
+
+def test_tau_with_x_past_the_float_range():
+    # At N = 2, phi = 0 and tau = 1e308, x = |A| tau = 2e308 is past the float
+    # range.  It is formed with no overflow warning: P_exact and the
+    # contamination take their limits 0 and 1.5, and the small-tau limit
+    # (M + 1) x^{2M}, which has no value there, is a FloatingPointError naming
+    # |A| tau, also in a sweep whose other rows are finite.
+    cfg = ResonatorConfig(2, 0.0, 1e308)
+    assert pair_probability_exact(1, cfg) == 0.0
+    assert multiphoton_contamination(cfg) == 1.5
+    for m in (1, 3):
+        with pytest.raises(FloatingPointError, match=r"^\|A\| tau up to inf overflows the small-tau limit$"):
+            pair_probability_approx(m, cfg)
+    with pytest.raises(FloatingPointError, match=r"^\|A\| tau up to inf "):
+        sweep_rows([2], [0.0, math.pi / 2.0], 1e308)
+    # A finite x whose limit overflows names its own |A| tau.
+    with pytest.raises(FloatingPointError, match=r"^\|A\| tau up to 1e\+200 overflows the small-tau limit$"):
+        pair_probability_approx(1, ResonatorConfig(1, 0.0, 1e200))
