@@ -306,14 +306,17 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     J^T J in (ln A, B, C), free of the count scale, has condition number
     above 1e12 (constant data leaves C undetermined).
 
-    The count scale is judged once, before any arithmetic: with n counts up
-    to S, n S^2 must lie in _SQUARES, from 1e12 * 2^10 times the smallest
-    normal float to 2^10 under the largest.  Above, the sums of squares
-    would overflow; below, J^T J would underflow and its inverse overflow.
-    A 40-point scan fits with its largest count from about 8e-148 to 7e151.
-    Inside the range no fit raises a floating-point warning, unless its
-    phases bunch so tightly that the linear solve amplifies the counts more
-    than 32-fold (see _degenerate).
+    The count scale is judged before any arithmetic: with n counts up to S,
+    n S^2 must lie in _SQUARES, from 1e12 * 2^10 times the smallest normal
+    float to 2^10 under the largest.  Above, the sums of squares would
+    overflow; below, J^T J would underflow and its inverse overflow.  A
+    40-point scan fits with its largest count from about 8e-148 to 7e151.
+    The fitted scale is judged the same way before J is formed: every entry
+    of J, in (A, B, C) and in (ln A, B, C), is at most 2 (1 + B) max(1, A),
+    the fitted fringe's peak when A >= 1.  It passes S only where the phases
+    bunch so tightly that the linear solve amplifies the counts, and past the
+    top of the range such a scan is refused as overflow.  No fit raises a
+    floating-point warning.
 
     2(1 + B) estimates the double-pass over single-pass rate ratio; the ideal
     value is 4.  Experimental reference points from a tabletop run of this
@@ -328,21 +331,17 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         raise FitError(
             f"scan spans {x.max() - x.min():.3f} rad of phase, need more than pi"
         )
-    top = float(counts.max())
-    squares = top * top * x.size  # Python floats: inf or 0 past the range, no warning
-    if not _SQUARES[0] <= squares <= _SQUARES[1]:
-        end = "overflow" if squares > _SQUARES[1] else "underflow"
-        why = f"counts up to {top:.3g} {end} the fit's sums of squares"
-        raise FitError(why if top > 0.0 else "all counts are zero, nothing to fit")
+    _judge_scale(float(counts.max()), x.size, "counts")
     design = np.empty((x.size, 3))
     design[:, 0], design[:, 1], design[:, 2] = 1.0, np.cos(x), np.sin(x)
     coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    alpha, beta, gamma = coef
+    alpha, beta, gamma = coef.tolist()
     a = alpha / 2.0
     if a <= 0.0:
         raise FitError(f"fitted amplitude {a!r} is not positive")
     b = math.hypot(beta, gamma) / alpha
     c = math.atan2(-gamma, beta)
+    _judge_scale(2.0 * (1.0 + b) * max(1.0, a), x.size, "fitted counts")
     resid = counts - design @ coef
     rss = float(resid @ resid)
 
@@ -363,6 +362,15 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     )
 
 
+def _judge_scale(top: float, n: int, what: str) -> None:
+    """FitError unless n top^2 lies in _SQUARES, top bounding n values the fit squares."""
+    squares = top * top * n  # Python floats: inf or 0 past the range, no warning
+    if not _SQUARES[0] <= squares <= _SQUARES[1]:
+        end = "overflow" if squares > _SQUARES[1] else "underflow"
+        why = f"{what} up to {top:.3g} {end} the fit's sums of squares"
+        raise FitError(why if top > 0.0 else "all counts are zero, nothing to fit")
+
+
 def _degenerate(jtj: np.ndarray, a: float) -> bool:
     """fit_fringe's degeneracy verdict on J^T J in (A, B, C) at amplitude a.
 
@@ -372,11 +380,8 @@ def _degenerate(jtj: np.ndarray, a: float) -> bool:
     all scale as A: degenerate when it has a non-finite entry or a condition
     number above 1e12.  The condition number is np.linalg.cond's, largest
     over smallest singular value, inf where the smallest is 0 or NaN (J^T J
-    scaled past the float range).  fit_fringe's count-scale rule keeps its
-    J^T J finite, except near the top of the range for a scan whose phases
-    bunch at two points, where the linear solve can amplify the counts more
-    than 32-fold and J^T J overflows with numpy's warning.  The non-finite
-    branch guards those scans and direct callers.
+    scaled past the float range).  fit_fringe's scale rule keeps its J^T J
+    finite; the non-finite branch guards direct callers.
     """
     if np.count_nonzero(np.isfinite(jtj)) != jtj.size:
         return True

@@ -768,6 +768,20 @@ def test_fit_fringe_refuses_counts_whose_squares_overflow(scale):
     assert fit.phase == pytest.approx(0.3, rel=1e-12)
 
 
+def test_fit_fringe_refuses_a_fitted_scale_past_the_range_without_a_warning():
+    # Phases bunched at two points 1e-5 rad wide: the linear solve amplifies
+    # the counts about 2000-fold, so near the top of the range J^T J would
+    # overflow ("overflow encountered in matmul", an error under tier-1's
+    # filter).  The fitted scale is judged before J is formed and the scan is
+    # refused as overflow, not called degenerate.  At 1e3 the same scan fits.
+    x = np.concatenate([np.linspace(0.0, 1e-5, 10), np.linspace(math.pi + 0.3, math.pi + 0.3 + 1e-5, 10)])
+    shape = np.random.default_rng(0).uniform(0.0, 1.0, 20)
+    assert fit_fringe(FringeScan(x, 1e3 * shape)).amplitude > 1e6
+    for scale in (1e150, 1e151):
+        with pytest.raises(FitError, match=r"^fitted counts up to \S+e\+15\d overflow the fit's sums of squares$"):
+            fit_fringe(FringeScan(x, scale * shape))
+
+
 def test_seeded_scan_past_the_poisson_limit_names_the_mean_count():
     # numpy draws no Poisson count with a mean past about 9.2e18; the error
     # names the largest mean and the way out instead of numpy's bare message.
