@@ -17,6 +17,14 @@ failure naming its key.  Exit codes: 0 success, 1 validation error, 2 numerical
 failure or out of memory, 3 I/O error or a missing dependency (numpy not
 installed).
 
+Every byte of a command's result goes through one writer, _emit, to stdout or
+to the file --out names (and verify's --json-out); messages go to stderr, and
+--help is argparse's own.  A JSON document is built whole before it is
+written.  A scan reaches _emit_scan as a dict of header -> 1-d array; its CSV
+header lines are formed first, so a failure there writes nothing, and its rows
+follow _BLOCK_ROWS at a time, each column of a block formatted once, so a long
+scan's peak memory is about its table.
+
 Each option is one (key, kind, default, help) row of OPTIONS, which makes
 its --flag (the key with '-' for '_') and names its config key.  Every value,
 from a flag or a file, must have the row's kind: float (a number), int (an
@@ -55,6 +63,10 @@ from .errors import is_json_number, load_json
 DEFAULT_PLATE = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
 
 _SEED_MAX = 2**64
+
+# CSV scan rows formatted and written at a time: a scan's peak memory is its
+# table, whatever its length.
+_BLOCK_ROWS = 4096
 
 _FORMAT = ("format", ("csv", "json"), "csv", None)
 _SEED = ("seed", int, None, "Poisson seed; omit for noiseless")
@@ -209,11 +221,13 @@ def _settings(args, config: dict) -> dict:
     return settings
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write each string of chunks in turn to stdout, or to the file out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(chunks)
 
 
 def _dumps(doc: dict, **options) -> str:
@@ -244,27 +258,37 @@ def _json_text(doc: dict) -> str:
     return _dumps(doc, indent=2) + "\n"
 
 
-def _emit_scan(args, settings: dict, columns, rows, fit=None) -> int:
-    """Scan rows and any fit, echoing every setting but the format: CSV under
-    '# stimpairs', '# config:' and '# fit:' lines, or one JSON document.
+def _emit_scan(args, settings: dict, columns: dict, fit=None) -> int:
+    """A scan, a dict of header -> 1-d array, and any fit, echoing every setting
+    but the format: one JSON document, or CSV under '# stimpairs', '# config:'
+    and '# fit:' lines written _BLOCK_ROWS rows at a time.
     """
     echo = {k: v for k, v in settings.items() if k != "format"}
     if settings["format"] == "json":
         doc = {"command": args.command, "config": echo}
+        rows = zip(*(column.tolist() for column in columns.values()))
         if fit is None:
             doc.update(columns=list(columns), rows=[list(r) for r in rows])
         else:
             doc.update(scan=[dict(zip(columns, r)) for r in rows], fit=fit.to_dict())
-        _emit(_json_text(doc), args.out)
+        _emit([_json_text(doc)], args.out)
         return 0
-    lines = [f"# stimpairs {args.command}", f"# config: {_dumps(echo)}"]
+    head = [f"# stimpairs {args.command}", f"# config: {_dumps(echo)}"]
     if fit is not None:
-        lines.append(f"# fit: {_dumps(fit.to_dict())}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
+        head.append(f"# fit: {_dumps(fit.to_dict())}")
+    head.append(",".join(columns))
+    _emit(_csv_text(head, list(columns.values())), args.out)
     return 0
+
+
+def _csv_text(head: list, columns: list):
+    """The head lines as one string, then the CSV rows of equal-length 1-d
+    arrays, _BLOCK_ROWS rows a string.  Each column of a block is formatted in
+    one pass by str, which is repr for a float."""
+    yield "\n".join(head) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = (map(str, column[start : start + _BLOCK_ROWS].tolist()) for column in columns)
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _grid(s: dict, lo: str, hi: str, steps: str) -> np.ndarray:
@@ -312,10 +336,10 @@ def _cmd_sweep_phase(args, config: dict, s: dict) -> int:
     from . import resonator
 
     table = resonator.sweep_rows(s["n_list"], phis, s["tau"], s["m"])
+    columns = dict(zip(resonator.SWEEP_COLUMNS, table.T))
     # N and M are exact integers held as floats; CSV and JSON write them as ints.
-    n, phi, tau, m, *probs = table.T.tolist()
-    rows = zip(map(int, n), phi, tau, map(int, m), *probs)
-    return _emit_scan(args, s, resonator.SWEEP_COLUMNS, rows)
+    columns["N"], columns["M"] = columns["N"].astype(int), columns["M"].astype(int)
+    return _emit_scan(args, s, columns)
 
 
 def _cmd_fig4(args, config: dict, s: dict) -> int:
@@ -331,9 +355,8 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
         geom, cfg, alphas, s["shots"], seed=s["seed"], model=s["model"]
     )
     fit = polarization.fit_fringe(scan)
-    rows = zip(alpha_deg.tolist(), scan.phase.tolist(), scan.counts.tolist())
-    columns = ("alpha_deg", "phase_rad", "counts")
-    return _emit_scan(args, {**s, "geometry": geom.to_dict()}, columns, rows, fit)
+    columns = {"alpha_deg": alpha_deg, "phase_rad": scan.phase, "counts": scan.counts}
+    return _emit_scan(args, {**s, "geometry": geom.to_dict()}, columns, fit)
 
 
 def _cmd_fringe(args, config: dict, s: dict) -> int:
@@ -358,8 +381,7 @@ def _cmd_fringe(args, config: dict, s: dict) -> int:
         arm_a_qwp=math.radians(qwp_a) if qwp_a is not None else None,
     )
     fit = polarization.fit_fringe(scan)
-    rows = zip(pol_a_deg.tolist(), scan.counts.tolist())
-    return _emit_scan(args, s, ("pol_a_deg", "counts"), rows, fit)
+    return _emit_scan(args, s, {"pol_a_deg": pol_a_deg, "counts": scan.counts}, fit)
 
 
 def _cmd_tomography(args, config: dict, s: dict) -> int:
@@ -397,7 +419,7 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
         doc["fidelity_to_singlet"] = tomography.fidelity(
             tomography.project_physical(result.rho), polarization.bell_state()
         )
-    _emit(_json_text(doc), args.out)
+    _emit([_json_text(doc)], args.out)
     return 0
 
 
@@ -421,7 +443,7 @@ def _cmd_rates(args, config: dict, s: dict) -> int:
                 f"computed rate differs from the supplied reference by a factor "
                 f"{factor:.3e}; the inputs likely use different unit conventions"
             )
-    _emit(_json_text(doc), args.out)
+    _emit([_json_text(doc)], args.out)
     return 0
 
 
@@ -444,15 +466,14 @@ def _cmd_verify(args, config: dict, s: dict) -> int:
         lines.append(line)
     passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} checks passed")
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     if args.json_out:
         # A crashed check's tolerance NaN and worst inf are not JSON numbers: write null.
         rows = [
             {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in r.items()}
             for r in map(dataclasses.asdict, results)
         ]
-        Path(args.json_out).write_text(_json_text({"command": "verify", "results": rows}))
+        _emit([_json_text({"command": "verify", "results": rows})], args.json_out)
     return 0 if passed == len(results) else 2
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import stimpairs
 import stimpairs.verify as verify_mod
+from stimpairs import cli
 from stimpairs.cli import main
 from stimpairs.tomography import (
     TomographyRecord,
@@ -75,6 +76,8 @@ def test_sweep_phase_json(capsys):
 def test_sweep_phase_rows_are_the_scalar_values_byte_for_byte(capsys):
     # The library returns one float table; the CLI writes N and M as ints and
     # every float by repr, each equal to the scalar functions at its (N, phi).
+    # CSV rows are written a block at a time: the second grid passes two block
+    # edges and ends two rows into a third block, the third is exactly one block.
     from stimpairs.resonator import (
         ResonatorConfig,
         multiphoton_contamination,
@@ -82,28 +85,35 @@ def test_sweep_phase_rows_are_the_scalar_values_byte_for_byte(capsys):
         pair_probability_exact,
     )
 
-    argv = ["sweep-phase", "--n-list", "10,1,129", "--m", "3", "--tau", "0.05", "--phi-steps", "7"]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    lines = out.splitlines()
-    config = json.loads(lines[1].removeprefix("# config: "))
-    phis = np.linspace(config["phi_min"], config["phi_max"], 7).tolist()
-    want = []
-    for n in (10, 1, 129):
-        for phi in phis:
-            cfg = ResonatorConfig(n, phi, 0.05)
-            want.append(
-                [n, phi, 0.05, 3, pair_probability_exact(3, cfg), pair_probability_approx(3, cfg),
-                 multiphoton_contamination(cfg)]
-            )
-    assert lines[3:] == [
-        f"{n},{phi!r},{tau!r},{m},{exact!r},{approx!r},{c!r}" for n, phi, tau, m, exact, approx, c in want
-    ]
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert rows == want
-    assert all(type(r[0]) is int and type(r[3]) is int for r in rows)
+    for n_list, m, tau, steps in [
+        ((10, 1, 129), 3, 0.05, 7),
+        ((2, 1), 1, 0.01, cli._BLOCK_ROWS + 1),
+        ((1, 2, 4, 8), 2, 0.02, cli._BLOCK_ROWS // 4),
+    ]:
+        argv = ["sweep-phase", "--n-list", ",".join(map(str, n_list)), "--m", str(m),
+                "--tau", str(tau), "--phi-steps", str(steps)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        config = json.loads(lines[1].removeprefix("# config: "))
+        phis = np.linspace(config["phi_min"], config["phi_max"], steps).tolist()
+        want = []
+        for n in n_list:
+            for phi in phis:
+                cfg = ResonatorConfig(n, phi, tau)
+                want.append(
+                    [n, phi, tau, m, pair_probability_exact(m, cfg),
+                     pair_probability_approx(m, cfg), multiphoton_contamination(cfg)]
+                )
+        assert out.endswith("\n") and lines[3:] == [
+            f"{n},{phi!r},{tau!r},{m},{exact!r},{approx!r},{c!r}"
+            for n, phi, tau, m, exact, approx, c in want
+        ]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows == want
+        assert all(type(r[0]) is int and type(r[3]) is int for r in rows)
 
 
 def test_sweep_phase_bad_n_list(capsys):
@@ -974,6 +984,23 @@ def test_verify_detects_ccw_weight_mutation(capsys, monkeypatch):
     failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
     assert [ln.split()[1] for ln in failed] == ["su11_algebra"]
     assert float(re.search(r"worst=(\S+)", failed[0]).group(1)) > 0.1
+
+
+def test_su11_ladder_is_add_at_bit_for_bit():
+    # verify applies each pair ladder with np.bincount; np.add.at is the
+    # reference.  Both add an entry's terms in index order, so they agree bit
+    # for bit: on the pair terms both ways round, and on random terms that
+    # repeat rows within and across any split.
+    rng = np.random.default_rng(11)
+    rows, cols, weights = verify_mod.fock._pair_terms(4)
+    cases = [(rows, cols, weights, 625), (cols, rows, weights, 625)]
+    cases.append((rng.integers(0, 7, 300), rng.integers(0, 9, 300), rng.normal(size=300), 9))
+    for to, frm, w, states in cases:
+        y = rng.normal(size=(states, 15))
+        want = np.zeros_like(y)
+        np.add.at(want, to, w[:, None] * y[frm])
+        got = verify_mod._ladder(to, frm, w, y.shape)(y)
+        assert got.tobytes() == want.tobytes()
 
 
 _SCIPY_PROBE = """

@@ -79,11 +79,21 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, enabled):
 # A process that enters through run(), reports at exit whether the collector
 # was off and the heap frozen, then unfreezes the heap and counts the cyclic
 # garbage a collection finds.  atexit handlers run after run()'s sys.exit.
+# The report also holds the process's own peak resident memory in MB, VmHWM
+# (which exec resets, unlike ru_maxrss, which starts at the forking parent's
+# peak), or null where /proc/self/status is absent.
 _GARBAGE_PROBE = """
 import atexit, gc, json, sys
 
+def peak_mb():
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(ln.split()[1]) / 1024 for ln in status if ln.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
 def report():
-    state = {"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}
+    state = {"enabled": gc.isenabled(), "frozen": gc.get_freeze_count(), "peak_mb": peak_mb()}
     gc.unfreeze()
     state["unreachable"] = gc.collect()
     sys.stderr.write(json.dumps(state) + "\\n")
@@ -107,18 +117,24 @@ def _garbage(args: list, tmp_path) -> tuple[dict, str]:
     return state, text
 
 
+@pytest.fixture(scope="module")
+def sweeps(tmp_path_factory) -> list[dict]:
+    """The exit reports of `sweep-phase --n-list 2` at 181 and at 200,000 phase steps."""
+    tmp_path = tmp_path_factory.mktemp("sweeps")
+    return [_garbage(["sweep-phase", "--n-list", "2", "--phi-steps", str(n)], tmp_path)[0]
+            for n in (181, 200_000)]
+
+
 def test_process_runs_without_the_collector_and_freezes_its_heap(tmp_path):
     state, _ = _garbage(["rates", "--singles", "36000", "--coincidences", "1300"], tmp_path)
     assert state["enabled"] is False and state["frozen"] > 1000
 
 
-def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path):
+def test_cyclic_garbage_does_not_grow_with_the_input(sweeps, tmp_path):
     # A command process never collects, so it must make no cyclic garbage per
     # row or per iteration: a collection at exit finds the same number of
     # unreachable objects (the imports' few hundred) at 181 and at 200,000
     # phase steps, and after MLE runs of 3 and of 13 iterations.
-    sweeps = [_garbage(["sweep-phase", "--n-list", "2", "--phi-steps", str(n)], tmp_path)[0]
-              for n in (181, 200_000)]
     assert sweeps[0]["unreachable"] == sweeps[1]["unreachable"] > 0
     found, iterations = [], []
     for args in (["--seed", "5"], ["--state", "dephased:0.5", "--shots", "30", "--seed", "2"]):
@@ -127,6 +143,18 @@ def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path):
         iterations.append(json.loads(text)["iterations"])
     assert iterations == [3, 13]
     assert found[0] == found[1] > 0
+
+
+def test_a_sweep_peaks_at_about_its_table(sweeps):
+    # CSV rows are formatted and written a block at a time, so a long sweep
+    # holds its float table, not its text: 200,000 rows of 7 float64 columns
+    # are 11.2 MB, and the process peaks less than four tables above the
+    # 181-step run (all the rows held as text at once came to about 135 MB).
+    small, large = (report["peak_mb"] for report in sweeps)
+    if small is None:
+        pytest.skip("no /proc/self/status to read the peak from")
+    table_mb = 200_000 * 7 * 8 / 1e6
+    assert large - small < 4 * table_mb, (small, large)
 
 
 def test_console_script_is_the_process_entry():
