@@ -163,15 +163,27 @@ class FockVector:
         return complex(np.vdot(self.values, other._at(self.indices)))
 
     def to_json(self) -> str:
-        keep = np.abs(self.values) > AMPLITUDE_EPS
+        """The state in the JSON format, without entries of magnitude AMPLITUDE_EPS or less.
+
+        A NaN or infinite amplitude raises ValueError naming its index: the
+        mask keeps NaN (its magnitude is not <= AMPLITUDE_EPS) and the encoder
+        refuses both, so the index is looked up only on failure.
+        """
+        keep = ~(np.abs(self.values) <= AMPLITUDE_EPS)
         index, kept = self.indices[keep], self.values[keep]
-        entries = [
-            list(entry)
-            for entry in zip(index.tolist(), kept.real.tolist(), kept.imag.tolist())
-        ]
-        return json.dumps(
-            {"cutoff": self.cutoff, "order": ENUMERATION_ORDER, "amplitudes": entries}
-        )
+        # json writes each (index, re, im) tuple as an [index, re, im] array.
+        entries = list(zip(index.tolist(), kept.real.tolist(), kept.imag.tolist()))
+        try:
+            return json.dumps(
+                {"cutoff": self.cutoff, "order": ENUMERATION_ORDER, "amplitudes": entries},
+                allow_nan=False,
+            )
+        except ValueError:
+            pos = np.flatnonzero(~np.isfinite(kept))[0]
+            raise ValueError(
+                f"amplitude at index {index[pos]} is {complex(kept[pos])!r}, not finite; "
+                f"the JSON format holds finite numbers only"
+            ) from None
 
     @classmethod
     def from_json(cls, text: str) -> "FockVector":
@@ -202,20 +214,22 @@ def _parse_entries(entries: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
     The checks run on whole columns: the set of types in each, the index
     range (min and max over the Python ints, exact at any size) and
-    finiteness.  Only re and im columns that hold an int are tested entry by
-    entry, with is_json_number, for an integer past the float range.  When a
-    check fails the entries are walked to name the first bad one.  A repeated
-    index keeps its last value.
+    finiteness.  Only an re or im column that holds an int is tested entry
+    by entry, with is_json_number, for an integer past the float range.
+    When a check fails the entries are walked to name the first bad one.
+    Indices that are strictly increasing, as to_json writes them, are taken
+    as they are; otherwise np.unique sorts them and a repeated index keeps
+    its last value.
     """
     ok = set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}
     if ok:
         index, re, im = zip(*entries) if entries else ((), (), ())
-        parts = re + im
-        kinds = set(map(type, parts))
+        re_kinds, im_kinds = set(map(type, re)), set(map(type, im))
         ok = (
             set(map(type, index)) <= {int}
-            and kinds <= {int, float}
-            and (int not in kinds or all(map(is_json_number, parts)))
+            and re_kinds | im_kinds <= {int, float}
+            and (int not in re_kinds or all(map(is_json_number, re)))
+            and (int not in im_kinds or all(map(is_json_number, im)))
             and min(index, default=0) >= 0
             and max(index, default=0) < dim
         )
@@ -226,9 +240,12 @@ def _parse_entries(entries: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
         ok = bool(np.isfinite(values).all())
     if not ok:
         raise _first_bad_entry(entries, dim)
-    # np.unique keeps each index's first place in the reversed list: its last.
-    index, first = np.unique(np.array(index[::-1], dtype=np.int64), return_index=True)
-    return index, values[::-1][first]
+    index = np.array(index, dtype=np.int64)
+    if not (index[1:] > index[:-1]).all():
+        # np.unique keeps each index's first place in the reversed list: its last.
+        index, first = np.unique(index[::-1], return_index=True)
+        values = values[::-1][first]
+    return index, values
 
 
 def _first_bad_entry(entries: list, dim: int) -> SchemaError:
@@ -372,8 +389,12 @@ def evolve_vacuum(
     so this is the truncated evolution itself, not an approximation of it.
     Truncated evolution is exactly unitary, so the norm stays 1; truncation
     error shows up as weight stranded on the cutoff shell (p = cutoff or q =
-    cutoff), returned as leakage and required to stay below tol.
+    cutoff), returned as leakage and required to stay at or below tol.  tol
+    is a number >= 0, inf for no limit; NaN or a negative tol raises
+    ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0 (inf for no limit), got {tol!r}")
     c = _cutoff(space)
     a = complex(_amplitudes((cfg.n_passes,), np.asarray(cfg.phi))[0])
     t = _cutoff_tables(c)
@@ -382,9 +403,9 @@ def evolve_vacuum(
     # the amplitude of |p, q; q, p>.
     u = t.v @ (np.exp(-1j * (cfg.tau * abs(a)) * t.w) * t.v[0])
     u *= np.exp(1j * cmath.phase(a) * k)
-    sector = np.outer(u, np.where(k % 2, -u, u))
-    weight = np.abs(sector) ** 2
-    leakage = float(weight[c, :].sum() + weight[:c, c].sum())
+    sector = u[:, None] * np.where(k % 2, -u, u)
+    # The cutoff shell of the sector is its last row and the rest of its last column.
+    leakage = float((np.abs(sector[c]) ** 2).sum() + (np.abs(sector[:c, c]) ** 2).sum())
     if leakage > tol:
         raise TruncationError(
             f"cutoff {c} leaves leakage {leakage:.3e} above tolerance "
@@ -441,7 +462,7 @@ def entangled_state(m: int, space: FockSpace | int) -> FockVector:
 def project_entangled(state: FockVector, m: int) -> complex:
     """Amplitude <Phi_M | state> onto the maximally entangled 2M-photon state."""
     sign, index = _entangled_terms(m, state.cutoff)
-    return complex(np.sum(sign * state._at(index)) / math.sqrt(m + 1.0))
+    return complex((sign * state._at(index)).sum() / math.sqrt(m + 1.0))
 
 
 def suggest_cutoff(a_tau: complex, *, floor: int = 8) -> int:

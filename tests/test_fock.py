@@ -507,6 +507,58 @@ def test_truncation_error_reports_leakage():
     assert err.value.cutoff == 2
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300], ids=["nan", "-1", "tiny-negative"])
+def test_evolution_refuses_nan_or_negative_tol(tol):
+    # A NaN tol would accept any leakage, and a negative one no state at all;
+    # both are a bad argument, not a truncation.
+    cfg = ResonatorConfig(10, 0.0, 0.5)
+    with pytest.raises(ValueError, match=r"^tol must be a number >= 0"):
+        evolve_vacuum(cfg, 6, tol=tol)
+
+
+def test_evolution_tol_bounds_leakage_and_inf_is_no_limit():
+    cfg = ResonatorConfig(10, 0.0, 0.5)
+    leakage = evolve_vacuum(cfg, 6, tol=math.inf).leakage
+    assert 0.1 < leakage < 0.2
+    assert evolve_vacuum(cfg, 6, tol=leakage).leakage == leakage
+    for tol in (0.0, math.nextafter(leakage, 0.0)):
+        with pytest.raises(TruncationError):
+            evolve_vacuum(cfg, 6, tol=tol)
+
+
+def _oracle_grid():
+    """(config, cutoff) of the 96 cross-validation points: the acceptance grid at
+    cutoff max(12, suggest_cutoff), then verify's grid at floor 2M + 4."""
+    points = [
+        (n, phi, tau, 12)
+        for n in (1, 2, 3, 5, 10)
+        for phi in (0.0, 0.3, math.pi / 2.0, math.pi)
+        for tau in (0.005, 0.02, 0.05)
+    ]
+    points += [
+        (n, phi, tau, 2 * m + 4)
+        for m in (1, 2)
+        for n in (1, 2, 3)
+        for phi in (0.0, 0.3, math.pi)
+        for tau in (0.005, 0.02)
+    ]
+    return [
+        (ResonatorConfig(n, phi, tau), suggest_cutoff(amplitude_sum(n, phi) * tau, floor=floor))
+        for n, phi, tau, floor in points
+    ]
+
+
+def test_leakage_is_the_cutoff_shell_of_the_full_sector_bit_for_bit():
+    # evolve_vacuum squares only the last row and column of the sector; the
+    # float must equal the shell sum of the whole sector's |amplitude|^2.
+    grid = _oracle_grid()
+    assert len(grid) == 96 and {c for _, c in grid} >= {6, 12, 30}
+    for cfg, c in grid:
+        state = evolve_vacuum(cfg, c)
+        w = np.abs(state.values.reshape(c + 1, c + 1)) ** 2
+        assert state.leakage == float(w[c, :].sum() + w[:c, c].sum()), (cfg, c)
+
+
 def test_zero_tau_evolution_is_identity():
     state = evolve_vacuum(ResonatorConfig(4, 0.8, 0.0), 3)
     assert state.amplitudes[0] == pytest.approx(1.0)
@@ -645,6 +697,9 @@ def test_fock_vector_json_roundtrip():
     assert np.abs(loaded.amplitudes - state.amplitudes).max() < 1e-14
     doc = json.loads(text)
     assert doc["order"] == ENUMERATION_ORDER
+    # Both parts finite, the magnitude past the float range: written as it is.
+    huge = FockVector._from_entries([5], [complex(1e308, -1e308)], 1)
+    assert FockVector.from_json(huge.to_json()).values.tobytes() == huge.values.tobytes()
 
 
 _AMPLITUDE_PART = st.one_of(
@@ -676,19 +731,42 @@ def test_fock_vector_json_roundtrip_property(cutoff, data):
 
 def test_fock_vector_json_matches_loop_reference():
     # to_json selects entries with array code; its text must equal that of
-    # this per-amplitude loop, byte for byte.  At cutoff 12 the high pair
-    # sectors fall below AMPLITUDE_EPS, so the threshold is exercised.
-    state = evolve_vacuum(ResonatorConfig(3, 0.7, 0.05), 12)
-    entries = [
-        [int(i), float(a.real), float(a.imag)]
-        for i, a in enumerate(state.amplitudes)
-        if abs(a) > AMPLITUDE_EPS
-    ]
-    expected = json.dumps(
-        {"cutoff": 12, "order": ENUMERATION_ORDER, "amplitudes": entries}
-    )
-    assert 50 < len(entries) < 13**2
-    assert state.to_json() == expected
+    # this per-amplitude loop, byte for byte.  The high pair sectors fall
+    # below AMPLITUDE_EPS, so the threshold is exercised.  Cutoff 30 is the
+    # oracle grid's largest point, 923,521 states.
+    for cfg, cutoff in ((ResonatorConfig(3, 0.7, 0.05), 12), (ResonatorConfig(10, 0.0, 0.05), 30)):
+        state = evolve_vacuum(cfg, cutoff)
+        entries = [
+            [int(i), float(a.real), float(a.imag)]
+            for i, a in enumerate(state.amplitudes)
+            if abs(a) > AMPLITUDE_EPS
+        ]
+        expected = json.dumps(
+            {"cutoff": cutoff, "order": ENUMERATION_ORDER, "amplitudes": entries}
+        )
+        assert 50 < len(entries) < (cutoff + 1) ** 2
+        assert state.to_json() == expected
+
+
+@pytest.mark.parametrize(
+    "bad, index",
+    [
+        ({3: math.nan, 5: math.inf}, 3),
+        ({5: math.inf}, 5),
+        ({7: complex(-math.inf, 0.0)}, 7),
+        ({2: complex(0.0, math.nan)}, 2),
+    ],
+    ids=["nan-and-inf", "inf", "-inf-real", "nan-imag"],
+)
+def test_to_json_refuses_non_finite_amplitudes(bad, index):
+    # NaN must not slip through the AMPLITUDE_EPS mask, nor Infinity into
+    # the file: from_json and README refuse both.
+    amps = np.zeros(16, dtype=complex)
+    amps[0] = 1.0
+    for i, value in bad.items():
+        amps[i] = value
+    with pytest.raises(ValueError, match=rf"^amplitude at index {index} is .*not finite"):
+        FockVector(amps, 1).to_json()
 
 
 def test_fock_vector_json_schema_errors():
@@ -772,6 +850,20 @@ def test_fock_vector_json_refuses_int_just_past_float_range(column):
     assert np.abs(loaded.values).max() == sys.float_info.max
 
 
+def test_fock_vector_json_sorts_unique_entries_given_out_of_order():
+    # Only indices that are not strictly increasing go through np.unique;
+    # each entry keeps its own value.
+    entries = [[40, 1.0, 0.5], [7, 0.0, 2.0], [80, -3.0, 0.0], [0, 4, 0], [8, 0.25, -1]]
+    doc = {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": entries}
+    loaded = FockVector.from_json(json.dumps(doc))
+    assert loaded.indices.dtype == np.int64
+    assert loaded.indices.tolist() == [0, 7, 8, 40, 80]
+    assert loaded.values.tolist() == [4.0, 2.0j, 0.25 - 1j, 1.0 + 0.5j, -3.0]
+    ordered = FockVector.from_json(json.dumps({**doc, "amplitudes": sorted(entries)}))
+    assert ordered.indices.tobytes() == loaded.indices.tobytes()
+    assert ordered.values.tobytes() == loaded.values.tobytes()
+
+
 def test_fock_vector_json_last_duplicate_wins():
     doc = {
         "cutoff": 2,
@@ -781,6 +873,14 @@ def test_fock_vector_json_last_duplicate_wins():
     loaded = FockVector.from_json(json.dumps(doc))
     assert loaded.indices.tolist() == [0, 7, 40]
     assert loaded.values.tolist() == [4.0, 2.0j, -3.0j]
+    # A repeat next to its first entry leaves the indices non-decreasing but
+    # not strictly increasing, so it is deduplicated too.
+    adjacent = [[0, 1.0, 0.0], [5, 1.0, 0.0], [5, 2.0, 0.0], [9, 3.0, 0.0]]
+    loaded = FockVector.from_json(json.dumps({**doc, "amplitudes": adjacent}))
+    assert loaded.indices.tolist() == [0, 5, 9]
+    assert loaded.values.tolist() == [1.0, 2.0, 3.0]
+    single = FockVector.from_json(json.dumps({**doc, "amplitudes": [[80, 0.5, 0.5]]}))
+    assert single.indices.tolist() == [80] and single.values.tolist() == [0.5 + 0.5j]
     empty = FockVector.from_json(json.dumps({**doc, "amplitudes": []}))
     assert empty.indices.size == 0 and empty.norm() == 0.0
     assert project_entangled(empty, 1) == 0.0
