@@ -354,7 +354,8 @@ def _cmd_fig4(args, config: dict, s: dict) -> int:
     scan = polarization.simulate_stimulation_fringe(
         geom, cfg, alphas, s["shots"], seed=s["seed"], model=s["model"]
     )
-    fit = polarization.fit_fringe(scan)
+    # An N-pass fringe has N - 1 harmonics; one pass gives a flat fringe, fit as at N = 2.
+    fit = polarization.fit_fringe(scan, harmonics=max(s["n_passes"] - 1, 1))
     columns = {"alpha_deg": alpha_deg, "phase_rad": scan.phase, "counts": scan.counts}
     return _emit_scan(args, {**s, "geometry": geom.to_dict()}, columns, fit)
 

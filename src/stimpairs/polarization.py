@@ -11,10 +11,14 @@ J(q)^dagger |pol>; right circular means (|H> - i |V>) / sqrt(2) throughout the
 package.  Angles are radians everywhere in this module; only the JSON and
 command-line layers speak degrees.
 
-Fringes are fit to the model 2 A (1 + B cos(x' + C)) in a phase coordinate
-x': twice the polarizer angle for polarizer scans, the plate phase relative to
-zero tilt, delta(alpha) - delta(0), for tilt scans.  B is the fitted
-visibility and 2 (1 + B) estimates the two-pass to one-pass rate ratio.
+Fringes are fit to a K-harmonic series 2 A (1 + sum_k r_k cos(k x' + C_k)),
+k = 1..K, in a phase coordinate x': twice the polarizer angle for polarizer
+scans, the plate phase relative to zero tilt, delta(alpha) - delta(0), for
+tilt scans.  A polarizer fringe, and the tilt fringe of two passes, take
+K = 1, the model 2 A (1 + B cos(x' + C)): B is the fitted visibility, clamped
+at 1 there and only there, and 2 (1 + B) estimates the two-pass to one-pass
+rate ratio.  The tilt fringe of N passes takes K = N - 1, and its enhancement
+is N times the fitted curve's peak over its mean.
 
 A polarizer scan builds its (k, 4, 4) projector stack on every call, in one
 array pass from its own angles; a settings list, in tomography or one
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, finite, positive_float
+from .errors import FitError, finite, positive_float, positive_int
 from .phase_plate import PlateGeometry, _wrap, relative_phase
 from .resonator import ResonatorConfig, _p_approx, _p_exact, _strengths
 
@@ -259,52 +263,89 @@ class FringeScan:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted 2 A (1 + B cos(x' + C)) parameters with covariance.
+    """Fitted 2 A (1 + sum_k r_k cos(k x' + C_k)), k = 1..K, with covariance.
 
-    visibility is B; p2_over_p1 is the inferred two-pass enhancement
-    2 (1 + B).  covariance is the 3x3 matrix over (A, B, C) from the
-    analytic Jacobian at the solution; residual_norm is the root sum of
-    squared residuals.
+    harmonics holds (r_k, C_k) for k = 1..K, each C_k in [0, 2 pi).  At
+    K = 1 the model is 2 A (1 + B cos(x' + C)): visibility is B = r_1,
+    reported as 1 where the fit finds more (noise), phase is C, and
+    p2_over_p1 = 2 (1 + B) is the inferred two-pass enhancement.  At K >= 2
+    no r_k is clamped; visibility and phase read the first harmonic, and
+    enhancement is the general estimate.  covariance is the (2K + 1)-square
+    matrix over (A, r_1, C_1, ..., r_K, C_K) from the analytic Jacobian at
+    the solution; residual_norm is the root sum of squared residuals.
     """
 
     amplitude: float
-    visibility: float
-    phase: float
+    harmonics: tuple
     covariance: np.ndarray = field(compare=False)
     residual_norm: float
+
+    @property
+    def visibility(self) -> float:
+        return self.harmonics[0][0]
+
+    @property
+    def phase(self) -> float:
+        return self.harmonics[0][1]
 
     @property
     def p2_over_p1(self) -> float:
         return 2.0 * (1.0 + self.visibility)
 
+    @property
+    def enhancement(self) -> float:
+        """N peak / h_0 of the fitted curve, for N = K + 1 passes of equal weight.
+
+        h_0 = 2 A is the curve's mean, so this is N max over x' of
+        1 + sum_k r_k cos(k x' + C_k): N^2 for the ideal N-pass fringe, and
+        the peak over the one-pass rate whenever the passes weigh the same.
+        At K = 1 it is p2_over_p1.
+        """
+        if len(self.harmonics) == 1:
+            return self.p2_over_p1
+        return (len(self.harmonics) + 1) * _peak(np.array(self.harmonics))
+
     def to_dict(self) -> dict:
+        if len(self.harmonics) == 1:
+            return {
+                "A": self.amplitude,
+                "B": self.visibility,
+                "C": self.phase,
+                "cov": self.covariance.tolist(),
+                "residual": self.residual_norm,
+                "visibility": self.visibility,
+                "p2_over_p1": self.p2_over_p1,
+            }
         return {
             "A": self.amplitude,
-            "B": self.visibility,
-            "C": self.phase,
+            "harmonics": [list(h) for h in self.harmonics],
+            "enhancement": self.enhancement,
             "cov": self.covariance.tolist(),
             "residual": self.residual_norm,
-            "visibility": self.visibility,
-            "p2_over_p1": self.p2_over_p1,
         }
 
 
-def fit_fringe(scan: FringeScan) -> FitResult:
-    """Least-squares fit of 2 A (1 + B cos(x' + C)) to a scan, in one linear solve.
+def fit_fringe(scan: FringeScan, harmonics: int = 1) -> FitResult:
+    """Least-squares fit of 2 A (1 + sum_k r_k cos(k x' + C_k)), k = 1..K, in one linear solve.
 
-    With x' known the model is alpha + beta cos x' + gamma sin x', with
-    alpha = 2 A, beta = 2 A B cos C and gamma = -2 A B sin C, so one
-    np.linalg.lstsq on the columns [1, cos x', sin x'] finds the global
-    least-squares minimum (the known-frequency three-parameter sine fit of
-    IEEE Std 1057).  Then A = alpha / 2, B = hypot(beta, gamma) / alpha >= 0
-    and C = atan2(-gamma, beta) wrapped to [0, 2 pi); B above 1 (noise) is
-    reported as 1.  covariance is inv(J^T J) s^2, with J the analytic
-    Jacobian of the model in (A, B, C) at the solution (unclamped B) and
-    s^2 the residual sum of squares over n - 3.  Raises FitError when the
-    scan is too short or spans less than half a period, when its counts are
-    all zero or their scale is out of range, when A is not positive, or when
-    J^T J in (ln A, B, C), free of the count scale, has condition number
-    above 1e12 (constant data leaves C undetermined).
+    K is harmonics.  With x' known the model is
+    alpha + sum_k (beta_k cos k x' + gamma_k sin k x'), with alpha = 2 A,
+    beta_k = 2 A r_k cos C_k and gamma_k = -2 A r_k sin C_k, so one
+    np.linalg.lstsq on the 2K + 1 columns [1, cos x', sin x', ...,
+    cos K x', sin K x'] finds the global least-squares minimum (at K = 1 the
+    known-frequency three-parameter sine fit of IEEE Std 1057).  Then
+    A = alpha / 2, r_k = hypot(beta_k, gamma_k) / alpha >= 0 and
+    C_k = atan2(-gamma_k, beta_k) wrapped to [0, 2 pi).  At K = 1, and only
+    there, r_1 = B above 1 (noise) is reported as 1.  covariance is
+    inv(J^T J) s^2, with J the analytic Jacobian of the model in
+    (A, r_1, C_1, ..., r_K, C_K) at the solution (unclamped r_k) and s^2 the
+    residual sum of squares over n - 2K - 1.  Raises FitError when the scan
+    has fewer than 2K + 6 points (8 at K = 1) or spans less than half a
+    period, when its counts are all zero or their scale is out of range, when
+    A is not positive, or when J^T J in (ln A, r_1, C_1, ...), free of the
+    count scale, has condition number above 1e12 (constant data leaves the
+    C_k undetermined, and too many harmonics for the phases leave the
+    columns dependent).  At K >= 2 every message names K and n.
 
     The count scale is judged before any arithmetic: with n counts up to S,
     n S^2 must lie in _SQUARES, from 1e12 * 2^10 times the smallest normal
@@ -312,86 +353,121 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     overflow; below, J^T J would underflow and its inverse overflow.  A
     40-point scan fits with its largest count from about 8e-148 to 7e151.
     The fitted scale is judged the same way before J is formed: every entry
-    of J, in (A, B, C) and in (ln A, B, C), is at most 2 (1 + B) max(1, A),
-    the fitted fringe's peak when A >= 1.  It passes S only where the phases
-    bunch so tightly that the linear solve amplifies the counts, and past the
-    top of the range such a scan is refused as overflow.  No fit raises a
-    floating-point warning.
+    of J, in (A, r, C) and in (ln A, r, C), is at most
+    2 (1 + sum_k r_k) max(1, A), the fitted fringe's bound when A >= 1.  It
+    passes S only where the phases bunch so tightly that the linear solve
+    amplifies the counts, and past the top of the range such a scan is
+    refused as overflow.  No fit raises a floating-point warning.
 
     2(1 + B) estimates the double-pass over single-pass rate ratio; the ideal
     value is 4.  Experimental reference points from a tabletop run of this
     scheme, not reproduction targets: 2.7 +/- 0.1 from the fitted fringe and
     3.4 +/- 0.1 from directly compared count rates, the shortfall from 4
     being attributed to imperfect spatial overlap between the two passes.
+    An N-pass tilt fringe |sum_m e^(i m x')|^2 has N - 1 harmonics, so it
+    takes K = N - 1 and reads its enhancement from FitResult.enhancement.
     """
+    k = positive_int(harmonics, "harmonics")
     x, counts = scan.phase, scan.counts
-    if x.size < 8:
-        raise FitError(f"need at least 8 points to fit, got {x.size}")
+    n = x.size
+    if n < 2 * k + 6:
+        what = "" if k == 1 else f" {k} harmonics"
+        raise FitError(f"need at least {2 * k + 6} points to fit{what}, got {n}")
+    where = "" if k == 1 else f": {k} harmonics on {n} points"
     if (x.max() - x.min()) <= math.pi:
         raise FitError(
-            f"scan spans {x.max() - x.min():.3f} rad of phase, need more than pi"
+            f"scan spans {x.max() - x.min():.3f} rad of phase, need more than pi{where}"
         )
-    _judge_scale(float(counts.max()), x.size, "counts")
-    design = np.empty((x.size, 3))
-    design[:, 0], design[:, 1], design[:, 2] = 1.0, np.cos(x), np.sin(x)
+    _judge_scale(float(counts.max()), n, "counts", where)
+    kx = np.multiply.outer(x, np.arange(1.0, k + 1.0))
+    design = np.empty((n, 2 * k + 1))
+    design[:, 0], design[:, 1::2], design[:, 2::2] = 1.0, np.cos(kx), np.sin(kx)
     coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    alpha, beta, gamma = coef.tolist()
+    alpha, *terms = coef.tolist()
     a = alpha / 2.0
     if a <= 0.0:
-        raise FitError(f"fitted amplitude {a!r} is not positive")
-    b = math.hypot(beta, gamma) / alpha
-    c = math.atan2(-gamma, beta)
-    _judge_scale(2.0 * (1.0 + b) * max(1.0, a), x.size, "fitted counts")
+        raise FitError(f"fitted amplitude {a!r} is not positive{where}")
+    betas, gammas = terms[::2], terms[1::2]
+    r = [math.hypot(beta, gamma) / alpha for beta, gamma in zip(betas, gammas)]
+    c = [math.atan2(-gamma, beta) for beta, gamma in zip(betas, gammas)]
+    _judge_scale(2.0 * (1.0 + sum(r)) * max(1.0, a), n, "fitted counts", where)
     resid = counts - design @ coef
     rss = float(resid @ resid)
 
-    cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
-    jac = np.empty((x.size, 3))
-    jac[:, 0] = 2.0 * (1.0 + b * cos_xc)
-    jac[:, 1], jac[:, 2] = 2.0 * a * cos_xc, -2.0 * a * b * sin_xc
+    r_k, c_k = np.array(r), np.array(c)
+    arg = kx + c_k
+    cos_kc, sin_kc = np.cos(arg), np.sin(arg)
+    jac = np.empty((n, 2 * k + 1))
+    jac[:, 0] = 2.0 * (1.0 + cos_kc @ r_k)
+    jac[:, 1::2], jac[:, 2::2] = 2.0 * a * cos_kc, -2.0 * a * r_k * sin_kc
     jtj = jac.T @ jac
     if _degenerate(jtj, a):
-        raise FitError("fit parameters are degenerate (flat or constant scan)")
-    cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
+        why = "or constant scan" if k == 1 else "scan, or harmonics the phases do not resolve"
+        raise FitError(f"fit parameters are degenerate (flat {why}){where}")
+    cov = np.linalg.inv(jtj) * (rss / (n - 2 * k - 1))
+    if k == 1:
+        r[0] = min(r[0], 1.0)
     return FitResult(
         amplitude=float(a),
-        visibility=float(min(b, 1.0)),
-        phase=float(_wrap(c)),
+        harmonics=tuple(zip(r, _wrap(c_k).tolist())),
         covariance=cov,
         residual_norm=math.sqrt(rss),
     )
 
 
-def _judge_scale(top: float, n: int, what: str) -> None:
+def _peak(harmonics: np.ndarray) -> float:
+    """max over x of 1 + sum_k r_k cos(k x + C_k), rows (r_k, C_k) of harmonics, to rounding.
+
+    Every local maximum of the curve on a grid of 16 K points a period is
+    polished by Newton steps on the slope, taken only where the curve is
+    concave; the largest polished value, or the grid's if larger, is the peak.
+    """
+    r, c = harmonics.T
+    k = np.arange(1.0, r.size + 1.0)
+    x = np.linspace(0.0, 2.0 * math.pi, 16 * r.size, endpoint=False)
+    grid = np.cos(np.multiply.outer(x, k) + c) @ r
+    x = x[(grid >= np.roll(grid, 1)) & (grid >= np.roll(grid, -1))]
+    for _ in range(8):
+        arg = np.multiply.outer(x, k) + c
+        slope, curvature = np.sin(arg) @ (k * r), np.cos(arg) @ (k * k * r)
+        x = x - np.divide(slope, curvature, out=np.zeros_like(x), where=curvature > 0.0)
+    polished = np.cos(np.multiply.outer(x, k) + c) @ r
+    return 1.0 + max(float(grid.max()), float(polished.max()))
+
+
+def _judge_scale(top: float, n: int, what: str, where: str = "") -> None:
     """FitError unless n top^2 lies in _SQUARES, top bounding n values the fit squares."""
     squares = top * top * n  # Python floats: inf or 0 past the range, no warning
     if not _SQUARES[0] <= squares <= _SQUARES[1]:
         end = "overflow" if squares > _SQUARES[1] else "underflow"
         why = f"{what} up to {top:.3g} {end} the fit's sums of squares"
-        raise FitError(why if top > 0.0 else "all counts are zero, nothing to fit")
+        raise FitError((why if top > 0.0 else "all counts are zero, nothing to fit") + where)
 
 
 def _degenerate(jtj: np.ndarray, a: float) -> bool:
-    """fit_fringe's degeneracy verdict on J^T J in (A, B, C) at amplitude a.
+    """fit_fringe's degeneracy verdict on J^T J in (A, r_1, C_1, ...) at amplitude a.
 
-    Constant data fits with B = 0 and an arbitrary C; the Jacobian column
-    for C collapses and the covariance blows up, so such a fit is rejected
-    rather than reported.  J^T J is judged in (ln A, B, C), whose columns
-    all scale as A: degenerate when it has a non-finite entry or a condition
-    number above 1e12.  The condition number is np.linalg.cond's, largest
-    over smallest singular value, inf where the smallest is 0 or NaN (J^T J
-    scaled past the float range).  fit_fringe's scale rule keeps its J^T J
-    finite; the non-finite branch guards direct callers.
+    Constant data fits with every r_k = 0 and arbitrary C_k; the Jacobian
+    columns for the C_k collapse and the covariance blows up, so such a fit
+    is rejected rather than reported.  So is a harmonic count the scan's
+    phases cannot tell apart.  J^T J is judged in (ln A, r_1, C_1, ...),
+    whose columns all scale as A: degenerate when it has a non-finite entry
+    or a condition number above 1e12.  The condition number is
+    np.linalg.cond's, largest over smallest singular value, inf where the
+    smallest is 0 or NaN (J^T J scaled past the float range).  fit_fringe's
+    scale rule keeps its J^T J finite; the non-finite branch guards direct
+    callers.
     """
     if np.count_nonzero(np.isfinite(jtj)) != jtj.size:
         return True
-    scale = np.outer([a, 1.0, 1.0], [a, 1.0, 1.0])
-    top, _, low = np.linalg.svd(jtj * scale, compute_uv=False).tolist()
+    scale = np.ones(len(jtj))
+    scale[0] = a
+    top, *_, low = np.linalg.svd(jtj * np.outer(scale, scale), compute_uv=False).tolist()
     return not low > 0.0 or top / low > 1e12
 
 
 def visibility(obj) -> float:
-    """Fringe visibility: B from a fit, (max - min)/(max + min) from a raw scan.
+    """Fringe visibility: B (r_1 at K >= 2) from a fit, (max - min)/(max + min) from a raw scan.
 
     Experimental reference points measured on a tabletop pair source of this
     kind, for orientation rather than reproduction: 0.94 +/- 0.02 in the H/V

@@ -86,8 +86,10 @@ def standard_settings(basis=DEFAULT_BASIS) -> list[MeasurementSetting]:
     """The 16 product settings basis x basis, arm a major.
 
     basis is four analyzer letters from {H, V, D, A, R, L}; the default
-    {H, V, D, R} is informationally complete, as is the {H, V, D, A} flavor
-    with L or R swapped in for the circular component.
+    {H, V, D, R} is informationally complete, as is {H, V, D, L}.  A set of
+    linear analyzers only, such as {H, V, D, A}, never measures the circular
+    component and is not: reconstruction refuses its record as
+    informationally incomplete.
     """
     letters = tuple(basis)
     if len(letters) != 4:

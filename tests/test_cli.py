@@ -441,6 +441,60 @@ def test_fig4_csv_embeds_fit(capsys):
     assert fit["B"] == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fig4_fits_one_harmonic_fewer_than_its_passes(capsys, fmt):
+    # The small-tau three-pass fringe is 3 + 4 cos phi + 2 cos 2 phi over the
+    # one-pass rate: harmonics 4/3 and 2/3 over the mean, enhancement 9.  No
+    # one-harmonic key (B, C, visibility, p2_over_p1) is written past N = 2.
+    code, out, _ = run(capsys, "fig4", "--n-passes", "3", "--model", "approx", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        fit = json.loads(out)["fit"]
+    else:
+        lines = out.splitlines()
+        assert lines[2].startswith("# fit: ") and lines[3] == "alpha_deg,phase_rad,counts"
+        fit = json.loads(lines[2].removeprefix("# fit: "))
+    assert set(fit) == {"A", "harmonics", "enhancement", "cov", "residual"}
+    (r1, c1), (r2, c2) = fit["harmonics"]
+    assert (r1, r2) == (pytest.approx(4.0 / 3.0, abs=1e-12), pytest.approx(2.0 / 3.0, abs=1e-12))
+    assert min(c1, 2.0 * math.pi - c1) < 1e-12 and min(c2, 2.0 * math.pi - c2) < 1e-12
+    assert fit["enhancement"] == pytest.approx(9.0, rel=1e-12)
+    assert np.array(fit["cov"]).shape == (5, 5)
+
+
+def test_fig4_seeded_many_pass_fits_report_their_enhancement(capsys):
+    # A seeded exact-model fringe at N = 5 and N = 34: N - 1 harmonics, an
+    # enhancement near N^2.  N = 34 is the largest the default 81 tilts take
+    # (N = 35 is refused below).
+    for n_passes in (5, 34):
+        code, out, _ = run(capsys, "fig4", "--n-passes", str(n_passes), "--seed", "7")
+        assert code == 0
+        fit = json.loads(out.splitlines()[2].removeprefix("# fit: "))
+        assert len(fit["harmonics"]) == n_passes - 1
+        assert fit["enhancement"] == pytest.approx(n_passes**2, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "n_passes,message",
+    [
+        # One pass: a flat fringe, refused as before.
+        ("1", re.escape("fit parameters are degenerate (flat or constant scan)")),
+        ("35", re.escape("fit parameters are degenerate (flat scan, or harmonics the phases do not "
+                         "resolve): 34 harmonics on 81 points")),
+        ("39", "need at least 82 points to fit 38 harmonics, got 81"),
+        ("40", "need at least 84 points to fit 39 harmonics, got 81"),
+        ("41", "need at least 86 points to fit 40 harmonics, got 81"),
+    ],
+)
+def test_fig4_pass_counts_the_tilts_cannot_fit_exit_two(capsys, n_passes, message):
+    # Every refusal past N = 2 names the harmonic count and the number of tilts.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fig4", "--n-passes", n_passes)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"stimpairs: numerical failure: {message}\n", err), err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -1224,7 +1278,7 @@ def test_readme_examples_print_what_readme_shows(tmp_path):
     # --out; the shown lines must open its output, each compared at the
     # precision shown.  A "..." line ends what is shown.
     examples = _readme_examples()
-    assert [command.split()[1] for command, _ in examples] == ["sweep-phase", "fig4"]
+    assert [command.split()[1] for command, _ in examples] == ["sweep-phase", "fig4", "fig4"]
     for k, (command, shown) in enumerate(examples):
         argv = shlex.split(command)
         assert argv[0] == "stimpairs"

@@ -825,3 +825,205 @@ def test_fit_fringe_fits_or_refuses_counts_whose_squares_underflow():
         verdicts.append(True)
     first_refused = verdicts.index(False)
     assert first_refused > 0 and not any(verdicts[first_refused:])
+
+
+# ----- The K-harmonic fit against the three-column fit it generalizes -----
+
+_REF_SQUARES = (1e12 * 2**10 * np.finfo(float).tiny, np.finfo(float).max / 2**10)
+
+
+def _ref_judge_scale(top, n, what):
+    squares = top * top * n
+    if not _REF_SQUARES[0] <= squares <= _REF_SQUARES[1]:
+        end = "overflow" if squares > _REF_SQUARES[1] else "underflow"
+        why = f"{what} up to {top:.3g} {end} the fit's sums of squares"
+        raise FitError(why if top > 0.0 else "all counts are zero, nothing to fit")
+
+
+def _ref_degenerate(jtj, a):
+    if np.count_nonzero(np.isfinite(jtj)) != jtj.size:
+        return True
+    scale = np.outer([a, 1.0, 1.0], [a, 1.0, 1.0])
+    top, _, low = np.linalg.svd(jtj * scale, compute_uv=False).tolist()
+    return not low > 0.0 or top / low > 1e12
+
+
+def _three_column_fit(x, counts):
+    """The one-harmonic fit_fringe as it stood before it took harmonics: the
+    reference the K = 1 fit must match bit for bit.  Returns (A, B, C,
+    covariance, residual norm); raises FitError with the same messages."""
+    if x.size < 8:
+        raise FitError(f"need at least 8 points to fit, got {x.size}")
+    if (x.max() - x.min()) <= math.pi:
+        raise FitError(f"scan spans {x.max() - x.min():.3f} rad of phase, need more than pi")
+    _ref_judge_scale(float(counts.max()), x.size, "counts")
+    design = np.empty((x.size, 3))
+    design[:, 0], design[:, 1], design[:, 2] = 1.0, np.cos(x), np.sin(x)
+    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    alpha, beta, gamma = coef.tolist()
+    a = alpha / 2.0
+    if a <= 0.0:
+        raise FitError(f"fitted amplitude {a!r} is not positive")
+    b = math.hypot(beta, gamma) / alpha
+    c = math.atan2(-gamma, beta)
+    _ref_judge_scale(2.0 * (1.0 + b) * max(1.0, a), x.size, "fitted counts")
+    resid = counts - design @ coef
+    rss = float(resid @ resid)
+    cos_xc, sin_xc = np.cos(x + c), np.sin(x + c)
+    jac = np.empty((x.size, 3))
+    jac[:, 0] = 2.0 * (1.0 + b * cos_xc)
+    jac[:, 1], jac[:, 2] = 2.0 * a * cos_xc, -2.0 * a * b * sin_xc
+    jtj = jac.T @ jac
+    if _ref_degenerate(jtj, a):
+        raise FitError("fit parameters are degenerate (flat or constant scan)")
+    cov = np.linalg.inv(jtj) * (rss / (x.size - 3))
+    return a, min(b, 1.0), float(phase_plate_mod._wrap(c)), cov, math.sqrt(rss)
+
+
+def test_one_harmonic_fit_is_the_three_column_fit_bit_for_bit():
+    # 2,400 scans: noiseless, Poisson, constant (refused as degenerate),
+    # nearly flat (at the 1e12 rule), short, narrow and all-zero ones, with
+    # visibilities past 1 (clamped), phases bunched or spread, counts from
+    # 1e-3 to 1e9.  Every fit agrees in A, B, C, covariance and residual to
+    # the bit, and every refusal in its message.
+    rng = np.random.default_rng(20261020)
+    fitted = refused = 0
+    for i in range(2400):
+        n = int(rng.integers(5, 120))
+        x = rng.uniform(-5.0, 5.0) + np.sort(rng.uniform(0.0, rng.uniform(2.5, 20.0), n))
+        a, b, c = 10.0 ** rng.uniform(-3.0, 6.0), rng.uniform(0.0, 1.3), rng.uniform(-7.0, 7.0)
+        mean = np.maximum(2.0 * a * (1.0 + b * np.cos(x + c)), 0.0)
+        kind = i % 6
+        counts = (
+            mean,
+            rng.poisson(mean).astype(float),
+            np.full(n, a),
+            mean * (1.0 + 1e-7 * rng.standard_normal(n)).clip(0.0),
+            np.zeros(n),
+            mean * (1.0 + 1e-3 * rng.standard_normal(n)).clip(0.0),
+        )[kind]
+        try:
+            want = _three_column_fit(x, counts)
+        except FitError as exc:
+            with pytest.raises(FitError) as got:
+                fit_fringe(FringeScan(x, counts))
+            assert str(got.value) == str(exc)
+            refused += 1
+            continue
+        fit = fit_fringe(FringeScan(x, counts))
+        assert (fit.amplitude, fit.visibility, fit.phase, fit.residual_norm) == (
+            want[0], want[1], want[2], want[4]
+        )
+        assert fit.covariance.tobytes() == want[3].tobytes()
+        assert fit.harmonics == ((want[1], want[2]),)
+        assert fit.enhancement == fit.p2_over_p1 == 2.0 * (1.0 + want[1])
+        fitted += 1
+    assert fitted >= 1200 and refused >= 400
+
+
+# fig4's default grid: 81 tilts from 2 to 15 degrees.
+FIG4_ALPHAS = np.radians(np.linspace(2.0, 15.0, 81))
+
+
+@pytest.mark.parametrize("n_passes", [3, 5, 10])
+def test_harmonic_fit_recovers_the_small_tau_fringe_to_rounding(n_passes):
+    # The approx N-pass fringe 2 tau^2 |sum_m e^(i m phi)|^2 is exactly
+    # 2 tau^2 (N + sum_k 2 (N - k) cos k phi): r_k = 2 (N - k) / N, C_k = 0
+    # and the enhancement N peak / h_0 = N^2.
+    cfg = ResonatorConfig(n_passes, 0.0, 1e-3)
+    scan = simulate_stimulation_fringe(GEOM, cfg, FIG4_ALPHAS, 1e9, model="approx")
+    fit = fit_fringe(scan, harmonics=n_passes - 1)
+    assert len(fit.harmonics) == n_passes - 1
+    assert fit.amplitude == pytest.approx(n_passes * 1e3, rel=1e-12)
+    for k, (r, c) in enumerate(fit.harmonics, start=1):
+        assert r == pytest.approx(2.0 * (n_passes - k) / n_passes, abs=1e-12)
+        assert min(c, 2.0 * math.pi - c) < 1e-12
+    assert fit.enhancement == pytest.approx(n_passes**2, rel=1e-12)
+    assert fit.residual_norm < 1e-9 * fit.amplitude
+    assert fit.covariance.shape == (2 * n_passes - 1, 2 * n_passes - 1)
+
+
+@pytest.mark.parametrize("n_passes", [3, 5, 10, 20])
+def test_enhancement_is_polished_past_the_peak_search_grid(n_passes):
+    # The ideal fringe with its peak at x = 0.3, between the points of the
+    # 16 K-point grid the peak search starts from: the grid alone falls short
+    # of N^2, the polished peak reaches it to 1e-12.
+    x = np.linspace(0.0, 4.0 * math.pi, 81)
+    m = np.arange(n_passes)
+    counts = 500.0 * np.abs(np.exp(1j * np.multiply.outer(x - 0.3, m)).sum(axis=1)) ** 2
+    fit = fit_fringe(FringeScan(x, counts), harmonics=n_passes - 1)
+    assert fit.enhancement == pytest.approx(n_passes**2, rel=1e-12)
+    r, c = np.array(fit.harmonics).T
+    k = np.arange(1, n_passes)
+    grid = np.linspace(0.0, 2.0 * math.pi, 16 * (n_passes - 1), endpoint=False)
+    on_grid = n_passes * (1.0 + (np.cos(np.multiply.outer(grid, k) + c) @ r).max())
+    assert on_grid < n_passes**2 * (1.0 - 1e-6)
+
+
+# gamma(2) from gamma(1) for three shapes of decoherence between passes.
+_SHAPES = {
+    "independent": lambda g1: g1,  # independent phase offsets per pass
+    "random walk": lambda g1: g1**2,  # a random-walk phase
+    "drift": lambda g1: g1**4,  # modes that drift by one step a pass
+}
+
+
+@pytest.mark.parametrize("gamma1", [0.9, 0.7, 0.35])
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_triple_pass_fringe_tells_the_decoherence_shapes_apart(shape, gamma1):
+    # At low gain a three-pass fringe is the one-pass rate times
+    # sum_{m,m'} gamma(|m - m'|) cos((m - m') phi) = 3 + 4 gamma(1) cos phi +
+    # 2 gamma(2) cos 2 phi, so r_1 = 4 gamma(1) / 3 and r_2 = 2 gamma(2) / 3.
+    # At fig4's counts and grid each estimate lies within 4 sd (from the fit's
+    # covariance) of its truth, and gamma(2) lies more than 4 sd from the
+    # other shapes' values, 0.09 or more away from its own.
+    # fig4's one-pass fringe is flat: about 2,000 counts at every tilt.
+    one = simulate_stimulation_fringe(GEOM, ResonatorConfig(1, 0.0, 1e-3), FIG4_ALPHAS, 1e9)
+    phases, one_pass = one.phase, one.counts
+    gamma2 = _SHAPES[shape](gamma1)
+    mean = one_pass * (3.0 + 4.0 * gamma1 * np.cos(phases) + 2.0 * gamma2 * np.cos(2.0 * phases))
+    for seed in range(5):
+        counts = np.random.default_rng(seed).poisson(mean).astype(float)
+        fit = fit_fringe(FringeScan(phases, counts), harmonics=2)
+        (r1, _), (r2, _) = fit.harmonics
+        est1, sd1 = 0.75 * r1, 0.75 * math.sqrt(fit.covariance[1, 1])
+        est2, sd2 = 1.5 * r2, 1.5 * math.sqrt(fit.covariance[3, 3])
+        assert abs(est1 - gamma1) < 4.0 * sd1, (seed, est1, sd1)
+        assert abs(est2 - gamma2) < 4.0 * sd2, (seed, est2, sd2)
+        for other in _SHAPES:
+            if other != shape:
+                assert abs(est2 - _SHAPES[other](gamma1)) > 4.0 * sd2
+
+
+def test_harmonic_fit_refusals_name_the_harmonics_and_the_points():
+    # Past one harmonic every FitError names K and n; at K = 1 the messages
+    # stay as they were.  The point count is judged before the design matrix
+    # exists: 2K + 6 points at least (8 at K = 1).
+    x = np.linspace(0.0, 4.0 * math.pi, 40)
+    shape = 1.0 + 0.5 * np.cos(x + 0.3) + 0.2 * np.cos(2.0 * x)
+    cases = [
+        (FringeScan(x[:13], shape[:13]), 4, r"need at least 14 points to fit 4 harmonics, got 13"),
+        (FringeScan(np.linspace(0.0, 3.0, 40), shape), 2, r"scan spans 3\.000 rad of phase, need more than pi"),
+        (FringeScan(x, np.zeros(40)), 2, r"all counts are zero, nothing to fit"),
+        (FringeScan(x, 1e160 * shape), 3, r"counts up to \S+ overflow the fit's sums of squares"),
+        (FringeScan(x, 1e-160 * shape), 3, r"counts up to \S+ underflow the fit's sums of squares"),
+        (FringeScan(x, np.full(40, 7.0)), 2, r"fit parameters are degenerate \(flat scan, or harmonics "
+         r"the phases do not resolve\)"),
+        # Two counts of one among twelve bunched phases: the mean column fits below zero.
+        (FringeScan(np.array([0.075, 1.505, 1.7, 1.876, 2.211, 2.222, 2.292, 2.36, 2.709, 5.843, 5.911,
+                              6.134]), np.eye(12)[4] + np.eye(12)[7]), 2,
+         r"fitted amplitude -\S+ is not positive"),
+    ]
+    for scan, k, message in cases:
+        n = scan.phase.size
+        suffix = "" if message.startswith("need") else f": {k} harmonics on {n} points"
+        with pytest.raises(FitError, match=f"^{message}{suffix}$"):
+            fit_fringe(scan, harmonics=k)
+    with pytest.raises(FitError, match=r"^need at least 8 points to fit, got 7$"):
+        fit_fringe(FringeScan(x[:7], shape[:7]))
+    # A harmonic absent from the data leaves its C_k undetermined.
+    with pytest.raises(FitError, match=r"degenerate .*: 3 harmonics on 40 points$"):
+        fit_fringe(FringeScan(x, 2.0 + np.cos(x)), harmonics=3)
+    for bad in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="harmonics must be a positive integer"):
+            fit_fringe(FringeScan(x, shape), harmonics=bad)
