@@ -12,10 +12,10 @@ Subcommands:
 Every subcommand accepts --config <json> (a file of long-option keys, CLI
 flags win), echoes the resolved configuration and seed into its output
 header, and is deterministic under a fixed seed.  Scans are CSV, structured
-results strict JSON: a NaN or infinity bound for JSON output is a numerical
-failure naming its key.  Exit codes: 0 success, 1 validation error, 2 numerical
-failure or out of memory, 3 I/O error or a missing dependency (numpy not
-installed).
+results strict JSON from errors.dump_json: a NaN or infinity bound for JSON
+output is a numerical failure naming its key.  Exit codes: 0 success, 1
+validation error, 2 numerical failure or out of memory, 3 I/O error or a
+missing dependency (numpy not installed).
 
 Every byte of a command's result goes through one writer, _emit, to stdout or
 to the file --out names (and verify's --json-out); messages go to stderr, and
@@ -51,14 +51,13 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import re
 import sys
 from pathlib import Path
 
 from .errors import FitError, ReconstructionError, SchemaError, TruncationError
-from .errors import is_json_number, load_json
+from .errors import dump_json, is_json_number, load_json
 
 DEFAULT_PLATE = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
 
@@ -230,32 +229,8 @@ def _emit(chunks, out: str | None) -> None:
             f.writelines(chunks)
 
 
-def _dumps(doc: dict, **options) -> str:
-    """Strict JSON with sorted keys: a NaN or infinity in doc is a numerical
-    failure naming its key, never written as NaN or Infinity."""
-    try:
-        return json.dumps(doc, allow_nan=False, sort_keys=True, **options)
-    except ValueError:
-        found = next(_non_finite(doc), None)
-        if found is None:
-            raise
-        raise FloatingPointError("{} = {!r} is not a JSON number".format(*found)) from None
-
-
-def _non_finite(value, path: str = ""):
-    """(path, value) of each NaN or infinity in value, the path as in fit.cov[0][1]."""
-    if isinstance(value, float) and not math.isfinite(value):
-        yield path, value
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _non_finite(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _non_finite(item, f"{path}[{i}]")
-
-
 def _json_text(doc: dict) -> str:
-    return _dumps(doc, indent=2) + "\n"
+    return dump_json(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _emit_scan(args, settings: dict, columns: dict, fit=None) -> int:
@@ -273,9 +248,9 @@ def _emit_scan(args, settings: dict, columns: dict, fit=None) -> int:
             doc.update(scan=[dict(zip(columns, r)) for r in rows], fit=fit.to_dict())
         _emit([_json_text(doc)], args.out)
         return 0
-    head = [f"# stimpairs {args.command}", f"# config: {_dumps(echo)}"]
+    head = [f"# stimpairs {args.command}", f"# config: {dump_json(echo, sort_keys=True)}"]
     if fit is not None:
-        head.append(f"# fit: {_dumps(fit.to_dict())}")
+        head.append(f"# fit: {dump_json(fit.to_dict(), sort_keys=True)}")
     head.append(",".join(columns))
     _emit(_csv_text(head, list(columns.values())), args.out)
     return 0
@@ -410,7 +385,7 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
     doc = {
         "command": "tomography",
         "config": s,
-        "rho": json.loads(tomography.rho_to_json(result.rho)),
+        "rho": load_json(tomography.rho_to_json(result.rho)),
         "min_eigenvalue": result.min_eigenvalue,
         "physical": result.physical,
         "log_likelihood": result.log_likelihood,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the input rules its modules share.
+"""Exception types shared across the package, the input rules its modules
+share, and its one JSON reader and one JSON writer.
 
 Grouping them here keeps the command line driver's exit-code mapping in one
 import: schema/validation problems exit 1, numerical failures exit 2.  The
@@ -42,6 +43,35 @@ def load_json(text: str, where: str = ""):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{where}invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def dump_json(doc, **options) -> str:
+    """doc as strict JSON: json.dumps with allow_nan=False and the given options.
+
+    Every document the package writes goes through here.  A NaN or infinity
+    in doc is a FloatingPointError naming its path, as in fit.cov[0][1] or
+    settings[3].arm_a.pol_deg, and no text is returned; the path is looked up
+    only on failure.
+    """
+    try:
+        return json.dumps(doc, allow_nan=False, **options)
+    except ValueError:
+        found = next(_non_finite(doc), None)
+        if found is None:
+            raise
+        raise FloatingPointError("{} = {!r} is not a JSON number".format(*found)) from None
+
+
+def _non_finite(value, path: str = ""):
+    """(path, value) of each NaN or infinity in value, the path as in fit.cov[0][1]."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{path}[{i}]")
 
 
 def is_json_number(value) -> bool:

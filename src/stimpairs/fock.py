@@ -42,12 +42,12 @@ from __future__ import annotations
 import cmath
 import collections
 import functools
-import json
 import math
 
 import numpy as np
 
-from .errors import SchemaError, TruncationError, is_json_number, load_json, positive_int
+from .errors import SchemaError, TruncationError, dump_json, is_json_number, load_json
+from .errors import positive_int
 from .resonator import ResonatorConfig, _amplitudes
 
 ENUMERATION_ORDER = "lex:aH,aV,bH,bV"
@@ -166,19 +166,16 @@ class FockVector:
         """The state in the JSON format, without entries of magnitude AMPLITUDE_EPS or less.
 
         A NaN or infinite amplitude raises ValueError naming its index: the
-        mask keeps NaN (its magnitude is not <= AMPLITUDE_EPS) and the encoder
-        refuses both, so the index is looked up only on failure.
+        mask keeps NaN (its magnitude is not <= AMPLITUDE_EPS) and the writer,
+        errors.dump_json, refuses both, so the index is looked up only on failure.
         """
         keep = ~(np.abs(self.values) <= AMPLITUDE_EPS)
         index, kept = self.indices[keep], self.values[keep]
         # json writes each (index, re, im) tuple as an [index, re, im] array.
         entries = list(zip(index.tolist(), kept.real.tolist(), kept.imag.tolist()))
         try:
-            return json.dumps(
-                {"cutoff": self.cutoff, "order": ENUMERATION_ORDER, "amplitudes": entries},
-                allow_nan=False,
-            )
-        except ValueError:
+            return dump_json({"cutoff": self.cutoff, "order": ENUMERATION_ORDER, "amplitudes": entries})
+        except FloatingPointError:
             pos = np.flatnonzero(~np.isfinite(kept))[0]
             raise ValueError(
                 f"amplitude at index {index[pos]} is {complex(kept[pos])!r}, not finite; "

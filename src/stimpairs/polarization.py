@@ -342,10 +342,13 @@ def fit_fringe(scan: FringeScan, harmonics: int = 1) -> FitResult:
     residual sum of squares over n - 2K - 1.  Raises FitError when the scan
     has fewer than 2K + 6 points (8 at K = 1) or spans less than half a
     period, when its counts are all zero or their scale is out of range, when
-    A is not positive, or when J^T J in (ln A, r_1, C_1, ...), free of the
-    count scale, has condition number above 1e12 (constant data leaves the
-    C_k undetermined, and too many harmonics for the phases leave the
-    columns dependent).  At K >= 2 every message names K and n.
+    the phases do not resolve K harmonics (the design's singular values
+    spread by more than 1e6, its Gram matrix past 1e12; judged before A's
+    sign, which such a solve leaves to rounding), when A is not positive, or
+    when J^T J in (ln A, r_1, C_1, ...), free of the count scale, has
+    condition number above 1e12 (constant data leaves the C_k undetermined,
+    and too many harmonics for the phases leave the columns dependent).  The
+    first and last share one message.  At K >= 2 every message names K and n.
 
     The count scale is judged before any arithmetic: with n counts up to S,
     n S^2 must lie in _SQUARES, from 1e12 * 2^10 times the smallest normal
@@ -382,7 +385,11 @@ def fit_fringe(scan: FringeScan, harmonics: int = 1) -> FitResult:
     kx = np.multiply.outer(x, np.arange(1.0, k + 1.0))
     design = np.empty((n, 2 * k + 1))
     design[:, 0], design[:, 1::2], design[:, 2::2] = 1.0, np.cos(kx), np.sin(kx)
-    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    coef, _, _, sv = np.linalg.lstsq(design, counts, rcond=None)
+    why = "or constant scan" if k == 1 else "scan, or harmonics the phases do not resolve"
+    degenerate = f"fit parameters are degenerate (flat {why}){where}"
+    if sv[0] > 1e6 * sv[-1]:  # the design's Gram matrix past the 1e12 rule
+        raise FitError(degenerate)
     alpha, *terms = coef.tolist()
     a = alpha / 2.0
     if a <= 0.0:
@@ -402,8 +409,7 @@ def fit_fringe(scan: FringeScan, harmonics: int = 1) -> FitResult:
     jac[:, 1::2], jac[:, 2::2] = 2.0 * a * cos_kc, -2.0 * a * r_k * sin_kc
     jtj = jac.T @ jac
     if _degenerate(jtj, a):
-        why = "or constant scan" if k == 1 else "scan, or harmonics the phases do not resolve"
-        raise FitError(f"fit parameters are degenerate (flat {why}){where}")
+        raise FitError(degenerate)
     cov = np.linalg.inv(jtj) * (rss / (n - 2 * k - 1))
     if k == 1:
         r[0] = min(r[0], 1.0)

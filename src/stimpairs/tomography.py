@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import collections
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReconstructionError, SchemaError, finite, json_number, load_json, positive_float
+from .errors import ReconstructionError, SchemaError, dump_json, finite, json_number, load_json
+from .errors import positive_float
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
@@ -139,6 +139,12 @@ class TomographyRecord:
         object.__setattr__(self, "shots", positive_float(self.shots, "shots"))
 
     def to_json(self) -> str:
+        """The record in the JSON format, angles in degrees, through errors.dump_json.
+
+        A finite angle whose degrees overflow the float range has no JSON
+        number: FloatingPointError names it, as settings[0].arm_a.pol_deg.
+        """
+
         def arm(a: ArmSetting) -> dict:
             doc = {"pol_deg": math.degrees(a.pol)}
             if a.qwp is not None:
@@ -149,7 +155,7 @@ class TomographyRecord:
             {"arm_a": arm(s.arm_a), "arm_b": arm(s.arm_b), "counts": float(c)}
             for s, c in zip(self.settings, self.counts)
         ]
-        return json.dumps({"shots": self.shots, "settings": entries})
+        return dump_json({"shots": self.shots, "settings": entries})
 
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
@@ -632,12 +638,12 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
 
 
 def rho_to_json(rho: np.ndarray) -> str:
-    """4x4 density matrix as JSON with an eigenvalue report."""
+    """4x4 density matrix as strict JSON (errors.dump_json) with an eigenvalue report."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    return json.dumps(
+    return dump_json(
         {
             "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
             "eigenvalues": [float(v) for v in evals],

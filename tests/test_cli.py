@@ -481,6 +481,12 @@ def test_fig4_seeded_many_pass_fits_report_their_enhancement(capsys):
         ("1", re.escape("fit parameters are degenerate (flat or constant scan)")),
         ("35", re.escape("fit parameters are degenerate (flat scan, or harmonics the phases do not "
                          "resolve): 34 harmonics on 81 points")),
+        # The design is judged before the amplitude's sign, which a near-singular
+        # solve leaves to rounding: once refused as a negative amplitude.
+        ("37", re.escape("fit parameters are degenerate (flat scan, or harmonics the phases do not "
+                         "resolve): 36 harmonics on 81 points")),
+        ("38", re.escape("fit parameters are degenerate (flat scan, or harmonics the phases do not "
+                         "resolve): 37 harmonics on 81 points")),
         ("39", "need at least 82 points to fit 38 harmonics, got 81"),
         ("40", "need at least 84 points to fit 39 harmonics, got 81"),
         ("41", "need at least 86 points to fit 40 harmonics, got 81"),

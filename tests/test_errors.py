@@ -1,12 +1,14 @@
 """The input rules every module shares: finite values, JSON numbers, JSON documents."""
 
+import json
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from stimpairs.errors import SchemaError, finite, is_json_number, json_number, load_json
+from stimpairs.errors import SchemaError, dump_json, finite, is_json_number, json_number, load_json
 
 
 def test_finite_rule_on_scalars_and_arrays():
@@ -48,3 +50,20 @@ def test_load_json_names_the_line():
         load_json('{"a":\n ]}')
     with pytest.raises(SchemaError, match=r"^config c\.json: invalid JSON at line 1: "):
         load_json("{", "config c.json: ")
+
+
+def test_dump_json_is_strict_and_names_the_path():
+    # One json.dumps with allow_nan=False: the options pass through, keys keep
+    # their order unless sort_keys asks otherwise, and tuples write as arrays.
+    doc = {"b": (1, 2.5), "a": {"z": -0.0, "y": [None, True, "s"]}}
+    assert dump_json(doc) == '{"b": [1, 2.5], "a": {"z": -0.0, "y": [null, true, "s"]}}'
+    assert dump_json(doc, sort_keys=True).startswith('{"a": {"y": ')
+    assert dump_json(doc, indent=2) == json.dumps(doc, indent=2)
+    for bad, message in (
+        ({"fit": {"cov": [[0.0, math.nan]]}}, "fit.cov[0][1] = nan"),
+        ({"settings": [{}, {}, {}, {"arm_a": {"pol_deg": -math.inf}}]}, "settings[3].arm_a.pol_deg = -inf"),
+        ({"rate": math.inf}, "rate = inf"),
+        ([1.0, (2.0, math.nan)], "[1][1] = nan"),
+    ):
+        with pytest.raises(FloatingPointError, match=rf"^{re.escape(message)} is not a JSON number$"):
+            dump_json(bad, sort_keys=True)

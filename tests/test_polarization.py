@@ -1013,6 +1013,11 @@ def test_harmonic_fit_refusals_name_the_harmonics_and_the_points():
         (FringeScan(np.array([0.075, 1.505, 1.7, 1.876, 2.211, 2.222, 2.292, 2.36, 2.709, 5.843, 5.911,
                               6.134]), np.eye(12)[4] + np.eye(12)[7]), 2,
          r"fitted amplitude -\S+ is not positive"),
+        # Eight phases within 1e-5 and two apart do not resolve two harmonics: refused
+        # before the mean's sign, which the near-singular solve leaves to rounding.
+        (FringeScan(np.concatenate([np.linspace(0.0, 1e-5, 8), [2.0, 4.0]]),
+                    np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.0, 9.0])), 2,
+         r"fit parameters are degenerate \(flat scan, or harmonics the phases do not resolve\)"),
     ]
     for scan, k, message in cases:
         n = scan.phase.size

@@ -104,11 +104,15 @@ _COUNTS = st.one_of(
 _EXACT_ANGLES = sorted({a for s in ANALYZER_ANGLES.values() for a in (s.pol, s.qwp)})
 
 
+# Angles near the analyzer letters' and over the whole finite float range.
+_ANGLES = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
 @st.composite
 def _records(draw):
     def arm():
-        pol = draw(st.one_of(st.sampled_from(_EXACT_ANGLES), st.floats(-10.0, 10.0)))
-        qwp = draw(st.one_of(st.none(), st.sampled_from(_EXACT_ANGLES), st.floats(-10.0, 10.0)))
+        pol = draw(st.one_of(st.sampled_from(_EXACT_ANGLES), _ANGLES))
+        qwp = draw(st.one_of(st.none(), st.sampled_from(_EXACT_ANGLES), _ANGLES))
         return ArmSetting(pol=pol, qwp=qwp)
 
     k = draw(st.integers(1, 16))
@@ -118,14 +122,36 @@ def _records(draw):
     return TomographyRecord(tuple(settings_), np.array(counts), shots)
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+def _refuse_literal(literal):
+    raise ValueError(f"non-JSON literal {literal}")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_records())
 def test_record_json_roundtrip_keeps_every_number(record):
-    # Counts, shots, the setting order and which arms carry a plate come back
-    # bit for bit, as do the analyzer-letter angles.  Other angles are written
-    # in degrees, and about 9% of doubles in [-7, 7] are math.radians of no
-    # double at all, so they come back within the two roundings of the trip.
-    loaded = TomographyRecord.from_json(record.to_json())
+    # Every text to_json writes is strict JSON.  Counts, shots, the setting
+    # order and which arms carry a plate come back bit for bit, as do the
+    # analyzer-letter angles.  Other angles are written in degrees, and about
+    # 9% of doubles in [-7, 7] are math.radians of no double at all, so they
+    # come back within the two roundings of the trip.  Past about 3.1e306 rad
+    # the degrees overflow: that record is refused naming the first such
+    # number, and no text is returned.
+    degrees = [
+        (f"settings[{i}].{name}.{key}_deg", math.degrees(angle))
+        for i, s in enumerate(record.settings)
+        for name, arm in (("arm_a", s.arm_a), ("arm_b", s.arm_b))
+        for key, angle in (("pol", arm.pol), ("qwp", arm.qwp))
+        if angle is not None
+    ]
+    overflow = [(path, d) for path, d in degrees if math.isinf(d)]
+    if overflow:
+        message = re.escape("{} = {!r} is not a JSON number".format(*overflow[0]))
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            record.to_json()
+        return
+    text = record.to_json()
+    json.loads(text, parse_constant=_refuse_literal)
+    loaded = TomographyRecord.from_json(text)
     assert loaded.shots == record.shots
     assert loaded.counts.tobytes() == record.counts.tobytes()
     assert len(loaded.settings) == len(record.settings)
@@ -138,6 +164,21 @@ def test_record_json_roundtrip_keeps_every_number(record):
                 if y in _EXACT_ANGLES:
                     assert x == y
                 assert abs(x - y) <= 4.0 * np.finfo(float).eps * abs(y)
+
+
+@pytest.mark.parametrize(
+    "arm, path, shown",
+    [
+        (ArmSetting(pol=1e307), "settings[0].arm_a.pol_deg", "inf"),
+        (ArmSetting(pol=0.0, qwp=-1e307), "settings[0].arm_a.qwp_deg", "-inf"),
+    ],
+)
+def test_record_with_degrees_past_the_float_range_is_refused(arm, path, shown):
+    # A finite angle whose degrees overflow has no JSON number: the writer
+    # names it and returns no text, never an Infinity that from_json refuses.
+    record = TomographyRecord((MeasurementSetting(arm, ArmSetting(pol=0.0)),), [1.0], 10.0)
+    with pytest.raises(FloatingPointError, match=rf"^{re.escape(path)} = {shown} is not a JSON number$"):
+        record.to_json()
 
 
 def test_record_schema_errors():
