@@ -57,7 +57,7 @@ import sys
 from pathlib import Path
 
 from .errors import FitError, ReconstructionError, SchemaError, TruncationError
-from .errors import dump_json, is_json_number, load_json
+from .errors import dump_json, is_json_number, json_object, load_json
 
 DEFAULT_PLATE = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
 
@@ -155,13 +155,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, what: str = "config") -> dict:
+    """The JSON object in the file path, errors naming it as "<what> <path>"."""
     if path is None:
         return {}
-    doc = load_json(Path(path).read_text(), f"config {path}: ")
-    if not isinstance(doc, dict):
-        raise SchemaError(f"config {path}: expected a JSON object")
-    return doc
+    where = f"{what} {path}"
+    return json_object(load_json(Path(path).read_text(), f"{where}: "), where)
 
 
 def _check(key: str, kind, value):
@@ -295,11 +294,9 @@ def _plate_from(args, config: dict):
     from . import phase_plate
 
     if args.geometry is not None:
-        doc = _load_config(args.geometry)
+        doc = _load_config(args.geometry, "geometry")
     else:
         doc = config.get("geometry", DEFAULT_PLATE)
-    if not isinstance(doc, dict):
-        raise SchemaError("geometry must be a JSON object")
     return phase_plate.PlateGeometry.from_dict(doc)
 
 

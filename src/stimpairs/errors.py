@@ -1,5 +1,5 @@
 """Exception types shared across the package, the input rules its modules
-share, and its one JSON reader and one JSON writer.
+share, and its one JSON reader, one document-shape rule and one JSON writer.
 
 Grouping them here keeps the command line driver's exit-code mapping in one
 import: schema/validation problems exit 1, numerical failures exit 2.  The
@@ -45,6 +45,31 @@ def load_json(text: str, where: str = ""):
         raise SchemaError(f"{where}invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
+def json_object(value, path: str, keys=()) -> dict:
+    """value, a JSON object holding each of keys; anything else is a SchemaError.
+
+    The error names path, or the path of the first missing key, as dump_json
+    names a value: settings[0].arm_b, geometry.L_m.  The empty path is the
+    document itself.
+    """
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}: expected a JSON object" if path else "expected a JSON object")
+    for key in keys:
+        if key not in value:
+            raise SchemaError(f"{_key_path(path, key)}: missing")
+    return value
+
+
+def json_array(value, path: str, size: int | None = None, nonempty: bool = False) -> list:
+    """value, a JSON array of size entries, or of any number (at least one if
+    nonempty) when size is None; anything else is a SchemaError naming path."""
+    if isinstance(value, list) and (value or not nonempty if size is None else len(value) == size):
+        return value
+    if size is not None:
+        raise SchemaError(f"{path}: expected a JSON array of {size} entries")
+    raise SchemaError(f"{path}: expected a {'non-empty ' if nonempty else ''}JSON array")
+
+
 def dump_json(doc, **options) -> str:
     """doc as strict JSON: json.dumps with allow_nan=False and the given options.
 
@@ -68,10 +93,15 @@ def _non_finite(value, path: str = ""):
         yield path, value
     elif isinstance(value, dict):
         for key, item in value.items():
-            yield from _non_finite(item, f"{path}.{key}" if path else key)
+            yield from _non_finite(item, _key_path(path, key))
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             yield from _non_finite(item, f"{path}[{i}]")
+
+
+def _key_path(path: str, key: str) -> str:
+    """The path of key in the object at path: a.b, or b at the top."""
+    return f"{path}.{key}" if path else key
 
 
 def is_json_number(value) -> bool:

@@ -46,8 +46,8 @@ import math
 
 import numpy as np
 
-from .errors import SchemaError, TruncationError, dump_json, is_json_number, load_json
-from .errors import positive_int
+from .errors import SchemaError, TruncationError, dump_json, is_json_number, json_array
+from .errors import json_number, json_object, load_json, positive_int
 from .resonator import ResonatorConfig, _amplitudes
 
 ENUMERATION_ORDER = "lex:aH,aV,bH,bV"
@@ -184,12 +184,7 @@ class FockVector:
 
     @classmethod
     def from_json(cls, text: str) -> "FockVector":
-        doc = load_json(text)
-        if not isinstance(doc, dict):
-            raise SchemaError("expected a JSON object")
-        for key in ("cutoff", "order", "amplitudes"):
-            if key not in doc:
-                raise SchemaError(f"missing key {key!r}")
+        doc = json_object(load_json(text), "", ("cutoff", "order", "amplitudes"))
         if doc["order"] != ENUMERATION_ORDER:
             raise SchemaError(
                 f"enumeration order {doc['order']!r} does not match {ENUMERATION_ORDER!r}"
@@ -200,9 +195,8 @@ class FockVector:
             raise SchemaError(
                 f"cutoff must be an integer from 1 to {MAX_CUTOFF}, got {cutoff!r}"
             )
-        if not isinstance(doc["amplitudes"], list):
-            raise SchemaError("amplitudes must be a list of [index, re, im] triples")
-        indices, values = _parse_entries(doc["amplitudes"], (cutoff + 1) ** 4)
+        entries = json_array(doc["amplitudes"], "amplitudes")
+        indices, values = _parse_entries(entries, (cutoff + 1) ** 4)
         return cls._from_entries(indices, values, cutoff)
 
 
@@ -236,7 +230,7 @@ def _parse_entries(entries: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
         values.imag = im
         ok = bool(np.isfinite(values).all())
     if not ok:
-        raise _first_bad_entry(entries, dim)
+        _first_bad_entry(entries, dim)
     index = np.array(index, dtype=np.int64)
     if not (index[1:] > index[:-1]).all():
         # np.unique keeps each index's first place in the reversed list: its last.
@@ -245,19 +239,17 @@ def _parse_entries(entries: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return index, values
 
 
-def _first_bad_entry(entries: list, dim: int) -> SchemaError:
-    """The schema error naming the first malformed [index, re, im] triple."""
+def _first_bad_entry(entries: list, dim: int) -> None:
+    """Raise the schema error naming the first malformed [index, re, im]
+    triple by its path, as amplitudes[3] or amplitudes[3][1] for its re."""
     for pos, entry in enumerate(entries):
-        if not (type(entry) is list and len(entry) == 3):
-            return SchemaError(f"amplitude entry {pos} is not an [index, re, im] triple")
-        i, re, im = entry
+        where = f"amplitudes[{pos}]"
+        i, re, im = json_array(entry, where, 3)
         if type(i) is not int or not (0 <= i < dim):
-            return SchemaError(f"amplitude entry {pos}: index {i!r} outside [0, {dim})")
-        if type(re) not in (int, float) or type(im) not in (int, float):
-            return SchemaError(f"amplitude entry {pos}: re, im {re!r}, {im!r} not numbers")
-        if not (is_json_number(re) and is_json_number(im)):
-            return SchemaError(f"amplitude entry {pos}: re, im {re!r}, {im!r} not finite")
-    return SchemaError("amplitude entries are malformed")
+            raise SchemaError(f"{where}[0]: index {i!r} outside [0, {dim})")
+        json_number(re, f"{where}[1]")
+        json_number(im, f"{where}[2]")
+    raise SchemaError("amplitudes: malformed entries")
 
 
 def _pair_terms(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, finite, json_number, positive_float
+from .errors import finite, json_number, json_object, positive_float
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,16 +55,12 @@ class PlateGeometry:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "PlateGeometry":
-        missing = [k for k in ("L_m", "n_p", "n_s", "lambda_p_m") if k not in doc]
-        if missing:
-            raise SchemaError(f"plate geometry is missing keys {missing}")
-        return cls(
-            thickness=json_number(doc["L_m"], "geometry L_m"),
-            n_pump=json_number(doc["n_p"], "geometry n_p"),
-            n_pair=json_number(doc["n_s"], "geometry n_s"),
-            wavelength_pump=json_number(doc["lambda_p_m"], "geometry lambda_p_m"),
-        )
+    def from_dict(cls, doc) -> "PlateGeometry":
+        """The geometry of a to_dict document; a malformed one is a SchemaError
+        naming the path the command output writes it at, as geometry.L_m."""
+        keys = ("L_m", "n_p", "n_s", "lambda_p_m")
+        doc = json_object(doc, "geometry", keys)
+        return cls(*(json_number(doc[key], f"geometry.{key}") for key in keys))
 
 
 def phase_through_plate(wavelength: float, n: float, thickness: float, alpha):

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReconstructionError, SchemaError, dump_json, finite, json_number, load_json
-from .errors import positive_float
+from .errors import ReconstructionError, SchemaError, dump_json, finite, json_array, json_number
+from .errors import json_object, load_json, positive_float
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
@@ -159,38 +159,28 @@ class TomographyRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
-        doc = load_json(text)
-        if not isinstance(doc, dict) or "shots" not in doc or "settings" not in doc:
-            raise SchemaError("expected an object with 'shots' and 'settings' keys")
-        entries = doc["settings"]
-        if not isinstance(entries, list) or not entries:
-            raise SchemaError("'settings' must be a non-empty list")
+        """The record of to_json text; a malformed document is a SchemaError
+        naming the path dump_json would write, as settings[0].arm_b.pol_deg."""
+        doc = json_object(load_json(text), "", ("shots", "settings"))
 
-        def parse_arm(entry: dict, which: str, pos: int) -> ArmSetting:
-            if which not in entry or not isinstance(entry[which], dict):
-                raise SchemaError(f"settings[{pos}]: missing arm object {which!r}")
-            arm = entry[which]
-            if "pol_deg" not in arm:
-                raise SchemaError(f"settings[{pos}].{which}: missing 'pol_deg'")
-            pol = math.radians(json_number(arm["pol_deg"], f"settings[{pos}].{which}: pol_deg"))
-            qwp = (
-                math.radians(json_number(arm["qwp_deg"], f"settings[{pos}].{which}: qwp_deg"))
-                if "qwp_deg" in arm and arm["qwp_deg"] is not None
-                else None
+        def parse_arm(arm, where: str) -> ArmSetting:
+            arm = json_object(arm, where, ("pol_deg",))
+            qwp = arm.get("qwp_deg")
+            return ArmSetting(
+                pol=math.radians(json_number(arm["pol_deg"], f"{where}.pol_deg")),
+                qwp=None if qwp is None else math.radians(json_number(qwp, f"{where}.qwp_deg")),
             )
-            return ArmSetting(pol=pol, qwp=qwp)
 
         settings = []
         counts = []
-        for pos, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "counts" not in entry:
-                raise SchemaError(f"settings[{pos}]: missing 'counts'")
-            c = json_number(entry["counts"], f"settings[{pos}]: counts")
+        for pos, entry in enumerate(json_array(doc["settings"], "settings", nonempty=True)):
+            where = f"settings[{pos}]"
+            entry = json_object(entry, where, ("counts", "arm_a", "arm_b"))
+            c = json_number(entry["counts"], f"{where}.counts")
             if c < 0.0:
-                raise SchemaError(f"settings[{pos}]: counts must be >= 0, got {c!r}")
-            settings.append(
-                MeasurementSetting(parse_arm(entry, "arm_a", pos), parse_arm(entry, "arm_b", pos))
-            )
+                raise SchemaError(f"{where}.counts: must be >= 0, got {c!r}")
+            arms = (parse_arm(entry[which], f"{where}.{which}") for which in ("arm_a", "arm_b"))
+            settings.append(MeasurementSetting(*arms))
             counts.append(c)
         shots = json_number(doc["shots"], "shots")
         return cls(settings=tuple(settings), counts=np.array(counts), shots=shots)
@@ -642,6 +632,10 @@ def rho_to_json(rho: np.ndarray) -> str:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    bad = np.argwhere(~np.isfinite(rho))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"matrix[{i}][{j}] must be finite, got {complex(rho[i, j])!r}")
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     return dump_json(
         {
@@ -652,20 +646,13 @@ def rho_to_json(rho: np.ndarray) -> str:
 
 
 def rho_from_json(text: str) -> np.ndarray:
-    """The matrix of rho_to_json text; a malformed document is a SchemaError naming the entry."""
-    doc = load_json(text)
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise SchemaError("expected an object with a 'matrix' key")
-    matrix = doc["matrix"]
-    if not (isinstance(matrix, list) and len(matrix) == 4):
-        raise SchemaError("'matrix' must be a 4x4 array of [re, im] pairs")
+    """The matrix of rho_to_json text; a malformed document is a SchemaError
+    naming the path dump_json would write, as matrix[0][1][0] for a real part."""
+    doc = json_object(load_json(text), "", ("matrix",))
     rho = np.zeros((4, 4), dtype=complex)
-    for i, row in enumerate(matrix):
-        if not (isinstance(row, list) and len(row) == 4):
-            raise SchemaError(f"matrix row {i} must have 4 entries")
-        for j, pair in enumerate(row):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"matrix[{i}][{j}] must be an [re, im] pair")
+    for i, row in enumerate(json_array(doc["matrix"], "matrix", 4)):
+        for j, pair in enumerate(json_array(row, f"matrix[{i}]", 4)):
             where = f"matrix[{i}][{j}]"
-            rho[i, j] = complex(json_number(pair[0], f"{where} re"), json_number(pair[1], f"{where} im"))
+            re, im = json_array(pair, where, 2)
+            rho[i, j] = complex(json_number(re, f"{where}[0]"), json_number(im, f"{where}[1]"))
     return rho

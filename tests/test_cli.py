@@ -367,13 +367,27 @@ def test_fig4_geometry_values_must_be_numbers(tmp_path, capsys, key, value):
         del geometry[key]
     path = tmp_path / "geometry.json"
     path.write_text(json.dumps(geometry))
-    code, out, err = run(capsys, "fig4", "--geometry", str(path), "--alpha-steps", "21")
-    assert code == 1
-    assert err.startswith("stimpairs: schema error: ") and key in err and out == ""
+    # Either way the error names the path fig4's config echo writes the value at.
+    problem = "missing" if value is _MISSING else f"expected a finite number, got {json.dumps(value)}"
+    expected = (1, "", f"stimpairs: schema error: geometry.{key}: {problem}\n")
+    assert run(capsys, "fig4", "--geometry", str(path), "--alpha-steps", "21") == expected
     path.write_text(json.dumps({"geometry": geometry, "alpha_steps": 21}))
-    code, out, err = run(capsys, "fig4", "--config", str(path))
-    assert code == 1
-    assert err.startswith("stimpairs: schema error: ") and key in err and out == ""
+    assert run(capsys, "fig4", "--config", str(path)) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "expected a JSON object"),
+     ("{", "invalid JSON at line 1: Expecting property name enclosed in double quotes")],
+    ids=["array", "invalid-json"],
+)
+def test_file_errors_name_the_flag(tmp_path, capsys, text, message):
+    # A --geometry file is named as geometry, a --config file as config.
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    for flag, what in (("--geometry", "geometry"), ("--config", "config")):
+        code, out, err = run(capsys, "fig4", flag, str(path))
+        assert (code, out, err) == (1, "", f"stimpairs: schema error: {what} {path}: {message}\n")
 
 
 _FLAGS = {
@@ -535,7 +549,7 @@ def test_scan_grid_rule(capsys, argv, message):
          "invalid configuration: unknown state 'dephased', expected 'bell' or 'dephased:<d>'"),
         (["tomography", "--state", "dephased:"], None,
          "invalid configuration: bad dephasing strength in 'dephased:'"),
-        (["fig4"], {"geometry": 5}, "schema error: geometry must be a JSON object"),
+        (["fig4"], {"geometry": 5}, "schema error: geometry: expected a JSON object"),
         # S = eta R and C = eta^2 R, so C > S would need an efficiency above 1.
         (["rates", "--singles", "10", "--coincidences", "100"], None,
          "invalid configuration: coincidences 100.0 exceed singles 10.0: "

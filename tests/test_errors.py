@@ -8,7 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from stimpairs.errors import SchemaError, dump_json, finite, is_json_number, json_number, load_json
+from stimpairs.errors import SchemaError, dump_json, finite, is_json_number, json_array, json_number
+from stimpairs.errors import json_object, load_json
+from stimpairs.fock import FockVector
+from stimpairs.phase_plate import PlateGeometry
+from stimpairs.polarization import bell_state, state_density
+from stimpairs.tomography import TomographyRecord, rho_from_json, rho_to_json, standard_settings
 
 
 def test_finite_rule_on_scalars_and_arrays():
@@ -67,3 +72,73 @@ def test_dump_json_is_strict_and_names_the_path():
     ):
         with pytest.raises(FloatingPointError, match=rf"^{re.escape(message)} is not a JSON number$"):
             dump_json(bad, sort_keys=True)
+
+
+def test_document_shape_rule_names_the_path():
+    doc, row = {"a": 1, "b": None}, [1, 2]
+    assert json_object(doc, "x", ("a", "b")) is doc
+    assert json_array(row, "x") is row and json_array(row, "x", 2, nonempty=True) is row
+    assert json_array([], "x") == []
+    for call, message in (
+        (lambda: json_object([], "settings[0].arm_b"), "settings[0].arm_b: expected a JSON object"),
+        (lambda: json_object(5, ""), "expected a JSON object"),
+        (lambda: json_object(doc, "", ("a", "c")), "c: missing"),
+        (lambda: json_object(doc, "geometry", ("n_p",)), "geometry.n_p: missing"),
+        (lambda: json_array({}, "amplitudes"), "amplitudes: expected a JSON array"),
+        (lambda: json_array(row, "matrix[0]", 4), "matrix[0]: expected a JSON array of 4 entries"),
+        (lambda: json_array("ab", "matrix[0][1]", 2), "matrix[0][1]: expected a JSON array of 2 entries"),
+        (lambda: json_array([], "settings", nonempty=True), "settings: expected a non-empty JSON array"),
+    ):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def _record_text():
+    return TomographyRecord(standard_settings(), np.arange(16.0), 1e4).to_json()
+
+
+def _geometry_text():
+    # As fig4's '# config:' line writes the plate, and a --config file holds it.
+    return dump_json({"geometry": PlateGeometry(3e-3, 1.53, 1.51, 405e-9).to_dict()}, sort_keys=True)
+
+
+def _state_text():
+    amplitudes = np.zeros(16, dtype=complex)
+    amplitudes[[0, 5, 9]] = 0.6, 0.64j, -0.48
+    return FockVector(amplitudes, 1).to_json()
+
+
+@pytest.mark.parametrize(
+    "write, read, place",
+    [
+        (_record_text, TomographyRecord.from_json, ("settings", 0, "arm_b", "pol_deg")),
+        (_record_text, TomographyRecord.from_json, ("settings", 10, "arm_a", "qwp_deg")),
+        (_record_text, TomographyRecord.from_json, ("settings", 3, "counts")),
+        (_record_text, TomographyRecord.from_json, ("shots",)),
+        (lambda: rho_to_json(state_density(bell_state())), rho_from_json, ("matrix", 0, 1, 0)),
+        (lambda: rho_to_json(state_density(bell_state())), rho_from_json, ("matrix", 3, 2, 1)),
+        (_geometry_text, lambda text: PlateGeometry.from_dict(json.loads(text)["geometry"]),
+         ("geometry", "L_m")),
+        (_geometry_text, lambda text: PlateGeometry.from_dict(json.loads(text)["geometry"]),
+         ("geometry", "lambda_p_m")),
+        (_state_text, FockVector.from_json, ("amplitudes", 1, 1)),
+        (_state_text, FockVector.from_json, ("amplitudes", 2, 2)),
+    ],
+    ids=["pol_deg", "qwp_deg", "counts", "shots", "rho-re", "rho-im", "L_m", "lambda_p_m",
+         "state-re", "state-im"],
+)
+def test_readers_name_the_paths_the_writer_names(write, read, place):
+    # Spoil one value of a written document: dump_json names a NaN there by
+    # the same path the format's reader names a string there by.
+    doc = json.loads(write())
+    *parents, last = place
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = math.nan
+    with pytest.raises(FloatingPointError) as written:
+        dump_json(doc)
+    path = str(written.value).partition(" = ")[0]
+    target[last] = "x"
+    with pytest.raises(SchemaError, match=rf'^{re.escape(path)}: expected a finite number, got "x"$'):
+        read(json.dumps(doc))

@@ -1,6 +1,8 @@
 """Tilted-plate phase model."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,8 +78,11 @@ def test_geometry_dict_roundtrip():
     doc = GEOM.to_dict()
     assert doc == {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
     assert PlateGeometry.from_dict(doc) == GEOM
-    with pytest.raises(SchemaError, match=r"^plate geometry is missing keys \['n_p', 'n_s', 'lambda_p_m'\]$"):
+    # Errors name the path the command output writes the geometry at.
+    with pytest.raises(SchemaError, match=r"^geometry\.n_p: missing$"):
         PlateGeometry.from_dict({"L_m": 3e-3})
+    with pytest.raises(SchemaError, match=r"^geometry: expected a JSON object$"):
+        PlateGeometry.from_dict(["L_m", "n_p", "n_s", "lambda_p_m"])
 
 
 @pytest.mark.parametrize(
@@ -86,7 +91,8 @@ def test_geometry_dict_roundtrip():
 def test_geometry_dict_rejects_non_numbers(key, value):
     # float() would read true as a 1 m plate and "1.53" as an index.
     doc = dict(GEOM.to_dict(), **{key: value})
-    with pytest.raises(SchemaError, match=f"geometry {key}: expected a finite number"):
+    shown = re.escape(json.dumps(value))
+    with pytest.raises(SchemaError, match=rf"^geometry\.{key}: expected a finite number, got {shown}$"):
         PlateGeometry.from_dict(doc)
 
 
