@@ -57,7 +57,7 @@ import sys
 from pathlib import Path
 
 from .errors import FitError, ReconstructionError, SchemaError, TruncationError
-from .errors import dump_json, is_json_number, json_object, load_json
+from .errors import dump_json, is_json_number, json_object, load_json, shown
 
 DEFAULT_PLATE = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
 
@@ -172,17 +172,18 @@ def _check(key: str, kind, value):
     """
     if isinstance(kind, tuple):
         if value not in kind:
-            raise _UsageError(f"{key} must be one of {', '.join(map(repr, kind))}, got {value!r}")
+            choices = ", ".join(map(shown, kind))
+            raise _UsageError(f"{key} must be one of {choices}, got {shown(value)}")
         return value
     if kind is list:
         return _pass_counts(value)
     if kind in (bool, str):
         if not isinstance(value, kind):
-            raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+            raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {shown(value)}")
         return value
     whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if not (is_json_number(value) if kind is float else whole and not isinstance(value, bool)):
-        raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise _UsageError(f"{key} must be {_KIND_NAMES[kind]}, got {shown(value)}")
     value = kind(value)
     if key == "seed" and not 0 <= value < _SEED_MAX:
         raise _UsageError(f"seed must be a u64, got {value}")
@@ -197,7 +198,7 @@ def _pass_counts(value) -> list[int]:
         try:
             counts = [int(tok) for tok in str(value).split(",") if tok.strip()]
         except ValueError:
-            raise _UsageError(f"bad n-list {value!r}, expected comma-separated integers")
+            raise _UsageError(f"bad n-list {shown(value)}, expected comma-separated integers")
     if not counts:
         raise _UsageError("n-list is empty")
     return counts
@@ -382,7 +383,7 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
     doc = {
         "command": "tomography",
         "config": s,
-        "rho": load_json(tomography.rho_to_json(result.rho)),
+        "rho": tomography.rho_document(result.rho),
         "min_eigenvalue": result.min_eigenvalue,
         "physical": result.physical,
         "log_likelihood": result.log_likelihood,

@@ -87,16 +87,23 @@ def dump_json(doc, **options) -> str:
         raise FloatingPointError("{} = {!r} is not a JSON number".format(*found)) from None
 
 
-def _non_finite(value, path: str = ""):
-    """(path, value) of each NaN or infinity in value, the path as in fit.cov[0][1]."""
+def _non_finite(value, path: str = "", inside: frozenset = frozenset()):
+    """(path, value) of each NaN or infinity in value, the path as in fit.cov[0][1].
+
+    inside holds the ids of the containers the walk is in.  A container that
+    holds itself is not entered again, so dump_json re-raises json's own
+    "Circular reference detected" for a document that contains itself.
+    """
     if isinstance(value, float) and not math.isfinite(value):
         yield path, value
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _non_finite(item, _key_path(path, key))
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _non_finite(item, f"{path}[{i}]")
+    elif isinstance(value, (dict, list, tuple)) and id(value) not in inside:
+        inside = inside | {id(value)}
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from _non_finite(item, _key_path(path, key), inside)
+        else:
+            for i, item in enumerate(value):
+                yield from _non_finite(item, f"{path}[{i}]", inside)
 
 
 def _key_path(path: str, key: str) -> str:
@@ -122,7 +129,28 @@ def json_number(value, what: str) -> float:
     """A JSON number (is_json_number) as a float; anything else is a SchemaError naming what."""
     if is_json_number(value):
         return float(value)
-    raise SchemaError(f"{what}: expected a finite number, got {json.dumps(value, default=repr)}")
+    raise SchemaError(f"{what}: expected a finite number, got {shown(value)}")
+
+
+# The most characters of an outside string an error message repeats.
+_SHOWN_CHARS = 64
+
+
+def shown(value) -> str:
+    """An outside value as an error message shows it, in a size that does not grow with it.
+
+    A JSON array or object (a list, tuple or dict) is shown by its type and
+    length, a string of more than _SHOWN_CHARS characters by its length and
+    its first _SHOWN_CHARS, and any other value as json writes it (repr
+    where json has no form): true, NaN, "x", 2.5.
+    """
+    if isinstance(value, (list, tuple)):
+        return f"a JSON array of {len(value)} entries"
+    if isinstance(value, dict):
+        return f"a JSON object of {len(value)} keys"
+    if isinstance(value, str) and len(value) > _SHOWN_CHARS:
+        return f"a JSON string of {len(value)} characters, {json.dumps(value[:_SHOWN_CHARS])}..."
+    return json.dumps(value, default=repr)
 
 
 def positive_int(value, what: str) -> int:

@@ -26,8 +26,10 @@ their values), so evolve_vacuum, the closed form and the entangled states
 emit sector entries and project_entangled gathers them back; no command
 lays a state out over the (c+1)^4 space.  The dense views
 (FockVector(amplitudes, cutoff) and .amplitudes) remain for the benchmark
-and the tests.  On the sector the evolution is two commuting pair ladders,
-both gauge-equivalent to one real tridiagonal matrix J.  Everything that
+and the tests.  On the sector each pump pass is two commuting pair
+ladders, both gauge-equivalent to one real tridiagonal matrix J;
+_evolve_passes builds the ladder column pass by pass, and evolve_vacuum is
+its one-pass call with the pass-summed amplitude.  Everything that
 depends on the cutoff alone, J's eigendecomposition and the index arrays of
 the sector and of its p + q <= c part, is one read-only table of six arrays
 that _cutoff_tables caches per cutoff, 28 (c+1)^2 bytes.  Phi_M's terms are
@@ -47,7 +49,7 @@ import math
 import numpy as np
 
 from .errors import SchemaError, TruncationError, dump_json, is_json_number, json_array
-from .errors import json_number, json_object, load_json, positive_int
+from .errors import json_number, json_object, load_json, positive_int, shown
 from .resonator import ResonatorConfig, _amplitudes
 
 ENUMERATION_ORDER = "lex:aH,aV,bH,bV"
@@ -245,8 +247,10 @@ def _first_bad_entry(entries: list, dim: int) -> None:
     for pos, entry in enumerate(entries):
         where = f"amplitudes[{pos}]"
         i, re, im = json_array(entry, where, 3)
-        if type(i) is not int or not (0 <= i < dim):
-            raise SchemaError(f"{where}[0]: index {i!r} outside [0, {dim})")
+        if type(i) is not int:
+            raise SchemaError(f"{where}[0]: expected an integer index, got {shown(i)}")
+        if not 0 <= i < dim:
+            raise SchemaError(f"{where}[0]: index {i} outside [0, {dim})")
         json_number(re, f"{where}[1]")
         json_number(im, f"{where}[2]")
     raise SchemaError("amplitudes: malformed entries")
@@ -307,7 +311,7 @@ def _cutoff_tables(cutoff: int) -> _CutoffTables:
     - w, v: eigenvalues and eigenvectors of the real ladder J = K + K^T,
       where K[p+1, p] = p + 1 is a pair-creation term restricted to its
       ladder |p; p>, p = 0..cutoff; K kills p = cutoff exactly as the
-      truncated ladder operators do (evolve_vacuum).
+      truncated ladder operators do (_evolve_passes).
     - sector: full-space indices of the pair sector |p, q; q, p> in
       row-major (p, q) order, which is increasing index order (evolve_vacuum).
       Its anti-diagonal p + q = M holds the terms of Phi_M (_entangled_terms).
@@ -361,48 +365,63 @@ def evolve_vacuum(
 ) -> FockVector:
     """Evolve the vacuum under exp(-i tau G) and report cutoff-shell leakage.
 
-    G is build_generator's A L+ + A* L-, with L+ = cw - ccw for the pair
-    terms cw = adag_aH adag_bV and ccw = adag_aV adag_bH.  From the vacuum, cw
-    climbs the ladder |p, 0; 0, p> and ccw the ladder |0, q; q, 0>; the two
-    commute, so the evolved state is the product u_p u_q on |p, q; q, p>,
-    where u_p and u_q are the first columns of the ladder unitaries
-    exp(-i tau H) with H = coef K + coef* K^T (see _cutoff_tables for K and J)
-    and coefficients A and -A.  Two identities reduce both to the real J:
-
-    - gauge: with A = |A| e^{i theta} and D = diag(e^{i p theta}), H = |A| D J
-      D^dagger, and D^dagger e0 = e0, so u_p = D exp(-i tau |A| J) e0;
-    - sign flip: -A is the phase theta + pi, so u_q = (-1)^q u_p.
-
-    So one evolution needs only the cached eigendecomposition of J at its
-    cutoff.  Both ladders stop at the cutoff as the full-space operators do,
-    so this is the truncated evolution itself, not an approximation of it.
-    Truncated evolution is exactly unitary, so the norm stays 1; truncation
-    error shows up as weight stranded on the cutoff shell (p = cutoff or q =
-    cutoff), returned as leakage and required to stay at or below tol.  tol
-    is a number >= 0, inf for no limit; NaN or a negative tol raises
-    ValueError.
+    G is build_generator's pass-summed A L+ + A* L-, so this is the one-pass
+    call of _evolve_passes, with strength tau |A| and phase arg A.  Both
+    ladders stop at the cutoff as the full-space operators do, so this is the
+    truncated evolution itself, not an approximation of it.  Truncated
+    evolution is exactly unitary, so the norm stays 1; truncation error shows
+    up as weight stranded on the cutoff shell (p = cutoff or q = cutoff),
+    returned as leakage and required to stay at or below tol.  tol is a
+    number >= 0, inf for no limit; NaN or a negative tol raises ValueError.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0 (inf for no limit), got {tol!r}")
     c = _cutoff(space)
     a = complex(_amplitudes((cfg.n_passes,), np.asarray(cfg.phi))[0])
-    t = _cutoff_tables(c)
-    k = np.arange(c + 1)
-    # u[p] = (D exp(-i tau |A| J) e0)[p]; sector[p, q] = u[p] (-1)^q u[q] is
-    # the amplitude of |p, q; q, p>.
-    u = t.v @ (np.exp(-1j * (cfg.tau * abs(a)) * t.w) * t.v[0])
-    u *= np.exp(1j * cmath.phase(a) * k)
+    return _evolve_passes((cfg.tau * abs(a),), (cmath.phase(a),), c, tol)
+
+
+def _evolve_passes(strengths, phases, cutoff: int, tol: float) -> FockVector:
+    """The vacuum after one pass per (strength s, phase theta), in order.
+
+    Pass m is exp(-i s_m G_m) with G_m = e^{i theta_m} L+ + e^{-i theta_m}
+    L-, and L+ = cw - ccw for the pair terms cw = adag_aH adag_bV and ccw =
+    adag_aV adag_bH.  From the vacuum, cw climbs the ladder |p, 0; 0, p> and
+    ccw the ladder |0, q; q, 0>; the two commute in every pass, so the state
+    stays the product u_p u_q on |p, q; q, p>.  On each ladder a pass is
+    exp(-i s H) with H = coef K + coef* K^T (see _cutoff_tables for K and J)
+    and coefficients e^{i theta} and -e^{i theta}.  Two identities reduce
+    both to the real J:
+
+    - gauge: with D = diag(e^{i p theta}), H = D J D^dagger, so a pass is
+      u <- D V e^{-i s w} V^T D^dagger u on J's cached eigenvectors V;
+    - sign flip: -e^{i theta} is the phase theta + pi, a diagonal (-1)^q
+      that commutes with every pass, so u_q = (-1)^q u_p.
+
+    The first pass starts from V^T e0 = V[0] (D^dagger e0 = e0).  Leakage is
+    as evolve_vacuum says, and above tol it raises TruncationError.  The
+    callers have checked cutoff and tol and give at least one pass.
+    """
+    t = _cutoff_tables(cutoff)
+    k = np.arange(cutoff + 1)
+    u = t.v[0]
+    for n, (s, theta) in enumerate(zip(strengths, phases)):
+        if n:
+            u = t.v.T @ (np.exp(-1j * theta * k) * u)
+        u = t.v @ (np.exp(-1j * s * t.w) * u)
+        u *= np.exp(1j * theta * k)
+    # sector[p, q] = u[p] (-1)^q u[q] is the amplitude of |p, q; q, p>.
     sector = u[:, None] * np.where(k % 2, -u, u)
     # The cutoff shell of the sector is its last row and the rest of its last column.
-    leakage = float((np.abs(sector[c]) ** 2).sum() + (np.abs(sector[:c, c]) ** 2).sum())
+    leakage = float((np.abs(sector[-1]) ** 2).sum() + (np.abs(sector[:-1, -1]) ** 2).sum())
     if leakage > tol:
         raise TruncationError(
-            f"cutoff {c} leaves leakage {leakage:.3e} above tolerance "
+            f"cutoff {cutoff} leaves leakage {leakage:.3e} above tolerance "
             f"{tol:.1e}; raise the cutoff",
             leakage=leakage,
-            cutoff=c,
+            cutoff=cutoff,
         )
-    return FockVector._from_entries(t.sector, sector.ravel(), c, leakage=leakage)
+    return FockVector._from_entries(t.sector, sector.ravel(), cutoff, leakage=leakage)
 
 
 def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:

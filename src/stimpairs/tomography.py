@@ -629,6 +629,14 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
 
 def rho_to_json(rho: np.ndarray) -> str:
     """4x4 density matrix as strict JSON (errors.dump_json) with an eigenvalue report."""
+    return dump_json(rho_document(rho))
+
+
+def rho_document(rho: np.ndarray) -> dict:
+    """The document rho_to_json writes: matrix, [re, im] per entry, and eigenvalues.
+
+    The tomography command embeds it in its JSON output as it is.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -637,12 +645,10 @@ def rho_to_json(rho: np.ndarray) -> str:
         i, j = bad[0]
         raise ValueError(f"matrix[{i}][{j}] must be finite, got {complex(rho[i, j])!r}")
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    return dump_json(
-        {
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
-            "eigenvalues": [float(v) for v in evals],
-        }
-    )
+    return {
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
+        "eigenvalues": [float(v) for v in evals],
+    }
 
 
 def rho_from_json(text: str) -> np.ndarray:

@@ -10,7 +10,10 @@ functions takes a FockSpace (only its cutoff, base and dim are read).
 The package evolves the vacuum from one real eigendecomposition per cutoff
 (in fock._cutoff_tables).  pair_ladder_column and evolve_sector are the
 evolution it replaced: one complex Hermitian eigendecomposition per pair
-ladder, with coefficients A and -A.
+ladder, with coefficients A and -A.  sector_passes is the reference for its
+pass-by-pass evolution (fock._evolve_passes): one complex Hermitian
+eigendecomposition per pass on the whole pair sector, with neither the gauge
+nor the sign flip.
 """
 
 import numpy as np
@@ -109,3 +112,23 @@ def evolve_sector(a: complex, cutoff: int, tau: float) -> tuple[np.ndarray, floa
     )
     weight = np.abs(sector) ** 2
     return sector, float(weight[cutoff, :].sum() + weight[:cutoff, cutoff].sum())
+
+
+def sector_passes(strengths, phases, cutoff: int) -> np.ndarray:
+    """The vacuum's pair-sector column after each pass in turn, sector[p, q] raveled.
+
+    On the sector |p, q; q, p>, in row-major (p, q) order, L+ is K (x) I -
+    I (x) K: cw raises p and ccw raises q, each with weight n + 1.  Pass m is
+    exp(-i s_m (A_m L+ + A_m* L-)) with A_m = e^{i theta_m}, from a dense
+    complex eigh of its generator, applied to the column.
+    """
+    b = cutoff + 1
+    k = np.diag(np.arange(1.0, b), -1)
+    lp = np.kron(k, np.eye(b)) - np.kron(np.eye(b), k)
+    column = np.zeros(b * b, dtype=complex)
+    column[0] = 1.0
+    for s, theta in zip(strengths, phases):
+        a = np.exp(1j * theta)
+        w, v = np.linalg.eigh(a * lp + np.conj(a) * lp.T)
+        column = v @ (np.exp(-1j * s * w) * (v.conj().T @ column))
+    return column

@@ -248,6 +248,26 @@ def test_config_numbers_are_exact(tmp_path, capsys, command, key, value):
     assert "invalid configuration" in err and key in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "key, value, shown",
+    [
+        ("tau", list(range(100_000)), "a JSON array of 100000 entries"),
+        ("phi_steps", {str(i): i for i in range(50_000)}, "a JSON object of 50000 keys"),
+        ("format", "x" * 300_000, f'a JSON string of 300000 characters, "{"x" * 64}"...'),
+    ],
+    ids=["array", "object", "string"],
+)
+def test_config_value_of_any_size_is_shown_in_a_short_message(tmp_path, capsys, key, value, shown):
+    # The value is shown by its JSON type and size, not echoed whole; the
+    # message still names the key.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, "sweep-phase", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"stimpairs: invalid configuration: {key} must be ") and err.endswith(f", got {shown}\n")
+    assert len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize("flag,value", [("--target", "ghz"), ("--method", "fast")])
 def test_bad_choice_flag_exits_one(capsys, flag, value):
     code, out, err = run(capsys, "tomography", flag, value, "--shots", "1e3", "--seed", "1")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stimpairs.errors import SchemaError, dump_json, finite, is_json_number, json_array, json_number
-from stimpairs.errors import json_object, load_json
+from stimpairs.errors import json_object, load_json, shown
 from stimpairs.fock import FockVector
 from stimpairs.phase_plate import PlateGeometry
 from stimpairs.polarization import bell_state, state_density
@@ -72,6 +72,44 @@ def test_dump_json_is_strict_and_names_the_path():
     ):
         with pytest.raises(FloatingPointError, match=rf"^{re.escape(message)} is not a JSON number$"):
             dump_json(bad, sort_keys=True)
+
+
+def test_dump_json_of_a_document_that_contains_itself_is_json_s_own_error():
+    # The path walk runs only after json.dumps fails; it must not enter a
+    # container it is already inside, or it recurses without end.
+    looped = []
+    looped.append(looped)
+    nested = {"a": [1.0, {}]}
+    nested["a"][1]["b"] = nested
+    for doc in (looped, nested, [2.0, looped]):
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            dump_json(doc)
+    # A NaN beside the loop is still named by its path.
+    nested["a"][0] = math.nan
+    with pytest.raises(FloatingPointError, match=r"^a\[0\] = nan is not a JSON number$"):
+        dump_json(nested)
+
+
+def test_outside_values_are_shown_in_a_bounded_size():
+    # Scalars are shown as json writes them; arrays, objects and long
+    # strings by their type and length, whatever their size.
+    for value, text in ((True, "true"), (None, "null"), (math.nan, "NaN"), (-math.inf, "-Infinity"),
+                        ("x", '"x"'), (2.5, "2.5"), (10**400, str(10**400)), ("y" * 64, json.dumps("y" * 64))):
+        assert shown(value) == text
+    assert shown(list(range(200_000))) == "a JSON array of 200000 entries"
+    assert shown((1, 2)) == "a JSON array of 2 entries"
+    assert shown({"a": 1}) == "a JSON object of 1 keys"
+    assert shown("z" * 65) == f'a JSON string of 65 characters, "{"z" * 64}"...'
+    assert len(shown("\u2603" * 10**6)) < 512
+
+
+def test_json_number_message_of_a_large_array_is_short_and_names_the_path():
+    where = "settings[0].arm_b.pol_deg"
+    with pytest.raises(SchemaError) as err:
+        json_number(list(range(200_000)), where)
+    message = str(err.value)
+    assert message == f"{where}: expected a finite number, got a JSON array of 200000 entries"
+    assert len(message.encode()) < 1024
 
 
 def test_document_shape_rule_names_the_path():

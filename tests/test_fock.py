@@ -559,6 +559,81 @@ def test_leakage_is_the_cutoff_shell_of_the_full_sector_bit_for_bit():
         assert state.leakage == float(w[c, :].sum() + w[:c, c].sum()), (cfg, c)
 
 
+def _cascade(n, phi, tau, cutoff, tol=1e-12):
+    """N passes of strength tau at phases m phi, m = 0..N-1: the cascade."""
+    return fock_mod._evolve_passes([tau] * n, [m * phi for m in range(n)], cutoff, tol)
+
+
+def _chebyshev_u(n, x):
+    """U_n(x), the Chebyshev polynomial of the second kind, by its recurrence."""
+    low, high = 1.0, 2.0 * x
+    for _ in range(n - 1):
+        low, high = high, 2.0 * x * high - low
+    return high if n else low
+
+
+# N = 1-12, the 13 phases 2 pi j / 12 (0, pi and 2 pi among them), and three
+# strengths.  Cutoff 60 leaves at most 4.7e-32 on the shell (N = 12, tau =
+# 0.05 at phi = 0 or 2 pi, r = 0.6); tol=1e-12 makes a larger leakage an
+# error.  A truncated amplitude errs by about the shell's amplitude, the
+# square root of the leakage: at cutoff 12 the same grid differs from the
+# closed form by up to 1.2e-4 (N = 12, phi = 2 pi, tau = 0.05, leakage
+# 7.9e-7), so only an oversized cutoff compares at rounding.
+_CASCADE_GRID = [
+    (n, 2.0 * math.pi * j / 12.0, tau)
+    for n in range(1, 13)
+    for j in range(13)
+    for tau in (0.001, 0.02, 0.05)
+]
+
+
+def test_pass_cascade_matches_the_closed_form():
+    # N passes of tau at phases m phi give one two-mode squeezed state per
+    # ladder with sinh r = sinh tau |U_{N-1}(cosh tau cos(phi / 2))|, so
+    # |sector[p, q]| = tanh^{p+q} r / cosh^2 r.  Worst difference 1.7e-14, at
+    # N = 12, phi = pi, tau = 0.001 (r = 0: twelve passes back to the vacuum).
+    cutoff = 60
+    k = np.arange(cutoff + 1)
+    for n, phi, tau in _CASCADE_GRID:
+        u = _chebyshev_u(n - 1, math.cosh(tau) * math.cos(phi / 2.0))
+        r = math.asinh(math.sinh(tau) * abs(u))
+        ladder = np.tanh(r) ** k / math.cosh(r)
+        got = np.abs(_cascade(n, phi, tau, cutoff).values)
+        assert np.abs(got - np.outer(ladder, ladder).ravel()).max() <= 3e-14, (n, phi, tau)
+
+
+def test_pass_cascade_matches_the_dense_sector_reference():
+    # One dense complex eigh per pass on the whole (c+1)^2 sector, no gauge
+    # and no sign flip, against the cached real J.  Complex amplitudes, at
+    # cutoffs small enough that tau = 0.2 leaves weight on the shell: both
+    # are the same truncated evolution.  Worst difference 4.1e-15, at cutoff
+    # 12, N = 5, phi = pi, tau = 0.2.
+    for cutoff in (5, 12):
+        for n in (1, 2, 3, 5):
+            for phi in (0.0, 0.3, math.pi / 2.0, 2.0, math.pi):
+                for tau in (0.02, 0.2):
+                    state = _cascade(n, phi, tau, cutoff, tol=math.inf)
+                    want = ref.sector_passes([tau] * n, [m * phi for m in range(n)], cutoff)
+                    assert np.abs(state.values - want).max() <= 1e-14, (cutoff, n, phi, tau)
+
+
+def test_pass_cascade_limits():
+    # phi = 0: every pass has the same generator, so N passes of tau are one
+    # pass of N tau (worst 1.4e-14, N = 12, tau = 0.001).  phi = pi with even
+    # N: passes m and m + 1 undo each other, leaving the vacuum (worst 1.7e-14,
+    # N = 12, tau = 0.001).
+    cutoff = 60
+    vacuum = np.zeros((cutoff + 1) ** 2)
+    vacuum[0] = 1.0
+    for n in range(1, 13):
+        for tau in (0.001, 0.02, 0.05):
+            once = fock_mod._evolve_passes([n * tau], [0.0], cutoff, 1e-12).values
+            assert np.abs(_cascade(n, 0.0, tau, cutoff).values - once).max() <= 3e-14, (n, tau)
+            if n % 2 == 0:
+                back = _cascade(n, math.pi, tau, cutoff).values
+                assert np.abs(back - vacuum).max() <= 3e-14, (n, tau)
+
+
 def test_zero_tau_evolution_is_identity():
     state = evolve_vacuum(ResonatorConfig(4, 0.8, 0.0), 3)
     assert state.amplitudes[0] == pytest.approx(1.0)
@@ -830,6 +905,17 @@ def test_fock_vector_json_names_first_bad_entry(entry, message):
 
 
 _MAX_INT = int(sys.float_info.max)
+
+
+def test_fock_vector_json_shows_a_large_bad_index_in_a_short_message():
+    # An index that is an array is named by its path and shown by its size.
+    entry = [list(range(50_000)), 1.0, 0.0]
+    text = json.dumps({"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, 1.0, 0.0], entry]})
+    with pytest.raises(SchemaError) as err:
+        FockVector.from_json(text)
+    message = str(err.value)
+    assert message == "amplitudes[1][0]: expected an integer index, got a JSON array of 50000 entries"
+    assert len(message.encode()) < 1024
 
 
 @pytest.mark.parametrize("column", [1, 2], ids=["re", "im"])
