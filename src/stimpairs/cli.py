@@ -57,7 +57,7 @@ import sys
 from pathlib import Path
 
 from .errors import FitError, ReconstructionError, SchemaError, TruncationError
-from .errors import dump_json, is_json_number, json_object, load_json, shown
+from .errors import dump_json, is_json_number, json_object, load_json, positive_float, shown
 
 DEFAULT_PLATE = {"L_m": 3e-3, "n_p": 1.53, "n_s": 1.51, "lambda_p_m": 405e-9}
 
@@ -285,9 +285,10 @@ def _state(spec: str):
             try:
                 params = (parse(text),) if parse else ()
             except ValueError:
-                raise _UsageError(f"bad {what} in {spec!r}")
+                raise _UsageError(f"bad {what} in {shown(spec)}")
             return lambda pol: build(pol, *params)
-    raise _UsageError(f"unknown state {spec!r}, expected {' or '.join(repr(r[0]) for r in STATES)}")
+    forms = " or ".join(shown(row[0]) for row in STATES)
+    raise _UsageError(f"unknown state {shown(spec)}, expected {forms}")
 
 
 def _plate_from(args, config: dict):
@@ -402,9 +403,7 @@ def _cmd_rates(args, config: dict, s: dict) -> int:
 
     if s["singles"] is None or s["coincidences"] is None:
         raise _UsageError("rates needs --singles and --coincidences")
-    expected = s["expected"]
-    if expected is not None and expected <= 0:
-        raise _UsageError(f"expected must be positive, got {expected!r}")
+    expected = None if s["expected"] is None else positive_float(s["expected"], "expected")
     rate = pair_rate(s["singles"], s["coincidences"])
     doc = {"command": "rates", "config": s, "rate": rate}
     if expected is not None and rate > 0:

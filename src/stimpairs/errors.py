@@ -1,10 +1,16 @@
 """Exception types shared across the package, the input rules its modules
 share, and its one JSON reader, one document-shape rule and one JSON writer.
 
+Every real scalar a library function takes (a strength, a phase, an angle,
+a refractive index, a rate) passes real, or positive_float built on it,
+before its own range test, and every count passes positive_int.  real takes
+a finite real number, Python or numpy, and refuses anything else with a
+TypeError or ValueError naming the parameter.
+
 Grouping them here keeps the command line driver's exit-code mapping in one
 import: schema/validation problems exit 1, numerical failures exit 2.  The
-rules that take arrays import numpy in their bodies, so importing this module
-loads no numpy.
+rules that take numpy values import numpy in their bodies, so importing this
+module, or passing real a Python number, loads no numpy.
 """
 
 import json
@@ -38,11 +44,18 @@ class SchemaError(StimpairsError):
 
 
 def load_json(text: str, where: str = ""):
-    """The document json.loads reads from text; text that does not parse is a SchemaError."""
+    """The document json.loads reads from text; text it refuses is a SchemaError.
+
+    Besides text that does not parse, json.loads refuses an integer literal
+    past CPython's integer-string limit (ValueError) and a value nested past
+    the recursion limit (RecursionError); each is a SchemaError as well.
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{where}invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{where}invalid JSON: {exc}") from exc
 
 
 def json_object(value, path: str, keys=()) -> dict:
@@ -162,11 +175,47 @@ def positive_int(value, what: str) -> int:
     return int(value)
 
 
+def real(value, what: str) -> float:
+    """value, a finite real scalar, as a Python float.
+
+    A Python int or float (numpy's float64 is one) is judged without
+    importing numpy; a numpy scalar or 0-d array of integers or floats is
+    taken at its value, so a float32 gives the float of that value.  A
+    bool, a string, a complex or any other object is a TypeError; an array
+    of one entry or more, a NaN, an infinity or an integer past the float
+    range is a ValueError.  Each message names what.
+    """
+    return _real(value, what, math.isfinite, "be finite")
+
+
 def positive_float(value, what: str) -> float:
-    """A finite amount above 0 as a float; NaN, the infinities and 0 raise ValueError."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{what} must be positive, got {value!r}")
-    return float(value)
+    """A finite amount above 0 as a float: real, where NaN, the infinities,
+    0 and below are ValueErrors saying what must be positive."""
+    return _real(value, what, lambda x: 0.0 < x < math.inf, "be positive")
+
+
+def _real(value, what: str, ok, rule: str) -> float:
+    """value as a float by real's rule, with ok as its range: a float that
+    ok refuses (NaN and the infinities among them) is the ValueError
+    "<what> must <rule>, got <float>".
+
+    real and positive_float are its finite and positive ranges; a parameter
+    with a range of its own passes that range, so its message is the one it
+    gives every out-of-range number, NaN included.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        import numpy as np
+
+        array = np.asarray(value)
+        if array.ndim:
+            raise ValueError(f"{what} must be a scalar, got shape {array.shape}")
+        if array.dtype.kind not in "iuf":
+            raise TypeError(f"{what} must be a real number, got {type(value).__name__}")
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} must be finite, got an integer past the float range")
+    if ok(number := float(value)):
+        return number
+    raise ValueError(f"{what} must {rule}, got {number!r}")
 
 
 def check_each(ok, values, message: str) -> None:
@@ -195,9 +244,8 @@ def finite(value, what: str) -> "np.ndarray":
     if array.dtype.kind not in "biuf":
         raise TypeError(f"{what} must be a real number, got {value!r}")
     array = array.astype(float, copy=False)
-    if array.ndim == 0:
-        if not math.isfinite(array):
-            raise ValueError(f"{what} must be finite, got {float(array)!r}")
-        return array
-    check_each(np.isfinite(array), array, what + " must be finite, got {!r}")
+    if array.ndim:
+        check_each(np.isfinite(array), array, what + " must be finite, got {!r}")
+    elif not math.isfinite(array):
+        raise ValueError(f"{what} must be finite, got {float(array)!r}")
     return array

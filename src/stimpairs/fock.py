@@ -189,13 +189,13 @@ class FockVector:
         doc = json_object(load_json(text), "", ("cutoff", "order", "amplitudes"))
         if doc["order"] != ENUMERATION_ORDER:
             raise SchemaError(
-                f"enumeration order {doc['order']!r} does not match {ENUMERATION_ORDER!r}"
+                f"enumeration order {shown(doc['order'])} does not match {shown(ENUMERATION_ORDER)}"
             )
         cutoff = doc["cutoff"]
         # Exact type checks: JSON true/false load as bool, a subclass of int.
         if type(cutoff) is not int or not (1 <= cutoff <= MAX_CUTOFF):
             raise SchemaError(
-                f"cutoff must be an integer from 1 to {MAX_CUTOFF}, got {cutoff!r}"
+                f"cutoff must be an integer from 1 to {MAX_CUTOFF}, got {shown(cutoff)}"
             )
         entries = json_array(doc["amplitudes"], "amplitudes")
         indices, values = _parse_entries(entries, (cutoff + 1) ** 4)
@@ -424,6 +424,16 @@ def _evolve_passes(strengths, phases, cutoff: int, tol: float) -> FockVector:
     return FockVector._from_entries(t.sector, sector.ravel(), cutoff, leakage=leakage)
 
 
+def _size(a_tau) -> float:
+    """|a_tau|, the pass-summed strength; ValueError unless it is finite.
+
+    a_tau is complex, so it has this rule of its own, not errors.real's.
+    """
+    if math.isfinite(x := abs(a_tau)):
+        return x
+    raise ValueError(f"a_tau must be finite, got {a_tau!r}")
+
+
 def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
     """Closed-form output state of exp(-i (A tau L+ + (A tau)* L-)) |vac>.
 
@@ -440,9 +450,7 @@ def disentangled_state(a_tau: complex, space: FockSpace | int) -> FockVector:
     ValueError, and past x ~ 355 sech^2(x), and so every amplitude, is 0.
     """
     c = _cutoff(space)
-    x = abs(a_tau)
-    if not math.isfinite(x):
-        raise ValueError(f"a_tau must be finite, got {a_tau!r}")
+    x = _size(a_tau)
     if x == 0.0:
         return FockSpace(c).vacuum()
     u = -1j * (complex(a_tau) / x) * math.tanh(x)
@@ -483,9 +491,7 @@ def suggest_cutoff(a_tau: complex, *, floor: int = 8) -> int:
     ValueError.
     """
     floor = positive_int(floor, "floor")
-    x = abs(a_tau)
-    if not math.isfinite(x):
-        raise ValueError(f"a_tau must be finite, got {a_tau!r}")
+    x = _size(a_tau)
     if x == 0.0:
         return floor
     ratio = math.tanh(x)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import finite, json_number, json_object, positive_float
+from .errors import _real, finite, json_number, json_object, positive_float
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,8 +43,7 @@ class PlateGeometry:
         positive_float(self.thickness, "thickness")
         positive_float(self.wavelength_pump, "wavelength_pump")
         for label, n in (("n_pump", self.n_pump), ("n_pair", self.n_pair)):
-            if not (math.isfinite(n) and n > 1.0):
-                raise ValueError(f"{label} must exceed 1 for a solid plate, got {n!r}")
+            _real(n, label, lambda x: 1.0 < x < math.inf, "exceed 1 for a solid plate")
 
     def to_dict(self) -> dict:
         return {

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, finite, positive_float, positive_int
+from .errors import FitError, _real, finite, positive_float, positive_int, real
 from .phase_plate import PlateGeometry, _wrap, relative_phase
 from .resonator import ResonatorConfig, _p_approx, _p_exact, _strengths
 
@@ -47,32 +47,22 @@ def bell_state() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
-def _scalar_angle(value, what: str) -> float:
-    """A finite scalar angle as a Python float; any other shape raises ValueError.
-
-    Stored as a float, a setting's angle gives the same float64 analyzer
-    state whatever dtype it came in.
-    """
-    angle = finite(value, what)
-    if angle.ndim != 0:
-        raise ValueError(f"{what} must be a scalar, got shape {angle.shape}")
-    return float(angle)
-
-
 @dataclass(frozen=True)
 class ArmSetting:
     """One arm's analyzer: polarizer angle, plus quarter-wave plate angle if present.
 
     qwp None means the plate is removed from the beam, not set to zero.
+    Each angle is stored as the Python float errors.real makes of it, so a
+    setting gives the same float64 analyzer state whatever dtype it came in.
     """
 
     pol: float
     qwp: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pol", _scalar_angle(self.pol, "polarizer angle"))
+        object.__setattr__(self, "pol", real(self.pol, "polarizer angle"))
         if self.qwp is not None:
-            object.__setattr__(self, "qwp", _scalar_angle(self.qwp, "qwp angle"))
+            object.__setattr__(self, "qwp", real(self.qwp, "qwp angle"))
 
 
 @dataclass(frozen=True)
@@ -214,8 +204,7 @@ def dephasing_noise(state: np.ndarray, d: float) -> np.ndarray:
     identity; d = 1 leaves the classical HV/VH mixture with its perfect
     anticorrelation but no phase coherence.
     """
-    if not (0.0 <= d <= 1.0):
-        raise ValueError(f"dephasing strength d must lie in [0, 1], got {d!r}")
+    _real(d, "dephasing strength d", lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")
     rho = state_density(state)
     return (1.0 - d / 2.0) * rho + (d / 2.0) * (_Z_ARM_A @ rho @ _Z_ARM_A)
 
@@ -527,7 +516,7 @@ def simulate_polarization_fringe(
         raise ValueError("need a 1-d list of at least 2 polarizer angles")
     finite(angles, "polarizer angle")
     if arm_a_qwp is not None:
-        arm_a_qwp = finite(arm_a_qwp, "qwp angle")
+        arm_a_qwp = real(arm_a_qwp, "qwp angle")
     rho = state_density(rho)
     projectors = _projector_stack(
         _analyzer_states(angles, arm_a_qwp), _analyzer_states(np.array([arm_b.pol]), arm_b.qwp)

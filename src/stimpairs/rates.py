@@ -6,7 +6,7 @@ numpy and the `rates` command starts without it.
 
 import math
 
-from .errors import positive_float
+from .errors import _real, positive_float
 
 
 def pair_rate(singles: float, coincidences: float) -> float:
@@ -21,9 +21,8 @@ def pair_rate(singles: float, coincidences: float) -> float:
     S * S and the rate are normal floats.  A rate past the float range is a
     FloatingPointError, never inf.
     """
-    if not (math.isfinite(singles) and singles >= 0.0):
-        raise ValueError(f"singles rate must be non-negative, got {singles!r}")
-    positive_float(coincidences, "coincidence rate")
+    singles = _real(singles, "singles rate", lambda x: 0.0 <= x < math.inf, "be non-negative")
+    coincidences = positive_float(coincidences, "coincidence rate")
     if coincidences > singles:
         raise ValueError(
             f"coincidences {coincidences!r} exceed singles {singles!r}: "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_each, finite, positive_int
+from .errors import _real, check_each, finite, positive_int, real
 from .phase_plate import _wrap
 
 SWEEP_COLUMNS = ("N", "phi", "tau", "M", "P_exact", "P_approx", "contamination")
@@ -57,14 +57,9 @@ class ResonatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_passes", positive_int(self.n_passes, "n_passes"))
-        object.__setattr__(self, "phi", float(_wrap(finite(self.phi, "phi"))))
-        object.__setattr__(self, "tau", _check_tau(self.tau))
-
-
-def _check_tau(tau) -> float:
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau must be a non-negative finite float, got {tau!r}")
-    return float(tau)
+        object.__setattr__(self, "phi", float(_wrap(real(self.phi, "phi"))))
+        tau = _real(self.tau, "tau", lambda x: 0.0 <= x < math.inf, "be a non-negative finite float")
+        object.__setattr__(self, "tau", tau)
 
 
 def amplitude_sum(n_passes: int, phi):
@@ -181,7 +176,7 @@ def double_pass_ratio(theta: float) -> float:
     4 at theta = 0 (constructive), 0 at theta = pi (the second pass undoes
     the first).
     """
-    return 2.0 * (1.0 + math.cos(finite(theta, "theta")))
+    return 2.0 * (1.0 + math.cos(real(theta, "theta")))
 
 
 def multiphoton_contamination(cfg: ResonatorConfig) -> float:
@@ -203,7 +198,7 @@ def sweep_rows(n_values, phis, tau: float, m: int = 1) -> np.ndarray:
     """
     n_values = tuple(positive_int(n, "n_passes") for n in n_values)
     phis = finite(phis, "phi").reshape(-1)
-    tau = _check_tau(tau)
+    tau = _real(tau, "tau", lambda x: 0.0 <= x < math.inf, "be a non-negative finite float")
     m = positive_int(m, "pair order M")
     x = _strengths(n_values, phis, tau)
     table = np.empty((len(n_values), len(phis), len(SWEEP_COLUMNS)))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReconstructionError, SchemaError, dump_json, finite, json_array, json_number
-from .errors import json_object, load_json, positive_float
+from .errors import json_object, load_json, positive_float, shown
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
@@ -92,11 +92,9 @@ def standard_settings(basis=DEFAULT_BASIS) -> list[MeasurementSetting]:
     informationally incomplete.
     """
     letters = tuple(basis)
-    if len(letters) != 4:
-        raise ValueError(f"basis needs exactly 4 letters, got {letters!r}")
-    unknown = [b for b in letters if b not in ANALYZER_ANGLES]
-    if unknown:
-        raise ValueError(f"unknown analyzer letters {unknown}, pick from {sorted(ANALYZER_ANGLES)}")
+    if len(letters) != 4 or not set(letters) <= ANALYZER_ANGLES.keys():
+        got = shown("".join(map(str, letters)))
+        raise ValueError(f"basis needs 4 of the letters {''.join(ANALYZER_ANGLES)}, got {got}")
     return [
         MeasurementSetting(ANALYZER_ANGLES[a], ANALYZER_ANGLES[b])
         for a in letters

@@ -268,6 +268,49 @@ def test_config_value_of_any_size_is_shown_in_a_short_message(tmp_path, capsys, 
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["fringe", "--state", "q" * 100_000], f'unknown state a JSON string of 100000 characters, "{"q" * 64}"...'),
+        (["fringe", "--state", "dephased:" + "x" * 100_000], "bad dephasing strength in a JSON string of 100009 "),
+        (["tomography", "--state", "q" * 100_000], "unknown state a JSON string of 100000 characters"),
+        (["tomography", "--basis", "H" * 100_000],
+         "basis needs 4 of the letters HVDARL, got a JSON string of 100000 characters"),
+    ],
+    ids=["fringe-state", "fringe-dephased-value", "tomography-state", "tomography-basis"],
+)
+def test_outside_text_of_any_size_is_shown_in_a_short_message(capsys, argv, shown):
+    # A --state or --basis value is shown by its kind, its length and its
+    # first 64 characters, not echoed whole.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"stimpairs: invalid configuration: {shown}")
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ('{"tau": ' + "1" * 5000 + "}", "integer string conversion"),
+        ("[" * 200_000 + "]" * 200_000, "recursion depth"),
+    ],
+    ids=["5000-digit-integer", "200000-deep"],
+)
+def test_every_json_refusal_is_a_schema_error_naming_the_file(tmp_path, capsys, text, cause):
+    # json.loads refuses these with a plain ValueError and a RecursionError,
+    # not a JSONDecodeError: each is still a schema error, exit 1.
+    if cause.startswith("integer") and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python parses integers of any length")
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "sweep-phase", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"stimpairs: schema error: config {path}: invalid JSON: ") and cause in err
+    code, out, err = run(capsys, "tomography", "--counts", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("stimpairs: schema error: invalid JSON: ") and cause in err
+
+
 @pytest.mark.parametrize("flag,value", [("--target", "ghz"), ("--method", "fast")])
 def test_bad_choice_flag_exits_one(capsys, flag, value):
     code, out, err = run(capsys, "tomography", flag, value, "--shots", "1e3", "--seed", "1")
@@ -558,17 +601,17 @@ def test_scan_grid_rule(capsys, argv, message):
         (["fig4"], {"seed": 2**64}, f"invalid configuration: seed must be a u64, got {2**64}"),
         (["fringe"], {"seed": -1}, "invalid configuration: seed must be a u64, got -1"),
         (["fringe", "--state", "dephased:x"], None,
-         "invalid configuration: bad dephasing strength in 'dephased:x'"),
+         'invalid configuration: bad dephasing strength in "dephased:x"'),
         # The state is checked before the scan grid.
         (["fringe", "--state", "ghz", "--scan-steps", "1"], None,
-         "invalid configuration: unknown state 'ghz', expected 'bell' or 'dephased:<d>'"),
+         'invalid configuration: unknown state "ghz", expected "bell" or "dephased:<d>"'),
         # A form takes a :<value> exactly when its row has a parameter.
         (["fringe", "--state", "bell:0.3"], None,
-         "invalid configuration: unknown state 'bell:0.3', expected 'bell' or 'dephased:<d>'"),
+         'invalid configuration: unknown state "bell:0.3", expected "bell" or "dephased:<d>"'),
         (["tomography"], {"state": "dephased"},
-         "invalid configuration: unknown state 'dephased', expected 'bell' or 'dephased:<d>'"),
+         'invalid configuration: unknown state "dephased", expected "bell" or "dephased:<d>"'),
         (["tomography", "--state", "dephased:"], None,
-         "invalid configuration: bad dephasing strength in 'dephased:'"),
+         'invalid configuration: bad dephasing strength in "dephased:"'),
         (["fig4"], {"geometry": 5}, "schema error: geometry: expected a JSON object"),
         # S = eta R and C = eta^2 R, so C > S would need an efficiency above 1.
         (["rates", "--singles", "10", "--coincidences", "100"], None,

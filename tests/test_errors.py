@@ -2,18 +2,25 @@
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stimpairs.errors import SchemaError, dump_json, finite, is_json_number, json_array, json_number
-from stimpairs.errors import json_object, load_json, shown
+from stimpairs.errors import json_object, load_json, positive_float, real, shown
 from stimpairs.fock import FockVector
-from stimpairs.phase_plate import PlateGeometry
-from stimpairs.polarization import bell_state, state_density
-from stimpairs.tomography import TomographyRecord, rho_from_json, rho_to_json, standard_settings
+from stimpairs.phase_plate import PlateGeometry, phase_through_plate
+from stimpairs.polarization import ArmSetting, bell_state, dephasing_noise, simulate_polarization_fringe
+from stimpairs.polarization import simulate_stimulation_fringe, state_density
+from stimpairs.rates import pair_rate
+from stimpairs.resonator import ResonatorConfig, double_pass_ratio, sweep_rows
+from stimpairs.tomography import TomographyRecord, rho_from_json, rho_to_json, simulate_tomography
+from stimpairs.tomography import standard_settings
 
 
 def test_finite_rule_on_scalars_and_arrays():
@@ -37,6 +44,110 @@ def test_finite_rule_on_scalars_and_arrays():
             finite(bad, "qwp angle")
 
 
+def test_real_rule_takes_python_and_numpy_real_scalars():
+    # Each comes back as the Python float of its value: a float32 as the
+    # float64 of the same value, an integer exactly where the float range holds it.
+    big = sys.float_info.max
+    for value, want in ((3, 3.0), (-2.5, -2.5), (int(big), big), (np.float64(0.1), 0.1),
+                        (np.float32(0.3), float(np.float32(0.3))), (np.int64(-7), -7.0),
+                        (np.uint8(200), 200.0), (np.array(1.5), 1.5), (np.array(2, dtype=np.int32), 2.0)):
+        got = real(value, "x")
+        assert type(got) is float and got == want
+    got = positive_float(np.float32(0.3), "shots")
+    assert type(got) is float and got == float(np.float32(0.3))
+    # positive_float keeps its own message wherever the value is not above 0.
+    for bad in (0, -0.0, -1.5, math.nan, math.inf, np.float32(-math.inf)):
+        with pytest.raises(ValueError, match="^shots must be positive, got "):
+            positive_float(bad, "shots")
+    with pytest.raises(ValueError, match=r"^x must be a scalar, got shape \(1, 1\)$"):
+        real([[0.5]], "x")
+    for bad, kind in ((None, "NoneType"), (1j, "complex"), (np.complex64(1), "complex64"),
+                      (np.bool_(False), type(np.bool_(False)).__name__), (np.array("1.5"), "ndarray")):
+        with pytest.raises(TypeError, match=f"^x must be a real number, got {kind}$"):
+            real(bad, "x")
+    for bad, text in ((-math.inf, "-inf"), (np.float64(math.nan), "nan"), (-(10**400), "an integer past the float range")):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {text}$"):
+            real(bad, "x")
+
+
+def test_real_rule_on_python_numbers_loads_no_numpy():
+    # A Python int or float, refused or not, is judged without numpy.
+    code = (
+        "import sys\nfrom stimpairs.errors import positive_float, real\n"
+        "assert real(2, 'x') == 2.0 and positive_float(0.5, 'x') == 0.5\n"
+        "for bad in (float('nan'), float('-inf'), 10**400):\n"
+        "    try:\n        real(bad, 'x')\n    except (TypeError, ValueError):\n        pass\n"
+        "print('numpy' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+_PLATE = {"thickness": 3e-3, "n_pump": 1.53, "n_pair": 1.51, "wavelength_pump": 405e-9}
+_RHO = dephasing_noise(bell_state(), 0.2)
+_ANGLES = np.linspace(0.0, math.pi, 9)
+
+# Every scalar parameter of the library: the call that takes the value, and
+# the name its messages give it.
+_SCALARS = {
+    "ResonatorConfig.phi": (lambda v: ResonatorConfig(2, v, 0.1), "phi"),
+    "ResonatorConfig.tau": (lambda v: ResonatorConfig(2, 0.0, v), "tau"),
+    "sweep_rows.tau": (lambda v: sweep_rows([1, 2], [0.0, 1.0], v), "tau"),
+    "double_pass_ratio.theta": (double_pass_ratio, "theta"),
+    "ArmSetting.pol": (ArmSetting, "polarizer angle"),
+    "ArmSetting.qwp": (lambda v: ArmSetting(0.0, v), "qwp angle"),
+    "simulate_polarization_fringe.arm_a_qwp": (
+        lambda v: simulate_polarization_fringe(_RHO, ArmSetting(0.0), _ANGLES, 1e3, arm_a_qwp=v),
+        "qwp angle",
+    ),
+    "PlateGeometry.n_pump": (lambda v: PlateGeometry(**{**_PLATE, "n_pump": v}), "n_pump"),
+    "PlateGeometry.n_pair": (lambda v: PlateGeometry(**{**_PLATE, "n_pair": v}), "n_pair"),
+    "pair_rate.singles": (lambda v: pair_rate(v, 1.0), "singles rate"),
+    "dephasing_noise.d": (lambda v: dephasing_noise(bell_state(), v), "dephasing strength d"),
+    # positive_float, built on the same rule.
+    "PlateGeometry.thickness": (lambda v: PlateGeometry(**{**_PLATE, "thickness": v}), "thickness"),
+    "PlateGeometry.wavelength_pump": (
+        lambda v: PlateGeometry(**{**_PLATE, "wavelength_pump": v}), "wavelength_pump"
+    ),
+    "pair_rate.coincidences": (lambda v: pair_rate(1e6, v), "coincidence rate"),
+    "phase_through_plate.wavelength": (lambda v: phase_through_plate(v, 1.5, 1e-3, 0.1), "wavelength"),
+    "phase_through_plate.thickness": (lambda v: phase_through_plate(4e-7, 1.5, v, 0.1), "thickness"),
+    "phase_through_plate.n": (lambda v: phase_through_plate(4e-7, v, 1e-3, 0.1), "refractive index"),
+    "simulate_polarization_fringe.shots": (
+        lambda v: simulate_polarization_fringe(_RHO, ArmSetting(0.0), _ANGLES, v), "shots"
+    ),
+    "simulate_stimulation_fringe.shots": (
+        lambda v: simulate_stimulation_fringe(
+            PlateGeometry(**_PLATE), ResonatorConfig(2, 0.0, 1e-3), _ANGLES / 10.0, v
+        ),
+        "shots",
+    ),
+    "simulate_tomography.shots": (lambda v: simulate_tomography(_RHO, v), "shots"),
+    "TomographyRecord.shots": (lambda v: TomographyRecord(standard_settings(), np.ones(16), v), "shots"),
+}
+# Each refused value: its exception type and what the message says after the name.
+_NOT_SCALARS = {
+    "array": (np.array([0.5, 0.6]), ValueError, r"must be a scalar, got shape \(2,\)$"),
+    "string": ("0.5", TypeError, "must be a real number, got str$"),
+    "bool": (True, TypeError, "must be a real number, got bool$"),
+    "nan": (math.nan, ValueError, "must .*, got nan$"),
+    "huge-int": (10**400, ValueError, "must be finite, got an integer past the float range$"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_NOT_SCALARS))
+@pytest.mark.parametrize("param", list(_SCALARS))
+def test_every_scalar_parameter_refuses_a_non_scalar_by_name(param, bad):
+    # One rule (errors.real) for every scalar: the error names the parameter,
+    # never numpy's unnamed "only 0-dimensional arrays can be converted".
+    call, what = _SCALARS[param]
+    value, kind, text = _NOT_SCALARS[bad]
+    with pytest.raises(kind, match=f"^{re.escape(what)} {text}"):
+        call(value)
+
+
 def test_json_number_predicate():
     big = sys.float_info.max
     for good in (0, -7, 2.5, big, -big, int(big)):
@@ -47,6 +158,27 @@ def test_json_number_predicate():
         assert not is_json_number(bad)
         with pytest.raises(SchemaError, match="^shots: expected a finite number"):
             json_number(bad, "shots")
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ('{"tau": ' + "1" * 5000 + "}", "integer string conversion"),
+        ("[" * 200_000 + "]" * 200_000, "recursion depth"),
+    ],
+    ids=["5000-digit-integer", "200000-deep"],
+)
+def test_load_json_turns_every_refusal_of_json_loads_into_a_schema_error(text, cause):
+    # Past CPython's integer-string limit json.loads raises a plain
+    # ValueError, and past the recursion limit a RecursionError; each
+    # reader's SchemaError names where, as the parse errors do.
+    if cause.startswith("integer") and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python parses integers of any length")
+    with pytest.raises(SchemaError, match=rf"^config c\.json: invalid JSON: .*{cause}"):
+        load_json(text, "config c.json: ")
+    for read in (FockVector.from_json, TomographyRecord.from_json, rho_from_json):
+        with pytest.raises(SchemaError, match=f"^invalid JSON: .*{cause}"):
+            read(text)
 
 
 def test_load_json_names_the_line():

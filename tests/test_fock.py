@@ -918,6 +918,26 @@ def test_fock_vector_json_shows_a_large_bad_index_in_a_short_message():
     assert len(message.encode()) < 1024
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("order", "o" * 1_000_000,
+         f'enumeration order a JSON string of 1000000 characters, "{"o" * 64}"... '
+         f'does not match "{ENUMERATION_ORDER}"'),
+        ("cutoff", list(range(1_000_000)),
+         f"cutoff must be an integer from 1 to {MAX_CUTOFF}, got a JSON array of 1000000 entries"),
+    ],
+    ids=["order", "cutoff"],
+)
+def test_fock_vector_json_shows_a_large_order_or_cutoff_in_a_short_message(key, value, message):
+    # The order and the cutoff are shown by their kind and size, not echoed whole.
+    doc = {"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, 1.0, 0.0]], key: value}
+    with pytest.raises(SchemaError) as err:
+        FockVector.from_json(json.dumps(doc))
+    assert str(err.value) == message
+    assert len(str(err.value).encode()) < 1024
+
+
 @pytest.mark.parametrize("column", [1, 2], ids=["re", "im"])
 def test_fock_vector_json_refuses_int_just_past_float_range(column):
     # int(max) + 1 rounds down to the float maximum rather than overflowing,

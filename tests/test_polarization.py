@@ -469,22 +469,27 @@ def test_born_rule_validates_rho_once(monkeypatch):
 
 
 def test_each_value_is_checked_once(monkeypatch):
-    # ResonatorConfig and sweep_rows apply the finite rule to phi once and
-    # wrap the checked value unchecked; reconstruct_mle reports the
-    # log-likelihood of its own (physical) iterate without validating it.
+    # ResonatorConfig applies the scalar rule to phi once, sweep_rows the
+    # finite rule to its phases once, and each wraps the checked value
+    # unchecked; reconstruct_mle reports the log-likelihood of its own
+    # (physical) iterate without validating it.
     rules, checks = [], []
     true_check = tomography_mod.check_density_matrix
 
-    def counting_finite(value, what):
-        rules.append(what)
-        return errors_mod.finite(value, what)
+    def counting(rule):
+        def counted(value, what):
+            rules.append(what)
+            return rule(value, what)
+
+        return counted
 
     def counting_check(rho, *args, **kwargs):
         checks.append(1)
         return true_check(rho, *args, **kwargs)
 
     for module in (resonator_mod, phase_plate_mod):
-        monkeypatch.setattr(module, "finite", counting_finite)
+        monkeypatch.setattr(module, "finite", counting(errors_mod.finite))
+    monkeypatch.setattr(resonator_mod, "real", counting(errors_mod.real))
     monkeypatch.setattr(tomography_mod, "check_density_matrix", counting_check)
     assert ResonatorConfig(3, 7.0, 1e-3).phi == pytest.approx(7.0 - 2.0 * math.pi)
     assert rules == ["phi"]

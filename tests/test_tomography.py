@@ -72,6 +72,16 @@ def test_standard_settings_structure():
         standard_settings(("H", "V", "D", "X"))
 
 
+def test_standard_settings_shows_a_refused_basis_by_its_letters():
+    # A string and a sequence of letters give the same settings, and a
+    # refused one is shown as its letters, bounded as errors.shown bounds text.
+    assert standard_settings("HVDL") == standard_settings(["H", "V", "D", "L"])
+    for basis, got in (("HVD", '"HVD"'), (("H", "V", "D", "X"), '"HVDX"'), ("HVDRL", '"HVDRL"'),
+                       ("R" * 10**6, f'a JSON string of 1000000 characters, "{"R" * 64}"...')):
+        with pytest.raises(ValueError, match=f"^basis needs 4 of the letters HVDARL, got {re.escape(got)}$"):
+            standard_settings(basis)
+
+
 def test_record_validation():
     settings = standard_settings()
     with pytest.raises(ValueError):
