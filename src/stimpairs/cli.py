@@ -32,6 +32,9 @@ integer), str (a JSON string), bool (true or false), list (pass counts,
 "1,2,5" or a file's [1, 2, 5]) or a tuple of the allowed choices.  The
 handlers read the resolved settings, which minus the format are the echo.
 The --state forms of fringe and tomography are the rows of one table, STATES.
+Each row builds a source, a map from analyzer pairs to mean counts per shot
+(see polarization); the forms bell and dephased:<d> are the Born rule of
+their density matrix.
 
 Each handler imports the submodules it runs, and numpy loads only with code
 that computes on arrays: `rates`, --help and usage errors caught before a
@@ -71,13 +74,12 @@ _FORMAT = ("format", ("csv", "json"), "csv", None)
 _SEED = ("seed", int, None, "Poisson seed; omit for noiseless")
 
 # The --state forms of fringe and tomography, the first the default: the form,
-# what its :<value> is, its parser (which loads nothing) and the builder of the
-# 4 x 4 rho from the polarization module and the value.  Builders return a rho;
-# a source known only by click probabilities per setting must change that.
+# what its :<value> is, its parser (which loads nothing) and the builder of its
+# source (see polarization) from the polarization module and the value.
 STATES = (
-    ("bell", None, None, lambda pol: pol.state_density(pol.bell_state())),
+    ("bell", None, None, lambda pol: pol._born_source(pol.bell_state())),
     ("dephased:<d>", "dephasing strength", float,
-     lambda pol, d: pol.dephasing_noise(pol.bell_state(), d)),
+     lambda pol, d: pol._born_source(pol.dephasing_noise(pol.bell_state(), d))),
 )
 
 # The options of each command (see the module docstring).  --config and --out
@@ -277,7 +279,7 @@ def _grid(s: dict, lo: str, hi: str, steps: str) -> np.ndarray:
 
 
 def _state(spec: str):
-    """The maker of a --state spec's rho from the polarization module, by STATES.
+    """The maker of a --state spec's source from the polarization module, by STATES.
     Loads nothing, so a bad spec exits before numpy loads; builders check ranges."""
     name, colon, text = spec.partition(":")
     for form, what, parse, build in STATES:
@@ -341,18 +343,13 @@ def _cmd_fringe(args, config: dict, s: dict) -> int:
 
     from . import polarization
 
-    rho = make(polarization)
-    angles = np.radians(pol_a_deg)
+    source = make(polarization)
     qwp_a, qwp_b = s["qwp_a_deg"], s["qwp_b_deg"]
     arm_b = polarization.ArmSetting(
         pol=math.radians(s["pol_b_deg"]), qwp=math.radians(qwp_b) if qwp_b is not None else None
     )
     scan = polarization.simulate_polarization_fringe(
-        rho,
-        arm_b,
-        angles,
-        s["shots"],
-        seed=s["seed"],
+        source, arm_b, np.radians(pol_a_deg), s["shots"], seed=s["seed"],
         arm_a_qwp=math.radians(qwp_a) if qwp_a is not None else None,
     )
     fit = polarization.fit_fringe(scan)
@@ -368,13 +365,11 @@ def _cmd_tomography(args, config: dict, s: dict) -> int:
 
     if counts_path is not None:
         text = Path(counts_path).read_text()
-        record = tomography.TomographyRecord.from_json(text)
+        record = tomography.TomographyRecord.from_json(text, f"counts {counts_path}")
     else:
-        rho_true = make(polarization)
+        source = make(polarization)  # a bad d before a bad basis
         settings = tomography.standard_settings(tuple(s["basis"]))
-        record = tomography.simulate_tomography(
-            rho_true, s["shots"], seed=s["seed"], settings=settings
-        )
+        record = tomography.simulate_tomography(source, s["shots"], s["seed"], settings)
 
     if s["method"] == "linear":
         result = tomography.reconstruct_linear(record)

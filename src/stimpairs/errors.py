@@ -154,9 +154,13 @@ def shown(value) -> str:
 
     A JSON array or object (a list, tuple or dict) is shown by its type and
     length, a string of more than _SHOWN_CHARS characters by its length and
-    its first _SHOWN_CHARS, and any other value as json writes it (repr
-    where json has no form): true, NaN, "x", 2.5.
+    its first _SHOWN_CHARS, an integer of more than 3 _SHOWN_CHARS bits (58
+    digits or more) by its bit_length, so one past the int-to-str limit is
+    shown too, and any other value as json writes it (repr where json has no
+    form): true, NaN, "x", 2.5.
     """
+    if isinstance(value, int) and value.bit_length() > 3 * _SHOWN_CHARS:
+        return f"an integer of {value.bit_length()} bits"
     if isinstance(value, (list, tuple)):
         return f"a JSON array of {len(value)} entries"
     if isinstance(value, dict):
@@ -234,7 +238,9 @@ def finite(value, what: str) -> "np.ndarray":
     """value as a float array (0-d for a scalar) whose every entry is finite.
 
     Entries that are not real numbers (None, strings, complex) raise
-    TypeError; a NaN or an infinity raises ValueError naming the first one.
+    TypeError, showing value's entries as a list (or its one entry) through
+    shown, so the message stays short whatever value holds; a NaN or an
+    infinity raises ValueError naming the first one.
     A 0-d array is judged by math.isfinite, which costs a fraction of the
     array check on one entry.
     """
@@ -242,7 +248,7 @@ def finite(value, what: str) -> "np.ndarray":
 
     array = np.asarray(value)
     if array.dtype.kind not in "biuf":
-        raise TypeError(f"{what} must be a real number, got {value!r}")
+        raise TypeError(f"{what} must be a real number, got {shown(array.tolist())}")
     array = array.astype(float, copy=False)
     if array.ndim:
         check_each(np.isfinite(array), array, what + " must be finite, got {!r}")

@@ -20,11 +20,19 @@ at 1 there and only there, and 2 (1 + B) estimates the two-pass to one-pass
 rate ratio.  The tilt fringe of N passes takes K = N - 1, and its enhancement
 is N times the fitted curve's peak over its mean.
 
-A polarizer scan builds its (k, 4, 4) projector stack on every call, in one
-array pass from its own angles; a settings list, in tomography or one
-analyzer_projector, gets its stack from _projectors.  A tilt scan reads its
-strengths x = |A(N, phi)| tau from resonator._strengths, the function every
-rate reads.
+Simulated coincidence counts come from a source: a map from the (k, 2)
+analyzer-state stacks (ua, ub) of arms a and b, either of which may be
+(1, 2), to the mean count per shot of each analyzer pair.  The simulators
+draw shots times a source's means, for a fringe here and for a record in
+tomography.  A state is the source _born_source makes of it, the Born rule
+Tr(rho Pi_k); a source that is not a state (threshold clicks, a seeded
+background) needs no branch in either simulator.
+
+A state's source builds the (k, 4, 4) projector stack of its (ua, ub) on
+every call, in one array pass; a settings list, for tomography's
+reconstruction or one analyzer_projector, gets its stack from _projectors.
+A tilt scan reads its strengths x = |A(N, phi)| tau from
+resonator._strengths, the function every rate reads.
 """
 
 from __future__ import annotations
@@ -128,12 +136,15 @@ def _projector_stack(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(-1, 4, 4)
 
 
+def _setting_states(settings) -> tuple:
+    """(ua, ub), the (k, 2) analyzer states of a settings list's arms a and b."""
+    return _arm_states([s.arm_a for s in settings]), _arm_states([s.arm_b for s in settings])
+
+
 def _projectors(settings) -> np.ndarray:
     """The (k, 4, 4) projector stack of a settings list, built in one array
     pass over the settings' angles."""
-    return _projector_stack(
-        _arm_states([s.arm_a for s in settings]), _arm_states([s.arm_b for s in settings])
-    )
+    return _projector_stack(*_setting_states(settings))
 
 
 def analyzer_projector(setting: MeasurementSetting) -> np.ndarray:
@@ -186,6 +197,13 @@ def _born_probabilities(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     if p.min() < -1e-10:
         raise ValueError(f"projector expectation {float(p.min())!r} is negative beyond tolerance")
     return p.clip(0.0, 1.0)
+
+
+def _born_source(rho: np.ndarray):
+    """The source of a state: rho validated once (state_density), then the map
+    (ua, ub) -> Tr(rho Pi_k) on _projector_stack(ua, ub), the Born rule."""
+    rho = state_density(rho)
+    return lambda ua, ub: _born_probabilities(rho, _projector_stack(ua, ub))
 
 
 def coincidence_probability(rho: np.ndarray, setting: MeasurementSetting) -> float:
@@ -506,7 +524,9 @@ def simulate_polarization_fringe(
 ) -> FringeScan:
     """Scan arm a's polarizer against a fixed arm b analyzer.
 
-    Counts are Poisson draws around shots * probability (exact expected
+    rho is a state (4 amplitudes or a 4 x 4 density matrix, wrapped by
+    _born_source) or a source itself.  Counts are Poisson draws around
+    shots times the source's mean per shot at each angle (exact expected
     counts when seed is None).  The phase coordinate is twice the polarizer
     angle, the natural period of a polarization fringe.
     """
@@ -517,11 +537,9 @@ def simulate_polarization_fringe(
     finite(angles, "polarizer angle")
     if arm_a_qwp is not None:
         arm_a_qwp = real(arm_a_qwp, "qwp angle")
-    rho = state_density(rho)
-    projectors = _projector_stack(
-        _analyzer_states(angles, arm_a_qwp), _analyzer_states(np.array([arm_b.pol]), arm_b.qwp)
-    )
-    counts = _draw_counts(shots * _born_probabilities(rho, projectors), seed)
+    source = rho if callable(rho) else _born_source(rho)
+    ua, ub = _analyzer_states(angles, arm_a_qwp), _analyzer_states(np.array([arm_b.pol]), arm_b.qwp)
+    counts = _draw_counts(shots * source(ua, ub), seed)
     return FringeScan(phase=2.0 * angles, counts=counts)
 
 

@@ -29,10 +29,13 @@ likelihood.  The MLE reads them off the chart at the start and after each
 round; the Newton steps read them off a factor table, one 16 x 16 form per
 setting, and form rho only at the end of the round.
 
-Everything that depends on the settings list alone (projector stack, chart,
-completeness verdict and the finish's factor table) is one read-only model
-that _model caches per settings tuple, so simulating a record and
-reconstructing it builds that model once.
+Everything that depends on the settings list alone (analyzer states,
+projector stack, chart, completeness verdict and the finish's factor table)
+is one read-only model that _model caches per settings tuple, so simulating
+a record and reconstructing it builds that model once.  A simulation draws
+its counts from a source (see polarization) of the model's analyzer states;
+reconstruction always fits a density matrix, whatever source made the
+record.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ from .errors import json_object, load_json, positive_float, shown
 from .polarization import (
     ArmSetting,
     MeasurementSetting,
-    _born_probabilities,
+    _born_source,
     _draw_counts,
     _projectors,
+    _setting_states,
     check_density_matrix,
-    state_density,
 )
 
 ANALYZER_ANGLES = {
@@ -156,31 +159,37 @@ class TomographyRecord:
         return dump_json({"shots": self.shots, "settings": entries})
 
     @classmethod
-    def from_json(cls, text: str) -> "TomographyRecord":
+    def from_json(cls, text: str, where: str = "") -> "TomographyRecord":
         """The record of to_json text; a malformed document is a SchemaError
-        naming the path dump_json would write, as settings[0].arm_b.pol_deg."""
-        doc = json_object(load_json(text), "", ("shots", "settings"))
+        naming the path dump_json would write, as settings[0].arm_b.pol_deg.
+        A where names the document before that path, as the command line's
+        "counts record.json: settings[0].arm_b.pol_deg: ..."."""
 
-        def parse_arm(arm, where: str) -> ArmSetting:
-            arm = json_object(arm, where, ("pol_deg",))
+        def parse_arm(arm, path: str) -> ArmSetting:
+            arm = json_object(arm, path, ("pol_deg",))
             qwp = arm.get("qwp_deg")
             return ArmSetting(
-                pol=math.radians(json_number(arm["pol_deg"], f"{where}.pol_deg")),
-                qwp=None if qwp is None else math.radians(json_number(qwp, f"{where}.qwp_deg")),
+                pol=math.radians(json_number(arm["pol_deg"], f"{path}.pol_deg")),
+                qwp=None if qwp is None else math.radians(json_number(qwp, f"{path}.qwp_deg")),
             )
 
-        settings = []
-        counts = []
-        for pos, entry in enumerate(json_array(doc["settings"], "settings", nonempty=True)):
-            where = f"settings[{pos}]"
-            entry = json_object(entry, where, ("counts", "arm_a", "arm_b"))
-            c = json_number(entry["counts"], f"{where}.counts")
-            if c < 0.0:
-                raise SchemaError(f"{where}.counts: must be >= 0, got {c!r}")
-            arms = (parse_arm(entry[which], f"{where}.{which}") for which in ("arm_a", "arm_b"))
-            settings.append(MeasurementSetting(*arms))
-            counts.append(c)
-        shots = json_number(doc["shots"], "shots")
+        try:
+            doc = json_object(load_json(text), "", ("shots", "settings"))
+            settings, counts = [], []
+            for pos, entry in enumerate(json_array(doc["settings"], "settings", nonempty=True)):
+                path = f"settings[{pos}]"
+                entry = json_object(entry, path, ("counts", "arm_a", "arm_b"))
+                c = json_number(entry["counts"], f"{path}.counts")
+                if c < 0.0:
+                    raise SchemaError(f"{path}.counts: must be >= 0, got {c!r}")
+                arms = (parse_arm(entry[which], f"{path}.{which}") for which in ("arm_a", "arm_b"))
+                settings.append(MeasurementSetting(*arms))
+                counts.append(c)
+            shots = json_number(doc["shots"], "shots")
+        except SchemaError as exc:
+            if not where:
+                raise
+            raise SchemaError(f"{where}: {exc}") from exc
         return cls(settings=tuple(settings), counts=np.array(counts), shots=shots)
 
 
@@ -214,28 +223,31 @@ def simulate_tomography(
     seed: int | None = None,
     settings=None,
 ) -> TomographyRecord:
-    """Record of Poisson counts around shots * probability per setting.
+    """Record of Poisson counts around shots times the mean per shot of each setting.
 
-    rho is validated once and every setting's probability comes from one
-    batched Born-rule evaluation.  seed None skips the sampling and stores
-    the exact expected counts.  settings are checked before any model is built.
+    rho is a state, validated once and wrapped by polarization._born_source,
+    or a source itself; one call of it on the settings' cached analyzer
+    states gives every setting's mean.  seed None skips the sampling and
+    stores the exact expected counts.  settings are checked before any model
+    is built.
     """
     shots = positive_float(shots, "shots")
-    rho = state_density(rho)
+    source = rho if callable(rho) else _born_source(rho)
     settings = _settings_tuple(settings if settings is not None else standard_settings())
-    counts = _draw_counts(shots * _born_probabilities(rho, _model(settings).stack), seed)
+    counts = _draw_counts(shots * source(*_model(settings).states), seed)
     return TomographyRecord(settings=settings, counts=counts, shots=shots)
 
 
-_Model = collections.namedtuple("_Model", "stack chart cond table")
+_Model = collections.namedtuple("_Model", "states stack chart cond table")
 
 
 @functools.lru_cache(maxsize=16)
 def _model(settings: tuple) -> _Model:
     """Read-only arrays that depend on the settings tuple alone, built once per tuple.
 
-    - stack: the (k, 4, 4) projector stack (polarization._projectors), the
-      Born rule of simulation.
+    - states: (ua, ub), the settings' (k, 2) analyzer states
+      (polarization._setting_states), which a simulation's source reads.
+    - stack: the (k, 4, 4) projector stack (polarization._projectors).
     - chart: the (k, 16) real chart _coordinates(stack).
     - cond: the completeness verdict, the chart's condition number, or None
       when there are not 16 settings (_require_complete judges it).  The E_k
@@ -246,14 +258,14 @@ def _model(settings: tuple) -> _Model:
     Callers pass tuple(settings): a list and a tuple of the same settings
     share one entry, and a record's settings are already a tuple.  The
     settings must be hashable, as MeasurementSettings of float angles are.
-    An entry of 16 settings holds about 38 KB, and the cache keeps the 16
+    An entry of 16 settings holds about 39 KB, and the cache keeps the 16
     most recently used lists.
     """
     stack = _projectors(settings)
     chart = _coordinates(stack)
     cond = float(np.linalg.cond(chart)) if len(settings) == 16 else None
-    model = _Model(stack, chart, cond, _factor_table(chart))
-    for array in (model.stack, model.chart, model.table):
+    model = _Model(_setting_states(settings), stack, chart, cond, _factor_table(chart))
+    for array in (*model.states, model.stack, model.chart, model.table):
         array.setflags(write=False)
     return model
 

@@ -308,7 +308,7 @@ def test_every_json_refusal_is_a_schema_error_naming_the_file(tmp_path, capsys, 
     assert err.startswith(f"stimpairs: schema error: config {path}: invalid JSON: ") and cause in err
     code, out, err = run(capsys, "tomography", "--counts", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("stimpairs: schema error: invalid JSON: ") and cause in err
+    assert err.startswith(f"stimpairs: schema error: counts {path}: invalid JSON: ") and cause in err
 
 
 @pytest.mark.parametrize("flag,value", [("--target", "ghz"), ("--method", "fast")])
@@ -725,6 +725,39 @@ def test_tomography_bad_counts_schema(tmp_path, capsys):
     code, _, err = run(capsys, "tomography", "--counts", str(path))
     assert code == 1
     assert "schema" in err
+
+
+def test_counts_schema_errors_name_the_file(tmp_path, capsys):
+    # A counts record's schema error begins "counts <path>:", the form
+    # --config and --geometry errors take, then the path inside the record.
+    record = json.loads(simulate_tomography(bell_state(), 1e4, seed=12).to_json())
+    record["settings"][0]["arm_b"]["pol_deg"] = "x"
+    path = tmp_path / "bad-record.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "tomography", "--counts", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f'stimpairs: schema error: counts {path}: settings[0].arm_b.pol_deg: expected a finite number, got "x"\n'
+    )
+    path.write_text("{broken")
+    code, out, err = run(capsys, "tomography", "--counts", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"stimpairs: schema error: counts {path}: invalid JSON at line 1: ")
+
+
+def test_counts_record_with_a_long_integer_gets_a_short_message(tmp_path, capsys):
+    # shots of 4,001 digits, under the int-to-str limit, so the reader takes
+    # it: the refusal shows it by its size, not its digits.
+    text = simulate_tomography(bell_state(), 1e4, seed=12).to_json()
+    path = tmp_path / "long-shots.json"
+    path.write_text(text.replace('"shots": 10000.0', '"shots": ' + "1" * 4001, 1))
+    code, out, err = run(capsys, "tomography", "--counts", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"stimpairs: schema error: counts {path}: shots: expected a finite number, "
+        "got an integer of 13288 bits\n"
+    )
+    assert len(err.encode()) < 1024
 
 
 def test_tomography_missing_file_exits_three(capsys):

@@ -13,6 +13,8 @@ import pytest
 
 from stimpairs.errors import SchemaError, dump_json, finite, is_json_number, json_array, json_number
 from stimpairs.errors import json_object, load_json, positive_float, real, shown
+import stimpairs.phase_plate as phase_plate_mod
+import stimpairs.resonator as resonator_mod
 from stimpairs.fock import FockVector
 from stimpairs.phase_plate import PlateGeometry, phase_through_plate
 from stimpairs.polarization import ArmSetting, bell_state, dephasing_noise, simulate_polarization_fringe
@@ -226,13 +228,58 @@ def test_outside_values_are_shown_in_a_bounded_size():
     # Scalars are shown as json writes them; arrays, objects and long
     # strings by their type and length, whatever their size.
     for value, text in ((True, "true"), (None, "null"), (math.nan, "NaN"), (-math.inf, "-Infinity"),
-                        ("x", '"x"'), (2.5, "2.5"), (10**400, str(10**400)), ("y" * 64, json.dumps("y" * 64))):
+                        ("x", '"x"'), (2.5, "2.5"), (10**400, "an integer of 1329 bits"), ("y" * 64, json.dumps("y" * 64))):
         assert shown(value) == text
     assert shown(list(range(200_000))) == "a JSON array of 200000 entries"
     assert shown((1, 2)) == "a JSON array of 2 entries"
     assert shown({"a": 1}) == "a JSON object of 1 keys"
     assert shown("z" * 65) == f'a JSON string of 65 characters, "{"z" * 64}"...'
     assert len(shown("\u2603" * 10**6)) < 512
+
+
+def test_an_integer_of_any_size_is_shown_by_its_bit_length():
+    # An integer of at most 192 bits (58 digits) is written out; a longer
+    # one is shown by its bit_length, never converted to a string, so one
+    # past the int-to-str limit is shown too, not raised.
+    assert shown(2**192 - 1) == str(2**192 - 1) and shown(-(2**192) + 1) == str(-(2**192) + 1)
+    assert shown(2**192) == "an integer of 193 bits" == shown(-(2**192))
+    for value in (10**5000, -(10**5000), 10**100_000):
+        text = shown(value)
+        assert text == f"an integer of {value.bit_length()} bits" and len(text) < 1024
+    with pytest.raises(SchemaError) as err:
+        json_number(int("9" * 4001), "shots")
+    assert str(err.value) == "shots: expected a finite number, got an integer of 13292 bits"
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda v: resonator_mod.amplitude_sum(1, v), "phi"),
+        (lambda v: sweep_rows([2], v, 1e-3), "phi"),
+        (lambda v: phase_plate_mod.wrap_phase(v), "phase"),
+        (lambda v: phase_plate_mod.relative_phase(PlateGeometry(3e-3, 1.53, 1.51, 405e-9), v), "alpha"),
+        (lambda v: finite(v, "counts"), "counts"),
+    ],
+    ids=["amplitude_sum", "sweep_rows", "wrap_phase", "relative_phase", "finite"],
+)
+@pytest.mark.parametrize(
+    "value, got",
+    [
+        ("x" * 100_000, 'a JSON string of 100000 characters, "' + "x" * 64 + '"...'),
+        (["x"] * 100_000, "a JSON array of 100000 entries"),
+        (np.array(["y" * 100_000]), "a JSON array of 1 entries"),
+        (None, "null"),
+    ],
+    ids=["long-string", "list-of-strings", "array-of-a-long-string", "none"],
+)
+def test_finite_shows_a_refused_value_in_a_bounded_size(call, what, value, got):
+    # A value that is not real numbers is shown through shown: the message
+    # names the parameter and stays under 1 KB whatever the value holds.
+    with pytest.raises(TypeError) as err:
+        call(value)
+    message = str(err.value)
+    assert message == f"{what} must be a real number, got {got}"
+    assert len(message.encode()) < 1024
 
 
 def test_json_number_message_of_a_large_array_is_short_and_names_the_path():

@@ -890,7 +890,7 @@ def test_fock_vector_json_schema_errors():
         ("[4, 0.5, Infinity]", "amplitudes[1][2]: expected a finite number, got Infinity"),
         ("[4, -Infinity, 0.5]", "amplitudes[1][1]: expected a finite number, got -Infinity"),
         # An integer past the float range cannot become an amplitude.
-        (f"[4, {10**400}, 0.5]", f"amplitudes[1][1]: expected a finite number, got {10**400}"),
+        (f"[4, {10**400}, 0.5]", "amplitudes[1][1]: expected a finite number, got an integer of 1329 bits"),
     ],
     ids=["long", "object", "index-high", "index-low", "bool", "nan", "inf", "-inf", "huge-int"],
 )
@@ -948,10 +948,11 @@ def test_fock_vector_json_refuses_int_just_past_float_range(column):
         entry[column] = value
         return json.dumps({"cutoff": 2, "order": ENUMERATION_ORDER, "amplitudes": [[0, 1, 0], entry]})
 
-    where = rf"^amplitudes\[1\]\[{column}\]: expected a finite number, got "
-    with pytest.raises(SchemaError, match=f"{where}{_MAX_INT + 1}$"):
+    # Each is shown by its size, 1024 bits, not by its 309 digits.
+    where = rf"^amplitudes\[1\]\[{column}\]: expected a finite number, got an integer of 1024 bits$"
+    with pytest.raises(SchemaError, match=where):
         FockVector.from_json(doc(_MAX_INT + 1))
-    with pytest.raises(SchemaError, match=f"{where}{-_MAX_INT - 1}$"):
+    with pytest.raises(SchemaError, match=where):
         FockVector.from_json(doc(-_MAX_INT - 1))
     loaded = FockVector.from_json(doc(_MAX_INT))
     assert np.abs(loaded.values).max() == sys.float_info.max

@@ -583,6 +583,31 @@ def test_built_projectors_are_rank_one_density_projectors(settings_):
         assert np.abs(evals - [0.0, 0.0, 0.0, 1.0]).max() <= 1e-14
 
 
+def test_a_source_that_is_not_a_state_reaches_both_simulators():
+    # A source maps the analyzer-state stacks (ua, ub) to mean counts per
+    # shot.  The dephased singlet's Born rule plus a flat 0.25 per shot is no
+    # state's Born rule (its four H/V means sum to 2, any state's to 1), yet
+    # both simulators take it as rho and give shots times its means, bit for bit.
+    rho = dephasing_noise(bell_state(), 0.3)
+    born = polarization_mod._born_source(rho)
+
+    def source(ua, ub):
+        return born(ua, ub) + 0.25
+
+    arm_b = ArmSetting(math.pi / 4.0, qwp=0.0)
+    angles = np.radians(np.linspace(0.0, 180.0, 37))
+    scan = simulate_polarization_fringe(source, arm_b, angles, 1e5, arm_a_qwp=0.1)
+    ua = polarization_mod._analyzer_states(angles, 0.1)
+    assert np.array_equal(scan.counts, 1e5 * source(ua, _arm_states([arm_b])))
+    settings_ = tomography_mod.standard_settings()
+    record = simulate_tomography(source, 1e4, settings=settings_)
+    ua, ub = _arm_states([s.arm_a for s in settings_]), _arm_states([s.arm_b for s in settings_])
+    assert np.array_equal(record.counts, 1e4 * source(ua, ub))
+    direct = [coincidence_probability(rho, s) + 0.25 for s in settings_]
+    np.testing.assert_allclose(record.counts, 1e4 * np.array(direct), rtol=1e-14)
+    assert record.counts[[0, 1, 4, 5]].sum() == pytest.approx(2e4)  # HH, HV, VH, VV
+
+
 def test_fringe_builds_one_stack_without_setting_objects(monkeypatch):
     calls = []
     true_stack = polarization_mod._projector_stack

@@ -229,6 +229,20 @@ def test_record_schema_errors():
             TomographyRecord.from_json(json.dumps(bad))
 
 
+def test_record_schema_errors_begin_with_where():
+    # A where names the document before the path inside it; without one
+    # the message is the path's alone.
+    doc = {"shots": 10, "settings": [{"arm_a": {"pol_deg": 0}, "arm_b": {"pol_deg": "x"}, "counts": 5}]}
+    message = 'settings[0].arm_b.pol_deg: expected a finite number, got "x"'
+    for where, lead in (("", ""), ("counts r.json", "counts r.json: ")):
+        with pytest.raises(SchemaError, match=f"^{re.escape(lead + message)}$"):
+            TomographyRecord.from_json(json.dumps(doc), where)
+        with pytest.raises(SchemaError, match=f"^{re.escape(lead)}invalid JSON at line 1: "):
+            TomographyRecord.from_json("{broken", where)
+        with pytest.raises(SchemaError, match=f"^{re.escape(lead)}settings: missing$"):
+            TomographyRecord.from_json('{"shots": 10}', where)
+
+
 @pytest.mark.parametrize("field", ["shots", "counts", "pol_deg", "qwp_deg"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_record_rejects_json_booleans(field, flag):
