@@ -3,9 +3,12 @@ share, and its one JSON reader, one document-shape rule and one JSON writer.
 
 Every real scalar a library function takes (a strength, a phase, an angle,
 a refractive index, a rate) passes real, or positive_float built on it,
-before its own range test, and every count passes positive_int.  real takes
-a finite real number, Python or numpy, and refuses anything else with a
-TypeError or ValueError naming the parameter.
+before its own range test, every count passes positive_int, and every real
+array (scan phases and counts, angle lists, record counts, u) passes finite
+before its own shape or range test.  real and finite take finite real
+numbers, Python or numpy, and refuse anything else (a string, None, a
+complex entry) with a TypeError or ValueError naming the parameter; no
+message repeats a refused value whole.
 
 Grouping them here keeps the command line driver's exit-code mapping in one
 import: schema/validation problems exit 1, numerical failures exit 2.  The
@@ -171,11 +174,16 @@ def shown(value) -> str:
 
 
 def positive_int(value, what: str) -> int:
-    """A Python or numpy integer >= 1 as an int; a bool or a float (even 2.0) is not a count."""
+    """A Python or numpy integer >= 1 as an int; a bool or a float (even 2.0) is not a count.
+
+    A refused value is shown through shown, a numpy one by its value (got 0).
+    """
     import numpy as np
 
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+        if isinstance(value, (np.generic, np.ndarray)):
+            value = value.tolist()
+        raise ValueError(f"{what} must be a positive integer, got {shown(value)}")
     return int(value)
 
 

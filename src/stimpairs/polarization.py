@@ -251,8 +251,8 @@ class FringeScan:
     counts: np.ndarray
 
     def __post_init__(self):
-        phase = np.asarray(self.phase, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
+        phase = finite(self.phase, "phase")
+        counts = finite(self.counts, "counts")
         if phase.ndim != 1 or phase.shape != counts.shape:
             raise ValueError(
                 f"phase and counts must be matching 1-d arrays, "
@@ -260,8 +260,6 @@ class FringeScan:
             )
         if phase.size < 2:
             raise ValueError("a scan needs at least 2 points")
-        if np.count_nonzero(np.isfinite(phase) & np.isfinite(counts)) != phase.size:
-            raise ValueError("scan contains non-finite values")
         if counts.min() < 0:
             raise ValueError(f"counts must be non-negative, got min {counts.min()!r}")
         object.__setattr__(self, "phase", phase)
@@ -531,10 +529,9 @@ def simulate_polarization_fringe(
     angle, the natural period of a polarization fringe.
     """
     shots = positive_float(shots, "shots")
-    angles = np.asarray(list(pol_a_angles), dtype=float)
+    angles = finite(list(pol_a_angles), "polarizer angle")
     if angles.ndim != 1 or angles.size < 2:
         raise ValueError("need a 1-d list of at least 2 polarizer angles")
-    finite(angles, "polarizer angle")
     if arm_a_qwp is not None:
         arm_a_qwp = real(arm_a_qwp, "qwp angle")
     source = rho if callable(rho) else _born_source(rho)
@@ -564,7 +561,7 @@ def simulate_stimulation_fringe(
     shots = positive_float(shots, "shots")
     if model not in ("exact", "approx"):
         raise ValueError(f"model must be 'exact' or 'approx', got {model!r}")
-    alphas = np.asarray(list(alphas), dtype=float)
+    alphas = finite(list(alphas), "tilt angle")
     if alphas.ndim != 1 or alphas.size < 2:
         raise ValueError("need a 1-d list of at least 2 tilt angles")
     # delta(alpha) is bounded, so finite tilts give finite phases.

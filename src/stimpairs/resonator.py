@@ -157,7 +157,7 @@ def pair_probability_vs_u(m: int, u):
     returns a float.
     """
     m = positive_int(m, "pair order M")
-    u = np.asarray(u, dtype=float)
+    u = finite(u, "u")
     check_each((u >= 0.0) & (u <= 1.0), u, "u must lie in [0, 1], got {!r}")
     v = np.atleast_1d(u)
     f = (m + 1) * (1.0 - v) ** 2 * v**m

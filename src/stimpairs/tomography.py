@@ -128,12 +128,12 @@ class TomographyRecord:
 
     def __post_init__(self):
         settings = _settings_tuple(self.settings)
-        counts = np.asarray(self.counts, dtype=float)
+        counts = finite(self.counts, "counts")
         if counts.shape != (len(settings),):
             raise ValueError(
                 f"counts shape {counts.shape} does not match {len(settings)} settings"
             )
-        if finite(counts, "counts").min() < 0:
+        if counts.min() < 0:
             raise ValueError(f"counts must be non-negative, got min {counts.min()!r}")
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,10 @@ import stimpairs.phase_plate as phase_plate_mod
 import stimpairs.resonator as resonator_mod
 from stimpairs.fock import FockVector
 from stimpairs.phase_plate import PlateGeometry, phase_through_plate
-from stimpairs.polarization import ArmSetting, bell_state, dephasing_noise, simulate_polarization_fringe
-from stimpairs.polarization import simulate_stimulation_fringe, state_density
+from stimpairs.polarization import ArmSetting, FringeScan, bell_state, dephasing_noise, fit_fringe
+from stimpairs.polarization import simulate_polarization_fringe, simulate_stimulation_fringe, state_density
 from stimpairs.rates import pair_rate
-from stimpairs.resonator import ResonatorConfig, double_pass_ratio, sweep_rows
+from stimpairs.resonator import ResonatorConfig, double_pass_ratio, pair_probability_vs_u, sweep_rows
 from stimpairs.tomography import TomographyRecord, rho_from_json, rho_to_json, simulate_tomography
 from stimpairs.tomography import standard_settings
 
@@ -279,6 +280,121 @@ def test_finite_shows_a_refused_value_in_a_bounded_size(call, what, value, got):
         call(value)
     message = str(err.value)
     assert message == f"{what} must be a real number, got {got}"
+    assert len(message.encode()) < 1024
+
+
+# Every real array a library function takes from outside: the call that takes
+# a 3-entry list (the record pads it to its 16 settings), and the name its
+# messages give it.
+_ARRAYS = {
+    "FringeScan.phase": (lambda v: FringeScan(v, [1.0, 1.0, 1.0]), "phase"),
+    "FringeScan.counts": (lambda v: FringeScan([0.0, 1.0, 2.0], v), "counts"),
+    "simulate_polarization_fringe": (
+        lambda v: simulate_polarization_fringe(_RHO, ArmSetting(0.0), v, 1e3), "polarizer angle"
+    ),
+    "simulate_stimulation_fringe": (
+        lambda v: simulate_stimulation_fringe(PlateGeometry(**_PLATE), ResonatorConfig(2, 0.0, 1e-3), v, 1e3),
+        "tilt angle",
+    ),
+    "TomographyRecord.counts": (
+        lambda v: TomographyRecord(standard_settings(), list(v) + [1.0] * 13, 1e3), "counts"
+    ),
+    "pair_probability_vs_u": (lambda v: pair_probability_vs_u(1, v), "u"),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, kind",
+    [
+        ("x" * 100_000, TypeError),
+        ("0.5", TypeError),
+        (None, TypeError),
+        (complex(0.5, 0.1), TypeError),
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        (-math.inf, ValueError),
+    ],
+    ids=["long-string", "numeric-string", "none", "complex", "nan", "inf", "-inf"],
+)
+@pytest.mark.parametrize("entry", list(_ARRAYS))
+def test_every_array_parameter_refuses_a_bad_entry_by_name(entry, bad, kind):
+    # One rule (errors.finite) for every real array: an entry that is not a
+    # real number is a TypeError, a NaN or an infinity a ValueError, each
+    # under 1 KB and naming the parameter.
+    call, what = _ARRAYS[entry]
+    with pytest.raises(kind) as err:
+        call([0.1, bad, 0.3])
+    message = str(err.value)
+    if kind is TypeError:
+        assert message.startswith(f"{what} must be a real number, got ")
+    else:
+        assert message == f"{what} must be finite, got {bad!r}"
+    assert len(message.encode()) < 1024
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        list,
+        tuple,
+        lambda v: (x for x in v),
+        lambda v: [int(x) for x in v],
+        lambda v: np.asarray(v, dtype=np.float32),
+        lambda v: np.asarray(v, dtype=np.float64),
+    ],
+    ids=["list", "tuple", "generator", "ints", "float32", "float64"],
+)
+def test_every_array_parameter_takes_real_sequences_as_floats(make):
+    # Whatever sequence of reals x holds the values, each array parameter
+    # reads the bytes of np.asarray(list(x), dtype=float).  Only the two
+    # simulators take an iterator; the other calls get no generator.
+    values = [0.0, 1.0, 0.25, 1.0, 0.5, 0.0, 0.875, 0.75, 1.0, 0.0, 0.5, 0.625, 0.125, 1.0, 0.375, 0.5]
+    want = np.asarray(list(make(values)), dtype=float)
+
+    def same(got, ref):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    if not isinstance(make(values), types.GeneratorType):
+        scan = FringeScan(make(values), make(values))
+        same(scan.phase, want)
+        same(scan.counts, want)
+        same(TomographyRecord(standard_settings(), make(values), 1e3).counts, want)
+        same(pair_probability_vs_u(1, make(values)), pair_probability_vs_u(1, want))
+    for simulate in (
+        lambda v: simulate_polarization_fringe(_RHO, ArmSetting(0.0), v, 1e3),
+        lambda v: simulate_stimulation_fringe(PlateGeometry(**_PLATE), ResonatorConfig(2, 0.0, 1e-3), v, 1e3),
+    ):
+        got, ref = simulate(make(values)), simulate(want)
+        same(got.phase, ref.phase)
+        same(got.counts, ref.counts)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda v: fit_fringe(FringeScan(_ANGLES, 2.0 + np.cos(_ANGLES)), harmonics=v), "harmonics"),
+        (lambda v: ResonatorConfig(v, 0.0, 0.1), "n_passes"),
+    ],
+    ids=["harmonics", "n_passes"],
+)
+@pytest.mark.parametrize(
+    "value, got",
+    [
+        ("x" * 100_000, 'a JSON string of 100000 characters, "' + "x" * 64 + '"...'),
+        (np.int64(0), "0"),
+        (np.array([1, 2]), "a JSON array of 2 entries"),
+        (True, "true"),
+        (2.0, "2.0"),
+    ],
+    ids=["long-string", "numpy-zero", "array", "bool", "float"],
+)
+def test_positive_int_shows_a_refused_value_in_a_bounded_size(call, what, value, got):
+    # A count is shown through shown, a numpy value by its value: the
+    # message names the parameter and stays under 1 KB.
+    with pytest.raises(ValueError) as err:
+        call(value)
+    message = str(err.value)
+    assert message == f"{what} must be a positive integer, got {got}"
     assert len(message.encode()) < 1024
 
 
