@@ -6,9 +6,10 @@ a refractive index, a rate) passes real, or positive_float built on it,
 before its own range test, every count passes positive_int, and every real
 array (scan phases and counts, angle lists, record counts, u) passes finite
 before its own shape or range test.  real and finite take finite real
-numbers, Python or numpy, and refuse anything else (a string, None, a
-complex entry) with a TypeError or ValueError naming the parameter; no
-message repeats a refused value whole.
+numbers, Python or numpy, and refuse anything else (a bool, a string,
+None, a complex entry) with a TypeError or ValueError naming the
+parameter; no message repeats a refused value whole.  Every two-qubit
+state passes polarization.state_density, the one state rule.
 
 Grouping them here keeps the command line driver's exit-code mapping in one
 import: schema/validation problems exit 1, numerical failures exit 2.  The
@@ -245,17 +246,17 @@ def check_each(ok, values, message: str) -> None:
 def finite(value, what: str) -> "np.ndarray":
     """value as a float array (0-d for a scalar) whose every entry is finite.
 
-    Entries that are not real numbers (None, strings, complex) raise
-    TypeError, showing value's entries as a list (or its one entry) through
-    shown, so the message stays short whatever value holds; a NaN or an
-    infinity raises ValueError naming the first one.
+    Entries that are not real numbers (bools, as real refuses them, None,
+    strings, complex) raise TypeError, showing value's entries as a list (or
+    its one entry) through shown, so the message stays short whatever value
+    holds; a NaN or an infinity raises ValueError naming the first one.
     A 0-d array is judged by math.isfinite, which costs a fraction of the
     array check on one entry.
     """
     import numpy as np
 
     array = np.asarray(value)
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in "iuf":
         raise TypeError(f"{what} must be a real number, got {shown(array.tolist())}")
     array = array.astype(float, copy=False)
     if array.ndim:

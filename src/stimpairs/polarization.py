@@ -24,9 +24,11 @@ Simulated coincidence counts come from a source: a map from the (k, 2)
 analyzer-state stacks (ua, ub) of arms a and b, either of which may be
 (1, 2), to the mean count per shot of each analyzer pair.  The simulators
 draw shots times a source's means, for a fringe here and for a record in
-tomography.  A state is the source _born_source makes of it, the Born rule
-Tr(rho Pi_k); a source that is not a state (threshold clicks, a seeded
-background) needs no branch in either simulator.
+tomography.  Every state a function takes, here and in tomography, passes
+one rule, state_density: 4 amplitudes or a 4x4 density matrix, of int,
+float or complex numbers.  A state is the source _born_source makes of it,
+the Born rule Tr(rho Pi_k); a source that is not a state (threshold clicks,
+a seeded background) needs no branch in either simulator.
 
 A state's source builds the (k, 4, 4) projector stack of its (ua, ub) on
 every call, in one array pass; a settings list, for tomography's
@@ -152,22 +154,37 @@ def analyzer_projector(setting: MeasurementSetting) -> np.ndarray:
     return _projectors([setting])[0]
 
 
-def state_density(state: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a 4-amplitude pure state; also accepts a 4x4 density matrix."""
-    arr = np.asarray(state, dtype=complex)
+def state_density(state) -> np.ndarray:
+    """The density matrix of a state: the one rule every state parameter passes.
+
+    A state is 4 amplitudes in the (HH, HV, VH, VV) basis, whose norm lies
+    within 1e-10 of 1, returned as |psi><psi|, or a 4x4 density matrix that
+    passes check_density_matrix, returned as a complex array (the same array
+    when it is one).  Its entries are int, float or complex numbers: a bool,
+    None, a string or any other object is a TypeError naming the dtype, never
+    the value.  A NaN amplitude fails the norm test; a wrong shape is a
+    ValueError.
+    """
+    arr = np.asarray(state)
+    if arr.dtype.kind not in "iufc":
+        raise TypeError(f"a state must hold int, float or complex numbers, got dtype {arr.dtype}")
+    arr = arr.astype(complex, copy=False)
     if arr.shape == (4, 4):
         check_density_matrix(arr)
         return arr
     if arr.shape != (4,):
         raise ValueError(f"expected 4 amplitudes or a 4x4 matrix, got shape {arr.shape}")
-    nrm = np.linalg.norm(arr)
-    if abs(nrm - 1.0) > 1e-10:
+    nrm = float(np.linalg.norm(arr))
+    if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
         raise ValueError(f"pure state must be normalized, got norm {nrm!r}")
     return np.outer(arr, arr.conj())
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
-    """Reject anything that is not Hermitian, unit trace, and positive to atol = 1e-8."""
+    """Reject anything that is not Hermitian, unit trace, and positive to atol = 1e-8.
+
+    The 4x4 half of state_density's rule, for a numeric array.
+    """
     atol = 1e-8
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
@@ -179,9 +196,10 @@ def check_density_matrix(rho: np.ndarray) -> None:
     herm = np.abs(rho - adjoint).max()
     if herm > atol:
         raise ValueError(f"density matrix is not Hermitian (defect {herm:.3e})")
-    tr = rho.trace()
+    tr = rho.trace().item()
     if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+        # A real trace is shown as a real number, whether rho is real or complex.
+        raise ValueError(f"density matrix trace is {tr if tr.imag else tr.real!r}, expected 1")
     evals = np.linalg.eigvalsh((rho + adjoint) / 2.0)
     if evals.min() < -atol:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
@@ -190,7 +208,7 @@ def check_density_matrix(rho: np.ndarray) -> None:
 def _born_probabilities(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     """Tr(rho Pi_k) for a (k, 4, 4) projector stack, in one einsum.
 
-    rho must already be validated (state_density or check_density_matrix).
+    rho must already be validated by state_density.
     """
     p = np.real(np.einsum("ab,kba->k", rho, projectors))
     # Exactly zero probabilities round to tiny negatives; clip, do not hide bugs.
@@ -207,9 +225,12 @@ def _born_source(rho: np.ndarray):
 
 
 def coincidence_probability(rho: np.ndarray, setting: MeasurementSetting) -> float:
-    """Born-rule coincidence probability Tr(rho Pi_a otimes Pi_b)."""
-    rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho)
+    """Born-rule coincidence probability Tr(rho Pi_a otimes Pi_b).
+
+    rho is a state as state_density takes it: 4 amplitudes or a 4x4 density
+    matrix.
+    """
+    rho = state_density(rho)
     return float(_born_probabilities(rho, analyzer_projector(setting)[None])[0])
 
 
@@ -261,7 +282,7 @@ class FringeScan:
         if phase.size < 2:
             raise ValueError("a scan needs at least 2 points")
         if counts.min() < 0:
-            raise ValueError(f"counts must be non-negative, got min {counts.min()!r}")
+            raise ValueError(f"counts must be non-negative, got min {float(counts.min())!r}")
         object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "counts", counts)
 
@@ -564,8 +585,10 @@ def simulate_stimulation_fringe(
     alphas = finite(list(alphas), "tilt angle")
     if alphas.ndim != 1 or alphas.size < 2:
         raise ValueError("need a 1-d list of at least 2 tilt angles")
-    # delta(alpha) is bounded, so finite tilts give finite phases.
-    phases = relative_phase(geom, alphas) - relative_phase(geom, 0.0)
+    # delta(alpha) is bounded, so finite tilts give finite phases; zero tilt
+    # rides along as the first entry of one evaluation.
+    deltas = relative_phase(geom, np.concatenate(([0.0], alphas)))
+    phases = deltas[1:] - deltas[0]
     x = _strengths((cfg.n_passes,), phases, cfg.tau)[0]
     probs = _p_exact(1, x) if model == "exact" else _p_approx(1, x)
     counts = _draw_counts(shots * probs, seed)

@@ -56,7 +56,7 @@ from .polarization import (
     _draw_counts,
     _projectors,
     _setting_states,
-    check_density_matrix,
+    state_density,
 )
 
 ANALYZER_ANGLES = {
@@ -134,7 +134,7 @@ class TomographyRecord:
                 f"counts shape {counts.shape} does not match {len(settings)} settings"
             )
         if counts.min() < 0:
-            raise ValueError(f"counts must be non-negative, got min {counts.min()!r}")
+            raise ValueError(f"counts must be non-negative, got min {float(counts.min())!r}")
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", positive_float(self.shots, "shots"))
@@ -348,10 +348,10 @@ def log_likelihood(record: TomographyRecord, rho: np.ndarray) -> float:
     Constant c_i! terms are dropped.  This is -shots f(rho), f the objective
     reconstruct_mle minimizes (_mle_objective): a setting with counts whose
     rate mu_i is at most 0 gives -inf, and every other rate, however small,
-    counts as it is.
+    counts as it is.  rho is a state as polarization.state_density takes it:
+    4 amplitudes or a 4x4 density matrix.
     """
-    check_density_matrix(rho)
-    return _log_likelihood(record, _model(record.settings), np.asarray(rho))
+    return _log_likelihood(record, _model(record.settings), state_density(rho))
 
 
 def _log_likelihood(record: TomographyRecord, model: _Model, rho: np.ndarray) -> float:
@@ -610,31 +610,26 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
 
 
 def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
-    """State fidelity of ``rho`` to a pure (4-vector) or mixed (4x4) target.
+    """State fidelity of ``rho`` to ``target``.
 
-    Pure targets use <psi|rho|psi>; mixed targets the Uhlmann form
-    (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 via eigendecomposition.
+    Each is a state as polarization.state_density takes it: 4 amplitudes or
+    a 4x4 density matrix.  A pure (4-vector) target uses <psi|rho|psi>; a
+    mixed (4x4) target the Uhlmann form (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2
+    via eigendecomposition.
     """
-    rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho)
-    target = np.asarray(target, dtype=complex)
-    if target.shape == (4,):
-        nrm = np.linalg.norm(target)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"target state must be normalized, got norm {nrm!r}")
-        value = complex(np.vdot(target, rho @ target))
+    rho, sigma = state_density(rho), state_density(target)
+    psi = np.asarray(target, dtype=complex)
+    if psi.ndim == 1:
+        value = complex(np.vdot(psi, rho @ psi))
         if abs(value.imag) > 1e-9:
             raise ValueError(f"fidelity came out complex ({value!r}); rho is malformed")
         return min(max(value.real, 0.0), 1.0)
-    if target.shape == (4, 4):
-        check_density_matrix(target)
-        w, v = np.linalg.eigh(rho)
-        sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        inner = sqrt_rho @ target @ sqrt_rho
-        evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-        root_sum = float(np.sqrt(np.clip(evals, 0.0, None)).sum())
-        return min(root_sum**2, 1.0)
-    raise ValueError(f"target must be a 4-vector or 4x4 matrix, got shape {target.shape}")
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inner = sqrt_rho @ sigma @ sqrt_rho
+    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    root_sum = float(np.sqrt(np.clip(evals, 0.0, None)).sum())
+    return min(root_sum**2, 1.0)
 
 
 def rho_to_json(rho: np.ndarray) -> str:

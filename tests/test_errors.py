@@ -35,14 +35,15 @@ def test_finite_rule_on_scalars_and_arrays():
     # The first non-finite entry is named.
     with pytest.raises(ValueError, match="^alpha must be finite, got -inf$"):
         finite([[0.1, -math.inf], [math.nan, 0.2]], "alpha")
-    # 0-d bool, int and float32 inputs take the scalar path to the same result.
-    for value, want in ((np.array(True), 1.0), (np.int64(-3), -3.0), (np.float32(0.5), 0.5)):
+    # 0-d int and float32 inputs take the scalar path to the same result.
+    for value, want in ((np.int64(-3), -3.0), (np.float32(0.5), 0.5)):
         got = finite(value, "phi")
         assert got.ndim == 0 and got.dtype == np.float64 and float(got) == want
     for bad, shown in ((np.float32(math.inf), "inf"), (np.array(-math.inf), "-inf"), (np.array(math.nan), "nan")):
         with pytest.raises(ValueError, match=f"^phi must be finite, got {shown}$"):
             finite(bad, "phi")
-    for bad in (None, "0.5", 1j, [0.1, None]):
+    # A bool is not a real number here, as real refuses one: 0-d or array.
+    for bad in (None, "0.5", 1j, [0.1, None], np.array(True), [True, False]):
         with pytest.raises(TypeError, match="qwp angle must be a real number"):
             finite(bad, "qwp angle")
 
@@ -284,8 +285,8 @@ def test_finite_shows_a_refused_value_in_a_bounded_size(call, what, value, got):
 
 
 # Every real array a library function takes from outside: the call that takes
-# a 3-entry list (the record pads it to its 16 settings), and the name its
-# messages give it.
+# a 3-entry list (the record repeats it to fill its 16 settings), and the name
+# its messages give it.
 _ARRAYS = {
     "FringeScan.phase": (lambda v: FringeScan(v, [1.0, 1.0, 1.0]), "phase"),
     "FringeScan.counts": (lambda v: FringeScan([0.0, 1.0, 2.0], v), "counts"),
@@ -297,38 +298,40 @@ _ARRAYS = {
         "tilt angle",
     ),
     "TomographyRecord.counts": (
-        lambda v: TomographyRecord(standard_settings(), list(v) + [1.0] * 13, 1e3), "counts"
+        lambda v: TomographyRecord(standard_settings(), list(v) * 5 + list(v)[:1], 1e3), "counts"
     ),
     "pair_probability_vs_u": (lambda v: pair_probability_vs_u(1, v), "u"),
 }
 
 
 @pytest.mark.parametrize(
-    "bad, kind",
+    "values, kind",
     [
-        ("x" * 100_000, TypeError),
-        ("0.5", TypeError),
-        (None, TypeError),
-        (complex(0.5, 0.1), TypeError),
-        (math.nan, ValueError),
-        (math.inf, ValueError),
-        (-math.inf, ValueError),
+        ([0.1, "x" * 100_000, 0.3], TypeError),
+        ([0.1, "0.5", 0.3], TypeError),
+        ([0.1, None, 0.3], TypeError),
+        ([0.1, complex(0.5, 0.1), 0.3], TypeError),
+        # A bool among floats is the float numpy makes of it; bools alone are not numbers.
+        ([False, True, False], TypeError),
+        ([0.1, math.nan, 0.3], ValueError),
+        ([0.1, math.inf, 0.3], ValueError),
+        ([0.1, -math.inf, 0.3], ValueError),
     ],
-    ids=["long-string", "numeric-string", "none", "complex", "nan", "inf", "-inf"],
+    ids=["long-string", "numeric-string", "none", "complex", "bool", "nan", "inf", "-inf"],
 )
 @pytest.mark.parametrize("entry", list(_ARRAYS))
-def test_every_array_parameter_refuses_a_bad_entry_by_name(entry, bad, kind):
+def test_every_array_parameter_refuses_a_bad_entry_by_name(entry, values, kind):
     # One rule (errors.finite) for every real array: an entry that is not a
     # real number is a TypeError, a NaN or an infinity a ValueError, each
     # under 1 KB and naming the parameter.
     call, what = _ARRAYS[entry]
     with pytest.raises(kind) as err:
-        call([0.1, bad, 0.3])
+        call(values)
     message = str(err.value)
     if kind is TypeError:
         assert message.startswith(f"{what} must be a real number, got ")
     else:
-        assert message == f"{what} must be finite, got {bad!r}"
+        assert message == f"{what} must be finite, got {values[1]!r}"
     assert len(message.encode()) < 1024
 
 

@@ -37,7 +37,7 @@ from stimpairs.resonator import (
     pair_probability_exact,
     sweep_rows,
 )
-from stimpairs.tomography import log_likelihood, reconstruct_mle, simulate_tomography
+from stimpairs.tomography import fidelity, log_likelihood, reconstruct_mle, simulate_tomography
 from stimpairs.verify import _run, check_singlet_invariance
 
 GEOM = PlateGeometry(3e-3, 1.53, 1.51, 405e-9)
@@ -129,6 +129,11 @@ def test_state_density_validation():
     rho = state_density(bell_state())
     check_density_matrix(rho)
     assert state_density(rho) is rho
+    with pytest.raises(ValueError, match="^pure state must be normalized, got norm inf$"):
+        state_density([math.inf, 0.0, 0.0, 0.0])
+    # state_density judges a complex copy; its real trace is still shown as a real number.
+    with pytest.raises(ValueError, match=r"^density matrix trace is 2\.0, expected 1$"):
+        state_density(np.eye(4) / 2.0)
 
 
 @pytest.mark.parametrize(
@@ -138,15 +143,77 @@ def test_state_density_validation():
         (np.diag([np.nan, 0.0, 0.0, 1.0]), "density matrix contains non-finite entries"),
         (np.eye(4) / 4.0 + np.triu(np.full((4, 4), 1e-6), 1),
          r"density matrix is not Hermitian \(defect 1\.000e-06\)"),
-        (np.eye(4) / 2.0, r"density matrix trace is (np\.float64\()?2\.0\)?, expected 1"),
+        (np.eye(4) / 2.0, r"density matrix trace is 2\.0, expected 1"),
         (np.diag([0.5, 0.5, 1e-6, -1e-6]), "density matrix has negative eigenvalue -1.000e-06"),
     ],
     ids=["shape", "non-finite", "hermitian", "trace", "negative"],
 )
 def test_check_density_matrix_rejections(rho, message):
-    # Each defect sits past the 1e-8 tolerance; numpy 2 reprs the trace as np.float64(2.0).
+    # Each defect sits past the 1e-8 tolerance; the trace is shown as a Python number.
     with pytest.raises(ValueError, match=f"^{message}$"):
         check_density_matrix(rho)
+
+
+_SETTING = MeasurementSetting(ArmSetting(0.3, 0.1), ArmSetting(1.1))
+_RECORD = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=3)
+
+# Every entry point that takes a state, as a call on that state alone.
+_STATE_ENTRIES = {
+    "state_density": state_density,
+    "dephasing_noise": lambda s: dephasing_noise(s, 0.1),
+    "simulate_polarization_fringe": lambda s: simulate_polarization_fringe(
+        s, ArmSetting(math.pi / 4.0), [0.0, 0.5, 1.0], 1e3, seed=1
+    ).counts,
+    "simulate_tomography": lambda s: simulate_tomography(s, 1e3, seed=1).counts,
+    "coincidence_probability": lambda s: coincidence_probability(s, _SETTING),
+    "log_likelihood": lambda s: log_likelihood(_RECORD, s),
+    "fidelity.rho": lambda s: fidelity(s, bell_state()),
+    "fidelity.target": lambda s: fidelity(dephasing_noise(bell_state(), 0.2), s),
+}
+
+
+@pytest.mark.parametrize(
+    "state, kind",
+    [
+        ([math.nan, 0.0, 0.0, 0.0], ValueError),
+        ([None, 1.0, 0.0, 0.0], TypeError),
+        ([True, False, False, False], TypeError),
+        ("x" * 100_000, TypeError),
+        (np.full((4, 4), math.nan), ValueError),
+        (np.zeros((3, 4)), ValueError),
+        ([2.0, 0.0, 0.0, 0.0], ValueError),
+    ],
+    ids=["nan-amplitude", "none-amplitude", "bool-vector", "long-string", "nan-matrix", "shape-3x4", "norm-2"],
+)
+@pytest.mark.parametrize("entry", list(_STATE_ENTRIES))
+def test_every_state_parameter_passes_state_density(entry, state, kind):
+    # One state rule: a NaN amplitude fails the norm test (not a Poisson
+    # draw), None and bools are not numbers, and no message repeats the value.
+    with pytest.raises(kind) as err:
+        _STATE_ENTRIES[entry](state)
+    message = str(err.value)
+    assert len(message.encode()) < 1024
+    assert "Poisson" not in message
+
+
+@pytest.mark.parametrize("entry", list(_STATE_ENTRIES))
+def test_every_state_parameter_takes_a_pure_state_as_its_outer_product(entry):
+    # A 4-vector is its outer product at every entry point: bit for bit where
+    # both forms meet as the same matrix, and to the Uhlmann form's rounding
+    # where fidelity reads a pure target by its own formula.
+    rng = np.random.default_rng(20261022)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    pure, mixed = (_STATE_ENTRIES[entry](s) for s in (psi, np.outer(psi, psi.conj())))
+    if entry == "fidelity.target":
+        assert pure == pytest.approx(mixed, abs=1e-7)
+    else:
+        assert np.asarray(pure).tobytes() == np.asarray(mixed).tobytes()
+
+
+def test_negative_counts_are_shown_as_a_python_number():
+    with pytest.raises(ValueError, match=r"^counts must be non-negative, got min -1\.0$"):
+        FringeScan([0.0, 1.0, 2.0], [1.0, -1.0, 2.0])
 
 
 def test_dephasing_channel():
@@ -474,7 +541,7 @@ def test_each_value_is_checked_once(monkeypatch):
     # unchecked; reconstruct_mle reports the log-likelihood of its own
     # (physical) iterate without validating it.
     rules, checks = [], []
-    true_check = tomography_mod.check_density_matrix
+    true_check = tomography_mod.state_density
 
     def counting(rule):
         def counted(value, what):
@@ -490,7 +557,7 @@ def test_each_value_is_checked_once(monkeypatch):
     for module in (resonator_mod, phase_plate_mod):
         monkeypatch.setattr(module, "finite", counting(errors_mod.finite))
     monkeypatch.setattr(resonator_mod, "real", counting(errors_mod.real))
-    monkeypatch.setattr(tomography_mod, "check_density_matrix", counting_check)
+    monkeypatch.setattr(tomography_mod, "state_density", counting_check)
     assert ResonatorConfig(3, 7.0, 1e-3).phi == pytest.approx(7.0 - 2.0 * math.pi)
     assert rules == ["phi"]
     rules.clear()

@@ -86,7 +86,7 @@ def test_record_validation():
     settings = standard_settings()
     with pytest.raises(ValueError):
         TomographyRecord(settings, np.ones(5), 100.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^counts must be non-negative, got min -1\.0$"):
         TomographyRecord(settings, -np.ones(16), 100.0)
     with pytest.raises(ValueError):
         TomographyRecord(settings, np.ones(16), 0.0)
