@@ -154,7 +154,8 @@ class FockVector:
         return np.where(self.indices[pos] == index, self.values[pos], 0.0)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        """The 2-norm, scaled: no entry is squared, so no amplitude overflows or underflows it."""
+        return math.hypot(*np.abs(self.values).tolist())
 
     def overlap(self, other: "FockVector") -> complex:
         """<self|other>, requiring matching cutoffs."""
@@ -373,6 +374,8 @@ def evolve_vacuum(
     up as weight stranded on the cutoff shell (p = cutoff or q = cutoff),
     returned as leakage and required to stay at or below tol.  tol is a
     number >= 0, inf for no limit; NaN or a negative tol raises ValueError.
+    A strength tau |A| so large that the evolution's phases overflow raises
+    FloatingPointError (see _evolve_passes).
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0 (inf for no limit), got {tol!r}")
@@ -399,10 +402,17 @@ def _evolve_passes(strengths, phases, cutoff: int, tol: float) -> FockVector:
       that commutes with every pass, so u_q = (-1)^q u_p.
 
     The first pass starts from V^T e0 = V[0] (D^dagger e0 = e0).  Leakage is
-    as evolve_vacuum says, and above tol it raises TruncationError.  The
-    callers have checked cutoff and tol and give at least one pass.
+    as evolve_vacuum says, and above tol (or NaN) it raises TruncationError.
+    When the largest strength times J's largest |eigenvalue| is past the
+    float range, FloatingPointError names that strength before any phase is
+    formed; the product is taken in Python floats, so the check itself
+    cannot warn.  The callers have checked cutoff and tol and give at least
+    one pass of non-negative strength.
     """
     t = _cutoff_tables(cutoff)
+    top = float(max(strengths))  # t.w ascends, so its largest |eigenvalue| is an end
+    if not math.isfinite(top * max(-float(t.w[0]), float(t.w[-1]))):
+        raise FloatingPointError(f"|A| tau up to {top:.3g} overflows the evolution at cutoff {cutoff}")
     k = np.arange(cutoff + 1)
     u = t.v[0]
     for n, (s, theta) in enumerate(zip(strengths, phases)):
@@ -414,7 +424,7 @@ def _evolve_passes(strengths, phases, cutoff: int, tol: float) -> FockVector:
     sector = u[:, None] * np.where(k % 2, -u, u)
     # The cutoff shell of the sector is its last row and the rest of its last column.
     leakage = float((np.abs(sector[-1]) ** 2).sum() + (np.abs(sector[:-1, -1]) ** 2).sum())
-    if leakage > tol:
+    if not leakage <= tol:  # a NaN leakage fails too
         raise TruncationError(
             f"cutoff {cutoff} leaves leakage {leakage:.3e} above tolerance "
             f"{tol:.1e}; raise the cutoff",

@@ -30,9 +30,11 @@ float or complex numbers.  A state is the source _born_source makes of it,
 the Born rule Tr(rho Pi_k); a source that is not a state (threshold clicks,
 a seeded background) needs no branch in either simulator.
 
-A state's source builds the (k, 4, 4) projector stack of its (ua, ub) on
-every call, in one array pass; a settings list, for tomography's
-reconstruction or one analyzer_projector, gets its stack from _projectors.
+A state's source is the one place where a state meets a projector stack:
+it builds the (k, 4, 4) stack of its (ua, ub) on every call, in one array
+pass, and coincidence_probability is the source on one setting's states.
+A settings list reaches its stack the same way, _projector_stack of its
+_setting_states, for tomography's chart or one analyzer_projector.
 A tilt scan reads its strengths x = |A(N, phi)| tau from
 resonator._strengths, the function every rate reads.
 """
@@ -143,15 +145,9 @@ def _setting_states(settings) -> tuple:
     return _arm_states([s.arm_a for s in settings]), _arm_states([s.arm_b for s in settings])
 
 
-def _projectors(settings) -> np.ndarray:
-    """The (k, 4, 4) projector stack of a settings list, built in one array
-    pass over the settings' angles."""
-    return _projector_stack(*_setting_states(settings))
-
-
 def analyzer_projector(setting: MeasurementSetting) -> np.ndarray:
     """Rank-one coincidence projector Pi_a otimes Pi_b in the (HH, HV, VH, VV) basis."""
-    return _projectors([setting])[0]
+    return _projector_stack(*_setting_states([setting]))[0]
 
 
 def state_density(state) -> np.ndarray:
@@ -174,7 +170,8 @@ def state_density(state) -> np.ndarray:
         return arr
     if arr.shape != (4,):
         raise ValueError(f"expected 4 amplitudes or a 4x4 matrix, got shape {arr.shape}")
-    nrm = float(np.linalg.norm(arr))
+    # A scaled norm: squaring the entries would overflow past 1e154 and underflow below 1e-154.
+    nrm = math.hypot(*np.abs(arr).tolist())
     if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
         raise ValueError(f"pure state must be normalized, got norm {nrm!r}")
     return np.outer(arr, arr.conj())
@@ -208,7 +205,8 @@ def check_density_matrix(rho: np.ndarray) -> None:
 def _born_probabilities(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     """Tr(rho Pi_k) for a (k, 4, 4) projector stack, in one einsum.
 
-    rho must already be validated by state_density.
+    The body of _born_source, its one caller, which has validated rho by
+    state_density.
     """
     p = np.real(np.einsum("ab,kba->k", rho, projectors))
     # Exactly zero probabilities round to tiny negatives; clip, do not hide bugs.
@@ -228,10 +226,9 @@ def coincidence_probability(rho: np.ndarray, setting: MeasurementSetting) -> flo
     """Born-rule coincidence probability Tr(rho Pi_a otimes Pi_b).
 
     rho is a state as state_density takes it: 4 amplitudes or a 4x4 density
-    matrix.
+    matrix.  This is rho's source on the setting's analyzer states.
     """
-    rho = state_density(rho)
-    return float(_born_probabilities(rho, analyzer_projector(setting)[None])[0])
+    return float(_born_source(rho)(*_setting_states([setting]))[0])
 
 
 def dephasing_noise(state: np.ndarray, d: float) -> np.ndarray:

@@ -30,12 +30,12 @@ round; the Newton steps read them off a factor table, one 16 x 16 form per
 setting, and form rho only at the end of the round.
 
 Everything that depends on the settings list alone (analyzer states,
-projector stack, chart, completeness verdict and the finish's factor table)
-is one read-only model that _model caches per settings tuple, so simulating
-a record and reconstructing it builds that model once.  A simulation draws
-its counts from a source (see polarization) of the model's analyzer states;
-reconstruction always fits a density matrix, whatever source made the
-record.
+chart, completeness verdict and the finish's factor table) is one read-only
+model that _model caches per settings tuple, so simulating a record and
+reconstructing it builds that model once.  The projector stack the chart is
+made of is not kept.  A simulation draws its counts from a source (see
+polarization) of the model's analyzer states; reconstruction always fits a
+density matrix, whatever source made the record.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .polarization import (
     MeasurementSetting,
     _born_source,
     _draw_counts,
-    _projectors,
+    _projector_stack,
     _setting_states,
     state_density,
 )
@@ -83,6 +83,16 @@ _EIGEN_FLOOR = 1e-12
 _GAUGE_TOL = 1e-10
 _NEWTON_MAX = 30
 _HALVINGS = 100
+# The scale a record may have for reconstruction (_checked_model).  The
+# likelihood sums 16 terms c_i ln mu_i - mu_i, mu_i = shots p_i <= shots and
+# |ln mu_i| < 745 over the positive floats: counts and shots up to _SCALE_MAX
+# keep that sum 2^10 under the largest float.  A Newton step squares the
+# gradient, at most 64 times the largest weight |1 - c_i / mu_i|, which is
+# at most 1 + R / _EIGEN_FLOOR at a round's start (every p_i is then at least
+# the floor), R the largest count over the shots: R up to _RATIO_MAX keeps
+# that square 2^20 under the largest float.
+_SCALE_MAX = np.finfo(float).max / 2**24
+_RATIO_MAX = math.sqrt(np.finfo(float).max) * _EIGEN_FLOOR / 2**16
 
 
 def standard_settings(basis=DEFAULT_BASIS) -> list[MeasurementSetting]:
@@ -238,7 +248,7 @@ def simulate_tomography(
     return TomographyRecord(settings=settings, counts=counts, shots=shots)
 
 
-_Model = collections.namedtuple("_Model", "states stack chart cond table")
+_Model = collections.namedtuple("_Model", "states chart cond table")
 
 
 @functools.lru_cache(maxsize=16)
@@ -247,10 +257,11 @@ def _model(settings: tuple) -> _Model:
 
     - states: (ua, ub), the settings' (k, 2) analyzer states
       (polarization._setting_states), which a simulation's source reads.
-    - stack: the (k, 4, 4) projector stack (polarization._projectors).
-    - chart: the (k, 16) real chart _coordinates(stack).
+    - chart: the (k, 16) real chart _coordinates of the (k, 4, 4) projector
+      stack polarization._projector_stack builds from states; the stack
+      itself is not kept.
     - cond: the completeness verdict, the chart's condition number, or None
-      when there are not 16 settings (_require_complete judges it).  The E_k
+      when there are not 16 settings (_checked_model judges it).  The E_k
       are orthonormal over all complex 4 x 4 matrices, so the chart has the
       singular values of the complex map rho -> (Tr(rho Pi_i))_i.
     - table: _factor_table(chart), the Newton finish's per-setting forms.
@@ -258,14 +269,14 @@ def _model(settings: tuple) -> _Model:
     Callers pass tuple(settings): a list and a tuple of the same settings
     share one entry, and a record's settings are already a tuple.  The
     settings must be hashable, as MeasurementSettings of float angles are.
-    An entry of 16 settings holds about 39 KB, and the cache keeps the 16
-    most recently used lists.
+    An entry of 16 settings holds about 35 KB (32 KB of it the table), and
+    the cache keeps the 16 most recently used lists.
     """
-    stack = _projectors(settings)
-    chart = _coordinates(stack)
+    states = _setting_states(settings)
+    chart = _coordinates(_projector_stack(*states))
     cond = float(np.linalg.cond(chart)) if len(settings) == 16 else None
-    model = _Model(_setting_states(settings), stack, chart, cond, _factor_table(chart))
-    for array in (*model.states, model.stack, model.chart, model.table):
+    model = _Model(states, chart, cond, _factor_table(chart))
+    for array in (*model.states, model.chart, model.table):
         array.setflags(write=False)
     return model
 
@@ -278,28 +289,36 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     cone; shot noise shows up as negative eigenvalues, reported via
     min_eigenvalue.
     """
-    model = _model(record.settings)
-    _require_complete(model)
+    model = _checked_model(record, record.counts)
     rho = _invert_linear(record, model)
     return ReconstructionResult(
         rho=rho, method="linear", min_eigenvalue=float(np.linalg.eigvalsh(rho).min())
     )
 
 
-def _require_complete(model: _Model) -> None:
-    """Raise ReconstructionError unless the settings determine every rho.
+def _checked_model(record: TomographyRecord, counts: np.ndarray) -> _Model:
+    """The settings' model, once the record passes both rules of reconstruction.
 
-    Judges the model's cached verdict: 16 settings whose chart has a
-    condition number of at most 1e10.
+    ReconstructionError unless the settings determine every rho (the model's
+    cached verdict: 16 settings whose chart has a condition number of at
+    most 1e10), and then unless counts, the counts the method reads, and the
+    shots lie in range: both at most _SCALE_MAX, and the largest count over
+    the shots at most _RATIO_MAX.  The scale is judged in Python floats,
+    before the method's sums, so the check itself cannot warn.
     """
+    model = _model(record.settings)
     if model.cond is None:
-        raise ReconstructionError(f"linear inversion needs 16 settings, got {len(model.stack)}")
+        raise ReconstructionError(f"linear inversion needs 16 settings, got {len(model.chart)}")
     if model.cond > 1e10:
         raise ReconstructionError("settings are informationally incomplete")
+    top, shots = float(counts.max()), record.shots
+    if not (max(top, shots) <= _SCALE_MAX and top <= _RATIO_MAX * shots):
+        raise ReconstructionError(f"counts up to {top:.3g} at shots {shots:.3g} overflow reconstruction")
+    return model
 
 
 def _invert_linear(record: TomographyRecord, model: _Model) -> np.ndarray:
-    """The trace-one linear inversion for a model that _require_complete has
+    """The trace-one linear inversion for a record that _checked_model has
     passed: _hermitian of the solution x of chart @ x = counts / shots, so
     exactly Hermitian, over its trace, the sum of x's diagonal coordinates.
 
@@ -571,9 +590,8 @@ def reconstruct_mle(record: TomographyRecord, *, jeffreys: bool = False) -> Reco
     shots stated 10x too high, comes out at fidelity 0.000), while the
     linear inversion, which normalizes the trace, does not move.
     """
-    model = _model(record.settings)
-    _require_complete(model)
     counts = record.counts + 0.5 if jeffreys else record.counts
+    model = _checked_model(record, counts)
     objective = _mle_objective(counts, record.shots)
     try:
         rho = project_physical(_invert_linear(record, model))

@@ -210,7 +210,6 @@ def check_dephasing() -> tuple[float, list]:
     errors = []
     for d in (0.0, 0.1, 0.3, 1.0):
         rho = polarization.dephasing_noise(singlet, d)
-        polarization.check_density_matrix(rho)
         errors.append(abs(tomography.fidelity(rho, singlet) - (1.0 - d / 2.0)))
         scan = polarization.simulate_polarization_fringe(
             rho,
@@ -229,20 +228,15 @@ def check_dephasing() -> tuple[float, list]:
 
 def check_singlet_invariance() -> tuple[float, list]:
     """Singlet coincidences depend only on the analyzer angle difference."""
-    rho = polarization.state_density(polarization.bell_state())
-    polarization.check_density_matrix(rho)
+    source = polarization._born_source(polarization.bell_state())
     # 25 generic angle triples (a, b, delta), drawn without numpy.random so
     # that verify never imports it: the 3-D golden-ratio sequence
     # 2 pi frac(k / g^j), k = 1..25, j = 1, 2, 3, g the real root of g^4 = g + 1.
     k = np.arange(1.0, 26.0)[:, None]
     a, b, delta = (2.0 * math.pi * (k / 1.2207440846057596 ** np.arange(1.0, 4.0) % 1.0)).T
-    # One stack: rows 0-24 are the settings (a, b), rows 25-49 the same
-    # settings turned by delta.
-    stack = polarization._projector_stack(
-        polarization._analyzer_states(np.concatenate([a, a + delta])),
-        polarization._analyzer_states(np.concatenate([b, b + delta])),
-    )
-    p = polarization._born_probabilities(rho, stack)
+    # One source call on each arm's 50 angles: rows 0-24 are the settings
+    # (a, b), rows 25-49 the same settings turned by delta.
+    p = source(*(polarization._analyzer_states(np.concatenate([x, x + delta])) for x in (a, b)))
     return 1e-12, [np.abs(p[:25] - p[25:])]
 
 

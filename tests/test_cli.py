@@ -24,6 +24,7 @@ from stimpairs.tomography import (
     project_physical,
     rho_from_json,
     simulate_tomography,
+    standard_settings,
 )
 from stimpairs.polarization import bell_state
 
@@ -1018,6 +1019,17 @@ def test_tomography_ingests_maximally_mixed(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["fidelity_to_singlet"] == pytest.approx(0.25, abs=1e-4)
+
+
+@pytest.mark.parametrize("method", ["mle", "linear"])
+def test_tomography_counts_past_the_scale_exit_two(tmp_path, capsys, method):
+    # 16 counts of 1e300 at shots 1: the MLE once squared a gradient past the
+    # float range and exited 0 with an overflow warning on stderr.
+    path = tmp_path / "huge.json"
+    path.write_text(TomographyRecord(standard_settings(), np.full(16, 1e300), 1.0).to_json())
+    code, out, err = run(capsys, "tomography", "--counts", str(path), "--method", method)
+    assert (code, out) == (2, "")
+    assert err == "stimpairs: numerical failure: counts up to 1e+300 at shots 1 overflow reconstruction\n"
 
 
 def test_verify_command(capsys):

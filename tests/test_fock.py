@@ -354,6 +354,26 @@ def test_evolution_matches_full_space_exponential():
     assert np.abs(closed.amplitudes - reference).max() > 1e-3
 
 
+@pytest.mark.parametrize("n_passes,tau,cutoff", [(2, 1e308, 8), (1, 1e306, 100)])
+def test_evolution_refuses_a_strength_whose_phases_overflow(n_passes, tau, cutoff):
+    # tau |A| times the ladder's largest eigenvalue past the float range once
+    # gave NaN amplitudes and leakage NaN, which passed leakage > tol with an
+    # "invalid value" warning.  It is refused by name before any phase forms.
+    cfg = ResonatorConfig(n_passes, 0.0, tau)
+    with pytest.raises(FloatingPointError, match=rf"^\|A\| tau up to \S+ overflows the evolution at cutoff {cutoff}$"):
+        evolve_vacuum(cfg, cutoff)
+    # A product within the range evolves: finite amplitudes, judged by tol.
+    state = evolve_vacuum(ResonatorConfig(1, 0.0, 1e306), 8, tol=math.inf)
+    assert np.isfinite(state.values).all() and 0.0 <= state.leakage <= 1.0
+
+
+def test_nan_leakage_is_above_every_tolerance():
+    # A NaN phase makes NaN amplitudes; their leakage fails the test even at tol inf.
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TruncationError, match="leakage nan above tolerance inf"):
+            fock_mod._evolve_passes([0.1], [math.nan], 6, math.inf)
+
+
 def _oracle_grid():
     """(cfg, cutoff) of the 96 cross-validation points: the acceptance grid
     (cutoff at least 12) and the verify grid (floor 2M + 4), cutoffs 6-30."""
@@ -992,6 +1012,18 @@ def test_fock_vector_json_last_duplicate_wins():
     empty = FockVector.from_json(json.dumps({**doc, "amplitudes": []}))
     assert empty.indices.size == 0 and empty.norm() == 0.0
     assert project_entangled(empty, 1) == 0.0
+
+
+def test_norm_scales_its_entries():
+    # Squaring the entries overflowed past 1e154 (a warning, then inf) and
+    # underflowed below 1e-154 (a norm of 0).
+    doc = {"cutoff": 2, "order": ENUMERATION_ORDER}
+    for entries, norm in (
+        ([[0, 1e308, 1e308]], math.hypot(1e308, 1e308)),
+        ([[0, 1e-200, 0.0], [3, 0.0, -1e-200]], math.hypot(1e-200, 1e-200)),
+        ([[0, 3.0, 0.0], [7, 0.0, 4.0]], 5.0),
+    ):
+        assert FockVector.from_json(json.dumps({**doc, "amplitudes": entries})).norm() == norm
 
 
 def test_oracle_allocations_stay_in_the_pair_sector():

@@ -38,7 +38,7 @@ from stimpairs.resonator import (
     sweep_rows,
 )
 from stimpairs.tomography import fidelity, log_likelihood, reconstruct_mle, simulate_tomography
-from stimpairs.verify import _run, check_singlet_invariance
+from stimpairs.verify import _run, check_dephasing, check_singlet_invariance
 
 GEOM = PlateGeometry(3e-3, 1.53, 1.51, 405e-9)
 
@@ -134,6 +134,18 @@ def test_state_density_validation():
     # state_density judges a complex copy; its real trace is still shown as a real number.
     with pytest.raises(ValueError, match=r"^density matrix trace is 2\.0, expected 1$"):
         state_density(np.eye(4) / 2.0)
+
+
+def test_state_density_norm_scales_its_amplitudes():
+    # Squaring the amplitudes overflowed ("overflow encountered in dot")
+    # past 1e154 and underflowed to a norm of 0.0 below 1e-154.
+    for scale in (1e200, 1e-200):
+        with pytest.raises(ValueError, match=re.escape(f"got norm {scale!r}") + "$"):
+            state_density([scale, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=re.escape(f"got norm {math.hypot(1e300, 1e300)!r}") + "$"):
+        state_density([0.0, 1e300, 1e300j, 0.0])
+    psi = np.array([0.6, 0.0, 0.0, 0.8j])
+    assert np.array_equal(state_density(psi), np.outer(psi, psi.conj()))
 
 
 @pytest.mark.parametrize(
@@ -571,21 +583,21 @@ def test_each_value_is_checked_once(monkeypatch):
 
 
 def test_singlet_invariance_check_is_one_batch(monkeypatch):
-    # The verify check validates rho once and builds one 50-row stack, and
-    # its worst deviation equals that of the per-setting scalar loop over the
-    # same 25 angle triples.
+    # The verify check judges the singlet once, as its source is made, and
+    # builds one 50-row stack in one source call; its worst deviation equals
+    # that of the per-setting scalar loop over the same 25 angle triples.
     calls = {"check": 0, "stack": []}
-    true_check, true_stack = polarization_mod.check_density_matrix, polarization_mod._projector_stack
+    true_check, true_stack = polarization_mod.state_density, polarization_mod._projector_stack
 
-    def counting_check(rho, *args, **kwargs):
+    def counting_check(state):
         calls["check"] += 1
-        return true_check(rho, *args, **kwargs)
+        return true_check(state)
 
     def counting_stack(ua, ub):
         calls["stack"].append((len(ua), len(ub)))
         return true_stack(ua, ub)
 
-    monkeypatch.setattr(polarization_mod, "check_density_matrix", counting_check)
+    monkeypatch.setattr(polarization_mod, "state_density", counting_check)
     monkeypatch.setattr(polarization_mod, "_projector_stack", counting_stack)
     result = _run(check_singlet_invariance)
     assert calls == {"check": 1, "stack": [(50, 50)]}
@@ -606,6 +618,28 @@ def test_singlet_invariance_check_is_one_batch(monkeypatch):
     assert result.worst == pytest.approx(worst, abs=1e-15)
 
 
+def test_dephasing_check_judges_each_state_at_the_boundaries_only(monkeypatch):
+    # Per strength d, the dephased rho is judged by fidelity's state_density
+    # and by the fringe simulator's source: 8 calls over the four strengths
+    # (12 when the check judged rho once more itself).
+    calls = []
+    true_check = polarization_mod.check_density_matrix
+
+    def counting_check(rho):
+        calls.append(1)
+        return true_check(rho)
+
+    monkeypatch.setattr(polarization_mod, "check_density_matrix", counting_check)
+    result = _run(check_dephasing)
+    assert result.passed
+    assert len(calls) == 8
+
+
+def _stack(settings_):
+    # The (k, 4, 4) projector stack of a settings list, built as tomography's model builds it.
+    return polarization_mod._projector_stack(*polarization_mod._setting_states(settings_))
+
+
 def _random_settings(rng, n, plate_a, plate_b):
     def arm(plate):
         pol = rng.uniform(-2 * math.pi, 2 * math.pi)
@@ -620,7 +654,7 @@ def test_projector_stack_matches_per_setting_reference(plate_a, plate_b):
     rng = np.random.default_rng(20261018 + 2 * plate_a + plate_b)
     settings_ = _random_settings(rng, 500, plate_a, plate_b)
     want = np.stack([_reference_projector(s) for s in settings_])
-    assert np.abs(tomography_mod._projectors(settings_) - want).max() <= 1e-15
+    assert np.abs(_stack(settings_) - want).max() <= 1e-15
     for s, w in zip(settings_[:50], want):
         assert np.abs(analyzer_projector(s) - w).max() <= 1e-15
         assert np.abs(_arm_states([s.arm_a])[0] - _reference_state(s.arm_a)).max() <= 1e-15
@@ -632,7 +666,7 @@ def test_projector_stack_mixes_plated_and_bare_arms():
     settings_ = [s for pa in (False, True) for pb in (True, False) for s in _random_settings(rng, 3, pa, pb)]
     rng.shuffle(settings_)
     want = np.stack([_reference_projector(s) for s in settings_])
-    assert np.abs(tomography_mod._projectors(settings_) - want).max() <= 1e-15
+    assert np.abs(_stack(settings_) - want).max() <= 1e-15
 
 
 _ANGLE = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -642,7 +676,7 @@ _ARM = st.builds(ArmSetting, _ANGLE, st.one_of(st.none(), _ANGLE))
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.lists(st.builds(MeasurementSetting, _ARM, _ARM), min_size=1, max_size=8))
 def test_built_projectors_are_rank_one_density_projectors(settings_):
-    for proj in tomography_mod._projectors(settings_):
+    for proj in _stack(settings_):
         assert np.abs(proj - proj.conj().T).max() <= 1e-14
         assert abs(np.trace(proj) - 1.0) <= 1e-14
         assert np.abs(proj @ proj - proj).max() <= 1e-14

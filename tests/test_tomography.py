@@ -1,5 +1,6 @@
 """Tomography settings, records, and both reconstruction routes."""
 
+import collections
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import stimpairs.polarization as polarization_mod
 import stimpairs.tomography as tomography_mod
 from stimpairs.errors import ReconstructionError, SchemaError
 from stimpairs.polarization import (
@@ -508,18 +510,23 @@ def test_mle_converges_on_abnormal_line_search_record():
     assert abs(fidelity(result.rho, psi) - (1.0 - d / 2.0)) < 3.0 * sigma
 
 
+def _stack(settings_):
+    # The (k, 4, 4) projector stack of a settings list, built as the model builds it.
+    return polarization_mod._projector_stack(*polarization_mod._setting_states(settings_))
+
+
 def test_mle_builds_projector_stack_once(monkeypatch):
     # simulate_tomography, reconstruct_linear, reconstruct_mle and
     # log_likelihood all read one cached model per settings list: from a
     # cleared cache, the list's (16, 4, 4) stack is built once across the four.
     calls = []
-    true_projectors = tomography_mod._projectors
+    true_stack = tomography_mod._projector_stack
 
-    def counting_projectors(settings):
+    def counting_stack(ua, ub):
         calls.append(1)
-        return true_projectors(settings)
+        return true_stack(ua, ub)
 
-    monkeypatch.setattr(tomography_mod, "_projectors", counting_projectors)
+    monkeypatch.setattr(tomography_mod, "_projector_stack", counting_stack)
     tomography_mod._model.cache_clear()
     record = simulate_tomography(dephasing_noise(bell_state(), 0.1), 1e5, seed=10)
     reconstruct_linear(record)
@@ -543,9 +550,10 @@ def test_settings_model_is_a_read_only_copy_of_a_fresh_build():
     lists = [standard_settings(tuple(b)) for b in ("HVDR", "HVDL", "HVDA")] + [_random_angle_settings()]
     for settings_ in lists:
         model = tomography_mod._model(tuple(settings_))
-        stack = tomography_mod._projectors(settings_)
+        states = polarization_mod._setting_states(settings_)
+        stack = _stack(settings_)
         chart = tomography_mod._coordinates(stack)
-        assert np.array_equal(model.stack, stack)
+        assert all(np.array_equal(got, want) for got, want in zip(model.states, states))
         assert np.array_equal(model.chart, chart)
         assert model.cond == np.linalg.cond(chart)
         assert np.array_equal(model.table, tomography_mod._factor_table(chart))
@@ -553,9 +561,11 @@ def test_settings_model_is_a_read_only_copy_of_a_fresh_build():
         design = stack.transpose(0, 2, 1).reshape(16, 16)
         singular = np.linalg.svd(chart, compute_uv=False)
         assert np.abs(singular - np.linalg.svd(design, compute_uv=False)).max() <= 1e-14 * singular[0]
-        for array in (model.stack, model.chart, model.table):
+        for array in (*model.states, model.chart, model.table):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+    # The model keeps what reconstruction and simulation read, not the stack.
+    assert tomography_mod._Model._fields == ("states", "chart", "cond", "table")
     # A list and a tuple of the same settings share one entry: simulating
     # from the list and inverting the record (a tuple) build the model once.
     tomography_mod._model.cache_clear()
@@ -572,6 +582,98 @@ def test_settings_model_is_a_read_only_copy_of_a_fresh_build():
             reconstruct(short)
         with pytest.raises(ReconstructionError, match=r"^settings are informationally incomplete$"):
             reconstruct(incomplete)
+
+
+def test_model_build_reads_the_analyzer_states_once(monkeypatch):
+    # One _setting_states call, one _arm_states per arm: the chart's stack is
+    # built from the states the model keeps (four calls when the stack was
+    # built from a second _setting_states).
+    calls = []
+    true_arm_states = polarization_mod._arm_states
+
+    def counting(arms):
+        calls.append(len(arms))
+        return true_arm_states(arms)
+
+    monkeypatch.setattr(polarization_mod, "_arm_states", counting)
+    tomography_mod._model.cache_clear()
+    tomography_mod._model(tuple(_random_angle_settings()))
+    assert calls == [16, 16]
+
+
+_SCALE_MESSAGE = r"^counts up to \S+ at shots \S+ overflow reconstruction$"
+
+
+def test_record_past_the_count_scale_is_refused_by_both_methods():
+    # The rule is judged before any arithmetic, with no floating-point
+    # warning: 16 equal counts at a counts-to-shots ratio R once warned at
+    # R = 1e154 in the Newton step, and a ratio past the float range warned
+    # in the linear solve; counts near the float's top overflowed the
+    # likelihood's sum.  At the bounds themselves both methods still run.
+    ratio, scale = tomography_mod._RATIO_MAX, tomography_mod._SCALE_MAX
+    settings_ = standard_settings()
+    refused = [
+        (np.full(16, 1e154), 1.0),
+        (np.full(16, 1.6e308), 1e-300),
+        (np.full(16, 1e305), 1e305),
+        (np.full(16, 1.0), 1e308),
+        (np.full(16, ratio * 4.0), 2.0),
+    ]
+    for counts, shots in refused:
+        record = TomographyRecord(settings_, counts, shots)
+        message = f"counts up to {counts.max():.3g} at shots {shots:.3g}"
+        for reconstruct in (reconstruct_linear, reconstruct_mle):
+            with pytest.raises(ReconstructionError, match=_SCALE_MESSAGE) as info:
+                reconstruct(record)
+            assert str(info.value).startswith(message)
+    # Jeffreys adds 0.5 to every count the MLE reads: no counts at tiny shots
+    # are refused with it and run without it.
+    empty = TomographyRecord(settings_, np.zeros(16), 1e-300)
+    with pytest.raises(ReconstructionError, match=_SCALE_MESSAGE):
+        reconstruct_mle(empty, jeffreys=True)
+    assert reconstruct_mle(empty).physical
+    counts = simulate_tomography(dephasing_noise(bell_state(), 0.1), 1.0).counts
+    for top, shots in ((ratio, 1.0), (scale, scale), (ratio * 1e-300, 1e-300)):
+        record = TomographyRecord(settings_, counts / counts.max() * top, shots)
+        reconstruct_linear(record)
+        result = reconstruct_mle(record)
+        assert result.physical and result.residual <= tomography_mod._RESIDUAL_TOL
+
+
+def test_random_records_near_the_count_scale_run_or_are_refused_without_warning():
+    # Records of random counts (from states, uniform, mostly zero and single
+    # settings) at ratios and scales around both bounds: each method returns
+    # a result or raises ReconstructionError, and no floating-point warning
+    # is raised on the way (tier-1 turns one into an error).
+    rng = np.random.default_rng(60)
+    ratio, scale = tomography_mod._RATIO_MAX, tomography_mod._SCALE_MAX
+    seen = collections.Counter()
+    for trial in range(160):
+        kind = trial % 4
+        if kind == 0:
+            base = simulate_tomography(dephasing_noise(bell_state(), rng.uniform()), 1.0).counts
+        elif kind == 1:
+            base = rng.uniform(size=16)
+        elif kind == 2:
+            base = np.where(rng.uniform(size=16) < 0.7, 0.0, rng.uniform(size=16))
+        else:
+            base = np.eye(16)[rng.integers(16)]
+        if base.max() == 0.0:
+            continue
+        if trial % 2:
+            shots = 10.0 ** rng.uniform(-300.0, 160.0)
+            top = min(ratio * 2.0 ** rng.uniform(-8.0, 8.0) * shots, 1.7e308)
+        else:
+            shots = scale * 2.0 ** rng.uniform(-8.0, 8.0)
+            top = min(shots * 10.0 ** rng.uniform(-3.0, 0.5), 1.7e308)
+        record = TomographyRecord(standard_settings(), base / base.max() * top, shots)
+        for reconstruct in (reconstruct_linear, reconstruct_mle):
+            try:
+                reconstruct(record)
+                seen["ran"] += 1
+            except ReconstructionError as exc:
+                seen["scale" if re.match(_SCALE_MESSAGE, str(exc)) else "other"] += 1
+    assert seen["ran"] > 50 and seen["scale"] > 50
 
 
 def _seeded_dephased_records():
@@ -618,7 +720,7 @@ def _rescaled_to_the_counts(record, counts):
     # rho -> s rho with s = sum_i c_i / sum_i mu_i, where f is least along the
     # scale, so f is no higher there; its trace is s, so its residual is at
     # least |s - 1| / 2, and every record below has |s - 1| > 2 _RESIDUAL_TOL.
-    total = tomography_mod._projectors(record.settings).sum(axis=0)
+    total = _stack(record.settings).sum(axis=0)
 
     def rescale(rho):
         s = counts.sum() / (record.shots * np.vdot(total, rho).real)
@@ -870,7 +972,7 @@ def test_mle_gradient_matches_finite_difference():
     # zero-count settings, whose terms reduce to mu_i.
     record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=8)
     assert np.any(record.counts == 0.0)
-    stack = tomography_mod._projectors(record.settings)
+    stack = _stack(record.settings)
     chart = tomography_mod._coordinates(stack)
     rho = 0.7 * dephasing_noise(bell_state(), 0.2) + 0.3 * np.eye(4) / 4.0
     rng = np.random.default_rng(4)
@@ -908,7 +1010,7 @@ def test_factor_chart_is_orthonormal_and_its_table_is_direct():
     back = tomography_mod._coordinates(tomography_mod._hermitian(x))
     assert np.abs(back - x).max() <= 1e-15 * np.abs(x).max()
     for letters in ("HVDR", "HVDL", "HVDA"):
-        stack = tomography_mod._projectors(standard_settings(tuple(letters)))
+        stack = _stack(standard_settings(tuple(letters)))
         direct = np.einsum("kab,ibc,lca->ikl", basis, stack, basis).real
         table = tomography_mod._factor_table(tomography_mod._coordinates(stack))
         assert np.abs(table - direct).max() <= 1e-15
@@ -961,7 +1063,7 @@ def test_factor_derivatives_match_finite_difference():
     # and H t = -g.
     record = simulate_tomography(dephasing_noise(bell_state(), 0.2), 1e4, seed=8)
     assert np.any(record.counts == 0.0)
-    chart = tomography_mod._coordinates(tomography_mod._projectors(record.settings))
+    chart = tomography_mod._coordinates(_stack(record.settings))
     table = tomography_mod._factor_table(chart)
     rng = np.random.default_rng(6)
     eps = 1e-5
